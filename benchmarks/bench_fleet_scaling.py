@@ -9,7 +9,7 @@ the number of shards, in both execution modes (which the equivalence
 oracle keeps identical).
 
 The collected grid is written to ``BENCH_fleet.json`` at the repo root;
-``benchmarks/check_fleet_regression.py`` re-runs the same grid in CI
+``benchmarks/check_bench_regression.py fleet`` re-runs the same grid in CI
 and demands an exact match on every deterministic field.
 """
 

@@ -21,9 +21,9 @@ Four microbenchmarks, one per hot path of the runtime:
 
 Every virtual-time quantity in the doc (instruction counts, final
 clocks, candidate/deadlock counts, mark work) is deterministic and
-exact-matched by ``benchmarks/check_hotpath_regression.py``; wall-clock
-quantities (ops/sec, ns/yield) are floor-checked leniently because CI
-hardware varies.  Regenerate with::
+exact-matched by ``benchmarks/check_bench_regression.py hotpath``;
+wall-clock quantities (ops/sec, ns/yield) are floor-checked leniently
+because CI hardware varies.  Regenerate with::
 
     PYTHONPATH=src:. python benchmarks/bench_hotpath.py
 """

@@ -19,6 +19,7 @@ import time
 
 from benchmarks.conftest import emit, once
 from repro.core.config import GolfConfig
+from repro.equivalence import PAIRS, sweep
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import benchmarks_by_name
 from repro.telemetry import DEBUG, TelemetryHub
@@ -102,13 +103,8 @@ def test_disabled_telemetry_changes_nothing(benchmark):
 
 def test_enabled_telemetry_preserves_simulation(benchmark):
     """Attaching a hub must not perturb the virtual execution at all:
-    observation is passive, so end time and reports are identical."""
-
-    def run_both():
-        _, end_bare, reports_bare = _run_workload(None)
-        _, end_obs, reports_obs = _run_workload(
-            TelemetryHub(min_severity=DEBUG))
-        return (end_bare, reports_bare), (end_obs, reports_obs)
-
-    bare, observed = once(benchmark, run_both)
-    assert bare == observed
+    observation is passive, so the ``telemetry`` equivalence pair (bare
+    vs hub + DEBUG recorder) fingerprints identically on all 125
+    ground-truth programs."""
+    result = once(benchmark, lambda: sweep(PAIRS["telemetry"]))
+    assert result.clean, "\n" + result.format()

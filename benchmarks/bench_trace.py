@@ -18,6 +18,7 @@ import time
 
 from benchmarks.conftest import emit, once
 from repro.core.config import GolfConfig
+from repro.equivalence import PAIRS, sweep
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import benchmarks_by_name
 from repro.trace import export_chrome_trace
@@ -97,10 +98,7 @@ def test_disabled_tracing_changes_nothing(benchmark):
 
 
 def test_enabled_tracing_preserves_simulation(benchmark):
-    """Tracing must be passive: same virtual end time, same reports."""
-
-    def run_both():
-        return _run_workload(), _run_workload(traced=True)
-
-    bare, traced = once(benchmark, run_both)
-    assert bare == traced
+    """Tracing must be passive: the ``tracer`` equivalence pair
+    fingerprints identically on all 125 ground-truth programs."""
+    result = once(benchmark, lambda: sweep(PAIRS["tracer"]))
+    assert result.clean, "\n" + result.format()

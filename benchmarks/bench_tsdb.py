@@ -8,8 +8,9 @@ execution by construction.  This benchmark pins that claim down twice:
   cost stays within noise of a run that never imported the TSDB at all
   (the scrape path is gated on ``hub.tsdb is None``);
 - with scraping *enabled*, the virtual execution is untouched — the
-  end-of-run clock and every leak report are identical to the bare run
-  — and the wall-clock cost stays in the same order of magnitude.
+  ``scraper`` pair of :mod:`repro.equivalence` fingerprints identically
+  on the whole corpus — and the wall-clock cost stays in the same order
+  of magnitude.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 
 from benchmarks.conftest import emit, once
 from repro.core.config import GolfConfig
+from repro.equivalence import PAIRS, sweep
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import benchmarks_by_name
 from repro.telemetry import TelemetryHub
@@ -98,15 +100,10 @@ def test_tsdb_scrape_overhead(benchmark):
 
 def test_scraping_preserves_simulation(benchmark):
     """The passivity oracle: a 1ms-cadence scraper must not move the
-    virtual clock or change a single detection outcome."""
-
-    def run_both():
-        bare = _run_workload(None)
-        scraped = _run_workload(_make_scraping_hub(), scrape=True)
-        return bare, scraped
-
-    bare, scraped = once(benchmark, run_both)
-    assert bare == scraped
+    virtual clock or change a single detection outcome, on any of the
+    125 ground-truth programs (the ``scraper`` equivalence pair)."""
+    result = once(benchmark, lambda: sweep(PAIRS["scraper"]))
+    assert result.clean, "\n" + result.format()
 
 
 def test_scrape_disabled_hub_matches_plain_hub(benchmark):

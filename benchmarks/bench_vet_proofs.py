@@ -12,12 +12,12 @@ Each grid point runs twice, proofs-off and proofs-on, and the doc
 records both legs' detector work (liveness checks, mark iterations,
 mark work units) plus the modeled fixpoint time.  Everything is
 virtual-time deterministic, so ``BENCH_vet.json`` must reproduce
-exactly (``check_vet_regression.py`` is the CI gate), and the
+exactly (``check_bench_regression.py vet`` is the CI gate), and the
 acceptance floors are:
 
 - both legs byte-identical in status and leak reports (the
   equivalence invariant, spot-checked here and enforced corpus-wide
-  by ``repro vet --oracle``);
+  by ``repro equiv proofs``);
 - proofs-on observes at least one skip at every grid point;
 - proofs-on never does more fixpoint work, and at the largest pool
   the liveness-check reduction clears ``REDUCTION_FLOOR``.

@@ -100,7 +100,7 @@ def run_job_queue(config: Optional[JobQueueConfig] = None,
 
     ``proof_registry`` optionally installs static leak-freedom
     certificates (see :mod:`repro.staticcheck.proofs`) before the
-    pipeline spawns — the proofs-on leg of the equivalence oracle.
+    pipeline spawns — the proofs-on leg of the ``proofs`` equivalence pair.
     """
     config = config or JobQueueConfig()
     gc_config = GolfConfig() if golf else GolfConfig.baseline()

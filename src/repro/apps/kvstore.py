@@ -244,7 +244,7 @@ def run_kv_workload(config: Optional[KVConfig] = None,
 
     ``proof_registry`` optionally installs static leak-freedom
     certificates (see :mod:`repro.staticcheck.proofs`) before the
-    workload spawns — the proofs-on leg of the equivalence oracle.
+    workload spawns — the proofs-on leg of the ``proofs`` equivalence pair.
     """
     config = config or KVConfig()
     gc_config = GolfConfig() if golf else GolfConfig.baseline()

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Optional
 
 from repro.core.config import GC_MODES, set_default_gc_mode
 from repro.corpus.generator import CorpusConfig
+from repro.equivalence import PAIR_NAMES, run_pair
 from repro.experiments import (
     format_figure1,
     format_figure3,
@@ -382,8 +383,7 @@ def _cmd_vet(args) -> str:
     malformed annotations fail even under ``--fail-on never``); under
     ``--crossval``, recall >= ``--min-recall`` with zero false
     positives and (behavioral engine) proven channels >=
-    ``--min-proven``; under ``--oracle``, leak reports byte-identical
-    proofs-on vs proofs-off.  Failures exit 1 with findings on stderr —
+    ``--min-proven``.  Failures exit 1 with findings on stderr —
     in ``--json`` mode the JSON document still lands intact on stdout
     first.  Usage errors exit 2 via argparse.
     """
@@ -400,27 +400,6 @@ def _cmd_vet(args) -> str:
             print(text)
             raise SystemExit(message)
         raise SystemExit(text + "\n" + message)
-
-    if args.oracle:
-        from repro.staticcheck.fusion import run_equivalence_oracle
-        outcome = run_equivalence_oracle(procs=args.oracle_procs,
-                                         seed=args.oracle_seed)
-        doc = json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"
-        text = doc if args.json else outcome.summary_text()
-        if artifact_dir:
-            os.makedirs(artifact_dir, exist_ok=True)
-            path = os.path.join(artifact_dir, "vet-oracle.json")
-            with open(path, "w") as fh:
-                fh.write(doc)
-            text += f"\n  artifact        : {path}"
-        if not outcome.passed:
-            fail(text, "vet oracle FAILED: leak reports diverged "
-                       "proofs-on vs proofs-off")
-        if outcome.total_proven_sites < args.min_proven:
-            fail(text, f"vet oracle FAILED: {outcome.total_proven_sites} "
-                       f"proven site(s) below the --min-proven floor "
-                       f"{args.min_proven}")
-        return text
 
     if args.crossval:
         result = run_crossval(engine=args.engine)
@@ -474,9 +453,8 @@ def _cmd_run(args) -> str:
     ``--proofs`` certifies the benchmark body with the behavioral
     engine, installs the per-program certificate registry, and reports
     how many fixpoint scans the proofs skipped alongside the leak
-    reports (which are byte-identical either way — that is the
-    equivalence oracle's invariant, re-checkable with
-    ``repro vet --oracle``).
+    reports (which are byte-identical either way — re-checkable with
+    ``repro equiv proofs``).
     """
     from repro.microbench.harness import run_microbenchmark
     from repro.microbench.registry import benchmarks_by_name
@@ -530,30 +508,31 @@ def _cmd_run(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_gc_equiv(args) -> str:
-    """The atomic-vs-incremental equivalence oracle (see docs/GC.md).
+def _cmd_equiv(args) -> str:
+    """The differential-equivalence harness (see docs/EQUIVALENCE.md).
 
-    Runs every microbenchmark (buggy and fixed variants) under both
-    ``--gc-mode`` values and requires identical leak reports: same
-    goroutines, same detection cycles, byte-identical report logs, and
-    matching GC cycle counts and pause totals.  Any divergence is a
-    correctness bug in the incremental collector; the process exits 1
-    with the mismatches on stderr.
+    Runs the named pair — or every pair — over its whole corpus and
+    writes one ``equiv-<pair>-p<P>-s<S>.json`` per pair.  Any field
+    diff is a bug in exactly one leg; the process exits 1 with every
+    mismatch (program, variant, field, both values) on stderr.
     """
     import json
 
-    from repro.microbench.equivalence import run_equivalence_oracle
-
-    result = run_equivalence_oracle(procs=args.procs, seed=args.seed)
-    artifact_dir = args.json_dir
-    os.makedirs(artifact_dir, exist_ok=True)
-    path = os.path.join(
-        artifact_dir, f"gc-equiv-p{args.procs}-s{args.seed}.json")
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-    text = result.format() + f"\n  artifact        : {path}"
-    if not result.clean:
-        raise SystemExit(text + "\ngc equivalence FAILED")
+    names = PAIR_NAMES if args.pair == "all" else (args.pair,)
+    os.makedirs(args.json_dir, exist_ok=True)
+    sections, dirty = [], []
+    for name in names:
+        result = run_pair(name, procs=args.procs, seed=args.seed)
+        path = os.path.join(
+            args.json_dir, f"equiv-{name}-p{args.procs}-s{args.seed}.json")
+        with open(path, "w") as fh:
+            json.dump(result.to_dict(), fh, indent=2)
+        sections.append(result.format() + f"\n  artifact        : {path}")
+        if not result.clean:
+            dirty.append(name)
+    text = "\n\n".join(sections)
+    if dirty:
+        raise SystemExit(text + "\nequivalence FAILED: " + ", ".join(dirty))
     return text
 
 
@@ -585,7 +564,7 @@ _COMMANDS: Dict[str, Callable] = {
     "trace": _cmd_trace,
     "vet": _cmd_vet,
     "run": _cmd_run,
-    "gc-equiv": _cmd_gc_equiv,
+    "equiv": _cmd_equiv,
 }
 
 
@@ -759,18 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "counterexamples + proven-channel count)")
     p.add_argument("--min-proven", type=int, default=0,
                    help="floor on proven-leak-free channels (behavioral "
-                        "crossval) or proven sites (--oracle); "
-                        "default: 0")
-    p.add_argument("--oracle", action="store_true",
-                   help="ignore paths; run the proofs-on vs proofs-off "
-                        "equivalence oracle over the microbench corpus "
-                        "and both demo services, failing on any "
-                        "divergence in leak reports")
-    p.add_argument("--oracle-procs", type=int, default=1,
-                   help="GOMAXPROCS for oracle program runs (default: 1)")
-    p.add_argument("--oracle-seed", type=int, default=0,
-                   help="scheduler seed for oracle program runs "
-                        "(default: 0)")
+                        "crossval); default: 0")
     p.add_argument("--json-dir", default=None,
                    help="also write the JSON report into this directory")
 
@@ -807,13 +775,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int, default=200_000,
                    help="trace ring-buffer capacity (events)")
 
-    p = add("gc-equiv", help="atomic-vs-incremental GC equivalence "
-                             "oracle over the microbench registry; "
-                             "exits non-zero on any divergence")
+    p = add("equiv", help="differential-equivalence harness: run one "
+                          "A-vs-B pair (or all) over the 125-program "
+                          "corpus; exits non-zero on any divergence")
+    p.add_argument("pair", nargs="?", default="all",
+                   choices=PAIR_NAMES + ("all",),
+                   help="which pair to run (default: all)")
     p.add_argument("--procs", type=int, default=2)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--json-dir", default="benchmarks/out",
-                   help="directory for the oracle JSON artifact")
+                   help="directory for the per-pair JSON artifacts")
 
     p = add("all", help="regenerate everything")
     p.add_argument("--runs", type=int, default=30)
@@ -857,12 +828,12 @@ def main(argv=None) -> int:
         set_default_hub(hub)
     if args.command == "all":
         # tester, chaos, daemon, fleet, dash, obs, trace, vet, and
-        # gc-equiv have their own flags and fail semantics; they run as
+        # equiv have their own flags and fail semantics; they run as
         # explicit subcommands only.
         commands = [c for c in _COMMANDS
                     if c not in ("tester", "chaos", "daemon", "fleet",
                                  "dash", "obs", "trace", "vet",
-                                 "gc-equiv")]
+                                 "equiv")]
     else:
         commands = [args.command]
     try:

@@ -77,7 +77,7 @@ class GolfConfig:
             STW mark termination → concurrent bounded sweeping).  ``None``
             takes the process default (:func:`set_default_gc_mode`).
             Both modes emit identical leak reports for a fixed
-            ``(program, procs, seed)`` — the equivalence oracle in CI.
+            ``(program, procs, seed)`` — the ``gc_mode`` equivalence pair.
         mark_budget: work units (edges + scan work) drained per
             incremental marking step.
         sweep_budget: objects examined per incremental sweeping step.

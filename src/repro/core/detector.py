@@ -22,13 +22,15 @@ Two implementations are provided, matching the paper's section 5.3:
   concurrency objects enqueue their blocked goroutines immediately,
   completing in a single mark pass.
 
-Both produce the same deadlocked set (asserted by the ablation tests);
-they differ only in iteration counts and bookkeeping cost.
+Both produce the same deadlocked set — on synthetic heaps in the
+property tests, and on whole runs of the 125-program corpus by the
+``fixpoint`` pair of :mod:`repro.equivalence`; they differ only in
+iteration counts and bookkeeping cost.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gc.heap import Heap
 from repro.gc.marking import mark_from
@@ -129,29 +131,45 @@ def proof_skip_eligible(g: Goroutine) -> bool:
     return True
 
 
-def initial_roots(
-    heap: Heap,
-    goroutines: Sequence[Goroutine],
-    dead_global_hints: frozenset = frozenset(),
-) -> List[HeapObject]:
-    """The GOLF initial root set ``R'_0``: global data plus every
-    goroutine with ``B(g) = ∅`` (plus kept-deadlocked goroutines, which
-    are treated as live forever — paper §5.5).
+def seed_roots(heap: Heap, goroutines: Sequence[Goroutine],
+               dead_global_hints: frozenset = frozenset(),
+               ) -> Tuple[List[HeapObject], List[Goroutine], int]:
+    """Classify, mask and seed in one pass over ``goroutines``.
 
-    ``dead_global_hints`` (the section 8 future-work extension) removes
-    specific global entries from the liveness roots, letting the
-    fixpoint see past globally reachable channels."""
+    Returns ``(roots, candidates, proof_skips)``: GOLF's initial root
+    set ``R'_0`` — global data (minus ``dead_global_hints``, the
+    section 8 extension that lets the fixpoint see past globally
+    reachable channels) plus every goroutine that is runnable in the
+    broad sense (``B(g) = ∅``), kept-deadlocked or pending reclaim
+    (live forever, paper §5.5), or proof-skipped — and the detectably
+    blocked goroutines left masked for the fixpoint to decide.
+
+    ``classify`` is memoized on ``wait_seq``, so at daemon cadence only
+    goroutines whose wait state changed since the last pass pay the
+    eligibility checks; proof-skipped and runtime-owned goroutines are
+    filtered here, up front, never inside the fixpoint loop.  Both the
+    atomic cycle (via :func:`detect`) and the incremental collector's
+    MARK_SETUP window call this, so they mask the identical set.
+    """
     if dead_global_hints:
         roots = list(heap.globals.referents_excluding(dead_global_hints))
     else:
         roots = [heap.globals]
+    candidates = []
+    proof_skips = 0
     for g in goroutines:
-        if g.status == GStatus.DEAD:
-            continue
-        if g.runnable_for_liveness or g.status in (
-                GStatus.DEADLOCKED, GStatus.PENDING_RECLAIM):
+        c = classify(g)
+        if c == CLASS_NEITHER:
+            if g.status != GStatus.DEAD:
+                roots.append(g)
+        elif c == CLASS_CANDIDATE:
+            g.masked = True
+            candidates.append(g)
+        else:
+            g.masked = False
+            proof_skips += 1
             roots.append(g)
-    return roots
+    return roots, candidates, proof_skips
 
 
 def detect(heap: Heap, goroutines: Sequence[Goroutine],
@@ -176,37 +194,8 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     blocked goroutine live that Go's precise stack scan would not.
     """
     result = DetectionResult()
-    if dead_global_hints:
-        roots = list(heap.globals.referents_excluding(dead_global_hints))
-    else:
-        roots = [heap.globals]
-    # One fused pass over ``goroutines`` replaces the historical
-    # classify / mask / initial-root scans.  ``classify`` is memoized on
-    # ``wait_seq``, so at daemon cadence only goroutines whose wait
-    # state changed since the last pass pay the eligibility checks;
-    # proof-skipped and runtime-owned goroutines are filtered here, up
-    # front, never inside the fixpoint loop.  Masking only candidates
-    # (rather than masking all detectably blocked then unmasking the
-    # proof-skipped) leaves every goroutine's mask bit in the identical
-    # state.
-    candidates = []
-    proof_skipped = []
-    for g in goroutines:
-        c = classify(g)
-        if c == CLASS_NEITHER:
-            # GOLF's initial roots R'_0: runnable in the broad sense
-            # (B(g) = ∅), plus kept-deadlocked/pending goroutines, which
-            # stay live forever (paper §5.5).
-            if g.status != GStatus.DEAD:
-                roots.append(g)
-        elif c == CLASS_CANDIDATE:
-            g.masked = True
-            candidates.append(g)
-        else:
-            g.masked = False
-            proof_skipped.append(g)
-            roots.append(g)
-    result.proof_skips = len(proof_skipped)
+    roots, candidates, result.proof_skips = seed_roots(
+        heap, goroutines, dead_global_hints)
     roots.extend(extra_roots)
 
     if on_the_fly:

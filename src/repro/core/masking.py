@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.runtime.goroutine import GStatus, Goroutine
+from repro.runtime.goroutine import Goroutine
 
 #: The flipped high-order bit for a simulated 64-bit address space.
 MASK_BIT = 1 << 63
@@ -38,21 +38,6 @@ def unmask_addr(addr: int) -> int:
 
 def is_masked(addr: int) -> bool:
     return bool(addr & MASK_BIT)
-
-
-def mask_blocked_goroutines(goroutines: Iterable[Goroutine]) -> int:
-    """Mask every deadlock-candidate goroutine before a GOLF mark phase.
-
-    Returns the number of goroutines masked.  Only user goroutines parked
-    at detectable concurrency operations are masked; everything else is
-    part of the initial root set and must stay visible.
-    """
-    masked = 0
-    for g in goroutines:
-        if g.status == GStatus.WAITING and g.is_blocked_detectably:
-            g.masked = True
-            masked += 1
-    return masked
 
 
 def unmask_all(goroutines: Iterable[Goroutine]) -> None:

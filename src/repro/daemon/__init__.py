@@ -38,13 +38,67 @@ Usage::
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.runtime.clock import MILLISECOND
-from repro.runtime.goroutine import GStatus
 from repro.runtime.instructions import Sleep
+
+
+class SystemGoroutine:
+    """Lifecycle of one daemon-class goroutine ticking on an interval.
+
+    The scheduler runs such a goroutine on its dedicated virtual
+    processor with FIFO dispatch, a fixed instruction cost and its own
+    timer heap, so a subclass only supplies :meth:`_tick` (plus its own
+    error type and stats).  ``start()`` rejects a double start;
+    ``stop()`` is idempotent and has the scheduler cancel a pending
+    interval timer, so a sleeping goroutine exits at once and does not
+    keep the process alive; a stop issued mid-tick lets the tick finish
+    (the flag is re-read after every sleep).
+    """
+
+    #: Per subclass: the goroutine's name, what lifecycle errors call
+    #: it, and their type.
+    name = ""
+    what = ""
+    error = ReproError
+
+    def __init__(self, rt, interval_ns: int):
+        if interval_ns <= 0:
+            raise self.error(f"{self.what} interval must be positive")
+        self.rt = rt
+        self.interval_ns = interval_ns
+        self._running = False
+        self._g = None
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    def start(self) -> None:
+        if self._running:
+            raise self.error(f"{self.what} already running")
+        self._running = True
+        self._g = self.rt.sched.spawn(
+            self._loop, name=self.name, system=True, daemon=True,
+            go_site="<runtime>")
+
+    def stop(self) -> None:
+        if not self._running:
+            return
+        self._running = False
+        self.rt.sched.cancel_timer(self._g)
+
+    def _loop(self):
+        while self._running:
+            yield Sleep(self.interval_ns)
+            if not self._running:
+                break
+            self._tick()
+
+    def _tick(self) -> None:
+        raise NotImplementedError
 
 
 class DaemonError(ReproError):
@@ -80,41 +134,29 @@ class DaemonStats:
                 f"skipped={self.skipped} leaks={self.leaks_reported}>")
 
 
-class DetectionDaemon:
+class DetectionDaemon(SystemGoroutine):
     """Controller for the detection daemon goroutine.
 
     Built (and usually started) through
     :meth:`repro.runtime.api.Runtime.detect_partial_deadlock`.
     """
 
+    name = "deadlock-detector"
+    what = "detection daemon"
+    error = DaemonError
+
     def __init__(self, rt, interval_ns: int = 50 * MILLISECOND):
-        if interval_ns <= 0:
-            raise DaemonError("daemon interval must be positive")
-        self.rt = rt
-        self.interval_ns = interval_ns
+        super().__init__(rt, interval_ns)
         self.stats = DaemonStats()
-        self._running = False
-        self._g = None
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         """Spawn the daemon goroutine; rejects double-start."""
-        if self._running:
-            raise DaemonError("detection daemon already running")
         if not self.rt.config.golf:
             raise DaemonError(
                 "detection daemon requires a GOLF-enabled collector")
+        super().start()
         self.stats = DaemonStats()
         self.stats.started_at_ns = self.rt.clock.now
-        self._running = True
-        self._g = self.rt.sched.spawn(
-            self._loop, name="deadlock-detector", system=True, daemon=True,
-            go_site="<runtime>")
         if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
                 "daemon-start", self._g.goid,
@@ -123,45 +165,18 @@ class DetectionDaemon:
             self.rt.telemetry.on_daemon_event("start")
 
     def stop(self) -> None:
-        """Stop the daemon.  Idempotent; no-op when not running.
-
-        A daemon parked on its interval timer is woken immediately so it
-        observes the stop flag and exits without waiting out the sleep;
-        a stop issued mid-check lets the current fixpoint finish first
-        (the flag is re-read after every check).
-        """
+        """Stop the daemon.  Idempotent; no-op when not running."""
         if not self._running:
             return
-        self._running = False
+        super().stop()
         self.stats.stopped_at_ns = self.rt.clock.now
-        g = self._g
-        if (g is not None and g.status == GStatus.WAITING
-                and g.wake_at is not None):
-            # Early-wake the sleeping daemon (RNG-free: daemon wakes go
-            # to the daemon run queue) and drop its now-stale timer so
-            # the scheduler does not keep the process alive for it.
-            sched = self.rt.sched
-            sched._daemon_timers = [
-                t for t in sched._daemon_timers if t[3] is not g]
-            heapq.heapify(sched._daemon_timers)
-            sched.wake(g, result=None)
         if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
-                "daemon-stop", g.goid if g is not None else 0,
-                f"checks={self.stats.checks}")
+                "daemon-stop", self._g.goid, f"checks={self.stats.checks}")
         if self.rt.telemetry is not None:
             self.rt.telemetry.on_daemon_event("stop")
 
-    # -- the daemon body ----------------------------------------------------
-
-    def _loop(self):
-        while self._running:
-            yield Sleep(self.interval_ns)
-            if not self._running:
-                break
-            self._check()
-
-    def _check(self) -> None:
+    def _tick(self) -> None:
         """One detection pass: the GOLF fixpoint without a collection."""
         reported_before = self.rt.reports.total()
         cs = self.rt.collector.detect_only(reason="daemon")

@@ -122,8 +122,8 @@ class FleetResult:
     # -- renderings -----------------------------------------------------------
 
     def report_log_text(self) -> str:
-        """The merged leak-report log with shard provenance — the
-        byte-identity surface of the mode-equivalence oracle."""
+        """The merged leak-report log with shard provenance (part of
+        the :func:`equivalence_surface`)."""
         lines: List[str] = []
         for shard in self.shards:
             for text in shard.report_texts:
@@ -301,22 +301,22 @@ def validate_fleet_artifact(doc: dict) -> Dict[str, int]:
     }
 
 
-def equivalence_diff(a: "FleetResult", b: "FleetResult") -> List[str]:
-    """Mode-equivalence oracle: everything but the mode tag must match.
+def equivalence_surface(result: "FleetResult") -> dict:
+    """What must not depend on the execution mode: the canonical
+    artifact minus its mode tag, the merged report-log text, and the
+    fingerprint set."""
+    doc = result.to_dict()
+    del doc["mode"]
+    doc["report_log"] = result.report_log_text()
+    doc["fingerprint_set"] = result.fingerprints.fingerprints()
+    return doc
 
-    Compares the canonical artifacts (mode field excluded), the merged
-    report-log text, and the fingerprint sets; returns human-readable
-    mismatches (empty = equivalent).
-    """
-    mismatches: List[str] = []
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("mode"), db.pop("mode")
-    if da != db:
-        for key in sorted(set(da) | set(db)):
-            if da.get(key) != db.get(key):
-                mismatches.append(f"artifact field {key!r} differs")
-    if a.report_log_text() != b.report_log_text():
-        mismatches.append("merged leak-report logs differ")
-    if a.fingerprints.fingerprints() != b.fingerprints.fingerprints():
-        mismatches.append("fleet fingerprint sets differ")
-    return mismatches
+
+def equivalence_diff(a: "FleetResult", b: "FleetResult") -> List[str]:
+    """Mode equivalence: one line per field of the
+    :func:`equivalence_surface` on which ``a`` and ``b`` differ
+    (empty = equivalent)."""
+    from repro.equivalence import diff_fields
+
+    return [f"{field} differs" for field, _, _ in diff_fields(
+        equivalence_surface(a), equivalence_surface(b))]

@@ -22,8 +22,8 @@ Two execution modes (``GolfConfig.gc_mode``):
   sound.  Both modes share the liveness fixpoint
   (:func:`repro.core.detector.expand_liveness_fixpoint`) and the cost
   model below, so they render identical deadlock verdicts and identical
-  virtual-time totals on quiescent cycles — the equivalence oracle in
-  ``tests/test_gc_equivalence.py``.
+  virtual-time totals on quiescent cycles — the ``gc_mode`` pair of
+  :mod:`repro.equivalence`.
 
 Simulated cost model (drives the paper's Table 2 / Figure 4 metrics):
 
@@ -161,30 +161,7 @@ class Collector:
         cs.heap_bytes_before = self.heap.live_bytes
         cs.heap_objects_before = self.heap.live_objects
 
-        self.heap.begin_cycle()
-
-        # sync.Pool integration: each cycle ages the pools' caches
-        # (primary -> victim -> released), as Go does under STW.  Pools
-        # register themselves on the heap's aging registry at allocation
-        # time, so this no longer scans the whole heap.
-        for obj in self.heap.gc_aged_objects():
-            obj.on_gc()  # type: ignore[attr-defined]
-
-        # Second half of the two-cycle recovery protocol: shut down the
-        # goroutines reported (and finalizer-cleared) last detection.
-        telemetry = self.sched.telemetry
-        for g in self._pending_reclaim:
-            if telemetry is not None:
-                # Before reclaim: the goroutine still carries its sites.
-                telemetry.on_reclaim(g)
-            self.sched.reclaim_deadlocked(g)
-            cs.goroutines_reclaimed += 1
-        self._pending_reclaim = []
-
-        detect_now = (
-            self.config.golf
-            and (cycle_no - 1) % self.config.detect_every == 0
-        )
+        detect_now = self._cycle_prologue(cs)
         if detect_now:
             self._golf_cycle(cs)
         else:
@@ -220,6 +197,30 @@ class Collector:
         if self.recovery_manager is not None:
             self.recovery_manager.process_pending()
         return cs
+
+    def _cycle_prologue(self, cs: CycleStats) -> bool:
+        """Open a collection cycle under STW, in either gc mode.
+
+        Starts a fresh mark epoch, ages the ``sync.Pool`` caches
+        (primary -> victim -> released, as Go does; pools register on
+        the heap's aging registry at allocation time), and runs the
+        second half of the two-cycle recovery protocol: shut down the
+        goroutines reported (and finalizer-cleared) last detection.
+        Returns whether this cycle runs GOLF detection.
+        """
+        self.heap.begin_cycle()
+        for obj in self.heap.gc_aged_objects():
+            obj.on_gc()  # type: ignore[attr-defined]
+        telemetry = self.sched.telemetry
+        for g in self._pending_reclaim:
+            if telemetry is not None:
+                # Before reclaim: the goroutine still carries its sites.
+                telemetry.on_reclaim(g)
+            self.sched.reclaim_deadlocked(g)
+            cs.goroutines_reclaimed += 1
+        self._pending_reclaim = []
+        return (self.config.golf
+                and (cs.cycle - 1) % self.config.detect_every == 0)
 
     def detect_only(self, reason: str = "daemon") -> Optional[CycleStats]:
         """Run the GOLF liveness fixpoint without collecting.
@@ -277,7 +278,12 @@ class Collector:
         cs.mark_work_units = det.mark_work_units
         cs.liveness_checks = det.liveness_checks
         cs.proof_skips = det.proof_skips
+        self._conclude_detection(cs, det.deadlocked)
 
+    def _conclude_detection(self, cs: CycleStats,
+                            deadlocked: List[Goroutine]) -> None:
+        """After the fixpoint, in either gc mode: restore the global
+        view, report and start recovery, drop every mask."""
         if self.config.dead_global_hints:
             # Hints affect liveness only, never collection: re-mark the
             # full global view so hinted objects are not swept while the
@@ -285,8 +291,7 @@ class Collector:
             extra_work, _ = mark_from(
                 self.heap, [self.heap.globals], respect_masks=True)
             cs.mark_work_units += extra_work
-
-        self._report_and_recover(cs, det.deadlocked)
+        self._report_and_recover(cs, deadlocked)
         masking.unmask_all(self.sched.allgs)
 
     def _report_and_recover(self, cs: CycleStats,
@@ -313,7 +318,7 @@ class Collector:
             # has not advanced yet at this point, so this is clock.now;
             # in incremental mode the setup window has already elapsed,
             # and anchoring to the start keeps report logs byte-identical
-            # across the two modes (the equivalence oracle checks this).
+            # across the two modes (the gc_mode equivalence pair checks this).
             report = self.reports.add(g, cs.cycle, cs.started_at_ns)
             report.provenance = prov_map.get(g.goid)
             g.reported = True
@@ -391,51 +396,16 @@ class Collector:
         self._cycle = cs
         self._transition(GCPhase.MARK_SETUP)
 
-        self.heap.begin_cycle()
-        for obj in self.heap.gc_aged_objects():
-            obj.on_gc()  # type: ignore[attr-defined]
-
-        telemetry = self.sched.telemetry
-        for g in self._pending_reclaim:
-            if telemetry is not None:
-                telemetry.on_reclaim(g)
-            self.sched.reclaim_deadlocked(g)
-            cs.goroutines_reclaimed += 1
-        self._pending_reclaim = []
-
-        self._detect_now = (
-            self.config.golf
-            and (cycle_no - 1) % self.config.detect_every == 0
-        )
+        self._detect_now = self._cycle_prologue(cs)
         self._gray = []
         self._shades_at_setup = self.heap.barrier_shades
         if self._detect_now:
             # Candidates are snapshotted under STW: goroutines that block
             # detectably *after* setup were woken-then-blocked by live
             # mutators and are shaded by the barrier/rescan instead.
-            # Same fused classify/mask/root pass as detector.detect —
-            # memoized on wait_seq, so back-to-back cycles only
-            # reclassify goroutines whose wait state changed.
-            hints = self.config.dead_global_hints
-            if hints:
-                roots = list(self.heap.globals.referents_excluding(hints))
-            else:
-                roots = [self.heap.globals]
-            self._candidates = []
-            proof_skips = 0
-            for g in self.sched.allgs:
-                c = detector_mod.classify(g)
-                if c == detector_mod.CLASS_NEITHER:
-                    if g.status != GStatus.DEAD:
-                        roots.append(g)
-                elif c == detector_mod.CLASS_CANDIDATE:
-                    g.masked = True
-                    self._candidates.append(g)
-                else:
-                    g.masked = False
-                    proof_skips += 1
-                    roots.append(g)
-            cs.proof_skips = proof_skips
+            roots, self._candidates, cs.proof_skips = (
+                detector_mod.seed_roots(self.heap, self.sched.allgs,
+                                        self.config.dead_global_hints))
         else:
             self._candidates = []
             roots = [self.heap.globals] + [
@@ -521,12 +491,7 @@ class Collector:
             cs.mark_iterations += det.mark_iterations
             cs.mark_work_units += det.mark_work_units
             cs.liveness_checks += det.liveness_checks
-            if self.config.dead_global_hints:
-                extra_work, _ = mark_from(
-                    self.heap, [self.heap.globals], respect_masks=True)
-                cs.mark_work_units += extra_work
-            self._report_and_recover(cs, deadlocked)
-            masking.unmask_all(self.sched.allgs)
+            self._conclude_detection(cs, deadlocked)
         self._candidates = []
 
         cs.mark_clock_ns = (

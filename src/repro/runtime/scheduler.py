@@ -136,7 +136,7 @@ class Scheduler:
         self.alloc_hook: Callable[[], None] = lambda: None
         #: Address-masking policy (identity unless GOLF installs one).
         self.mask_key: Callable[[int], int] = lambda addr: addr
-        #: Optional event tracer (see repro.runtime.tracing).  Stored
+        #: Optional event tracer (see repro.trace.tracer).  Stored
         #: privately; the public name is a property whose setter
         #: recomputes :attr:`_observed` — hot paths read ``_tracer``
         #: directly and guard whole instrumentation blocks on the single
@@ -358,6 +358,21 @@ class Scheduler:
             heapq.heappush(self._daemon_timers, entry)
         else:
             heapq.heappush(self._timers, entry)
+
+    def cancel_timer(self, g: Goroutine) -> None:
+        """Wake a timer-parked daemon goroutine now and drop its timer.
+
+        Teardown for daemon-class goroutines: the sleeper observes its
+        stop flag immediately, and the stale heap entry no longer keeps
+        the run loop alive.  RNG-free (daemon wakes go to the daemon run
+        queue); a no-op unless ``g`` is parked on its interval timer.
+        """
+        if g.status != GStatus.WAITING or g.wake_at is None:
+            return
+        timers = self._daemon_timers
+        timers[:] = [t for t in timers if t[3] is not g]
+        heapq.heapify(timers)
+        self.wake(g, result=None)
 
     def wake(self, g: Goroutine, result: Any = None,
              exc: Optional[BaseException] = None) -> None:
@@ -739,7 +754,7 @@ class Scheduler:
             ]
             if waiting_user:
                 raise GlobalDeadlockError(
-                    len(waiting_user), dump=self._deadlock_dump(waiting_user))
+                    len(waiting_user), dump=self.goroutine_dump(waiting_user))
             return RunStatus.IDLE
 
     def goroutine_dump(self,
@@ -760,9 +775,6 @@ class Scheduler:
                 lines.append(f"\t{frame}")
             lines.append(f"created by {g.go_site}")
         return "\n".join(lines)
-
-    def _deadlock_dump(self, goroutines: List[Goroutine]) -> str:
-        return self.goroutine_dump(goroutines)
 
     def _wake_due_timers(self) -> None:
         for timers in (self._timers, self._daemon_timers):
@@ -855,9 +867,9 @@ class Scheduler:
             # show up in the workload's CPU metrics.
             cost = self.base_cost_ns
         else:
-            # Inlined _cost: opcode compares instead of isinstance
-            # chains.  Subclasses inherit the parent's OP, matching the
-            # historical isinstance semantics exactly (same RNG draws).
+            # Opcode compares instead of isinstance chains.  Subclasses
+            # inherit the parent's OP, matching the historical
+            # isinstance semantics exactly (same RNG draws).
             op = instr.OP
             if op == OP_WORK:
                 cost = instr.units * 1_000  # units are microseconds
@@ -871,15 +883,6 @@ class Scheduler:
         p.busy_until = self.clock.now + cost
         if self._tracer is not None:
             self._tracer.on_instr(p.pid, g, instr.MNEMONIC, cost)
-
-    def _cost(self, instr: Instruction) -> int:
-        op = instr.OP
-        if op == OP_WORK:
-            return instr.units * 1_000  # units are microseconds
-        if op == OP_SLEEP or op == OP_RUN_GC:
-            return self.base_cost_ns
-        jitter = self.rng.uniform(0.75, 1.25)
-        return max(1, int(self.base_cost_ns * jitter))
 
     def _complete(self, p: _Proc) -> None:
         g, instr = p.g, p.instr

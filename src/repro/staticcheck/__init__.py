@@ -62,7 +62,6 @@ from repro.staticcheck.proofs import (
     certificates_for,
     verify_certificate,
 )
-from repro.staticcheck.fusion import run_equivalence_oracle
 
 __all__ = [
     "ALL_RULES",
@@ -97,6 +96,5 @@ __all__ = [
     "extract_file",
     "parse_annotations",
     "run_crossval",
-    "run_equivalence_oracle",
     "vet_paths",
 ]

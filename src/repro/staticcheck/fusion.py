@@ -1,127 +1,33 @@
-"""The proofs-on/off equivalence oracle and fused-crossval helpers.
+"""Certificate registries for the static→dynamic fusion.
 
-The static→dynamic fusion (certificates tagging channels so the GOLF
-detector skips their sudog scans; see :mod:`repro.staticcheck.proofs`
-and ``repro.core.detector``) is only admissible if it is *observably
-neutral*: leak reports must be byte-identical with proofs installed and
-without, on every program.  This module is that check, run in CI:
+Certificates tag channels so the GOLF detector skips their sudog scans
+(see :mod:`repro.staticcheck.proofs` and ``repro.core.detector``).
+That is only admissible if it is *observably neutral* — the ``proofs``
+pair of :mod:`repro.equivalence` checks it on every ground-truth
+program and both demo services (docs/EQUIVALENCE.md).  This module
+builds the registries that check installs:
 
-- :func:`run_equivalence_oracle` replays the full microbench
-  ground-truth corpus (every leaky benchmark and every fixed variant),
-  each under its **own** per-program certificate registry — proofs are
+- one per program, from that program's own analysis — proofs are
   whole-program properties, so certificates are never shared across
-  entries — and demands identical status, panic, detected-site set,
-  report count, GC cycle count, reclaim count, and the exact sequence
-  of formatted leak reports.
-- The two demo services run the same two-leg comparison over their
-  full scalar results.  Their entry closures are not statically
-  extractable, so their registries come from the module-level roots
+  entries;
+- one per demo service.  Their entry closures are not statically
+  extractable, so the registry comes from the module-level roots
   :func:`repro.staticcheck.extractor.extract_file` finds; an empty
-  registry is a valid (trivially neutral) outcome and is reported.
-
-The oracle also totals observed ``proof_skips`` so CI can see whether
-the skip path actually fired, and counts certificates to enforce the
-proven-channel floor.
+  registry is a valid (trivially neutral) outcome.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.microbench import registry as microbench_registry
-from repro.microbench.harness import run_microbenchmark
 from repro.staticcheck.behavior import (
     BehaviorAnalysis,
     analyze_callable_behavior,
+    analyze_extraction_behavior,
 )
 from repro.staticcheck.extractor import extract_file
 from repro.staticcheck.proofs import ProofRegistry, build_registry
-
-
-class ProgramComparison:
-    """One program's proofs-off vs proofs-on legs."""
-
-    __slots__ = ("name", "kind", "identical", "proven_sites",
-                 "proof_skips", "diff")
-
-    def __init__(self, name: str, kind: str, identical: bool,
-                 proven_sites: int, proof_skips: int,
-                 diff: Optional[str] = None):
-        self.name = name
-        self.kind = kind          # "benchmark" | "service"
-        self.identical = identical
-        self.proven_sites = proven_sites
-        self.proof_skips = proof_skips
-        self.diff = diff
-
-    def to_dict(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {
-            "name": self.name, "kind": self.kind,
-            "identical": self.identical,
-            "proven_sites": self.proven_sites,
-            "proof_skips": self.proof_skips,
-        }
-        if self.diff:
-            d["diff"] = self.diff
-        return d
-
-
-class OracleOutcome:
-    """Aggregate result of the equivalence oracle."""
-
-    __slots__ = ("comparisons", "procs", "seed")
-
-    def __init__(self, comparisons: List[ProgramComparison],
-                 procs: int, seed: int):
-        self.comparisons = comparisons
-        self.procs = procs
-        self.seed = seed
-
-    @property
-    def mismatches(self) -> List[ProgramComparison]:
-        return [c for c in self.comparisons if not c.identical]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    @property
-    def total_proven_sites(self) -> int:
-        return sum(c.proven_sites for c in self.comparisons
-                   if c.kind == "benchmark")
-
-    @property
-    def total_proof_skips(self) -> int:
-        return sum(c.proof_skips for c in self.comparisons)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "procs": self.procs,
-            "seed": self.seed,
-            "programs": len(self.comparisons),
-            "passed": self.passed,
-            "mismatches": [c.name for c in self.mismatches],
-            "total_proven_sites": self.total_proven_sites,
-            "total_proof_skips": self.total_proof_skips,
-            "comparisons": [c.to_dict() for c in self.comparisons],
-        }
-
-    def summary_text(self) -> str:
-        lines = [
-            f"equivalence oracle: {len(self.comparisons)} program(s), "
-            f"procs={self.procs} seed={self.seed}",
-            f"  proven sites installed: {self.total_proven_sites}",
-            f"  proof skips observed:   {self.total_proof_skips}",
-        ]
-        if self.passed:
-            lines.append("  PASS: all programs byte-identical "
-                         "proofs-on vs proofs-off")
-        else:
-            lines.append(f"  FAIL: {len(self.mismatches)} mismatch(es)")
-            for c in self.mismatches:
-                lines.append(f"    - {c.name}: {c.diff}")
-        return "\n".join(lines)
 
 
 def registry_for_analysis(analysis: BehaviorAnalysis,
@@ -132,57 +38,21 @@ def registry_for_analysis(analysis: BehaviorAnalysis,
     return registry
 
 
-def _bench_signature(rt, res) -> Tuple:
-    return (
-        res.status, res.panic, tuple(sorted(res.detected)),
-        res.report_count, res.num_gc, res.reclaimed,
-        tuple(r.format() for r in rt.reports.reports),
-    )
+def install_program_proofs(rt, program) -> None:
+    """Leg hook of the ``proofs`` pair: certify ``program`` and install
+    its own registry on the fresh runtime."""
+    analysis = analyze_callable_behavior(program.body, name=program.name)
+    rt.install_proofs(registry_for_analysis(analysis))
 
 
-def _diff_text(off_sig: Tuple, on_sig: Tuple) -> str:
-    fields = ("status", "panic", "detected", "report_count", "num_gc",
-              "reclaimed", "reports")
-    parts = []
-    for field, off, on in zip(fields, off_sig, on_sig):
-        if off != on:
-            parts.append(f"{field}: off={off!r} on={on!r}")
-    return "; ".join(parts) or "unknown divergence"
-
-
-def compare_benchmark(row: Dict[str, Any], procs: int = 1, seed: int = 0,
-                      analysis: Optional[BehaviorAnalysis] = None
-                      ) -> ProgramComparison:
-    """Run one ground-truth row proofs-off then proofs-on and compare."""
-    name = row["name"]
-    fixed = name.endswith("__fixed")
-    bench = microbench_registry.benchmarks_by_name()[
-        name[:-len("__fixed")] if fixed else name]
-    if analysis is None:
-        analysis = analyze_callable_behavior(row["body"], name=name)
-    registry = registry_for_analysis(analysis)
-
-    signatures = []
-    proof_skips = 0
-    for proofs_on in (False, True):
-        holder: Dict[str, Any] = {}
-
-        def hook(rt, _on=proofs_on):
-            holder["rt"] = rt
-            if _on:
-                rt.install_proofs(registry)
-
-        res = run_microbenchmark(bench, procs=procs, seed=seed,
-                                 use_fixed=fixed, rt_hook=hook)
-        rt = holder["rt"]
-        signatures.append(_bench_signature(rt, res))
-        if proofs_on:
-            proof_skips = sum(cs.proof_skips
-                              for cs in rt.collector.stats.cycles)
-    identical = signatures[0] == signatures[1]
-    return ProgramComparison(
-        name, "benchmark", identical, len(registry), proof_skips,
-        diff=None if identical else _diff_text(*signatures))
+def proof_witness(rt) -> Dict[str, int]:
+    """Non-vacuity counters of the ``proofs`` pair: certificates
+    installed, and fixpoint scans the detector actually skipped."""
+    return {
+        "proven_sites": len(rt.sched.proof_registry),
+        "proof_skips": sum(cs.proof_skips
+                           for cs in rt.collector.stats.cycles),
+    }
 
 
 def _service_registry(module_file: str) -> ProofRegistry:
@@ -190,63 +60,21 @@ def _service_registry(module_file: str) -> ProofRegistry:
     analyses = []
     for extraction in extract_file(module_file):
         try:
-            analyses.append(
-                __import__("repro.staticcheck.behavior",
-                           fromlist=["analyze_extraction_behavior"]
-                           ).analyze_extraction_behavior(extraction))
+            analyses.append(analyze_extraction_behavior(extraction))
         except Exception:
             continue
     return build_registry(analyses)
 
 
-def _result_fields(result) -> Dict[str, Any]:
-    slots = getattr(result, "__slots__", None)
-    if slots is not None:
-        return {name: getattr(result, name) for name in slots}
-    return dict(vars(result))
-
-
-def compare_service(name: str, runner: Callable[..., Any],
-                    module_file: str) -> ProgramComparison:
-    """Run one demo service proofs-off then proofs-on and compare."""
-    registry = _service_registry(module_file)
-    off = _result_fields(runner())
-    on = _result_fields(runner(proof_registry=registry))
-    identical = off == on
-    diff = None
-    if not identical:
-        keys = [k for k in sorted(set(off) | set(on))
-                if off.get(k) != on.get(k)]
-        diff = "; ".join(
-            f"{k}: off={off.get(k)!r} on={on.get(k)!r}" for k in keys)
-    return ProgramComparison(name, "service", identical, len(registry),
-                             0, diff=diff)
-
-
-def _service_specs() -> List[Tuple[str, Callable[..., Any], str]]:
+def demo_services() -> List[Tuple[str, Callable[..., Any], ProofRegistry]]:
+    """``(name, runner, registry)`` for each demo service; the runner
+    takes ``proof_registry=`` for the proofs-on leg."""
     from repro.apps import jobqueue, kvstore
 
     return [
-        ("apps/kvstore", kvstore.run_kv_workload,
-         os.path.abspath(kvstore.__file__)),
-        ("apps/jobqueue", jobqueue.run_job_queue,
-         os.path.abspath(jobqueue.__file__)),
+        (name, runner, _service_registry(os.path.abspath(module.__file__)))
+        for name, runner, module in (
+            ("apps/kvstore", kvstore.run_kv_workload, kvstore),
+            ("apps/jobqueue", jobqueue.run_job_queue, jobqueue),
+        )
     ]
-
-
-def run_equivalence_oracle(procs: int = 1, seed: int = 0,
-                           include_services: bool = True,
-                           progress: Optional[Callable[[str], None]] = None
-                           ) -> OracleOutcome:
-    """The full oracle: every ground-truth program plus both services."""
-    comparisons: List[ProgramComparison] = []
-    for row in microbench_registry.ground_truth():
-        comparisons.append(compare_benchmark(row, procs=procs, seed=seed))
-        if progress is not None:
-            progress(comparisons[-1].name)
-    if include_services:
-        for name, runner, module_file in _service_specs():
-            comparisons.append(compare_service(name, runner, module_file))
-            if progress is not None:
-                progress(name)
-    return OracleOutcome(comparisons, procs, seed)

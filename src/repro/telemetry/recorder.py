@@ -1,7 +1,7 @@
 """The flight recorder: a bounded ring of structured runtime events.
 
 Production services cannot afford an unbounded trace (the failure mode
-the old ``runtime/tracing.py`` list had); the flight recorder keeps the
+the original list-backed tracer had); the flight recorder keeps the
 *last* ``capacity`` events — drop-oldest, with a dropped-event counter —
 so when something goes wrong the recent history is always on hand.
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
+from repro.daemon import SystemGoroutine
 from repro.errors import ReproError
 from repro.runtime.clock import SECOND
 from repro.telemetry.metrics import (
@@ -341,69 +342,25 @@ class ScraperError(ReproError):
     """Invalid metrics-scraper lifecycle operation."""
 
 
-class MetricsScraper:
+class MetricsScraper(SystemGoroutine):
     """The scrape loop: a daemon-class goroutine ticking the hub's TSDB.
 
-    Modeled on :class:`~repro.daemon.DetectionDaemon`: ``start()``
-    spawns the daemon goroutine (double-start raises), ``stop()`` is
-    idempotent and early-wakes a sleeping scraper so it exits without
-    waiting out the interval.  Each tick calls
-    :meth:`TelemetryHub.scrape_tick`, which syncs the drop-count and
-    clock gauges, appends one point per live series, and evaluates the
-    alert rules at the scrape timestamp.
+    Each tick calls :meth:`TelemetryHub.scrape_tick`, which syncs the
+    drop-count and clock gauges, appends one point per live series, and
+    evaluates the alert rules at the scrape timestamp.
     """
 
+    name = "metrics-scraper"
+    what = "metrics scraper"
+    error = ScraperError
+
     def __init__(self, rt, hub, interval_ns: int):
-        if interval_ns <= 0:
-            raise ScraperError("scrape interval must be positive")
+        super().__init__(rt, interval_ns)
         if hub.tsdb is None:
             raise ScraperError(
                 "hub has no TSDB; call TelemetryHub.enable_tsdb first")
-        self.rt = rt
         self.hub = hub
-        self.interval_ns = interval_ns
         self.scrapes = 0
-        self._running = False
-        self._g = None
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> None:
-        if self._running:
-            raise ScraperError("metrics scraper already running")
-        self._running = True
-        self._g = self.rt.sched.spawn(
-            self._loop, name="metrics-scraper", system=True, daemon=True,
-            go_site="<runtime>")
-
-    def stop(self) -> None:
-        """Idempotent; wakes a scraper parked on its interval timer."""
-        if not self._running:
-            return
-        self._running = False
-        g = self._g
-        from repro.runtime.goroutine import GStatus
-
-        if (g is not None and g.status == GStatus.WAITING
-                and g.wake_at is not None):
-            import heapq
-
-            sched = self.rt.sched
-            sched._daemon_timers = [
-                t for t in sched._daemon_timers if t[3] is not g]
-            heapq.heapify(sched._daemon_timers)
-            sched.wake(g, result=None)
-
-    def _loop(self):
-        from repro.runtime.instructions import Sleep
-
-        while self._running:
-            yield Sleep(self.interval_ns)
-            if not self._running:
-                break
-            self._tick()
 
     def _tick(self) -> None:
         self.hub.scrape_tick(self.rt.clock.now)

@@ -8,9 +8,8 @@ the same discipline the telemetry hub uses.
 
 Events are buffered in the telemetry :class:`RingBuffer` (drop-oldest;
 ``dropped`` counts evictions, exposed as the ``trace_dropped_total``
-metric when a hub is attached).  The legacy ``emit``/``events``/
-``format`` API of :class:`repro.runtime.tracing.Tracer` is preserved —
-that module now re-exports this class.
+metric when a hub is attached).  The GODEBUG-style ``emit``/``events``/
+``format`` API of the original list-backed tracer is preserved.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import GolfConfig, Runtime
+from repro.equivalence import run_pair
 from repro.runtime.clock import MILLISECOND
 
 
@@ -26,3 +27,14 @@ def run_to_end(runtime: Runtime, main_fn, *args,
     """Spawn ``main_fn`` and run with sane safety caps."""
     runtime.spawn_main(main_fn, *args)
     return runtime.run(until_ns=budget_ns, max_instructions=max_instructions)
+
+
+_SWEPT: dict = {}
+
+
+def swept(pair: str, seed: int = 7):
+    """``run_pair(pair, procs=2, seed)``, computed once per session:
+    the all-pairs test and each pair's home test file share one sweep."""
+    if (pair, seed) not in _SWEPT:
+        _SWEPT[pair, seed] = run_pair(pair, procs=2, seed=seed)
+    return _SWEPT[pair, seed]

@@ -8,11 +8,13 @@ import pytest
 
 from repro import GolfConfig, Runtime
 from repro.daemon import DaemonError, DetectionDaemon
+from repro.equivalence import PAIRS
 from repro.runtime.clock import MILLISECOND
 from repro.runtime.goroutine import GStatus
-from repro.runtime.instructions import Recv, Send, Sleep, Work
+from repro.runtime.instructions import Recv, Sleep
 from repro.runtime.invariants import check_invariants
 from repro.runtime.watchdog import Watchdog
+from tests.conftest import swept
 
 
 def _orphan(i):
@@ -177,26 +179,19 @@ class TestDetection:
 
 class TestInvisibility:
     def test_daemon_does_not_perturb_user_schedule(self):
-        """Same seed, daemon on vs off: identical user-visible execution
-        (instruction counts untouched, RNG stream unperturbed)."""
-        def workload(rt):
-            done = {"n": 0}
-            def worker(wid):
-                for _ in range(20):
-                    yield Work(5)
-                done["n"] += 1
-            for i in range(4):
-                rt.go(worker, i, name=f"w{i}")
-            rt.spawn_main(_sleeper(40))
-            rt.run(until_ns=50 * MILLISECOND)
-            return done["n"], rt.sched.instructions_executed, rt.clock.now
-
-        rt_off = Runtime(procs=2, seed=9)
-        base = workload(rt_off)
-
-        rt_on = Runtime(procs=2, seed=9)
-        rt_on.detect_partial_deadlock(interval_ms=5)
-        assert workload(rt_on) == base
+        """Same seed, daemon on vs off, on every ground-truth program:
+        identical user-visible execution (instruction counts and final
+        clocks untouched, RNG stream unperturbed) with the daemon really
+        ticking.  Only where a tick claims a leak before the next GC
+        does — the daemon's purpose — may cycle numbers and the clock
+        move; the last test of this class pins the case where none can."""
+        for seed in (7, 11):
+            result = swept("daemon", seed)
+            assert result.clean, "\n" + result.format()
+            assert result.witness["daemon_checks"] >= result.runs
+            # ...and only a handful of runs needed the exclusion.
+            assert result.witness["first_reports"] < 10
+        assert "instructions" not in PAIRS["daemon"].excluded
 
     def test_daemon_excluded_from_scheduler_accounting(self):
         rt = Runtime(seed=9)

@@ -8,17 +8,18 @@ Two safety nets for the hot-path overhaul:
   ``_HANDLERS`` dict it replaced (so adding an instruction without
   wiring both paths fails here, not in production);
 - **differential** — the table-dispatched executor and the legacy
-  dict-dispatched interpreter produce byte-identical observable
-  behavior (status, reports, instruction counts, final virtual clocks,
-  GC counts) over the entire 73-benchmark registry at two seeds.
+  dict-dispatched interpreter fingerprint identically (the ``dispatch``
+  pair of :mod:`repro.equivalence`: status, reports, instruction
+  counts, final virtual clocks, GC counts) on each of the 73 registry
+  benchmarks at two seeds; the whole 125-program corpus is swept in
+  ``tests/test_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import GolfConfig
-from repro.microbench.harness import run_microbenchmark
+from repro.equivalence import PAIRS, Program, compare
 from repro.microbench.registry import all_benchmarks
 from repro.runtime import executor
 from repro.runtime import instructions as ins
@@ -65,36 +66,10 @@ class TestDispatchTableCompleteness:
         assert executor._OP_CLASS[FancyGosched.OP] is not FancyGosched
 
 
-def _fingerprint(bench, seed: int, legacy: bool) -> dict:
-    """Everything observable about one benchmark execution."""
-    captured = {}
-
-    def hook(rt):
-        if legacy:
-            rt.sched._execute = executor.execute_legacy
-        captured["rt"] = rt
-
-    result = run_microbenchmark(
-        bench, procs=2, seed=seed, config=GolfConfig(), rt_hook=hook)
-    rt = captured["rt"]
-    return {
-        "status": result.status,
-        "panic": result.panic,
-        "detected": sorted(result.detected),
-        "report_count": result.report_count,
-        "num_gc": result.num_gc,
-        "reclaimed": result.reclaimed,
-        "instructions": rt.sched.instructions_executed,
-        "final_clock_ns": rt.clock.now,
-        "reports": [r.format() for r in rt.reports],
-        "report_summary": rt.reports.summary_text(),
-    }
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize(
     "bench", all_benchmarks(), ids=[b.name for b in all_benchmarks()])
 def test_table_vs_legacy_differential(bench, seed):
-    fast = _fingerprint(bench, seed, legacy=False)
-    legacy = _fingerprint(bench, seed, legacy=True)
-    assert fast == legacy
+    diffs = compare(PAIRS["dispatch"], Program(bench, False),
+                    procs=2, seed=seed)
+    assert diffs == []

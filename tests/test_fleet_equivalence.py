@@ -62,4 +62,7 @@ class TestModeEquivalence:
                                   leak_rate=0.5), "sequential")
         b = run_fleet(FleetConfig(shards=2, seed=2, users=10,
                                   leak_rate=0.5), "sequential")
-        assert equivalence_diff(a, b) != []
+        mismatches = equivalence_diff(a, b)
+        # ...and it names the fields: per-shard results, merged log.
+        assert "shards differs" in mismatches
+        assert "report_log differs" in mismatches

@@ -1,83 +1,68 @@
-"""The atomic-vs-incremental equivalence oracle as a test.
+"""The atomic-vs-incremental pair of the equivalence harness.
 
 This is the correctness proof for the incremental collector: every
-microbenchmark in the registry, buggy and fixed variant alike, must
+program of the ground-truth corpus, buggy and fixed variant alike, must
 yield identical leak reports (same goroutines, same detection cycles,
 byte-identical report logs), GC cycle counts, and STW pause totals
-under both ``--gc-mode`` values.  The same oracle runs in CI via
-``python -m repro gc-equiv``.
+under both ``--gc-mode`` values.  The same pair runs in CI via
+``python -m repro equiv gc_mode``.
 """
 
-import pytest
-
-from repro.microbench.equivalence import (
-    compare_benchmark,
-    run_equivalence_oracle,
+from repro.equivalence import (
+    PAIRS,
+    EquivalenceResult,
+    Program,
+    compare,
+    corpus,
+    run_leg,
 )
-from repro.microbench.registry import all_benchmarks
+from repro.microbench.registry import all_benchmarks, benchmarks_by_name
+from tests.conftest import swept
+
+PAIR = PAIRS["gc_mode"]
 
 
 class TestEquivalenceOracle:
     def test_full_registry_equivalent(self):
-        result = run_equivalence_oracle(procs=2, seed=7)
+        result = swept("gc_mode", 7)
         assert result.clean, "\n" + result.format()
         # Both variants of every benchmark must have been compared.
         expected = sum(2 if b.fixed is not None else 1
                        for b in all_benchmarks())
-        assert len(result.comparisons) == expected
+        assert result.runs == expected
 
     def test_registry_equivalent_under_other_seed(self):
-        result = run_equivalence_oracle(procs=2, seed=11)
+        result = swept("gc_mode", 11)
         assert result.clean, "\n" + result.format()
 
     def test_fixed_variants_report_nothing_in_both_modes(self):
-        result = run_equivalence_oracle(procs=2, seed=7)
-        fixed = [c for c in result.comparisons if c.variant == "fixed"]
+        fixed = [p for p in corpus() if p.fixed]
         assert fixed
-        for c in fixed:
-            log, cycles, _, _, _ = c.atomic
-            assert log == "" and cycles == (), (
-                f"{c.name} fixed variant reported a leak")
+        for program in fixed:
+            for leg in (PAIR.leg_a, PAIR.leg_b):
+                _, fp = run_leg(leg, program, procs=2, seed=7)
+                assert fp["reports"] == [] and \
+                    fp["detection_cycles"] == [], (
+                        f"{program.name} reported a leak under {leg.label}")
 
     def test_single_benchmark_comparison(self):
-        bench = next(b for b in all_benchmarks()
-                     if b.name == "cgo/timeout-leak")
-        comp = compare_benchmark(bench, procs=2, seed=7)
-        assert comp.match
-        log, cycles, num_gc, total, max_pause = comp.atomic
-        assert log and cycles  # this benchmark leaks
-        assert num_gc >= 1 and total > 0 and max_pause > 0
-
-    def test_mismatch_formatting(self):
-        bench = all_benchmarks()[0]
-        comp = compare_benchmark(bench, procs=2, seed=7)
-        # Fabricate a divergence to exercise the failure report.
-        comp.incremental = ("bogus", ((1, 1),), 99, 0, 0)
-        assert not comp.match
-        text = comp.describe_mismatch()
-        assert "report log differs" in text
-        assert "num_gc differs" in text
+        program = Program(benchmarks_by_name()["cgo/timeout-leak"], False)
+        assert compare(PAIR, program, procs=2, seed=7) == []
+        _, fp = run_leg(PAIR.leg_a, program, procs=2, seed=7)
+        assert fp["reports"] and fp["detection_cycles"]  # it leaks
+        assert fp["num_gc"] >= 1
+        assert fp["pause_total_ns"] > 0 and fp["max_pause_ns"] > 0
 
     def test_result_serialization(self):
-        bench = all_benchmarks()[0]
-        result = run_equivalence_oracle(procs=2, seed=7, benchmarks=[bench])
+        result = EquivalenceResult(PAIR, procs=2, seed=7)
+        compare(PAIR, corpus()[0], 2, 7, into=result)
         d = result.to_dict()
         assert d["clean"] is True
-        assert d["procs"] == 2 and d["seed"] == 7
+        assert d["procs"] == 2 and d["seed"] == 7 and d["runs"] == 1
         assert "EQUIVALENT" in result.format()
 
 
 class TestGcEquivCli:
-    def test_gc_equiv_subcommand(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main(["gc-equiv", "--procs", "2", "--seed", "7",
-                   "--json-dir", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "EQUIVALENT" in out
-        assert (tmp_path / "gc-equiv-p2-s7.json").exists()
-
     def test_gc_mode_flag_sets_process_default(self, tmp_path):
         from repro.cli import main
         from repro.core.config import (

@@ -2,6 +2,8 @@
 
 from repro import GolfConfig, Runtime
 from repro.core import masking
+from repro.core.detector import detect
+from repro.gc.heap import Heap
 from repro.runtime.clock import MICROSECOND
 from repro.runtime.goroutine import Goroutine, GStatus
 from repro.runtime.instructions import Go, Lock, NewMutex, Sleep
@@ -27,30 +29,40 @@ class TestMaskArithmetic:
 
 
 class TestGoroutineMasking:
+    """The mask bits ``detector.detect`` leaves behind: only deadlock
+    candidates are hidden from marking."""
+
     def _blocked(self, reason):
         g = Goroutine(goid=1)
         g.status = GStatus.WAITING
         g.wait_reason = reason
         return g
 
+    def _detect(self, goroutines):
+        heap = Heap()
+        heap.begin_cycle()
+        return detect(heap, goroutines)
+
     def test_detectable_waits_masked(self):
         g = self._blocked(WaitReason.CHAN_SEND)
-        assert masking.mask_blocked_goroutines([g]) == 1
+        assert self._detect([g]).deadlocked == [g]
         assert g.masked
 
     def test_sleep_not_masked(self):
         g = self._blocked(WaitReason.SLEEP)
-        assert masking.mask_blocked_goroutines([g]) == 0
+        assert self._detect([g]).deadlocked == []
         assert not g.masked
 
     def test_system_goroutines_not_masked(self):
         g = self._blocked(WaitReason.CHAN_RECEIVE)
         g.is_system = True
-        assert masking.mask_blocked_goroutines([g]) == 0
+        assert self._detect([g]).deadlocked == []
+        assert not g.masked
 
     def test_unmask_all(self):
         gs = [self._blocked(WaitReason.CHAN_SEND) for _ in range(3)]
-        masking.mask_blocked_goroutines(gs)
+        self._detect(gs)
+        assert all(g.masked for g in gs)
         masking.unmask_all(gs)
         assert not any(g.masked for g in gs)
 

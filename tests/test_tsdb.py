@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.equivalence import PAIRS
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MILLISECOND
 from repro.runtime.instructions import Recv, Send, Sleep, Work
@@ -15,6 +16,7 @@ from repro.telemetry import (
     merge_tsdb,
 )
 from repro.telemetry.tsdb import HistogramSeries
+from tests.conftest import swept
 
 
 class TestSeries:
@@ -212,20 +214,12 @@ class TestMetricsScraper:
 
     def test_scraping_is_scheduler_invisible(self):
         """The observation SLO: enabling the scraper must not move a
-        single virtual timestamp or change any detection outcome."""
-        def run(scrape):
-            rt = Runtime(procs=2, seed=11)
-            if scrape:
-                rt.enable_telemetry(scrape_interval_ms=1.0)
-            else:
-                rt.enable_telemetry()
-            _pingpong(rt)
-            end = rt.clock.now
-            reports = [(r.goid, r.block_site, r.detected_at_ns)
-                       for r in rt.reports]
-            return end, reports
-
-        assert run(scrape=False) == run(scrape=True)
+        single virtual timestamp or change any detection outcome, on
+        any ground-truth program — no fingerprint field is excluded."""
+        result = swept("scraper", 7)
+        assert result.clean, "\n" + result.format()
+        assert PAIRS["scraper"].excluded == ()
+        assert result.witness["scrapes"] >= result.runs
 
     def test_same_seed_dumps_identical(self):
         def run():

@@ -15,6 +15,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.equivalence import PAIRS, EquivalenceResult, Program, compare
+from repro.microbench.registry import benchmarks_by_name
 from repro.runtime.api import Runtime
 from repro.runtime.clock import SECOND
 from repro.runtime.instructions import (
@@ -27,11 +29,8 @@ from repro.runtime.instructions import (
 )
 from repro.staticcheck import vet_paths
 from repro.staticcheck.behavior import analyze_callable_behavior
-from repro.staticcheck.fusion import (
-    compare_benchmark,
-    registry_for_analysis,
-    run_equivalence_oracle,
-)
+from repro.staticcheck.fusion import registry_for_analysis
+from tests.conftest import swept
 
 GOOD = """\
 from repro.runtime.instructions import Go, MakeChan, Recv, Send
@@ -243,15 +242,15 @@ class TestRuntimeFusion:
         assert on_reports == off_reports == ()
 
     def test_compare_benchmark_is_identical_on_leaky_program(self):
-        from repro.microbench.registry import ground_truth
-
-        row = next(r for r in ground_truth()
-                   if r["name"] == "cgo/timeout-leak")
-        comparison = compare_benchmark(row)
-        assert comparison.identical, comparison.diff
-        assert comparison.proven_sites == 1
+        program = Program(benchmarks_by_name()["cgo/timeout-leak"], False)
+        result = EquivalenceResult(PAIRS["proofs"], 1, 0)
+        diffs = compare(PAIRS["proofs"], program, procs=1, seed=0,
+                        into=result)
+        assert diffs == [], diffs
+        assert result.witness["proven_sites"] == 1
 
     def test_oracle_smoke_over_services(self):
-        outcome = run_equivalence_oracle(include_services=True)
-        assert outcome.passed, outcome.summary_text()
-        assert outcome.total_proven_sites >= 20
+        result = swept("proofs", 7)
+        assert result.clean, "\n" + result.format()
+        assert result.runs == 125 + 2      # the corpus + both services
+        assert result.witness["proven_sites"] >= 20
