@@ -26,14 +26,14 @@ deactivation), keeping this module scheduler-agnostic and unit-testable.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterator, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.errors import (
     CloseOfClosedChannel,
     SendOnClosedChannel,
 )
 from repro.runtime.goroutine import Sudog
-from repro.runtime.objects import WORD_SIZE, HeapObject, iter_heap_refs
+from repro.runtime.objects import WORD_SIZE, HeapObject, scan_each, scan_into
 
 #: The zero value delivered by receives on closed, drained channels.
 ZERO_VALUE: Any = None
@@ -117,14 +117,14 @@ class Channel(HeapObject):
     def waiting_receivers(self) -> int:
         return sum(1 for sd in self.recvq if sd.active)
 
-    def referents(self) -> Iterator[HeapObject]:
-        for value in self.buffer:
-            yield from iter_heap_refs(value)
+    def referents(self) -> List[HeapObject]:
+        out = scan_each(self.buffer, [])
         # Values held by parked senders are published to any receiver that
         # can reach the channel, so they are reachable through it.
         for sd in self.sendq:
             if sd.active:
-                yield from iter_heap_refs(sd.value)
+                scan_into(sd.value, out)
+        return out
 
     # -- checkpoint/restart support ------------------------------------------
 

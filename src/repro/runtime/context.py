@@ -26,7 +26,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.runtime.channel import Channel
 from repro.runtime.instructions import Alloc, Close, Go, MakeChan, Sleep
@@ -65,11 +65,10 @@ class Context(HeapObject):
     def cancelled(self) -> bool:
         return self.err is not None
 
-    def referents(self) -> Iterator[HeapObject]:
-        if self.done is not None:
-            yield self.done
-        for child in self.children:
-            yield child
+    def referents(self) -> List[HeapObject]:
+        refs: List[HeapObject] = [] if self.done is None else [self.done]
+        refs.extend(self.children)
+        return refs
 
     def __repr__(self) -> str:
         state = self.err or "live"

@@ -12,7 +12,7 @@ All helpers are generator functions composed with ``yield from``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.runtime.context import Context, with_cancel
 from repro.runtime.instructions import Alloc, Go, NewWaitGroup, WgAdd, WgDone, WgWait
@@ -34,10 +34,8 @@ class Group(HeapObject):
         self.ctx = ctx
         self._cancel = cancel
 
-    def referents(self) -> Iterator[HeapObject]:
-        yield self.wg
-        if self.ctx is not None:
-            yield self.ctx
+    def referents(self) -> List[HeapObject]:
+        return [self.wg] if self.ctx is None else [self.wg, self.ctx]
 
 
 def new_group():

@@ -16,9 +16,9 @@ the pool.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.runtime.objects import HeapObject, iter_heap_refs
+from repro.runtime.objects import HeapObject, scan_each, scan_into
 from repro.runtime.waitreason import WaitReason
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -301,7 +301,7 @@ class Goroutine(HeapObject):
         """
         return self.stack_bytes // 256
 
-    def stack_heap_refs(self) -> Iterator[HeapObject]:
+    def stack_heap_refs(self) -> List[HeapObject]:
         """Scan the goroutine's stack for heap references.
 
         Walks every frame of the (possibly delegated) generator chain and
@@ -309,21 +309,21 @@ class Goroutine(HeapObject):
         instruction the goroutine is currently blocked on and any pending
         received value — both of which live on the real stack in Go.
         """
+        out: List[HeapObject] = []
         gen = self.gen
         while gen is not None and getattr(gen, "gi_frame", None) is not None:
-            frame = gen.gi_frame
-            for value in frame.f_locals.values():
-                yield from iter_heap_refs(value)
+            scan_each(gen.gi_frame.f_locals.values(), out)
             gen = getattr(gen, "gi_yieldfrom", None)
-        yield from iter_heap_refs(self.pending_value)
+        scan_into(self.pending_value, out)
         for sd in self.sudogs:
             if sd.active and sd.channel is not None:
-                yield sd.channel
-                yield from iter_heap_refs(sd.value)
+                out.append(sd.channel)
+                scan_into(sd.value, out)
         if self.blocking_sema is not None:
-            yield self.blocking_sema
+            out.append(self.blocking_sema)
+        return out
 
-    def referents(self) -> Iterator[HeapObject]:
+    def referents(self) -> List[HeapObject]:
         """Marking a goroutine marks everything its stack references."""
         return self.stack_heap_refs()
 

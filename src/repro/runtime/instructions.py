@@ -45,7 +45,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
 
-from repro.runtime.objects import HeapObject
+from repro.runtime.objects import (
+    HeapObject, iter_heap_refs, scan_each, scan_into,
+)
 
 #: Case index reported by ``Select`` when the default case ran.
 DEFAULT_CASE = -1
@@ -89,7 +91,8 @@ class Instruction:
 
         These count as stack references of the yielding goroutine while
         the instruction is pending (e.g. the value being sent sits on the
-        sender's stack).
+        sender's stack), so value operands are scanned through
+        containers like any stack local.
         """
         return ()
 
@@ -141,11 +144,8 @@ class Send(Instruction):
         self.value = value
 
     def heap_refs(self) -> Tuple[HeapObject, ...]:
-        refs = []
-        if self.channel is not None:
-            refs.append(self.channel)
-        if isinstance(self.value, HeapObject):
-            refs.append(self.value)
+        refs = [] if self.channel is None else [self.channel]
+        scan_into(self.value, refs)
         return tuple(refs)
 
 
@@ -219,8 +219,8 @@ class Select(Instruction):
         for case in self.cases:
             if case.channel is not None:
                 refs.append(case.channel)
-            if isinstance(case, SendCase) and isinstance(case.value, HeapObject):
-                refs.append(case.value)
+            if isinstance(case, SendCase):
+                scan_into(case.value, refs)
         return tuple(refs)
 
 
@@ -417,7 +417,7 @@ class Go(Instruction):
         self.name = name
 
     def heap_refs(self) -> Tuple[HeapObject, ...]:
-        return tuple(a for a in self.args if isinstance(a, HeapObject))
+        return tuple(scan_each(self.args, []))
 
 
 class Sleep(Instruction):
@@ -528,7 +528,7 @@ class SetGlobal(Instruction):
         self.value = value
 
     def heap_refs(self) -> Tuple[HeapObject, ...]:
-        return (self.value,) if isinstance(self.value, HeapObject) else ()
+        return tuple(iter_heap_refs(self.value))
 
 
 class GetGlobal(Instruction):

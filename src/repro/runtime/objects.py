@@ -18,7 +18,13 @@ may be stored; they occupy no simulated heap space and are invisible to the
 collector.  Python container values (lists, tuples, dicts, sets) are
 scanned *through* conservatively, so a plain list of channels held in a
 goroutine local keeps those channels reachable, just as a Go slice on the
-stack would.
+stack would.  The same holds for the operands of an instruction in
+flight (``Send``/``Select`` values, ``Go`` arguments, ``SetGlobal``).
+
+One eager kernel, :func:`scan_into`, does all such scanning, and every
+``referents()`` returns the finished list of what it found — in slot
+order, one entry per edge, duplicates kept — because the marking engine
+charges one work unit per entry.
 """
 
 from __future__ import annotations
@@ -32,6 +38,16 @@ WORD_SIZE = 8
 #: references.  Deeper nesting is almost certainly a bug in user code; the
 #: limit keeps conservative scanning linear in practice.
 _MAX_SCAN_DEPTH = 16
+
+#: Exact types the scanner rejects without an ``isinstance`` chain: they
+#: are neither heap objects nor containers.  Membership is by ``type(v)``,
+#: so a subclass (which may carry fields or override iteration) is not
+#: covered and is scanned the general way.
+_SCALARS = frozenset({int, float, str, bytes, bool, type(None), complex})
+
+#: The sequence/set types scanned through; for exactly these (not a
+#: subclass) the all-scalars test may stand in for iteration.
+_PLAIN = (list, tuple, set, frozenset)
 
 
 class HeapObject:
@@ -102,14 +118,16 @@ class HeapObject:
         if heap is not None:
             heap.write_barrier(self, value)
 
-    def referents(self) -> Iterator["HeapObject"]:
-        """Yield the heap objects this object directly references.
+    def referents(self) -> Iterable["HeapObject"]:
+        """The heap objects this object directly references.
 
-        Subclasses override this; the default object has no outgoing
-        references.  The collector treats the transitive closure of this
-        relation as ``REF`` from the paper.
+        Subclasses override this and return a list built eagerly (the
+        collector runs no mutator between the call and the last
+        element); the default object has no outgoing references.  The
+        collector treats the transitive closure of this relation as
+        ``REF`` from the paper.
         """
-        return iter(())
+        return ()
 
     # -- checkpoint/restart support ---------------------------------------
 
@@ -169,7 +187,7 @@ class Box(HeapObject):
         self._barrier(new_value)
         self._value = new_value
 
-    def referents(self) -> Iterator[HeapObject]:
+    def referents(self) -> List[HeapObject]:
         return iter_heap_refs(self._value)
 
     def checkpoint_state(self) -> Any:
@@ -209,9 +227,8 @@ class Struct(HeapObject):
         self._barrier(value)
         self.fields[name] = value
 
-    def referents(self) -> Iterator[HeapObject]:
-        for value in self.fields.values():
-            yield from iter_heap_refs(value)
+    def referents(self) -> List[HeapObject]:
+        return scan_each(self.fields.values(), [])
 
     def checkpoint_state(self) -> Any:
         return dict(self.fields)
@@ -250,9 +267,8 @@ class Slice(HeapObject):
     def __iter__(self) -> Iterator[Any]:
         return iter(self.items)
 
-    def referents(self) -> Iterator[HeapObject]:
-        for value in self.items:
-            yield from iter_heap_refs(value)
+    def referents(self) -> List[HeapObject]:
+        return scan_each(self.items, [])
 
     def checkpoint_state(self) -> Any:
         return list(self.items)
@@ -332,10 +348,12 @@ class GoMap(HeapObject):
         del self.entries[key]
         self.resize(self.size - self.BYTES_PER_ENTRY)
 
-    def referents(self) -> Iterator[HeapObject]:
-        for key, value in self.entries.items():
-            yield from iter_heap_refs(key)
-            yield from iter_heap_refs(value)
+    def referents(self) -> List[HeapObject]:
+        # Depth -1: the backing dict is not a nesting level, so each key
+        # and value is scanned as a top-level value, key before value.
+        out: List[HeapObject] = []
+        scan_into(self.entries, out, -1)
+        return out
 
     def checkpoint_state(self) -> Any:
         return dict(self.entries)
@@ -365,23 +383,62 @@ class Blob(HeapObject):
         super().__init__(size=size)
 
 
-def iter_heap_refs(value: Any, _depth: int = 0) -> Iterator[HeapObject]:
-    """Yield heap objects found in ``value``, scanning through containers.
+def scan_into(value: Any, out: List[HeapObject], _depth: int = 0) -> None:
+    """Append the heap objects found in ``value`` to ``out``.
 
-    This is the conservative scanner used for goroutine stack frames and
-    for the payload slots of runtime objects.  It recognizes
-    :class:`HeapObject` instances directly and recurses (bounded) through
-    plain Python lists, tuples, dicts, sets and frozensets.
+    The conservative scanner's one kernel: depth-first, container order,
+    dict key before value, a :class:`HeapObject` taken at any depth and
+    containers not entered at ``_MAX_SCAN_DEPTH``.  Scalars are rejected
+    by *exact* type and a container holding only scalars by one C-level
+    pass over its element types; subclasses (``IntEnum``, a
+    ``namedtuple``, a ``HeapObject``) never match and take the
+    ``isinstance`` path below.
     """
+    cls = type(value)
+    if cls in _SCALARS:
+        return
     if isinstance(value, HeapObject):
-        yield value
+        out.append(value)
+    elif _depth >= _MAX_SCAN_DEPTH:
         return
-    if _depth >= _MAX_SCAN_DEPTH:
-        return
-    if isinstance(value, (list, tuple, set, frozenset)):
+    elif isinstance(value, _PLAIN):
+        if cls in _PLAIN and _SCALARS.issuperset(map(type, value)):
+            return
         for item in value:
-            yield from iter_heap_refs(item, _depth + 1)
+            if type(item) not in _SCALARS:
+                scan_into(item, out, _depth + 1)
     elif isinstance(value, dict):
+        if (cls is dict and _SCALARS.issuperset(map(type, value))
+                and _SCALARS.issuperset(map(type, value.values()))):
+            return
         for key, item in value.items():
-            yield from iter_heap_refs(key, _depth + 1)
-            yield from iter_heap_refs(item, _depth + 1)
+            if type(key) not in _SCALARS:
+                scan_into(key, out, _depth + 1)
+            if type(item) not in _SCALARS:
+                scan_into(item, out, _depth + 1)
+
+
+def scan_each(values: Iterable[Any],
+              out: List[HeapObject]) -> List[HeapObject]:
+    """Scan every element of ``values`` as a top-level value; returns ``out``.
+
+    For the slots a runtime object owns (struct fields, a channel
+    buffer, frame locals): ``values`` is any re-iterable, not itself a
+    nesting level.
+    """
+    if not _SCALARS.issuperset(map(type, values)):
+        for value in values:
+            if type(value) not in _SCALARS:
+                scan_into(value, out)
+    return out
+
+
+def iter_heap_refs(value: Any) -> List[HeapObject]:
+    """The heap objects found in ``value``, scanning through containers.
+
+    Single-value entry to :func:`scan_into`, used for goroutine stack
+    frames and the payload slots of runtime objects.
+    """
+    out: List[HeapObject] = []
+    scan_into(value, out)
+    return out

@@ -15,10 +15,10 @@ mirrors the Go split between ``sync`` and ``runtime/sema.go``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import List
 
 from repro.errors import NegativeWaitGroupCounter, UnlockOfUnlockedMutex
-from repro.runtime.objects import WORD_SIZE, HeapObject
+from repro.runtime.objects import WORD_SIZE, HeapObject, scan_each
 
 
 class Mutex(HeapObject):
@@ -144,8 +144,8 @@ class Cond(HeapObject):
     def sema_key(self) -> int:
         return self.addr + 8
 
-    def referents(self) -> Iterator[HeapObject]:
-        yield self.locker
+    def referents(self) -> List[HeapObject]:
+        return [self.locker]
 
 
 class Once(HeapObject):
@@ -212,9 +212,6 @@ class Pool(HeapObject):
     def __len__(self) -> int:
         return len(self._items) + len(self._victims)
 
-    def referents(self):
-        from repro.runtime.objects import iter_heap_refs
-        for item in self._items:
-            yield from iter_heap_refs(item)
-        for item in self._victims:
-            yield from iter_heap_refs(item)
+    def referents(self) -> List[HeapObject]:
+        out = scan_each(self._items, [])
+        return scan_each(self._victims, out)

@@ -11,7 +11,7 @@ All helpers are generator functions composed with ``yield from``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import List
 
 from repro.runtime.channel import Channel
 from repro.runtime.instructions import (
@@ -47,8 +47,8 @@ class Ticker(HeapObject):
     def stop(self) -> None:
         self.stopped = True
 
-    def referents(self) -> Iterator[HeapObject]:
-        yield self.ch
+    def referents(self) -> List[HeapObject]:
+        return [self.ch]
 
 
 class Timer(HeapObject):
@@ -66,8 +66,8 @@ class Timer(HeapObject):
         """Best-effort cancel; returns nothing (flag-based, like Go)."""
         self.stopped = True
 
-    def referents(self) -> Iterator[HeapObject]:
-        yield self.ch
+    def referents(self) -> List[HeapObject]:
+        return [self.ch]
 
 
 def new_ticker(interval_ns: int):
