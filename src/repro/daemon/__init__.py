@@ -7,11 +7,13 @@ service can sit on a leaked goroutine for seconds.  ADVOCATE's
 background routine that re-runs detection on a timer; this module is
 that routine for the simulated runtime.
 
-The daemon is a *daemon-class* system goroutine: the scheduler runs it
-on a dedicated virtual processor with FIFO dispatch, a fixed instruction
-cost and its own timer heap, so starting it never perturbs user
-scheduling, RNG draws, or GC stepping — leak reports are byte-identical
-with the daemon on or off (when the daemon surfaces no new leaks first).
+The daemon is a scheduler *ticker*
+(:meth:`repro.runtime.scheduler.Scheduler.add_ticker`), not a goroutine:
+the run loop calls it on a virtual-time period the way Go's ``sysmon``
+runs without a P.  There is no descriptor, run-queue entry, instruction
+or RNG draw for it to perturb the program with, so leak reports are
+byte-identical with the daemon on or off (when the daemon surfaces no
+new leaks first).
 Each tick calls :meth:`repro.gc.collector.Collector.detect_only`, the
 full GOLF B(g) liveness fixpoint without a collection, giving a
 detection-latency SLO of roughly ``interval_ms`` regardless of when the
@@ -19,14 +21,14 @@ next real GC lands.
 
 Lifecycle (ADVOCATE semantics):
 
-- ``start()`` spawns the goroutine; starting a running daemon raises
+- ``start()`` arms the ticker; starting a running daemon raises
   :class:`DaemonError` (double-start rejection).
 - ``stop()`` is idempotent and a no-op when not running.  A stop issued
-  mid-check takes effect after the current fixpoint completes; a stop
-  while the daemon sleeps wakes it immediately so it exits without
-  waiting out the interval.
-- start after stop is always legal and spawns a fresh daemon goroutine
-  (idempotent restart).
+  mid-check (from a report callback) lets the current fixpoint complete;
+  a stop between ticks removes the pending tick at once, so a stopped
+  daemon never keeps the run loop alive.
+- start after stop is always legal and arms a fresh ticker from the
+  current clock (idempotent restart).
 
 Usage::
 
@@ -42,25 +44,18 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.runtime.clock import MILLISECOND
-from repro.runtime.instructions import Sleep
 
 
-class SystemGoroutine:
-    """Lifecycle of one daemon-class goroutine ticking on an interval.
+class SystemTicker:
+    """Lifecycle of one scheduler ticker calling :meth:`_tick`.
 
-    The scheduler runs such a goroutine on its dedicated virtual
-    processor with FIFO dispatch, a fixed instruction cost and its own
-    timer heap, so a subclass only supplies :meth:`_tick` (plus its own
-    error type and stats).  ``start()`` rejects a double start;
-    ``stop()`` is idempotent and has the scheduler cancel a pending
-    interval timer, so a sleeping goroutine exits at once and does not
-    keep the process alive; a stop issued mid-tick lets the tick finish
-    (the flag is re-read after every sleep).
+    A subclass supplies :meth:`_tick` plus its own error type and
+    stats.  ``start()`` rejects a double start; ``stop()`` is idempotent
+    and removes the pending tick, so a stopped ticker does not keep the
+    process alive; a stop issued from inside a tick lets it finish.
     """
 
-    #: Per subclass: the goroutine's name, what lifecycle errors call
-    #: it, and their type.
-    name = ""
+    #: Per subclass: what lifecycle errors call it, and their type.
     what = ""
     error = ReproError
 
@@ -69,33 +64,21 @@ class SystemGoroutine:
             raise self.error(f"{self.what} interval must be positive")
         self.rt = rt
         self.interval_ns = interval_ns
-        self._running = False
-        self._g = None
+        self._ticker = None
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._ticker is not None
 
     def start(self) -> None:
-        if self._running:
+        if self._ticker is not None:
             raise self.error(f"{self.what} already running")
-        self._running = True
-        self._g = self.rt.sched.spawn(
-            self._loop, name=self.name, system=True, daemon=True,
-            go_site="<runtime>")
+        self._ticker = self.rt.sched.add_ticker(self.interval_ns, self._tick)
 
     def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        self.rt.sched.cancel_timer(self._g)
-
-    def _loop(self):
-        while self._running:
-            yield Sleep(self.interval_ns)
-            if not self._running:
-                break
-            self._tick()
+        if self._ticker is not None:
+            self.rt.sched.remove_ticker(self._ticker)
+            self._ticker = None
 
     def _tick(self) -> None:
         raise NotImplementedError
@@ -134,14 +117,13 @@ class DaemonStats:
                 f"skipped={self.skipped} leaks={self.leaks_reported}>")
 
 
-class DetectionDaemon(SystemGoroutine):
-    """Controller for the detection daemon goroutine.
+class DetectionDaemon(SystemTicker):
+    """Controller for the detection daemon.
 
     Built (and usually started) through
     :meth:`repro.runtime.api.Runtime.detect_partial_deadlock`.
     """
 
-    name = "deadlock-detector"
     what = "detection daemon"
     error = DaemonError
 
@@ -150,7 +132,7 @@ class DetectionDaemon(SystemGoroutine):
         self.stats = DaemonStats()
 
     def start(self) -> None:
-        """Spawn the daemon goroutine; rejects double-start."""
+        """Arm the daemon's ticker; rejects double-start."""
         if not self.rt.config.golf:
             raise DaemonError(
                 "detection daemon requires a GOLF-enabled collector")
@@ -159,20 +141,19 @@ class DetectionDaemon(SystemGoroutine):
         self.stats.started_at_ns = self.rt.clock.now
         if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
-                "daemon-start", self._g.goid,
-                f"interval={self.interval_ns}ns")
+                "daemon-start", 0, f"interval={self.interval_ns}ns")
         if self.rt.telemetry is not None:
             self.rt.telemetry.on_daemon_event("start")
 
     def stop(self) -> None:
         """Stop the daemon.  Idempotent; no-op when not running."""
-        if not self._running:
+        if not self.running:
             return
         super().stop()
         self.stats.stopped_at_ns = self.rt.clock.now
         if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
-                "daemon-stop", self._g.goid, f"checks={self.stats.checks}")
+                "daemon-stop", 0, f"checks={self.stats.checks}")
         if self.rt.telemetry is not None:
             self.rt.telemetry.on_daemon_event("stop")
 
@@ -194,7 +175,7 @@ class DetectionDaemon(SystemGoroutine):
         self.stats.leaks_reported += new_leaks
         if new_leaks and self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
-                "daemon-detect", self._g.goid if self._g else 0,
+                "daemon-detect", 0,
                 f"{new_leaks} leak(s) found between GC cycles")
         if self.rt.telemetry is not None:
             self.rt.telemetry.on_daemon_check(skipped=False, leaks=new_leaks)

@@ -132,7 +132,7 @@ class Pair(NamedTuple):
     must_fire: Tuple[str, ...] = ()
 
 
-#: Cadence of the daemon-class observers: the registry programs run
+#: Cadence of the ticker-driven observers: the registry programs run
 #: ~3.1 virtual ms, so each ticks three times per program.
 _TICK_MS = 1.0
 

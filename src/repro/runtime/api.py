@@ -204,23 +204,23 @@ class Runtime:
     def detect_partial_deadlock(self, interval_ms: float = 50.0):
         """Start the always-on partial-deadlock detection daemon.
 
-        Spawns a daemon-class system goroutine that runs the GOLF
-        liveness fixpoint every ``interval_ms`` virtual milliseconds,
-        independent of GC cadence, bounding detection latency by the
-        interval (ADVOCATE's ``DetectPartialDeadlock`` API).  Returns
-        the :class:`~repro.daemon.DetectionDaemon` controller.
+        Arms a scheduler ticker that runs the GOLF liveness fixpoint
+        every ``interval_ms`` virtual milliseconds, independent of GC
+        cadence, bounding detection latency by the interval (ADVOCATE's
+        ``DetectPartialDeadlock`` API).  Returns the
+        :class:`~repro.daemon.DetectionDaemon` controller.
 
         Raises :class:`~repro.daemon.DaemonError` if a daemon is already
         running (double-start) or the collector has GOLF disabled.
-        Stop-then-start is always legal and spawns a fresh daemon.
+        Stop-then-start is always legal and builds a fresh daemon.
         """
-        from repro.daemon import DaemonError, DetectionDaemon
+        from repro.daemon import DetectionDaemon
 
-        if self._daemon is not None and self._daemon.running:
-            raise DaemonError("detection daemon already running")
-        daemon = DetectionDaemon(
-            self, interval_ns=int(interval_ms * MILLISECOND))
-        daemon.start()
+        daemon = self._daemon
+        if daemon is None or not daemon.running:
+            daemon = DetectionDaemon(
+                self, interval_ns=int(interval_ms * MILLISECOND))
+        daemon.start()  # rejects the double start of a running one
         self._daemon = daemon
         return daemon
 
@@ -287,10 +287,10 @@ class Runtime:
 
         ``scrape_interval_ms`` additionally turns on continuous
         observation: the hub grows a virtual-time TSDB + alert engine
-        (if it does not have one yet) and a daemon-class
-        :class:`~repro.telemetry.tsdb.MetricsScraper` goroutine is
-        started at that cadence — scheduler-invisible, exactly like the
-        detection daemon, so enabling it never perturbs the simulation.
+        (if it does not have one yet) and a
+        :class:`~repro.telemetry.tsdb.MetricsScraper` ticker is started
+        at that cadence — not a goroutine, exactly like the detection
+        daemon, so enabling it never perturbs the simulation.
         """
         from repro.telemetry.hub import TelemetryHub
 
@@ -304,7 +304,7 @@ class Runtime:
         return hub
 
     def start_metrics_scrape(self, hub=None, interval_ms=None):
-        """Start the TSDB scraper daemon on this runtime; returns it.
+        """Start the TSDB scraper on this runtime; returns it.
 
         ``hub`` defaults to the attached telemetry hub; ``interval_ms``
         to the hub's ``scrape_interval_ms``.  Raises
@@ -316,18 +316,18 @@ class Runtime:
         hub = hub if hub is not None else self.telemetry
         if hub is None:
             raise ScraperError("no telemetry hub attached to scrape")
-        if self._scraper is not None and self._scraper.running:
-            raise ScraperError("metrics scraper already running")
-        interval = (interval_ms if interval_ms is not None
-                    else hub.scrape_interval_ms or 5.0)
-        scraper = MetricsScraper(
-            self, hub, interval_ns=int(interval * MILLISECOND))
-        scraper.start()
+        scraper = self._scraper
+        if scraper is None or not scraper.running:
+            interval = (interval_ms if interval_ms is not None
+                        else hub.scrape_interval_ms or 5.0)
+            scraper = MetricsScraper(
+                self, hub, interval_ns=int(interval * MILLISECOND))
+        scraper.start()  # rejects the double start of a running one
         self._scraper = scraper
         return scraper
 
     def stop_metrics_scrape(self) -> None:
-        """Stop the scraper daemon; a no-op when none is running."""
+        """Stop the scraper; a no-op when none is running."""
         if self._scraper is not None:
             self._scraper.stop()
 

@@ -89,7 +89,7 @@ class Goroutine(HeapObject):
         "goid", "name", "status", "wait_reason", "blocked_on",
         "gen", "pending_value", "pending_exc", "sudogs",
         "go_site", "parent_goid", "wake_at", "stack_bytes",
-        "masked", "reported", "blocking_sema", "is_system", "is_daemon",
+        "masked", "reported", "blocking_sema", "is_system",
         "spawned", "finished_value", "deadlock_label",
         "panicking", "defers", "fn_name",
         "wait_seq", "_class_seq", "_class_val",
@@ -123,11 +123,6 @@ class Goroutine(HeapObject):
         #: System goroutines (mark workers, timer goroutine...) never
         #: participate in deadlock detection.
         self.is_system = False
-        #: Daemon goroutines (the detection daemon) run on a dedicated
-        #: virtual processor outside the scheduler's RNG-driven dispatch
-        #: and cost-jitter paths, so their presence cannot perturb user
-        #: scheduling.  Always also ``is_system``.
-        self.is_daemon = False
         self.spawned = 0
         self.finished_value: Any = None
         #: Label used by the microbenchmark harness to tie a goroutine to

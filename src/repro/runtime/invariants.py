@@ -35,26 +35,17 @@ def check_invariants(rt) -> List[str]:
             problems.append(
                 f"runq holds non-runnable goroutine {g.goid} ({g.status})")
 
-    # -- daemon run queue / processor ---------------------------------------
-    for g in sched.daemon_runq:
-        if g.status != GStatus.RUNNABLE:
-            problems.append(
-                f"daemon runq holds non-runnable goroutine "
-                f"{g.goid} ({g.status})")
-        if not g.is_daemon:
-            problems.append(
-                f"daemon runq holds non-daemon goroutine {g.goid}")
-
     # -- processors ----------------------------------------------------------
-    for p in sched.procs + [sched.daemon_proc]:
+    for p in sched.procs:
         if p.g is not None and p.g.status != GStatus.RUNNING:
             problems.append(
                 f"proc {p.pid} holds non-running goroutine "
                 f"{p.g.goid} ({p.g.status})")
-    if sched.daemon_proc.g is not None and not sched.daemon_proc.g.is_daemon:
-        problems.append(
-            f"daemon proc holds non-daemon goroutine "
-            f"{sched.daemon_proc.g.goid}")
+
+    # -- tickers -------------------------------------------------------------
+    for _, _, t in sched._tickers:
+        if not t.active:
+            problems.append("ticker heap holds a removed ticker")
 
     # -- free pool -------------------------------------------------------------
     for g in sched.gfree:

@@ -71,6 +71,22 @@ class _Proc:
         return self.g is None
 
 
+class Ticker:
+    """A host callback the run loop fires once per ``period_ns``.
+
+    The handle :meth:`Scheduler.add_ticker` returns.  Go's ``sysmon``
+    is the model: periodic runtime work without a P and without being
+    a goroutine.
+    """
+
+    __slots__ = ("period_ns", "fn", "active")
+
+    def __init__(self, period_ns: int, fn: Callable[[], None]):
+        self.period_ns = period_ns
+        self.fn = fn
+        self.active = True
+
+
 class Scheduler:
     """Schedules goroutines over ``procs`` virtual processors.
 
@@ -98,19 +114,13 @@ class Scheduler:
         self.gfree: List[Goroutine] = []
         self.runq: List[Goroutine] = []
         self._timers: List[Tuple[int, int, int, Goroutine]] = []
-        #: Dedicated virtual processor for daemon goroutines (the
-        #: detection daemon).  It sits outside :attr:`procs`, dispatches
-        #: from its own FIFO run queue without consulting the RNG, and
-        #: runs at a fixed per-instruction cost — so enabling the daemon
-        #: never perturbs user scheduling, RNG draws, or GC stepping.
-        self.daemon_proc = _Proc(-1)
-        self.daemon_runq: List[Goroutine] = []
-        self._daemon_timers: List[Tuple[int, int, int, Goroutine]] = []
+        #: Pending tickers, ``(due_ns, seq, Ticker)``: host callbacks the
+        #: run loop fires on a virtual-time period (see
+        #: :meth:`add_ticker`).  The one other heap beside ``_timers``,
+        #: which holds sleeping goroutines only.
+        self._tickers: List[Tuple[int, int, Ticker]] = []
         self._timer_seq = 0
         self._next_goid = 1
-        #: Daemon goids live in their own range so starting the daemon
-        #: never shifts the goids user goroutines would otherwise get.
-        self._next_daemon_goid = 1_000_000_000
         self.main_g: Optional[Goroutine] = None
         self._main_exited = False
         self.crashed: Optional[Tuple[Goroutine, BaseException]] = None
@@ -164,8 +174,7 @@ class Scheduler:
         #: runtime (forced GC, clock jitter, panics into other
         #: goroutines) and may return an exception to deliver to the
         #: executing goroutine *instead of* running the instruction.
-        #: Private storage behind the ``fault_hook`` property.
-        self._fault_hook: Optional[
+        self.fault_hook: Optional[
             Callable[[Goroutine, Instruction], Optional[BaseException]]
         ] = None
         #: Free pool of recycled non-select sudogs (Go's sudog cache).
@@ -211,14 +220,6 @@ class Scheduler:
         self._telemetry = value
         self._observed = value is not None or self._tracer is not None
 
-    @property
-    def fault_hook(self):
-        return self._fault_hook
-
-    @fault_hook.setter
-    def fault_hook(self, value) -> None:
-        self._fault_hook = value
-
     # ------------------------------------------------------------------
     # Sudog free pool
     # ------------------------------------------------------------------
@@ -260,36 +261,18 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def spawn(self, fn: Callable[..., Any], *args: Any, name: str = "",
-              system: bool = False, daemon: bool = False, go_site: str = "",
+              system: bool = False, go_site: str = "",
               parent: Optional[Goroutine] = None) -> Goroutine:
         """Create a goroutine running ``fn(*args)``.
 
         Reuses a descriptor from the free pool when available, matching
         the Go runtime's ``*g`` recycling (paper, section 5.4).
-        ``daemon`` goroutines (implicitly system) run on the dedicated
-        daemon processor, invisible to user scheduling.
         """
         gen = fn(*args)
         if not inspect.isgenerator(gen):
             raise TypeError(
                 f"goroutine body must be a generator function, got {fn!r}"
             )
-        if daemon:
-            # Daemon descriptors are runtime-owned: never heap-allocated
-            # (no mark/pause cost), never in ``allgs`` (invisible to GC
-            # roots and invariants), goids from a disjoint range, never
-            # recycled through ``gfree``, and absent from trace and
-            # telemetry streams — a run with the daemon enabled is
-            # byte-identical to one without, modulo earlier detection.
-            g = Goroutine(goid=self._next_daemon_goid)
-            self._next_daemon_goid += 1
-            g.bind(gen, go_site=go_site, parent_goid=0, name=name,
-                   fn_name=getattr(fn, "__name__", ""))
-            g.name = name or f"daemon-{g.goid}"
-            g.is_system = True
-            g.is_daemon = True
-            self.daemon_runq.append(g)
-            return g
         if self.gfree:
             g = self.gfree.pop()
             self.goroutines_reused += 1
@@ -304,7 +287,6 @@ class Scheduler:
                fn_name=getattr(fn, "__name__", ""))
         g.name = name or f"goroutine-{g.goid}"
         g.is_system = system
-        g.is_daemon = False
         self.goroutines_spawned += 1
         if parent is not None:
             parent.spawned += 1
@@ -319,6 +301,47 @@ class Scheduler:
         return g
 
     # ------------------------------------------------------------------
+    # Tickers
+    # ------------------------------------------------------------------
+
+    def add_ticker(self, interval_ns: int, fn: Callable[[], None]) -> Ticker:
+        """Call ``fn()`` from the run loop every ``interval_ns`` (plus
+        one ``base_cost_ns``, the cost model's charge for a lap), first
+        one period from now.
+
+        A ticker is re-armed from the clock as ``fn`` leaves it, so a GC
+        pause that carries the clock past a due time delays that firing
+        and every later one.  Firing executes no instruction: no RNG
+        draw, no CPU accounting, no fault hook, no context switch, and
+        never a GC-step boundary.  A pending ticker keeps :meth:`run`
+        from going idle; an exception from ``fn`` propagates out of it.
+        """
+        t = Ticker(interval_ns + self.base_cost_ns, fn)
+        self._arm_ticker(t)
+        return t
+
+    def remove_ticker(self, t: Ticker) -> None:
+        """Stop ``t``; idempotent, and legal from inside its own ``fn``."""
+        t.active = False
+        # In place: run() holds a local alias of the heap.
+        self._tickers[:] = [e for e in self._tickers if e[2] is not t]
+        heapq.heapify(self._tickers)
+
+    def _arm_ticker(self, t: Ticker) -> None:
+        self._timer_seq += 1
+        heapq.heappush(
+            self._tickers,
+            (self.clock.now + t.period_ns, self._timer_seq, t))
+
+    def _fire_due_tickers(self) -> None:
+        tickers = self._tickers
+        while tickers and tickers[0][0] <= self.clock.now:
+            t = heapq.heappop(tickers)[2]
+            t.fn()
+            if t.active:
+                self._arm_ticker(t)
+
+    # ------------------------------------------------------------------
     # Park / wake primitives
     # ------------------------------------------------------------------
 
@@ -331,8 +354,6 @@ class Scheduler:
         g.wait_reason = reason
         g.blocked_on = blocked_on
         g.blocking_sema = blocking_sema
-        if g.is_daemon:
-            return
         if self._observed:
             if self._tracer is not None:
                 self._tracer.on_park(g, reason)
@@ -351,28 +372,8 @@ class Scheduler:
         self.park(g, reason, ())
         g.wake_at = wake_at
         self._timer_seq += 1
-        entry = (wake_at, self._timer_seq, g.goid, g)
-        if g.is_daemon:
-            # Daemon timers live in their own heap: the run loop treats
-            # them as wake sources but never as GC-step tick boundaries.
-            heapq.heappush(self._daemon_timers, entry)
-        else:
-            heapq.heappush(self._timers, entry)
-
-    def cancel_timer(self, g: Goroutine) -> None:
-        """Wake a timer-parked daemon goroutine now and drop its timer.
-
-        Teardown for daemon-class goroutines: the sleeper observes its
-        stop flag immediately, and the stale heap entry no longer keeps
-        the run loop alive.  RNG-free (daemon wakes go to the daemon run
-        queue); a no-op unless ``g`` is parked on its interval timer.
-        """
-        if g.status != GStatus.WAITING or g.wake_at is None:
-            return
-        timers = self._daemon_timers
-        timers[:] = [t for t in timers if t[3] is not g]
-        heapq.heapify(timers)
-        self.wake(g, result=None)
+        heapq.heappush(self._timers,
+                       (wake_at, self._timer_seq, g.goid, g))
 
     def wake(self, g: Goroutine, result: Any = None,
              exc: Optional[BaseException] = None) -> None:
@@ -400,9 +401,6 @@ class Scheduler:
         g.pending_value = result
         g.pending_exc = exc
         g.status = GStatus.RUNNABLE
-        if g.is_daemon:
-            self.daemon_runq.append(g)
-            return
         self.runq.append(g)
         if self._observed:
             if self._tracer is not None:
@@ -469,10 +467,6 @@ class Scheduler:
         self._run_defers(g)
         g.finished_value = value
         g.finish()
-        if g.is_daemon:
-            # Runtime-owned descriptor: never recycled into user spawns,
-            # never traced.
-            return
         self.gfree.append(g)
         if self._observed:
             if self._tracer is not None:
@@ -530,9 +524,7 @@ class Scheduler:
             return
         if g in self.runq:
             self.runq.remove(g)
-        if g in self.daemon_runq:
-            self.daemon_runq.remove(g)
-        for p in self.procs + [self.daemon_proc]:
+        for p in self.procs:
             if p.g is g:
                 p.g = None
                 p.instr = None
@@ -657,9 +649,8 @@ class Scheduler:
         """
         procs = self.procs
         timers = self._timers
-        daemon_timers = self._daemon_timers
+        tickers = self._tickers
         clock = self.clock
-        dp = self.daemon_proc
         gc_step_hook = self.gc_step_hook
         while True:
             if self.crashed is not None:
@@ -672,10 +663,14 @@ class Scheduler:
                 return RunStatus.INSTRUCTION_LIMIT
 
             now = clock.now
-            if ((timers and timers[0][0] <= now)
-                    or (daemon_timers and daemon_timers[0][0] <= now)):
+            if timers and timers[0][0] <= now:
                 self._wake_due_timers()
-            if self.runq or self.daemon_runq:
+            # After due sleepers are runnable, before anything is
+            # dispatched: a tick sees the same goroutine states whatever
+            # the RNG picks next.
+            if tickers and tickers[0][0] <= now:
+                self._fire_due_tickers()
+            if self.runq:
                 self._dispatch_idle_procs()
                 if self.crashed is not None or self._main_exited:
                     continue  # re-run the terminal checks at the loop top
@@ -694,29 +689,22 @@ class Scheduler:
                 # the *current* clock before jumping time or declaring
                 # deadlock — goroutines parked in runtime.GC (GC_WAIT)
                 # become runnable when it completes.  This runs before
-                # daemon events are considered, so incremental cycles
+                # ticker times are considered, so incremental cycles
                 # complete at the same virtual times with or without a
-                # detection daemon installed.
+                # ticker installed.
                 if gc_step_hook is not None and gc_step_hook():
                     continue
-
-            daemon_busy = dp.g is not None
-            if any_busy or daemon_busy:
+            else:
                 # The next *user-relevant* event: a mutator instruction
                 # completing or a user timer firing.  GC stepping is tied
-                # to these ticks only; daemon events advance the clock
-                # between them but never step the collector, keeping the
-                # incremental phase machine byte-identical daemon on/off.
-                if timers and (t_user is None or timers[0][0] < t_user):
+                # to these only; a ticker coming due advances the clock
+                # between them but never steps the collector, keeping the
+                # incremental phase machine byte-identical ticker on/off.
+                if timers and timers[0][0] < t_user:
                     t_user = timers[0][0]
                 t_next = t_user
-                if daemon_busy and (t_next is None
-                                    or dp.busy_until < t_next):
-                    t_next = dp.busy_until
-                if daemon_timers and (
-                        t_next is None or daemon_timers[0][0] < t_next):
-                    t_next = daemon_timers[0][0]
-                assert t_next is not None
+                if tickers and tickers[0][0] < t_next:
+                    t_next = tickers[0][0]
                 if until_ns is not None and t_next > until_ns:
                     clock.advance_to(until_ns)
                     return RunStatus.TIMEOUT
@@ -727,24 +715,21 @@ class Scheduler:
                 for p in procs:
                     if p.g is not None and p.busy_until <= clock.now:
                         self._complete(p)
-                if dp.g is not None and dp.busy_until <= clock.now:
-                    self._complete(dp)
-                if (any_busy and gc_step_hook is not None
-                        and t_next == t_user):
+                if gc_step_hook is not None and t_next == t_user:
                     # Incremental GC: one bounded mark/sweep budget per
                     # scheduler tick, interleaved with mutator progress.
                     gc_step_hook()
                 continue
 
-            # Either jump to the next timer — daemon timers keep the loop
-            # alive exactly as any system goroutine's sleep would — or stop.
-            if self._timers or self._daemon_timers:
-                t = min(h[0][0]
-                        for h in (self._timers, self._daemon_timers) if h)
+            # Either jump to the next timer — a pending ticker keeps the
+            # loop alive exactly as a system goroutine's sleep does — or
+            # stop.
+            if timers or tickers:
+                t = min(h[0][0] for h in (timers, tickers) if h)
                 if until_ns is not None and t > until_ns:
-                    self.clock.advance_to(until_ns)
+                    clock.advance_to(until_ns)
                     return RunStatus.TIMEOUT
-                self.clock.advance_to(t)
+                clock.advance_to(t)
                 continue
             if self.runq:
                 continue  # dispatch again (procs freed this iteration)
@@ -777,27 +762,21 @@ class Scheduler:
         return "\n".join(lines)
 
     def _wake_due_timers(self) -> None:
-        for timers in (self._timers, self._daemon_timers):
-            while timers and timers[0][0] <= self.clock.now:
-                _, _, goid, g = heapq.heappop(timers)
-                # The goroutine may have been reclaimed, re-parked, or its
-                # descriptor reused for a fresh goroutine since.  Only wake
-                # the same goroutine, and only if its current deadline has
-                # actually passed (an early-woken sleeper that re-parked
-                # leaves a stale entry whose deadline belongs to the past).
-                if (g.goid == goid
-                        and g.status == GStatus.WAITING
-                        and g.wake_at is not None
-                        and g.wake_at <= self.clock.now):
-                    self.wake(g, result=None)
+        timers = self._timers
+        while timers and timers[0][0] <= self.clock.now:
+            _, _, goid, g = heapq.heappop(timers)
+            # The goroutine may have been reclaimed, re-parked, or its
+            # descriptor reused for a fresh goroutine since.  Only wake
+            # the same goroutine, and only if its current deadline has
+            # actually passed (an early-woken sleeper that re-parked
+            # leaves a stale entry whose deadline belongs to the past).
+            if (g.goid == goid
+                    and g.status == GStatus.WAITING
+                    and g.wake_at is not None
+                    and g.wake_at <= self.clock.now):
+                self.wake(g, result=None)
 
     def _dispatch_idle_procs(self) -> None:
-        # Daemon dispatch first, FIFO, no RNG draw: the user schedule is
-        # byte-identical whether or not a daemon is installed.
-        dp = self.daemon_proc
-        daemon_runq = self.daemon_runq
-        while dp.g is None and daemon_runq and self.crashed is None:
-            self._start_instruction(dp, daemon_runq.pop(0))
         runq = self.runq
         randrange = self.rng.randrange
         for p in self.procs:
@@ -811,7 +790,7 @@ class Scheduler:
                 self._start_instruction(p, runq.pop())
 
     def _start_instruction(self, p: _Proc, g: Goroutine) -> None:
-        if self._telemetry is not None and not g.is_daemon:
+        if self._telemetry is not None:
             self._telemetry.on_context_switch(len(self.runq))
         g.status = GStatus.RUNNING
         exc, g.pending_exc = g.pending_exc, None
@@ -861,25 +840,19 @@ class Scheduler:
             return
         p.g = g
         p.instr = instr
-        if g.is_daemon:
-            # Fixed cost, no RNG jitter, no mutator CPU accounting: the
-            # daemon's execution must not consume shared randomness or
-            # show up in the workload's CPU metrics.
+        # Opcode compares instead of isinstance chains.  Subclasses
+        # inherit the parent's OP, matching the historical isinstance
+        # semantics exactly (same RNG draws).
+        op = instr.OP
+        if op == OP_WORK:
+            cost = instr.units * 1_000  # units are microseconds
+        elif op == OP_SLEEP or op == OP_RUN_GC:
             cost = self.base_cost_ns
         else:
-            # Opcode compares instead of isinstance chains.  Subclasses
-            # inherit the parent's OP, matching the historical
-            # isinstance semantics exactly (same RNG draws).
-            op = instr.OP
-            if op == OP_WORK:
-                cost = instr.units * 1_000  # units are microseconds
-            elif op == OP_SLEEP or op == OP_RUN_GC:
-                cost = self.base_cost_ns
-            else:
-                cost = int(self.base_cost_ns * self.rng.uniform(0.75, 1.25))
-                if cost < 1:
-                    cost = 1
-            self.cpu_busy_ns += cost
+            cost = int(self.base_cost_ns * self.rng.uniform(0.75, 1.25))
+            if cost < 1:
+                cost = 1
+        self.cpu_busy_ns += cost
         p.busy_until = self.clock.now + cost
         if self._tracer is not None:
             self._tracer.on_instr(p.pid, g, instr.MNEMONIC, cost)
@@ -887,18 +860,16 @@ class Scheduler:
     def _complete(self, p: _Proc) -> None:
         g, instr = p.g, p.instr
         assert g is not None and instr is not None
-        if not g.is_daemon:
-            self.instructions_executed += 1
-            if self._fault_hook is not None:
-                # The proc still holds the instruction while the hook
-                # runs, so a fault-forced GC sees its operands as
-                # in-flight roots.
-                injected = self._fault_hook(g, instr)
-                if injected is not None:
-                    p.g = None
-                    p.instr = None
-                    self.resume(g, exc=injected)
-                    return
+        self.instructions_executed += 1
+        if self.fault_hook is not None:
+            # The proc still holds the instruction while the hook runs,
+            # so a fault-forced GC sees its operands as in-flight roots.
+            injected = self.fault_hook(g, instr)
+            if injected is not None:
+                p.g = None
+                p.instr = None
+                self.resume(g, exc=injected)
+                return
         p.g = None
         p.instr = None
         try:
@@ -915,10 +886,7 @@ class Scheduler:
         g.pending_value = result
         g.pending_exc = exc
         g.status = GStatus.RUNNABLE
-        if g.is_daemon:
-            self.daemon_runq.append(g)
-        else:
-            self.runq.append(g)
+        self.runq.append(g)
 
     def stall_all(self, pause_ns: int) -> None:
         """Stop-the-world: push back every in-flight instruction."""

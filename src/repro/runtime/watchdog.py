@@ -69,11 +69,11 @@ class Watchdog:
         goroutine can still make progress on its own."""
         blocked = []
         for g in self.rt.sched.allgs:
-            # System goroutines (watchdog itself, forcegc) and the
-            # detection daemon run forever by design: a stall verdict
-            # must never implicate them, and their timer parks must not
-            # mask a wedged user program either.
-            if g.is_system or g.is_daemon or g.status == GStatus.DEAD:
+            # System goroutines (watchdog itself, forcegc) run forever
+            # by design: a stall verdict must never implicate them, and
+            # their timer parks must not mask a wedged user program
+            # either.
+            if g.is_system or g.status == GStatus.DEAD:
                 continue
             if g.status in (GStatus.DEADLOCKED, GStatus.PENDING_RECLAIM):
                 continue  # already diagnosed by GOLF

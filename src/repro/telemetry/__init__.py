@@ -13,8 +13,8 @@ Four surfaces behind one :class:`TelemetryHub`:
   JSON artifacts, and the ``repro obs`` report;
 - **TSDB + alerting** (:mod:`repro.telemetry.tsdb`,
   :mod:`repro.telemetry.alerts`, :mod:`repro.telemetry.dashboard`): a
-  virtual-time time-series store scraped by a scheduler-invisible
-  daemon goroutine, Prometheus-style threshold and burn-rate SLO rules
+  virtual-time time-series store scraped by a scheduler ticker,
+  Prometheus-style threshold and burn-rate SLO rules
   with a firing/pending/resolved state machine, and the deterministic
   ``repro dash`` dashboard over a fleet-wide rollup.
 

@@ -8,11 +8,11 @@ come from the runtime's virtual clock, so two runs of the same
 series — the property the ``repro dash`` artifact and its CI
 byte-identity gate rest on.
 
-Scraping is driven by the :class:`MetricsScraper`, a *daemon-class*
-system goroutine exactly like the detection daemon (PR 6): it runs on
-the scheduler's dedicated daemon processor with FIFO dispatch and its
-own timer heap, so enabling scraping never perturbs user scheduling,
-RNG draws, or GC stepping.  Observation stays provably passive — the
+Scraping is driven by the :class:`MetricsScraper`, a scheduler ticker
+exactly like the detection daemon: the run loop calls it on a
+virtual-time period, it is not a goroutine, so enabling scraping never
+perturbs user scheduling, RNG draws, GC stepping — or the detection
+daemon's tick instants.  Observation stays provably passive — the
 ``bench_tsdb`` benchmark pins this.
 
 Windowed query operators follow Prometheus semantics over the points
@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.daemon import SystemGoroutine
+from repro.daemon import SystemTicker
 from repro.errors import ReproError
 from repro.runtime.clock import SECOND
 from repro.telemetry.metrics import (
@@ -342,15 +342,14 @@ class ScraperError(ReproError):
     """Invalid metrics-scraper lifecycle operation."""
 
 
-class MetricsScraper(SystemGoroutine):
-    """The scrape loop: a daemon-class goroutine ticking the hub's TSDB.
+class MetricsScraper(SystemTicker):
+    """The scrape loop: a scheduler ticker driving the hub's TSDB.
 
     Each tick calls :meth:`TelemetryHub.scrape_tick`, which syncs the
     drop-count and clock gauges, appends one point per live series, and
     evaluates the alert rules at the scrape timestamp.
     """
 
-    name = "metrics-scraper"
     what = "metrics scraper"
     error = ScraperError
 

@@ -9,10 +9,12 @@ import pytest
 from repro import GolfConfig, Runtime
 from repro.daemon import DaemonError, DetectionDaemon
 from repro.equivalence import PAIRS
-from repro.runtime.clock import MILLISECOND
+from repro.runtime.clock import MILLISECOND, SECOND
 from repro.runtime.goroutine import GStatus
-from repro.runtime.instructions import Recv, Sleep
+from repro.runtime.instructions import Alloc, Go, Recv, Send, Sleep, Work
 from repro.runtime.invariants import check_invariants
+from repro.runtime.objects import Box
+from repro.runtime.scheduler import RunStatus
 from repro.runtime.watchdog import Watchdog
 from tests.conftest import swept
 
@@ -99,13 +101,14 @@ class TestLifecycle:
     def test_stopped_daemon_goroutine_dies(self):
         rt = Runtime(seed=1)
         daemon = rt.detect_partial_deadlock(interval_ms=10)
-        rt.spawn_main(_sleeper(20))
-        rt.run(until_ns=6 * MILLISECOND)
+        assert rt.run(until_ns=6 * MILLISECOND) == RunStatus.TIMEOUT
         rt.stop_partial_deadlock_detection()
-        # The daemon goroutine is timer-parked until the next tick; it
-        # notices the stop flag when it wakes and exits cleanly.
-        rt.run(until_ns=15 * MILLISECOND)
-        assert daemon._g.status == GStatus.DEAD
+        # Nothing of the daemon outlives stop(): with no tick pending
+        # the loop goes idle where it stands instead of being kept
+        # alive until the deadline.
+        assert rt.run(until_ns=SECOND) == RunStatus.IDLE
+        assert rt.clock.now == 6 * MILLISECOND
+        assert daemon.stats.checks == 0
         assert check_invariants(rt) == []
 
 
@@ -175,6 +178,7 @@ class TestDetection:
         assert rt.reports.has_label("two")
         assert not daemon.running
         assert daemon.stats.checks == 1
+        assert check_invariants(rt) == []
 
 
 class TestInvisibility:
@@ -235,6 +239,264 @@ class TestInvisibility:
         assert run(True) == run(False)
 
 
+def _busy(rt, leaks=True, spin=False):
+    """Two workers that allocate, talk and sleep until 40 ms, a forced
+    GC every 2 ms, (``leaks``) a leaked goroutine every 8 ms and
+    (``spin``) one goroutine that never leaves its processor."""
+    rt.enable_periodic_gc(2 * MILLISECOND)
+
+    def spinner():
+        while True:
+            yield Work(37)
+
+    def worker(ch):
+        for i in range(150):
+            yield Send(ch, (yield Alloc(Box(bytes(500)))))
+            yield Sleep(250_000 + 3_000 * (i % 7))
+
+    def main():
+        ch = rt.make_chan(2)
+        if spin:
+            yield Go(spinner)
+        for _ in range(2):
+            yield Go(worker, ch)
+        for i in range(300):
+            yield Recv(ch)
+            if leaks and i % 60 == 0:
+                del_me = yield from _orphan(i)
+                del del_me
+            if i % 11 == 0:
+                yield Work(20)
+        yield Sleep(SECOND)
+
+    rt.spawn_main(main)
+
+
+class TestObserversAreIndependent:
+    """Tickers do not share a processor, so starting one never moves
+    another's tick instants."""
+
+    @staticmethod
+    def _run(scraper, daemon=True, collide=False):
+        rt = Runtime(procs=2, seed=3)
+        hub = rt.enable_telemetry()
+        hub.enable_tsdb(scrape_interval_ms=0.9)
+        if scraper == "before":
+            rt.start_metrics_scrape()
+        if daemon:
+            rt.detect_partial_deadlock(interval_ms=1.1)
+        if scraper == "after":
+            rt.start_metrics_scrape()
+        if collide:
+            # Due together with every second daemon tick.
+            rt.sched.add_ticker(2 * 1_100_200 - rt.sched.base_cost_ns,
+                                lambda: None)
+        # No leaks: a daemon that reports one first moves GC pauses, and
+        # with them every later instant — its purpose, not interference.
+        _busy(rt, leaks=False)
+        rt.run(until_ns=60 * MILLISECOND)
+        checks = rt.detection_daemon.stats.check_times_ns if daemon else None
+        scrapes = (hub.tsdb.get("repro_clock_ns").times
+                   if scraper else None)
+        return checks, scrapes
+
+    def test_scraper_does_not_move_detection(self):
+        alone, _ = self._run(scraper=None)
+        assert len(alone) == 54
+        assert self._run(scraper="after")[0] == alone
+        assert self._run(scraper="before")[0] == alone
+        assert self._run(scraper=None, collide=True)[0] == alone
+        assert self._run(scraper="before", collide=True)[0] == alone
+
+    def test_daemon_does_not_move_scrapes(self):
+        _, alone = self._run(scraper="before", daemon=False)
+        assert len(alone) == 66
+        assert self._run(scraper="before")[1] == alone
+        assert self._run(scraper="after")[1] == alone
+        assert self._run(scraper="after", collide=True)[1] == alone
+
+
+class TestNothingReachesTheTracer:
+    """A ticker is not a goroutine: it has no lane, no ``instr`` slice
+    and no lifecycle events in the execution trace."""
+
+    @staticmethod
+    def _trace(observed):
+        rt = Runtime(procs=2, seed=5)
+        tracer = rt.enable_tracing()
+        if observed:
+            rt.enable_telemetry(scrape_interval_ms=0.9)
+            rt.detect_partial_deadlock(interval_ms=3)
+        else:
+            rt.enable_telemetry()
+        _busy(rt, leaks=False)
+        rt.run(until_ns=50 * MILLISECOND)
+        rt.stop_partial_deadlock_detection()
+        return rt, tracer
+
+    def test_no_goroutine_activity_from_tickers(self):
+        from repro.trace.chrome import export_chrome_trace
+
+        rt, tracer = self._trace(observed=True)
+        assert rt.detection_daemon.stats.checks > 10
+        assert rt.metrics_scraper.scrapes > 40
+        events = tracer.events
+        assert all(e.goid < 1_000_000_000 for e in events)
+        assert all(e.pid >= 0 for e in events if e.kind == "instr")
+        by_kind = {k: tracer.of_kind(k)
+                   for k in ("daemon-start", "daemon-stop")}
+        assert [len(v) for v in by_kind.values()] == [1, 1]
+        assert all(e.goid == 0 for v in by_kind.values() for e in v)
+        # Nothing leaks, so the daemon reports nothing first and the
+        # user's event stream is the unobserved run's.
+        user = [e.as_dict() for e in events
+                if not e.kind.startswith("daemon-")]
+        _, bare = self._trace(observed=False)
+        assert user == [e.as_dict() for e in bare.events]
+        lanes = [e["args"]["name"]
+                 for e in export_chrome_trace(tracer)["traceEvents"]
+                 if e["ph"] == "M" and e["name"] == "thread_name"]
+        assert "g1000000000" not in lanes
+        assert not [n for n in lanes if n.startswith("g0")]
+
+    def test_daemon_detect_is_a_goid_zero_instant(self):
+        rt = Runtime(seed=2)
+        tracer = rt.enable_tracing()
+        _leak(rt, "orphan")
+        rt.detect_partial_deadlock(interval_ms=10)
+        rt.run(until_ns=15 * MILLISECOND)
+        (event,) = tracer.of_kind("daemon-detect")
+        assert event.goid == 0 and event.t_ns == 10 * MILLISECOND + 200
+
+
+class TestTicker:
+    """The scheduler ticker under the daemon and the scraper."""
+
+    @pytest.mark.parametrize("gc_mode", ["atomic", "incremental"])
+    @pytest.mark.parametrize("interval_ms", [0.7, 1.1, 5, 50])
+    def test_period_first_fire_and_restart(self, interval_ms, gc_mode):
+        rt = Runtime(seed=1, config=GolfConfig(gc_mode=gc_mode))
+        period = int(interval_ms * MILLISECOND) + rt.sched.base_cost_ns
+        first = rt.detect_partial_deadlock(interval_ms=interval_ms)
+        rt.run(until_ns=3 * period + 17)
+        rt.stop_partial_deadlock_detection()
+        assert first.stats.check_times_ns == [period, 2 * period, 3 * period]
+        rt.run(until_ns=4 * period + 5)     # nothing pending: IDLE at once
+        assert rt.clock.now == 3 * period + 17
+        second = rt.detect_partial_deadlock(interval_ms=interval_ms)
+        rt.run(until_ns=6 * period)
+        assert first.stats.checks == 3
+        assert second.stats.check_times_ns == [
+            3 * period + 17 + period, 3 * period + 17 + 2 * period]
+
+    @pytest.mark.parametrize("gc_mode", ["atomic", "incremental"])
+    def test_rearms_from_the_clock_after_a_pause(self, gc_mode):
+        rt = Runtime(seed=1, config=GolfConfig(gc_mode=gc_mode))
+        daemon = rt.detect_partial_deadlock(interval_ms=1)
+        rt.run(until_ns=MILLISECOND + 199)      # one ns short of the tick
+        rt.gc()                                 # the pause jumps past it
+        late = rt.clock.now
+        assert late > MILLISECOND + 200
+        rt.run(until_ns=3 * MILLISECOND)
+        assert daemon.stats.check_times_ns == [
+            late, late + MILLISECOND + 200]
+
+    def test_fires_after_due_sleepers_wake_before_dispatch(self):
+        rt = Runtime(seed=1)
+        seen = []
+        g = rt.go(_sleeper(1))      # parks at 200, due at 1 ms + 200
+        rt.sched.add_ticker(MILLISECOND, lambda: seen.append(
+            (rt.clock.now, g.status, rt.sched.instructions_executed)))
+        rt.run(until_ns=MILLISECOND + 200)
+        assert seen == [(MILLISECOND + 200, GStatus.RUNNABLE, 1)]
+
+    @pytest.mark.parametrize("with_ticker", [False, True])
+    def test_never_a_gc_step_boundary(self, with_ticker):
+        """Both legs against the ticker-less run, so a failure names the
+        side that moved.  A mutator is always busy, so every cycle is
+        stepped from instruction boundaries: one that finishes in the
+        idle loop leaves its woken ``runtime.GC`` callers undispatched
+        until the loop next stops, and any stop — a ticker's included —
+        is then visible (true of the loop before tickers, too)."""
+        def run(ticking):
+            rt = Runtime(procs=3, seed=3,
+                         config=GolfConfig(gc_mode="incremental",
+                                           mark_budget=1))
+            ticks = []
+            if ticking:
+                rt.sched.add_ticker(
+                    40_000, lambda: ticks.append(rt.clock.now))
+            _busy(rt, spin=True)
+            rt.run(until_ns=30 * MILLISECOND)
+            return ([(c.mark_steps, c.started_at_ns, c.pause_termination_ns)
+                     for c in rt.collector.stats.cycles],
+                    rt.sched.instructions_executed, rt.sched.cpu_busy_ns,
+                    rt.sched.rng.random(), len(ticks))
+
+        *bare, _ = run(False)
+        *observed, ticks = run(with_ticker)
+        assert observed == bare
+        assert max(steps for steps, _, _ in bare[0]) > 1
+        assert (ticks > 700) == with_ticker
+
+    def test_keeps_the_loop_alive_and_honours_until(self):
+        rt = Runtime(seed=1)
+        assert rt.run(until_ns=MILLISECOND) == RunStatus.IDLE
+        assert rt.clock.now == 0
+        ticks = []
+        rt.sched.add_ticker(MILLISECOND, lambda: ticks.append(rt.clock.now))
+        assert rt.run(until_ns=MILLISECOND) == RunStatus.TIMEOUT
+        assert (rt.clock.now, ticks) == (MILLISECOND, [])
+        # Still queued: the next run() picks it up where it was due.
+        assert rt.run(until_ns=2 * MILLISECOND + 400) == RunStatus.TIMEOUT
+        assert ticks == [MILLISECOND + 200, 2 * MILLISECOND + 400]
+
+    def test_remove_from_inside_the_callback(self):
+        rt = Runtime(seed=1)
+        ticks = []
+
+        def once():
+            ticks.append(rt.clock.now)
+            rt.sched.remove_ticker(ticker)
+
+        ticker = rt.sched.add_ticker(MILLISECOND, once)
+        assert rt.run(until_ns=SECOND) == RunStatus.IDLE
+        assert ticks == [MILLISECOND + 200]
+        rt.sched.remove_ticker(ticker)          # idempotent
+        assert check_invariants(rt) == []
+
+    def test_controller_lifecycle(self):
+        rt = Runtime(seed=1)
+        daemon = DetectionDaemon(rt, interval_ns=MILLISECOND)
+        daemon.stop()                           # never started: no-op
+        daemon.start()
+        with pytest.raises(DaemonError):
+            daemon.start()
+        daemon.stop()
+        daemon.stop()
+        assert not daemon.running
+        daemon.start()                          # restart, same controller
+        rt.run(until_ns=MILLISECOND + 200)
+        assert daemon.stats.checks == 1
+
+    def test_raising_tick_surfaces_from_run(self):
+        class Boom(Exception):
+            pass
+
+        rt = Runtime(seed=1)
+        daemon = rt.detect_partial_deadlock(interval_ms=1)
+
+        def boom(reason="daemon"):
+            raise Boom(reason)
+
+        rt.collector.detect_only = boom
+        rt.spawn_main(_sleeper(5))
+        with pytest.raises(Boom):
+            rt.run()
+        assert rt.clock.now == MILLISECOND + 200
+        assert daemon.stats.checks == 0
+
+
 class TestFuzzAutoStart:
     def test_fuzz_runs_daemon_by_default(self):
         from repro.fuzz import fuzz_program
@@ -291,8 +553,8 @@ class TestWatchdogExemption:
         report = watchdog.poll()   # unchanged => stall
         assert report is not None
         assert set(report.goids) == {g1.goid, g2.goid}
-        daemon_goid = rt.detection_daemon._g.goid
-        assert daemon_goid not in report.goids
+        assert rt.detection_daemon.running
+        assert {g.goid for g in rt.sched.allgs} == {g1.goid, g2.goid}
 
     def test_timer_parked_daemon_does_not_mask_stall(self):
         """The daemon is always timer-parked between checks; that must
