@@ -4,13 +4,15 @@ Every instrumentation site in the scheduler/collector/watchdog guards on
 ``telemetry is None`` — one attribute check when disabled.  This
 benchmark runs the same deterministic workload three ways (bare, with a
 hub attached, with a hub *and* a DEBUG-level recorder) and reports the
-wall-clock cost of each.  Two assertions:
+wall-clock cost of each (reported, not asserted: these wall clocks have
+a 10–49 % noise floor; the enabled cost is gated by the exact
+Python-call budget in ``tests/test_observer_fastpath.py``).  Asserted:
 
 - disabled telemetry changes nothing observable (byte-identical leak
   reports, identical virtual end time), so the guard cannot perturb the
   simulation;
-- the disabled run's cost stays within noise of the bare run (generous
-  bound — CI wall clocks are loud).
+- enabled telemetry is passive: the ``telemetry`` equivalence pair
+  fingerprints identically on the whole corpus.
 """
 
 from __future__ import annotations
@@ -79,13 +81,6 @@ def test_telemetry_overhead(benchmark):
         f"  hub + DEBUG recorder : {debug * 1e3:8.3f} ms/run "
         f"({pct(debug):+.1f}%)",
     ]))
-
-    # Disabled telemetry is the bare variant — its instrumentation cost
-    # is one attribute check per site, which two bare passes bound by
-    # the wall-clock noise floor reported above.  The enabled variants
-    # may cost real work but must stay in the same order of magnitude.
-    assert enabled < bare * 10
-    assert debug < bare * 10
 
 
 def test_disabled_telemetry_changes_nothing(benchmark):

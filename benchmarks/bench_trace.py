@@ -4,12 +4,14 @@ Every tracer hook in the scheduler/executor/sema/heap/collector guards
 on ``tracer is None`` — one attribute check when disabled.  This
 benchmark runs the same deterministic workload three ways (bare, with
 the tracer enabled, with the tracer plus Chrome export) and reports the
-wall-clock cost of each.  Two assertions:
+wall-clock cost of each (reported, not asserted: the enabled cost is
+gated by the exact Python-call budget in
+``tests/test_observer_fastpath.py``).  Asserted:
 
 - disabled tracing changes nothing observable (identical virtual end
   time and leak reports), so the guard cannot perturb the simulation;
-- enabled tracing stays in the same order of magnitude as bare (the
-  same contract ``bench_telemetry.py`` pins for the hub).
+- enabled tracing is passive: the ``tracer`` equivalence pair
+  fingerprints identically on the whole corpus.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ def test_trace_overhead(benchmark):
         f"  tracer + export      : {exported * 1e3:8.3f} ms/run "
         f"({pct(exported):+.1f}%)",
     ]))
-
-    # Disabled tracing is the bare variant — its instrumentation cost is
-    # one attribute check per site, bounded by the noise floor above.
-    # Enabled variants do real work but must stay in the same order of
-    # magnitude (generous bound — CI wall clocks are loud).
-    assert traced < bare * 10
-    assert exported < bare * 10
 
 
 def test_disabled_tracing_changes_nothing(benchmark):

@@ -9,8 +9,10 @@ execution by construction.  This benchmark pins that claim down twice:
   (the scrape path is gated on ``hub.tsdb is None``);
 - with scraping *enabled*, the virtual execution is untouched — the
   ``scraper`` pair of :mod:`repro.equivalence` fingerprints identically
-  on the whole corpus — and the wall-clock cost stays in the same order
-  of magnitude.
+  on the whole corpus.
+
+Wall-clock costs are reported, not asserted; the enabled cost is gated
+by the exact Python-call budget in ``tests/test_observer_fastpath.py``.
 """
 
 from __future__ import annotations
@@ -90,12 +92,6 @@ def test_tsdb_scrape_overhead(benchmark):
         f"  hub + 1ms scraper    : {scraping * 1e3:8.3f} ms/run "
         f"({pct(scraping):+.1f}%)",
     ]))
-
-    # Scrape-disabled is one `hub.tsdb is None` check per tick-free
-    # path — bounded by the noise floor; the scraping variant does real
-    # (wall-clock) work but must stay in the same order of magnitude.
-    assert hub_only < bare * 10
-    assert scraping < bare * 10
 
 
 def test_scraping_preserves_simulation(benchmark):

@@ -7,10 +7,14 @@ surface the runtime calls into.  Cost discipline:
 - when no hub is attached, every instrumentation site in the scheduler /
   collector / watchdog is a single ``x.telemetry is None`` check — the
   no-op fast path the overhead benchmark pins;
-- when attached, hot-path callbacks (:meth:`on_context_switch`,
-  :meth:`on_park`, :meth:`on_wake`) touch pre-bound instrument children
-  only — no registry lookups, no string formatting unless an event
-  actually reaches the recorder.
+- when attached, the hot-path callbacks (:meth:`on_context_switch`,
+  :meth:`on_spawn`, :meth:`on_park`, :meth:`on_wake`, :meth:`on_finish`)
+  update instrument children bound once — in ``_build_instruments``,
+  the per-reason park counters on the first park for that reason:
+  ``child.value += 1``, one ``observe`` for the histogram; no
+  :class:`Metric` passthrough, no registry or ``_children`` lookup, no
+  string formatting unless an event actually reaches the recorder.
+  The children are the registry's own, so every rendering sees them.
 
 One hub may be attached to several runtimes in sequence (redeployments
 in the long-run service, per-schedule runtimes in a chaos campaign, the
@@ -149,6 +153,13 @@ class TelemetryHub:
             "repro_sched_crashes_total",
             "Program-fatal panics observed by the scheduler")
         self._park_children: Dict[str, object] = {}
+        # The label-less children the hot callbacks update directly.
+        self._ctx_switches = self.ctx_switches.labels()
+        self._runq_depth = self.runq_depth.labels()
+        self._runq_depth_hist = self.runq_depth_hist.labels()
+        self._spawned = self.spawned.labels()
+        self._finished = self.finished.labels()
+        self._wakes = self.wakes.labels()
         # GC / heap.
         self.gc_cycles = reg.counter(
             "repro_gc_cycles_total", "Collection cycles by mode and reason",
@@ -363,12 +374,12 @@ class TelemetryHub:
     # -- scheduler callbacks (hot) -------------------------------------------
 
     def on_context_switch(self, runq_depth: int) -> None:
-        self.ctx_switches.inc()
-        self.runq_depth.set(runq_depth)
-        self.runq_depth_hist.observe(runq_depth)
+        self._ctx_switches.value += 1
+        self._runq_depth.value = runq_depth
+        self._runq_depth_hist.observe(runq_depth)
 
     def on_spawn(self, g) -> None:
-        self.spawned.inc()
+        self._spawned.value += 1
 
     def on_park(self, g, reason) -> None:
         key = reason.value
@@ -376,17 +387,17 @@ class TelemetryHub:
         if child is None:
             child = self.parks.labels(key)
             self._park_children[key] = child
-        child.inc()
+        child.value += 1
         self.recorder.record("sched", ev.GO_PARK, g.goid, key,
                              severity=rec.DEBUG)
 
     def on_wake(self, g) -> None:
-        self.wakes.inc()
+        self._wakes.value += 1
         self.recorder.record("sched", ev.GO_WAKE, g.goid,
                              severity=rec.DEBUG)
 
     def on_finish(self, g) -> None:
-        self.finished.inc()
+        self._finished.value += 1
 
     # -- scheduler callbacks (cold) ------------------------------------------
 

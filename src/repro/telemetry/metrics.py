@@ -20,6 +20,7 @@ therefore produce byte-identical expositions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 COUNTER = "counter"
@@ -162,11 +163,12 @@ class HistogramChild:
     def observe(self, value: float) -> None:
         self.sum += value
         self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value; past the last one (and nan, which no
+        # bound admits but bisect would file first) is the +Inf bucket.
+        if value != value:
+            self.counts[-1] += 1
+        else:
+            self.counts[bisect_left(self.buckets, value)] += 1
 
     def cumulative_counts(self) -> List[int]:
         total = 0
@@ -197,7 +199,7 @@ class Metric:
     """
 
     __slots__ = ("name", "help", "kind", "labelnames", "unit", "buckets",
-                 "_children")
+                 "_children", "_series")
 
     def __init__(self, name: str, help_text: str, kind: str,
                  labelnames: Sequence[str] = (), unit: str = "",
@@ -208,11 +210,16 @@ class Metric:
         self.labelnames = tuple(labelnames)
         self.unit = unit
         self.buckets = tuple(buckets)
+        if kind == HISTOGRAM and list(self.buckets) != sorted(self.buckets):
+            raise ValueError(f"{name}: histogram buckets must ascend")
         self._children: Dict[Tuple[str, ...], object] = {}
+        #: :meth:`series` result, kept until a child is created.
+        self._series: Optional[tuple] = None
         if not self.labelnames:
             self._children[()] = self._new_child()
 
     def _new_child(self):
+        self._series = None
         if self.kind == HISTOGRAM:
             return HistogramChild(self.buckets)
         return _CHILD_TYPES[self.kind]()
@@ -259,8 +266,12 @@ class Metric:
     def series(self) -> Iterable[Tuple[Tuple[str, ...], object]]:
         """(label values, child) pairs sorted by label-value tuple —
         codepoint order, so the rendering is locale-independent no
-        matter when a child (or the metric itself) was registered."""
-        return sorted(self._children.items(), key=lambda kv: kv[0])
+        matter when a child (or the metric itself) was registered.
+        Sorted once per child set: only creating a child changes it."""
+        if self._series is None:
+            self._series = tuple(
+                sorted(self._children.items(), key=lambda kv: kv[0]))
+        return self._series
 
 
 class MetricsRegistry:

@@ -4,6 +4,8 @@ Production services cannot afford an unbounded trace (the failure mode
 the original list-backed tracer had); the flight recorder keeps the
 *last* ``capacity`` events — drop-oldest, with a dropped-event counter —
 so when something goes wrong the recent history is always on hand.
+The ring itself (:class:`RingBuffer`, a ``collections.deque`` with a
+count) is shared with the execution tracer and the profile sampler.
 
 Events carry a severity and a category; both can be filtered at record
 time (so a production configuration can keep only WARN+ service events)
@@ -17,6 +19,8 @@ across runs of the same ``(program, procs, seed)``.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Set
 
 DEBUG = 10
@@ -28,42 +32,51 @@ SEVERITY_NAMES = {DEBUG: "DEBUG", INFO: "INFO", WARN: "WARN", ERROR: "ERROR"}
 
 
 class RingBuffer:
-    """A fixed-capacity drop-oldest buffer with a dropped counter."""
+    """A fixed-capacity drop-oldest buffer with a dropped counter.
 
-    __slots__ = ("capacity", "_items", "_start", "dropped")
+    A thin holder of ``collections.deque(maxlen=capacity)``: eviction,
+    iteration and length run in C.  ``appended`` counts every append
+    ever made, so ``dropped`` (appended minus buffered) needs no
+    per-append branch.  A writer that cannot afford a Python-level call
+    per item (the execution tracer) bumps ``appended`` and calls
+    ``push`` — the deque's own ``append`` — itself.
+    """
+
+    __slots__ = ("capacity", "_items", "appended", "push")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("ring buffer capacity must be positive")
         self.capacity = capacity
-        self._items: List = []
-        self._start = 0
-        self.dropped = 0
+        self._items: deque = deque(maxlen=capacity)
+        self.appended = 0
+        self.push = self._items.append
 
     def append(self, item) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return
-        self._items[self._start] = item
-        self._start = (self._start + 1) % self.capacity
-        self.dropped += 1
+        self.appended += 1
+        self.push(item)
+
+    @property
+    def dropped(self) -> int:
+        return self.appended - len(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __iter__(self) -> Iterator:
-        n = len(self._items)
-        for i in range(n):
-            yield self._items[(self._start + i) % n]
+        return iter(self._items)
 
     def last(self, n: int) -> List:
-        items = list(self)
-        return items[-n:] if n < len(items) else items
+        """The newest ``n`` items, oldest first (O(n))."""
+        if n >= len(self._items):
+            return list(self._items)
+        tail = list(islice(reversed(self._items), max(n, 0)))
+        tail.reverse()
+        return tail
 
     def clear(self) -> None:
-        self._items = []
-        self._start = 0
-        self.dropped = 0
+        self._items.clear()
+        self.appended = 0
 
 
 class RecorderEvent:

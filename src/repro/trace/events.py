@@ -1,12 +1,14 @@
 """The structured trace-event vocabulary.
 
-Every event the execution tracer records is one :class:`TraceEvent` with
-a *fixed* kind drawn from the vocabulary below (see ``docs/TRACING.md``
-for the full table).  The legacy fields (``t_ns``, ``kind``, ``goid``,
-``detail``) keep the historical GODEBUG-style text rendering stable; the
-``args`` mapping carries the structured payload the Chrome exporter and
-the provenance engine consume (partner goids, channel addresses, phase
-names, instruction durations).
+Every event the execution tracer hands out is one :class:`TraceEvent`
+(rendered on read from a by-value record, see
+:mod:`repro.trace.tracer`) with a *fixed* kind drawn from the
+vocabulary below (see ``docs/TRACING.md`` for the full table).  The
+legacy fields (``t_ns``, ``kind``, ``goid``, ``detail``) keep the
+historical GODEBUG-style text rendering stable; the ``args`` mapping
+carries the structured payload the Chrome exporter and the provenance
+engine consume (partner goids, channel addresses, phase names,
+instruction durations).
 
 Timestamps come exclusively from the virtual clock, so at a fixed
 ``(program, procs, seed)`` two runs produce byte-identical streams.
@@ -15,7 +17,7 @@ Timestamps come exclusively from the virtual clock, so at a fixed
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 # -- goroutine lifecycle -----------------------------------------------------
 GO_CREATE = "go-create"
@@ -112,33 +114,50 @@ class TraceEvent:
         return f"<{self.format()}>"
 
 
-def describe_object(obj: Any) -> Dict[str, Any]:
-    """A deterministic, JSON-safe description of a concurrency object.
+def snapshot_object(obj: Any) -> Tuple:
+    """The observable state of a concurrency object, by value.
 
-    Used for ``go-park`` payloads (the ``B(g)`` set at park time) and
-    for provenance evidence.  Channels get their full observable state;
-    the ``ε`` sentinel (nil-channel / zero-case-select waits, address 0,
-    never heap-allocated) is named explicitly.
+    A flat tuple of immutable fields — what a ``go-park`` trace record
+    holds per object of ``B(g)`` instead of the object, whose state
+    keeps changing after the park: ``(kind, addr, label)``, for a
+    channel extended by ``(capacity, buffered, closed, waiting senders,
+    waiting receivers, make site)``.  The ``ε`` sentinel (nil-channel /
+    zero-case-select waits, address 0, never heap-allocated) is its own
+    two-field form.
     """
     kind = getattr(obj, "kind", "object")
     addr = getattr(obj, "addr", 0)
     if addr == 0 and getattr(obj, "size", None) == 0 and kind == "object":
-        return {"kind": "epsilon", "addr": 0}
-    desc: Dict[str, Any] = {"kind": kind, "addr": addr}
+        return ("epsilon", 0)
     label = getattr(obj, "label", "")
-    if label:
-        desc["label"] = label
     if kind == "chan":
-        desc.update({
-            "capacity": obj.capacity,
-            "buffered": len(obj.buffer),
-            "closed": obj.closed,
-            "waiting_senders": obj.waiting_senders(),
-            "waiting_receivers": obj.waiting_receivers(),
-        })
-        if obj.make_site:
-            desc["make_site"] = obj.make_site
+        return (kind, addr, label, obj.capacity, len(obj.buffer), obj.closed,
+                obj.waiting_senders(), obj.waiting_receivers(),
+                obj.make_site)
+    return (kind, addr, label)
+
+
+def describe_snapshot(snap: Tuple) -> Dict[str, Any]:
+    """The deterministic, JSON-safe dict form of a
+    :func:`snapshot_object` tuple (a fresh dict per call)."""
+    if len(snap) == 2:
+        return {"kind": "epsilon", "addr": 0}
+    desc: Dict[str, Any] = {"kind": snap[0], "addr": snap[1]}
+    if snap[2]:
+        desc["label"] = snap[2]
+    if len(snap) > 3:
+        (desc["capacity"], desc["buffered"], desc["closed"],
+         desc["waiting_senders"], desc["waiting_receivers"]) = snap[3:8]
+        if snap[8]:
+            desc["make_site"] = snap[8]
     return desc
+
+
+def describe_object(obj: Any) -> Dict[str, Any]:
+    """A deterministic, JSON-safe description of a concurrency object
+    as it is now — the live form of what ``go-park`` records snapshot,
+    used for provenance evidence."""
+    return describe_snapshot(snapshot_object(obj))
 
 
 def short_object(desc: Dict[str, Any]) -> str:

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.trace import events as ev
 from repro.trace.events import describe_object, short_object
+from repro.trace.tracer import event_of, touched_addrs
 
 #: Cap on the per-leak minimal event slice.
 EVENT_SLICE_LIMIT = 20
@@ -173,10 +174,11 @@ def capture_provenance(deadlocked: List[Any], heap, sched, gc_cycle: int,
                     "last_receiver_goid": obj.last_receiver_goid,
                     "transfers": obj.total_transfers,
                 })
-        if tracer is not None:
-            _trace_evidence(rec, g, condemned_goids, tracer)
-        rec.evidence = _build_evidence_chain(rec)
         records[g.goid] = rec
+    if tracer is not None:
+        _trace_evidence(records, tracer)
+    for rec in records.values():
+        rec.evidence = _build_evidence_chain(rec)
     return records
 
 
@@ -227,43 +229,64 @@ def _waitfor_edges(rec, obj, desc, g, deadlocked, condemned_goids) -> None:
         })
 
 
-def _trace_evidence(rec, g, condemned_goids, tracer) -> None:
-    """Trace-derived evidence: the minimal event slice and abandoners."""
-    history = tracer.for_goroutine(g.goid)
-    last_park = None
-    for i, e in enumerate(history):
-        if e.kind == ev.GO_PARK:
-            last_park = i
-    if last_park is not None:
-        window = history[max(0, last_park + 1 - EVENT_SLICE_LIMIT)
-                         :last_park + 1]
-        rec.event_slice = [
-            {"t_ns": e.t_ns, "kind": e.kind, "detail": e.detail}
-            for e in window
+def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
+    """Trace-derived evidence — the minimal event slice and the
+    abandoners — for the whole condemned set from one pass over the
+    ring.  The pass reads raw trace records (header fields ``r[1]``
+    kind, ``r[2]`` goid; see :mod:`repro.trace.tracer`) and renders
+    only the events a record quotes."""
+    history: Dict[int, List[Any]] = {goid: [] for goid in records}
+    blocking = {goid: {d["addr"] for d in rec.blocked_op if d.get("addr")}
+                for goid, rec in records.items()}
+    watched = set().union(*blocking.values())
+    #: Other goroutines' events naming a watched object, in ring order.
+    touches: List[Any] = []
+    creates: Dict[int, Any] = {}
+    for r in tracer.records:
+        goid = r[2]
+        if goid in history:
+            history[goid].append(r)
+        elif goid:
+            if r[1] == ev.GO_CREATE:
+                creates[goid] = r
+            addrs = touched_addrs(r)
+            if addrs and not watched.isdisjoint(addrs):
+                touches.append((goid, r[1], addrs))
+    for goid, rec in records.items():
+        own = history[goid]
+        last_park = None
+        for i, r in enumerate(own):
+            if r[1] == ev.GO_PARK:
+                last_park = i
+        if last_park is not None:
+            first = max(0, last_park + 1 - EVENT_SLICE_LIMIT)
+            rec.event_slice = [
+                {"t_ns": e.t_ns, "kind": e.kind, "detail": e.detail}
+                for e in map(event_of, own[first:last_park + 1])
+            ]
+        # Abandoners: other, non-condemned goroutines the trace shows
+        # once parked on / communicated over one of the blocking objects.
+        mine = blocking[goid]
+        abandoners: Dict[int, str] = {}
+        for other, kind, addrs in touches:
+            if mine.isdisjoint(addrs):
+                continue
+            if kind == ev.GO_PARK:
+                abandoners[other] = "once waited here, then proceeded"
+            else:
+                abandoners.setdefault(other, f"last touched it via {kind}")
+        rec.abandoned_by = [
+            f"{_create_label(creates, other)}: {why}"
+            for other, why in sorted(abandoners.items())
         ]
-    # Abandoners: other, non-condemned goroutines the trace shows once
-    # parked on / communicated over one of the blocking objects.
-    addrs = {d["addr"] for d in rec.blocked_op if d.get("addr")}
-    if not addrs:
-        return
-    abandoners: Dict[int, str] = {}
-    for e in tracer.events:
-        if e.goid == g.goid or e.goid in condemned_goids or e.goid == 0:
-            continue
-        if not e.args:
-            continue
-        if e.kind == ev.GO_PARK:
-            if any(d.get("addr") in addrs
-                   for d in e.args.get("blocked_on", ())):
-                abandoners[e.goid] = "once waited here, then proceeded"
-        elif e.args.get("chan") in addrs:
-            abandoners.setdefault(e.goid, f"last touched it via {e.kind}")
-    label = {e.goid: (e.args or {}).get("label", f"g{e.goid}")
-             for e in tracer.of_kind(ev.GO_CREATE)}
-    rec.abandoned_by = [
-        f"{label.get(goid, f'g{goid}')}: {why}"
-        for goid, why in sorted(abandoners.items())
-    ]
+
+
+def _create_label(creates: Dict[int, Any], goid: int) -> str:
+    """The ``go-create`` label of ``goid``; ``g<goid>`` when the event
+    was evicted or carried none."""
+    r = creates.get(goid)
+    args = event_of(r).args if r is not None else None
+    return (args or {}).get("label", f"g{goid}")
 
 
 def _build_evidence_chain(rec) -> List[str]:

@@ -6,25 +6,102 @@ shade hook.  Every instrumentation site in the runtime guards on
 ``tracer is not None``, so the disabled path costs one attribute check —
 the same discipline the telemetry hub uses.
 
-Events are buffered in the telemetry :class:`RingBuffer` (drop-oldest;
-``dropped`` counts evictions, exposed as the ``trace_dropped_total``
-metric when a hub is attached).  The GODEBUG-style ``emit``/``events``/
-``format`` API of the original list-backed tracer is preserved.
+Capture is **by value, rendered on read**.  A hook pushes one flat
+tuple ``(t_ns, kind, goid, pid, render, *payload)`` onto the telemetry
+:class:`RingBuffer` (drop-oldest; ``dropped`` counts evictions, exposed
+as the ``trace_dropped_total`` metric when a hub is attached) and does
+nothing else: most events are evicted unread.  The payload holds only
+immutable values copied at event time — names, addresses, counts,
+:func:`~repro.trace.events.snapshot_object` tuples — never a goroutine,
+channel or other runtime-owned object: descriptors are recycled and
+channel state moves on after the event, and a ring of references would
+pin every dead object graph it names.  ``render(record)`` is a pure
+function returning the event's ``(detail, args)``; every read
+(``events`` / ``of_kind`` / ``for_goroutine`` / ``format``) renders
+fresh :class:`TraceEvent` objects, so two reads are equal and neither
+can disturb the other.  ``emit`` records an already-rendered event (the
+form the cold callers use).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.clock import Clock
 from repro.telemetry.recorder import RingBuffer
 from repro.trace import events as ev
-from repro.trace.events import TraceEvent, describe_object
+from repro.trace.events import TraceEvent, describe_snapshot, snapshot_object
+
+#: A trace record: ``(t_ns, kind, goid, pid, render, *payload)``.
+Record = Tuple[Any, ...]
+#: What a ``render`` function returns: ``(detail, args)``.
+Rendered = Tuple[str, Optional[Dict[str, Any]]]
+
+
+def _render_bare(r: Record) -> Rendered:
+    """No payload: a bare lifecycle event."""
+    return "", None
+
+
+def _rendered(r: Record) -> Rendered:
+    """``emit`` form — payload ``(detail, args)``, rendered by the
+    caller; reads still get their own ``args`` dict."""
+    return r[5], (None if r[6] is None else dict(r[6]))
+
+
+def _render_create(r: Record) -> Rendered:
+    """Payload ``(name, label name, parent goid, go site)``."""
+    return (f"{r[5]} at {r[8]}",
+            {"label": f"{r[6]}#{r[2]}", "parent": r[7], "site": r[8]})
+
+
+def _render_park(r: Record) -> Rendered:
+    """Payload ``(wait reason, snapshot_object tuple per B(g) object)``."""
+    reason = r[5].value
+    return reason, {"reason": reason,
+                    "blocked_on": [describe_snapshot(s) for s in r[6]]}
+
+
+def _render_instr(r: Record) -> Rendered:
+    """Payload ``(mnemonic, cost ns, label name)``."""
+    return r[5], {"op": r[5], "dur": r[6], "label": f"{r[7]}#{r[2]}"}
+
+
+def _render_chan_op(r: Record) -> Rendered:
+    """Payload ``(chan addr, chan label, partner goid, extra items)``."""
+    args: Dict[str, Any] = {"chan": r[5], "partner": r[7]}
+    if r[6]:
+        args["chan_label"] = r[6]
+    args.update(r[8])
+    detail = f"chan 0x{r[5]:x}"
+    if r[7]:
+        detail += f" partner g{r[7]}"
+    return detail, args
+
+
+def touched_addrs(r: Record) -> Tuple:
+    """Addresses of the concurrency objects ``r`` names — the ``B(g)``
+    snapshots of a ``go-park``, the ``chan`` of a channel operation or
+    select resolution — read from the payload without rendering."""
+    render = r[4]
+    if render is _render_park:
+        return tuple(s[1] for s in r[6])
+    if render is _render_chan_op:
+        return (r[5],)
+    if render is _rendered and r[6]:
+        return (r[6].get("chan"),)
+    return ()
+
+
+def event_of(r: Record) -> TraceEvent:
+    """Render one record into a fresh :class:`TraceEvent`."""
+    detail, args = r[4](r)
+    return TraceEvent(r[0], r[1], r[2], detail, r[3], args)
 
 
 class ExecutionTracer:
-    """Collects :class:`TraceEvent` records in a drop-oldest ring of
-    ``capacity`` events."""
+    """Collects trace records in a drop-oldest ring of ``capacity``
+    events and renders them into :class:`TraceEvent` objects on read."""
 
     def __init__(self, clock: Clock, capacity: int = 100_000):
         self.clock = clock
@@ -36,26 +113,32 @@ class ExecutionTracer:
     def emit(self, kind: str, goid: int = 0, detail: str = "",
              pid: int = -1, args: Optional[Dict[str, Any]] = None) -> None:
         self._ring.append(
-            TraceEvent(self.clock.now, kind, goid, detail, pid, args))
+            (self.clock.now, kind, goid, pid, _rendered, detail, args))
+
+    @property
+    def records(self) -> List[Record]:
+        """Buffered records, oldest first, unrendered (what the
+        provenance engine scans)."""
+        return list(self._ring)
 
     @property
     def events(self) -> List[TraceEvent]:
         """Buffered events, oldest first."""
-        return list(self._ring)
+        return [event_of(r) for r in self._ring]
 
     @property
     def dropped(self) -> int:
         return self._ring.dropped
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self._ring if e.kind == kind]
+        return [event_of(r) for r in self._ring if r[1] == kind]
 
     def for_goroutine(self, goid: int) -> List[TraceEvent]:
-        return [e for e in self._ring if e.goid == goid]
+        return [event_of(r) for r in self._ring if r[2] == goid]
 
     def format(self, limit: Optional[int] = None) -> str:
-        events = list(self._ring) if limit is None else self._ring.last(limit)
-        lines = [event.format() for event in events]
+        records = self._ring if limit is None else self._ring.last(limit)
+        lines = [event_of(r).format() for r in records]
         if self.dropped:
             lines.append(f"... {self.dropped} events dropped (capacity)")
         return "\n".join(lines)
@@ -64,23 +147,32 @@ class ExecutionTracer:
         return len(self._ring)
 
     # -- goroutine lifecycle (scheduler hooks) ---------------------------
+    #
+    # The hot hooks inline ``RingBuffer.append`` (count, then the
+    # deque's own append): one Python-level call per event is most of
+    # what an evicted-unread event would otherwise cost.
 
     def on_create(self, g) -> None:
-        self.emit(ev.GO_CREATE, g.goid, f"{g.name} at {g.go_site}",
-                  args={"label": g.trace_label, "parent": g.parent_goid,
-                        "site": g.go_site})
+        ring = self._ring
+        ring.appended += 1
+        ring.push((self.clock.now, ev.GO_CREATE, g.goid, -1, _render_create,
+                   g.name, g.fn_name or g.name, g.parent_goid, g.go_site))
 
     def on_park(self, g, reason) -> None:
-        self.emit(ev.GO_PARK, g.goid, reason.value,
-                  args={"reason": reason.value,
-                        "blocked_on": [describe_object(o)
-                                       for o in g.blocked_on]})
+        ring = self._ring
+        ring.appended += 1
+        ring.push((self.clock.now, ev.GO_PARK, g.goid, -1, _render_park,
+                   reason, tuple(map(snapshot_object, g.blocked_on))))
 
     def on_wake(self, g) -> None:
-        self.emit(ev.GO_WAKE, g.goid)
+        ring = self._ring
+        ring.appended += 1
+        ring.push((self.clock.now, ev.GO_WAKE, g.goid, -1, _render_bare))
 
     def on_finish(self, g) -> None:
-        self.emit(ev.GO_END, g.goid)
+        ring = self._ring
+        ring.appended += 1
+        ring.push((self.clock.now, ev.GO_END, g.goid, -1, _render_bare))
 
     def on_reclaim(self, g) -> None:
         self.emit(ev.GO_RECLAIM, g.goid)
@@ -92,23 +184,20 @@ class ExecutionTracer:
         """One instruction slice starting now on virtual processor
         ``pid`` — the Chrome exporter turns these into B/E pairs on the
         per-core lanes."""
-        self.emit(ev.INSTR, g.goid, mnemonic, pid=pid,
-                  args={"op": mnemonic, "dur": cost_ns,
-                        "label": g.trace_label})
+        ring = self._ring
+        ring.appended += 1
+        ring.push((self.clock.now, ev.INSTR, g.goid, pid, _render_instr,
+                   mnemonic, cost_ns, g.fn_name or g.name))
 
     # -- channel operations (executor hooks) -----------------------------
 
     def on_chan_op(self, kind: str, g, ch, partner: int = 0,
                    extra: Optional[Dict[str, Any]] = None) -> None:
-        args: Dict[str, Any] = {"chan": ch.addr, "partner": partner}
-        if ch.label:
-            args["chan_label"] = ch.label
-        if extra:
-            args.update(extra)
-        detail = f"chan 0x{ch.addr:x}"
-        if partner:
-            detail += f" partner g{partner}"
-        self.emit(kind, g.goid, detail, args=args)
+        ring = self._ring
+        ring.appended += 1
+        ring.push((self.clock.now, kind, g.goid, -1, _render_chan_op,
+                   ch.addr, ch.label, partner,
+                   tuple(extra.items()) if extra else ()))
 
     def on_select(self, g, case_index: int, ch, op: str,
                   partner: int = 0) -> None:

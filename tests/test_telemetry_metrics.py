@@ -42,6 +42,12 @@ class TestInstruments:
         assert child.sum == 5555
         assert child.cumulative_counts() == [1, 2, 3, 4]
 
+    def test_histogram_buckets_must_ascend(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError):
+            reg.histogram("lat", buckets=(100, 10))
+        reg.histogram("ties", buckets=(10, 10, 100)).observe(10)
+
     def test_labels_positional_and_by_name(self):
         reg = MetricsRegistry()
         c = reg.counter("req_total", labelnames=("service", "outcome"))
@@ -270,6 +276,17 @@ class TestMidRunRegistrationOrdering:
         text = reg.render_prometheus()
         assert validate_exposition(text) == 2
         assert text.index('k="alpha"') < text.index('k="zebra"')
+
+    def test_series_order_is_kept_until_a_child_is_created(self):
+        reg = MetricsRegistry()
+        c = reg.counter("x_total", labelnames=("k",))
+        c.labels("m").inc()
+        kept = c.series()
+        c.labels("m").inc(2)  # an update, not a new child
+        assert c.series() is kept
+        c.labels("a").inc()
+        assert [values for values, _ in c.series()] == [("a",), ("m",)]
+        assert [values for values, _ in kept] == [("m",)]
 
     def test_two_registration_orders_render_identically(self):
         def render(order):

@@ -46,6 +46,38 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             RingBuffer(0)
 
+    def test_last_zero_is_empty(self):
+        ring = RingBuffer(4)
+        for i in range(10):
+            ring.append(i)
+        assert ring.last(0) == []
+        assert ring.last(1) == [9]
+        assert ring.last(4) == ring.last(5) == [6, 7, 8, 9]
+        assert RingBuffer(4).last(3) == []
+
+    def test_last_zero_reaches_every_reader(self):
+        from repro.trace.tracer import ExecutionTracer
+
+        clock = _FakeClock()
+        tracer = ExecutionTracer(clock, capacity=4)
+        rec = FlightRecorder(clock=clock, capacity=4, incident_tail=0)
+        for i in range(6):
+            tracer.emit("watchdog-stall", 0, f"event-{i}")
+            rec.record("sched", "go-park", detail=f"event-{i}")
+        assert tracer.format(limit=0) == "... 2 events dropped (capacity)"
+        assert "event-" not in rec.dump(limit=0)
+        assert rec.incident("stall").events == ()
+
+    def test_dropped_is_appended_minus_buffered(self):
+        ring = RingBuffer(3)
+        for i in range(3):
+            ring.append(i)
+        assert (ring.dropped, ring.appended) == (0, 3)
+        ring.push(3)  # the writer-side fast path: count, then push
+        ring.appended += 1
+        assert list(ring) == [1, 2, 3]
+        assert (ring.dropped, len(ring)) == (1, 3)
+
 
 class TestFlightRecorder:
     def test_records_and_formats(self):
