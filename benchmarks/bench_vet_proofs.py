@@ -30,7 +30,7 @@ import os
 from typing import List, Optional
 
 from benchmarks.conftest import emit, once
-from repro.core.config import GolfConfig
+from repro.core.config import NS_PER_LIVENESS_CHECK, GolfConfig
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MICROSECOND, SECOND
 from repro.runtime.instructions import (
@@ -114,7 +114,6 @@ def _run_leg(workers: int, registry) -> dict:
     status = rt.run(until_ns=5 * SECOND, max_instructions=2_000_000)
     rt.gc_until_quiescent()
     cycles = rt.collector.stats.cycles
-    config = rt.collector.config
     liveness = sum(c.liveness_checks for c in cycles)
     leg = {
         "status": status,
@@ -125,8 +124,8 @@ def _run_leg(workers: int, registry) -> dict:
         "mark_iterations": sum(c.mark_iterations for c in cycles),
         "mark_work_units": sum(c.mark_work_units for c in cycles),
         # The fixpoint's modeled cost, in the same virtual currency the
-        # pause accounting charges (collector ns_per_liveness_check).
-        "fixpoint_ns": liveness * config.ns_per_liveness_check,
+        # pause accounting charges.
+        "fixpoint_ns": liveness * NS_PER_LIVENESS_CHECK,
         "proof_skips": sum(c.proof_skips for c in cycles),
     }
     rt.shutdown()

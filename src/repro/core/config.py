@@ -30,6 +30,24 @@ def get_default_gc_mode() -> str:
     return _default_gc_mode
 
 
+# The collector's simulated cost model (the scheduler's per-instruction
+# cost is ``Scheduler.base_cost_ns``): constants, no experiment varies them.
+
+#: Simulated stop-the-world cost per pause (two pauses per cycle, as in
+#: Go: mark setup + mark termination).
+STW_BASE_NS = 20_000
+#: Simulated marking cost per traversed reference.
+NS_PER_MARK_EDGE = 25
+#: Fixed marking-phase cost per mark iteration (queue setup/drain);
+#: GOLF's restart-based fixpoint pays this once per root-set expansion.
+NS_PER_MARK_ITERATION = 1_500
+#: Simulated cost of checking one (goroutine, blocking object) pair
+#: during root expansion.
+NS_PER_LIVENESS_CHECK = 120
+#: Simulated STW cost of shutting down one deadlocked goroutine.
+NS_PER_RECLAIM = 4_000
+
+
 class GolfConfig:
     """Tunables for the collector and the GOLF detector.
 
@@ -45,22 +63,12 @@ class GolfConfig:
             every cycle, as evaluated).
         on_the_fly_roots: use the on-the-fly root-expansion optimization
             sketched in paper section 5.3 instead of restart-based mark
-            iterations.  Same results, fewer iterations; ablation knob.
+            iterations.  Same results, fewer iterations; atomic mode only.
         gogc: heap-growth trigger percentage (Go's GOGC); a collection is
             triggered when live heap grows past ``(1 + gogc/100)`` times
             the live heap after the previous collection.
         min_heap_bytes: pacing floor, so tiny programs still collect at a
             sane cadence.
-        stw_base_ns: simulated stop-the-world cost per pause (two pauses
-            per cycle, as in Go: mark setup + mark termination).
-        ns_per_mark_edge: simulated marking cost per traversed reference.
-        ns_per_mark_iteration: fixed marking-phase cost per mark
-            iteration (queue setup/drain); GOLF's restart-based fixpoint
-            pays this once per root-set expansion.
-        ns_per_liveness_check: simulated cost of checking one
-            (goroutine, blocking object) pair during root expansion.
-        ns_per_reclaim: simulated STW cost of shutting down one deadlocked
-            goroutine.
         on_report: optional callback invoked with each new
             :class:`~repro.core.reports.DeadlockReport`.
         dead_global_hints: names of global variables a static analysis
@@ -91,11 +99,6 @@ class GolfConfig:
         on_the_fly_roots: bool = False,
         gogc: int = 100,
         min_heap_bytes: int = 256 * 1024,
-        stw_base_ns: int = 20_000,
-        ns_per_mark_edge: int = 25,
-        ns_per_mark_iteration: int = 1_500,
-        ns_per_liveness_check: int = 120,
-        ns_per_reclaim: int = 4_000,
         on_report: Optional[Callable[..., None]] = None,
         dead_global_hints: Optional[set] = None,
         gc_mode: Optional[str] = None,
@@ -111,6 +114,10 @@ class GolfConfig:
         if gc_mode not in GC_MODES:
             raise ValueError(
                 f"gc_mode must be one of {GC_MODES}, got {gc_mode!r}")
+        if on_the_fly_roots and gc_mode == "incremental":
+            raise ValueError(
+                "on_the_fly_roots needs gc_mode='atomic': incremental "
+                "mark termination always runs the restart fixpoint")
         if mark_budget < 1 or sweep_budget < 1:
             raise ValueError("mark_budget and sweep_budget must be >= 1")
         self.golf = golf
@@ -119,11 +126,6 @@ class GolfConfig:
         self.on_the_fly_roots = on_the_fly_roots
         self.gogc = gogc
         self.min_heap_bytes = min_heap_bytes
-        self.stw_base_ns = stw_base_ns
-        self.ns_per_mark_edge = ns_per_mark_edge
-        self.ns_per_mark_iteration = ns_per_mark_iteration
-        self.ns_per_liveness_check = ns_per_liveness_check
-        self.ns_per_reclaim = ns_per_reclaim
         self.on_report = on_report
         self.dead_global_hints = frozenset(dead_global_hints or ())
         self.gc_mode = gc_mode

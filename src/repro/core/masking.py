@@ -1,7 +1,7 @@
 """Address obfuscation (paper, section 5.4).
 
 GOLF hides pointers to blocked goroutines held by *global runtime
-structures* — the all-goroutines array and the semaphore treap — from the
+structures* — the all-goroutines array and the semaphore table — from the
 marking phase by flipping the highest-order bit of the stored addresses.
 Marking ignores masked addresses; when the detector proves a goroutine
 reachably live, the pointer is unmasked and (re)scheduled for marking.
@@ -10,7 +10,7 @@ In this reproduction the same mechanism appears in two forms:
 
 - :data:`MASK_BIT` arithmetic applied to semaphore-table keys, installed
   into the scheduler as its ``mask_key`` policy when GOLF is active, so
-  the treap genuinely stores obfuscated addresses (tests assert this);
+  the table genuinely stores obfuscated addresses (tests assert this);
 - the ``masked`` flag on goroutine descriptors, which the marker checks
   before tracing a descriptor reached through ordinary references — the
   moral equivalent of ignoring a masked address.

@@ -3,10 +3,10 @@
 The repo defends the paper's soundness claim by *differential* checks —
 two ways of running the same program that must be observably the same:
 atomic vs incremental GC, the dispatch table vs the legacy interpreter,
-every observer (daemon, scraper, hub, tracer) on vs off, static proofs
-on vs off, and §5.3's restart vs on-the-fly root expansion.  This
-module is the only place that defines what a run *produced*
-(:func:`fingerprint`), how two of those are compared
+every observer (daemon, scraper, hub, tracer, watchdog) on vs off,
+static proofs on vs off, and §5.3's restart vs on-the-fly root
+expansion.  This module is the only place that defines what a run
+*produced* (:func:`fingerprint`), how two of those are compared
 (:func:`diff_fields`), which configurations are paired (:data:`PAIRS`),
 and what the outcome looks like (:class:`EquivalenceResult`).  Every
 pair is swept over the same 125-program ground-truth corpus
@@ -33,6 +33,8 @@ from repro.microbench.harness import MicrobenchResult, run_microbenchmark
 from repro.microbench.registry import Microbenchmark, all_benchmarks
 from repro.runtime import executor
 from repro.runtime.api import Runtime
+from repro.runtime.clock import MILLISECOND
+from repro.runtime.watchdog import Watchdog
 from repro.staticcheck.fusion import (
     demo_services,
     install_program_proofs,
@@ -141,6 +143,12 @@ def _legacy_dispatch(rt: Runtime, _program: Program) -> None:
     rt.sched._execute = executor.execute_legacy
 
 
+def _install_watchdog(rt: Runtime, _program: Program) -> None:
+    # Parked on the runtime for the pair's witness to read back.
+    rt.watchdog = Watchdog(rt)
+    rt.watchdog.install(interval_ns=int(_TICK_MS * MILLISECOND))
+
+
 def _config(**overrides: Any) -> Callable[[], GolfConfig]:
     return lambda: GolfConfig(**overrides)
 
@@ -189,12 +197,15 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
     Pair("tracer",
          Leg("bare"), Leg("traced", hook=lambda rt, _p: rt.enable_tracing()),
          witness=lambda rt: {"trace_events": len(rt.tracer)}),
+    Pair("watchdog",
+         Leg("bare"), Leg("watchdog", hook=_install_watchdog),
+         witness=lambda rt: {"watchdog_polls": rt.watchdog.polls}),
     Pair("fixpoint",
-         Leg("restart", _config(on_the_fly_roots=False)),
-         Leg("on-the-fly", _config(on_the_fly_roots=True)),
+         Leg("restart", _config(on_the_fly_roots=False, gc_mode="atomic")),
+         Leg("on-the-fly", _config(on_the_fly_roots=True, gc_mode="atomic")),
          excluded=("pause_total_ns", "final_clock_ns"),
          why_excluded=(
-             "the termination pause charges ns_per_liveness_check per "
+             "the termination pause charges NS_PER_LIVENESS_CHECK per "
              "check and on-the-fly performs fewer of them (one per "
              "waiter of a newly marked object instead of a rescan of "
              "all candidates), so pause totals and everything timed "

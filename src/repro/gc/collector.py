@@ -25,12 +25,13 @@ Two execution modes (``GolfConfig.gc_mode``):
   virtual-time totals on quiescent cycles — the ``gc_mode`` pair of
   :mod:`repro.equivalence`.
 
-Simulated cost model (drives the paper's Table 2 / Figure 4 metrics):
+Simulated cost model (drives the paper's Table 2 / Figure 4 metrics;
+the constants are in :mod:`repro.core.config`):
 
-- *marking clock* = traversed references x ``ns_per_mark_edge``.  Marking
+- *marking clock* = traversed references x ``NS_PER_MARK_EDGE``.  Marking
   runs concurrently with the mutator in Go, so it contributes to GC CPU
   time but not to the pause.
-- *pause* = two stop-the-world windows (``stw_base_ns`` each) plus, under
+- *pause* = two stop-the-world windows (``STW_BASE_NS`` each) plus, under
   GOLF, the liveness checks and forced shutdowns that run under
   stop-the-world conditions.  The pause advances the virtual clock and
   stalls in-flight instructions.  Incremental mode charges the setup
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.core import config as cost
 from repro.core import detector as detector_mod
 from repro.core import masking, recovery
 from repro.core.config import GolfConfig
@@ -175,16 +177,15 @@ class Collector:
             thunk()
 
         cs.mark_clock_ns = (
-            cs.mark_work_units * self.config.ns_per_mark_edge
-            + cs.mark_iterations * self.config.ns_per_mark_iteration
+            cs.mark_work_units * cost.NS_PER_MARK_EDGE
+            + cs.mark_iterations * cost.NS_PER_MARK_ITERATION
         )
-        cs.pause_setup_ns = self.config.stw_base_ns
-        cs.pause_termination_ns = self.config.stw_base_ns
+        cs.pause_setup_ns = cost.STW_BASE_NS
+        cs.pause_termination_ns = cost.STW_BASE_NS
         if detect_now:
-            cs.pause_setup_ns += (
-                cs.goroutines_reclaimed * self.config.ns_per_reclaim)
+            cs.pause_setup_ns += cs.goroutines_reclaimed * cost.NS_PER_RECLAIM
             cs.pause_termination_ns += (
-                cs.liveness_checks * self.config.ns_per_liveness_check)
+                cs.liveness_checks * cost.NS_PER_LIVENESS_CHECK)
         # Marking runs concurrently with the mutator in Go but still
         # consumes CPU; approximate its mutator impact by spreading the
         # marking clock across the virtual processors.
@@ -307,8 +308,8 @@ class Collector:
             # Capture why-leaked evidence for the whole condemned set
             # *before* recovery marks any exclusive subgraph below: the
             # absence proofs read the post-fixpoint mark bits, which
-            # scan_and_mark_subgraph would flip.  Lazy import: the trace
-            # package pulls in telemetry/export, which imports this module.
+            # scan_and_mark_subgraph would flip.  Imported here: the kernel
+            # loads nothing above it (docs/ARCHITECTURE.md, "Layers").
             from repro.trace.provenance import capture_provenance
             prov_map = capture_provenance(
                 deadlocked, self.heap, self.sched, cs.cycle,
@@ -418,11 +419,11 @@ class Collector:
         cs.mark_work_units += work
         self.heap.enable_barrier(self._gray)
 
-        pause = self.config.stw_base_ns
+        pause = cost.STW_BASE_NS
         if self._detect_now:
             # Reclaims are a detection-cycle cost in the atomic model;
             # charge them identically so pause totals line up.
-            pause += cs.goroutines_reclaimed * self.config.ns_per_reclaim
+            pause += cs.goroutines_reclaimed * cost.NS_PER_RECLAIM
         cs.pause_setup_ns = pause
         self.clock.advance(pause)
         self.sched.stall_all(pause)
@@ -495,12 +496,12 @@ class Collector:
         self._candidates = []
 
         cs.mark_clock_ns = (
-            cs.mark_work_units * self.config.ns_per_mark_edge
-            + cs.mark_iterations * self.config.ns_per_mark_iteration
+            cs.mark_work_units * cost.NS_PER_MARK_EDGE
+            + cs.mark_iterations * cost.NS_PER_MARK_ITERATION
         )
-        pause = self.config.stw_base_ns
+        pause = cost.STW_BASE_NS
         if self._detect_now:
-            pause += cs.liveness_checks * self.config.ns_per_liveness_check
+            pause += cs.liveness_checks * cost.NS_PER_LIVENESS_CHECK
         cs.pause_termination_ns = pause
         mark_stall = cs.mark_clock_ns // max(1, len(self.sched.procs))
         total_stall = pause + mark_stall
@@ -567,7 +568,7 @@ class Collector:
             self._gc_requested = False
             self._gc_waiters = self._queued_waiters
             self._queued_waiters = []
-            self._begin_cycle("forced")
+            self._begin_cycle("runtime.GC")
 
     def request_gc(self, g: Goroutine) -> bool:
         """``runtime.GC()`` in incremental mode.
@@ -584,7 +585,7 @@ class Collector:
             return False
         if self.phase is GCPhase.IDLE:
             self._gc_waiters.append(g)
-            self._begin_cycle("forced")
+            self._begin_cycle("runtime.GC")
         else:
             self._gc_requested = True
             self._queued_waiters.append(g)

@@ -9,7 +9,7 @@ traversals, just split across iterations.
 
 When ``respect_masks`` is set, goroutine descriptors whose address is
 masked (GOLF's obfuscation of the all-goroutines array and semaphore
-treap) are ignored entirely: they are neither marked nor traced until the
+table) are ignored entirely: they are neither marked nor traced until the
 detector unmasks them.
 
 The engine is written for throughput: plain-list LIFO gray stacks (no

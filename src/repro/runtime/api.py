@@ -42,6 +42,11 @@ from repro.runtime.objects import HeapObject
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sync import Cond, Mutex, Pool, RWMutex, WaitGroup
 
+#: Called with every runtime as its construction ends, or ``None``: the
+#: slot :func:`repro.telemetry.hub.set_default_hub` fills with the
+#: default hub's ``attach`` (the CLI's ``--metrics`` plumbing) and clears.
+on_new_runtime: Optional[Callable[["Runtime"], Any]] = None
+
 
 class Runtime:
     """A simulated Go runtime instance.
@@ -50,33 +55,25 @@ class Runtime:
         procs: GOMAXPROCS — number of virtual processors.
         seed: seed for all scheduling/jitter randomness.
         config: collector configuration; defaults to GOLF with recovery.
-        base_cost_ns: simulated duration of an ordinary instruction.
     """
 
     def __init__(self, procs: int = 1, seed: int = 0,
-                 config: Optional[GolfConfig] = None,
-                 base_cost_ns: int = 200):
+                 config: Optional[GolfConfig] = None):
         self.config = config or GolfConfig()
         self.clock = Clock()
         self.heap = Heap()
-        self.sched = Scheduler(self.heap, self.clock, procs=procs, seed=seed,
-                               base_cost_ns=base_cost_ns)
+        self.sched = Scheduler(self.heap, self.clock, procs=procs, seed=seed)
         self.reports = ReportLog()
         self.collector = Collector(self.heap, self.sched, self.clock,
                                    self.config, self.reports)
-        # A process-wide default hub (CLI --metrics plumbing) observes
-        # every runtime built while it is installed.
-        from repro.telemetry.hub import get_default_hub
-
-        default_hub = get_default_hub()
-        if default_hub is not None:
-            default_hub.attach(self)
         #: The detection daemon, once started (see
         #: :meth:`detect_partial_deadlock`).
         self._daemon = None
         #: The TSDB metrics scraper, once started (see
         #: :meth:`start_metrics_scrape`).
         self._scraper = None
+        if on_new_runtime is not None:
+            on_new_runtime(self)
 
     # -- program setup ------------------------------------------------------
 

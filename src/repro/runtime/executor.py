@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.errors import CloseOfNilChannel, GoPanic, InvalidInstruction
+from repro.runtime import events as ev
 from repro.runtime import instructions as ins
 from repro.runtime.channel import Channel
 from repro.runtime.goroutine import EPSILON, Goroutine, Sudog
 from repro.runtime.sema import Semaphore
 from repro.runtime.sync import Cond, Mutex, Once, RWMutex, WaitGroup
 from repro.runtime.waitreason import WaitReason
-from repro.trace import events as ev
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.scheduler import Scheduler
@@ -91,7 +91,7 @@ def _exec_send(sched, g, instr: ins.Send) -> None:
         sched.apply_wakeups(wakeups)
         sched.resume(g, None)
         return
-    sd = sched.acquire_sudog(g, ch, instr.value, is_send=True)
+    sd = Sudog(g, ch, instr.value, is_send=True)
     g.sudogs = [sd]
     ch.enqueue_sender(sd)
     sched.park(g, WaitReason.CHAN_SEND, (ch,))
@@ -112,7 +112,7 @@ def _exec_recv(sched, g, instr: ins.Recv) -> None:
         sched.apply_wakeups(wakeups)
         sched.resume(g, (value, ok))
         return
-    sd = sched.acquire_sudog(g, ch, None, is_send=False)
+    sd = Sudog(g, ch, None, is_send=False)
     g.sudogs = [sd]
     ch.enqueue_receiver(sd)
     sched.park(g, WaitReason.CHAN_RECEIVE, (ch,))

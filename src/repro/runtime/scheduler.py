@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.runtime import executor
 from repro.runtime.channel import Wakeup
 from repro.runtime.clock import Clock
-from repro.runtime.goroutine import GStatus, Goroutine, Sudog
+from repro.runtime.goroutine import GStatus, Goroutine
 from repro.runtime.instructions import (
     OP_RUN_GC,
     OP_SLEEP,
@@ -96,19 +96,20 @@ class Scheduler:
         clock: shared virtual clock.
         procs: GOMAXPROCS.
         seed: RNG seed; all scheduling non-determinism derives from it.
-        base_cost_ns: simulated duration of an ordinary instruction.
     """
 
+    #: Simulated duration of an ordinary instruction (a constant).
+    base_cost_ns = 200
+
     def __init__(self, heap: Heap, clock: Clock, procs: int = 1,
-                 seed: int = 0, base_cost_ns: int = 200):
+                 seed: int = 0):
         if procs < 1:
             raise ValueError("need at least one virtual processor")
         self.heap = heap
         self.clock = clock
         self.rng = random.Random(seed)
-        self.semtable = SemaTable(random.Random(seed ^ 0x5EAA))
+        self.semtable = SemaTable()
         self.procs = [_Proc(i) for i in range(procs)]
-        self.base_cost_ns = base_cost_ns
 
         self.allgs: List[Goroutine] = []
         self.gfree: List[Goroutine] = []
@@ -177,12 +178,6 @@ class Scheduler:
         self.fault_hook: Optional[
             Callable[[Goroutine, Instruction], Optional[BaseException]]
         ] = None
-        #: Free pool of recycled non-select sudogs (Go's sudog cache).
-        #: Only sudogs retired through :meth:`apply_wakeups` — already
-        #: dequeued from every channel queue and detached from their
-        #: goroutine by ``wake`` — are pooled; select sudogs never are
-        #: (inactive siblings may linger in other channels' queues).
-        self.sudog_cache: List[Sudog] = []
         #: The instruction interpreter applied at completion.  Tests swap
         #: in ``executor.execute_legacy`` to differentially check the
         #: flattened dispatch table against the original interpreter.
@@ -219,42 +214,6 @@ class Scheduler:
     def telemetry(self, value) -> None:
         self._telemetry = value
         self._observed = value is not None or self._tracer is not None
-
-    # ------------------------------------------------------------------
-    # Sudog free pool
-    # ------------------------------------------------------------------
-
-    #: Pool size cap; beyond this, retired sudogs go to the allocator.
-    SUDOG_CACHE_LIMIT = 64
-
-    def acquire_sudog(self, g: Goroutine, channel: Any, value: Any,
-                      is_send: bool) -> Sudog:
-        """A non-select sudog, recycled from the free pool if possible."""
-        cache = self.sudog_cache
-        if cache:
-            sd = cache.pop()
-            sd.g = g
-            sd.channel = channel
-            sd.value = value
-            sd.is_send = is_send
-            sd.active = True
-            return sd
-        return Sudog(g, channel, value, is_send=is_send)
-
-    def release_sudog(self, sd: Sudog) -> None:
-        """Return a retired non-select sudog to the free pool.
-
-        Callers must guarantee no channel queue or goroutine still
-        references it — true exactly for sudogs whose wakeup was just
-        applied (the channel dequeued them before creating the
-        :class:`Wakeup`, and ``wake`` cleared the owner's list).
-        """
-        cache = self.sudog_cache
-        if len(cache) < self.SUDOG_CACHE_LIMIT:
-            sd.g = None
-            sd.channel = None
-            sd.value = None
-            cache.append(sd)
 
     # ------------------------------------------------------------------
     # Spawning
@@ -422,10 +381,6 @@ class Scheduler:
             g = sd.g
             if sd.select_index is None:
                 self.wake(g, result=w.result, exc=w.exc)
-                # The channel dequeued this sudog before creating the
-                # wakeup and wake() just detached it from its goroutine:
-                # nothing references it any more, so it can be pooled.
-                self.release_sudog(sd)
                 continue
             if w.exc is not None:
                 self.wake(g, exc=w.exc)

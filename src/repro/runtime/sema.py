@@ -1,23 +1,22 @@
 """Low-level semaphores and the global semaphore table.
 
-Go parks goroutines blocked on ``sync`` primitives in a global *treap*
-(randomized search tree) indexed by semaphore address, with back pointers
-to the blocked goroutines (paper, section 5.4).  GOLF must both mask those
-back pointers during marking (so parked goroutines are not prematurely
-reachable) and purge the entries of goroutines it reclaims.
+Go parks goroutines blocked on ``sync`` primitives in a global table
+indexed by semaphore address, with back pointers to the blocked
+goroutines (paper, section 5.4; Go balances it as a treap, which nothing
+here observes).  GOLF must both mask those back pointers during marking
+(so parked goroutines are not prematurely reachable) and purge the
+entries of goroutines it reclaims.
 
-This module implements a faithful treap keyed by (maskable) semaphore
-addresses.  The table is a *global runtime structure*, not a heap object:
-the collector never traces through it, which is exactly the property the
+The table is a *global runtime structure*, not a heap object: the
+collector never traces through it, which is exactly the property the
 paper achieves with address obfuscation — see
 :mod:`repro.core.masking` for the mask bookkeeping.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
-from typing import Deque, Iterator, List, Optional
+from collections import defaultdict, deque
+from typing import Deque, Dict, List, Optional
 
 from repro.runtime.goroutine import Goroutine
 from repro.runtime.objects import WORD_SIZE, HeapObject
@@ -36,106 +35,27 @@ class Semaphore(HeapObject):
         self.count = count
 
 
-class _TreapNode:
-    __slots__ = ("key", "priority", "waiters", "left", "right")
-
-    def __init__(self, key: int, priority: int):
-        self.key = key
-        self.priority = priority
-        self.waiters: Deque[Goroutine] = deque()
-        self.left: Optional["_TreapNode"] = None
-        self.right: Optional["_TreapNode"] = None
-
-
 class SemaTable:
-    """The global treap of in-use semaphores.
+    """The global table of in-use semaphores: one FIFO wait queue per key.
 
     Keys are semaphore addresses; under GOLF the stored keys carry the
     obfuscation mask, but the table is agnostic to that — callers pass
-    whatever key form the masking policy dictates.
+    whatever key form the masking policy dictates.  A key is present
+    exactly while its queue is non-empty.
     """
 
-    __slots__ = ("_rng", "_root", "_size", "_found", "tracer")
+    __slots__ = ("_queues", "tracer")
 
-    def __init__(self, rng: Optional[random.Random] = None):
-        self._rng = rng or random.Random(0)
-        self._root: Optional[_TreapNode] = None
-        self._size = 0
+    def __init__(self) -> None:
+        self._queues: Dict[int, Deque[Goroutine]] = defaultdict(deque)
         #: Optional execution tracer (installed by ``enable_tracing``):
         #: records blocked acquires and handoff grants.
         self.tracer = None
 
-    # -- treap mechanics ----------------------------------------------------
-
-    def _rotate_right(self, node: _TreapNode) -> _TreapNode:
-        left = node.left
-        assert left is not None
-        node.left = left.right
-        left.right = node
-        return left
-
-    def _rotate_left(self, node: _TreapNode) -> _TreapNode:
-        right = node.right
-        assert right is not None
-        node.right = right.left
-        right.left = node
-        return right
-
-    def _insert(self, node: Optional[_TreapNode], key: int) -> _TreapNode:
-        if node is None:
-            new = _TreapNode(key, self._rng.getrandbits(30))
-            self._found = new
-            return new
-        if key == node.key:
-            self._found = node
-            return node
-        if key < node.key:
-            node.left = self._insert(node.left, key)
-            if node.left.priority > node.priority:
-                node = self._rotate_right(node)
-        else:
-            node.right = self._insert(node.right, key)
-            if node.right.priority > node.priority:
-                node = self._rotate_left(node)
-        return node
-
-    def _find(self, key: int) -> Optional[_TreapNode]:
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                return node
-            node = node.left if key < node.key else node.right
-        return None
-
-    def _delete(self, node: Optional[_TreapNode],
-                key: int) -> Optional[_TreapNode]:
-        if node is None:
-            return None
-        if key < node.key:
-            node.left = self._delete(node.left, key)
-            return node
-        if key > node.key:
-            node.right = self._delete(node.right, key)
-            return node
-        # Rotate the node down until it is a leaf, then drop it.
-        if node.left is None:
-            return node.right
-        if node.right is None:
-            return node.left
-        if node.left.priority > node.right.priority:
-            node = self._rotate_right(node)
-            node.right = self._delete(node.right, key)
-        else:
-            node = self._rotate_left(node)
-            node.left = self._delete(node.left, key)
-        return node
-
-    # -- public API -----------------------------------------------------------
-
     def enqueue(self, key: int, g: Goroutine) -> None:
         """Park ``g`` on the semaphore with table key ``key``.
 
-        Deliberately *not* routed through the write barrier: the treap is
+        Deliberately *not* routed through the write barrier: the table is
         a global runtime structure the collector never traces, and the
         enqueued back pointers target (possibly masked) goroutine
         descriptors.  Shading them here would make every parked goroutine
@@ -144,82 +64,45 @@ class SemaTable:
         GC-visible only through the channel/stack edges that the barrier
         does cover.
         """
-        self._found: Optional[_TreapNode] = None
-        self._root = self._insert(self._root, key)
-        assert self._found is not None
-        self._found.waiters.append(g)
-        self._size += 1
+        self._queues[key].append(g)
         if self.tracer is not None:
             self.tracer.on_sema_queue(key, g)
 
     def dequeue(self, key: int) -> Optional[Goroutine]:
         """Remove and return the longest-waiting goroutine for ``key``."""
-        node = self._find(key)
-        if node is None or not node.waiters:
+        queue = self._queues.get(key)
+        if queue is None:
             return None
-        g = node.waiters.popleft()
-        self._size -= 1
-        if not node.waiters:
-            self._root = self._delete(self._root, key)
+        g = queue.popleft()
+        if not queue:
+            del self._queues[key]
         if self.tracer is not None:
             self.tracer.on_sema_dequeue(key, g)
         return g
 
     def waiters(self, key: int) -> List[Goroutine]:
-        node = self._find(key)
-        return list(node.waiters) if node is not None else []
+        return list(self._queues.get(key, ()))
 
     def remove_goroutine(self, g: Goroutine) -> bool:
         """Purge every entry for ``g`` (GOLF recovery bookkeeping).
 
         Returns True if at least one entry was removed.  Needed because a
         goroutine reclaimed while parked on a ``sync`` primitive would
-        otherwise leave a dangling back pointer in the treap (paper,
+        otherwise leave a dangling back pointer in the table (paper,
         section 5.4, "Semaphores").
         """
-        removed = False
-        emptied: List[int] = []
-        for node in self._nodes():
-            before = len(node.waiters)
-            if before:
-                node.waiters = deque(w for w in node.waiters if w is not g)
-                delta = before - len(node.waiters)
-                if delta:
-                    removed = True
-                    self._size -= delta
-                if not node.waiters:
-                    emptied.append(node.key)
-        for key in emptied:
-            self._root = self._delete(self._root, key)
-        return removed
-
-    def rekey(self, old_key: int, new_key: int) -> None:
-        """Move a wait queue to a different key (mask flip support)."""
-        if old_key == new_key:
-            return
-        node = self._find(old_key)
-        if node is None:
-            return
-        waiters = node.waiters
-        self._root = self._delete(self._root, old_key)
-        self._found = None
-        self._root = self._insert(self._root, new_key)
-        assert self._found is not None
-        self._found.waiters.extend(waiters)
-
-    def _nodes(self) -> Iterator[_TreapNode]:
-        stack = [self._root] if self._root else []
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left:
-                stack.append(node.left)
-            if node.right:
-                stack.append(node.right)
+        hit = [key for key, queue in self._queues.items() if g in queue]
+        for key in hit:
+            kept = deque(w for w in self._queues[key] if w is not g)
+            if kept:
+                self._queues[key] = kept
+            else:
+                del self._queues[key]
+        return bool(hit)
 
     def __len__(self) -> int:
         """Total number of parked goroutines across all semaphores."""
-        return self._size
+        return sum(map(len, self._queues.values()))
 
     def keys(self) -> List[int]:
-        return sorted(node.key for node in self._nodes())
+        return sorted(self._queues)

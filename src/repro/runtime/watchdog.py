@@ -4,16 +4,16 @@ In the simulator, a *stall* is the situation Go's runtime can never
 diagnose on its own: every user goroutine is detectably blocked (channel
 or ``sync`` wait — no timer will save them) and nothing changed since the
 last poll, yet the process as a whole keeps "running" because system
-goroutines (periodic GC, tickers, the watchdog itself) still have timers
-pending.  The scheduler's global-deadlock fatal error never fires in that
-state, so long-running services wedge silently — exactly the failure mode
-GOLF's recovery is meant to repair.
+goroutines (periodic GC, tickers) and the watchdog's own scheduler
+ticker still have timers pending.  The scheduler's global-deadlock fatal
+error never fires in that state, so long-running services wedge silently
+— exactly the failure mode GOLF's recovery is meant to repair.
 
 The watchdog takes cheap user-state snapshots and reports a
 :class:`StallReport` (with a full goroutine dump, like Go's fatal-error
 listing) when two consecutive polls see the same fully-blocked picture.
-Use it host-side between ``run_for`` slices, or install it as a system
-goroutine that polls on a virtual-time interval::
+Use it host-side between ``run_for`` slices, or install it on a
+scheduler ticker that polls on a virtual-time interval::
 
     wd = Watchdog(rt)
     wd.install(interval_ns=10 * MILLISECOND)
@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 
 from repro.runtime.clock import MILLISECOND
 from repro.runtime.goroutine import GStatus
-from repro.runtime.instructions import Sleep
 
 
 class StallReport:
@@ -61,6 +60,8 @@ class Watchdog:
     def __init__(self, rt):
         self.rt = rt
         self.stalls: List[StallReport] = []
+        #: Polls taken so far (host-side and ticker-driven alike).
+        self.polls = 0
         self._last_snapshot: Optional[Tuple] = None
         self._reported_snapshots: set = set()
 
@@ -69,10 +70,9 @@ class Watchdog:
         goroutine can still make progress on its own."""
         blocked = []
         for g in self.rt.sched.allgs:
-            # System goroutines (watchdog itself, forcegc) run forever
-            # by design: a stall verdict must never implicate them, and
-            # their timer parks must not mask a wedged user program
-            # either.
+            # System goroutines (forcegc) run forever by design: a stall
+            # verdict must never implicate them, and their timer parks
+            # must not mask a wedged user program either.
             if g.is_system or g.status == GStatus.DEAD:
                 continue
             if g.status in (GStatus.DEADLOCKED, GStatus.PENDING_RECLAIM):
@@ -87,6 +87,7 @@ class Watchdog:
 
     def poll(self) -> Optional[StallReport]:
         """Compare against the previous poll; report a new stall if any."""
+        self.polls += 1
         snap = self._snapshot()
         stalled = snap is not None and snap == self._last_snapshot
         self._last_snapshot = snap
@@ -108,16 +109,11 @@ class Watchdog:
         return report
 
     def install(self, interval_ns: int = 10 * MILLISECOND) -> None:
-        """Spawn a system goroutine polling every ``interval_ns``.
+        """Poll from a scheduler ticker every ``interval_ns``.
 
-        The polling goroutine only sleeps and snapshots — it cannot wake
-        anyone, so it never masks the stall it is looking for.
+        A ticker takes no processor, RNG draw or instruction, so the
+        watched program runs byte-identically (the ``watchdog`` pair of
+        :mod:`repro.equivalence`); a poll only snapshots — it cannot
+        wake anyone, so it never masks the stall it is looking for.
         """
-
-        def watchdog_loop():
-            while True:
-                yield Sleep(interval_ns)
-                self.poll()
-
-        self.rt.sched.spawn(watchdog_loop, name="watchdog", system=True,
-                            go_site="<runtime>")
+        self.rt.sched.add_ticker(interval_ns, self.poll)

@@ -6,7 +6,7 @@ surface the runtime calls into.  Cost discipline:
 
 - when no hub is attached, every instrumentation site in the scheduler /
   collector / watchdog is a single ``x.telemetry is None`` check — the
-  no-op fast path the overhead benchmark pins;
+  no-op fast path the ``telemetry`` equivalence pair pins;
 - when attached, the hot-path callbacks (:meth:`on_context_switch`,
   :meth:`on_spawn`, :meth:`on_park`, :meth:`on_wake`, :meth:`on_finish`)
   update instrument children bound once — in ``_build_instruments``,
@@ -27,8 +27,9 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional
 
+from repro.runtime import api as runtime_api
+from repro.runtime import events as ev
 from repro.telemetry import recorder as rec
-from repro.trace import events as ev
 from repro.telemetry.metrics import (
     DURATION_BUCKETS_NS,
     MetricsRegistry,
@@ -51,6 +52,7 @@ def set_default_hub(hub: Optional["TelemetryHub"]) -> None:
     """
     global _default_hub
     _default_hub = hub
+    runtime_api.on_new_runtime = hub.attach if hub is not None else None
 
 
 def get_default_hub() -> Optional["TelemetryHub"]:

@@ -361,17 +361,5 @@ class GoroutineProfileSampler:
         self.samples.append(snap)
         return snap
 
-    def install_periodic(self, rt, interval_ns: int) -> None:
-        """Spawn a system goroutine sampling every ``interval_ns``."""
-        from repro.runtime.instructions import Sleep
-
-        def sampler_loop():
-            while True:
-                yield Sleep(interval_ns)
-                self.sample(rt)
-
-        rt.sched.spawn(sampler_loop, name="profile-sampler", system=True,
-                       go_site="<runtime>")
-
     def history(self) -> List[dict]:
         return list(self.samples)

@@ -13,7 +13,7 @@ exactly like the detection daemon: the run loop calls it on a
 virtual-time period, it is not a goroutine, so enabling scraping never
 perturbs user scheduling, RNG draws, GC stepping — or the detection
 daemon's tick instants.  Observation stays provably passive — the
-``bench_tsdb`` benchmark pins this.
+``scraper`` pair of :mod:`repro.equivalence` pins this.
 
 Windowed query operators follow Prometheus semantics over the points
 inside ``[now - window, now]``:

@@ -225,7 +225,7 @@ class ExecutionTracer:
                         "blocked": blocked})
 
     def on_sema_queue(self, key: int, g) -> None:
-        """A goroutine parked on the global semaphore treap (blocked
+        """A goroutine parked on the global semaphore table (blocked
         acquire)."""
         self.emit(ev.SEMA_ACQUIRE, g.goid, f"blocked key=0x{key:x}",
                   args={"key": key, "blocked": True})

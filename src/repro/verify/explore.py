@@ -8,9 +8,9 @@ decision prefixes then visits every reachable interleaving — the
 technique behind stateless model checkers (VeriSoft/CHESS lineage).
 
 Non-branching draws are fixed deterministically: instruction-cost jitter
-(``uniform``) returns the midpoint, treap priorities (``getrandbits``)
-hash the call index — neither affects which schedules are *reachable*,
-only their timing, so the decision tree stays finite and small.
+(``uniform``) returns the midpoint — it does not affect which schedules
+are *reachable*, only their timing, so the decision tree stays finite
+and small.
 
 Typical use::
 
@@ -47,7 +47,6 @@ class ScriptedRandom:
         self._script = list(script)
         #: (decision_taken, domain_size) per branching draw, in order.
         self.trace: List[Tuple[int, int]] = []
-        self._bits_counter = 0
 
     # -- branching draws -----------------------------------------------------
 
@@ -76,11 +75,6 @@ class ScriptedRandom:
 
     def uniform(self, a: float, b: float) -> float:
         return (a + b) / 2.0
-
-    def getrandbits(self, k: int) -> int:
-        # Deterministic, spread-out treap priorities.
-        self._bits_counter += 1
-        return (self._bits_counter * 2654435761) % (1 << k)
 
     def random(self) -> float:
         return 0.5
@@ -142,7 +136,6 @@ def explore(
         rt, outcome_fn = build()
         rng = ScriptedRandom(script)
         rt.sched.rng = rng
-        rt.sched.semtable._rng = rng
         error: Optional[ReproError] = None
         try:
             rt.run(**kwargs)

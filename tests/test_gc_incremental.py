@@ -189,6 +189,56 @@ class TestRunGCParking:
             "the worker must run between MARKING and MARK_TERMINATION")
 
 
+    def test_rungc_cycles_are_stamped_alike_in_both_modes(self):
+        """``runtime.GC()`` cycles carry one reason whatever the collector
+        mode: consumers filter on it (``experiments/complexity.py``, the
+        ``repro_gc_cycles_total{reason=...}`` series, the gctrace line)."""
+        def stamps(gc_mode):
+            rt = Runtime(procs=2, seed=7, config=GolfConfig(gc_mode=gc_mode))
+
+            def main():
+                for _ in range(3):
+                    yield Alloc(Blob(64))
+                    yield RunGC()
+
+            assert run_to_end(rt, main) == "main-exited"
+            return [(c.cycle, c.reason) for c in rt.collector.stats.cycles]
+
+        assert stamps("atomic") == stamps("incremental") == [
+            (1, "runtime.GC"), (2, "runtime.GC"), (3, "runtime.GC")]
+
+    def test_queued_rungc_cycle_is_stamped_runtime_gc(self):
+        """A request arriving mid-cycle gets the *next* cycle, which is
+        just as much a ``runtime.GC`` cycle as the first."""
+        rt = incremental_rt(mark_budget=1, sweep_budget=1)
+        idle_at_request = []
+        original = rt.sched.gc_request_hook
+
+        def request(g):
+            idle_at_request.append(rt.collector.phase is GCPhase.IDLE)
+            return original(g)
+
+        rt.sched.gc_request_hook = request
+
+        def main():
+            sl = yield Alloc(Slice())
+            for i in range(30):  # enough heap for a many-step cycle
+                sl.append((yield Alloc(Box(i))))
+
+            def second():
+                yield RunGC()
+
+            yield Go(second, name="second")
+            yield Sleep(MICROSECOND)
+            yield RunGC()  # lands while second's cycle is in flight
+            sl.append(None)  # keep the slice live across the cycles
+
+        assert run_to_end(rt, main) == "main-exited"
+        assert idle_at_request == [True, False]  # the second one queued
+        assert [(c.cycle, c.reason) for c in rt.collector.stats.cycles] == [
+            (1, "runtime.GC"), (2, "runtime.GC")]
+
+
 def run_to_end_spawned(rt):
     return rt.run(until_ns=500 * MILLISECOND, max_instructions=2_000_000)
 

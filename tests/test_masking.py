@@ -83,7 +83,7 @@ class TestSemaTableMaskingIntegration:
 
         run_to_end(rt, main)
         keys = rt.sched.semtable.keys()
-        assert keys, "contender should be parked in the treap"
+        assert keys, "contender should be parked in the semaphore table"
         assert all(masking.is_masked(k) for k in keys)
 
     def test_baseline_runtime_stores_plain_keys(self):

@@ -8,7 +8,6 @@ from repro.runtime.channel import Channel
 from repro.runtime.goroutine import Goroutine, Sudog
 from repro.runtime.objects import GoMap
 from repro.runtime.sema import SemaTable
-import random
 
 
 class TestChannelFifoModel:
@@ -55,10 +54,9 @@ class TestSemaTableModel:
                       st.integers(min_value=0, max_value=9)),
             max_size=80,
         ),
-        table_seed=st.integers(min_value=0, max_value=1000),
     )
-    def test_matches_dict_of_queues(self, ops, table_seed):
-        table = SemaTable(random.Random(table_seed))
+    def test_matches_dict_of_queues(self, ops):
+        table = SemaTable()
         model = {}
         goroutines = []
         goid = 0

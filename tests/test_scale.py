@@ -1,7 +1,7 @@
 """Scale and stress tests: thousands of goroutines, deep graphs.
 
 Not micro-optimizing — pinning down that the simulator's data structures
-(run queue, timers, treap, marking) behave at the population sizes the
+(run queue, timers, semaphore table, marking) behave at the population sizes the
 service experiments reach, and that detection stays exact at scale.
 """
 

@@ -1,4 +1,4 @@
-"""Unit tests for the semaphore treap."""
+"""Unit tests for the semaphore table."""
 
 import random
 
@@ -14,7 +14,7 @@ def _g(goid):
 
 @pytest.fixture
 def table():
-    return SemaTable(random.Random(1))
+    return SemaTable()
 
 
 class TestQueueSemantics:
@@ -72,25 +72,6 @@ class TestRemoveGoroutine:
         assert len(table) == 1
 
 
-class TestRekey:
-    def test_rekey_moves_queue(self, table):
-        a, b = _g(1), _g(2)
-        table.enqueue(10, a)
-        table.enqueue(10, b)
-        table.rekey(10, 1 << 63 | 10)
-        assert table.dequeue(10) is None
-        assert table.dequeue(1 << 63 | 10) is a
-
-    def test_rekey_same_key_is_noop(self, table):
-        table.enqueue(3, _g(1))
-        table.rekey(3, 3)
-        assert len(table) == 1
-
-    def test_rekey_missing_key_is_noop(self, table):
-        table.rekey(42, 43)
-        assert table.keys() == []
-
-
 class TestTreapStructure:
     def test_many_keys_sorted(self, table):
         rng = random.Random(5)
@@ -100,9 +81,9 @@ class TestTreapStructure:
         assert table.keys() == sorted(keys)
 
     def test_random_ops_match_model(self):
-        """The treap must behave exactly like a dict of FIFO queues."""
+        """The table must behave exactly like a dict of FIFO queues."""
         rng = random.Random(11)
-        table = SemaTable(random.Random(2))
+        table = SemaTable()
         model = {}
         goid = 0
         for _ in range(2000):

@@ -42,7 +42,6 @@ EXTRA_HOT = {
     "repro.runtime.channel.Wakeup",
     "repro.runtime.goroutine.Sudog",
     "repro.runtime.sema.SemaTable",
-    "repro.runtime.sema._TreapNode",
     "repro.gc.stats.CycleStats",
     "repro.gc.stats.GCStats",
     "repro.gc.stats.MemStats",
