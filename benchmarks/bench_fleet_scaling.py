@@ -15,11 +15,11 @@ and demands an exact match on every deterministic field.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List
 
 from benchmarks.conftest import emit, once
+from repro import codec
 from repro.fleet import FleetConfig, equivalence_diff, run_fleet
 
 #: The benchmark grid.  Everything here feeds the deterministic
@@ -123,11 +123,6 @@ def format_fleet_bench(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench_json(doc: dict, path: str = BENCH_PATH) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def test_fleet_scaling(benchmark):
     doc = once(benchmark, collect)
     emit("fleet_scaling", format_fleet_bench(doc))
@@ -150,11 +145,11 @@ def test_fleet_scaling(benchmark):
     # traffic, so anything at or above the RPS floors is near-linear).
     assert doc["leak_speedup_vs_1_shard"]["4"] > 1.5
 
-    write_bench_json(doc)
+    codec.write(BENCH_PATH, doc)
 
 
 if __name__ == "__main__":
     doc = collect()
-    write_bench_json(doc)
+    codec.write(BENCH_PATH, doc)
     print(format_fleet_bench(doc))
     print(f"\nwrote {BENCH_PATH}")

@@ -25,11 +25,11 @@ acceptance floors are:
 
 from __future__ import annotations
 
-import json
 import os
 from typing import List, Optional
 
 from benchmarks.conftest import emit, once
+from repro import codec
 from repro.core.config import NS_PER_LIVENESS_CHECK, GolfConfig
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MICROSECOND, SECOND
@@ -215,22 +215,17 @@ def check_floors(doc: dict) -> List[str]:
     return problems
 
 
-def write_bench_json(doc: dict, path: str = BENCH_PATH) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def test_vet_proofs(benchmark):
     doc = once(benchmark, collect)
     emit("vet_proofs", format_vet_bench(doc))
     assert not check_floors(doc)
-    write_bench_json(doc)
+    codec.write(BENCH_PATH, doc)
 
 
 if __name__ == "__main__":
     doc = collect()
     problems = check_floors(doc)
-    write_bench_json(doc)
+    codec.write(BENCH_PATH, doc)
     print(format_vet_bench(doc))
     for problem in problems:
         print(f"FLOOR VIOLATION: {problem}")

@@ -43,10 +43,6 @@ class DeployWindow:
         self.rate_per_hour = float(slope)
         self.intercept = float(intercept)
 
-    @property
-    def duration_hours(self) -> int:
-        return self.end_hour - self.start_hour
-
     def __repr__(self) -> str:
         return (
             f"<window {self.start_hour}..{self.end_hour}h "

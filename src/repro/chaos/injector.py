@@ -57,12 +57,6 @@ class FaultInjector:
         if self.rt.sched.fault_hook == self._on_yield:
             self.rt.sched.fault_hook = None
 
-    # -- service-layer poll --------------------------------------------------
-
-    def downstream_outcome(self):
-        """Forwarded to the plan; see :meth:`FaultPlan.downstream_outcome`."""
-        return self.plan.downstream_outcome()
-
     # -- the hook -----------------------------------------------------------
 
     def _on_yield(self, g: Goroutine,

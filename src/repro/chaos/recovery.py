@@ -22,7 +22,6 @@ a campaign is fully reproducible from ``(seeds, base_seed)``.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from repro.chaos.plan import FaultPlan
@@ -147,9 +146,6 @@ class RecoveryReport:
             "meets_slo": self.meets_slo,
             "schedules": [s.to_dict() for s in self.schedules],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def format(self) -> str:
         d = self.to_dict()

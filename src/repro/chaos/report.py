@@ -26,7 +26,6 @@ not counted as a failure.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.chaos.injector import FaultInjector
@@ -262,9 +261,6 @@ class ChaosReport:
             "clean": self.clean,
             "schedules": [s.to_dict() for s in self.schedules],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def format(self) -> str:
         d = self.to_dict()

@@ -18,11 +18,13 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro import codec
 from repro.core.config import GC_MODES, set_default_gc_mode
 from repro.corpus.generator import CorpusConfig
 from repro.equivalence import PAIR_NAMES, run_pair
+from repro.errors import ArtifactError
 from repro.experiments import (
     format_figure1,
     format_figure3,
@@ -100,8 +102,6 @@ def _cmd_tester(args) -> str:
 
 
 def _cmd_chaos(args) -> str:
-    import json
-
     from repro.chaos import run_chaos_campaign
 
     if args.seeds < 1:
@@ -118,13 +118,10 @@ def _cmd_chaos(args) -> str:
         keep_traces=args.traces,
         telemetry=get_default_hub(),
     )
-    artifact_dir = args.json_dir
-    os.makedirs(artifact_dir, exist_ok=True)
-    path = os.path.join(
-        artifact_dir,
-        f"chaos-{args.scenario}-s{args.base_seed}-n{args.seeds}.json")
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+    path = codec.write(os.path.join(
+        args.json_dir,
+        f"chaos-{args.scenario}-s{args.base_seed}-n{args.seeds}.json"),
+        report.to_dict())
     text = report.format() + f"\n  artifact        : {path}"
     if not report.clean:
         # A dirty campaign is a soundness bug; make the process say so.
@@ -132,10 +129,19 @@ def _cmd_chaos(args) -> str:
     return text
 
 
+def _gate(text: str, failures: List[str], what: str) -> str:
+    """The exit contract of ``daemon`` / ``fleet`` / ``dash``: the report
+    on a clean run; else exit non-zero with it, one ``FAIL:`` line per
+    failure and ``<what> FAILED``."""
+    if failures:
+        raise SystemExit(text + "\n"
+                         + "\n".join(f"FAIL: {f}" for f in failures)
+                         + f"\n{what} FAILED")
+    return text
+
+
 def _cmd_daemon(args) -> str:
     """The recovery-smoke gate: daemon SLO + rollback e2e + campaign."""
-    import json
-
     from repro.chaos import run_recovery_campaign
     from repro.experiments.latency import (
         format_daemon_sweep,
@@ -175,17 +181,13 @@ def _cmd_daemon(args) -> str:
     campaign = run_recovery_campaign(
         seeds=args.seeds, base_seed=args.base_seed,
         telemetry=get_default_hub())
-    artifact_dir = args.json_dir
-    os.makedirs(artifact_dir, exist_ok=True)
-    path = os.path.join(
-        artifact_dir,
-        f"recovery-s{args.base_seed}-n{args.seeds}.json")
-    with open(path, "w") as fh:
-        json.dump(campaign.to_dict(), fh, indent=2)
+    path = codec.write(os.path.join(
+        args.json_dir, f"recovery-s{args.base_seed}-n{args.seeds}.json"),
+        campaign.to_dict())
     if not campaign.meets_slo:
         failures.append("recovery campaign missed its SLOs")
 
-    text = "\n".join([
+    return _gate("\n".join([
         "-- detection-latency SLO curve (daemon vs GC cadence)",
         format_daemon_sweep(sweep),
         "",
@@ -198,12 +200,7 @@ def _cmd_daemon(args) -> str:
         "-- recovery chaos campaign",
         campaign.format(),
         f"  artifact        : {path}",
-    ])
-    if failures:
-        raise SystemExit(
-            text + "\n" + "\n".join(f"FAIL: {f}" for f in failures)
-            + "\ndaemon recovery smoke FAILED")
-    return text
+    ]), failures, "daemon recovery smoke")
 
 
 def _cmd_fleet(args) -> str:
@@ -238,30 +235,25 @@ def _cmd_fleet(args) -> str:
     results = {mode: run_fleet(config, mode) for mode in modes}
 
     failures = []
-    artifact_dir = args.json_dir
-    os.makedirs(artifact_dir, exist_ok=True)
     sections = []
     for mode, result in results.items():
         doc = result.to_dict()
         try:
             counts = validate_fleet_artifact(doc)
-        except ValueError as exc:
+        except ArtifactError as exc:
             failures.append(f"{mode}: artifact schema breach: {exc}")
             counts = {}
         prom = result.prom_text()
         try:
             samples = validate_exposition(prom)
-        except ValueError as exc:
+        except ArtifactError as exc:
             failures.append(f"{mode}: exposition invalid: {exc}")
             samples = 0
         stem = os.path.join(
-            artifact_dir, f"fleet-{mode}-n{args.shards}-s{args.seed}")
-        with open(f"{stem}.json", "w") as fh:
-            fh.write(result.to_json())
-        with open(f"{stem}.prom", "w") as fh:
-            fh.write(prom)
-        with open(f"{stem}-reports.txt", "w") as fh:
-            fh.write(result.report_log_text())
+            args.json_dir, f"fleet-{mode}-n{args.shards}-s{args.seed}")
+        codec.write(f"{stem}.json", doc)
+        codec.write_text(f"{stem}.prom", prom)
+        codec.write_text(f"{stem}-reports.txt", result.report_log_text())
         if not result.clean:
             failures.append(f"{mode}: dirty run: "
                             + "; ".join(result.problems))
@@ -282,12 +274,7 @@ def _cmd_fleet(args) -> str:
             sections.append("mode equivalence : sequential == "
                             "multiprocessing (reports, fingerprints, "
                             "metrics)")
-    text = "\n\n".join(sections)
-    if failures:
-        raise SystemExit(text + "\n"
-                         + "\n".join(f"FAIL: {f}" for f in failures)
-                         + "\nfleet run FAILED")
-    return text
+    return _gate("\n\n".join(sections), failures, "fleet run")
 
 
 def _cmd_dash(args) -> str:
@@ -314,29 +301,20 @@ def _cmd_dash(args) -> str:
     failures = []
     try:
         counts = validate_dash_artifact(doc)
-    except ValueError as exc:
+    except ArtifactError as exc:
         failures.append(f"artifact schema breach: {exc}")
         counts = {}
-    artifact_dir = args.json_dir
-    os.makedirs(artifact_dir, exist_ok=True)
-    path = os.path.join(
-        artifact_dir, f"dash-n{args.shards}-s{args.seed}.json")
-    with open(path, "w") as fh:
-        fh.write(result.to_json())
+    path = codec.write(os.path.join(
+        args.json_dir, f"dash-n{args.shards}-s{args.seed}.json"), doc)
     if not result.clean:
         failures.append("dirty run: " + "; ".join(result.fleet.problems))
-    text = "\n".join([
+    return _gate("\n".join([
         result.format().rstrip("\n"),
         "",
         f"artifact : {path} ({counts.get('series', 0)} series, "
         f"{counts.get('alert_transitions', 0)} alert transition(s), "
         f"{counts.get('rules', 0)} rule(s))",
-    ])
-    if failures:
-        raise SystemExit(text + "\n"
-                         + "\n".join(f"FAIL: {f}" for f in failures)
-                         + "\ndash run FAILED")
-    return text
+    ]), failures, "dash run")
 
 
 def _cmd_obs(args) -> str:
@@ -387,8 +365,6 @@ def _cmd_vet(args) -> str:
     in ``--json`` mode the JSON document still lands intact on stdout
     first.  Usage errors exit 2 via argparse.
     """
-    import json
-
     from repro.staticcheck import run_crossval, vet_paths
     from repro.telemetry import get_default_hub
 
@@ -405,12 +381,10 @@ def _cmd_vet(args) -> str:
         result = run_crossval(engine=args.engine)
         text = result.to_json() if args.json else result.format_text()
         if artifact_dir:
-            os.makedirs(artifact_dir, exist_ok=True)
             name = ("vet-crossval.json" if args.engine == "rules"
                     else f"vet-crossval-{args.engine}.json")
-            path = os.path.join(artifact_dir, name)
-            with open(path, "w") as fh:
-                fh.write(result.to_json())
+            path = codec.write_text(os.path.join(artifact_dir, name),
+                                    result.to_json())
             text += f"\n  artifact        : {path}"
         problems = []
         if result.recall < args.min_recall:
@@ -434,10 +408,8 @@ def _cmd_vet(args) -> str:
         hub.on_vet_run(vet)
     text = vet.to_json() if args.json else vet.format_text()
     if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        path = os.path.join(artifact_dir, "vet-report.json")
-        with open(path, "w") as fh:
-            fh.write(vet.to_json())
+        path = codec.write_text(
+            os.path.join(artifact_dir, "vet-report.json"), vet.to_json())
         text += f"\n  artifact        : {path}"
     failures = vet.failures(args.fail_on)
     if failures:
@@ -516,17 +488,13 @@ def _cmd_equiv(args) -> str:
     diff is a bug in exactly one leg; the process exits 1 with every
     mismatch (program, variant, field, both values) on stderr.
     """
-    import json
-
     names = PAIR_NAMES if args.pair == "all" else (args.pair,)
-    os.makedirs(args.json_dir, exist_ok=True)
     sections, dirty = [], []
     for name in names:
         result = run_pair(name, procs=args.procs, seed=args.seed)
-        path = os.path.join(
-            args.json_dir, f"equiv-{name}-p{args.procs}-s{args.seed}.json")
-        with open(path, "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2)
+        path = codec.write(os.path.join(
+            args.json_dir, f"equiv-{name}-p{args.procs}-s{args.seed}.json"),
+            result.to_dict())
         sections.append(result.format() + f"\n  artifact        : {path}")
         if not result.clean:
             dirty.append(name)
@@ -797,11 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _archive(out_dir: Optional[str], name: str, text: str) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{name}.txt"), "w") as fh:
-        fh.write(text + "\n")
+    if out_dir is not None:
+        codec.write_text(os.path.join(out_dir, f"{name}.txt"), text + "\n")
 
 
 def main(argv=None) -> int:

@@ -107,18 +107,6 @@ class RecoveryRecord:
         #: ``"gc"`` or ``"daemon"`` — which detection path condemned.
         self.trigger = trigger
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "subsystem": self.subsystem,
-            "at_ns": self.at_ns,
-            "recovery_ns": self.recovery_ns,
-            "workers_killed": self.workers_killed,
-            "workers_respawned": self.workers_respawned,
-            "condemned_goids": list(self.condemned_goids),
-            "checkpoint_age_ns": self.checkpoint_age_ns,
-            "trigger": self.trigger,
-        }
-
     def __repr__(self) -> str:
         return (f"<recovery {self.subsystem!r} @{self.at_ns}ns "
                 f"cost={self.recovery_ns}ns "
@@ -185,9 +173,6 @@ class Subsystem:
             rt.telemetry.on_checkpoint(self.name)
         return ckpt
 
-    def live_workers(self) -> List[Goroutine]:
-        return [g for g in self.live.values() if g.status != GStatus.DEAD]
-
 
 class CheckpointManager:
     """Owns registered subsystems and executes rollback+restart.
@@ -247,15 +232,6 @@ class CheckpointManager:
         if start:
             sub.start()
         return sub
-
-    def checkpoint(self, name: Optional[str] = None) -> None:
-        """Take a checkpoint of one subsystem (or all, when ``name`` is
-        None) at the current quiescent point."""
-        if name is not None:
-            self.subsystems[name].take_checkpoint()
-            return
-        for sub in self.subsystems.values():
-            sub.take_checkpoint()
 
     # -- collector integration ----------------------------------------------
 

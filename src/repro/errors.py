@@ -113,3 +113,10 @@ class SchedulerError(FatalRuntimeError):
 
 class ProgramTimeout(ReproError):
     """The program exceeded the wall-clock or virtual-time budget."""
+
+
+class ArtifactError(ReproError, ValueError):
+    """An on-disk artifact is malformed — bad JSON, a missing or
+    mistyped field, another schema version (:mod:`repro.codec`); the
+    message names the field.  Also a :class:`ValueError`, which is what
+    the validators raised before they shared a type."""

@@ -10,9 +10,11 @@ execution itself (which the mode-equivalence oracle would catch).
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
+from repro import codec
+from repro.codec import need
+from repro.errors import ArtifactError
 from repro.fleet.shard import ShardResult
 from repro.runtime.clock import SECOND
 from repro.telemetry.profiles import FingerprintStore
@@ -135,7 +137,7 @@ class FleetResult:
 
     def prom_text(self) -> str:
         """One fleet exposition with a ``shard`` label on every sample."""
-        from repro.telemetry.export import render_merged_prometheus
+        from repro.telemetry.metrics import render_merged_prometheus
 
         return render_merged_prometheus(
             {str(s.shard_id): s.metrics for s in self.shards})
@@ -200,7 +202,7 @@ class FleetResult:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return codec.dumps(self.to_dict())
 
     def format(self) -> str:
         lines = [
@@ -229,23 +231,12 @@ class FleetResult:
 
 
 def validate_fleet_artifact(doc: dict) -> Dict[str, int]:
-    """Strictly check a `repro fleet` JSON artifact; raises ValueError.
+    """Strictly check a `repro fleet` JSON artifact; raises
+    :class:`~repro.errors.ArtifactError`.
 
-    Returns summary counts so the CI smoke job can print what it saw.
+    Returns summary counts so the CLI can print what it wrote.
     """
-    def need(mapping, key, kind, where):
-        if key not in mapping:
-            raise ValueError(f"{where}: missing key {key!r}")
-        if not isinstance(mapping[key], kind):
-            raise ValueError(
-                f"{where}: {key!r} should be {kind}, "
-                f"got {type(mapping[key]).__name__}")
-        return mapping[key]
-
-    if need(doc, "schema_version", int, "artifact") != FLEET_SCHEMA_VERSION:
-        raise ValueError(
-            f"artifact: schema_version {doc['schema_version']} != "
-            f"{FLEET_SCHEMA_VERSION}")
+    codec.need_version(doc, FLEET_SCHEMA_VERSION, "artifact")
     need(doc, "mode", str, "artifact")
     need(doc, "config", dict, "artifact")
     need(doc, "clean", bool, "artifact")
@@ -253,7 +244,7 @@ def validate_fleet_artifact(doc: dict) -> Dict[str, int]:
     routing = need(doc, "routing", dict, "artifact")
     shards = need(doc, "shards", list, "artifact")
     if not shards:
-        raise ValueError("artifact: no shards")
+        raise ArtifactError("artifact: no shards")
     shard_ids = set()
     for i, shard in enumerate(shards):
         where = f"shards[{i}]"
@@ -266,11 +257,9 @@ def validate_fleet_artifact(doc: dict) -> Dict[str, int]:
         for j, report in enumerate(need(shard, "reports", list, where)):
             for key in ("goid", "go_site", "block_site", "wait_reason",
                         "gc_cycle", "detected_at_ns"):
-                if key not in report:
-                    raise ValueError(
-                        f"{where}.reports[{j}]: missing key {key!r}")
+                need(report, key, object, f"{where}.reports[{j}]")
     if set(routing) != {str(s) for s in shard_ids}:
-        raise ValueError("artifact: routing table and shard ids disagree")
+        raise ArtifactError("artifact: routing table and shard ids disagree")
     agg = need(doc, "aggregate", dict, "artifact")
     for key in ("users", "requests_completed", "makespan_ns",
                 "leaks_detected", "leaks_reclaimed",
@@ -280,19 +269,20 @@ def validate_fleet_artifact(doc: dict) -> Dict[str, int]:
         need(agg, key, (int, float), "aggregate")
     reports = need(agg, "reports", list, "aggregate")
     for j, report in enumerate(reports):
-        if report.get("shard") not in shard_ids:
-            raise ValueError(
+        shard = need(report, "shard", int, f"aggregate.reports[{j}]")
+        if shard not in shard_ids:
+            raise ArtifactError(
                 f"aggregate.reports[{j}]: shard provenance "
-                f"{report.get('shard')!r} not a fleet shard")
+                f"{shard!r} not a fleet shard")
     fingerprints = need(agg, "fingerprints", dict, "aggregate")
     need(fingerprints, "records", list, "aggregate.fingerprints")
     if agg["users"] != sum(s["users"] for s in shards):
-        raise ValueError("aggregate: users != sum of shard users")
+        raise ArtifactError("aggregate: users != sum of shard users")
     if agg["requests_completed"] != sum(
             s["requests_completed"] for s in shards):
-        raise ValueError("aggregate: requests != sum of shard requests")
+        raise ArtifactError("aggregate: requests != sum of shard requests")
     if agg["leaks_detected"] != len(reports):
-        raise ValueError(
+        raise ArtifactError(
             "aggregate: leaks_detected != number of merged reports")
     return {
         "shards": len(shards),

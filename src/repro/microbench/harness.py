@@ -47,9 +47,6 @@ class MicrobenchResult:
         self.num_gc = 0
         self.reclaimed = 0
 
-    def detected_site(self, label: str) -> bool:
-        return label in self.detected
-
     def __repr__(self) -> str:
         return (
             f"<run {self.benchmark} procs={self.procs} seed={self.seed} "

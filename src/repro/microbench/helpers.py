@@ -9,12 +9,9 @@ and core count the way real Go races do.
 
 from __future__ import annotations
 
-
-from repro.runtime.clock import MICROSECOND
 from repro.runtime.instructions import (
     Go,
     MakeChan,
-    Now,
     Recv,
     RecvCase,
     Select,
@@ -71,20 +68,6 @@ def bernoulli(numerator: int, denominator: int = 1024):
         flip = yield from coin_flip()
         draw = (draw << 1) | (1 if flip else 0)
     return draw < numerator
-
-
-def wake_delay(sleep_ns: int = MICROSECOND):
-    """Sleep and report how late the wake-up was dispatched.
-
-    On a loaded single processor the goroutine is woken long after its
-    timer fires because running code monopolizes the core; with spare
-    processors the delay is tiny.  Core-count-sensitive benchmarks use
-    this to express races that need true parallelism.
-    """
-    t0 = yield Now()
-    yield Sleep(sleep_ns)
-    t1 = yield Now()
-    return (t1 - t0) - sleep_ns
 
 
 def spawn_hogs(count: int, micros: int):

@@ -359,9 +359,6 @@ class Runtime:
             blocked_goroutines=len(self.sched.blocked_goroutines()),
         )
 
-    def goroutines(self) -> List[Goroutine]:
-        return self.sched.live_goroutines()
-
     def check_invariants(self) -> List[str]:
         """Sweep internal state for impossible configurations.
 

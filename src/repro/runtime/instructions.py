@@ -621,12 +621,6 @@ def instruction_classes() -> Dict[str, Type[Instruction]]:
     return out
 
 
-def mnemonic_for(class_name: str) -> Optional[str]:
-    """The stable mnemonic for an instruction class name, or ``None``."""
-    cls = instruction_classes().get(class_name)
-    return cls.MNEMONIC if cls is not None else None
-
-
 # ---------------------------------------------------------------------------
 # Interned opcodes
 # ---------------------------------------------------------------------------

@@ -137,7 +137,8 @@ class HeapObject:
         Checkpoint/restart recovery (:mod:`repro.core.checkpoint`) calls
         this at quiescent points and feeds the result back through
         :meth:`restore_state` on rollback.  The default object carries no
-        payload; value types and channels override both methods.
+        payload; channels — the only objects a subsystem registers —
+        override both methods.
         References inside the payload are recorded as-is: the snapshot
         restores the *shape* of the subsystem state, and everything it
         points at stays alive because the checkpointed objects are
@@ -190,13 +191,6 @@ class Box(HeapObject):
     def referents(self) -> List[HeapObject]:
         return iter_heap_refs(self._value)
 
-    def checkpoint_state(self) -> Any:
-        return self._value
-
-    def restore_state(self, state: Any) -> None:
-        self._barrier(state)
-        self._value = state
-
 
 class Struct(HeapObject):
     """A heap object with named fields, analogous to a Go struct pointer.
@@ -230,14 +224,6 @@ class Struct(HeapObject):
     def referents(self) -> List[HeapObject]:
         return scan_each(self.fields.values(), [])
 
-    def checkpoint_state(self) -> Any:
-        return dict(self.fields)
-
-    def restore_state(self, state: Any) -> None:
-        for value in state.values():
-            self._barrier(value)
-        self.fields = dict(state)
-
 
 class Slice(HeapObject):
     """A growable sequence of references, analogous to a Go slice."""
@@ -269,15 +255,6 @@ class Slice(HeapObject):
 
     def referents(self) -> List[HeapObject]:
         return scan_each(self.items, [])
-
-    def checkpoint_state(self) -> Any:
-        return list(self.items)
-
-    def restore_state(self, state: Any) -> None:
-        for value in state:
-            self._barrier(value)
-        self.items = list(state)
-        self.resize(3 * WORD_SIZE + WORD_SIZE * len(self.items))
 
 
 class GoMap(HeapObject):
@@ -354,17 +331,6 @@ class GoMap(HeapObject):
         out: List[HeapObject] = []
         scan_into(self.entries, out, -1)
         return out
-
-    def checkpoint_state(self) -> Any:
-        return dict(self.entries)
-
-    def restore_state(self, state: Any) -> None:
-        for key, value in state.items():
-            self._barrier(key)
-            self._barrier(value)
-        self.entries = dict(state)
-        self.resize(6 * WORD_SIZE + self.BYTES_PER_ENTRY * len(self.entries))
-        self.scan_work = len(self.entries)
 
 
 class Blob(HeapObject):

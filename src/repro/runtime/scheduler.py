@@ -848,7 +848,3 @@ class Scheduler:
         for p in self.procs:
             if not p.idle:
                 p.busy_until += pause_ns
-
-    def current_site(self, g: Goroutine) -> str:
-        """Source location where ``g``'s body is currently suspended."""
-        return g.block_site()

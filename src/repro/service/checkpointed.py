@@ -35,7 +35,6 @@ from repro.core.config import GolfConfig
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MILLISECOND, SECOND
 from repro.runtime.instructions import Recv, Send, Sleep, Work
-from repro.service.stats import latency_summary
 
 
 class CheckpointedConfig:
@@ -103,9 +102,6 @@ class CheckpointedResult:
     def clean(self) -> bool:
         return (self.completed and self.zero_data_loss
                 and not self.invariant_problems)
-
-    def recovery_summary(self) -> Dict[str, float]:
-        return latency_summary(self.recovery_ns)
 
     def as_dict(self) -> Dict[str, Any]:
         return {

@@ -1234,12 +1234,6 @@ class BehaviorAnalysis:
     def unknown(self) -> List[ChannelVerdict]:
         return [v for v in self.verdicts if v.verdict == UNPROVEN]
 
-    def verdict_for(self, make_site: str) -> Optional[ChannelVerdict]:
-        for v in self.verdicts:
-            if v.make_site == make_site:
-                return v
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "entry": self.entry_name,

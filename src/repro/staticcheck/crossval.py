@@ -18,9 +18,9 @@ registry order and the JSON encoder sorts keys.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
+from repro import codec
 from repro.staticcheck.model import LEAKY, SUSPECT, FunctionReport
 from repro.staticcheck.report import analyze_callable
 
@@ -168,7 +168,7 @@ class CrossvalResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return codec.dumps(self.to_dict())
 
     def format_text(self) -> str:
         engine_note = ("" if self.engine == "rules"

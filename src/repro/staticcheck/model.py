@@ -66,14 +66,6 @@ class BodyCtx:
         self.spawn_site = spawn_site
         self.parent = parent
 
-    @property
-    def is_entry(self) -> bool:
-        return self.spawn_site is None
-
-    def spawn_chain(self) -> List[Site]:
-        """Spawn sites from the entry body down to this one."""
-        return [site for site, _name in self.spawn_steps()]
-
     def spawn_steps(self) -> List[Tuple[Site, str]]:
         """(spawn site, spawned function name) pairs, entry first."""
         steps: List[Tuple[Site, str]] = []

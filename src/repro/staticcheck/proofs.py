@@ -27,10 +27,12 @@ certificate applies exactly.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro import codec
+from repro.codec import need
+from repro.errors import ArtifactError
 from repro.staticcheck.behavior import (
     ASSUMPTIONS,
     PROVEN,
@@ -93,17 +95,29 @@ class Certificate:
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Certificate":
-        if d.get("version") != CERT_VERSION:
-            raise ValueError(
-                f"unsupported certificate version {d.get('version')!r}")
+    def from_dict(cls, d: Dict[str, Any],
+                  where: str = "certificate") -> "Certificate":
+        codec.need_version(d, CERT_VERSION, where, key="version")
+        model_doc = need(d, "model", dict, where)
+        try:
+            model = BehaviorModel.from_dict(model_doc)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # The model's own decoder is not field-checked; whatever it
+            # trips on, the certificate is what is malformed.
+            raise ArtifactError(
+                f"{where}: 'model' is malformed "
+                f"({type(exc).__name__}: {exc})") from exc
         return cls(
-            entry=d["entry"], file=d["file"], make_site=d["make_site"],
-            capacity=int(d["capacity"]), label=d.get("label"),
-            model=BehaviorModel.from_dict(d["model"]),
-            transcript=dict(d["transcript"]),
-            model_hash=d["model_hash"],
-            assumptions=tuple(d.get("assumptions", ASSUMPTIONS)),
+            entry=need(d, "entry", str, where),
+            file=need(d, "file", str, where),
+            make_site=need(d, "make_site", str, where),
+            capacity=need(d, "capacity", int, where),
+            label=need(d, "label", (str, type(None)), where, None),
+            model=model,
+            transcript=dict(need(d, "transcript", dict, where)),
+            model_hash=need(d, "model_hash", str, where),
+            assumptions=tuple(
+                need(d, "assumptions", list, where, ASSUMPTIONS)),
         )
 
     def __repr__(self) -> str:
@@ -150,7 +164,12 @@ def verify_certificate(cert: Certificate) -> Tuple[bool, str]:
         return False, "channel-not-in-model"
     if uid in cert.model.unknown_channels:
         return False, "channel-marked-unknown"
-    result = explore(cert.model)
+    try:
+        result = explore(cert.model)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A model that decodes and hashes as claimed can still refer to
+        # objects it does not declare; that is a failed check, not a crash.
+        return False, f"model-not-explorable:{type(exc).__name__}"
     if not result.complete:
         return False, "exploration-incomplete"
     if result.transcript() != cert.transcript:
@@ -184,7 +203,7 @@ class ProofRegistry:
         if self.verify_on_load:
             ok, reason = verify_certificate(cert)
             if not ok:
-                raise ValueError(
+                raise ArtifactError(
                     f"certificate for {cert.make_site} failed "
                     f"verification: {reason}")
         key = (normalize_site(cert.make_site), cert.capacity)
@@ -225,10 +244,6 @@ class ProofRegistry:
             return False
         return (site, capacity) in self._proven
 
-    def certificate_for(self, make_site: str, capacity: int
-                        ) -> Optional[Certificate]:
-        return self._proven.get((normalize_site(make_site), capacity))
-
     def proven_sites(self) -> List[Tuple[str, int]]:
         return sorted(self._proven)
 
@@ -240,14 +255,18 @@ class ProofRegistry:
             "certificates": [self._proven[key].to_dict()
                              for key in sorted(self._proven)],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return codec.dumps(doc)
 
     @classmethod
     def from_json(cls, text: str, verify: bool = True) -> "ProofRegistry":
-        doc = json.loads(text)
+        """Load certificates (re-verified unless ``verify`` is off);
+        anything malformed is an :class:`~repro.errors.ArtifactError`."""
+        doc = codec.loads(text, "proof registry")
         registry = cls(verify_on_load=verify)
-        for cert_doc in doc.get("certificates", []):
-            registry.add_certificate(Certificate.from_dict(cert_doc))
+        for i, cert_doc in enumerate(
+                need(doc, "certificates", list, "proof registry", ())):
+            registry.add_certificate(Certificate.from_dict(
+                cert_doc, f"proof registry.certificates[{i}]"))
         return registry
 
 

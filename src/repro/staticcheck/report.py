@@ -31,11 +31,11 @@ of argument spelling (``examples`` vs ``./examples/``).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import codec
 from repro.staticcheck.extractor import extract_callable, extract_file
 from repro.staticcheck.model import (
     ERROR,
@@ -406,7 +406,7 @@ class VetReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return codec.dumps(self.to_dict())
 
     def _sorted_reports(self) -> List[FunctionReport]:
         return sorted(self.reports, key=lambda r: (r.file, r.line, r.name))

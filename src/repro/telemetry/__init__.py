@@ -38,12 +38,9 @@ from repro.telemetry.dashboard import (
 )
 from repro.telemetry.export import (
     ObsResult,
-    render_merged_prometheus,
     run_observed_benchmark,
     validate_exposition,
     write_artifacts,
-    write_json,
-    write_prometheus,
 )
 from repro.telemetry.hub import (
     ServiceInstruments,
@@ -61,6 +58,7 @@ from repro.telemetry.metrics import (
     SIZE_BUCKETS,
     cumulative_at,
     quantile_from_buckets,
+    render_merged_prometheus,
 )
 from repro.telemetry.tsdb import (
     HistogramSeries,
@@ -142,6 +140,4 @@ __all__ = [
     "validate_dash_artifact",
     "validate_exposition",
     "write_artifacts",
-    "write_json",
-    "write_prometheus",
 ]

@@ -18,9 +18,11 @@ identity across runs a testable property instead of a hope.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
+from repro import codec
+from repro.codec import need
+from repro.errors import ArtifactError
 from repro.runtime.clock import MILLISECOND, SECOND
 
 #: Bumped when the `repro dash` JSON artifact shape changes.
@@ -107,9 +109,6 @@ class DashResult:
             "problems": list(fleet.problems),
             "clean": fleet.clean,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     # -- text dashboard -------------------------------------------------------
 
@@ -226,23 +225,12 @@ def run_dash(
 
 
 def validate_dash_artifact(doc: dict) -> Dict[str, int]:
-    """Strictly check a ``repro dash`` JSON artifact; raises ValueError.
+    """Strictly check a ``repro dash`` JSON artifact; raises
+    :class:`~repro.errors.ArtifactError`.
 
-    Returns summary counts for the CI smoke job to print.
+    Returns summary counts for the CLI to print.
     """
-    def need(mapping, key, kind, where):
-        if key not in mapping:
-            raise ValueError(f"{where}: missing key {key!r}")
-        if not isinstance(mapping[key], kind):
-            raise ValueError(
-                f"{where}: {key!r} should be {kind}, "
-                f"got {type(mapping[key]).__name__}")
-        return mapping[key]
-
-    if need(doc, "schema_version", int, "artifact") != DASH_SCHEMA_VERSION:
-        raise ValueError(
-            f"artifact: schema_version {doc['schema_version']} != "
-            f"{DASH_SCHEMA_VERSION}")
+    codec.need_version(doc, DASH_SCHEMA_VERSION, "artifact")
     need(doc, "config", dict, "artifact")
     need(doc, "clean", bool, "artifact")
     need(doc, "problems", list, "artifact")
@@ -253,10 +241,12 @@ def validate_dash_artifact(doc: dict) -> Dict[str, int]:
     rollup = need(doc, "rollup", dict, "artifact")
     sources = need(rollup, "sources", list, "rollup")
     if not sources:
-        raise ValueError("rollup: no sources")
+        raise ArtifactError("rollup: no sources")
+    if not all(isinstance(source, str) for source in sources):
+        raise ArtifactError("rollup: 'sources' should hold strings")
     series = need(rollup, "series", list, "rollup")
     if not series:
-        raise ValueError("rollup: no series")
+        raise ArtifactError("rollup: no series")
     label = need(rollup, "label", str, "rollup")
     for i, s in enumerate(series):
         where = f"rollup.series[{i}]"
@@ -264,35 +254,40 @@ def validate_dash_artifact(doc: dict) -> Dict[str, int]:
         need(s, "kind", str, where)
         labels = need(s, "labels", dict, where)
         if labels.get(label) not in sources:
-            raise ValueError(
+            raise ArtifactError(
                 f"{where}: {label!r} label {labels.get(label)!r} "
                 f"not a rollup source")
-        points = need(s, "points", list, where)
-        times = [p[0] for p in points]
+        times = []
+        for k, point in enumerate(need(s, "points", list, where)):
+            if not (isinstance(point, list) and point
+                    and isinstance(point[0], (int, float))):
+                raise ArtifactError(
+                    f"{where}: points[{k}] should be [t, value]")
+            times.append(point[0])
         if times != sorted(times):
-            raise ValueError(f"{where}: points not time-ordered")
+            raise ArtifactError(f"{where}: points not time-ordered")
     alerts = need(doc, "alerts", dict, "artifact")
     if set(alerts) != set(sources):
-        raise ValueError("artifact: alert summaries and sources disagree")
+        raise ArtifactError("artifact: alert summaries and sources disagree")
     rules = need(doc, "rules", list, "artifact")
-    rule_names = {r["name"] for r in rules}
+    rule_names = {need(rule, "name", str, f"rules[{k}]")
+                  for k, rule in enumerate(rules)}
     timeline = need(doc, "alert_timeline", list, "artifact")
     last_t = None
     for j, event in enumerate(timeline):
         where = f"alert_timeline[{j}]"
-        for key in ("t", "rule", "severity", "labels", "from", "to",
-                    "kind", "shard"):
-            if key not in event:
-                raise ValueError(f"{where}: missing key {key!r}")
-        if event["rule"] not in rule_names:
-            raise ValueError(
+        for key in ("severity", "labels", "from", "to", "kind", "shard"):
+            need(event, key, object, where)
+        if need(event, "rule", str, where) not in rule_names:
+            raise ArtifactError(
                 f"{where}: rule {event['rule']!r} not declared in rules")
         if str(event["shard"]) not in sources:
-            raise ValueError(
+            raise ArtifactError(
                 f"{where}: shard {event['shard']!r} not a rollup source")
-        if last_t is not None and event["t"] < last_t:
-            raise ValueError(f"{where}: timeline not time-ordered")
-        last_t = event["t"]
+        t = need(event, "t", (int, float), where)
+        if last_t is not None and t < last_t:
+            raise ArtifactError(f"{where}: timeline not time-ordered")
+        last_t = t
     return {
         "sources": len(sources),
         "series": len(series),

@@ -1,18 +1,19 @@
 """Exporters: ``.prom`` textfiles, JSON artifacts, and the operator report.
 
 Also home of :func:`validate_exposition` — a strict parser for the
-Prometheus text format used by the CI smoke job (and the tests) to prove
-the exposition we write is actually scrapeable — and of
+Prometheus text format that every writer of a ``.prom`` file runs before
+writing, to prove the exposition is actually scrapeable — and of
 :func:`run_observed_benchmark`, the driver behind ``python -m repro obs``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from typing import Dict, List, Optional
 
+from repro import codec
+from repro.errors import ArtifactError
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.profiles import format_heap_profile, heap_profile
 
@@ -29,8 +30,8 @@ _LABEL_RE = re.compile(
 def validate_exposition(text: str) -> int:
     """Parse a Prometheus text exposition strictly.
 
-    Returns the number of samples; raises :class:`ValueError` on any
-    malformed line (the CI job treats that as a build failure) and on
+    Returns the number of samples; raises :class:`ArtifactError` on any
+    malformed line (the writing command fails on it) and on
     two samples sharing a name and label set — duplicate series would
     silently alias under a real scraper's last-write-wins.
     """
@@ -42,27 +43,27 @@ def validate_exposition(text: str) -> int:
         if line.startswith("# HELP ") or line.startswith("# TYPE "):
             continue
         if line.startswith("#"):
-            raise ValueError(f"line {lineno}: unknown comment {line!r}")
+            raise ArtifactError(f"line {lineno}: unknown comment {line!r}")
         match = _SAMPLE_RE.match(line)
         if match is None:
-            raise ValueError(f"line {lineno}: malformed sample {line!r}")
+            raise ArtifactError(f"line {lineno}: malformed sample {line!r}")
         labels = match.group("labels")
         pairs = []
         if labels:
             pairs = _split_labels(labels)
             for pair in pairs:
                 if not _LABEL_RE.match(pair):
-                    raise ValueError(
+                    raise ArtifactError(
                         f"line {lineno}: malformed label {pair!r}")
         series = (match.group("name"), tuple(sorted(pairs)))
         if series in seen:
-            raise ValueError(
+            raise ArtifactError(
                 f"line {lineno}: duplicate series {line!r} "
                 f"(same name and label set seen earlier)")
         seen.add(series)
         samples += 1
     if samples == 0:
-        raise ValueError("exposition contains no samples")
+        raise ArtifactError("exposition contains no samples")
     return samples
 
 
@@ -90,124 +91,30 @@ def _split_labels(labels: str) -> List[str]:
     return parts
 
 
-# -- merged (multi-source) exposition ----------------------------------------
-
-
-def render_merged_prometheus(snapshots: Dict[str, dict],
-                             label: str = "shard") -> str:
-    """Merge per-source metric snapshots into one labelled exposition.
-
-    ``snapshots`` maps a source id (shard id as a string) to a
-    :meth:`MetricsRegistry.snapshot` dict.  Every sample gains a
-    ``label="<source>"`` pair, HELP/TYPE headers appear once per metric,
-    and series are ordered by (metric name, source, label values) — so
-    the result is deterministic and parses under
-    :func:`validate_exposition`.  Snapshot-based (rather than
-    registry-based) because fleet worker processes ship their metrics
-    home as JSON; the sequential oracle mode feeds the same structure,
-    which is what makes the two modes' expositions comparable.
-    """
-    from repro.telemetry.metrics import HISTOGRAM, _format_value
-
-    def esc(value: str) -> str:
-        return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-                .replace("\n", "\\n"))
-
-    def source_key(source):
-        # Numeric sources (shard ids) sort numerically, so shard 10
-        # lands after shard 2 — locale-free and stable for any mix.
-        s = str(source)
-        return (0, int(s), s) if s.isdigit() else (1, 0, s)
-
-    # name -> (kind, help, [(source, sample), ...]) in deterministic order.
-    merged: Dict[str, dict] = {}
-    for source in sorted(snapshots, key=source_key):
-        for name, metric in snapshots[source].items():
-            entry = merged.setdefault(
-                name, {"kind": metric["kind"], "help": metric.get("help", ""),
-                       "rows": []})
-            if entry["kind"] != metric["kind"]:
-                raise ValueError(
-                    f"metric {name!r} has kind {metric['kind']!r} in source "
-                    f"{source!r} but {entry['kind']!r} elsewhere")
-            for sample in metric["samples"]:
-                if label in sample["labels"]:
-                    raise ValueError(
-                        f"metric {name!r} already carries a {label!r} label; "
-                        f"merging would alias series")
-                entry["rows"].append((str(source), sample))
-
-    lines: List[str] = []
-    for name in sorted(merged):
-        entry = merged[name]
-        if entry["help"]:
-            lines.append(f"# HELP {name} {entry['help']}")
-        lines.append(f"# TYPE {name} {entry['kind']}")
-        for source, sample in entry["rows"]:
-            pairs = [f'{label}="{esc(source)}"']
-            pairs.extend(f'{k}="{esc(v)}"'
-                         for k, v in sorted(sample["labels"].items()))
-            if entry["kind"] == HISTOGRAM:
-                bounds = ([_format_value(b) for b in sample["buckets"]]
-                          + ["+Inf"])
-                total = 0
-                for bound, count in zip(bounds, sample["counts"]):
-                    total += count
-                    bucket = ",".join(pairs + [f'le="{esc(bound)}"'])
-                    lines.append(f"{name}_bucket{{{bucket}}} {total}")
-                label_str = "{" + ",".join(pairs) + "}"
-                lines.append(
-                    f"{name}_sum{label_str} {_format_value(sample['sum'])}")
-                lines.append(f"{name}_count{label_str} {sample['count']}")
-            else:
-                label_str = "{" + ",".join(pairs) + "}"
-                lines.append(
-                    f"{name}{label_str} {_format_value(sample['value'])}")
-    return "\n".join(lines) + "\n"
-
-
 # -- artifact writing --------------------------------------------------------
-
-
-def write_prometheus(hub: TelemetryHub, path: str) -> str:
-    text = hub.render_prometheus()
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
-def write_json(data: dict, path: str) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-    return path
 
 
 def write_artifacts(hub: TelemetryHub, out_dir: str,
                     basename: str) -> Dict[str, str]:
     """Write the full artifact set; returns ``{kind: path}``.
 
-    - ``<basename>.prom`` — Prometheus text exposition,
+    - ``<basename>.prom`` — Prometheus text exposition (validated by
+      :func:`validate_exposition` before anything is written),
     - ``<basename>-metrics.json`` — JSON snapshot (round-trips),
     - ``<basename>-recorder.txt`` — flight-recorder dump with incidents,
     - ``<basename>-fingerprints.json`` — leak fingerprint store.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "prometheus": write_prometheus(
-            hub, os.path.join(out_dir, f"{basename}.prom")),
-        "metrics_json": write_json(
-            hub.snapshot(), os.path.join(out_dir, f"{basename}-metrics.json")),
+    stem = os.path.join(out_dir, basename)
+    prom = hub.render_prometheus()
+    validate_exposition(prom)
+    return {
+        "prometheus": codec.write_text(f"{stem}.prom", prom),
+        "metrics_json": codec.write(f"{stem}-metrics.json", hub.snapshot()),
+        "recorder": codec.write_text(f"{stem}-recorder.txt",
+                                     hub.recorder.dump() + "\n"),
+        "fingerprints": codec.write(f"{stem}-fingerprints.json",
+                                    hub.fingerprints.as_dict()),
     }
-    recorder_path = os.path.join(out_dir, f"{basename}-recorder.txt")
-    with open(recorder_path, "w") as fh:
-        fh.write(hub.recorder.dump() + "\n")
-    paths["recorder"] = recorder_path
-    paths["fingerprints"] = write_json(
-        hub.fingerprints.as_dict(),
-        os.path.join(out_dir, f"{basename}-fingerprints.json"))
-    return paths
 
 
 # -- the `repro obs` driver --------------------------------------------------

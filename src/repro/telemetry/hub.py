@@ -330,10 +330,6 @@ class TelemetryHub:
         self.recorder.clock = rt.clock
         return self
 
-    def detach(self, rt) -> None:
-        if rt.sched.telemetry is self:
-            rt.sched.telemetry = None
-
     def service(self, name: str) -> ServiceInstruments:
         return ServiceInstruments(self, name)
 
@@ -594,11 +590,10 @@ class TelemetryHub:
             "profile_samples": self.sampler.history(),
         }
 
-    def render_prometheus(self, extra_labels=()) -> str:
-        """Text exposition; ``extra_labels`` (e.g. ``[("shard", "3")]``)
-        are stamped onto every sample — see
-        :meth:`MetricsRegistry.render_prometheus`."""
+    def render_prometheus(self) -> str:
+        """Text exposition of the registry, clock and drop counts
+        synced first."""
         if self.clock is not None:
             self.clock_ns.set(self.clock.now)
         self._sync_drop_counts()
-        return self.registry.render_prometheus(extra_labels=extra_labels)
+        return self.registry.render_prometheus()

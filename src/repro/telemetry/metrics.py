@@ -4,11 +4,12 @@ Instruments follow the Prometheus data model — monotonic counters,
 point-in-time gauges, and cumulative-bucket histograms, each optionally
 split by a fixed set of label names.  Two renderings are provided:
 
-- :meth:`MetricsRegistry.render_prometheus` — the text exposition format
-  (``name{label="value"} 42``), suitable for a ``.prom`` textfile
-  collector drop;
 - :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict that
-  round-trips losslessly (the artifact the CI smoke job validates).
+  round-trips losslessly (the ``-metrics.json`` artifact);
+- :func:`render_merged_prometheus` — the text exposition format
+  (``name{label="value"} 42``) of one or several snapshots, suitable
+  for a ``.prom`` textfile collector drop
+  (:meth:`MetricsRegistry.render_prometheus` is it over one).
 
 Everything is deterministic: samples are ordered by metric name and then
 by label values, timestamps come from the *virtual* clock (exposed as the
@@ -322,68 +323,9 @@ class MetricsRegistry:
 
     # -- renderings ----------------------------------------------------------
 
-    def render_prometheus(
-            self,
-            extra_labels: Sequence[Tuple[str, str]] = ()) -> str:
-        """The text exposition format, deterministically ordered.
-
-        ``extra_labels`` are constant (name, value) pairs prepended to
-        every sample — the fleet supervisor uses this to stamp a
-        ``shard`` label onto each shard's exposition.  A pair whose name
-        collides with an instrument's own label raises, since the
-        merged exposition would silently alias two series.
-        """
-        extra = tuple((str(n), str(v)) for n, v in extra_labels)
-        lines: List[str] = []
-        for metric in self:
-            for name, _ in extra:
-                if name in metric.labelnames:
-                    raise ValueError(
-                        f"extra label {name!r} collides with a label of "
-                        f"metric {metric.name!r}")
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for values, child in metric.series():
-                label_str = self._label_str(metric.labelnames, values,
-                                            base=extra)
-                if metric.kind == HISTOGRAM:
-                    lines.extend(self._histogram_lines(
-                        metric, label_str, metric.labelnames, values, child,
-                        base=extra))
-                else:
-                    lines.append(
-                        f"{metric.name}{label_str} "
-                        f"{_format_value(child.value)}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _label_str(names: Tuple[str, ...], values: Tuple[str, ...],
-                   extra: Optional[Tuple[str, str]] = None,
-                   base: Tuple[Tuple[str, str], ...] = ()) -> str:
-        pairs = [f'{n}="{_escape_label(v)}"' for n, v in base]
-        pairs += [f'{n}="{_escape_label(v)}"' for n, v in zip(names, values)]
-        if extra is not None:
-            pairs.append(f'{extra[0]}="{_escape_label(extra[1])}"')
-        if not pairs:
-            return ""
-        return "{" + ",".join(pairs) + "}"
-
-    def _histogram_lines(self, metric: Metric, label_str: str,
-                         names: Tuple[str, ...], values: Tuple[str, ...],
-                         child: HistogramChild,
-                         base: Tuple[Tuple[str, str], ...] = ()) -> List[str]:
-        lines = []
-        cumulative = child.cumulative_counts()
-        bounds = [_format_value(b) for b in child.buckets] + ["+Inf"]
-        for bound, count in zip(bounds, cumulative):
-            bucket_labels = self._label_str(names, values, ("le", bound),
-                                            base=base)
-            lines.append(f"{metric.name}_bucket{bucket_labels} {count}")
-        lines.append(
-            f"{metric.name}_sum{label_str} {_format_value(child.sum)}")
-        lines.append(f"{metric.name}_count{label_str} {child.count}")
-        return lines
+    def render_prometheus(self) -> str:
+        """The text exposition format, deterministically ordered."""
+        return render_merged_prometheus({None: self.snapshot()})
 
     def snapshot(self) -> dict:
         """A JSON-serializable snapshot of every series."""
@@ -409,3 +351,77 @@ class MetricsRegistry:
                 "samples": samples,
             }
         return out
+
+
+def source_key(source) -> tuple:
+    """Sort key for source ids: numeric ones (shard ids) numerically, so
+    shard 10 lands after shard 2 — locale-free and stable for any mix."""
+    s = str(source)
+    return (0, int(s), s) if s.isdigit() else (1, 0, s)
+
+
+def render_merged_prometheus(snapshots: Dict[Optional[str], dict],
+                             label: str = "shard") -> str:
+    """The one Prometheus text renderer: snapshots in, exposition out.
+
+    ``snapshots`` maps a source id (shard id as a string) to a
+    :meth:`MetricsRegistry.snapshot` dict.  Every sample gains a
+    ``label="<source>"`` pair — except under the source ``None``, which
+    stamps nothing (one registry's plain exposition).  HELP/TYPE headers
+    appear once per metric, series are ordered by (metric name, source,
+    label values) and the pairs inside ``{}`` by label name — so the
+    result is deterministic and parses under
+    :func:`~repro.telemetry.export.validate_exposition`.  Snapshot-based
+    (rather than registry-based) because fleet worker processes ship
+    their metrics home as JSON; the sequential oracle mode feeds the
+    same structure, which is what makes the two modes' expositions
+    comparable.
+    """
+    # name -> (kind, help, [(source, sample), ...]) in deterministic order.
+    merged: Dict[str, dict] = {}
+    for source in sorted(snapshots, key=source_key):
+        for name, metric in snapshots[source].items():
+            entry = merged.setdefault(
+                name, {"kind": metric["kind"], "help": metric.get("help", ""),
+                       "rows": []})
+            if entry["kind"] != metric["kind"]:
+                raise ValueError(
+                    f"metric {name!r} has kind {metric['kind']!r} in source "
+                    f"{source!r} but {entry['kind']!r} elsewhere")
+            for sample in metric["samples"]:
+                if source is not None and label in sample["labels"]:
+                    raise ValueError(
+                        f"metric {name!r} already carries a {label!r} label; "
+                        f"merging would alias series")
+                entry["rows"].append((source, sample))
+
+    def braces(pairs: List[str]) -> str:
+        return "{" + ",".join(pairs) + "}" if pairs else ""
+
+    lines: List[str] = []
+    for name in sorted(merged):
+        entry = merged[name]
+        if entry["help"]:
+            lines.append(f"# HELP {name} {entry['help']}")
+        lines.append(f"# TYPE {name} {entry['kind']}")
+        for source, sample in entry["rows"]:
+            pairs = ([] if source is None
+                     else [f'{label}="{_escape_label(str(source))}"'])
+            pairs.extend(f'{k}="{_escape_label(str(v))}"'
+                         for k, v in sorted(sample["labels"].items()))
+            if entry["kind"] == HISTOGRAM:
+                bounds = ([_format_value(b) for b in sample["buckets"]]
+                          + ["+Inf"])
+                total = 0
+                for bound, count in zip(bounds, sample["counts"]):
+                    total += count
+                    bucket = braces(pairs + [f'le="{bound}"'])
+                    lines.append(f"{name}_bucket{bucket} {total}")
+                lines.append(f"{name}_sum{braces(pairs)} "
+                             f"{_format_value(sample['sum'])}")
+                lines.append(
+                    f"{name}_count{braces(pairs)} {sample['count']}")
+            else:
+                lines.append(f"{name}{braces(pairs)} "
+                             f"{_format_value(sample['value'])}")
+    return "\n".join(lines) + "\n"

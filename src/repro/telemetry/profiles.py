@@ -18,9 +18,11 @@ Three views, all built on the runtime's introspection surface:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Dict, List, Optional, Tuple
+
+from repro import codec
+from repro.errors import ArtifactError
 
 
 def normalize_site(site: str) -> str:
@@ -97,12 +99,16 @@ class FingerprintRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FingerprintRecord":
-        record = cls(data["fingerprint"], data["go_site"],
-                     data["block_site"], data["wait_reason"])
-        record.labels = list(data.get("labels", []))
-        record.count = int(data.get("count", 0))
-        record.runs = list(data.get("runs", []))
+    def from_dict(cls, data: dict,
+                  where: str = "fingerprint record") -> "FingerprintRecord":
+        record = cls(*(codec.need(data, key, str, where) for key in (
+            "fingerprint", "go_site", "block_site", "wait_reason")))
+        record.count = codec.need(data, "count", int, where, 0)
+        for key in ("labels", "runs"):
+            items = codec.need(data, key, list, where, ())
+            if not all(isinstance(item, str) for item in items):
+                raise ArtifactError(f"{where}: {key!r} should hold strings")
+            setattr(record, key, list(items))
         return record
 
     def __repr__(self) -> str:
@@ -174,15 +180,6 @@ class FingerprintStore:
         record.observe(self.current_run, getattr(report, "label", ""))
         return record, is_new
 
-    def observe_reports(self, reports) -> List[FingerprintRecord]:
-        """Feed every report of a :class:`ReportLog`; returns new records."""
-        new = []
-        for report in reports:
-            record, is_new = self.observe(report)
-            if is_new:
-                new.append(record)
-        return new
-
     def records(self) -> List[FingerprintRecord]:
         return sorted(self._records.values(),
                       key=lambda r: (-r.count, r.fingerprint))
@@ -236,11 +233,16 @@ class FingerprintStore:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FingerprintStore":
+    def from_dict(cls, data: dict,
+                  where: str = "fingerprint store") -> "FingerprintStore":
+        """Every key is optional (a dead fleet worker's store is
+        ``{}``); one that is present must have its type."""
         store = cls()
-        store.runs_started = int(data.get("runs_started", 0))
-        for record_data in data.get("records", []):
-            record = FingerprintRecord.from_dict(record_data)
+        store.runs_started = codec.need(data, "runs_started", int, where, 0)
+        for i, record_data in enumerate(
+                codec.need(data, "records", list, where, ())):
+            record = FingerprintRecord.from_dict(
+                record_data, f"{where}.records[{i}]")
             store._records[record.fingerprint] = record
         return store
 
@@ -250,15 +252,13 @@ class FingerprintStore:
         return sorted(self._records)
 
     def save(self, path: str) -> None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+        codec.write(path, self.as_dict())
 
     def load(self, path: str) -> int:
-        """Merge a previously saved store; returns records loaded."""
-        with open(path) as fh:
-            data = json.load(fh)
-        return self.merge(FingerprintStore.from_dict(data)).total
+        """Merge a previously saved store; returns records loaded.
+        A malformed file is an :class:`~repro.errors.ArtifactError`."""
+        return self.merge(
+            FingerprintStore.from_dict(codec.read(path), path)).total
 
     def format(self) -> str:
         """Triage table: highest-count fingerprints first."""

@@ -43,6 +43,7 @@ from repro.telemetry.metrics import (
     HISTOGRAM,
     cumulative_at,
     quantile_from_buckets,
+    source_key,
 )
 
 #: Default cap on buffered points per series (drop-oldest beyond it).
@@ -306,13 +307,10 @@ def merge_tsdb(sources: Dict[str, dict], label: str = "shard") -> dict:
     """Merge per-source :meth:`TimeSeriesDB.to_dict` dumps into one
     fleet-level rollup with a ``label="<source>"`` pair on every series
     — the same semantics as
-    :func:`~repro.telemetry.export.render_merged_prometheus`: sources
+    :func:`~repro.telemetry.metrics.render_merged_prometheus`: sources
     sorted deterministically, label aliasing rejected, histogram series
     kept with their bucket structure intact.
     """
-    def source_key(s: str):
-        return (0, int(s), s) if s.isdigit() else (1, 0, s)
-
     series: List[dict] = []
     scrapes = 0
     dropped = 0

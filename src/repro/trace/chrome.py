@@ -18,13 +18,15 @@ executor records on completed operations.
 Timestamps are the virtual clock in microseconds (``t_ns / 1000``); no
 wall-clock value ever enters the artifact, so a fixed seed yields a
 byte-identical file.  :func:`validate_chrome_trace` is the schema check
-shared by the test suite and the CI ``trace-smoke`` job.
+``repro trace`` runs before it writes.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.codec import need
+from repro.errors import ArtifactError
 from repro.trace import events as ev
 
 #: The single process id all lanes live under.
@@ -175,65 +177,59 @@ def _flow_endpoints(e) -> tuple:
 
 
 def validate_chrome_trace(data: Any) -> Dict[str, int]:
-    """Validate the Chrome trace-event schema; raises ``ValueError``.
+    """Validate the Chrome trace-event schema; raises
+    :class:`~repro.errors.ArtifactError`.
 
-    Checks the shape CI's ``trace-smoke`` job requires: required keys on
-    every event, non-decreasing ``ts`` over the non-metadata stream,
-    matched B/E pairs per lane, and paired flow ids.  Returns summary
-    counts on success.
+    Checks the shape ``repro trace`` requires of what it writes:
+    required keys on every event, non-decreasing ``ts`` over the
+    non-metadata stream, matched B/E pairs per lane, and paired flow
+    ids.  Returns summary counts on success.
     """
-    if not isinstance(data, dict):
-        raise ValueError("trace must be a JSON object")
-    events = data.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        raise ValueError("traceEvents must be a non-empty list")
+    events = need(data, "traceEvents", list, "trace")
+    if not events:
+        raise ArtifactError("trace: 'traceEvents' is empty")
     counts = {"events": len(events), "slices": 0, "instants": 0,
               "flows": 0, "metadata": 0}
     last_ts = None
     stacks: Dict[tuple, int] = {}
-    flow_starts: Dict[Any, int] = {}
-    flow_ends: Dict[Any, int] = {}
+    flows: Dict[str, set] = {"s": set(), "f": set()}
     for i, e in enumerate(events):
-        for key in ("ph", "pid", "tid", "ts"):
-            if key not in e:
-                raise ValueError(f"event {i} missing required key {key!r}")
-        ph = e["ph"]
+        where = f"event {i}"
+        ph = need(e, "ph", str, where)
+        lane = (need(e, "pid", (int, str), where),
+                need(e, "tid", (int, str), where))
+        ts = need(e, "ts", (int, float), where)
         if ph == "M":
             counts["metadata"] += 1
             continue
-        ts = e["ts"]
-        if not isinstance(ts, (int, float)):
-            raise ValueError(f"event {i} has non-numeric ts {ts!r}")
         if last_ts is not None and ts < last_ts:
-            raise ValueError(
-                f"event {i} ts {ts} decreases (previous {last_ts})")
+            raise ArtifactError(
+                f"{where}: ts {ts} decreases (previous {last_ts})")
         last_ts = ts
-        lane = (e["pid"], e["tid"])
         if ph == "B":
-            if "name" not in e:
-                raise ValueError(f"event {i}: B event missing name")
+            need(e, "name", object, where)
             stacks[lane] = stacks.get(lane, 0) + 1
             counts["slices"] += 1
         elif ph == "E":
             depth = stacks.get(lane, 0)
             if depth <= 0:
-                raise ValueError(
-                    f"event {i}: E without matching B on lane {lane}")
+                raise ArtifactError(
+                    f"{where}: E without matching B on lane {lane}")
             stacks[lane] = depth - 1
         elif ph == "i":
             counts["instants"] += 1
-        elif ph == "s":
-            flow_starts[e.get("id")] = flow_starts.get(e.get("id"), 0) + 1
-            counts["flows"] += 1
-        elif ph == "f":
-            flow_ends[e.get("id")] = flow_ends.get(e.get("id"), 0) + 1
+        elif ph in flows:
+            flows[ph].add(repr(need(e, "id", (int, str), where)))
+            if ph == "s":
+                counts["flows"] += 1
         else:
-            raise ValueError(f"event {i}: unknown phase {ph!r}")
+            raise ArtifactError(f"{where}: unknown phase {ph!r}")
     open_lanes = {lane: d for lane, d in stacks.items() if d}
     if open_lanes:
-        raise ValueError(f"unmatched B events at end of trace: {open_lanes}")
-    if set(flow_starts) != set(flow_ends):
-        raise ValueError(
-            f"unpaired flow ids: starts={sorted(flow_starts)} "
-            f"ends={sorted(flow_ends)}")
+        raise ArtifactError(
+            f"trace: unmatched B events at end of trace: {open_lanes}")
+    if flows["s"] != flows["f"]:
+        raise ArtifactError(
+            f"trace: unpaired flow ids: starts={sorted(flows['s'])} "
+            f"ends={sorted(flows['f'])}")
     return counts

@@ -18,10 +18,10 @@ procs, seed) produce byte-identical artifacts, which CI enforces.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional
 
+from repro import codec
 from repro.trace.chrome import export_chrome_trace
 from repro.trace.tracer import ExecutionTracer
 
@@ -119,31 +119,18 @@ def write_trace_artifacts(result: TraceRunResult,
                           out_dir: str) -> Dict[str, str]:
     """Write the three trace artifacts; returns {kind: path}.
 
-    Serialization is canonical (sorted keys, fixed separators) so that
-    byte-identity across same-seed runs is a meaningful check.
+    Serialization is the codec's canonical form, so byte-identity
+    across same-seed runs is a meaningful check.
     """
-    os.makedirs(out_dir, exist_ok=True)
     slug = result.benchmark.replace("/", "-")
-    base = f"trace-{slug}-p{result.procs}-s{result.seed}"
-    paths: Dict[str, str] = {}
-
-    chrome_path = os.path.join(out_dir, f"{base}.trace.json")
-    with open(chrome_path, "w") as fh:
-        json.dump(result.chrome, fh, sort_keys=True,
-                  separators=(",", ":"))
-        fh.write("\n")
-    paths["chrome"] = chrome_path
-
-    prov_json = os.path.join(out_dir, f"{base}-provenance.json")
-    with open(prov_json, "w") as fh:
-        json.dump(result.provenance_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["provenance"] = prov_json
-
-    prov_txt = os.path.join(out_dir, f"{base}-provenance.txt")
-    with open(prov_txt, "w") as fh:
-        fh.write(result.provenance_text())
-    paths["provenance-txt"] = prov_txt
-
-    result.artifact_paths = paths
-    return paths
+    stem = os.path.join(
+        out_dir, f"trace-{slug}-p{result.procs}-s{result.seed}")
+    result.artifact_paths = {
+        "chrome": codec.write_text(
+            f"{stem}.trace.json", codec.dumps(result.chrome, compact=True)),
+        "provenance": codec.write(f"{stem}-provenance.json",
+                                  result.provenance_dict()),
+        "provenance-txt": codec.write_text(f"{stem}-provenance.txt",
+                                           result.provenance_text()),
+    }
+    return result.artifact_paths

@@ -197,11 +197,11 @@ class TestCampaigns:
                {b.name for b in corpus}
 
     def test_report_json_round_trips(self):
-        import json
+        from repro import codec
 
         report = run_chaos_campaign(seeds=4, scenario="mixed",
                                     base_seed=77, keep_traces=True)
-        data = json.loads(report.to_json())
+        data = codec.loads(codec.dumps(report.to_dict()))
         assert data["schedules_run"] == 4
         assert data["clean"] == report.clean
         assert len(data["schedules"]) == 4

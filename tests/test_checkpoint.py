@@ -238,3 +238,49 @@ class TestCheckpointedService:
                                   fault_plan=plan)
         assert result.zero_data_loss
         assert not result.invariant_problems
+
+
+class TestRecoveryCampaign:
+    """``repro.chaos.recovery``: the pipeline above, swept over seeds
+    under the ``recovery`` fault scenario and graded against the SLOs."""
+
+    def test_two_seed_campaign_meets_its_slos(self):
+        from repro import codec
+        from repro.chaos import run_recovery_campaign
+        from repro.chaos.recovery import (
+            RECOVERY_P99_SLO_NS,
+            SUCCESS_RATE_SLO,
+        )
+
+        report = run_recovery_campaign(seeds=2, base_seed=0)
+        assert [s.seed for s in report.schedules] == [0, 1]
+        assert report.successes == 2 and report.success_rate == 1.0
+        assert report.data_loss_schedules == []
+        assert report.invariant_violations == 0
+        assert report.total_recoveries() >= 1
+        assert 0 < report.recovery_p99_ns() <= RECOVERY_P99_SLO_NS
+        assert report.meets_slo
+        assert "verdict         : CLEAN" in report.format()
+
+        doc = codec.loads(codec.dumps(report.to_dict()))
+        assert doc["schedules_run"] == 2 and doc["meets_slo"] is True
+        assert doc["success_rate_slo"] == SUCCESS_RATE_SLO
+        assert doc["recovery_p99_slo_ns"] == RECOVERY_P99_SLO_NS
+        assert doc["total_faults_injected"] == sum(
+            s["injected"] for s in doc["schedules"])
+        for sched in doc["schedules"]:
+            assert sched["success"] and sched["zero_data_loss"]
+            assert sched["jobs_acked"] == sched["jobs_total"]
+            assert sched["lost_jobs"] == []
+        # Reproducible from (seeds, base_seed) alone.
+        again = run_recovery_campaign(seeds=2, base_seed=0)
+        assert codec.dumps(again.to_dict()) == codec.dumps(report.to_dict())
+
+    def test_a_schedule_that_times_out_misses_the_slo(self):
+        from repro.chaos import run_recovery_campaign
+
+        report = run_recovery_campaign(
+            seeds=1, config=CheckpointedConfig(deadline_ms=1))
+        assert report.successes == 0 and not report.meets_slo
+        assert report.data_loss_schedules == []  # late, never lossy
+        assert "FAILED <recovery seed=0 TIMEOUT" in report.format()

@@ -91,6 +91,36 @@ class TestExecution:
         assert get_default_hub() is None
 
 
+class TestDaemonCommand:
+    def test_daemon_smoke_writes_the_campaign_artifact(self, tmp_path,
+                                                       capsys):
+        from repro import codec
+
+        assert main(["daemon", "--seeds", "2",
+                     "--json-dir", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "-- detection-latency SLO curve" in out
+        assert "-- checkpoint/rollback e2e" in out
+        assert "restart success : 2/2" in out
+        assert "FAIL" not in out
+        doc = codec.read(str(tmp_path / "out" / "recovery-s0-n2.json"))
+        assert doc["schedules_run"] == 2 and doc["meets_slo"] is True
+        assert doc["data_loss_schedules"] == []
+
+    def test_daemon_rejects_an_empty_campaign(self, tmp_path):
+        with pytest.raises(SystemExit, match="--seeds"):
+            main(["daemon", "--seeds", "0", "--json-dir", str(tmp_path)])
+
+    def test_the_fail_exit_contract(self):
+        from repro.cli import _gate
+
+        assert _gate("report", [], "daemon recovery smoke") == "report"
+        with pytest.raises(SystemExit) as exc:
+            _gate("report", ["a broke", "b broke"], "fleet run")
+        assert str(exc.value) == (
+            "report\nFAIL: a broke\nFAIL: b broke\nfleet run FAILED")
+
+
 class TestFleetCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fleet"])

@@ -5,6 +5,7 @@ scheduler-interleaved collection (see docs/GC.md)."""
 import pytest
 
 from repro import GolfConfig, Runtime
+from repro.equivalence import PAIRS, Leg, corpus, sweep
 from repro.gc import GCPhase
 from repro.runtime.clock import MICROSECOND, MILLISECOND
 from repro.runtime.goroutine import GStatus
@@ -537,3 +538,26 @@ class TestIncrementalChaosSmoke:
             seeds=5, scenario="gc-phase", base_seed=3, procs=2,
             config=GolfConfig(gc_mode="atomic"))
         assert report.clean, report.format()
+
+
+class TestNonDetectionCycles:
+    """A cycle that runs no detection — every cycle under ``golf=False``,
+    every other one under ``detect_every=2`` — marks from all live
+    goroutines instead of the GOLF root set.  Same harness, same
+    fingerprint and same reference (the atomic collector) as the
+    ``gc_mode`` pair of tests/test_gc_equivalence.py; the registry
+    programs run three cycles each, so both kinds of cycle occur."""
+
+    @pytest.mark.parametrize("overrides", [{"golf": False},
+                                           {"detect_every": 2}],
+                             ids=["golf-off", "detect-every-2"])
+    def test_registry_equivalent_to_atomic(self, overrides):
+        pair = PAIRS["gc_mode"]._replace(
+            leg_a=Leg("atomic",
+                      lambda: GolfConfig(gc_mode="atomic", **overrides)),
+            leg_b=Leg("incremental",
+                      lambda: GolfConfig(gc_mode="incremental", **overrides)))
+        result = sweep(pair, procs=2, seed=7)
+        assert result.clean, "\n" + result.format()
+        assert result.runs == len(corpus())
+        assert result.witness["mark_steps"] >= 2 * result.runs

@@ -4,7 +4,8 @@
 load and run alone: nothing in them imports an observer, a driver or the
 daemon at module load, and the function-level imports that reach upward
 are a fixed, named list.  An option or an upward edge added later has to
-edit this file and say who needs it.
+edit this file and say who needs it.  Likewise the byte form of every
+artifact: ``json`` is spelled in ``repro.codec`` and nowhere else.
 """
 
 from __future__ import annotations
@@ -45,28 +46,31 @@ def _outside(module: str) -> bool:
         for inside in INSIDE)
 
 
+def _scoped(node, scope=()):
+    """Every AST node under ``node`` with its enclosing def/class names."""
+    yield node, scope
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+        yield from _scoped(child, scope + (child.name,) if named else scope)
+
+
 def _upward_imports():
     """``(file, enclosing function or None, module)`` for every import
     of a non-kernel ``repro`` module under the kernel packages."""
     found = []
-
-    def visit(node, path, scope):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""] if node.level == 0 else []
-        else:
-            modules = []
-        found.extend((path, ".".join(scope) or None, module)
-                     for module in modules if _outside(module))
-        for child in ast.iter_child_nodes(node):
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
-            visit(child, path, scope + (child.name,) if named else scope)
-
     for pkg in KERNEL:
         for source in sorted((PACKAGE / pkg).glob("*.py")):
-            visit(ast.parse(source.read_text()), f"{pkg}/{source.name}", ())
+            for node, scope in _scoped(ast.parse(source.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else []
+                else:
+                    continue
+                found.extend((f"{pkg}/{source.name}", ".".join(scope) or None,
+                              module)
+                             for module in modules if _outside(module))
     return found
 
 
@@ -94,6 +98,31 @@ def test_kernel_imports_nothing_above_it_at_load():
 def test_function_level_upward_imports_are_the_allowlist():
     lazy = {entry for entry in _upward_imports() if entry[1] is not None}
     assert lazy == ALLOWED_UPWARD
+
+
+_JSON_CALLS = ("dump", "dumps", "load", "loads")
+
+
+def test_json_is_spelled_only_in_the_codec():
+    """One writer, one reader (docs/ARCHITECTURE.md, "On-disk formats"):
+    ``json`` is used by :mod:`repro.codec` and by ``BehaviorModel.hash``
+    (a hash input, not an artifact), and ``need`` is defined once."""
+    json_users, need_defs = set(), []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        path = source.relative_to(PACKAGE).as_posix()
+        for node, scope in _scoped(ast.parse(source.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in _JSON_CALLS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                json_users.add((path, ".".join(scope)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                json_users.add((path, "from json import"))
+            elif isinstance(node, ast.FunctionDef) and node.name == "need":
+                need_defs.append(path)
+    assert json_users == {
+        ("codec.py", "dumps"), ("codec.py", "loads"),
+        ("staticcheck/behavior.py", "BehaviorModel.hash")}
+    assert need_defs == ["codec.py"]
 
 
 def test_default_hub_slot_holds_exactly_the_current_hub():

@@ -9,9 +9,22 @@ the virtual clock and every rendering is deterministically ordered.
 import json
 import os
 
+import pytest
+
 from repro import GolfConfig, Runtime
 from repro.chaos import run_chaos_campaign
-from repro.runtime.instructions import Go, MakeChan, RunGC, Send, Sleep
+from repro.errors import GoPanic, InjectedPanic
+from repro.runtime.instructions import (
+    Go,
+    MakeChan,
+    Panic,
+    Recv,
+    RunGC,
+    Send,
+    Sleep,
+)
+from repro.runtime.objects import Blob, Box
+from repro.runtime.watchdog import Watchdog
 from repro.service.resilience import ResilienceConfig, run_resilient_production
 from repro.telemetry import (
     DEBUG,
@@ -21,6 +34,7 @@ from repro.telemetry import (
     set_default_hub,
     validate_exposition,
 )
+from repro.trace import events as ev
 
 BENCH = "cgo/sendmail"
 
@@ -102,6 +116,85 @@ class TestRuntimeWiring:
         finally:
             set_default_hub(None)
         assert Runtime(procs=1, seed=1).telemetry is None
+
+
+def _incremental_store(rt):
+    """A white object stored into a heap box while the collector marks."""
+    white = rt.heap.allocate(Blob(32))
+    box = rt.heap.allocate(Box(None))
+    rt.collector._begin_cycle("test")
+    box.value = white
+    while rt.collector.gc_step():
+        pass
+
+
+def _scoped_panic(rt):
+    def victim():
+        yield Sleep(1_000)
+        raise InjectedPanic("scoped boom")
+
+    def main():
+        yield Go(victim, name="victim")
+        yield Sleep(50_000)
+
+    rt.spawn_main(main)
+    rt.run(until_ns=1_000_000)
+
+
+def _fatal_panic(rt):
+    def main():
+        yield Panic("fatal boom")
+
+    rt.spawn_main(main)
+    with pytest.raises(GoPanic, match="fatal boom"):
+        rt.run(until_ns=1_000_000)
+
+
+def _stall(rt):
+    Watchdog(rt).install(interval_ns=5_000_000)
+
+    def main():
+        ch = yield MakeChan(0)
+        yield Recv(ch)
+
+    rt.spawn_main(main)
+    rt.run(until_ns=50_000_000)
+
+
+class TestColdHooks:
+    """Hooks only an unusual run reaches: each fires from the smallest
+    program that triggers it, into a hub and a tracer at once."""
+
+    @pytest.mark.parametrize("scenario, gc_mode, counters, recorder_line, "
+                             "incident, trace_kind", [
+        (_incremental_store, "incremental",
+         {"repro_gc_phase_transitions_total": 5},
+         "gc-phase #1 marking", None, ev.BARRIER_SHADE),
+        (_scoped_panic, "atomic", {"repro_sched_crashes_total": 0},
+         "scoped boom", None, ev.GO_PANIC),
+        (_fatal_panic, "atomic", {"repro_sched_crashes_total": 1},
+         "crash g1 fatal boom", "fatal-panic", None),
+        (_stall, "atomic", {"repro_watchdog_stalls_total": 1},
+         "stall 1 user goroutine(s) wedged: [1]", "watchdog-stall",
+         "watchdog-stall"),
+    ], ids=["gc-phase+shade", "goroutine-panic", "crash", "stall"])
+    def test_hook_reaches_hub_and_tracer(self, scenario, gc_mode, counters,
+                                         recorder_line, incident,
+                                         trace_kind):
+        rt = Runtime(procs=2, seed=3, config=GolfConfig(gc_mode=gc_mode))
+        hub = TelemetryHub(min_severity=DEBUG)
+        rt.enable_telemetry(hub)
+        tracer = rt.enable_tracing()
+        scenario(rt)
+        for name, total in counters.items():
+            series = hub.registry.get(name).series()
+            assert sum(child.value for _, child in series) == total, name
+        dump = hub.recorder.dump()
+        assert recorder_line in " ".join(dump.split()), dump
+        assert [i.reason for i in hub.recorder.incidents
+                if i.reason == incident] == ([incident] if incident else [])
+        if trace_kind:
+            assert len(tracer.of_kind(trace_kind)) == 1
 
 
 class TestCrossRunDedup:

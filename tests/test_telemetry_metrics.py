@@ -10,6 +10,7 @@ from repro.telemetry import (
     GAUGE,
     HISTOGRAM,
     MetricsRegistry,
+    render_merged_prometheus,
     validate_exposition,
 )
 
@@ -162,7 +163,8 @@ class TestSnapshot:
 
 
 class TestExtraLabels:
-    """The fleet's shard label: prepended to every sample at render time."""
+    """The fleet's shard label: the one renderer stamps the source onto
+    every sample, ahead of the sample's own labels."""
 
     def _registry(self):
         reg = MetricsRegistry()
@@ -173,9 +175,12 @@ class TestExtraLabels:
                       buckets=(10, 100)).labels().observe(42)
         return reg
 
+    def _render(self, source, label="shard"):
+        return render_merged_prometheus(
+            {source: self._registry().snapshot()}, label=label)
+
     def test_extra_label_on_every_sample(self):
-        text = self._registry().render_prometheus(
-            extra_labels=(("shard", "3"),))
+        text = self._render("3")
         for line in text.splitlines():
             if line.startswith("#") or not line.strip():
                 continue
@@ -183,24 +188,20 @@ class TestExtraLabels:
         assert validate_exposition(text) > 0
 
     def test_extra_label_prepended_to_existing_labels(self):
-        text = self._registry().render_prometheus(
-            extra_labels=(("shard", "0"),))
-        assert 'req_total{shard="0",outcome="ok"} 3' in text
+        assert 'req_total{shard="0",outcome="ok"} 3' in self._render("0")
 
     def test_collision_with_metric_labelname_rejected(self):
-        reg = self._registry()
         with pytest.raises(ValueError, match="outcome"):
-            reg.render_prometheus(extra_labels=(("outcome", "x"),))
+            self._render("x", label="outcome")
 
     def test_no_extra_labels_is_the_plain_exposition(self):
-        reg = self._registry()
-        assert reg.render_prometheus() == reg.render_prometheus(
-            extra_labels=())
+        text = self._render(None)
+        assert text == self._registry().render_prometheus()
+        assert "shard" not in text
+        assert "depth 2\n" in text
 
     def test_extra_label_values_escaped(self):
-        text = self._registry().render_prometheus(
-            extra_labels=(("shard", 'a"b\\c'),))
-        assert validate_exposition(text) > 0
+        assert validate_exposition(self._render('a"b\\c')) > 0
 
 
 class TestHistogramQuantile:
