@@ -37,6 +37,11 @@ from repro.gc.marking import mark_from
 from repro.runtime.goroutine import EPSILON, Goroutine, GStatus
 from repro.runtime.objects import HeapObject
 
+# Read once: an enum member read is a Python-level descriptor call on
+# CPython 3.11, and these are compared once per goroutine per pass.
+_WAITING = GStatus.WAITING
+_DEAD = GStatus.DEAD
+
 
 class DetectionResult:
     """Outcome of one reachable-liveness computation."""
@@ -98,7 +103,7 @@ def classify(g: Goroutine) -> int:
     seq = g.wait_seq
     if g._class_seq == seq:
         return g._class_val
-    if g.status == GStatus.WAITING and g.is_blocked_detectably:
+    if g.status is _WAITING and g.is_blocked_detectably:
         val = CLASS_PROOF_SKIP if proof_skip_eligible(g) else CLASS_CANDIDATE
     else:
         val = CLASS_NEITHER
@@ -160,7 +165,7 @@ def seed_roots(heap: Heap, goroutines: Sequence[Goroutine],
     for g in goroutines:
         c = classify(g)
         if c == CLASS_NEITHER:
-            if g.status != GStatus.DEAD:
+            if g.status is not _DEAD:
                 roots.append(g)
         elif c == CLASS_CANDIDATE:
             g.masked = True
@@ -206,7 +211,7 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     deadlocked_set = set(id(g) for g in result.deadlocked)
     result.live = [
         g for g in goroutines
-        if g.status != GStatus.DEAD and id(g) not in deadlocked_set
+        if g.status is not _DEAD and id(g) not in deadlocked_set
     ]
     return result
 

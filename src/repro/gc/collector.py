@@ -58,6 +58,14 @@ from repro.runtime.objects import HeapObject
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.waitreason import WaitReason
 
+# Enum members the per-event and per-goroutine paths compare against,
+# read once (a member read is a Python-level descriptor call on CPython
+# 3.11; ``maybe_collect`` and ``gc_step`` are polled on every event).
+_IDLE = GCPhase.IDLE
+_MARKING = GCPhase.MARKING
+_SWEEPING = GCPhase.SWEEPING
+_DEAD = GStatus.DEAD
+
 
 class Collector:
     """Owns GC pacing and executes collection cycles."""
@@ -113,7 +121,7 @@ class Collector:
                 # it between time slices.  If one is already in flight,
                 # the pacer is satisfied by its completion (the target is
                 # recomputed then).
-                if self.phase is GCPhase.IDLE:
+                if self.phase is _IDLE:
                     self._begin_cycle("pacer")
                 return None
             return self.collect(reason="pacer")
@@ -147,11 +155,11 @@ class Collector:
         """
         if not self.config.incremental:
             return self._collect_atomic(reason)
-        while self.phase is not GCPhase.IDLE:
+        while self.phase is not _IDLE:
             self.gc_step()
         self._begin_cycle(reason)
         cs = self._cycle
-        while self.phase is not GCPhase.IDLE:
+        while self.phase is not _IDLE:
             self.gc_step()
         assert cs is not None
         return cs
@@ -243,7 +251,7 @@ class Collector:
         """
         if not self.config.golf:
             return None
-        if self.phase is not GCPhase.IDLE:
+        if self.phase is not _IDLE:
             return None
         cs = CycleStats(self.stats.num_gc, reason, self.config.mode,
                         self.clock.now)
@@ -260,7 +268,7 @@ class Collector:
     def _baseline_cycle(self, cs: CycleStats) -> None:
         """Regular Go marking: every goroutine is a root."""
         roots = [self.heap.globals] + [
-            g for g in self.sched.allgs if g.status != GStatus.DEAD
+            g for g in self.sched.allgs if g.status is not _DEAD
         ]
         roots.extend(self.sched.inflight_heap_refs())
         work, _ = mark_from(self.heap, roots, respect_masks=False)
@@ -389,7 +397,7 @@ class Collector:
         candidates and masks them, shades the root set gray, and arms the
         write barrier before handing the world back to the mutator.
         """
-        assert self.phase is GCPhase.IDLE, self.phase
+        assert self.phase is _IDLE, self.phase
         cycle_no = self.stats.num_gc + 1
         cs = CycleStats(cycle_no, reason, self.config.mode, self.clock.now)
         cs.heap_bytes_before = self.heap.live_bytes
@@ -410,7 +418,7 @@ class Collector:
         else:
             self._candidates = []
             roots = [self.heap.globals] + [
-                g for g in self.sched.allgs if g.status != GStatus.DEAD
+                g for g in self.sched.allgs if g.status is not _DEAD
             ]
         roots.extend(self.sched.inflight_heap_refs())
         work, _ = push_roots(self.heap, roots, self._gray,
@@ -439,7 +447,7 @@ class Collector:
         mark stall, exactly as in atomic mode, keeping the two modes'
         clocks in lockstep.
         """
-        if self.phase is GCPhase.MARKING:
+        if self.phase is _MARKING:
             cs = self._cycle
             assert cs is not None
             cs.mark_steps += 1
@@ -449,9 +457,9 @@ class Collector:
             cs.mark_work_units += work
             if not self._gray:
                 self._mark_termination()
-        elif self.phase is GCPhase.SWEEPING:
+        elif self.phase is _SWEEPING:
             self._sweep_step()
-        return self.phase is not GCPhase.IDLE
+        return self.phase is not _IDLE
 
     def _mark_termination(self) -> None:
         """MARK_TERMINATION: the second STW window.
@@ -476,7 +484,7 @@ class Collector:
         # clock preserves virtual-time parity with atomic mode.
         rescan_roots: List[HeapObject] = []
         for g in self.sched.allgs:
-            if g.status == GStatus.DEAD or g.masked:
+            if g.status is _DEAD or g.masked:
                 continue
             rescan_roots.extend(g.stack_heap_refs())
         rescan_roots.extend(self.sched.inflight_heap_refs())
@@ -561,7 +569,7 @@ class Collector:
         for g in waiters:
             # Guard against chaos panics or reclaims having moved the
             # waiter on: only wake goroutines still parked on this cycle.
-            if (g.status == GStatus.WAITING
+            if (g.status is GStatus.WAITING
                     and g.wait_reason is WaitReason.GC_WAIT):
                 self.sched.wake(g)
         if self._gc_requested or self._queued_waiters:
@@ -583,7 +591,7 @@ class Collector:
         """
         if not self.config.incremental:
             return False
-        if self.phase is GCPhase.IDLE:
+        if self.phase is _IDLE:
             self._gc_waiters.append(g)
             self._begin_cycle("runtime.GC")
         else:
@@ -600,7 +608,7 @@ class Collector:
         re-expansion).  Outside MARKING the mask is simply dropped — the
         fixpoint owning it has already concluded or not yet begun.
         """
-        if (self.phase is GCPhase.MARKING and self._detect_now
+        if (self.phase is _MARKING and self._detect_now
                 and self._cycle is not None):
             detector_mod.reexpand_on_wake(self.heap, g, self._gray)
             self._cycle.root_reexpansions += 1
@@ -620,7 +628,7 @@ class Collector:
         fault.
         """
         problems: List[str] = []
-        if self.phase is not GCPhase.MARKING:
+        if self.phase is not _MARKING:
             return problems
         gray_ids = {id(o) for o in self._gray}
         for obj in self.heap.objects():

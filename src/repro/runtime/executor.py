@@ -23,6 +23,23 @@ from repro.runtime.waitreason import WaitReason
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.scheduler import Scheduler
 
+# Park reasons, read once: an enum member read is a Python-level
+# descriptor call on CPython 3.11 (see runtime/scheduler.py).
+_NIL_CHAN_SEND = WaitReason.NIL_CHAN_SEND
+_CHAN_SEND = WaitReason.CHAN_SEND
+_NIL_CHAN_RECEIVE = WaitReason.NIL_CHAN_RECEIVE
+_CHAN_RECEIVE = WaitReason.CHAN_RECEIVE
+_SELECT_NO_CASES = WaitReason.SELECT_NO_CASES
+_SELECT = WaitReason.SELECT
+_SYNC_RWMUTEX_LOCK = WaitReason.SYNC_RWMUTEX_LOCK
+_SYNC_MUTEX_LOCK = WaitReason.SYNC_MUTEX_LOCK
+_SYNC_RWMUTEX_RLOCK = WaitReason.SYNC_RWMUTEX_RLOCK
+_SYNC_WAITGROUP_WAIT = WaitReason.SYNC_WAITGROUP_WAIT
+_SYNC_COND_WAIT = WaitReason.SYNC_COND_WAIT
+_SEMACQUIRE = WaitReason.SEMACQUIRE
+_IO_WAIT = WaitReason.IO_WAIT
+_GC_WAIT = WaitReason.GC_WAIT
+
 
 def execute(sched: "Scheduler", g: Goroutine, instr: ins.Instruction) -> None:
     """Apply the effect of ``instr`` on behalf of ``g``.
@@ -80,7 +97,7 @@ def _exec_make_chan(sched, g, instr: ins.MakeChan) -> None:
 def _exec_send(sched, g, instr: ins.Send) -> None:
     ch = instr.channel
     if ch is None:
-        sched.park(g, WaitReason.NIL_CHAN_SEND, (EPSILON,))
+        sched.park(g, _NIL_CHAN_SEND, (EPSILON,))
         return
     done, wakeups = ch.try_send(instr.value)  # may panic: send on closed
     if done:
@@ -94,13 +111,13 @@ def _exec_send(sched, g, instr: ins.Send) -> None:
     sd = Sudog(g, ch, instr.value, is_send=True)
     g.sudogs = [sd]
     ch.enqueue_sender(sd)
-    sched.park(g, WaitReason.CHAN_SEND, (ch,))
+    sched.park(g, _CHAN_SEND, (ch,))
 
 
 def _exec_recv(sched, g, instr: ins.Recv) -> None:
     ch = instr.channel
     if ch is None:
-        sched.park(g, WaitReason.NIL_CHAN_RECEIVE, (EPSILON,))
+        sched.park(g, _NIL_CHAN_RECEIVE, (EPSILON,))
         return
     done, value, ok, wakeups = ch.try_recv()
     if done:
@@ -115,7 +132,7 @@ def _exec_recv(sched, g, instr: ins.Recv) -> None:
     sd = Sudog(g, ch, None, is_send=False)
     g.sudogs = [sd]
     ch.enqueue_receiver(sd)
-    sched.park(g, WaitReason.CHAN_RECEIVE, (ch,))
+    sched.park(g, _CHAN_RECEIVE, (ch,))
 
 
 def _exec_close(sched, g, instr: ins.Close) -> None:
@@ -177,8 +194,7 @@ def _exec_select(sched, g, instr: ins.Select) -> None:
         case.channel for case in instr.cases if case.channel is not None
     )
     if not real_channels:
-        reason = (WaitReason.SELECT_NO_CASES if not instr.cases
-                  else WaitReason.SELECT)
+        reason = _SELECT_NO_CASES if not instr.cases else _SELECT
         sched.park(g, reason, (EPSILON,))
         return
     sudogs = []
@@ -194,7 +210,7 @@ def _exec_select(sched, g, instr: ins.Select) -> None:
             ch.enqueue_receiver(sd)
         sudogs.append(sd)
     g.sudogs = sudogs
-    sched.park(g, WaitReason.SELECT, real_channels)
+    sched.park(g, _SELECT, real_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +281,7 @@ def _exec_lock(sched, g, instr: ins.Lock) -> None:
             return
         target.writers_waiting += 1
         sched.semtable.enqueue(sched.mask_key(target.writer_sema_key()), g)
-        sched.park(g, WaitReason.SYNC_RWMUTEX_LOCK, (target,),
+        sched.park(g, _SYNC_RWMUTEX_LOCK, (target,),
                    blocking_sema=target)
         return
     if not isinstance(target, Mutex):
@@ -276,7 +292,7 @@ def _exec_lock(sched, g, instr: ins.Lock) -> None:
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(target.sema_key()), g)
-    sched.park(g, WaitReason.SYNC_MUTEX_LOCK, (target,), blocking_sema=target)
+    sched.park(g, _SYNC_MUTEX_LOCK, (target,), blocking_sema=target)
 
 
 def _exec_unlock(sched, g, instr: ins.Unlock) -> None:
@@ -327,7 +343,7 @@ def _exec_rlock(sched, g, instr: ins.RLock) -> None:
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(rw.reader_sema_key()), g)
-    sched.park(g, WaitReason.SYNC_RWMUTEX_RLOCK, (rw,), blocking_sema=rw)
+    sched.park(g, _SYNC_RWMUTEX_RLOCK, (rw,), blocking_sema=rw)
 
 
 def _exec_runlock(sched, g, instr: ins.RUnlock) -> None:
@@ -366,7 +382,7 @@ def _exec_wg_wait(sched, g, instr: ins.WgWait) -> None:
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(wg.sema_key()), g)
-    sched.park(g, WaitReason.SYNC_WAITGROUP_WAIT, (wg,), blocking_sema=wg)
+    sched.park(g, _SYNC_WAITGROUP_WAIT, (wg,), blocking_sema=wg)
 
 
 def _wake_all(sched, key: int) -> None:
@@ -384,7 +400,7 @@ def _exec_cond_wait(sched, g, instr: ins.CondWait) -> None:
     _unlock_mutex(sched, cond.locker)  # may panic if locker unheld
     sched.semtable.enqueue(sched.mask_key(cond.sema_key()), g)
     sched._relock[g.goid] = cond.locker
-    sched.park(g, WaitReason.SYNC_COND_WAIT, (cond,), blocking_sema=cond)
+    sched.park(g, _SYNC_COND_WAIT, (cond,), blocking_sema=cond)
 
 
 def _exec_cond_signal(sched, g, instr: ins.CondSignal) -> None:
@@ -427,7 +443,7 @@ def _exec_sem_acquire(sched, g, instr: ins.SemAcquire) -> None:
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(sema.addr), g)
-    sched.park(g, WaitReason.SEMACQUIRE, (sema,), blocking_sema=sema)
+    sched.park(g, _SEMACQUIRE, (sema,), blocking_sema=sema)
 
 
 def _exec_sem_release(sched, g, instr: ins.SemRelease) -> None:
@@ -462,7 +478,7 @@ def _exec_sleep(sched, g, instr: ins.Sleep) -> None:
 
 def _exec_io_wait(sched, g, instr: ins.IoWait) -> None:
     sched.park_on_timer(g, sched.clock.now + instr.ns,
-                        reason=WaitReason.IO_WAIT)
+                        reason=_IO_WAIT)
 
 
 def _exec_gosched(sched, g, instr: ins.Gosched) -> None:
@@ -490,7 +506,7 @@ def _exec_run_gc(sched, g, instr: ins.RunGC) -> None:
         # requested completes (Go's "wait for GC cycle"); the collector
         # wakes it from _complete_cycle.  B(g) is empty — a GC wait is
         # never a deadlock candidate.
-        sched.park(g, WaitReason.GC_WAIT, ())
+        sched.park(g, _GC_WAIT, ())
         return
     sched.gc_hook("runtime.GC")
     sched.resume(g, None)

@@ -36,11 +36,22 @@ def check_invariants(rt) -> List[str]:
                 f"runq holds non-runnable goroutine {g.goid} ({g.status})")
 
     # -- processors ----------------------------------------------------------
-    for p in sched.procs:
-        if p.g is not None and p.g.status != GStatus.RUNNING:
+    holding = [p for p in sched.procs if p.g is not None]
+    for p in holding:
+        if p.g.status != GStatus.RUNNING:
             problems.append(
                 f"proc {p.pid} holds non-running goroutine "
                 f"{p.g.goid} ({p.g.status})")
+        if p.instr is None:
+            problems.append(
+                f"proc {p.pid} holds goroutine {p.g.goid} without an "
+                f"instruction")
+    # The run loop's processor walk stops once it has seen this many
+    # busy processors: a count that drifts hides a processor from it.
+    if sched._busy != len(holding):
+        problems.append(
+            f"busy count {sched._busy} != {len(holding)} processors "
+            f"holding a goroutine")
 
     # -- tickers -------------------------------------------------------------
     for _, _, t in sched._tickers:

@@ -43,6 +43,15 @@ from repro.runtime.sync import Mutex
 from repro.runtime.waitreason import WaitReason
 from repro.gc.heap import Heap
 
+# Enum members, read once: CPython 3.11 resolves ``GStatus.RUNNING``
+# through a Python-level descriptor on every access (about 130 ns against
+# 15 for a module global), and the paths below read several per
+# instruction.
+_RUNNABLE = GStatus.RUNNABLE
+_RUNNING = GStatus.RUNNING
+_WAITING = GStatus.WAITING
+_DEAD = GStatus.DEAD
+
 
 class RunStatus:
     """Terminal states of :meth:`Scheduler.run`."""
@@ -65,10 +74,6 @@ class _Proc:
         self.g: Optional[Goroutine] = None
         self.instr: Optional[Instruction] = None
         self.busy_until = 0
-
-    @property
-    def idle(self) -> bool:
-        return self.g is None
 
 
 class Ticker:
@@ -110,6 +115,11 @@ class Scheduler:
         self.rng = random.Random(seed)
         self.semtable = SemaTable()
         self.procs = [_Proc(i) for i in range(procs)]
+        #: How many of ``procs`` hold a goroutine.  ``p.g`` changes in
+        #: three places — ``_start_instruction``, ``_complete``, ``kill``
+        #: — and each keeps this in step; it is what lets the run loop's
+        #: processor walk stop at the last busy one.
+        self._busy = 0
 
         self.allgs: List[Goroutine] = []
         self.gfree: List[Goroutine] = []
@@ -309,7 +319,7 @@ class Scheduler:
              blocking_sema: Optional[HeapObject] = None) -> None:
         """Transition ``g`` to WAITING with ``B(g) = blocked_on``."""
         g.wait_seq += 1
-        g.status = GStatus.WAITING
+        g.status = _WAITING
         g.wait_reason = reason
         g.blocked_on = blocked_on
         g.blocking_sema = blocking_sema
@@ -337,12 +347,12 @@ class Scheduler:
     def wake(self, g: Goroutine, result: Any = None,
              exc: Optional[BaseException] = None) -> None:
         """Make a parked goroutine runnable, delivering ``result``/``exc``."""
-        if g.status in (GStatus.PENDING_RECLAIM, GStatus.DEADLOCKED):
-            raise SchedulerError(
-                f"wakeup for goroutine reported deadlocked: {g!r} — "
-                "GOLF soundness violation"
-            )
-        if g.status != GStatus.WAITING:
+        if g.status is not _WAITING:
+            if g.status in (GStatus.PENDING_RECLAIM, GStatus.DEADLOCKED):
+                raise SchedulerError(
+                    f"wakeup for goroutine reported deadlocked: {g!r} — "
+                    "GOLF soundness violation"
+                )
             raise SchedulerError(f"cannot wake non-waiting goroutine {g!r}")
         if g.masked and self.gc_wake_hook is not None:
             # A masked detection candidate is being legitimately woken
@@ -359,7 +369,7 @@ class Scheduler:
         g.wake_at = None
         g.pending_value = result
         g.pending_exc = exc
-        g.status = GStatus.RUNNABLE
+        g.status = _RUNNABLE
         self.runq.append(g)
         if self._observed:
             if self._tracer is not None:
@@ -397,7 +407,7 @@ class Scheduler:
         blocking on the mutex (wait reason changes from ``SYNC_COND_WAIT``
         to ``SYNC_MUTEX_LOCK``), as in Go.
         """
-        if g.status != GStatus.WAITING:
+        if g.status is not _WAITING:
             raise SchedulerError(f"cannot wake non-waiting goroutine {g!r}")
         if locker.try_lock():
             self.wake(g, result=None)
@@ -475,7 +485,7 @@ class Scheduler:
         """
         if g is self.main_g:
             raise SchedulerError("cannot kill the main goroutine")
-        if g.status == GStatus.DEAD:
+        if g.status is _DEAD:
             return
         if g in self.runq:
             self.runq.remove(g)
@@ -483,6 +493,7 @@ class Scheduler:
             if p.g is g:
                 p.g = None
                 p.instr = None
+                self._busy -= 1
         self.semtable.remove_goroutine(g)
         self._relock.pop(g.goid, None)
         if g.gen is not None:
@@ -512,11 +523,11 @@ class Scheduler:
         """
         if g.is_system or g.reported:
             return False
-        if g.status == GStatus.RUNNABLE:
+        if g.status is _RUNNABLE:
             g.pending_value = None
             g.pending_exc = exc
             return True
-        if g.status == GStatus.WAITING:
+        if g.status is _WAITING:
             self.semtable.remove_goroutine(g)
             self._relock.pop(g.goid, None)
             self.wake(g, exc=exc)
@@ -534,7 +545,7 @@ class Scheduler:
         semaphore-table entries behind a runnable goroutine, exactly the
         corruption ``check_invariants`` exists to catch.
         """
-        if g.status != GStatus.WAITING or g.is_system:
+        if g.status is not _WAITING or g.is_system:
             return False
         if g.is_blocked_detectably or g.wake_at is None:
             return False
@@ -547,13 +558,13 @@ class Scheduler:
 
     def live_goroutines(self) -> List[Goroutine]:
         """All goroutines that are not dead (includes kept-deadlocked)."""
-        return [g for g in self.allgs if g.status != GStatus.DEAD]
+        return [g for g in self.allgs if g.status is not _DEAD]
 
     def user_goroutines(self) -> List[Goroutine]:
         return [g for g in self.live_goroutines() if not g.is_system]
 
     def blocked_goroutines(self) -> List[Goroutine]:
-        return [g for g in self.allgs if g.status == GStatus.WAITING]
+        return [g for g in self.allgs if g.status is _WAITING]
 
     def detectably_blocked(self) -> List[Goroutine]:
         return [g for g in self.allgs if g.is_blocked_detectably]
@@ -579,10 +590,6 @@ class Scheduler:
                 refs.extend(p.instr.heap_refs())
         return refs
 
-    @property
-    def main_exited(self) -> bool:
-        return self._main_exited
-
     # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
@@ -595,17 +602,19 @@ class Scheduler:
         goroutine crash the whole program and re-raise here, as Go's
         fatal panic does.
 
-        The loop body is the runtime's hottest code: helper calls are
-        guarded by inline emptiness checks, the busy-processor scan
-        avoids building snapshot lists (a processor is busy iff
-        ``p.g is not None``, and nothing inside a completion can make an
-        idle processor busy — dispatch only happens at the loop top), and
-        shared structures are bound to locals once per call.
+        The loop body is the runtime's hottest code.  Each event makes
+        one pass over ``procs`` in pid order that fills idle processors
+        from the run queue and takes the earliest completion, and stops
+        once the queue is empty and ``_busy`` processors have been seen:
+        an event costs what the busy processors cost, not ``GOMAXPROCS``
+        (docs/PERFORMANCE.md, section 2).
         """
         procs = self.procs
+        runq = self.runq
         timers = self._timers
         tickers = self._tickers
         clock = self.clock
+        randrange = self.rng.randrange
         gc_step_hook = self.gc_step_hook
         while True:
             if self.crashed is not None:
@@ -625,31 +634,33 @@ class Scheduler:
             # the RNG picks next.
             if tickers and tickers[0][0] <= now:
                 self._fire_due_tickers()
-            if self.runq:
-                self._dispatch_idle_procs()
-                if self.crashed is not None or self._main_exited:
-                    continue  # re-run the terminal checks at the loop top
 
-            # Earliest mutator completion, without a snapshot list.
+            # The walk: fill, take the earliest mutator completion, and
+            # remember the last busy processor.  Everything past the
+            # break is idle with nothing to pull.
             t_user: Optional[int] = None
-            any_busy = False
+            last: Optional[_Proc] = None
+            seen = 0
             for p in procs:
+                # A dispatched goroutine may finish (or crash) instantly
+                # without occupying the processor; keep pulling runnable
+                # goroutines until the processor is genuinely busy, so an
+                # idle processor always implies an empty run queue.
+                while p.g is None and runq and self.crashed is None:
+                    idx = randrange(len(runq))
+                    runq[idx], runq[-1] = runq[-1], runq[idx]
+                    self._start_instruction(p, runq.pop())
                 if p.g is not None:
-                    any_busy = True
-                    bu = p.busy_until
-                    if t_user is None or bu < t_user:
-                        t_user = bu
-            if not any_busy:
-                # No mutator is running: drive any in-flight GC cycle at
-                # the *current* clock before jumping time or declaring
-                # deadlock — goroutines parked in runtime.GC (GC_WAIT)
-                # become runnable when it completes.  This runs before
-                # ticker times are considered, so incremental cycles
-                # complete at the same virtual times with or without a
-                # ticker installed.
-                if gc_step_hook is not None and gc_step_hook():
-                    continue
-            else:
+                    seen += 1
+                    last = p
+                    if t_user is None or p.busy_until < t_user:
+                        t_user = p.busy_until
+                if not runq and seen == self._busy:
+                    break
+            if self.crashed is not None or self._main_exited:
+                continue  # re-run the terminal checks at the loop top
+
+            if last is not None:
                 # The next *user-relevant* event: a mutator instruction
                 # completing or a user timer firing.  GC stepping is tied
                 # to these only; a ticker coming due advances the clock
@@ -660,42 +671,56 @@ class Scheduler:
                 t_next = t_user
                 if tickers and tickers[0][0] < t_next:
                     t_next = tickers[0][0]
-                if until_ns is not None and t_next > until_ns:
-                    clock.advance_to(until_ns)
-                    return RunStatus.TIMEOUT
-                clock.advance_to(t_next)
+            elif gc_step_hook is not None and gc_step_hook():
+                # No mutator is running: drive any in-flight GC cycle at
+                # the *current* clock before jumping time or declaring
+                # deadlock — goroutines parked in runtime.GC (GC_WAIT)
+                # become runnable when it completes.  This runs before
+                # ticker times are considered, so incremental cycles
+                # complete at the same virtual times with or without a
+                # ticker installed.
+                continue
+            elif timers or tickers:
+                # Jump to the next timer — a pending ticker keeps the
+                # loop alive exactly as a system goroutine's sleep does.
+                t_next = min(h[0][0] for h in (timers, tickers) if h)
+            elif runq:
+                continue  # dispatch again (woken by that GC cycle)
+            else:
+                waiting_user = [
+                    g for g in self.allgs
+                    if g.status is _WAITING and not g.is_system
+                ]
+                if waiting_user:
+                    raise GlobalDeadlockError(
+                        len(waiting_user),
+                        dump=self.goroutine_dump(waiting_user))
+                return RunStatus.IDLE
+
+            if until_ns is not None and t_next > until_ns:
+                clock.advance_to(until_ns)
+                return RunStatus.TIMEOUT
+            if t_next > clock.now:
+                clock.now = t_next
+            # Nothing inside a completion can make an idle processor
+            # busy (dispatch happens in the walk only), so completions
+            # end at the last busy processor too.
+            if seen == 1:
+                if last.busy_until <= clock.now:
+                    self._complete(last)
+            elif seen:
                 # Busy/idle and the clock are re-read per processor: a
                 # completion may stall others (fault-forced GC) or jitter
                 # the clock, and both must be seen at visit time.
                 for p in procs:
                     if p.g is not None and p.busy_until <= clock.now:
                         self._complete(p)
-                if gc_step_hook is not None and t_next == t_user:
-                    # Incremental GC: one bounded mark/sweep budget per
-                    # scheduler tick, interleaved with mutator progress.
-                    gc_step_hook()
-                continue
-
-            # Either jump to the next timer — a pending ticker keeps the
-            # loop alive exactly as a system goroutine's sleep does — or
-            # stop.
-            if timers or tickers:
-                t = min(h[0][0] for h in (timers, tickers) if h)
-                if until_ns is not None and t > until_ns:
-                    clock.advance_to(until_ns)
-                    return RunStatus.TIMEOUT
-                clock.advance_to(t)
-                continue
-            if self.runq:
-                continue  # dispatch again (procs freed this iteration)
-            waiting_user = [
-                g for g in self.allgs
-                if g.status == GStatus.WAITING and not g.is_system
-            ]
-            if waiting_user:
-                raise GlobalDeadlockError(
-                    len(waiting_user), dump=self.goroutine_dump(waiting_user))
-            return RunStatus.IDLE
+                    if p is last:
+                        break
+            if gc_step_hook is not None and t_next == t_user:
+                # Incremental GC: one bounded mark/sweep budget per
+                # scheduler tick, interleaved with mutator progress.
+                gc_step_hook()
 
     def goroutine_dump(self,
                        goroutines: Optional[List[Goroutine]] = None) -> str:
@@ -706,7 +731,7 @@ class Scheduler:
             goroutines = self.live_goroutines()
         lines = []
         for g in goroutines:
-            if g.status == GStatus.WAITING and g.wait_reason is not None:
+            if g.status is _WAITING and g.wait_reason is not None:
                 state = g.wait_reason.value
             else:
                 state = g.status.value
@@ -726,28 +751,15 @@ class Scheduler:
             # actually passed (an early-woken sleeper that re-parked
             # leaves a stale entry whose deadline belongs to the past).
             if (g.goid == goid
-                    and g.status == GStatus.WAITING
+                    and g.status is _WAITING
                     and g.wake_at is not None
                     and g.wake_at <= self.clock.now):
                 self.wake(g, result=None)
 
-    def _dispatch_idle_procs(self) -> None:
-        runq = self.runq
-        randrange = self.rng.randrange
-        for p in self.procs:
-            # A dispatched goroutine may finish (or crash) instantly
-            # without occupying the processor; keep pulling runnable
-            # goroutines until the processor is genuinely busy, so an
-            # idle processor always implies an empty run queue.
-            while p.g is None and runq and self.crashed is None:
-                idx = randrange(len(runq))
-                runq[idx], runq[-1] = runq[-1], runq[idx]
-                self._start_instruction(p, runq.pop())
-
     def _start_instruction(self, p: _Proc, g: Goroutine) -> None:
         if self._telemetry is not None:
             self._telemetry.on_context_switch(len(self.runq))
-        g.status = GStatus.RUNNING
+        g.status = _RUNNING
         exc, g.pending_exc = g.pending_exc, None
         value, g.pending_value = g.pending_value, None
         try:
@@ -757,6 +769,10 @@ class Scheduler:
                 instr = g.gen.throw(exc)
             else:
                 instr = g.gen.send(value)
+            if not isinstance(instr, Instruction):
+                raise InvalidInstruction(
+                    f"goroutine {g.goid} yielded {instr!r}, "
+                    "not an Instruction")
         except StopIteration as stop:
             # Reaching the end of the body counts as having handled any
             # in-flight panic (a Python-level catch is a recover).
@@ -784,17 +800,9 @@ class Scheduler:
             if self.telemetry is not None:
                 self.telemetry.on_crash(g.goid, str(err))
             return
-        if not isinstance(instr, Instruction):
-            err2 = InvalidInstruction(
-                f"goroutine {g.goid} yielded {instr!r}, not an Instruction"
-            )
-            self.finish(g)
-            self.crashed = (g, err2)
-            if self.telemetry is not None:
-                self.telemetry.on_crash(g.goid, str(err2))
-            return
         p.g = g
         p.instr = instr
+        self._busy += 1
         # Opcode compares instead of isinstance chains.  Subclasses
         # inherit the parent's OP, matching the historical isinstance
         # semantics exactly (same RNG draws).
@@ -804,9 +812,8 @@ class Scheduler:
         elif op == OP_SLEEP or op == OP_RUN_GC:
             cost = self.base_cost_ns
         else:
-            cost = int(self.base_cost_ns * self.rng.uniform(0.75, 1.25))
-            if cost < 1:
-                cost = 1
+            # uniform(0.75, 1.25), bit for bit: b - a is exactly 0.5.
+            cost = int(self.base_cost_ns * (0.75 + 0.5 * self.rng.random()))
         self.cpu_busy_ns += cost
         p.busy_until = self.clock.now + cost
         if self._tracer is not None:
@@ -816,17 +823,19 @@ class Scheduler:
         g, instr = p.g, p.instr
         assert g is not None and instr is not None
         self.instructions_executed += 1
+        injected = None
         if self.fault_hook is not None:
             # The proc still holds the instruction while the hook runs,
             # so a fault-forced GC sees its operands as in-flight roots.
             injected = self.fault_hook(g, instr)
-            if injected is not None:
-                p.g = None
-                p.instr = None
-                self.resume(g, exc=injected)
-                return
+            if p.g is not g:
+                return  # that GC's rollback killed g: no effect to apply
         p.g = None
         p.instr = None
+        self._busy -= 1
+        if injected is not None:
+            self.resume(g, exc=injected)
+            return
         try:
             self._execute(self, g, instr)
         except GoPanic as panic:
@@ -840,11 +849,11 @@ class Scheduler:
         """Re-enqueue a running goroutine with its instruction result."""
         g.pending_value = result
         g.pending_exc = exc
-        g.status = GStatus.RUNNABLE
+        g.status = _RUNNABLE
         self.runq.append(g)
 
     def stall_all(self, pause_ns: int) -> None:
         """Stop-the-world: push back every in-flight instruction."""
         for p in self.procs:
-            if not p.idle:
+            if p.g is not None:
                 p.busy_until += pause_ns
