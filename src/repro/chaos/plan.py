@@ -111,6 +111,10 @@ class FaultPlan:
         self.scenario = scenario
         self.rng = random.Random(seed ^ 0xC4A05)
         self.trace: List[FaultRecord] = []
+        #: Records in ``trace`` whose outcome is "injected", kept by
+        #: :meth:`record` (the only writer; a record's outcome never
+        #: changes) because :meth:`next_fault` reads it at every yield.
+        self._injected = 0
         self._kinds, self._weights = scenario.scheduler_mix()
 
     # -- decisions ---------------------------------------------------------
@@ -159,10 +163,12 @@ class FaultPlan:
         rec = FaultRecord(len(self.trace), time_ns, kind, target_goid,
                           detail, outcome)
         self.trace.append(rec)
+        if outcome == "injected":
+            self._injected += 1
         return rec
 
     def injected_count(self) -> int:
-        return sum(1 for r in self.trace if r.outcome == "injected")
+        return self._injected
 
     def rejected_count(self) -> int:
         return sum(1 for r in self.trace if r.outcome == "rejected")

@@ -244,8 +244,10 @@ def expand_liveness_fixpoint(heap: Heap, candidates: List[Goroutine],
         still_pending = []
         for g in pending:
             result.liveness_checks += len(g.blocked_on)
-            if any(blocking_object_reachable(heap, o) for o in g.blocked_on):
-                newly_live.append(g)
+            for obj in g.blocked_on:
+                if blocking_object_reachable(heap, obj):
+                    newly_live.append(g)
+                    break
             else:
                 still_pending.append(g)
         if not newly_live:

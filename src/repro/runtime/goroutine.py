@@ -16,6 +16,7 @@ the pool.
 from __future__ import annotations
 
 import enum
+import sys
 from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.runtime.objects import HeapObject, scan_each, scan_into
@@ -261,7 +262,9 @@ class Goroutine(HeapObject):
         frame = self._innermost_frame()
         if frame is None:
             return "<no stack>"
-        return f"{frame.f_code.co_filename}:{frame.f_lineno}"
+        # Interned: every channel, goroutine and go-create record made at
+        # one site shares one string instead of holding its own copy.
+        return sys.intern(f"{frame.f_code.co_filename}:{frame.f_lineno}")
 
     def stack_trace(self) -> List[str]:
         """Best-effort stack trace of the suspended body."""

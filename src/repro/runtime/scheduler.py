@@ -17,8 +17,8 @@ from ``(program, procs, seed)``.
 from __future__ import annotations
 
 import heapq
-import inspect
 import random
+from types import GeneratorType
 from typing import Any, Callable, Dict, List, Optional, Tuple  # noqa: F401
 
 from repro.errors import (
@@ -238,7 +238,7 @@ class Scheduler:
         the Go runtime's ``*g`` recycling (paper, section 5.4).
         """
         gen = fn(*args)
-        if not inspect.isgenerator(gen):
+        if type(gen) is not GeneratorType:
             raise TypeError(
                 f"goroutine body must be a generator function, got {fn!r}"
             )
@@ -606,14 +606,22 @@ class Scheduler:
         one pass over ``procs`` in pid order that fills idle processors
         from the run queue and takes the earliest completion, and stops
         once the queue is empty and ``_busy`` processors have been seen:
-        an event costs what the busy processors cost, not ``GOMAXPROCS``
-        (docs/PERFORMANCE.md, section 2).
+        an event costs what the busy processors cost, not ``GOMAXPROCS``.
+        The run-queue pick is ``Random.randrange``'s own algorithm spelled
+        in place — ``getrandbits(n.bit_length())``, redrawn while it is
+        not below ``n`` — so it consumes the generator exactly as
+        ``randrange(len(runq))`` does, one-goroutine queues included,
+        without the two stdlib frames (docs/PERFORMANCE.md, section 2).
         """
         procs = self.procs
         runq = self.runq
         timers = self._timers
         tickers = self._tickers
         clock = self.clock
+        # A scripted rng (verify.explore) records each pick as one
+        # decision over its domain and has no bits to give: it alone is
+        # asked for ``randrange(n)``.
+        getrandbits = getattr(self.rng, "getrandbits", None)
         randrange = self.rng.randrange
         gc_step_hook = self.gc_step_hook
         while True:
@@ -647,8 +655,18 @@ class Scheduler:
                 # goroutines until the processor is genuinely busy, so an
                 # idle processor always implies an empty run queue.
                 while p.g is None and runq and self.crashed is None:
-                    idx = randrange(len(runq))
-                    runq[idx], runq[-1] = runq[-1], runq[idx]
+                    n = len(runq)
+                    if getrandbits is not None:
+                        # Drawn even when n == 1: dropping it would move
+                        # every later draw of the run.
+                        k = n.bit_length()
+                        idx = getrandbits(k)
+                        while idx >= n:
+                            idx = getrandbits(k)
+                    else:
+                        idx = randrange(n)
+                    if idx != n - 1:
+                        runq[idx], runq[-1] = runq[-1], runq[idx]
                     self._start_instruction(p, runq.pop())
                 if p.g is not None:
                     seen += 1
@@ -683,7 +701,12 @@ class Scheduler:
             elif timers or tickers:
                 # Jump to the next timer — a pending ticker keeps the
                 # loop alive exactly as a system goroutine's sleep does.
-                t_next = min(h[0][0] for h in (timers, tickers) if h)
+                if not timers:
+                    t_next = tickers[0][0]
+                else:
+                    t_next = timers[0][0]
+                    if tickers and tickers[0][0] < t_next:
+                        t_next = tickers[0][0]
             elif runq:
                 continue  # dispatch again (woken by that GC cycle)
             else:

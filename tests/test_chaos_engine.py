@@ -100,6 +100,20 @@ class TestScheduleReplay:
             b = run_chaos_schedule(bench, seed=31, scenario=name)
             assert a.to_dict() == b.to_dict(), name
 
+    def test_injected_count_is_the_trace_count_in_every_scenario(self):
+        """``FaultPlan.injected_count()`` is a running count kept by
+        ``record()``, read at every yield; the trace is the truth."""
+        total = 0
+        for bench in all_benchmarks()[:3]:
+            for name in SCENARIOS:
+                result = run_chaos_schedule(bench, seed=31, scenario=name)
+                in_trace = sum(r["outcome"] == "injected"
+                               for r in result.trace)
+                assert result.injected == in_trace, (bench.name, name)
+                assert in_trace <= get_scenario(name).max_faults
+                total += in_trace
+        assert total > 0
+
 
 class TestInjectorGuards:
     """The injector must refuse faults that would break soundness by

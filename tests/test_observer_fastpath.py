@@ -51,8 +51,9 @@ from repro.trace.tracer import ExecutionTracer
 ADDED_CALLS_PER_VINSTR = 12.8
 
 #: Bare Python-level calls per virtual instruction of the same run
-#: (17.04 with three processor walks per event, 14.3 with one).
-BARE_CALLS_PER_VINSTR = 15.0
+#: (17.04 with three processor walks per event, 14.3 with one, 11.6
+#: with the run-queue pick drawn in place of ``randrange``'s two frames).
+BARE_CALLS_PER_VINSTR = 12.5
 
 
 # ---------------------------------------------------------------------------
