@@ -70,8 +70,8 @@ def scan_and_mark_subgraph(heap: Heap,
 
     Returns ``(found_finalizer, mark_work_units, exclusive_bytes)`` —
     the last being the bytes newly marked here, i.e. memory kept alive
-    *only* by deadlocked goroutines (the liveness precision gap the
-    telemetry surfaces as ``repro_gc_reachable_dead_bytes``).
+    *only* by deadlocked goroutines (the liveness precision gap, kept
+    per cycle as ``CycleStats.reachable_dead_bytes``).
     """
     found = False
     work = 0

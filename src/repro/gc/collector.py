@@ -363,7 +363,7 @@ class Collector:
                 else:
                     self._pending_reclaim.append(g)
             if self.sched.telemetry is not None:
-                self.sched.telemetry.on_leak_report(report, kept=kept)
+                self.sched.telemetry.on_leak_report(report)
 
     def _finish_cycle_stats(self, cs: CycleStats) -> None:
         """Record after-stats, retarget the pacer, and publish the cycle."""

@@ -173,8 +173,8 @@ class Scheduler:
         #: behind the ``telemetry`` property, like ``_tracer``.
         self._telemetry = None
         #: Fast-path flag: True iff a tracer or telemetry hub is
-        #: attached.  Park/wake/spawn/finish check this one flag instead
-        #: of two hook attributes each.
+        #: attached.  Park and wake check this one flag instead of two
+        #: hook attributes each; spawn and finish have only the tracer's.
         self._observed = False
         #: Optional select-case policy override (see repro.fuzz): called
         #: with the list of ready case indices, returns the chosen one.
@@ -262,11 +262,8 @@ class Scheduler:
         self.runq.append(g)
         if self.main_g is None and not system:
             self.main_g = g
-        if self._observed:
-            if self._tracer is not None:
-                self._tracer.on_create(g)
-            if self._telemetry is not None:
-                self._telemetry.on_spawn(g)
+        if self._tracer is not None:
+            self._tracer.on_create(g)
         return g
 
     # ------------------------------------------------------------------
@@ -433,11 +430,8 @@ class Scheduler:
         g.finished_value = value
         g.finish()
         self.gfree.append(g)
-        if self._observed:
-            if self._tracer is not None:
-                self._tracer.on_finish(g)
-            if self._telemetry is not None:
-                self._telemetry.on_finish(g)
+        if self._tracer is not None:
+            self._tracer.on_finish(g)
         if g is self.main_g:
             self._main_exited = True
 
@@ -781,7 +775,7 @@ class Scheduler:
 
     def _start_instruction(self, p: _Proc, g: Goroutine) -> None:
         if self._telemetry is not None:
-            self._telemetry.on_context_switch(len(self.runq))
+            self._telemetry.on_context_switch()
         g.status = _RUNNING
         exc, g.pending_exc = g.pending_exc, None
         value, g.pending_value = g.pending_value, None

@@ -128,7 +128,8 @@ def run_controlled(config: Optional[ControlledConfig] = None,
     ``gc_config`` overrides the collector configuration entirely (used
     by the pause benchmark to pit ``atomic`` against ``incremental`` on
     an otherwise identical workload); by default ``golf`` picks between
-    GOLF and the baseline collector.
+    GOLF and the baseline collector.  ``telemetry`` is a hub attached to
+    the runtime before the workload starts.
     """
     config = config or ControlledConfig()
     if gc_config is None:
@@ -136,7 +137,6 @@ def run_controlled(config: Optional[ControlledConfig] = None,
     rt = Runtime(procs=config.procs, seed=config.seed, config=gc_config)
     if telemetry is not None:
         telemetry.attach(rt)
-    svc = telemetry.service("controlled") if telemetry is not None else None
     rt.enable_periodic_gc(config.periodic_gc_ms * MILLISECOND)
 
     host_rng = random.Random(config.seed ^ 0xC11E27)
@@ -204,8 +204,8 @@ def run_controlled(config: Optional[ControlledConfig] = None,
             if t0 >= warmup_end:
                 latencies.append(t1 - t0)
                 state["completed"] += 1
-                if svc is not None:
-                    svc.observe_request(t1 - t0)
+                # Stacks and block sites embed each yield's file:line,
+                # so the yields below keep the lines they always had.
 
     def main():
         yield Go(server, name="rpc-server")

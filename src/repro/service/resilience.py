@@ -254,16 +254,16 @@ def run_resilient_production(
     :class:`~repro.chaos.plan.FaultPlan`.
 
     Pass a :class:`~repro.telemetry.TelemetryHub` as ``telemetry`` to
-    collect request latency/outcome, retry/timeout, and breaker-state
-    instruments under the ``resilience`` service label, plus leak
-    fingerprints as the detector reports each leak.
+    attach it to the runtime: it collects leak fingerprints as the
+    detector reports each leak.  Request outcomes, retries, timeouts
+    and breaker activity are the result's fields, with or without a
+    hub.
     """
     config = config or ResilienceConfig()
     gc_config = GolfConfig() if golf else GolfConfig.baseline()
     rt = Runtime(procs=config.procs, seed=config.seed, config=gc_config)
     if telemetry is not None:
         telemetry.attach(rt)
-    svc = telemetry.service("resilience") if telemetry is not None else None
     rt.enable_periodic_gc(config.periodic_gc_s * SECOND)
     plan = plan or FaultPlan(CHAOS_SEED,
                              get_scenario(config.chaos_scenario))
@@ -315,10 +315,10 @@ def run_resilient_production(
                      name="resilient-handler")
             verdict, _ = yield Recv(reply)
             state[verdict] += 1
-            if svc is not None:
-                t1 = yield Now()
-                svc.observe_request(t1 - t0, outcome=verdict)
-                svc.set_breaker(breaker.state)
+            # Stacks and block sites embed each yield's file:line, so
+            # the yields below keep the lines they always had.  The
+            # client issues the same instructions with or without a hub
+            # attached: an observed run schedules like an unobserved one.
             yield Sleep(config.think_time_ms * MILLISECOND)
 
     def main():
@@ -348,11 +348,5 @@ def run_resilient_production(
     result.reclaimed = rt.collector.stats.total_goroutines_reclaimed
     result.dedup_sites = sorted({r.label for r in rt.reports if r.label})
     result.blocked_at_end = rt.blocked_goroutine_count()
-    if svc is not None:
-        svc.retries.inc(stats["retries"])
-        svc.timeouts.inc(stats["timeouts"])
-        svc.breaker_opens.inc(breaker.times_opened)
-        svc.breaker_rejected.inc(breaker.rejected_calls)
-        svc.set_breaker(breaker.state)
     rt.shutdown()
     return result

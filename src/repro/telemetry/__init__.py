@@ -3,8 +3,8 @@
 Four surfaces behind one :class:`TelemetryHub`:
 
 - **metrics** (:mod:`repro.telemetry.metrics`): Prometheus-model
-  counters/gauges/histograms over the scheduler, GC, detector, semaphore
-  table, and services;
+  counters/gauges/histograms over the scheduler, GC, detector, daemon
+  and recovery;
 - **flight recorder** (:mod:`repro.telemetry.recorder`): a bounded ring
   of structured events with dump-on-incident;
 - **profiles** (:mod:`repro.telemetry.profiles`): goroutine and heap
@@ -43,7 +43,6 @@ from repro.telemetry.export import (
     write_artifacts,
 )
 from repro.telemetry.hub import (
-    ServiceInstruments,
     TelemetryHub,
     get_default_hub,
     set_default_hub,
@@ -55,7 +54,6 @@ from repro.telemetry.metrics import (
     HISTOGRAM,
     Metric,
     MetricsRegistry,
-    SIZE_BUCKETS,
     cumulative_at,
     quantile_from_buckets,
     render_merged_prometheus,
@@ -116,10 +114,8 @@ __all__ = [
     "render_merged_prometheus",
     "RecorderEvent",
     "RingBuffer",
-    "SIZE_BUCKETS",
     "ScraperError",
     "Series",
-    "ServiceInstruments",
     "TelemetryHub",
     "ThresholdRule",
     "TimeSeriesDB",

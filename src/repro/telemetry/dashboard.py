@@ -25,8 +25,9 @@ from repro.codec import need
 from repro.errors import ArtifactError
 from repro.runtime.clock import MILLISECOND, SECOND
 
-#: Bumped when the `repro dash` JSON artifact shape changes.
-DASH_SCHEMA_VERSION = 1
+#: Bumped when the `repro dash` JSON artifact shape changes (2: the
+#: aggregate carries ``tsdb_dropped_points``).
+DASH_SCHEMA_VERSION = 2
 
 #: Eight-level block ramp used for sparklines (space = no data).
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -38,6 +39,8 @@ PANELS = (
     ("repro_heap_live_bytes", "heap live bytes"),
     ("repro_detector_leaks_total", "leaks detected"),
     ("repro_gc_cycles_total", "gc cycles"),
+    ("repro_recorder_dropped_total", "recorder drops"),
+    ("repro_trace_dropped_total", "trace drops"),
 )
 
 
@@ -89,6 +92,7 @@ class DashResult:
     def to_dict(self) -> dict:
         fleet = self.fleet
         agg = fleet.to_dict()["aggregate"]
+        rollup = fleet.tsdb_rollup()
         shard_ids = sorted(fleet.alert_sources, key=int)
         # Every shard evaluates the same rule set; declare it once.
         rules = (fleet.alert_sources[shard_ids[0]]["rules"]
@@ -105,8 +109,9 @@ class DashResult:
                 "leaks_reclaimed": agg["leaks_reclaimed"],
                 "leaks_per_s": agg["leaks_per_s"],
                 "fingerprints": len(fleet.fingerprints),
+                "tsdb_dropped_points": rollup["dropped_points"],
             },
-            "rollup": fleet.tsdb_rollup(),
+            "rollup": rollup,
             "alert_timeline": fleet.alert_timeline(),
             "alerts": {sid: fleet.alert_sources[sid]["summary"]
                        for sid in shard_ids},
@@ -131,6 +136,8 @@ class DashResult:
             f"{agg['leaks_reclaimed']} reclaimed "
             f"({agg['leaks_per_s']:.1f}/s, "
             f"{agg['fingerprints']} fingerprint(s))",
+            f"  drops    : {agg['tsdb_dropped_points']} TSDB point(s) "
+            f"evicted (recorder and trace drops: panels below)",
             "",
         ]
         lines.extend(self._format_slo_table(doc))
@@ -241,7 +248,8 @@ def validate_dash_artifact(doc: dict) -> Dict[str, int]:
     need(doc, "problems", list, "artifact")
     need(doc, "aggregate", dict, "artifact")
     for key in ("users", "requests_completed", "makespan_ns",
-                "leaks_detected", "leaks_reclaimed", "fingerprints"):
+                "leaks_detected", "leaks_reclaimed", "fingerprints",
+                "tsdb_dropped_points"):
         need(doc["aggregate"], key, int, "aggregate")
     rollup = need(doc, "rollup", dict, "artifact")
     sources = need(rollup, "sources", list, "rollup")

@@ -34,9 +34,6 @@ DURATION_BUCKETS_NS = (
     50_000_000, 100_000_000, 500_000_000, 1_000_000_000,
 )
 
-#: Default buckets for dimensionless sizes/depths.
-SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096)
-
 
 def _format_value(value: float) -> str:
     """Render a sample value the way Prometheus text format expects."""
@@ -280,6 +277,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
+        #: Every metric in name order, kept sorted by :meth:`_register`
+        #: (the only mutation) so iterating never sorts.
+        self._ordered: List[Metric] = []
 
     # -- registration --------------------------------------------------------
 
@@ -296,11 +296,13 @@ class MetricsRegistry:
             return existing
         metric = Metric(name, help_text, kind, labelnames, unit, buckets)
         self._metrics[name] = metric
+        names = [m.name for m in self._ordered]
+        self._ordered.insert(bisect_left(names, name), metric)
         return metric
 
     def counter(self, name: str, help_text: str = "",
-                labelnames: Sequence[str] = (), unit: str = "") -> Metric:
-        return self._register(name, help_text, COUNTER, labelnames, unit)
+                labelnames: Sequence[str] = ()) -> Metric:
+        return self._register(name, help_text, COUNTER, labelnames, "")
 
     def gauge(self, name: str, help_text: str = "",
               labelnames: Sequence[str] = (), unit: str = "") -> Metric:
@@ -316,7 +318,7 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def __iter__(self):
-        return iter(sorted(self._metrics.values(), key=lambda m: m.name))
+        return iter(self._ordered)
 
     def __len__(self) -> int:
         return len(self._metrics)

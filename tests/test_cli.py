@@ -194,10 +194,19 @@ class TestDashCommand:
         assert "repro dash: 2 shard(s)" in out
         assert "SLO alerts (per shard):" in out
         assert "panels (one sparkline per shard):" in out
+        # Event loss is a first-class row: ring drops as panels, evicted
+        # TSDB points on the aggregate line and in the artifact.
+        for shard in ("0", "1"):
+            assert f"recorder drops       shard {shard}:" in out
+            assert f"trace drops          shard {shard}:" in out
         with open(tmp_path / "dash-n2-s7.json") as fh:
-            counts = validate_dash_artifact(json.load(fh))
+            doc = json.load(fh)
+        counts = validate_dash_artifact(doc)
         assert counts["sources"] == 2
         assert counts["rules"] == 6
+        dropped = doc["aggregate"]["tsdb_dropped_points"]
+        assert dropped == doc["rollup"]["dropped_points"]
+        assert f"  drops    : {dropped} TSDB point(s) evicted" in out
 
     def test_dash_same_seed_byte_identical(self, tmp_path, capsys):
         outputs, blobs = [], []

@@ -7,7 +7,8 @@ are a fixed, named list.  An option or an upward edge added later has to
 edit this file and say who needs it.  Likewise the byte form of every
 artifact: ``json`` is spelled in ``repro.codec`` and nowhere else.  And
 every option has a caller: a defaulted parameter that no call in the
-repository passes is a constant, not an option.
+repository passes is a constant, not an option.  And every output has a
+reader: a metric series nothing reads is not registered.
 """
 
 from __future__ import annotations
@@ -346,6 +347,49 @@ def test_every_option_has_a_caller():
         f"  {path}: {qualname}({param})" for path, qualname, param in unset)
     stale = set(KEPT_DEFAULTS) - set(never)
     assert stale == set(), f"kept defaults now passed somewhere: {stale}"
+
+
+#: Series read by something other than an alert rule or a dashboard
+#: panel (those two are read off the code): ``metric name -> reader``.
+OUTPUT_READERS = {
+    "repro_sched_context_switches_total":
+        "the `repro obs` report's context-switch line (ObsResult.format)",
+    "repro_gc_cycles_total":
+        "the `repro obs` report's gc-cycle line (ObsResult.format)",
+    "repro_clock_ns":
+        "tests/test_daemon.py reads its scrape timestamps to check the "
+        "scraper's cadence",
+}
+
+
+def test_every_output_has_a_reader():
+    """A series nothing reads still costs its hot-path update, a `.prom`
+    line and a TSDB point per scrape: give it a reader, or drop it."""
+    from repro.telemetry import builtin_slo_rules
+    from repro.telemetry.dashboard import PANELS
+
+    readers = dict(OUTPUT_READERS)
+    for rule in builtin_slo_rules():
+        for name in rule.describe()["metrics"]:
+            readers.setdefault(name, f"alert {rule.name}")
+    for name, title in PANELS:
+        readers.setdefault(name, f"dashboard panel {title!r}")
+    registered = [metric.name for metric in TelemetryHub().registry]
+    unread = [name for name in registered if name not in readers]
+    assert unread == [], f"{len(unread)} series nobody reads:\n" + "\n".join(
+        f"  {name}" for name in unread)
+    stale = set(OUTPUT_READERS) - set(registered)
+    assert stale == set(), f"readers of unregistered series: {stale}"
+
+
+def test_metric_catalog_is_the_registry():
+    """docs/OBSERVABILITY.md's catalog lists exactly the registered
+    series, once each."""
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    table = text.split("## Metric catalog", 1)[1].split("\n\n*Read by*")[0]
+    documented = [line.split("`")[1] for line in table.splitlines()
+                  if line.startswith("| `")]
+    assert sorted(documented) == [m.name for m in TelemetryHub().registry]
 
 
 def test_shrunk_config_sizes():

@@ -31,11 +31,7 @@ from repro.runtime.waitreason import WaitReason
 from repro.service.controlled import ControlledConfig, run_controlled
 from repro.service.production import ProductionConfig, run_production
 from repro.telemetry import TelemetryHub
-from repro.telemetry.metrics import (
-    DURATION_BUCKETS_NS,
-    SIZE_BUCKETS,
-    HistogramChild,
-)
+from repro.telemetry.metrics import DURATION_BUCKETS_NS, HistogramChild
 from repro.trace import events as ev
 from repro.trace import provenance
 from repro.trace.chrome import export_chrome_trace
@@ -43,12 +39,13 @@ from repro.trace.events import TraceEvent
 from repro.trace.tracer import ExecutionTracer
 
 #: Python-level calls the observers may add per virtual instruction of
-#: the production service (9.7; the eager observers added 1.52 x bare).
-#: It is the old "observed / bare <= 1.75" restated over a denominator
-#: the observers do not share — 0.75 x the 17.04 bare calls per
-#: instruction of the loop it was set against — so that a faster bare
-#: run loop no longer reads as slower observers.
-ADDED_CALLS_PER_VINSTR = 12.8
+#: the production service, over a denominator the observers do not
+#: share, so that a faster bare run loop never reads as slower
+#: observers.  Measured 9.52 with 53 registered series (bound 12.8) and
+#: 6.80 with the 12 that have a reader — no ``runq_depth`` observe per
+#: dispatch, no spawn/finish/park/wake counters; the bound keeps the
+#: same relative headroom (x 1.34).
+ADDED_CALLS_PER_VINSTR = 9.1
 
 #: Bare Python-level calls per virtual instruction of the same run
 #: (17.04 with three processor walks per event, 14.3 with one, 11.6
@@ -577,14 +574,17 @@ def test_render_preserves_key_order():
 # (d) histogram buckets: bisection ≡ the linear scan
 # ---------------------------------------------------------------------------
 
+#: Small power-of-two bounds with a gap at the top (512 is skipped).
+SMALL_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096)
+
 _observations = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-10, max_value=2_000_000_000),
-    st.sampled_from(DURATION_BUCKETS_NS + SIZE_BUCKETS),
+    st.sampled_from(DURATION_BUCKETS_NS + SMALL_BUCKETS),
 )
 
 
-@pytest.mark.parametrize("buckets", [DURATION_BUCKETS_NS, SIZE_BUCKETS,
+@pytest.mark.parametrize("buckets", [DURATION_BUCKETS_NS, SMALL_BUCKETS,
                                      (10,), (1.5, 1.5, 7)])
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(_observations, max_size=30))
@@ -606,39 +606,27 @@ def test_observe_edges():
 
 
 # ---------------------------------------------------------------------------
-# (e) the hub's bound children are the registry's children
+# (e) the hub's bound child is the registry's child
 # ---------------------------------------------------------------------------
 
 
 def test_bound_children_are_the_registrys():
     hub, ref = TelemetryHub(), TelemetryHub()
     g = SimpleNamespace(goid=5)
-    for depth in (0, 1, 3, 17, 4096, 5000):
-        hub.on_context_switch(depth)
+    for _ in range(6):
+        hub.on_context_switch()
         ref.ctx_switches.inc()
-        ref.runq_depth.set(depth)
-        ref.runq_depth_hist.observe(depth)
-    for reason in (WaitReason.CHAN_SEND, WaitReason.SLEEP,
-                   WaitReason.CHAN_SEND):
+    # Park and wake reach only the recorder (below its INFO floor here).
+    for reason in (WaitReason.CHAN_SEND, WaitReason.SLEEP):
         hub.on_park(g, reason)
-        ref.parks.labels(reason.value).inc()
-    hub.on_spawn(g)
-    ref.spawned.inc()
     hub.on_wake(g)
-    ref.wakes.inc()
-    hub.on_finish(g)
-    ref.finished.inc()
     assert hub.registry.snapshot() == ref.registry.snapshot()
     assert hub.registry.render_prometheus() == \
         ref.registry.render_prometheus()
-    assert hub.ctx_switches.value == 6 and hub.runq_depth.value == 5000
-    for name in ("repro_sched_context_switches_total",
-                 "repro_sched_runq_depth", "repro_sched_runq_depth_sample",
-                 "repro_sched_goroutines_spawned_total",
-                 "repro_sched_goroutines_finished_total",
-                 "repro_sched_wake_total"):
-        ((_, child),) = hub.registry.get(name).series()
-        assert any(child is bound for bound in vars(hub).values()), name
+    assert hub.ctx_switches.value == 6
+    ((_, child),) = hub.registry.get(
+        "repro_sched_context_switches_total").series()
+    assert child is hub._ctx_switches
 
 
 # ---------------------------------------------------------------------------

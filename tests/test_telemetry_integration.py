@@ -57,7 +57,7 @@ class TestDeterminism:
 
     def test_exposition_is_scrapeable(self):
         hub = _observed_run()
-        assert validate_exposition(hub.render_prometheus()) > 50
+        assert validate_exposition(hub.render_prometheus()) > 40
 
 
 class TestRuntimeWiring:
@@ -85,19 +85,19 @@ class TestRuntimeWiring:
         hub = TelemetryHub(min_severity=DEBUG)
         self._leaky_run(hub)
         assert hub.ctx_switches.value > 0
-        assert hub.spawned.value >= 2  # main + leaker
         metric = hub.registry.get("repro_gc_cycles_total")
         assert sum(c.value for _, c in metric.series()) >= 2
-        park_reasons = {v[0] for v, _ in hub.parks.series()}
+        park_reasons = {e.detail for e in hub.recorder.events("sched")
+                        if e.kind == ev.GO_PARK}
         assert "chan send" in park_reasons
 
     def test_detector_instruments_and_incident(self):
         hub = TelemetryHub()
         self._leaky_run(hub)
         found = hub.registry.get("repro_detector_leaks_total")
-        reclaimed = hub.registry.get("repro_detector_leaks_reclaimed_total")
         assert sum(c.value for _, c in found.series()) == 1
-        assert sum(c.value for _, c in reclaimed.series()) == 1
+        assert [e.goid for e in hub.recorder.events("detector")
+                if e.kind == ev.GO_RECLAIM] == [2]
         assert len(hub.fingerprints) == 1
         reasons = [i.reason for i in hub.recorder.incidents]
         assert "leak-report" in reasons
@@ -165,20 +165,18 @@ class TestColdHooks:
     """Hooks only an unusual run reaches: each fires from the smallest
     program that triggers it, into a hub and a tracer at once."""
 
-    @pytest.mark.parametrize("scenario, gc_mode, counters, recorder_line, "
+    @pytest.mark.parametrize("scenario, gc_mode, recorder_line, "
                              "incident, trace_kind", [
         (_incremental_store, "incremental",
-         {"repro_gc_phase_transitions_total": 5},
          "gc-phase #1 marking", None, ev.BARRIER_SHADE),
-        (_scoped_panic, "atomic", {"repro_sched_crashes_total": 0},
-         "scoped boom", None, ev.GO_PANIC),
-        (_fatal_panic, "atomic", {"repro_sched_crashes_total": 1},
+        (_scoped_panic, "atomic", "scoped boom", None, ev.GO_PANIC),
+        (_fatal_panic, "atomic",
          "crash g1 fatal boom", "fatal-panic", None),
-        (_stall, "atomic", {"repro_watchdog_stalls_total": 1},
+        (_stall, "atomic",
          "stall 1 user goroutine(s) wedged: [1]", "watchdog-stall",
          "watchdog-stall"),
     ], ids=["gc-phase+shade", "goroutine-panic", "crash", "stall"])
-    def test_hook_reaches_hub_and_tracer(self, scenario, gc_mode, counters,
+    def test_hook_reaches_hub_and_tracer(self, scenario, gc_mode,
                                          recorder_line, incident,
                                          trace_kind):
         rt = Runtime(procs=2, seed=3, config=GolfConfig(gc_mode=gc_mode))
@@ -186,9 +184,6 @@ class TestColdHooks:
         rt.enable_telemetry(hub)
         tracer = rt.enable_tracing()
         scenario(rt)
-        for name, total in counters.items():
-            series = hub.registry.get(name).series()
-            assert sum(child.value for _, child in series) == total, name
         dump = hub.recorder.dump()
         assert recorder_line in " ".join(dump.split()), dump
         assert [i.reason for i in hub.recorder.incidents
@@ -219,11 +214,6 @@ class TestCrossRunDedup:
         assert hub.fingerprints.new_in_current_run == []
         for record in hub.fingerprints.records():
             assert record.runs == ["res-1", "res-2"]
-        # The service-layer instruments saw traffic too.
-        requests = hub.registry.get("repro_service_requests_total")
-        total = sum(c.value for v, c in requests.series()
-                    if v[0] == "resilience")
-        assert total > 0
 
 
 class TestObsCli:
@@ -239,7 +229,7 @@ class TestObsCli:
         base = f"obs-{BENCH.replace('/', '-')}-p2-s0"
         prom = os.path.join(out_dir, f"{base}.prom")
         with open(prom) as fh:
-            assert validate_exposition(fh.read()) > 50
+            assert validate_exposition(fh.read()) > 40
         with open(os.path.join(out_dir, f"{base}-metrics.json")) as fh:
             snap = json.load(fh)
         assert json.loads(json.dumps(snap)) == snap

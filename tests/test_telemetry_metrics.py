@@ -124,9 +124,15 @@ class TestExposition:
         for key in ("zebra", "alpha", "mid"):
             c.labels(key).inc()
         reg.gauge("a_gauge").set(1)
+        reg.gauge("m_gauge").set(2)
         text = reg.render_prometheus()
-        # Metrics sorted by name; label values sorted within a metric.
-        assert text.index("a_gauge") < text.index("x_total")
+        # Metrics sorted by name whatever the registration order — in
+        # the exposition, the snapshot and iteration alike; label values
+        # sorted within a metric.
+        assert [m.name for m in reg] == list(reg.snapshot()) == [
+            "a_gauge", "m_gauge", "x_total"]
+        assert (text.index("a_gauge") < text.index("m_gauge")
+                < text.index("x_total"))
         assert (text.index('k="alpha"') < text.index('k="mid"')
                 < text.index('k="zebra"'))
 

@@ -203,16 +203,15 @@ class TestBaselinesAdapter:
 
 
 class TestTelemetry:
-    def test_on_vet_run_populates_instruments(self):
+    VERDICTS = "run 1 function(s): 0 leaky, 1 suspect, 0 unknown, 0 clean"
+
+    def test_on_vet_run_records_the_verdicts(self):
         from repro.telemetry import TelemetryHub
 
         hub = TelemetryHub()
         vet = vet_paths([LEAKY_SERVICE])
         hub.on_vet_run(vet)
-        assert hub.vet_runs.value == 1
-        assert hub.vet_functions.labels("suspect").value == 1
-        assert hub.vet_diagnostics.labels(
-            "send-may-drop", "warning").value == 1
+        assert self.VERDICTS in hub.recorder.dump()
 
     def test_cli_reports_into_default_hub(self, capsys):
         from repro.telemetry import get_default_hub, set_default_hub
@@ -224,4 +223,4 @@ class TestTelemetry:
             main(["vet", LEAKY_SERVICE])
         finally:
             set_default_hub(None)
-        assert hub.vet_runs.value == 1
+        assert hub.recorder.dump().count(self.VERDICTS) == 1
