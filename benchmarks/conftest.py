@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 
+from repro import codec
+
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 
@@ -17,9 +19,7 @@ def emit(name: str, text: str) -> None:
     """Print a regenerated artifact and archive it."""
     banner = f"\n===== {name} =====\n"
     print(banner + text)
-    os.makedirs(OUT_DIR, exist_ok=True)
-    with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as fh:
-        fh.write(text + "\n")
+    codec.write_text(os.path.join(OUT_DIR, f"{name}.txt"), text + "\n")
 
 
 def once(benchmark, fn):

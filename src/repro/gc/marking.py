@@ -18,7 +18,10 @@ Both ``work_units`` and ``objects_marked`` are order-independent —
 ``scan_work`` is charged once per newly marked object and one unit per
 traversed edge of each scanned object, and the marked set is the fixpoint
 closure of the roots — so swapping the original FIFO drain for LIFO
-stacks changes no observable quantity.
+stacks changes no observable quantity.  Each loop reads ``heap.epoch``
+once and tests and sets ``_mark_epoch`` inline — what
+:meth:`Heap.mark` does, without a call per edge; no mutator runs inside
+a loop, so the epoch cannot move under it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def mark_from(
     traversed references (pointer visits), the paper's measure of marking
     work.
     """
-    heap_mark = heap.mark
+    epoch = heap.epoch
     work = 0
     marked = 0
     #: Roots and on-the-fly extras pending a mark attempt.
@@ -64,7 +67,8 @@ def mark_from(
             obj = pend.pop()
             if respect_masks and isinstance(obj, Goroutine) and obj.masked:
                 continue
-            if heap_mark(obj):
+            if obj._mark_epoch != epoch:
+                obj._mark_epoch = epoch
                 marked += 1
                 work += obj.scan_work
                 gray.append(obj)
@@ -78,7 +82,8 @@ def mark_from(
             work += 1
             if respect_masks and isinstance(ref, Goroutine) and ref.masked:
                 continue
-            if heap_mark(ref):
+            if ref._mark_epoch != epoch:
+                ref._mark_epoch = epoch
                 marked += 1
                 work += ref.scan_work
                 gray.append(ref)
@@ -103,13 +108,14 @@ def push_roots(
     setup + complete drain totals the same work as one atomic pass over
     an unchanged heap.
     """
-    heap_mark = heap.mark
+    epoch = heap.epoch
     work = 0
     marked = 0
     for obj in roots:
         if respect_masks and isinstance(obj, Goroutine) and obj.masked:
             continue
-        if heap_mark(obj):
+        if obj._mark_epoch != epoch:
+            obj._mark_epoch = epoch
             marked += 1
             work += obj.scan_work
             gray.append(obj)
@@ -130,7 +136,7 @@ def drain_budget(
     ``(work_units, objects_marked)`` for the step; the queue being empty
     afterwards signals mark termination.
     """
-    heap_mark = heap.mark
+    epoch = heap.epoch
     work = 0
     marked = 0
     while gray and work < budget:
@@ -138,7 +144,8 @@ def drain_budget(
             work += 1
             if respect_masks and isinstance(ref, Goroutine) and ref.masked:
                 continue
-            if heap_mark(ref):
+            if ref._mark_epoch != epoch:
+                ref._mark_epoch = epoch
                 marked += 1
                 work += ref.scan_work
                 gray.append(ref)

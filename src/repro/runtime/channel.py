@@ -118,7 +118,7 @@ class Channel(HeapObject):
         return sum(1 for sd in self.recvq if sd.active)
 
     def referents(self) -> List[HeapObject]:
-        out = scan_each(self.buffer, [])
+        out = scan_each(self.buffer, []) if self.buffer else []
         # Values held by parked senders are published to any receiver that
         # can reach the channel, so they are reachable through it.
         for sd in self.sendq:

@@ -312,7 +312,8 @@ class Goroutine(HeapObject):
         while gen is not None and getattr(gen, "gi_frame", None) is not None:
             scan_each(gen.gi_frame.f_locals.values(), out)
             gen = getattr(gen, "gi_yieldfrom", None)
-        scan_into(self.pending_value, out)
+        if self.pending_value is not None:
+            scan_into(self.pending_value, out)
         for sd in self.sudogs:
             if sd.active and sd.channel is not None:
                 out.append(sd.channel)

@@ -29,7 +29,9 @@ charges one work unit per entry.
 
 from __future__ import annotations
 
+from types import WrapperDescriptorType
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from weakref import ProxyTypes
 
 #: Simulated pointer size in bytes; used by the default size model.
 WORD_SIZE = 8
@@ -48,6 +50,24 @@ _SCALARS = frozenset({int, float, str, bytes, bool, type(None), complex})
 #: The sequence/set types scanned through; for exactly these (not a
 #: subclass) the all-scalars test may stand in for iteration.
 _PLAIN = (list, tuple, set, frozenset)
+
+#: What the scanner does with a value, by kind.  The order matters: a
+#: kind below ``_HEAP`` holds no reference, one above it is a container
+#: or not yet classified, so a slot loop tests one comparison.
+(_SCALAR, _OPAQUE, _HEAP, _PLAIN_EXACT, _PLAIN_SUB, _DICT_EXACT, _DICT_SUB,
+ _UNSEEN) = range(8)
+
+#: Entries past which :data:`_KINDS` stops growing; an unseen type is
+#: then classified on every call instead.
+_KINDS_MAX = 256
+
+#: Exact type -> kind.  Only a type whose instances all answer
+#: ``isinstance`` by their type alone is cached (see :func:`_classify`).
+_KINDS: Dict[type, int] = {
+    **dict.fromkeys(_SCALARS, _SCALAR),
+    **dict.fromkeys(_PLAIN, _PLAIN_EXACT),
+    dict: _DICT_EXACT,
+}
 
 
 class HeapObject:
@@ -349,32 +369,81 @@ class Blob(HeapObject):
         super().__init__(size=size)
 
 
+def _type_pure(cls: type) -> bool:
+    """Whether ``isinstance`` answers for every instance of ``cls`` from
+    ``cls`` alone.
+
+    ``isinstance(v, C)`` also consults ``v.__class__``, which an
+    instance can report as something other than its type through a
+    ``__class__`` attribute (``Mock(spec=Channel)``), a Python-level
+    ``__getattribute__``, or a C proxy (``weakref.proxy``).
+    """
+    if cls in ProxyTypes:
+        return False
+    for klass in cls.__mro__:
+        if klass is object:
+            continue
+        attrs = klass.__dict__
+        if "__class__" in attrs:
+            return False
+        # A C type's own slot (``int``, ``list``) reads ``__class__``
+        # from the type; a Python-level override may not.
+        getattribute = attrs.get("__getattribute__")
+        if (getattribute is not None
+                and type(getattribute) is not WrapperDescriptorType):
+            return False
+    return True
+
+
+def _classify(value: Any) -> int:
+    """The kind of a value whose type :data:`_KINDS` does not hold.
+
+    The precedence is the scanner's: heap object, then sequence/set,
+    then dict, else opaque (exact scalars and containers are seeded).
+    For a type-pure type ``isinstance`` is ``issubclass`` of the type,
+    so the answer for one instance is the type's, and it is cached while
+    the table has room; any other type is asked again on each call.
+    """
+    if isinstance(value, HeapObject):
+        kind = _HEAP
+    elif isinstance(value, _PLAIN):
+        kind = _PLAIN_SUB
+    else:
+        kind = _DICT_SUB if isinstance(value, dict) else _OPAQUE
+    cls = type(value)
+    if len(_KINDS) < _KINDS_MAX and _type_pure(cls):
+        _KINDS[cls] = kind
+    return kind
+
+
 def scan_into(value: Any, out: List[HeapObject], _depth: int = 0) -> None:
     """Append the heap objects found in ``value`` to ``out``.
 
     The conservative scanner's one kernel: depth-first, container order,
     dict key before value, a :class:`HeapObject` taken at any depth and
-    containers not entered at ``_MAX_SCAN_DEPTH``.  Scalars are rejected
-    by *exact* type and a container holding only scalars by one C-level
-    pass over its element types; subclasses (``IntEnum``, a
-    ``namedtuple``, a ``HeapObject``) never match and take the
-    ``isinstance`` path below.
+    containers not entered at ``_MAX_SCAN_DEPTH``.  The kind is looked
+    up by exact type, so a subclass (``IntEnum``, a ``namedtuple``) has
+    its own entry, never its base's; a container holding only scalars is
+    rejected by one C-level pass over its element types, for the exact
+    container types only.
     """
-    cls = type(value)
-    if cls in _SCALARS:
+    kind = _KINDS.get(type(value), _UNSEEN)
+    if kind == _UNSEEN:
+        kind = _classify(value)
+    if kind < _HEAP:
         return
-    if isinstance(value, HeapObject):
+    if kind == _HEAP:
         out.append(value)
     elif _depth >= _MAX_SCAN_DEPTH:
         return
-    elif isinstance(value, _PLAIN):
-        if cls in _PLAIN and _SCALARS.issuperset(map(type, value)):
+    elif kind <= _PLAIN_SUB:
+        if kind == _PLAIN_EXACT and _SCALARS.issuperset(map(type, value)):
             return
         for item in value:
             if type(item) not in _SCALARS:
                 scan_into(item, out, _depth + 1)
-    elif isinstance(value, dict):
-        if (cls is dict and _SCALARS.issuperset(map(type, value))
+    else:
+        if (kind == _DICT_EXACT and _SCALARS.issuperset(map(type, value))
                 and _SCALARS.issuperset(map(type, value.values()))):
             return
         for key, item in value.items():
@@ -390,11 +459,16 @@ def scan_each(values: Iterable[Any],
 
     For the slots a runtime object owns (struct fields, a channel
     buffer, frame locals): ``values`` is any re-iterable, not itself a
-    nesting level.
+    nesting level.  A slot whose type is in :data:`_KINDS` as a heap
+    object, scalar or opaque value is settled here without a call.
     """
     if not _SCALARS.issuperset(map(type, values)):
+        kinds = _KINDS.get
         for value in values:
-            if type(value) not in _SCALARS:
+            kind = kinds(type(value), _UNSEEN)
+            if kind == _HEAP:
+                out.append(value)
+            elif kind > _HEAP:
                 scan_into(value, out)
     return out
 

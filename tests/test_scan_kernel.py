@@ -12,12 +12,15 @@ from __future__ import annotations
 import collections
 import enum
 import sys
+import weakref
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GolfConfig, Runtime
 from repro.gc.heap import GlobalRoot
+from repro.runtime import objects
 from repro.runtime.channel import Channel
 from repro.runtime.clock import MICROSECOND
 from repro.runtime.context import Context
@@ -46,6 +49,7 @@ from repro.runtime.objects import (
     Slice,
     Struct,
     iter_heap_refs,
+    scan_each,
 )
 from repro.runtime.sync import Cond, Mutex, Pool, WaitGroup
 from repro.runtime.timers import Ticker, Timer
@@ -94,8 +98,43 @@ class Counted(int):
 
 Pair = collections.namedtuple("Pair", "left right")
 
+
+class Plain:
+    pass
+
+
+class Slotted:
+    __slots__ = ("x",)
+
+
+def a_function():
+    pass
+
+
+class Masquerade:
+    """Reports a heap-object class through ``__getattribute__``, which
+    ``isinstance`` consults."""
+
+    def __getattribute__(self, name):
+        if name == "__class__":
+            return Box
+        return object.__getattribute__(self, name)
+
+
+class Weakable(Box):
+    """A heap object without ``__slots__``, so it takes weak references."""
+
+
 #: A fixed pool, so one object can turn up at several places in a value.
-OBJECTS = [Box(i) for i in range(4)] + [Blob(8), Struct(a=1)]
+OBJECTS = [Box(i) for i in range(4)] + [Blob(8), Struct(a=1), Weakable(5)]
+
+#: Values whose types the kind table caches as opaque, and two it must
+#: never cache: ``Mock(spec=Channel)`` and ``Masquerade`` are heap objects
+#: only because ``isinstance`` asks the instance for its class.
+opaque = st.one_of(
+    st.builds(Plain), st.builds(Slotted), st.just(a_function),
+    st.builds(lambda: Mock(spec=Channel)), st.builds(Masquerade),
+)
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
@@ -103,7 +142,11 @@ scalars = st.one_of(
     st.binary(max_size=3), st.sampled_from(list(Color)),
     st.builds(Tag, st.text(max_size=3)), st.builds(Counted, st.integers()),
 )
-hashable_leaves = st.one_of(scalars, st.sampled_from(OBJECTS))
+hashable_leaves = st.one_of(scalars, st.sampled_from(OBJECTS), opaque)
+#: ``weakref.proxy`` answers ``isinstance`` for its referent, and is
+#: unhashable.
+leaves = st.one_of(hashable_leaves, st.sampled_from(
+    [weakref.proxy(OBJECTS[-1]), weakref.proxy(a_function)]))
 
 
 def containers(children):
@@ -123,7 +166,7 @@ def containers(children):
     )
 
 
-values = st.recursive(hashable_leaves, containers, max_leaves=25)
+values = st.recursive(leaves, containers, max_leaves=25)
 
 
 def nest(value, levels, wrap=lambda v: [v]):
@@ -191,6 +234,71 @@ class TestKernelAgainstReference:
         value = {a: [b, {c: a}], "k": (c, c)}
         assert iter_heap_refs(value) == [a, b, c, a, c, c]
         assert_same_scan(value)
+
+
+@pytest.fixture
+def seeded_table(monkeypatch):
+    """A private kind table holding only the seeded exact types."""
+    seeds = {cls: kind for cls, kind in objects._KINDS.items()
+             if kind in (objects._SCALAR, objects._PLAIN_EXACT,
+                         objects._DICT_EXACT)}
+    monkeypatch.setattr(objects, "_KINDS", seeds)
+    return seeds
+
+
+@pytest.mark.usefixtures("seeded_table")
+class TestKindTable:
+    def test_instance_reported_classes_never_enter_the_table(self):
+        box = Weakable(1)
+        for value in (Mock(spec=Channel), Masquerade(), weakref.proxy(box),
+                      weakref.proxy(a_function)):
+            for _ in range(2):
+                assert_same_scan(value)
+                assert_same_scan([value, (value,), {"k": value}])
+                assert (ids(scan_each([value, box], []))
+                        == ids(chain([value, box])))
+            assert type(value) not in objects._KINDS
+        assert iter_heap_refs(Mock(spec=Channel)) != []
+        assert iter_heap_refs(Mock()) == []
+
+    def test_kinds_follow_the_scanner_precedence(self):
+        class Both(Box, Plain):
+            pass
+
+        class Row(tuple):
+            pass
+
+        class Keyed(collections.OrderedDict):
+            pass
+
+        for value, kind in ((Both(), objects._HEAP), (Row(), objects._PLAIN_SUB),
+                            (Keyed(), objects._DICT_SUB),
+                            (Color.RED, objects._OPAQUE),
+                            (Plain(), objects._OPAQUE)):
+            iter_heap_refs(value)
+            assert objects._KINDS[type(value)] == kind
+
+    def test_the_table_stops_growing_at_its_cap(self):
+        box = Box(1)
+        bases = ((Box,), (list,), (dict,), (Plain,))
+        fresh = [type(f"Fresh{i}", bases[i % 4], {})
+                 for i in range(objects._KINDS_MAX + 40)]
+
+        def instance(cls):
+            if issubclass(cls, Box):
+                return cls(box)
+            if issubclass(cls, list):
+                return cls([box, 1])
+            return cls({box: 2}) if issubclass(cls, dict) else cls()
+
+        for _ in range(2):
+            for cls in fresh:
+                value = instance(cls)
+                assert_same_scan(value)
+                assert_same_scan([value, 3])
+                assert ids(scan_each([value], [])) == ids(reference(value))
+            assert len(objects._KINDS) == objects._KINDS_MAX
+        assert fresh[-1] not in objects._KINDS
 
 
 # -- producers ----------------------------------------------------------------
@@ -464,9 +572,36 @@ class TestGoroutineStacks:
             (g,) = parked(setup)
             assert any(v is latencies
                        for v in g.gen.gi_frame.f_locals.values())
+            g.stack_heap_refs()  # classifies each slot type on first sight
             counts[n] = self._python_calls(lambda: list(g.stack_heap_refs()))
         assert counts[10] == counts[100_000]
         assert counts[10] < 10
+
+    def test_scan_cost_does_not_grow_with_object_slots(self):
+        """A frame whose locals hold k heap objects and k opaque objects:
+        each such slot is settled inside ``scan_each``, so the stack scan
+        makes the same number of Python-level calls at any k."""
+        counts = {}
+        for k in (2, 200):
+            names = [f"heap{i}" for i in range(k)] + [f"opaque{i}"
+                                                     for i in range(k)]
+            values = [Box(i) for i in range(k)] + [Plain() for _ in range(k)]
+
+            def setup():
+                ch = yield MakeChan(0)
+                namespace = {"Recv": Recv, "ch": ch, "values": values}
+                exec(f"def holder():\n"
+                     f"    {', '.join(names)}, = values\n"
+                     f"    yield Recv(ch)\n", namespace)
+                return [namespace["holder"]]
+
+            (g,) = parked(setup)
+            assert len(g.gen.gi_frame.f_locals) == 2 * k
+            # Also the warm-up: each type is classified on first sight.
+            assert ids(g.stack_heap_refs()) == ids(
+                reference_stack_heap_refs(g))
+            counts[k] = self._python_calls(g.stack_heap_refs)
+        assert counts[2] == counts[200]
 
 
 # -- in-flight instruction operands -------------------------------------------
@@ -523,9 +658,6 @@ class _CaptureRuntime:
 
     def attach(self, rt):
         self.rt = rt
-
-    def service(self, name):
-        return None
 
 
 class TestPinnedMarkWork:
