@@ -3,7 +3,7 @@ direct measurements of the trade-offs its sections 5.2-5.3 and 6.2
 discuss): fixpoint strategy, detection cadence, recovery on/off.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments.ablations import (
     CadenceAblation,
     FixpointAblation,
@@ -11,9 +11,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_ablation_fixpoint_strategy(benchmark):
-    result = once(benchmark,
-                  lambda: FixpointAblation().run((2, 4, 8, 16, 32)))
+def test_ablation_fixpoint_strategy():
+    result = FixpointAblation().run((2, 4, 8, 16, 32))
     emit("ablation_fixpoint", result.format())
 
     for row in result.rows:
@@ -27,8 +26,8 @@ def test_ablation_fixpoint_strategy(benchmark):
     assert last["restart_checks"] > 8 * last["otf_checks"]
 
 
-def test_ablation_detection_cadence(benchmark):
-    result = once(benchmark, lambda: CadenceAblation().run((1, 2, 5, 10)))
+def test_ablation_detection_cadence():
+    result = CadenceAblation().run((1, 2, 5, 10))
     emit("ablation_cadence", result.format())
 
     every1 = result.rows[0]
@@ -38,8 +37,8 @@ def test_ablation_detection_cadence(benchmark):
     assert every10["pause_total_us"] < every1["pause_total_us"]
 
 
-def test_ablation_recovery(benchmark):
-    result = once(benchmark, lambda: RecoveryAblation().run())
+def test_ablation_recovery():
+    result = RecoveryAblation().run()
     emit("ablation_recovery", result.format())
 
     off, on = result.rows

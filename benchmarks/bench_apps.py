@@ -5,20 +5,16 @@ baseline and GOLF) and prints an operational comparison — the adoption
 story a production team would evaluate.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.apps import JobQueueConfig, KVConfig, run_job_queue, run_kv_workload
 
 
-def test_kvstore_watch_leak(benchmark):
-    def experiment():
-        rows = []
-        for leaky in (False, True):
-            for golf in (False, True):
-                config = KVConfig(leak_watch_cancel=leaky, seed=3)
-                rows.append((leaky, golf, run_kv_workload(config, golf)))
-        return rows
-
-    rows = once(benchmark, experiment)
+def test_kvstore_watch_leak():
+    rows = []
+    for leaky in (False, True):
+        for golf in (False, True):
+            config = KVConfig(leak_watch_cancel=leaky, seed=3)
+            rows.append((leaky, golf, run_kv_workload(config, golf)))
     lines = [f"{'variant':24s} {'requests':>9s} {'lingering':>10s} "
              f"{'reports':>8s}"]
     by_key = {}
@@ -39,16 +35,12 @@ def test_kvstore_watch_leak(benchmark):
             > 5 * by_key[(True, True)].lingering_goroutines)
 
 
-def test_jobqueue_retry_leak(benchmark):
-    def experiment():
-        rows = []
-        for leaky in (False, True):
-            for golf in (False, True):
-                config = JobQueueConfig(leak_retry_results=leaky, seed=2)
-                rows.append((leaky, golf, run_job_queue(config, golf)))
-        return rows
-
-    rows = once(benchmark, experiment)
+def test_jobqueue_retry_leak():
+    rows = []
+    for leaky in (False, True):
+        for golf in (False, True):
+            config = JobQueueConfig(leak_retry_results=leaky, seed=2)
+            rows.append((leaky, golf, run_job_queue(config, golf)))
     lines = [f"{'variant':24s} {'ok':>5s} {'failed':>7s} "
              f"{'lingering':>10s} {'reports':>8s}"]
     by_key = {}

@@ -6,22 +6,18 @@ schedules across the microbenchmark corpus must stay perfectly clean
 quiescence), and the resilient service must keep absorbing a downstream
 outage while GOLF reclaims its residual leaks.
 
-Scaled default: 100 schedules (pass ``REPRO_CHAOS_SEEDS=500`` in the
-environment for a deeper sweep).
+Scale: 100 schedules.
 """
 
-import os
-
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.chaos import run_chaos_campaign
 from repro.service.resilience import ResilienceConfig, run_resilient_production
 
-SEEDS = int(os.environ.get("REPRO_CHAOS_SEEDS", "100"))
+SEEDS = 100
 
 
-def test_chaos_campaign_clean(benchmark):
-    report = once(benchmark, lambda: run_chaos_campaign(
-        seeds=SEEDS, scenario="mixed", base_seed=0))
+def test_chaos_campaign_clean():
+    report = run_chaos_campaign(seeds=SEEDS, scenario="mixed", base_seed=0)
     emit("chaos-campaign", report.format())
 
     assert report.false_positives == 0
@@ -31,9 +27,9 @@ def test_chaos_campaign_clean(benchmark):
     assert report.total_injected() > SEEDS // 2
 
 
-def test_resilient_service_under_outage(benchmark):
-    result = once(benchmark, lambda: run_resilient_production(
-        ResilienceConfig(chaos_scenario="downstream-outage")))
+def test_resilient_service_under_outage():
+    result = run_resilient_production(
+        ResilienceConfig(chaos_scenario="downstream-outage"))
     emit("chaos-resilience", (
         f"resilient service under downstream outage\n"
         f"  requests        : {result.total_requests}\n"

@@ -5,16 +5,15 @@ vs the on-the-fly optimization across goroutine populations, in the
 realistic (flat pool) and adversarial (daisy chain) shapes.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments.complexity import (
     format_complexity_sweep,
     run_complexity_sweep,
 )
 
 
-def test_complexity_scaling(benchmark):
-    points = once(benchmark,
-                  lambda: run_complexity_sweep(sizes=(8, 16, 32, 64)))
+def test_complexity_scaling():
+    points = run_complexity_sweep(sizes=(8, 16, 32, 64))
     emit("complexity", format_complexity_sweep(points))
 
     by_key = {(p.shape, p.n, p.strategy): p for p in points}

@@ -5,7 +5,7 @@ Detecting every Nth cycle reduces overhead "at no cost to the efficacy"
 (interval x cadence).  This bench quantifies that trade-off.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments.latency import (
     format_daemon_sweep,
     format_latency_sweep,
@@ -14,9 +14,9 @@ from repro.experiments.latency import (
 )
 
 
-def test_detection_latency_sweep(benchmark):
-    results = once(benchmark, lambda: run_latency_sweep(
-        gc_intervals_ms=(0.5, 2.0, 8.0), cadences=(1, 5), leaks=60))
+def test_detection_latency_sweep():
+    results = run_latency_sweep(
+        gc_intervals_ms=(0.5, 2.0, 8.0), cadences=(1, 5), leaks=60)
     emit("detection_latency", format_latency_sweep(results))
 
     by_key = {(r.gc_interval_ms, r.detect_every): r for r in results}
@@ -28,15 +28,15 @@ def test_detection_latency_sweep(benchmark):
     assert by_key[(2.0, 5)].mean_ms() > 2 * by_key[(2.0, 1)].mean_ms()
 
 
-def test_daemon_latency_slo_curve(benchmark):
+def test_daemon_latency_slo_curve():
     """Latency vs daemon interval, GC pinned at its operational 100ms.
 
     The always-on daemon's SLO: time-to-detection is bounded by the
     daemon interval, not the GC cadence.
     """
-    results = once(benchmark, lambda: run_daemon_latency_sweep(
+    results = run_daemon_latency_sweep(
         daemon_intervals_ms=(5.0, 20.0, 50.0, 200.0),
-        gc_interval_ms=100.0, leaks=60))
+        gc_interval_ms=100.0, leaks=60)
     emit("daemon_latency_slo", format_daemon_sweep(results))
 
     baseline = results[0]

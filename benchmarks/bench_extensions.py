@@ -6,7 +6,7 @@ false negatives at bounded extra marking cost, and fuzzing multiplies
 the leaks a fixed test exposes to GOLF.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro import GolfConfig, Runtime
 from repro.fuzz import fuzz_program
 from repro.microbench.extended import extended_benchmarks
@@ -42,8 +42,8 @@ def _run_extended_suite():
     return rows
 
 
-def test_extended_pattern_suite(benchmark):
-    rows = once(benchmark, _run_extended_suite)
+def test_extended_pattern_suite():
+    rows = _run_extended_suite()
     lines = [f"{'pattern':26s} {'GOLF detected':34s} {'goleak-only':16s}"]
     for name, detected, expected, goleak_only in rows:
         lines.append(
@@ -89,8 +89,8 @@ def _hints_experiment():
     return rows
 
 
-def test_liveness_hints(benchmark):
-    rows = once(benchmark, _hints_experiment)
+def test_liveness_hints():
+    rows = _hints_experiment()
     lines = [f"{'hints':>6s} {'detected':>9s} {'mark work':>10s}"]
     for row in rows:
         lines.append(
@@ -130,8 +130,8 @@ def _fuzz_experiment():
     return fuzz_program(racy, profiles=6)
 
 
-def test_fuzzing_multiplies_coverage(benchmark):
-    result = once(benchmark, _fuzz_experiment)
+def test_fuzzing_multiplies_coverage():
+    result = _fuzz_experiment()
     finders = result.profiles_detecting("rare-order-leak")
     lines = ["GFuzz x GOLF: order-dependent leak coverage",
              f"profiles run: {len(result.by_profile)}",

@@ -6,15 +6,15 @@ check the sawtooth: weekend/holiday peaks far above the post-redeploy
 weekday levels, and a flat profile once GOLF reclaims the leaks.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments import format_figure1, run_figure1
 from repro.service.longrun import LongRunConfig
 
 
-def test_figure1_leak_sawtooth(benchmark):
+def test_figure1_leak_sawtooth():
     config = LongRunConfig(days=21, requests_per_hour=120, leak_every=6,
                            procs=4, seed=3)
-    result = once(benchmark, lambda: run_figure1(config, include_golf=True))
+    result = run_figure1(config, include_golf=True)
     emit("figure1", format_figure1(result))
 
     base = result.baseline

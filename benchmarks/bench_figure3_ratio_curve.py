@@ -4,14 +4,14 @@ Paper: area under the curve ~82%; GOLF finds everything goleak finds in
 55% of its deduplicated reports.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.corpus.generator import CorpusConfig
 from repro.experiments import format_figure3, run_figure3
 
 
-def test_figure3_detection_ratio_curve(benchmark):
+def test_figure3_detection_ratio_curve():
     config = CorpusConfig(n_packages=300, n_sites=60, seed=42)
-    result = once(benchmark, lambda: run_figure3(config))
+    result = run_figure3(config)
     emit("figure3", format_figure3(result))
 
     assert result.curve == sorted(result.curve, reverse=True)

@@ -6,12 +6,12 @@ median slowdown 0.96x for correct programs and 0.71x for deadlocking ones
 rare slowdowns up to ~5x; absolute marking always below 10 ms.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments import format_figure4, run_figure4
 
 
-def test_figure4_marking_slowdown(benchmark):
-    result = once(benchmark, lambda: run_figure4(repeats=5))
+def test_figure4_marking_slowdown():
+    result = run_figure4(repeats=5)
     emit("figure4", format_figure4(result))
 
     assert len(result.samples) == 105

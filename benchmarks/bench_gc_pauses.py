@@ -10,7 +10,7 @@ the incremental collector stays strictly below the *longest full-cycle
 pause* of the atomic collector on the identical workload.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.core.config import GolfConfig
 from repro.service.controlled import ControlledConfig, run_controlled
 
@@ -27,15 +27,10 @@ def _row(r):
             f"max_stw_window={r.max_pause_window_ns}")
 
 
-def test_incremental_pause_windows_beat_atomic(benchmark):
-    def run_both():
-        atomic = run_controlled(_config(),
-                                gc_config=GolfConfig(gc_mode="atomic"))
-        incremental = run_controlled(
-            _config(), gc_config=GolfConfig(gc_mode="incremental"))
-        return atomic, incremental
-
-    atomic, incremental = once(benchmark, run_both)
+def test_incremental_pause_windows_beat_atomic():
+    atomic = run_controlled(_config(), gc_config=GolfConfig(gc_mode="atomic"))
+    incremental = run_controlled(
+        _config(), gc_config=GolfConfig(gc_mode="incremental"))
     emit("gc-pauses", "\n".join([
         "controlled service, per-collector pause profile (ns)",
         _row(atomic),

@@ -1,18 +1,18 @@
 """RQ1(b): GOLF vs goleak over the enterprise test-suite corpus.
 
 Paper: goleak 29 513 individual reports (357 deduplicated); GOLF 17 872
-individual (60%), 180 deduplicated (50%).  Scaled default: 300 packages
+individual (60%), 180 deduplicated (50%).  Scale: 300 packages
 over 60 shared library sites; the reproduction target is the two ratios.
 """
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.corpus.generator import CorpusConfig
 from repro.experiments import format_rq1b, run_rq1b
 
 
-def test_rq1b_golf_vs_goleak(benchmark):
+def test_rq1b_golf_vs_goleak():
     config = CorpusConfig(n_packages=300, n_sites=60, seed=42)
-    result = once(benchmark, lambda: run_rq1b(config))
+    result = run_rq1b(config)
     emit("rq1b", format_rq1b(result))
 
     assert result.goleak_total > result.golf_total > 0

@@ -1,23 +1,21 @@
 """RQ1(c): GOLF on the production service for 24 hours.
 
 Paper: 252 individual partial deadlocks over 24 h, narrowed to exactly 3
-source locations (the Listing 7 ``SendEmail`` shape).  Scaled default: 4
-virtual hours with the leak cadence calibrated to the paper's rate
+source locations (the Listing 7 ``SendEmail`` shape).  Scale: 4 virtual
+hours with the leak cadence calibrated to the paper's rate
 (~10.5 leaks per hour across the three endpoints).
 """
 
-import os
-
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments import format_rq1c, run_rq1c
 from repro.service.production import ProductionConfig
 
-HOURS = float(os.environ.get("REPRO_RQ1C_HOURS", "4"))
+HOURS = 4.0
 
 
-def test_rq1c_real_service_deployment(benchmark):
+def test_rq1c_real_service_deployment():
     config = ProductionConfig(hours=HOURS, leak_every=3000, seed=2)
-    result = once(benchmark, lambda: run_rq1c(config))
+    result = run_rq1c(config)
     emit("rq1c", format_rq1c(result))
 
     assert result.distinct_sources == 3, "paper: 3 source locations"

@@ -5,20 +5,17 @@ at 1/2/4/10 virtual cores; every one of the 121 leaky ``go`` sites is
 detected in at least one run; the etcd/7443 family is nearly invisible
 below 10 cores and grpc/3017 requires at least 2.
 
-Scaled default: 30 runs per configuration (pass ``REPRO_TABLE1_RUNS=100``
-in the environment for the paper-scale experiment).
+Scale: the paper's 100 runs per configuration.
 """
 
-import os
-
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments import format_table1, run_table1
 
-RUNS = int(os.environ.get("REPRO_TABLE1_RUNS", "30"))
+RUNS = 100
 
 
-def test_table1_detection_rates(benchmark):
-    result = once(benchmark, lambda: run_table1(runs=RUNS))
+def test_table1_detection_rates():
+    result = run_table1(runs=RUNS)
     emit("table1", format_table1(result))
 
     # Shape assertions against the paper.

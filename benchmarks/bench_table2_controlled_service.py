@@ -4,15 +4,15 @@ Paper highlights at 10% leak: GOLF gives ~9% higher client throughput,
 ~1.5-1.6x better tail latency, ~49x lower HeapAlloc, and more (shorter)
 GC cycles; per-cycle pauses are ~2.5x higher under GOLF (B/G ~0.39).
 With 0% leaks the two runtimes are equivalent outside GC pauses.
+
+Scale: 15 virtual seconds of load per cell (the paper runs 30).
 """
 
-import os
-
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments import format_table2, run_table2
 from repro.service.controlled import ControlledConfig
 
-DURATION_S = int(os.environ.get("REPRO_TABLE2_DURATION_S", "15"))
+DURATION_S = 15
 
 
 _SPARK = " ▁▂▃▄▅▆▇█"
@@ -28,9 +28,9 @@ def _sparkline(values):
     )
 
 
-def test_table2_service_metrics(benchmark):
+def test_table2_service_metrics():
     config = ControlledConfig(duration_s=DURATION_S, warmup_s=3, seed=1)
-    result = once(benchmark, lambda: run_table2(config=config))
+    result = run_table2(config=config)
     emit("table2", format_table2(result))
 
     # Companion artifact: the per-second leak build-up under 10% leaks —

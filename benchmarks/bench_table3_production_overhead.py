@@ -2,21 +2,19 @@
 
 Paper (32 h of 3-minute emissions): P50 latency 51 vs 53.65 ms, P99 414
 vs 464 ms, CPU 1.46% vs 1.51% — i.e. GOLF does not impinge on real-world
-performance.  Scaled default: 2 virtual hours.
+performance.  Scale: 2 virtual hours.
 """
 
-import os
-
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import emit
 from repro.experiments import format_table3, run_table3
 from repro.service.production import ProductionConfig
 
-HOURS = float(os.environ.get("REPRO_TABLE3_HOURS", "2"))
+HOURS = 2.0
 
 
-def test_table3_production_overhead(benchmark):
+def test_table3_production_overhead():
     config = ProductionConfig(hours=HOURS, seed=2)
-    result = once(benchmark, lambda: run_table3(config))
+    result = run_table3(config)
     emit("table3", format_table3(result))
 
     rows = result.rows()

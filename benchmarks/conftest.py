@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one table or figure of the paper at a scaled
-default, prints it (run pytest with ``-s`` to see it live), and archives
-it under ``benchmarks/out/`` so EXPERIMENTS.md can be refreshed from the
-latest run.
+Each benchmark regenerates one table or figure of the paper at its
+committed scale, prints it (run pytest with ``-s`` to see it live), and
+writes it over its committed file under ``benchmarks/out/``: a run that
+leaves ``git status`` clean reproduced every committed number.
 """
 
 from __future__ import annotations
@@ -20,8 +20,3 @@ def emit(name: str, text: str) -> None:
     banner = f"\n===== {name} =====\n"
     print(banner + text)
     codec.write_text(os.path.join(OUT_DIR, f"{name}.txt"), text + "\n")
-
-
-def once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, iterations=1, rounds=1)

@@ -1,15 +1,16 @@
-"""Command-line interface: regenerate any paper artifact.
+"""Command-line interface: drive one subsystem per subcommand.
 
 Usage::
 
-    python -m repro table1 --runs 30
-    python -m repro table2 --duration 15
-    python -m repro figure1 --days 21
+    python -m repro run --benchmark cgo/sendmail --proofs
+    python -m repro chaos --seeds 25 --scenario mixed
     python -m repro vet examples --expect
-    python -m repro all --out artifacts/
+    python -m repro equiv all
 
-Each subcommand runs the corresponding experiment driver and prints the
-paper-style table or figure; ``--out DIR`` additionally archives it.
+Each subcommand runs its driver, prints the report and writes its
+artifacts under ``--json-dir`` / ``--out-dir`` (mostly defaulting to
+``benchmarks/out``).  The paper's tables and figures are regenerated by
+``benchmarks/bench_*.py`` (see EXPERIMENTS.md), not from here.
 """
 
 from __future__ import annotations
@@ -18,79 +19,15 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro import codec
+from repro.artifact import TesterConfig, run_tester
 from repro.chaos.scenarios import SCENARIOS
 from repro.core.config import GC_MODES, set_default_gc_mode
-from repro.corpus.generator import CorpusConfig
 from repro.equivalence import PAIR_NAMES, run_pair
 from repro.errors import ArtifactError
-from repro.experiments import (
-    format_figure1,
-    format_figure3,
-    format_figure4,
-    format_rq1b,
-    format_rq1c,
-    format_table1,
-    format_table2,
-    format_table3,
-    run_figure1,
-    run_figure3,
-    run_figure4,
-    run_rq1b,
-    run_rq1c,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-from repro.experiments.ablations import (
-    CadenceAblation,
-    FixpointAblation,
-    RecoveryAblation,
-)
 from repro.microbench.registry import benchmarks_by_name
-from repro.service.controlled import ControlledConfig
-from repro.service.longrun import LongRunConfig
-from repro.service.production import ProductionConfig
-from repro.artifact import TesterConfig, run_tester
-
-
-def _cmd_table1(args) -> str:
-    return format_table1(run_table1(runs=args.runs))
-
-
-def _cmd_table2(args) -> str:
-    config = ControlledConfig(duration_s=args.duration, warmup_s=3)
-    return format_table2(run_table2(config=config))
-
-
-def _cmd_table3(args) -> str:
-    return format_table3(run_table3(ProductionConfig(hours=args.hours)))
-
-
-def _cmd_figure1(args) -> str:
-    config = LongRunConfig(days=args.days)
-    return format_figure1(run_figure1(config))
-
-
-def _cmd_figure3(args) -> str:
-    config = CorpusConfig(n_packages=args.packages)
-    return format_figure3(run_figure3(config))
-
-
-def _cmd_figure4(args) -> str:
-    return format_figure4(run_figure4(repeats=args.repeats))
-
-
-def _cmd_rq1b(args) -> str:
-    config = CorpusConfig(n_packages=args.packages)
-    return format_rq1b(run_rq1b(config))
-
-
-def _cmd_rq1c(args) -> str:
-    config = ProductionConfig(hours=args.hours, leak_every=3000)
-    return format_rq1c(run_rq1c(config))
 
 
 def _cmd_tester(args) -> str:
@@ -331,7 +268,7 @@ def _cmd_obs(args) -> str:
     result = run_observed_benchmark(
         args.benchmark, procs=args.procs, seed=args.seed, hub=hub,
         fingerprint_db=args.fingerprint_db)
-    out_dir = args.out_dir or args.out or "benchmarks/out"
+    out_dir = args.out_dir or "benchmarks/out"
     slug = args.benchmark.replace("/", "-")
     result.artifact_paths = write_artifacts(
         hub, out_dir, f"obs-{slug}-p{args.procs}-s{args.seed}")
@@ -346,7 +283,7 @@ def _cmd_trace(args) -> str:
         args.benchmark, procs=args.procs, seed=args.seed,
         capacity=args.capacity)
     counts = validate_chrome_trace(result.chrome)
-    out_dir = args.out_dir or args.out or "benchmarks/out"
+    out_dir = args.out_dir or "benchmarks/out"
     write_trace_artifacts(result, out_dir)
     text = result.format()
     text += ("\n  chrome schema   : valid "
@@ -500,25 +437,7 @@ def _cmd_equiv(args) -> str:
     return text
 
 
-def _cmd_ablations(args) -> str:
-    sections = [
-        ("fixpoint strategy", FixpointAblation().run().format()),
-        ("detection cadence", CadenceAblation().run().format()),
-        ("recovery", RecoveryAblation().run().format()),
-    ]
-    return "\n\n".join(f"-- {title}\n{body}" for title, body in sections)
-
-
 _COMMANDS: Dict[str, Callable] = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "figure1": _cmd_figure1,
-    "figure3": _cmd_figure3,
-    "figure4": _cmd_figure4,
-    "rq1b": _cmd_rq1b,
-    "rq1c": _cmd_rq1c,
-    "ablations": _cmd_ablations,
     "tester": _cmd_tester,
     "chaos": _cmd_chaos,
     "daemon": _cmd_daemon,
@@ -547,15 +466,13 @@ def _known(what: str, names: Callable[[], Iterable[str]]):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the GOLF paper's tables and figures.",
+        prog="repro", allow_abbrev=False,
+        description="Drive the GOLF reproduction's subsystems.",
     )
-    parser.add_argument("--out", default=None,
-                        help="directory to archive artifacts into")
-    # Telemetry plumbing shared by every subcommand: any experiment can
-    # run observed (metrics + flight recorder on every runtime it
-    # builds) and drop uniform artifacts under --out-dir.
-    common = argparse.ArgumentParser(add_help=False)
+    # Telemetry plumbing shared by every subcommand: any command can run
+    # observed (metrics + flight recorder on every runtime it builds) and
+    # drop uniform artifacts under --out-dir.
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--metrics", action="store_true",
                         help="collect telemetry (INFO-level recorder) and "
                              "write .prom/JSON artifacts")
@@ -574,34 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add("table1", help="microbenchmark detection rates")
-    p.add_argument("--runs", type=int, default=30)
-
-    p = add("table2", help="controlled service metrics")
-    p.add_argument("--duration", type=int, default=15,
-                   help="virtual seconds of load per cell")
-
-    p = add("table3", help="production overhead")
-    p.add_argument("--hours", type=float, default=2.0)
-
-    p = add("figure1", help="blocked goroutines over time")
-    p.add_argument("--days", type=int, default=21)
-
-    p = add("figure3", help="GOLF/goleak ratio curve")
-    p.add_argument("--packages", type=int, default=300)
-
-    p = add("figure4", help="marking-phase slowdown")
-    p.add_argument("--repeats", type=int, default=5)
-
-    p = add("rq1b", help="test-suite totals vs goleak")
-    p.add_argument("--packages", type=int, default=300)
-
-    p = add("rq1c", help="24h real-service deployment")
-    p.add_argument("--hours", type=float, default=4.0)
-
-    add("ablations", help="design-choice ablations")
+        return sub.add_parser(name, parents=[common], allow_abbrev=False,
+                              **kwargs)
 
     p = add("tester", help="the artifact-appendix testing harness")
     p.add_argument("--match", default="", help="benchmark name regex")
@@ -767,31 +658,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-dir", default="benchmarks/out",
                    help="directory for the per-pair JSON artifacts")
 
-    p = add("all", help="regenerate everything")
-    p.add_argument("--runs", type=int, default=30)
-    p.add_argument("--duration", type=int, default=15)
-    p.add_argument("--hours", type=float, default=2.0)
-    p.add_argument("--days", type=int, default=21)
-    p.add_argument("--packages", type=int, default=300)
-    p.add_argument("--repeats", type=int, default=5)
     return parser
 
 
-def _archive(out_dir: Optional[str], name: str, text: str) -> None:
-    if out_dir is not None:
-        codec.write_text(os.path.join(out_dir, f"{name}.txt"), text + "\n")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "gc_mode", None):
-        # Experiments build GolfConfig() internally, which resolves the
+    args = build_parser().parse_args(argv)
+    if args.gc_mode:
+        # Drivers build GolfConfig() internally, which resolves the
         # module-level default, so one flag switches every runtime the
         # command creates (chaos campaigns included).
         set_default_gc_mode(args.gc_mode)
     hub = None
-    if getattr(args, "metrics", False) or getattr(args, "trace", False):
+    if args.metrics or args.trace:
         from repro.telemetry import (
             DEBUG,
             INFO,
@@ -799,42 +677,27 @@ def main(argv=None) -> int:
             set_default_hub,
         )
 
-        hub = TelemetryHub(
-            min_severity=DEBUG if getattr(args, "trace", False) else INFO)
-        # Every runtime any experiment builds from here on reports into
+        hub = TelemetryHub(min_severity=DEBUG if args.trace else INFO)
+        # Every runtime the command builds from here on reports into
         # this hub (Runtime.__init__ auto-attaches the default hub).
         set_default_hub(hub)
-    if args.command == "all":
-        # tester, chaos, daemon, fleet, dash, obs, trace, vet, and
-        # equiv have their own flags and fail semantics; they run as
-        # explicit subcommands only.
-        commands = [c for c in _COMMANDS
-                    if c not in ("tester", "chaos", "daemon", "fleet",
-                                 "dash", "obs", "trace", "vet",
-                                 "equiv")]
-    else:
-        commands = [args.command]
     try:
-        for name in commands:
-            started = time.time()
-            text = _COMMANDS[name](args)
-            elapsed = time.time() - started
-            if getattr(args, "json", False):
-                # Keep machine-readable stdout clean of banners.
-                print(text, end="" if text.endswith("\n") else "\n")
-            else:
-                print(f"===== {name} ({elapsed:.1f}s) =====")
-                print(text)
-                print()
-            _archive(args.out, name, text)
+        started = time.time()
+        text = _COMMANDS[args.command](args)
+        elapsed = time.time() - started
+        if getattr(args, "json", False):
+            # Keep machine-readable stdout clean of banners.
+            print(text, end="" if text.endswith("\n") else "\n")
+        else:
+            print(f"===== {args.command} ({elapsed:.1f}s) =====")
+            print(text)
+            print()
     finally:
         if hub is not None:
             from repro.telemetry import set_default_hub, write_artifacts
 
             set_default_hub(None)
-            out_dir = (getattr(args, "out_dir", None) or args.out
-                       or "benchmarks/out")
-            paths = write_artifacts(hub, out_dir,
+            paths = write_artifacts(hub, args.out_dir or "benchmarks/out",
                                     f"{args.command}-telemetry")
             for kind in sorted(paths):
                 print(f"telemetry {kind}: {paths[kind]}")

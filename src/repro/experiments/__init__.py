@@ -2,8 +2,8 @@
 
 Each module exposes a ``run_*`` function returning a structured result
 and a ``format_*`` helper that prints the same rows/series the paper
-reports.  The ``benchmarks/`` directory wires these into pytest-benchmark
-targets; see EXPERIMENTS.md for the paper-vs-measured record.
+reports.  ``benchmarks/bench_*.py`` writes their output to the committed
+files; see EXPERIMENTS.md for the paper-vs-measured record.
 """
 
 from repro.experiments.table1 import Table1Result, format_table1, run_table1

@@ -7,25 +7,30 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: The subcommands, in registration order.
+COMMANDS = ("tester", "chaos", "daemon", "fleet", "dash", "vet", "run",
+            "obs", "trace", "equiv")
+
+
 class TestParser:
-    def test_all_subcommands_registered(self):
+    def test_all_subcommands_registered(self, capsys):
         parser = build_parser()
-        for command in ("table1", "table2", "table3", "figure1",
-                        "figure3", "figure4", "rq1b", "rq1c",
-                        "ablations", "all"):
-            args = parser.parse_args(
-                [command] if command in ("ablations",)
-                else [command])
-            assert args.command == command
+        for command in COMMANDS:
+            assert parser.parse_args([command]).command == command
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: repro [-h] {" + ",".join(COMMANDS) + "} ..."
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["table1"])
-        assert args.runs == 30
-        assert args.out is None
+        args = build_parser().parse_args(["run"])
+        assert args.benchmark == "cgo/sendmail"
+        assert (args.seed, args.procs) == (0, 2)
+        assert not args.fixed and not args.proofs
 
     def test_obs_subcommand_defaults(self):
         args = build_parser().parse_args(["obs"])
@@ -37,7 +42,7 @@ class TestParser:
 
     def test_telemetry_flags_on_every_subcommand(self):
         parser = build_parser()
-        for command in ("table1", "figure4", "chaos", "obs", "all"):
+        for command in COMMANDS:
             args = parser.parse_args([command, "--metrics", "--trace",
                                       "--out-dir", "x"])
             assert args.metrics and args.trace
@@ -61,46 +66,44 @@ def test_unknown_name_is_a_usage_error(argv, capsys):
     assert f"{argv[2]!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["obs", "--out", "x"],
+    ["chaos", "--json", "x"],
+    ["run", "--bench", "cgo/sendmail"],
+], ids=["obs-out", "chaos-json", "run-bench"])
+def test_an_abbreviated_flag_is_a_usage_error(argv, capsys):
+    """A prefix of a long flag binds nothing: ``--out`` is not
+    ``--out-dir``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExecution:
-    def test_rq1b_prints_ratios(self, capsys):
-        assert main(["rq1b", "--packages", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "===== rq1b" in out
-        assert "goleak individual reports" in out
-
-    def test_ablations(self, capsys):
-        assert main(["ablations"]) == 0
-        out = capsys.readouterr().out
-        assert "fixpoint strategy" in out
-        assert "detection cadence" in out
-
-    def test_figure4_small(self, capsys):
-        assert main(["figure4", "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "deadlocking programs" in out
-
     def test_out_dir_archives(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "artifacts")
-        assert main(["--out", out_dir, "rq1b", "--packages", "20"]) == 0
+        out_dir = tmp_path / "artifacts"
+        assert main(["obs", "--out-dir", str(out_dir)]) == 0
         capsys.readouterr()
-        assert os.path.exists(os.path.join(out_dir, "rq1b.txt"))
-        with open(os.path.join(out_dir, "rq1b.txt")) as fh:
-            assert "GOLF" in fh.read()
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            f"obs-cgo-sendmail-p2-s0{suffix}"
+            for suffix in ("-fingerprints.json", "-metrics.json",
+                           "-recorder.txt", ".prom")]
 
     def test_metrics_flag_writes_telemetry_artifacts(self, tmp_path,
                                                      capsys):
         from repro.telemetry import get_default_hub, validate_exposition
 
         out_dir = str(tmp_path / "telemetry")
-        assert main(["figure4", "--repeats", "1", "--metrics",
+        assert main(["run", "--benchmark", "cgo/sendmail", "--metrics",
                      "--out-dir", out_dir]) == 0
         out = capsys.readouterr().out
         assert "telemetry prometheus:" in out
-        prom = os.path.join(out_dir, "figure4-telemetry.prom")
+        prom = os.path.join(out_dir, "run-telemetry.prom")
         with open(prom) as fh:
             assert validate_exposition(fh.read()) > 0
         assert os.path.exists(
-            os.path.join(out_dir, "figure4-telemetry-metrics.json"))
+            os.path.join(out_dir, "run-telemetry-metrics.json"))
         # The default hub is uninstalled on the way out.
         assert get_default_hub() is None
 

@@ -8,7 +8,8 @@ edit this file and say who needs it.  Likewise the byte form of every
 artifact: ``json`` is spelled in ``repro.codec`` and nowhere else.  And
 every option has a caller: a defaulted parameter that no call in the
 repository passes is a constant, not an option.  And every output has a
-reader: a metric series nothing reads is not registered.
+reader: a metric series nothing reads is not registered.  And every
+committed artifact has exactly one writer that CI checks.
 """
 
 from __future__ import annotations
@@ -390,6 +391,65 @@ def test_metric_catalog_is_the_registry():
     documented = [line.split("`")[1] for line in table.splitlines()
                   if line.startswith("| `")]
     assert sorted(documented) == [m.name for m in TelemetryHub().registry]
+
+
+# -- every committed artifact has one writer ----------------------------------
+
+ARTIFACTS = "benchmarks/out"
+
+
+def _emitted_stems():
+    """``stem -> count`` of every ``emit("<stem>", ...)`` in the bench
+    scripts; an ``emit`` whose name is not a literal is a problem."""
+    stems, problems = {}, []
+    for source in sorted((REPO / "benchmarks").glob("bench_*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Call) and _name(node) == "emit":
+                first = node.args[0] if node.args else None
+                if (isinstance(first, ast.Constant)
+                        and isinstance(first.value, str)):
+                    stems[first.value] = stems.get(first.value, 0) + 1
+                else:
+                    problems.append(f"{source.name}:{node.lineno}: emit "
+                                    "of a name that is not a literal")
+    return stems, problems
+
+
+def _ci_diffed():
+    """``path -> count`` of the targets of CI ``git diff --exit-code``
+    steps."""
+    targets = {}
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    for line in ci.splitlines():
+        command = line.split("git diff --exit-code --", 1)
+        for path in command[1].split() if len(command) == 2 else ():
+            targets[path] = targets.get(path, 0) + 1
+    return targets
+
+
+def test_every_committed_artifact_has_one_writer():
+    """A committed table, figure or campaign is written by exactly one
+    bench ``emit`` or checked by exactly one CI ``git diff`` step, and
+    every ``emit`` writes a committed file: a second writer drifts from
+    the first, and an uncommitted output is a file nothing reads."""
+    committed = subprocess.run(
+        ["git", "ls-files", ARTIFACTS], cwd=REPO, capture_output=True,
+        text=True, check=True).stdout.split()
+    stems, problems = _emitted_stems()
+    diffed = _ci_diffed()
+    for path in committed:
+        name = path[len(ARTIFACTS) + 1:]
+        if name == "README.md":
+            continue
+        stem, ext = os.path.splitext(name)
+        writers = diffed.get(path, 0) + (stems.get(stem, 0)
+                                         if ext == ".txt" else 0)
+        if writers != 1:
+            problems.append(f"{path}: {writers} writers")
+    for stem in sorted(stems):
+        if f"{ARTIFACTS}/{stem}.txt" not in committed:
+            problems.append(f"{stem}: emitted but not committed")
+    assert problems == [], "\n".join(problems)
 
 
 def test_shrunk_config_sizes():
