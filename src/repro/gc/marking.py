@@ -21,7 +21,10 @@ closure of the roots — so swapping the original FIFO drain for LIFO
 stacks changes no observable quantity.  Each loop reads ``heap.epoch``
 once and tests and sets ``_mark_epoch`` inline — what
 :meth:`Heap.mark` does, without a call per edge; no mutator runs inside
-a loop, so the epoch cannot move under it.
+a loop, so the epoch cannot move under it.  For the same reason each
+``mark_from`` / ``drain_budget`` call is one scanner pass
+(:func:`repro.runtime.objects.open_pass`): a plain container shared by
+many frames is scanned once per call, not once per frame.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.gc.heap import Heap
 from repro.runtime.goroutine import Goroutine
-from repro.runtime.objects import HeapObject
+from repro.runtime.objects import HeapObject, close_pass, open_pass
 
 #: Callback invoked with each newly marked object; may return extra roots
 #: (used by the on-the-fly root expansion optimization).
@@ -49,48 +52,52 @@ def mark_from(
     traversed references (pointer visits), the paper's measure of marking
     work.
     """
-    epoch = heap.epoch
-    work = 0
-    marked = 0
-    #: Roots and on-the-fly extras pending a mark attempt.
-    pend: List[HeapObject] = list(roots)
-    #: Marked-but-unscanned objects.
-    gray: List[HeapObject] = []
-    # The mark-check block appears twice (root seeding and edge scan) on
-    # purpose: checking each referent inline while iterating avoids
-    # double-handling every edge through the pending stack, which is the
-    # difference between this loop and a naive worklist.  Edges charge
-    # one work unit each *before* the mask check, exactly as the
-    # original engine did.
-    while True:
-        while pend:
-            obj = pend.pop()
-            if respect_masks and isinstance(obj, Goroutine) and obj.masked:
-                continue
-            if obj._mark_epoch != epoch:
-                obj._mark_epoch = epoch
-                marked += 1
-                work += obj.scan_work
-                gray.append(obj)
-                if on_marked is not None:
-                    extra = on_marked(obj)
-                    if extra:
-                        pend.extend(extra)
-        if not gray:
-            return work, marked
-        for ref in gray.pop().referents():
-            work += 1
-            if respect_masks and isinstance(ref, Goroutine) and ref.masked:
-                continue
-            if ref._mark_epoch != epoch:
-                ref._mark_epoch = epoch
-                marked += 1
-                work += ref.scan_work
-                gray.append(ref)
-                if on_marked is not None:
-                    extra = on_marked(ref)
-                    if extra:
-                        pend.extend(extra)
+    enclosing = open_pass()
+    try:
+        epoch = heap.epoch
+        work = 0
+        marked = 0
+        #: Roots and on-the-fly extras pending a mark attempt.
+        pend: List[HeapObject] = list(roots)
+        #: Marked-but-unscanned objects.
+        gray: List[HeapObject] = []
+        # The mark-check block appears twice (root seeding and edge scan) on
+        # purpose: checking each referent inline while iterating avoids
+        # double-handling every edge through the pending stack, which is the
+        # difference between this loop and a naive worklist.  Edges charge
+        # one work unit each *before* the mask check, exactly as the
+        # original engine did.
+        while True:
+            while pend:
+                obj = pend.pop()
+                if respect_masks and isinstance(obj, Goroutine) and obj.masked:
+                    continue
+                if obj._mark_epoch != epoch:
+                    obj._mark_epoch = epoch
+                    marked += 1
+                    work += obj.scan_work
+                    gray.append(obj)
+                    if on_marked is not None:
+                        extra = on_marked(obj)
+                        if extra:
+                            pend.extend(extra)
+            if not gray:
+                return work, marked
+            for ref in gray.pop().referents():
+                work += 1
+                if respect_masks and isinstance(ref, Goroutine) and ref.masked:
+                    continue
+                if ref._mark_epoch != epoch:
+                    ref._mark_epoch = epoch
+                    marked += 1
+                    work += ref.scan_work
+                    gray.append(ref)
+                    if on_marked is not None:
+                        extra = on_marked(ref)
+                        if extra:
+                            pend.extend(extra)
+    finally:
+        close_pass(enclosing)
 
 
 def push_roots(
@@ -136,17 +143,21 @@ def drain_budget(
     ``(work_units, objects_marked)`` for the step; the queue being empty
     afterwards signals mark termination.
     """
-    epoch = heap.epoch
-    work = 0
-    marked = 0
-    while gray and work < budget:
-        for ref in gray.pop().referents():
-            work += 1
-            if respect_masks and isinstance(ref, Goroutine) and ref.masked:
-                continue
-            if ref._mark_epoch != epoch:
-                ref._mark_epoch = epoch
-                marked += 1
-                work += ref.scan_work
-                gray.append(ref)
-    return work, marked
+    enclosing = open_pass()
+    try:
+        epoch = heap.epoch
+        work = 0
+        marked = 0
+        while gray and work < budget:
+            for ref in gray.pop().referents():
+                work += 1
+                if respect_masks and isinstance(ref, Goroutine) and ref.masked:
+                    continue
+                if ref._mark_epoch != epoch:
+                    ref._mark_epoch = epoch
+                    marked += 1
+                    work += ref.scan_work
+                    gray.append(ref)
+        return work, marked
+    finally:
+        close_pass(enclosing)

@@ -24,13 +24,18 @@ flight (``Send``/``Select`` values, ``Go`` arguments, ``SetGlobal``).
 One eager kernel, :func:`scan_into`, does all such scanning, and every
 ``referents()`` returns the finished list of what it found — in slot
 order, one entry per edge, duplicates kept — because the marking engine
-charges one work unit per entry.
+charges one work unit per entry.  A mark pass may scan a shared container
+once (:func:`open_pass`), yet that still holds: a repeat visit appends the
+same references, in the same order, that its first scan appended, so each
+``referents()`` list is exactly what a rescan would have built.
 """
 
 from __future__ import annotations
 
 from types import WrapperDescriptorType
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 from weakref import ProxyTypes
 
 #: Simulated pointer size in bytes; used by the default size model.
@@ -68,6 +73,20 @@ _KINDS: Dict[type, int] = {
     **dict.fromkeys(_PLAIN, _PLAIN_EXACT),
     dict: _DICT_EXACT,
 }
+
+#: Elements below which an exact container is rescanned on every visit
+#: of a pass rather than memoised, keeping the memo to containers whose
+#: replay saves tens of element checks (docs/PERFORMANCE.md §3a counts
+#: what each limit keeps per workload).
+_MEMO_MIN_LEN = 16
+
+#: A mark pass's container memo: ``id(container) -> (container, depth,
+#: refs found)``.  Holding the container keeps its ``id`` from being
+#: reused while the entry lives.
+PassMemo = Dict[int, Tuple[Any, int, List["HeapObject"]]]
+
+#: The open pass's memo; ``None`` outside a pass.
+_pass_memo: Optional[PassMemo] = None
 
 
 class HeapObject:
@@ -426,6 +445,11 @@ def scan_into(value: Any, out: List[HeapObject], _depth: int = 0) -> None:
     its own entry, never its base's; a container holding only scalars is
     rejected by one C-level pass over its element types, for the exact
     container types only.
+
+    Inside a mark pass (:func:`open_pass`) an exact container of at least
+    ``_MEMO_MIN_LEN`` elements is scanned once per depth: a repeat visit
+    appends the references its first scan found, which is what a rescan
+    would append, since no mutator runs inside a pass.
     """
     kind = _KINDS.get(type(value), _UNSEEN)
     if kind == _UNSEEN:
@@ -434,23 +458,51 @@ def scan_into(value: Any, out: List[HeapObject], _depth: int = 0) -> None:
         return
     if kind == _HEAP:
         out.append(value)
-    elif _depth >= _MAX_SCAN_DEPTH:
         return
-    elif kind <= _PLAIN_SUB:
-        if kind == _PLAIN_EXACT and _SCALARS.issuperset(map(type, value)):
+    if _depth >= _MAX_SCAN_DEPTH:
+        return
+    memo = _pass_memo
+    start = -1
+    if (memo is not None and (kind == _PLAIN_EXACT or kind == _DICT_EXACT)
+            and _depth >= 0 and len(value) >= _MEMO_MIN_LEN):
+        seen = memo.get(id(value))
+        if seen is not None and seen[1] == _depth:
+            out.extend(seen[2])
             return
-        for item in value:
-            if type(item) not in _SCALARS:
-                scan_into(item, out, _depth + 1)
-    else:
-        if (kind == _DICT_EXACT and _SCALARS.issuperset(map(type, value))
-                and _SCALARS.issuperset(map(type, value.values()))):
-            return
+        start = len(out)
+    if kind <= _PLAIN_SUB:
+        if kind != _PLAIN_EXACT or not _SCALARS.issuperset(map(type, value)):
+            for item in value:
+                if type(item) not in _SCALARS:
+                    scan_into(item, out, _depth + 1)
+    elif (kind != _DICT_EXACT or not _SCALARS.issuperset(map(type, value))
+          or not _SCALARS.issuperset(map(type, value.values()))):
         for key, item in value.items():
             if type(key) not in _SCALARS:
                 scan_into(key, out, _depth + 1)
             if type(item) not in _SCALARS:
                 scan_into(item, out, _depth + 1)
+    if start >= 0:
+        memo[id(value)] = (value, _depth, out[start:])
+
+
+def open_pass() -> Optional[PassMemo]:
+    """Open a mark pass's container memo; returns the enclosing one.
+
+    The caller runs no mutator until it hands the result back to
+    :func:`close_pass`, in a ``finally``.  A pass is one marking call,
+    never a cycle: incremental steps interleave with the mutator.
+    """
+    global _pass_memo
+    enclosing = _pass_memo
+    _pass_memo = {}
+    return enclosing
+
+
+def close_pass(enclosing: Optional[PassMemo]) -> None:
+    """Drop the open pass's memo and restore ``enclosing``."""
+    global _pass_memo
+    _pass_memo = enclosing
 
 
 def scan_each(values: Iterable[Any],

@@ -47,6 +47,8 @@ import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.codec import need, need_items
+from repro.errors import ArtifactError
 from repro.staticcheck.model import (
     MANY,
     ChanVal,
@@ -86,6 +88,9 @@ ASSUMPTIONS = (
     "whole-program-composition",
     "panic-terminates-program",
 )
+
+#: A channel / sync-object uid slot in a serialized model.
+_UID_OR_NONE = (int, type(None))
 
 
 class Step:
@@ -140,15 +145,26 @@ class Step:
         return d
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Step":
+    def from_dict(cls, d: Dict[str, Any], where: str) -> "Step":
+        kind = need(d, "kind", str, where)
+        arms = []
+        for i, arm in enumerate(need(d, "arms", list, where, [])):
+            if not (isinstance(arm, list) and len(arm) == 2
+                    and isinstance(arm[0], str)
+                    and isinstance(arm[1], _UID_OR_NONE)):
+                raise ArtifactError(
+                    f"{where}: arms[{i}] should be a [kind, chan] pair")
+            arms.append((arm[0], arm[1]))
         return cls(
-            d["kind"], chan=d.get("chan"), site=d.get("site", ""),
-            optional=bool(d.get("optional")),
-            arms=[(k, c) for k, c in d.get("arms", [])],
-            default=bool(d.get("default")), delta=int(d.get("delta", 0)),
-            obj=d.get("obj"), spawn_body=d.get("spawn_body"),
-            spawn_count=int(d.get("spawn_count", 0)),
-            may_exit=bool(d.get("may_exit")),
+            kind, chan=need(d, "chan", _UID_OR_NONE, where, None),
+            site=need(d, "site", str, where, ""),
+            optional=need(d, "optional", bool, where, False), arms=arms,
+            default=need(d, "default", bool, where, False),
+            delta=need(d, "delta", int, where, 0),
+            obj=need(d, "obj", _UID_OR_NONE, where, None),
+            spawn_body=need(d, "spawn_body", _UID_OR_NONE, where, None),
+            spawn_count=need(d, "spawn_count", int, where, 0),
+            may_exit=need(d, "may_exit", bool, where, False),
         )
 
     def __repr__(self) -> str:
@@ -180,10 +196,14 @@ class Component:
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Component":
-        return cls(d["name"], int(d["body_uid"]), int(d["instance"]),
-                   [Step.from_dict(s) for s in d["steps"]],
-                   entry=bool(d.get("entry")))
+    def from_dict(cls, d: Dict[str, Any], where: str) -> "Component":
+        steps = need(d, "steps", list, where)
+        return cls(need(d, "name", str, where),
+                   need(d, "body_uid", int, where),
+                   need(d, "instance", int, where),
+                   [Step.from_dict(s, f"{where}.steps[{i}]")
+                    for i, s in enumerate(steps)],
+                   entry=need(d, "entry", bool, where, False))
 
 
 class BehaviorModel:
@@ -244,17 +264,30 @@ class BehaviorModel:
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "BehaviorModel":
-        model = cls(d["entry"], d["file"])
-        model.components = [Component.from_dict(c) for c in d["components"]]
-        model.channels = {int(u): dict(info)
-                         for u, info in d["channels"].items()}
-        model.wgs = [int(u) for u in d["wgs"]]
-        model.mutexes = [int(u) for u in d["mutexes"]]
-        model.semas = {int(u): int(c) for u, c in d["semas"].items()}
-        model.unknown_channels = {
-            int(u): r for u, r in d.get("unknown_channels", {}).items()}
-        model.notes = list(d.get("notes", []))
+    def from_dict(cls, d: Dict[str, Any],
+                  where: str = "behavior model") -> "BehaviorModel":
+        """Decode :meth:`to_dict`'s document; a malformed one is an
+        :class:`ArtifactError` naming the key path."""
+        model = cls(need(d, "entry", str, where), need(d, "file", str, where))
+        model.components = [
+            Component.from_dict(c, f"{where}.components[{i}]")
+            for i, c in enumerate(need(d, "components", list, where))]
+        channels = _by_uid(need(d, "channels", dict, where), dict,
+                           f"{where}.channels")
+        for uid, info in channels.items():
+            at = f"{where}.channels.{uid}"
+            need(info, "capacity", int, at)
+            need(info, "label", (str, type(None)), at, None)
+            need(info, "site", str, at, "")
+            model.channels[uid] = dict(info)
+        model.wgs = need_items(d, "wgs", int, where)
+        model.mutexes = need_items(d, "mutexes", int, where)
+        model.semas = _by_uid(need(d, "semas", dict, where), int,
+                              f"{where}.semas")
+        model.unknown_channels = _by_uid(
+            need(d, "unknown_channels", dict, where, {}), str,
+            f"{where}.unknown_channels")
+        model.notes = need_items(d, "notes", str, where, [])
         model.finalize()
         return model
 
@@ -262,6 +295,19 @@ class BehaviorModel:
         canon = json.dumps(self.to_dict(), sort_keys=True,
                            separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _by_uid(mapping: Dict[str, Any], kind, where: str) -> Dict[int, Any]:
+    """A JSON object keyed by uid strings, each value a ``kind``, keyed
+    by ``int`` uid."""
+    out: Dict[int, Any] = {}
+    for key in mapping:
+        value = need(mapping, key, kind, where)
+        try:
+            out[int(key)] = value
+        except ValueError:
+            raise ArtifactError(f"{where}: {key!r} is not a uid") from None
+    return out
 
 
 # ---------------------------------------------------------------------------

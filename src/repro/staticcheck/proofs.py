@@ -98,15 +98,8 @@ class Certificate:
     def from_dict(cls, d: Dict[str, Any],
                   where: str = "certificate") -> "Certificate":
         codec.need_version(d, CERT_VERSION, where, key="version")
-        model_doc = need(d, "model", dict, where)
-        try:
-            model = BehaviorModel.from_dict(model_doc)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            # The model's own decoder is not field-checked; whatever it
-            # trips on, the certificate is what is malformed.
-            raise ArtifactError(
-                f"{where}: 'model' is malformed "
-                f"({type(exc).__name__}: {exc})") from exc
+        model = BehaviorModel.from_dict(need(d, "model", dict, where),
+                                        f"{where}.model")
         return cls(
             entry=need(d, "entry", str, where),
             file=need(d, "file", str, where),

@@ -140,12 +140,14 @@ def documents(codec, fleet_doc, dash_doc, observed_hub, registry_doc):
                          FingerprintStore.from_dict),
         "proofs": (registry_doc,
                    lambda doc: ProofRegistry.from_json(codec.dumps(doc))),
+        "model": (registry_doc["certificates"][0]["model"],
+                  BehaviorModel.from_dict),
     }
     return {name: (codec.loads(codec.dumps(doc)), reader)
             for name, (doc, reader) in readers.items()}
 
 
-FORMATS = ("fleet", "dash", "chrome", "fingerprints", "proofs")
+FORMATS = ("fleet", "dash", "chrome", "fingerprints", "proofs", "model")
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -189,8 +191,7 @@ _OTHER = {dict: [3, [], "x"], list: [3, {}, None], str: [3, [], None],
           int: ["x", [], None], float: ["x", {}], bool: ["x", 7],
           type(None): [3, {}]}
 
-_NEED_MESSAGE = re.compile(
-    r"missing key '(\w+)'|'(\w+)' should be|'(\w+)' is malformed")
+_NEED_MESSAGE = re.compile(r"missing key '(\w+)'|'(\w+)' should be")
 
 
 def _mutate(data, doc):

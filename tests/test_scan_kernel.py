@@ -10,6 +10,7 @@ because the collector charges one work unit per returned edge.
 from __future__ import annotations
 
 import collections
+import contextlib
 import enum
 import sys
 import weakref
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GolfConfig, Runtime
-from repro.gc.heap import GlobalRoot
+from repro.gc.heap import GlobalRoot, Heap
+from repro.gc.marking import drain_budget, mark_from
 from repro.runtime import objects
 from repro.runtime.channel import Channel
 from repro.runtime.clock import MICROSECOND
@@ -50,6 +52,7 @@ from repro.runtime.objects import (
     Struct,
     iter_heap_refs,
     scan_each,
+    scan_into,
 )
 from repro.runtime.sync import Cond, Mutex, Pool, WaitGroup
 from repro.runtime.timers import Ticker, Timer
@@ -301,6 +304,179 @@ class TestKindTable:
         assert fresh[-1] not in objects._KINDS
 
 
+# -- one scan per container per mark pass -------------------------------------
+
+
+@contextlib.contextmanager
+def open_pass(min_len=0):
+    """A mark pass scope that memoises containers of ``min_len`` elements
+    and up (0: every exact container, so the generated values hit it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objects, "_MEMO_MIN_LEN", min_len)
+        enclosing = objects.open_pass()
+        try:
+            yield
+        finally:
+            objects.close_pass(enclosing)
+
+
+def scanned(value, depth=0):
+    out = []
+    scan_into(value, out, depth)
+    return out
+
+
+class _Tally(frozenset):
+    """``_SCALARS`` with a count of the element types its
+    ``issuperset`` consumed: the scanner's per-element work."""
+
+    def issuperset(self, other):
+        for cls in other:
+            self.consumed += 1
+            if cls not in self:
+                return False
+        return True
+
+
+class TestPassMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(values)
+    def test_generated_values_scanned_twice_in_one_pass(self, value):
+        with open_pass():
+            for _ in range(2):
+                assert ids(scanned(value)) == ids(reference(value))
+            assert_same_scan([value, (value,), {"again": value}])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values, st.integers(0, _MAX_SCAN_DEPTH), st.integers(0, 3))
+    def test_a_value_shared_at_two_depths(self, value, depth, deeper):
+        """The second visit is the reference at its own depth, not a
+        replay of the first visit's."""
+        with open_pass():
+            for at in (depth, depth + deeper, depth):
+                assert ids(scanned(value, at)) == ids(reference(value, at))
+            assert_same_scan([value, nest(value, deeper), value])
+
+    def test_self_referential_lists(self):
+        box = Box(1)
+        short = [box, 7]
+        short.append(short)
+        long = [box] + list(range(objects._MEMO_MIN_LEN))
+        long.append(long)
+        for min_len in (0, objects._MEMO_MIN_LEN):
+            with open_pass(min_len):
+                for loop in (short, long, short, long):
+                    assert_same_scan(loop)
+                    assert ids(scanned(loop, 3)) == ids(reference(loop, 3))
+        assert len(iter_heap_refs(short)) == _MAX_SCAN_DEPTH
+
+    def test_a_pass_replays_and_the_next_pass_sees_a_mutation(self):
+        a, b = Box(1), Box(2)
+        shared = [a] + list(range(objects._MEMO_MIN_LEN))
+        with open_pass(objects._MEMO_MIN_LEN):
+            assert scanned(shared) == [a]
+            # No mutator runs inside a real pass; one here shows the
+            # second visit is a replay.
+            shared.append(b)
+            assert scanned(shared) == [a]
+        with open_pass(objects._MEMO_MIN_LEN):
+            assert scanned(shared) == [a, b]
+            assert scanned(shared) == [a, b]
+        assert objects._pass_memo is None
+
+    def test_short_containers_and_subclasses_are_never_memoised(self):
+        class Row(list):
+            pass
+
+        class Keyed(dict):
+            pass
+
+        a, b = Box(1), Box(2)
+        filler = list(range(objects._MEMO_MIN_LEN))
+        # Still one element short after the append below.
+        short = [a] + filler[3:]
+        row, keyed = Row([a] + filler), Keyed({a: 0, **dict.fromkeys(filler)})
+        with open_pass(objects._MEMO_MIN_LEN):
+            for value in (short, row, keyed):
+                assert scanned(value) == [a]
+            short.append(b)
+            row.append(b)
+            keyed[b] = 0
+            for value in (short, row, keyed):
+                assert scanned(value) == [a, b]
+            assert objects._pass_memo == {}
+
+    def test_gomap_backing_dict_is_not_memoised(self):
+        a, n = Box(1), objects._MEMO_MIN_LEN
+        gomap = GoMap({i: a for i in range(n)})
+        with open_pass():
+            for _ in range(2):
+                assert gomap.referents() == [a] * n
+            assert objects._pass_memo == {}
+
+    def test_each_marking_call_opens_a_pass_and_closes_it_on_a_raise(self):
+        """``mark_from`` and ``drain_budget`` scan inside a fresh memo and
+        restore the enclosing one, also when a scan raises mid-pass."""
+        seen = []
+
+        class Faulty(Box):
+            def referents(self):
+                seen.append(objects._pass_memo)
+                raise RuntimeError("mid-pass")
+
+        shared = list(range(objects._MEMO_MIN_LEN))
+        heap = Heap()
+        marks = {
+            "mark_from": lambda root: mark_from(heap, [root, Box(shared)]),
+            "drain_budget": lambda root: drain_budget(
+                heap, [Box(shared), root], 10**6),
+        }
+        for name, mark in marks.items():
+            for enclosing in (None, {}):
+                heap.begin_cycle()
+                objects._pass_memo = enclosing
+                try:
+                    with pytest.raises(RuntimeError, match="mid-pass"):
+                        mark(Box(Slice([shared, Faulty()])))
+                    assert objects._pass_memo is enclosing, name
+                finally:
+                    objects._pass_memo = None
+                memo = seen.pop()
+                assert memo is not enclosing and id(shared) in memo, name
+
+    def test_a_captured_list_costs_one_element_pass_per_mark(
+            self, monkeypatch):
+        """The ``svc-leak-*`` shape: k parked goroutines close over one
+        n-element list of ints.  One ``mark_from`` type-checks its
+        elements once, not once per frame."""
+        n = 1000
+        consumed = {}
+        for k in (1, 8, 32):
+            latencies = list(range(n))
+
+            def setup():
+                ch = yield MakeChan(0)
+
+                def conn():
+                    yield Recv(ch)
+                    latencies.append(0)
+
+                return [conn] * k
+
+            rt, goroutines = parked_runtime(setup)
+            assert len(goroutines) == k
+            tally = _Tally(objects._SCALARS)
+            tally.consumed = 0
+            monkeypatch.setattr(objects, "_SCALARS", tally)
+            rt.heap.begin_cycle()
+            mark_from(rt.heap, goroutines)
+            monkeypatch.undo()
+            consumed[k] = tally.consumed
+        # Beyond the list: a frame's locals stop at its first heap slot.
+        for k in (8, 32):
+            assert n <= consumed[k] <= consumed[1] + 4 * k, consumed
+
+
 # -- producers ----------------------------------------------------------------
 
 
@@ -471,9 +647,9 @@ def reference_stack_heap_refs(g):
         yield g.blocking_sema
 
 
-def parked(body_factory):
+def parked_runtime(body_factory):
     """Run ``main`` spawning one goroutine per body until all are parked;
-    returns the goroutines."""
+    returns the runtime and the goroutines."""
     rt = Runtime(procs=2, seed=7, config=GolfConfig())
     spawned = []
 
@@ -485,7 +661,11 @@ def parked(body_factory):
 
     rt.spawn_main(main)
     rt.run(until_ns=200 * MICROSECOND)
-    return spawned
+    return rt, spawned
+
+
+def parked(body_factory):
+    return parked_runtime(body_factory)[1]
 
 
 class TestGoroutineStacks:

@@ -11,8 +11,10 @@ while leaving leak reports byte-identical.
 """
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.equivalence import PAIRS, EquivalenceResult, Program, compare
@@ -30,6 +32,7 @@ from repro.runtime.instructions import (
 from repro.staticcheck import vet_paths
 from repro.staticcheck.behavior import analyze_callable_behavior
 from repro.staticcheck.fusion import registry_for_analysis
+from repro.staticcheck.report import CHAN_EXPECTATIONS, parse_annotations
 from tests.conftest import swept
 
 GOOD = """\
@@ -100,6 +103,32 @@ class TestChanAnnotations:
             main(["vet", str(path), "--prove", "--fail-on", "never"])
 
 
+_KNOWN_KINDS = ("clean", "expect", "ok", "chan")
+_WORD = st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True)
+#: One line of text that holds no annotation.
+_NOISE = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                 max_size=16).filter(lambda s: "vet" not in s)
+_WELL_FORMED = st.one_of(
+    st.just("# vet: clean"),
+    st.lists(_WORD, max_size=3).map(lambda rules: "# vet: expect "
+                                    + ", ".join(rules)),
+    st.builds("# vet: ok {} {}".format, _WORD, _NOISE),
+    st.builds("# vet: chan={} {}".format, _WORD,
+              st.sampled_from(CHAN_EXPECTATIONS)),
+)
+_MALFORMED = st.one_of(
+    st.builds("# vet: {} {}".format,
+              st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True)
+              .filter(lambda kind: kind not in _KNOWN_KINDS), _NOISE),
+    st.just("# vet: chan"),
+    st.builds("# vet: chan {}".format, _WORD),
+    st.just("# vet: chan= "),
+    st.builds("# vet: chan={}".format, _WORD),
+    st.builds("# vet: chan={} {}".format, _WORD,
+              _WORD.filter(lambda word: word not in CHAN_EXPECTATIONS)),
+)
+
+
 class TestMalformedAnnotations:
     @pytest.mark.parametrize("annotation,fragment", [
         ("# vet: chan", "want 'chan=<label> <expectation>'"),
@@ -115,6 +144,31 @@ class TestMalformedAnnotations:
         with pytest.raises(SystemExit) as exc:
             main(["vet", str(path), "--prove"])
         assert fragment in str(exc.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_any_text_parses_without_raising(self, text):
+        problems = []
+        parse_annotations(text, problems)
+        assert len(problems) <= len(text.splitlines())
+        assert all(re.match(r"line \d+: ", p) for p in problems)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        _NOISE.map(lambda line: (line, None)),
+        st.tuples(_NOISE, _WELL_FORMED).map(lambda t: (t[0] + t[1], True)),
+        st.tuples(_NOISE, _MALFORMED).map(lambda t: (t[0] + t[1], False)),
+    ), max_size=12))
+    def test_each_malformed_line_adds_one_problem(self, rows):
+        """``rows`` is ``(line, well_formed)``, ``None`` for a line that
+        holds no annotation."""
+        problems = []
+        annotations = parse_annotations(
+            "\n".join(line for line, _ in rows), problems)
+        assert len(annotations) == sum(ok is True for _, ok in rows)
+        assert [int(re.match(r"line (\d+): ", p).group(1))
+                for p in problems] == [
+            n for n, (_, ok) in enumerate(rows, start=1) if ok is False]
 
     def test_malformed_annotations_fail_without_prove_too(self, tmp_path):
         """A typo'd annotation is a defect in the file regardless of
