@@ -20,6 +20,7 @@ def test_table1_detection_rates():
 
     # Shape assertions against the paper.
     assert result.aggregated() >= 0.88, "paper: 94.75% aggregate"
+    assert result.unexpected == 0, "a detection at an undeclared site"
     assert result.counts["grpc/3017:71"][1] == 0, "needs parallelism"
     assert result.counts["grpc/3017:71"][2] >= 0.9 * RUNS
     assert result.counts["etcd/7443:96"][4] <= 0.1 * RUNS

@@ -1,8 +1,8 @@
 """Comparator detectors from the paper's evaluation.
 
-Three points in the detector design space: goleak (dynamic, end-of-test),
-LeakProf (dynamic, sampling, production), and ``repro vet`` (static,
-pre-execution — see :mod:`repro.staticcheck`).
+Two dynamic points in the detector design space: goleak (end-of-test)
+and LeakProf (sampling, production).  The static point is ``repro vet``
+(:mod:`repro.staticcheck`).
 """
 
 from repro.baselines.goleak import (
@@ -12,12 +12,6 @@ from repro.baselines.goleak import (
     verify_none,
 )
 from repro.baselines.leakprof import LeakProf
-from repro.baselines.vet import (
-    StaticLeakError,
-    StaticVetRecord,
-    find_static_leaks,
-    verify_static_none,
-)
 
 __all__ = [
     "GoleakRecord",
@@ -25,8 +19,4 @@ __all__ = [
     "find_leaks",
     "verify_none",
     "LeakProf",
-    "StaticLeakError",
-    "StaticVetRecord",
-    "find_static_leaks",
-    "verify_static_none",
 ]

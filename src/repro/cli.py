@@ -22,22 +22,11 @@ import time
 from typing import Callable, Dict, Iterable, List
 
 from repro import codec
-from repro.artifact import TesterConfig, run_tester
 from repro.chaos.scenarios import SCENARIOS
 from repro.core.config import GC_MODES, set_default_gc_mode
 from repro.equivalence import PAIR_NAMES, run_pair
 from repro.errors import ArtifactError
 from repro.microbench.registry import benchmarks_by_name
-
-
-def _cmd_tester(args) -> str:
-    config = TesterConfig(match=args.match, repeats=args.repeats,
-                          perf=args.perf)
-    report = run_tester(config)
-    text = report.format_results()
-    if args.perf:
-        text += "\n\n" + report.format_perf_csv()
-    return text
 
 
 def _cmd_chaos(args) -> str:
@@ -69,7 +58,7 @@ def _cmd_chaos(args) -> str:
 
 
 def _gate(text: str, failures: List[str], what: str) -> str:
-    """The exit contract of ``daemon`` / ``fleet`` / ``dash``: the report
+    """The exit contract of ``daemon`` / ``fleet``: the report
     on a clean run; else exit non-zero with it, one ``FAIL:`` line per
     failure and ``<what> FAILED``."""
     if failures:
@@ -214,46 +203,6 @@ def _cmd_fleet(args) -> str:
                             "multiprocessing (reports, fingerprints, "
                             "metrics)")
     return _gate("\n\n".join(sections), failures, "fleet run")
-
-
-def _cmd_dash(args) -> str:
-    """Deterministic TSDB dashboard over a scraped fleet run.
-
-    Runs the sequential (oracle) fleet with per-shard metric scraping
-    on, renders the text dashboard, and writes the schema-versioned
-    JSON artifact (series rollup + alert timeline) — validated before
-    writing; two same-seed invocations produce byte-identical output.
-    Exits non-zero on a dirty run or a schema breach.
-    """
-    from repro.telemetry.dashboard import run_dash, validate_dash_artifact
-
-    if args.shards < 1:
-        raise SystemExit("dash: --shards must be at least 1")
-    if args.scrape_ms <= 0:
-        raise SystemExit("dash: --scrape-ms must be positive")
-    result = run_dash(
-        shards=args.shards, users=args.users, seed=args.seed,
-        workload=args.workload, policy=args.policy,
-        leak_rate=args.leak_rate, procs=args.procs,
-        daemon_ms=args.daemon_ms, scrape_ms=args.scrape_ms)
-    doc = result.to_dict()
-    failures = []
-    try:
-        counts = validate_dash_artifact(doc)
-    except ArtifactError as exc:
-        failures.append(f"artifact schema breach: {exc}")
-        counts = {}
-    path = codec.write(os.path.join(
-        args.json_dir, f"dash-n{args.shards}-s{args.seed}.json"), doc)
-    if not result.clean:
-        failures.append("dirty run: " + "; ".join(result.fleet.problems))
-    return _gate("\n".join([
-        result.format().rstrip("\n"),
-        "",
-        f"artifact : {path} ({counts.get('series', 0)} series, "
-        f"{counts.get('alert_transitions', 0)} alert transition(s), "
-        f"{counts.get('rules', 0)} rule(s))",
-    ]), failures, "dash run")
 
 
 def _cmd_obs(args) -> str:
@@ -438,11 +387,9 @@ def _cmd_equiv(args) -> str:
 
 
 _COMMANDS: Dict[str, Callable] = {
-    "tester": _cmd_tester,
     "chaos": _cmd_chaos,
     "daemon": _cmd_daemon,
     "fleet": _cmd_fleet,
-    "dash": _cmd_dash,
     "obs": _cmd_obs,
     "trace": _cmd_trace,
     "vet": _cmd_vet,
@@ -493,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], allow_abbrev=False,
                               **kwargs)
-
-    p = add("tester", help="the artifact-appendix testing harness")
-    p.add_argument("--match", default="", help="benchmark name regex")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--perf", action="store_true",
-                   help="also emit the results-perf.csv comparison")
 
     p = add("chaos", help="seeded fault-injection campaign (soundness "
                           "under chaos); exits non-zero on any violation")
@@ -551,29 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "ms); omitted = GC-cadence detection only")
     p.add_argument("--json-dir", default="benchmarks/out",
                    help="directory for the fleet JSON/.prom artifacts")
-
-    p = add("dash", help="deterministic TSDB dashboard + alert timeline "
-                         "over a scraped sequential fleet run")
-    p.add_argument("--shards", type=int, default=2,
-                   help="number of runtime shards (1 = single runtime)")
-    p.add_argument("--users", type=int, default=16,
-                   help="total users routed across the fleet")
-    p.add_argument("--workload", default="controlled",
-                   choices=["controlled", "production"],
-                   help="per-shard leak workload shape")
-    p.add_argument("--policy", default="hash", choices=["hash", "load"],
-                   help="user placement: id-hash or least-expected-load")
-    p.add_argument("--leak-rate", type=float, default=0.1,
-                   help="fraction of requests hitting the leaky path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--procs", type=int, default=2,
-                   help="virtual processors per shard")
-    p.add_argument("--daemon-ms", type=float, default=10.0,
-                   help="per-shard detection-daemon interval (virtual ms)")
-    p.add_argument("--scrape-ms", type=float, default=5.0,
-                   help="TSDB scrape cadence (virtual ms)")
-    p.add_argument("--json-dir", default="benchmarks/out",
-                   help="directory for the dash JSON artifact")
 
     p = add("vet", help="static partial-deadlock analysis over goroutine "
                         "bodies; exits non-zero per --fail-on")

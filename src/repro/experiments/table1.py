@@ -10,7 +10,7 @@ percentage per configuration.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import Microbenchmark, all_benchmarks
@@ -26,14 +26,22 @@ class Table1Result:
         self.procs_list = tuple(procs_list)
         #: site label -> {procs: detections}
         self.counts: Dict[str, Dict[int, int]] = {}
+        #: Detections at a site the benchmark does not declare.
+        self.unexpected = 0
         self.panics = 0
         self.total_runs = 0
 
-    def record(self, site: str, procs: int, detected: bool) -> None:
-        row = self.counts.setdefault(
-            site, {p: 0 for p in self.procs_list})
-        if detected:
-            row[procs] += 1
+    def record(self, sites: Sequence[str], procs: int,
+               detected: Iterable[str]) -> None:
+        """Tally one run: each declared site the run detected, and every
+        detection at a site outside ``sites``."""
+        for site in sites:
+            self.counts.setdefault(site, {p: 0 for p in self.procs_list})
+        for site in detected:
+            if site in sites:
+                self.counts[site][procs] += 1
+            else:
+                self.unexpected += 1
 
     def site_rate(self, site: str) -> float:
         """Detection rate for one site across all configurations."""
@@ -89,9 +97,7 @@ def run_table1(
                 result.total_runs += 1
                 if outcome.panic is not None:
                     result.panics += 1
-                for site in bench.sites:
-                    result.record(site, procs,
-                                  site in outcome.detected)
+                result.record(bench.sites, procs, outcome.detected)
                 done += 1
                 if progress is not None and done % 500 == 0:
                     progress(done, total_jobs)
@@ -132,5 +138,10 @@ def format_table1(result: Table1Result) -> str:
     if result.panics:
         lines.append(
             f"[runtime failure] in {result.panics}/{result.total_runs} runs"
+        )
+    if result.unexpected:
+        lines.append(
+            f"Unexpected DL: {result.unexpected} detection(s) at "
+            f"undeclared sites"
         )
     return "\n".join(lines)

@@ -10,7 +10,7 @@ execution itself (which the mode-equivalence oracle would catch).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import codec
 from repro.codec import need
@@ -67,16 +67,6 @@ class FleetResult:
             if shard.service_end_ns <= 0:
                 self.problems.append(
                     f"shard {shard.shard_id}: did not complete")
-
-        # Per-shard TSDB / alert dumps, keyed by shard id as a string —
-        # present only when the fleet ran with scraping enabled, so the
-        # artifact stays byte-identical to pre-TSDB runs otherwise.
-        self.tsdb_sources: Dict[str, dict] = {
-            str(s.shard_id): s.tsdb
-            for s in self.shards if s.tsdb is not None}
-        self.alert_sources: Dict[str, dict] = {
-            str(s.shard_id): s.alerts
-            for s in self.shards if s.alerts is not None}
 
     # -- aggregate numbers ----------------------------------------------------
 
@@ -142,32 +132,9 @@ class FleetResult:
         return render_merged_prometheus(
             {str(s.shard_id): s.metrics for s in self.shards})
 
-    def tsdb_rollup(self) -> Optional[dict]:
-        """Fleet-level series rollup with ``shard`` labels (same label
-        semantics as :func:`render_merged_prometheus`); None when the
-        fleet ran without scraping."""
-        if not self.tsdb_sources:
-            return None
-        from repro.telemetry.tsdb import merge_tsdb
-
-        return merge_tsdb(self.tsdb_sources, label="shard")
-
-    def alert_timeline(self) -> List[dict]:
-        """All shards' alert transitions with shard provenance, ordered
-        by (virtual time, shard, rule) — deterministic because each
-        shard's timeline already is."""
-        events: List[dict] = []
-        for shard_id in sorted(self.alert_sources, key=int):
-            for event in self.alert_sources[shard_id]["timeline"]:
-                entry = dict(event)
-                entry["shard"] = int(shard_id)
-                events.append(entry)
-        events.sort(key=lambda e: (e["t"], e["shard"], e["rule"]))
-        return events
-
     def to_dict(self) -> dict:
         """The deterministic JSON artifact (no wall-clock anywhere)."""
-        doc = {
+        return {
             "schema_version": FLEET_SCHEMA_VERSION,
             "mode": self.mode,
             "config": dict(self.config),
@@ -190,16 +157,6 @@ class FleetResult:
             "problems": list(self.problems),
             "clean": self.clean,
         }
-        # Only present when scraping ran — keeps pre-TSDB artifacts
-        # (and scraping-off runs) byte-identical.
-        if self.tsdb_sources:
-            doc["telemetry"] = {
-                "rollup": self.tsdb_rollup(),
-                "alert_timeline": self.alert_timeline(),
-                "alerts": {sid: self.alert_sources[sid]["summary"]
-                           for sid in sorted(self.alert_sources, key=int)},
-            }
-        return doc
 
     def to_json(self) -> str:
         return codec.dumps(self.to_dict())

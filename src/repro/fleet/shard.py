@@ -60,15 +60,13 @@ class ShardSpec:
     def __init__(self, shard_id: int, fleet_seed: int,
                  user_ids: List[int], model: TrafficModel,
                  procs: int = 2,
-                 daemon_interval_ms: Optional[float] = None,
-                 scrape_interval_ms: Optional[float] = None):
+                 daemon_interval_ms: Optional[float] = None):
         self.shard_id = shard_id
         self.fleet_seed = fleet_seed
         self.user_ids = list(user_ids)
         self.model = model
         self.procs = procs
         self.daemon_interval_ms = daemon_interval_ms
-        self.scrape_interval_ms = scrape_interval_ms
 
     @property
     def shard_seed(self) -> int:
@@ -95,10 +93,6 @@ class ShardResult:
         self.memstats: Dict[str, float] = {}
         self.invariant_violations: List[str] = []
         self.daemon_checks = 0
-        #: TSDB dump + alert-engine dump, populated only when the spec
-        #: asked for scraping (None keeps pre-TSDB artifacts byte-equal).
-        self.tsdb: Optional[dict] = None
-        self.alerts: Optional[dict] = None
 
     @property
     def sustained_rps(self) -> float:
@@ -116,7 +110,8 @@ class ShardResult:
         return self.leaks_detected / (self.service_end_ns / SECOND)
 
     def as_dict(self) -> dict:
-        out = {
+        """This shard's entry in the fleet artifact's ``shards`` list."""
+        return {
             "shard_id": self.shard_id,
             "users": self.users,
             "requests_completed": self.requests_completed,
@@ -131,10 +126,6 @@ class ShardResult:
             "memstats": dict(self.memstats),
             "invariant_violations": list(self.invariant_violations),
         }
-        if self.tsdb is not None:
-            out["tsdb"] = self.tsdb
-            out["alerts"] = self.alerts
-        return out
 
 
 class ShardRunner:
@@ -156,17 +147,26 @@ class ShardRunner:
         self.rt.enable_periodic_gc(PERIODIC_GC_MS * MILLISECOND)
         if spec.daemon_interval_ms is not None:
             self.rt.detect_partial_deadlock(spec.daemon_interval_ms)
-        self.scraper = None
-        if spec.scrape_interval_ms is not None:
-            from repro.telemetry.alerts import builtin_slo_rules
-
-            self.hub.enable_tsdb(
-                scrape_interval_ms=spec.scrape_interval_ms,
-                rules=builtin_slo_rules(
-                    daemon_interval_ms=spec.daemon_interval_ms,
-                    gc_interval_ms=PERIODIC_GC_MS))
-            self.scraper = self.rt.start_metrics_scrape(self.hub)
         self._install_program()
+
+    # -- stepping -------------------------------------------------------------
+
+    def step(self) -> bool:
+        """Advance one bounded slice of virtual time; True when done."""
+        if self.done:
+            return True
+        status = self.rt.run(
+            until_ns=self.rt.clock.now + STEP_MS * MILLISECOND)
+        if status != RunStatus.TIMEOUT:
+            self._finish()
+        return self.done
+
+    def run_to_completion(self) -> ShardResult:
+        """Drive the same stepping loop the sequential mode interleaves
+        (identical slice cadence ⇒ identical execution)."""
+        while not self.step():
+            pass
+        return self.result
 
     # -- the workload ---------------------------------------------------------
 
@@ -247,26 +247,9 @@ class ShardRunner:
 
         rt.spawn_main(main)
 
-    # -- stepping -------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Advance one bounded slice of virtual time; True when done."""
-        if self.done:
-            return True
-        status = self.rt.run(
-            until_ns=self.rt.clock.now + STEP_MS * MILLISECOND)
-        if status != RunStatus.TIMEOUT:
-            self._finish()
-        return self.done
-
-    def run_to_completion(self) -> ShardResult:
-        """Drive the same stepping loop the sequential mode interleaves
-        (identical slice cadence ⇒ identical execution)."""
-        while not self.step():
-            pass
-        return self.result
-
     def _finish(self) -> None:
+        """Quiesce the runtime once :meth:`step` sees the program end,
+        and fill in the result."""
         rt = self.rt
         result = self.result
         result.service_end_ns = rt.clock.now
@@ -282,13 +265,6 @@ class ShardRunner:
         result.num_gc = rt.collector.stats.num_gc
         result.reports = [r.as_dict() for r in rt.reports]
         result.report_texts = [r.format() for r in rt.reports]
-        if self.scraper is not None:
-            self.rt.stop_metrics_scrape()
-            # One final scrape at the (post-quiescence) end time, so
-            # the series and alert states cover the whole shard run.
-            self.hub.scrape_tick(rt.clock.now)
-            result.tsdb = self.hub.tsdb.to_dict()
-            result.alerts = self.hub.alerts.to_dict()
         result.fingerprints = self.hub.fingerprints.as_dict()
         result.metrics = self.hub.snapshot()["metrics"]
         result.memstats = rt.memstats().as_dict()

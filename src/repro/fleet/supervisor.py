@@ -60,7 +60,6 @@ class FleetConfig:
         max_requests: int = 6,
         procs_per_shard: int = 2,
         daemon_interval_ms: Optional[float] = None,
-        scrape_interval_ms: Optional[float] = None,
     ):
         if shards < 1:
             raise ValueError("shards must be positive")
@@ -80,9 +79,6 @@ class FleetConfig:
         self.max_requests = max_requests
         self.procs_per_shard = procs_per_shard
         self.daemon_interval_ms = daemon_interval_ms
-        #: Per-shard TSDB scrape cadence (virtual ms); None = no
-        #: scraping (the default — existing artifacts stay byte-equal).
-        self.scrape_interval_ms = scrape_interval_ms
 
     def model(self) -> TrafficModel:
         return TrafficModel(
@@ -102,7 +98,6 @@ class FleetConfig:
             "handler_work_us": HANDLER_WORK_US,
             "map_entries": MAP_ENTRIES,
             "daemon_interval_ms": self.daemon_interval_ms,
-            "scrape_interval_ms": self.scrape_interval_ms,
         }
 
 
@@ -134,8 +129,7 @@ class FleetSupervisor:
                 shard_id=shard_id, fleet_seed=config.seed,
                 user_ids=user_ids, model=model,
                 procs=config.procs_per_shard,
-                daemon_interval_ms=config.daemon_interval_ms,
-                scrape_interval_ms=config.scrape_interval_ms)
+                daemon_interval_ms=config.daemon_interval_ms)
             for shard_id, user_ids in sorted(self.routing.items())
         ]
 

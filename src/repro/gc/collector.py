@@ -377,7 +377,7 @@ class Collector:
         if self.sched.tracer is not None:
             self.sched.tracer.on_gc_cycle(cs)
         if self.sched.telemetry is not None:
-            self.sched.telemetry.on_gc_cycle(cs, self.sched, self.heap)
+            self.sched.telemetry.on_gc_cycle(cs)
 
     # -- incremental phase machine ----------------------------------------
 

@@ -12,11 +12,9 @@ Four surfaces behind one :class:`TelemetryHub`:
 - **exporters** (:mod:`repro.telemetry.export`): ``.prom`` textfiles,
   JSON artifacts, and the ``repro obs`` report;
 - **TSDB + alerting** (:mod:`repro.telemetry.tsdb`,
-  :mod:`repro.telemetry.alerts`, :mod:`repro.telemetry.dashboard`): a
-  virtual-time time-series store scraped by a scheduler ticker,
-  Prometheus-style threshold and burn-rate SLO rules
-  with a firing/pending/resolved state machine, and the deterministic
-  ``repro dash`` dashboard over a fleet-wide rollup.
+  :mod:`repro.telemetry.alerts`): a virtual-time time-series store
+  scraped by a scheduler ticker, and Prometheus-style threshold and
+  burn-rate SLO rules with a firing/pending/resolved state machine.
 
 Everything is timestamped from the virtual clock, so two runs of the
 same ``(program, procs, seed)`` produce byte-identical artifacts.
@@ -28,13 +26,6 @@ from repro.telemetry.alerts import (
     RECOVERY_TIME_SLO_NS,
     ThresholdRule,
     builtin_slo_rules,
-)
-from repro.telemetry.dashboard import (
-    DASH_SCHEMA_VERSION,
-    DashResult,
-    run_dash,
-    sparkline,
-    validate_dash_artifact,
 )
 from repro.telemetry.export import (
     ObsResult,
@@ -64,7 +55,6 @@ from repro.telemetry.tsdb import (
     ScraperError,
     Series,
     TimeSeriesDB,
-    merge_tsdb,
 )
 from repro.telemetry.profiles import (
     FingerprintStore,
@@ -91,10 +81,8 @@ __all__ = [
     "AlertEngine",
     "BurnRateRule",
     "COUNTER",
-    "DASH_SCHEMA_VERSION",
     "DEBUG",
     "DURATION_BUCKETS_NS",
-    "DashResult",
     "ERROR",
     "FingerprintStore",
     "FlightRecorder",
@@ -126,14 +114,10 @@ __all__ = [
     "get_default_hub",
     "heap_profile",
     "leak_fingerprint",
-    "merge_tsdb",
     "normalize_site",
     "quantile_from_buckets",
-    "run_dash",
     "run_observed_benchmark",
     "set_default_hub",
-    "sparkline",
-    "validate_dash_artifact",
     "validate_exposition",
     "write_artifacts",
 ]

@@ -82,7 +82,7 @@ class TelemetryHub:
 
     def _build_instruments(self) -> None:
         # Only series something in the repository reads: an alert rule,
-        # a `repro dash` panel, the `repro obs` report or a tier-1 test
+        # the `repro obs` report or a tier-1 test
         # (tests/test_layering.py::test_every_output_has_a_reader).
         reg = self.registry
         # Scheduler.
@@ -91,12 +91,7 @@ class TelemetryHub:
             "Instructions dispatched onto a virtual processor")
         # The label-less child the hot callback updates directly.
         self._ctx_switches = self.ctx_switches.labels()
-        self.live_goroutines = reg.gauge(
-            "repro_sched_live_goroutines", "Live goroutines (non-dead)")
-        self.blocked_goroutines = reg.gauge(
-            "repro_sched_blocked_goroutines",
-            "Goroutines blocked or kept-deadlocked")
-        # GC / heap.
+        # GC.
         self.gc_cycles = reg.counter(
             "repro_gc_cycles_total", "Collection cycles by mode and reason",
             labelnames=("mode", "reason"))
@@ -104,9 +99,6 @@ class TelemetryHub:
             "repro_gc_pause_window_ns",
             "Individual stop-the-world window, by phase "
             "(setup vs termination)", labelnames=("window",), unit="ns")
-        self.heap_live_bytes = reg.gauge(
-            "repro_heap_live_bytes", "Live heap bytes after the last cycle",
-            unit="bytes")
         # Detector, daemon, recovery.
         self.leaks_found = reg.counter(
             "repro_detector_leaks_total",
@@ -211,16 +203,11 @@ class TelemetryHub:
         self.recorder.record("gc", ev.GC_PHASE, 0, f"#{cycle} {phase}",
                              severity=rec.DEBUG)
 
-    def on_gc_cycle(self, cs, sched, heap) -> None:
+    def on_gc_cycle(self, cs) -> None:
         self.gc_cycles.labels(cs.mode, cs.reason).inc()
         self.gc_pause_window.labels("setup").observe(cs.pause_setup_ns)
         self.gc_pause_window.labels("termination").observe(
             cs.pause_termination_ns)
-        # Per-cycle gauges — the GC is the natural sampling cadence the
-        # paper's deployments report on.
-        self.heap_live_bytes.set(heap.live_bytes)
-        self.live_goroutines.set(len(sched.live_goroutines()))
-        self.blocked_goroutines.set(len(sched.blocked_goroutines()))
         self.recorder.record(
             "gc", ev.GC_CYCLE, 0,
             f"#{cs.cycle} {cs.mode}({cs.reason}) "

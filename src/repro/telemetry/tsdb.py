@@ -5,8 +5,7 @@ MetricsRegistry` on a virtual-clock cadence and stores one bounded
 ring-buffer :class:`Series` per (metric, label set).  Point timestamps
 come from the runtime's virtual clock, so two runs of the same
 ``(program, procs, seed, scrape interval)`` produce byte-identical
-series — the property the ``repro dash`` artifact and its CI
-byte-identity gate rest on.
+series.
 
 Scraping is driven by the :class:`MetricsScraper`, a scheduler ticker
 exactly like the detection daemon: the run loop calls it on a
@@ -43,7 +42,6 @@ from repro.telemetry.metrics import (
     HISTOGRAM,
     cumulative_at,
     quantile_from_buckets,
-    source_key,
 )
 
 #: Default cap on buffered points per series (drop-oldest beyond it).
@@ -301,39 +299,6 @@ class TimeSeriesDB:
             "dropped_points": self.dropped_points,
             "series": [s.to_dict() for s in self.series()],
         }
-
-
-def merge_tsdb(sources: Dict[str, dict], label: str = "shard") -> dict:
-    """Merge per-source :meth:`TimeSeriesDB.to_dict` dumps into one
-    fleet-level rollup with a ``label="<source>"`` pair on every series
-    — the same semantics as
-    :func:`~repro.telemetry.metrics.render_merged_prometheus`: sources
-    sorted deterministically, label aliasing rejected, histogram series
-    kept with their bucket structure intact.
-    """
-    series: List[dict] = []
-    scrapes = 0
-    dropped = 0
-    for source in sorted(sources, key=source_key):
-        dump = sources[source]
-        scrapes += dump.get("scrapes", 0)
-        dropped += dump.get("dropped_points", 0)
-        for entry in dump.get("series", []):
-            if label in entry["labels"]:
-                raise ValueError(
-                    f"series {entry['name']!r} already carries a "
-                    f"{label!r} label; merging would alias series")
-            merged = dict(entry)
-            merged["labels"] = {label: str(source), **entry["labels"]}
-            series.append(merged)
-    series.sort(key=lambda e: (e["name"], sorted(e["labels"].items())))
-    return {
-        "label": label,
-        "sources": sorted(sources, key=source_key),
-        "scrapes": scrapes,
-        "dropped_points": dropped,
-        "series": series,
-    }
 
 
 class ScraperError(ReproError):

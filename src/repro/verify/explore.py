@@ -34,6 +34,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 
 
+class ReplayError(ReproError):
+    """A replayed decision prefix met a smaller domain than it recorded:
+    the runtime is not deterministic under this prefix."""
+
+
 class ScriptedRandom:
     """A ``random.Random`` stand-in driven by a decision list.
 
@@ -57,9 +62,11 @@ class ScriptedRandom:
         if index < len(self._script):
             decision = self._script[index]
             if decision >= domain:
-                # The tree changed shape under this prefix (an earlier
-                # branch altered reachability); clamp to stay in range.
-                decision = domain - 1
+                # A deterministic runtime replays a prefix to the same
+                # tree shape; a smaller domain is a determinism bug.
+                raise ReplayError(
+                    f"decision {index}: scripted {decision} outside "
+                    f"domain {domain}")
         else:
             decision = 0
         self.trace.append((decision, domain))
@@ -137,6 +144,8 @@ def explore(
         error: Optional[ReproError] = None
         try:
             rt.run(max_instructions=50_000)
+        except ReplayError:
+            raise
         except ReproError as err:
             error = err
         result.paths_run += 1

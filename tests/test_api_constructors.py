@@ -3,9 +3,7 @@
 import pytest
 
 from repro import GolfConfig, GoPanic, Runtime
-from repro.artifact import TesterConfig, run_tester
 from repro.errors import InvalidInstruction
-from repro.microbench.registry import benchmarks_by_name
 from repro.runtime.clock import MICROSECOND
 from repro.runtime.instructions import (
     Close,
@@ -133,15 +131,3 @@ class TestErrorPaths:
 
         assert run_to_end(rt, main) == "main-exited"
 
-
-class TestTesterValidateNegative:
-    def test_undetected_flaky_sites_reported_by_validate(self):
-        """etcd/7443 at 1 core with 2 repeats cannot fire: validate()
-        must name all five of its sites."""
-        config = TesterConfig(match=r"^etcd/7443$", repeats=2,
-                              procs_list=(1,))
-        report = run_tester(config)
-        missing = set(report.validate())
-        expected = set(benchmarks_by_name()["etcd/7443"].sites)
-        assert missing == expected
-        assert report.aggregated() == 0.0

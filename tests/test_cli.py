@@ -8,8 +8,8 @@ from repro.cli import build_parser, main
 
 
 #: The subcommands, in registration order.
-COMMANDS = ("tester", "chaos", "daemon", "fleet", "dash", "vet", "run",
-            "obs", "trace", "equiv")
+COMMANDS = ("chaos", "daemon", "fleet", "vet", "run", "obs", "trace",
+            "equiv")
 
 
 class TestParser:
@@ -176,122 +176,3 @@ class TestFleetCommand:
         with pytest.raises(SystemExit, match="--shards"):
             main(["fleet", "--shards", "0", "--json-dir", str(tmp_path)])
 
-
-class TestDashCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["dash"])
-        assert args.command == "dash"
-        assert args.shards == 2
-        assert args.users == 16
-        assert args.scrape_ms == 5.0
-        assert args.daemon_ms == 10.0
-
-    def test_dash_writes_validated_artifact(self, tmp_path, capsys):
-        import json
-
-        from repro.telemetry import validate_dash_artifact
-
-        main(["dash", "--shards", "2", "--users", "8", "--seed", "7",
-              "--scrape-ms", "2", "--json-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert "repro dash: 2 shard(s)" in out
-        assert "SLO alerts (per shard):" in out
-        assert "panels (one sparkline per shard):" in out
-        # Event loss is a first-class row: ring drops as panels, evicted
-        # TSDB points on the aggregate line and in the artifact.
-        for shard in ("0", "1"):
-            assert f"recorder drops       shard {shard}:" in out
-            assert f"trace drops          shard {shard}:" in out
-        with open(tmp_path / "dash-n2-s7.json") as fh:
-            doc = json.load(fh)
-        counts = validate_dash_artifact(doc)
-        assert counts["sources"] == 2
-        assert counts["rules"] == 6
-        dropped = doc["aggregate"]["tsdb_dropped_points"]
-        assert dropped == doc["rollup"]["dropped_points"]
-        assert f"  drops    : {dropped} TSDB point(s) evicted" in out
-
-    def test_dash_same_seed_byte_identical(self, tmp_path, capsys):
-        outputs, blobs = [], []
-        for d in ("a", "b"):
-            out_dir = tmp_path / d
-            main(["dash", "--users", "8", "--seed", "7",
-                  "--scrape-ms", "2", "--json-dir", str(out_dir)])
-            # The runner banner carries wall-clock timing; everything
-            # below it must be byte-identical.
-            body = "\n".join(
-                line for line in capsys.readouterr().out.splitlines()
-                if not line.startswith("====="))
-            outputs.append(body.replace(str(out_dir), "<dir>"))
-            blobs.append((out_dir / "dash-n2-s7.json").read_bytes())
-        assert outputs[0] == outputs[1]
-        assert blobs[0] == blobs[1]
-
-    def test_dash_single_shard(self, tmp_path, capsys):
-        main(["dash", "--shards", "1", "--users", "6", "--seed", "2",
-              "--scrape-ms", "2", "--json-dir", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert "repro dash: 1 shard(s)" in out
-        assert (tmp_path / "dash-n1-s2.json").exists()
-
-    def test_dash_rejects_bad_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="--shards"):
-            main(["dash", "--shards", "0", "--json-dir", str(tmp_path)])
-        with pytest.raises(SystemExit, match="--scrape-ms"):
-            main(["dash", "--scrape-ms", "0", "--json-dir", str(tmp_path)])
-
-
-class TestDashArtifactValidator:
-    def _doc(self):
-        from repro.telemetry import run_dash
-
-        return run_dash(shards=1, users=6, seed=2, scrape_ms=2.0).to_dict()
-
-    def test_accepts_good_artifact(self):
-        from repro.telemetry import validate_dash_artifact
-
-        counts = validate_dash_artifact(self._doc())
-        assert counts["sources"] == 1 and counts["series"] > 0
-
-    def test_rejects_wrong_schema_version(self):
-        from repro.telemetry import validate_dash_artifact
-
-        doc = self._doc()
-        doc["schema_version"] = 99
-        with pytest.raises(ValueError, match="schema_version"):
-            validate_dash_artifact(doc)
-
-    def test_rejects_foreign_shard_in_series(self):
-        from repro.telemetry import validate_dash_artifact
-
-        doc = self._doc()
-        doc["rollup"]["series"][0]["labels"]["shard"] = "9"
-        with pytest.raises(ValueError, match="not a rollup source"):
-            validate_dash_artifact(doc)
-
-    def test_rejects_unordered_timeline(self):
-        from repro.telemetry import validate_dash_artifact
-
-        doc = self._doc()
-        doc["alert_timeline"] = [
-            {"t": 2, "rule": "RecorderDrops", "severity": "warning",
-             "labels": {}, "from": "inactive", "to": "firing",
-             "kind": "firing", "shard": 0},
-            {"t": 1, "rule": "RecorderDrops", "severity": "warning",
-             "labels": {}, "from": "firing", "to": "inactive",
-             "kind": "resolved", "shard": 0},
-        ]
-        with pytest.raises(ValueError, match="time-ordered"):
-            validate_dash_artifact(doc)
-
-    def test_rejects_undeclared_rule_in_timeline(self):
-        from repro.telemetry import validate_dash_artifact
-
-        doc = self._doc()
-        doc["alert_timeline"] = [
-            {"t": 1, "rule": "NotARule", "severity": "warning",
-             "labels": {}, "from": "inactive", "to": "firing",
-             "kind": "firing", "shard": 0},
-        ]
-        with pytest.raises(ValueError, match="NotARule"):
-            validate_dash_artifact(doc)

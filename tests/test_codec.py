@@ -28,10 +28,8 @@ from repro.staticcheck.proofs import ProofRegistry, build_registry
 from repro.telemetry import (
     FingerprintStore,
     run_observed_benchmark,
-    validate_dash_artifact,
     validate_exposition,
 )
-from repro.telemetry.dashboard import run_dash
 from repro.trace.chrome import validate_chrome_trace
 from repro.trace.driver import run_traced_benchmark
 
@@ -98,17 +96,6 @@ def fleet_doc():
 
 
 @pytest.fixture(scope="module")
-def dash_doc():
-    doc = run_dash(shards=2, users=4, seed=0).to_dict()
-    # Small runs fire no alert; give the timeline checks one event.
-    doc["alert_timeline"].append({
-        "t": 5, "rule": doc["rules"][0]["name"], "severity": "page",
-        "labels": {}, "from": "ok", "to": "firing", "kind": "fired",
-        "shard": 0})
-    return doc
-
-
-@pytest.fixture(scope="module")
 def observed_hub():
     return run_observed_benchmark("cgo/sendmail", seed=0).hub
 
@@ -129,11 +116,10 @@ def registry_doc(codec):
 
 
 @pytest.fixture(scope="module")
-def documents(codec, fleet_doc, dash_doc, observed_hub, registry_doc):
+def documents(codec, fleet_doc, observed_hub, registry_doc):
     """``{format: (document, reader)}``, every document JSON-native."""
     readers = {
         "fleet": (fleet_doc, validate_fleet_artifact),
-        "dash": (dash_doc, validate_dash_artifact),
         "chrome": (run_traced_benchmark("cgo/sendmail", seed=0).chrome,
                    validate_chrome_trace),
         "fingerprints": (observed_hub.fingerprints.as_dict(),
@@ -147,7 +133,7 @@ def documents(codec, fleet_doc, dash_doc, observed_hub, registry_doc):
             for name, (doc, reader) in readers.items()}
 
 
-FORMATS = ("fleet", "dash", "chrome", "fingerprints", "proofs", "model")
+FORMATS = ("fleet", "chrome", "fingerprints", "proofs", "model")
 
 
 @pytest.mark.parametrize("name", FORMATS)

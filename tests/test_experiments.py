@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import GolfConfig, set_default_gc_mode
 from repro.corpus.generator import CorpusConfig
 from repro.experiments import (
+    Table1Result,
     format_figure1,
     format_figure3,
     format_figure4,
@@ -59,6 +60,21 @@ class TestTable1:
         result = run_table1(runs=4, procs_list=(2,), benchmarks=benches)
         for site in benches[0].sites:
             assert 0.0 <= result.site_rate(site) <= 1.0
+
+    def test_a_detection_at_an_undeclared_site_is_counted_and_printed(self):
+        result = Table1Result(runs=1, procs_list=(1,))
+        result.record(("a:1",), 1, {"a:1", "b:2"})
+        assert result.counts == {"a:1": {1: 1}}
+        assert result.unexpected == 1
+        assert format_table1(result).endswith(
+            "Unexpected DL: 1 detection(s) at undeclared sites")
+
+    def test_a_clean_run_prints_no_unexpected_line(self):
+        result = Table1Result(runs=1, procs_list=(1,))
+        result.record(("a:1",), 1, set())
+        assert result.counts == {"a:1": {1: 0}}
+        assert result.unexpected == 0
+        assert "Unexpected" not in format_table1(result)
 
 
 class TestTable2:

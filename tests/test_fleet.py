@@ -17,7 +17,7 @@ from repro.fleet import (
     stable_hash64,
     validate_fleet_artifact,
 )
-from repro.fleet.aggregate import FleetResult, equivalence_diff
+from repro.fleet.aggregate import FleetResult
 from repro.telemetry import validate_exposition
 
 
@@ -244,60 +244,3 @@ class TestArtifactSchema:
         with pytest.raises(ValueError, match="routing"):
             validate_fleet_artifact(doc)
 
-
-class TestFleetScraping:
-    """Per-shard TSDB scraping and the fleet-level telemetry rollup."""
-
-    def test_scraping_off_keeps_artifact_shape(self):
-        result = run_fleet(_small_config(), mode="sequential")
-        doc = result.to_dict()
-        assert "telemetry" not in doc
-        for shard in doc["shards"]:
-            assert "tsdb" not in shard and "alerts" not in shard
-
-    def test_two_shard_rollup_with_shard_labels(self):
-        result = run_fleet(_small_config(scrape_interval_ms=2.0),
-                           mode="sequential")
-        doc = result.to_dict()
-        assert result.clean
-        for shard in doc["shards"]:
-            assert shard["tsdb"]["scrapes"] > 0
-            assert "summary" in shard["alerts"]
-        rollup = doc["telemetry"]["rollup"]
-        assert rollup["label"] == "shard"
-        assert rollup["sources"] == ["0", "1"]
-        shards_seen = {s["labels"]["shard"] for s in rollup["series"]}
-        assert shards_seen == {"0", "1"}
-        # Built-in SLO rules evaluated on every shard.
-        for sid in ("0", "1"):
-            assert "RecoveryTimeBurnRate" in doc["telemetry"]["alerts"][sid]
-
-    def test_scraping_is_invisible_to_the_equivalence_surface(self):
-        bare = run_fleet(_small_config(), mode="sequential")
-        scraped = run_fleet(_small_config(scrape_interval_ms=2.0),
-                            mode="sequential")
-        assert bare.report_log_text() == scraped.report_log_text()
-        assert (bare.fingerprints.fingerprints()
-                == scraped.fingerprints.fingerprints())
-        assert ([s.service_end_ns for s in bare.shards]
-                == [s.service_end_ns for s in scraped.shards])
-        assert ([s.metrics for s in bare.shards]
-                == [s.metrics for s in scraped.shards])
-
-    def test_mode_equivalence_with_scraping_on(self):
-        config = _small_config(scrape_interval_ms=2.0)
-        seq = run_fleet(config, mode="sequential")
-        mp = run_fleet(config, mode="multiprocessing")
-        assert equivalence_diff(seq, mp) == []
-        # The TSDB dumps and alert timelines ship across the process
-        # boundary intact.
-        assert ([s.tsdb for s in seq.shards]
-                == [s.tsdb for s in mp.shards])
-        assert ([s.alerts for s in seq.shards]
-                == [s.alerts for s in mp.shards])
-
-    def test_artifact_with_telemetry_still_validates(self):
-        result = run_fleet(_small_config(scrape_interval_ms=2.0),
-                           mode="sequential")
-        counts = validate_fleet_artifact(result.to_dict())
-        assert counts["shards"] == 2

@@ -9,7 +9,9 @@ artifact: ``json`` is spelled in ``repro.codec`` and nowhere else.  And
 every option has a caller: a defaulted parameter that no call in the
 repository passes is a constant, not an option.  And every output has a
 reader: a metric series nothing reads is not registered.  And every
-committed artifact has exactly one writer that CI checks.
+committed artifact has exactly one writer that CI checks.  And every
+module has a reader: one that no bench script, equivalence pair or
+content-checked CLI step imports is deleted or kept with a reason.
 """
 
 from __future__ import annotations
@@ -350,8 +352,8 @@ def test_every_option_has_a_caller():
     assert stale == set(), f"kept defaults now passed somewhere: {stale}"
 
 
-#: Series read by something other than an alert rule or a dashboard
-#: panel (those two are read off the code): ``metric name -> reader``.
+#: Series read by something other than an alert rule (the rules are read
+#: off the code): ``metric name -> reader``.
 OUTPUT_READERS = {
     "repro_sched_context_switches_total":
         "the `repro obs` report's context-switch line (ObsResult.format)",
@@ -367,14 +369,11 @@ def test_every_output_has_a_reader():
     """A series nothing reads still costs its hot-path update, a `.prom`
     line and a TSDB point per scrape: give it a reader, or drop it."""
     from repro.telemetry import builtin_slo_rules
-    from repro.telemetry.dashboard import PANELS
 
     readers = dict(OUTPUT_READERS)
     for rule in builtin_slo_rules():
         for name in rule.describe()["metrics"]:
             readers.setdefault(name, f"alert {rule.name}")
-    for name, title in PANELS:
-        readers.setdefault(name, f"dashboard panel {title!r}")
     registered = [metric.name for metric in TelemetryHub().registry]
     unread = [name for name in registered if name not in readers]
     assert unread == [], f"{len(unread)} series nobody reads:\n" + "\n".join(
@@ -452,11 +451,135 @@ def test_every_committed_artifact_has_one_writer():
     assert problems == [], "\n".join(problems)
 
 
+# -- every module has a reader ------------------------------------------------
+
+#: The CLI subcommands whose CI step checks content (a committed campaign
+#: JSON, the vet floors, the equivalence pairs, fleet mode equivalence),
+#: not a same-seed rerun of their own output: the imports in their
+#: ``_cmd_*`` bodies are roots.  ``cli.py``'s module-level imports are not.
+CHECKED_COMMANDS = ("chaos", "daemon", "vet", "equiv", "fleet")
+
+#: Modules no reader root reaches, kept on purpose: ``module -> why``.
+KEPT_MODULES = {
+    "repro.verify.explore":
+        "exhaustive-schedule soundness tests (tests/test_verify_explore.py), "
+        "the base of the schedule oracle",
+    "repro.microbench.false_negatives":
+        "the paper's Listings 4 and 5, asserted by tests/test_completeness.py",
+    "repro.baselines.leakprof":
+        "the paper's LeakProf comparator claims (sections 1 and 7), "
+        "asserted by tests/test_baselines.py",
+    "repro.trace.chrome":
+        "trace-smoke asserts every leak has a non-empty evidence chain",
+    "repro.trace.driver":
+        "trace-smoke asserts every leak has a non-empty evidence chain",
+}
+
+
+def _module_trees():
+    """``(dotted name -> AST, package names)`` of every module under
+    ``src/repro`` and ``benchmarks``."""
+    trees, packages = {}, set()
+    for base, top in ((PACKAGE.parent, "repro"), (REPO, "benchmarks")):
+        for source in sorted((base / top).rglob("*.py")):
+            parts = source.relative_to(base).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+                packages.add(".".join(parts))
+            trees[".".join(parts)] = ast.parse(source.read_text())
+    return trees, packages
+
+
+def _import_graph():
+    """``module -> modules its imports read``.
+
+    ``from pkg import name`` reads the module that defines ``name``,
+    followed through the package ``__init__`` re-exports; a package's
+    own imports of its submodules are re-exports, not edges.  Importing
+    a module also loads its parent packages."""
+    trees, packages = _module_trees()
+    exports = {}  # (package, name) -> (module, name) it re-exports
+    for package in packages:
+        for node in trees[package].body:
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith(package + ".")):
+                for alias in node.names:
+                    exports[package, alias.asname or alias.name] = (
+                        node.module, alias.name)
+
+    def targets(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        found = []
+        for alias in node.names:
+            module, name = node.module, alias.name
+            while (f"{module}.{name}" not in trees
+                   and (module, name) in exports):
+                module, name = exports[module, name]
+            found.append(f"{module}.{name}" if f"{module}.{name}" in trees
+                         else module)
+        return found
+
+    graph = {}
+    for module, tree in trees.items():
+        nodes = ast.walk(tree)
+        if module == "repro.cli":
+            nodes = (inner for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name.removeprefix("_cmd_") in CHECKED_COMMANDS
+                     for inner in ast.walk(node))
+        edges = set()
+        for node in nodes:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if module in packages and (node.module or "").startswith(
+                    module + "."):
+                continue
+            edges.update(targets(node))
+        graph[module] = edges & set(trees)
+    return graph
+
+
+def _reached(graph, roots):
+    """Every module loading ``roots`` loads, parent packages included."""
+    seen, todo = set(), list(roots)
+    while todo:
+        module = todo.pop()
+        if module not in seen:
+            seen.add(module)
+            todo.extend(graph[module])
+            todo.extend(parent for parent in (module.rpartition(".")[0],)
+                        if parent in graph)
+    return seen
+
+
+def test_every_module_has_a_reader():
+    """A module no bench script, equivalence pair, content-checked CLI
+    step or kept paper claim imports is code nothing reads: give it a
+    reader, or delete it (docs/ARCHITECTURE.md, "Layers")."""
+    graph = _import_graph()
+    # ``python -m repro`` reaches the CLI, whose edges are the checked
+    # commands' imports.
+    roots = ({m for m in graph
+              if m.startswith(("benchmarks.bench_", "benchmarks.e2e."))
+              and "tests" not in m.split(".")}
+             | {"repro.__main__", "repro.equivalence"})
+    reached = _reached(graph, roots)
+    kept = _reached(graph, roots | set(KEPT_MODULES))
+    unread = sorted(m for m in graph
+                    if m.startswith("repro") and m not in kept)
+    assert unread == [], f"{len(unread)} module(s) nothing reads:\n" + \
+        "\n".join(f"  {m}" for m in unread)
+    stale = sorted(set(KEPT_MODULES) & reached)
+    assert stale == [], f"kept modules now read by a root: {stale}"
+    assert set(KEPT_MODULES) <= set(graph), "kept modules that do not exist"
+
+
 def test_shrunk_config_sizes():
     # Pinned after the caller census removed every field nothing set
     # (ResilienceConfig: chaos_scenario plus ProductionConfig's keywords).
-    sizes = {TelemetryHub: 1, FleetConfig: 11, TrafficModel: 6,
-             ShardSpec: 7, Scenario: 7, ResilienceConfig: 2,
+    sizes = {TelemetryHub: 1, FleetConfig: 10, TrafficModel: 6,
+             ShardSpec: 6, Scenario: 7, ResilienceConfig: 2,
              LongRunConfig: 6, KVConfig: 3, JobQueueConfig: 5,
              CorpusConfig: 5, fuzz_program: 4}
     assert {obj.__name__: len(inspect.signature(obj).parameters)

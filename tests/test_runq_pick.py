@@ -118,7 +118,9 @@ class _WatchingScript(ScriptedRandom):
 @pytest.mark.parametrize("procs", [1, 3])
 def test_scripted_rng_records_one_decision_per_pick(procs):
     rt = Runtime(procs=procs, seed=0, config=GolfConfig.baseline())
-    rng = _WatchingScript([0, 1, 2, 1, 0, 3], rt.sched)
+    # Two forced picks (one goroutine queued), then the first real choice
+    # takes its second alternative: a prefix the run replays exactly.
+    rng = _WatchingScript([0, 0, 1], rt.sched)
     rt.sched.rng = rng
     starts = []
     start_instruction = rt.sched._start_instruction

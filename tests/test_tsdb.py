@@ -1,4 +1,4 @@
-"""Tests for the virtual-time TSDB, its scraper, and the fleet rollup."""
+"""Tests for the virtual-time TSDB and its scraper."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.telemetry import (
     Series,
     TelemetryHub,
     TimeSeriesDB,
-    merge_tsdb,
 )
 from repro.telemetry.tsdb import HistogramSeries
 from tests.conftest import swept
@@ -136,32 +135,6 @@ class TestTimeSeriesDB:
         assert db.scrapes == 0
 
 
-class TestMergeTsdb:
-    def _dump(self, value):
-        reg = MetricsRegistry()
-        reg.counter("x_total").inc(value)
-        db = TimeSeriesDB()
-        db.scrape(reg, 10)
-        return db.to_dict()
-
-    def test_rollup_injects_shard_label(self):
-        merged = merge_tsdb({"0": self._dump(1), "1": self._dump(2)})
-        assert merged["sources"] == ["0", "1"]
-        labels = [s["labels"] for s in merged["series"]]
-        assert {"shard": "0"} in labels and {"shard": "1"} in labels
-
-    def test_numeric_source_ordering(self):
-        merged = merge_tsdb(
-            {str(i): self._dump(i) for i in (0, 2, 10, 1)})
-        assert merged["sources"] == ["0", "1", "2", "10"]
-
-    def test_label_collision_rejected(self):
-        dump = self._dump(1)
-        dump["series"][0]["labels"]["shard"] = "oops"
-        with pytest.raises(ValueError):
-            merge_tsdb({"0": dump})
-
-
 def _pingpong(rt, rounds=40):
     ch = rt.make_chan(capacity=0, label="pp")
 
@@ -190,7 +163,7 @@ class TestMetricsScraper:
         _pingpong(rt)
         rt.stop_metrics_scrape()
         assert hub.tsdb.scrapes > 5
-        assert hub.tsdb.get("repro_sched_live_goroutines") is not None
+        assert hub.tsdb.get("repro_sched_context_switches_total") is not None
 
     def test_double_start_raises(self):
         rt = Runtime(procs=2, seed=3)

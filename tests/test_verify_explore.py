@@ -19,7 +19,7 @@ from repro.runtime.instructions import (
     Send,
     Sleep,
 )
-from repro.verify import ScriptedRandom, explore
+from repro.verify import ReplayError, ScriptedRandom, explore
 
 
 class TestScriptedRandom:
@@ -34,9 +34,12 @@ class TestScriptedRandom:
         assert rng.randrange(5) == 2
         assert rng.choice(["a", "b"]) == "b"
 
-    def test_out_of_range_script_clamped(self):
-        rng = ScriptedRandom([9])
-        assert rng.randrange(3) == 2
+    def test_out_of_range_script_is_a_replay_error(self):
+        rng = ScriptedRandom([1, 9])
+        assert rng.randrange(3) == 1
+        with pytest.raises(ReplayError, match="decision 1: scripted 9 "
+                                              "outside domain 3"):
+            rng.randrange(3)
 
     def test_non_branching_draws_fixed(self):
         rng = ScriptedRandom([])
@@ -213,6 +216,7 @@ class TestExhaustiveSoundness:
 
         result = explore(build, check=self._no_soundness_violation,
                          max_paths=1000)
+        assert not result.truncated
         assert result.violations == []
         outcome_counts = {reports for _, reports in result.outcomes}
         # Both worlds are reachable: rescued (0 reports) and leaked (1).

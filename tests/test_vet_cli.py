@@ -174,34 +174,6 @@ class TestCrossvalCli:
         assert "FAILED" in str(exc.value)
 
 
-class TestBaselinesAdapter:
-    def test_static_detector_needs_no_run(self):
-        from repro.baselines import find_static_leaks
-        from repro.microbench.registry import benchmarks_by_name
-
-        bench = benchmarks_by_name()["cgo/sendmail"]
-        records = find_static_leaks(bench.body, name=bench.name,
-                                    min_severity="warning")
-        assert records
-        assert all(rec.site for rec in records)
-
-    def test_verify_static_none_raises_on_leak(self):
-        from repro.baselines import StaticLeakError, verify_static_none
-        from repro.microbench.registry import benchmarks_by_name
-
-        benches = benchmarks_by_name()
-        with pytest.raises(StaticLeakError):
-            verify_static_none(benches["cgo/sendmail"].body,
-                               min_severity="warning")
-
-    def test_verify_static_none_passes_fixed_variant(self):
-        from repro.baselines import verify_static_none
-        from repro.microbench.registry import all_benchmarks
-
-        bench = next(b for b in all_benchmarks() if b.fixed is not None)
-        verify_static_none(bench.fixed, name=f"{bench.name}__fixed")
-
-
 class TestTelemetry:
     VERDICTS = "run 1 function(s): 0 leaky, 1 suspect, 0 unknown, 0 clean"
 
