@@ -4,7 +4,7 @@ The point of the incremental collector is latency, not throughput: the
 one big stop-the-world pause of the atomic cycle is split into two
 bounded windows (mark setup, mark termination) with marking and sweeping
 interleaved into mutator execution between them.  This benchmark runs
-the paper's controlled client/server workload once per ``--gc-mode`` and
+the paper's controlled client/server workload once per ``gc_mode`` and
 asserts the structural guarantee: the *longest single STW window* under
 the incremental collector stays strictly below the *longest full-cycle
 pause* of the atomic collector on the identical workload.

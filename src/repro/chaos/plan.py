@@ -64,6 +64,8 @@ class FaultKind:
         GC_PERTURB, CLOCK_JITTER, REUSE_PRESSURE,
         GC_BUDGET_PERTURB, BARRIER_JITTER,
     )
+    #: Kinds the injector rejects under the atomic collector.
+    INCREMENTAL_ONLY = (GC_BUDGET_PERTURB, BARRIER_JITTER)
 
 
 class FaultRecord:

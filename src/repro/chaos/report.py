@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.chaos.injector import FaultInjector
-from repro.chaos.plan import FaultPlan
+from repro.chaos.plan import FaultKind, FaultPlan
 from repro.chaos.scenarios import Scenario, get_scenario
 from repro.core.config import GolfConfig
 from repro.errors import SchedulerError
@@ -44,7 +44,7 @@ class ScheduleResult:
                  "panic", "yield_points", "injected", "rejected",
                  "injected_by_kind", "trace", "violations",
                  "soundness_errors", "global_deadlock", "reports",
-                 "reclaimed", "goroutine_panics", "idempotent", "alerts")
+                 "reclaimed", "goroutine_panics", "idempotent")
 
     def __init__(self, benchmark: str, procs: int, seed: int,
                  scenario: str):
@@ -66,9 +66,6 @@ class ScheduleResult:
         self.reclaimed = 0
         self.goroutine_panics = 0
         self.idempotent = True
-        #: Alert transitions observed by the telemetry hub's SLO rules
-        #: during this schedule (empty unless the hub scrapes a TSDB).
-        self.alerts: List[Dict[str, object]] = []
 
     @property
     def clean(self) -> bool:
@@ -95,7 +92,6 @@ class ScheduleResult:
             "reclaimed": self.reclaimed,
             "goroutine_panics": self.goroutine_panics,
             "idempotent": self.idempotent,
-            "alerts": list(self.alerts),
             "trace": list(self.trace),
         }
 
@@ -123,28 +119,26 @@ def run_chaos_schedule(
     tail) via the harness's ``rt_hook``, then drives extra cycles to
     quiescence and applies the oracle described in the module docstring.
 
+    With no ``config``, a scenario that weights a fault kind only the
+    incremental collector accepts (:data:`~repro.chaos.plan.FaultKind.
+    INCREMENTAL_ONLY`) runs ``GolfConfig(gc_mode="incremental")``: under
+    the atomic collector the injector would reject every such fault.
+
     A :class:`~repro.telemetry.TelemetryHub` passed as ``telemetry``
     observes the schedule's runtime: injected faults, GC cycles, leak
     reports (fingerprinted for cross-campaign dedup), and incidents.
     """
     spec = get_scenario(scenario)
+    if config is None and any(spec.weights.get(kind)
+                              for kind in FaultKind.INCREMENTAL_ONLY):
+        config = GolfConfig(gc_mode="incremental")
     result = ScheduleResult(bench.name, procs, seed, scenario)
     plan = FaultPlan(seed, spec)
     captured: List = []
-    scraping = telemetry is not None and telemetry.tsdb is not None
-    if scraping:
-        # Each schedule's runtime restarts the virtual clock at zero, so
-        # carrying series across schedules would interleave timelines;
-        # alert states likewise must not leak between runtimes.
-        telemetry.tsdb.clear()
-        telemetry.alerts.reset_states()
-    timeline_mark = len(telemetry.alerts.timeline) if scraping else 0
 
     def hook(rt) -> None:
         if telemetry is not None:
             telemetry.attach(rt)
-        if scraping:
-            rt.start_metrics_scrape(telemetry)
         captured.append(FaultInjector(rt, plan).install())
 
     bench_result = run_microbenchmark(
@@ -189,14 +183,6 @@ def run_chaos_schedule(
     result.reports = rt.reports.total()
     result.reclaimed = rt.collector.stats.total_goroutines_reclaimed
     result.goroutine_panics = len(rt.sched.goroutine_panics)
-    if scraping:
-        rt.stop_metrics_scrape()
-        # Final scrape so alert states see the post-quiescence values,
-        # then keep only this schedule's slice of the hub timeline —
-        # the campaign hub accumulates transitions across schedules.
-        telemetry.scrape_tick(rt.clock.now)
-        result.alerts = [dict(e)
-                         for e in telemetry.alerts.timeline[timeline_mark:]]
     rt.shutdown()
     return result
 

@@ -105,9 +105,9 @@ SCENARIOS: Dict[str, Scenario] = {
     # and phase boundaries — forced cycles while one is in flight,
     # budgets shrunk so phases fragment maximally, jitter inside the
     # barrier, panics/wakes perturbing the candidate set mid-mark.  The
-    # injector checks the tricolor invariant after every fault; under
-    # --gc-mode atomic the gc-specific kinds are rejected (still
-    # deterministically traced).
+    # injector checks the tricolor invariant after every fault.  Its
+    # incremental-only kinds make run_chaos_schedule pick the
+    # incremental collector unless the caller passes a config.
     "gc-phase": Scenario(
         "gc-phase",
         rate=0.02,

@@ -9,8 +9,11 @@ Usage::
 
 Each subcommand runs its driver, prints the report and writes its
 artifacts under ``--json-dir`` / ``--out-dir`` (mostly defaulting to
-``benchmarks/out``).  The paper's tables and figures are regenerated by
-``benchmarks/bench_*.py`` (see EXPERIMENTS.md), not from here.
+``benchmarks/out``).  A run is configured only through its own flags:
+no flag sets process-wide state, and every runtime a command builds
+takes its collector and observers from explicit arguments.  The paper's
+tables and figures are regenerated by ``benchmarks/bench_*.py`` (see
+EXPERIMENTS.md), not from here.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Callable, Dict, Iterable, List
 
 from repro import codec
 from repro.chaos.scenarios import SCENARIOS
-from repro.core.config import GC_MODES, set_default_gc_mode
 from repro.equivalence import PAIR_NAMES, run_pair
 from repro.errors import ArtifactError
 from repro.microbench.registry import benchmarks_by_name
@@ -36,15 +38,12 @@ def _cmd_chaos(args) -> str:
         raise SystemExit("chaos: --seeds must be at least 1 "
                          "(an empty campaign would be vacuously clean)")
 
-    from repro.telemetry import get_default_hub
-
     report = run_chaos_campaign(
         seeds=args.seeds,
         scenario=args.scenario,
         base_seed=args.base_seed,
         procs=args.procs,
         keep_traces=args.traces,
-        telemetry=get_default_hub(),
     )
     path = codec.write(os.path.join(
         args.json_dir,
@@ -76,7 +75,6 @@ def _cmd_daemon(args) -> str:
         run_daemon_latency_sweep,
     )
     from repro.service.checkpointed import CheckpointedConfig, run_checkpointed
-    from repro.telemetry import get_default_hub
 
     if args.seeds < 1:
         raise SystemExit("daemon: --seeds must be at least 1")
@@ -106,9 +104,8 @@ def _cmd_daemon(args) -> str:
 
     # 3. The chaos recovery campaign, gated on its SLOs (>=95% restart
     #    success, zero data loss, recovery-time p99 bound).
-    campaign = run_recovery_campaign(
-        seeds=args.seeds, base_seed=args.base_seed,
-        telemetry=get_default_hub())
+    campaign = run_recovery_campaign(seeds=args.seeds,
+                                     base_seed=args.base_seed)
     path = codec.write(os.path.join(
         args.json_dir, f"recovery-s{args.base_seed}-n{args.seeds}.json"),
         campaign.to_dict())
@@ -217,10 +214,9 @@ def _cmd_obs(args) -> str:
     result = run_observed_benchmark(
         args.benchmark, procs=args.procs, seed=args.seed, hub=hub,
         fingerprint_db=args.fingerprint_db)
-    out_dir = args.out_dir or "benchmarks/out"
     slug = args.benchmark.replace("/", "-")
     result.artifact_paths = write_artifacts(
-        hub, out_dir, f"obs-{slug}-p{args.procs}-s{args.seed}")
+        hub, args.out_dir, f"obs-{slug}-p{args.procs}-s{args.seed}")
     return result.format()
 
 
@@ -232,8 +228,7 @@ def _cmd_trace(args) -> str:
         args.benchmark, procs=args.procs, seed=args.seed,
         capacity=args.capacity)
     counts = validate_chrome_trace(result.chrome)
-    out_dir = args.out_dir or "benchmarks/out"
-    write_trace_artifacts(result, out_dir)
+    write_trace_artifacts(result, args.out_dir)
     text = result.format()
     text += ("\n  chrome schema   : valid "
              f"({counts['slices']} slices, {counts['instants']} instants, "
@@ -254,7 +249,6 @@ def _cmd_vet(args) -> str:
     first.  Usage errors exit 2 via argparse.
     """
     from repro.staticcheck import run_crossval, vet_paths
-    from repro.telemetry import get_default_hub
 
     artifact_dir = args.json_dir
 
@@ -291,9 +285,6 @@ def _cmd_vet(args) -> str:
         return text
 
     vet = vet_paths(args.paths, expect=args.expect, prove=args.prove)
-    hub = get_default_hub()
-    if hub is not None:
-        hub.on_vet_run(vet)
     text = vet.to_json() if args.json else vet.format_text()
     if artifact_dir:
         path = codec.write_text(
@@ -416,30 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", allow_abbrev=False,
         description="Drive the GOLF reproduction's subsystems.",
     )
-    # Telemetry plumbing shared by every subcommand: any command can run
-    # observed (metrics + flight recorder on every runtime it builds) and
-    # drop uniform artifacts under --out-dir.
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--metrics", action="store_true",
-                        help="collect telemetry (INFO-level recorder) and "
-                             "write .prom/JSON artifacts")
-    common.add_argument("--trace", action="store_true",
-                        help="like --metrics but with DEBUG-level "
-                             "flight-recorder events (park/wake)")
-    common.add_argument("--out-dir", default=None,
-                        help="directory for telemetry artifacts "
-                             "(default benchmarks/out)")
-    common.add_argument("--gc-mode", default=None,
-                        choices=sorted(GC_MODES),
-                        help="collector to use for every runtime the "
-                             "command builds: 'atomic' (single STW "
-                             "cycle) or 'incremental' (scheduler-"
-                             "interleaved phase machine)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], allow_abbrev=False,
-                              **kwargs)
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
 
     p = add("chaos", help="seeded fault-injection campaign (soundness "
                           "under chaos); exits non-zero on any violation")
@@ -554,6 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fingerprint-db", default=None,
                    help="persistent fingerprint store for cross-run "
                         "leak dedup")
+    p.add_argument("--out-dir", default="benchmarks/out",
+                   help="directory for the .prom/JSON/recorder artifacts")
 
     p = add("trace", help="run one benchmark with the execution tracer "
                           "and write Chrome-trace + why-leaked artifacts")
@@ -564,6 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs", type=int, default=2)
     p.add_argument("--capacity", type=int, default=200_000,
                    help="trace ring-buffer capacity (events)")
+    p.add_argument("--out-dir", default="benchmarks/out",
+                   help="directory for the Chrome-trace and why-leaked "
+                        "artifacts")
 
     p = add("equiv", help="differential-equivalence harness: run one "
                           "A-vs-B pair (or all) over the 125-program "
@@ -581,44 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.gc_mode:
-        # Drivers build GolfConfig() internally, which resolves the
-        # module-level default, so one flag switches every runtime the
-        # command creates (chaos campaigns included).
-        set_default_gc_mode(args.gc_mode)
-    hub = None
-    if args.metrics or args.trace:
-        from repro.telemetry import (
-            DEBUG,
-            INFO,
-            TelemetryHub,
-            set_default_hub,
-        )
-
-        hub = TelemetryHub(min_severity=DEBUG if args.trace else INFO)
-        # Every runtime the command builds from here on reports into
-        # this hub (Runtime.__init__ auto-attaches the default hub).
-        set_default_hub(hub)
-    try:
-        started = time.time()
-        text = _COMMANDS[args.command](args)
-        elapsed = time.time() - started
-        if getattr(args, "json", False):
-            # Keep machine-readable stdout clean of banners.
-            print(text, end="" if text.endswith("\n") else "\n")
-        else:
-            print(f"===== {args.command} ({elapsed:.1f}s) =====")
-            print(text)
-            print()
-    finally:
-        if hub is not None:
-            from repro.telemetry import set_default_hub, write_artifacts
-
-            set_default_hub(None)
-            paths = write_artifacts(hub, args.out_dir or "benchmarks/out",
-                                    f"{args.command}-telemetry")
-            for kind in sorted(paths):
-                print(f"telemetry {kind}: {paths[kind]}")
+    started = time.time()
+    text = _COMMANDS[args.command](args)
+    elapsed = time.time() - started
+    if getattr(args, "json", False):
+        # Keep machine-readable stdout clean of banners.
+        print(text, end="" if text.endswith("\n") else "\n")
+    else:
+        print(f"===== {args.command} ({elapsed:.1f}s) =====")
+        print(text)
+        print()
     return 0
 
 

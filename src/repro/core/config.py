@@ -10,26 +10,6 @@ from typing import Callable, Optional
 #: MARKING/SWEEPING steps and the Dijkstra write barrier.
 GC_MODES = ("atomic", "incremental")
 
-_default_gc_mode = "atomic"
-
-
-def set_default_gc_mode(mode: str) -> None:
-    """Set the process-wide default for ``GolfConfig.gc_mode``.
-
-    The CLI's ``--gc-mode`` flag threads through here so experiments that
-    build their configs internally still pick up the requested collector
-    without plumbing a parameter through every driver.
-    """
-    global _default_gc_mode
-    if mode not in GC_MODES:
-        raise ValueError(f"gc_mode must be one of {GC_MODES}, got {mode!r}")
-    _default_gc_mode = mode
-
-
-def get_default_gc_mode() -> str:
-    return _default_gc_mode
-
-
 # The collector's pacer and simulated cost model (the scheduler's
 # per-instruction cost is ``Scheduler.base_cost_ns``): constants, no
 # experiment varies them.
@@ -85,9 +65,8 @@ class GolfConfig:
         gc_mode: ``"atomic"`` (one blocking cycle, the original design)
             or ``"incremental"`` (phase machine: STW mark setup →
             concurrent bounded marking with a Dijkstra write barrier →
-            STW mark termination → concurrent bounded sweeping).  ``None``
-            takes the process default (:func:`set_default_gc_mode`).
-            Both modes emit identical leak reports for a fixed
+            STW mark termination → concurrent bounded sweeping).  Both
+            modes emit identical leak reports for a fixed
             ``(program, procs, seed)`` — the ``gc_mode`` equivalence pair.
         mark_budget: work units (edges + scan work) drained per
             incremental marking step.
@@ -103,14 +82,12 @@ class GolfConfig:
         min_heap_bytes: int = 256 * 1024,
         on_report: Optional[Callable[..., None]] = None,
         dead_global_hints: Optional[set] = None,
-        gc_mode: Optional[str] = None,
+        gc_mode: str = "atomic",
         mark_budget: int = 256,
         sweep_budget: int = 256,
     ):
         if detect_every < 1:
             raise ValueError("detect_every must be >= 1")
-        if gc_mode is None:
-            gc_mode = _default_gc_mode
         if gc_mode not in GC_MODES:
             raise ValueError(
                 f"gc_mode must be one of {GC_MODES}, got {gc_mode!r}")

@@ -144,7 +144,7 @@ class DetectionDaemon(SystemTicker):
             self.rt.sched.tracer.emit(
                 ev.DAEMON_START, 0, f"interval={self.interval_ns}ns")
         if self.rt.telemetry is not None:
-            self.rt.telemetry.on_daemon_event("start")
+            self.rt.telemetry.on_daemon_event(ev.DAEMON_START)
 
     def stop(self) -> None:
         """Stop the daemon.  Idempotent; no-op when not running."""
@@ -156,7 +156,7 @@ class DetectionDaemon(SystemTicker):
             self.rt.sched.tracer.emit(
                 ev.DAEMON_STOP, 0, f"checks={self.stats.checks}")
         if self.rt.telemetry is not None:
-            self.rt.telemetry.on_daemon_event("stop")
+            self.rt.telemetry.on_daemon_event(ev.DAEMON_STOP)
 
     def _tick(self) -> None:
         """One detection pass: the GOLF fixpoint without a collection."""
@@ -165,8 +165,6 @@ class DetectionDaemon(SystemTicker):
         now = self.rt.clock.now
         if cs is None:
             self.stats.skipped += 1
-            if self.rt.telemetry is not None:
-                self.rt.telemetry.on_daemon_check(skipped=True, leaks=0)
             return
         self.stats.checks += 1
         self.stats.proof_skips += cs.proof_skips
@@ -174,9 +172,11 @@ class DetectionDaemon(SystemTicker):
         self.stats.check_times_ns.append(now)
         new_leaks = self.rt.reports.total() - reported_before
         self.stats.leaks_reported += new_leaks
-        if new_leaks and self.rt.sched.tracer is not None:
+        if not new_leaks:
+            return
+        if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
                 ev.DAEMON_DETECT, 0,
                 f"{new_leaks} leak(s) found between GC cycles")
         if self.rt.telemetry is not None:
-            self.rt.telemetry.on_daemon_check(skipped=False, leaks=new_leaks)
+            self.rt.telemetry.on_daemon_detect(new_leaks)

@@ -68,11 +68,11 @@ class FixpointAblation:
         for length in chain_lengths:
             row: Dict[str, float] = {"chain": length}
             for on_the_fly in (False, True):
-                # Both legs atomic: on-the-fly expansion exists only there.
+                # Both legs run the default (atomic) collector: on-the-fly
+                # expansion exists only there.
                 rt = Runtime(
                     procs=2, seed=seed,
-                    config=GolfConfig(on_the_fly_roots=on_the_fly,
-                                      gc_mode="atomic"),
+                    config=GolfConfig(on_the_fly_roots=on_the_fly),
                 )
                 rt.spawn_main(_chain_program(length))
                 rt.run(until_ns=50 * MILLISECOND)

@@ -98,11 +98,11 @@ def run_complexity_sweep(
         for n in sizes:
             for strategy, on_the_fly in (("restart", False),
                                          ("on-the-fly", True)):
-                # Both legs atomic: on-the-fly expansion exists only there.
+                # Both legs run the default (atomic) collector: on-the-fly
+                # expansion exists only there.
                 rt = Runtime(
                     procs=2, seed=0,
-                    config=GolfConfig(on_the_fly_roots=on_the_fly,
-                                      gc_mode="atomic"),
+                    config=GolfConfig(on_the_fly_roots=on_the_fly),
                 )
                 rt.spawn_main(builder(n))
                 rt.run(until_ns=5 * SECOND, max_instructions=5_000_000)

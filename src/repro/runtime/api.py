@@ -42,11 +42,6 @@ from repro.runtime.objects import HeapObject
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sync import Cond, Mutex, Pool, RWMutex, WaitGroup
 
-#: Called with every runtime as its construction ends, or ``None``: the
-#: slot :func:`repro.telemetry.hub.set_default_hub` fills with the
-#: default hub's ``attach`` (the CLI's ``--metrics`` plumbing) and clears.
-on_new_runtime: Optional[Callable[["Runtime"], Any]] = None
-
 
 class Runtime:
     """A simulated Go runtime instance.
@@ -72,8 +67,6 @@ class Runtime:
         #: The TSDB metrics scraper, once started (see
         #: :meth:`start_metrics_scrape`).
         self._scraper = None
-        if on_new_runtime is not None:
-            on_new_runtime(self)
 
     # -- program setup ------------------------------------------------------
 
@@ -283,8 +276,8 @@ class Runtime:
         all observe this runtime from here on.
 
         ``scrape_interval_ms`` additionally turns on continuous
-        observation: the hub grows a virtual-time TSDB + alert engine
-        (if it does not have one yet) and a
+        observation: the hub grows a virtual-time TSDB (if it does not
+        have one yet) and a
         :class:`~repro.telemetry.tsdb.MetricsScraper` ticker is started
         at that cadence — not a goroutine, exactly like the detection
         daemon, so enabling it never perturbs the simulation.

@@ -86,9 +86,6 @@ class CheckpointedResult:
         self.leaks_reported = 0
         self.finished_at_ns = 0
         self.invariant_problems: List[str] = []
-        #: SLO alert transitions observed during this run (populated
-        #: only when the telemetry hub scrapes a TSDB).
-        self.alerts: List[Dict[str, Any]] = []
 
     @property
     def completed(self) -> bool:
@@ -121,7 +118,6 @@ class CheckpointedResult:
             "completed": self.completed,
             "zero_data_loss": self.zero_data_loss,
             "invariant_problems": list(self.invariant_problems),
-            "alerts": list(self.alerts),
         }
 
     def __repr__(self) -> str:
@@ -143,17 +139,8 @@ def run_checkpointed(config: Optional[CheckpointedConfig] = None,
     """
     config = config or CheckpointedConfig()
     rt = Runtime(procs=config.procs, seed=config.seed, config=GolfConfig())
-    scraping = telemetry is not None and telemetry.tsdb is not None
     if telemetry is not None:
         telemetry.attach(rt)
-    if scraping:
-        # Fresh virtual clock: a hub reused across runs must not mix
-        # this run's series/alerts with an earlier runtime's timeline.
-        telemetry.tsdb.clear()
-        telemetry.alerts.reset_states()
-    timeline_mark = len(telemetry.alerts.timeline) if scraping else 0
-    if scraping:
-        rt.start_metrics_scrape(telemetry)
     mgr = CheckpointManager(rt)
 
     jobs_ch = rt.make_chan(capacity=2 * config.workers, label="pipeline-jobs")
@@ -278,10 +265,4 @@ def run_checkpointed(config: Optional[CheckpointedConfig] = None,
         result.leaks_reported = daemon.stats.leaks_reported
     result.finished_at_ns = finished_at
     result.invariant_problems = check_invariants(rt)
-    if scraping:
-        rt.stop_metrics_scrape()
-        # One last scrape so burn-rate windows cover the recovery tail.
-        telemetry.scrape_tick(rt.clock.now)
-        result.alerts = [dict(e)
-                         for e in telemetry.alerts.timeline[timeline_mark:]]
     return result

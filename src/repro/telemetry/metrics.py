@@ -1,8 +1,8 @@
-"""The metrics registry: Counter / Gauge / Histogram with labels.
+"""The metrics registry: Counter / Gauge with labels.
 
-Instruments follow the Prometheus data model — monotonic counters,
-point-in-time gauges, and cumulative-bucket histograms, each optionally
-split by a fixed set of label names.  Two renderings are provided:
+Instruments follow the Prometheus data model — monotonic counters and
+point-in-time gauges, each optionally split by a fixed set of label
+names.  Two renderings are provided:
 
 - :meth:`MetricsRegistry.snapshot` — a JSON-serializable dict that
   round-trips losslessly (the ``-metrics.json`` artifact);
@@ -26,13 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 COUNTER = "counter"
 GAUGE = "gauge"
-HISTOGRAM = "histogram"
-
-#: Default histogram buckets for virtual-time durations (ns): 1us..1s.
-DURATION_BUCKETS_NS = (
-    1_000, 10_000, 100_000, 1_000_000, 5_000_000, 10_000_000,
-    50_000_000, 100_000_000, 500_000_000, 1_000_000_000,
-)
 
 
 def _format_value(value: float) -> str:
@@ -49,70 +42,6 @@ def _format_value(value: float) -> str:
 def _escape_label(value: str) -> str:
     return (value.replace("\\", "\\\\").replace('"', '\\"')
             .replace("\n", "\\n"))
-
-
-def quantile_from_buckets(bounds: Sequence[float],
-                          cumulative: Sequence[float], q: float) -> float:
-    """Estimate the q-quantile from cumulative histogram buckets.
-
-    Prometheus ``histogram_quantile`` semantics: the target rank
-    ``q * total`` is located in the first bucket whose cumulative count
-    reaches it, and the value is linearly interpolated between the
-    bucket's bounds (the first bucket interpolates from 0).  A rank
-    landing in the ``+Inf`` bucket is clamped to the highest finite
-    bound.  Returns ``nan`` for an empty histogram.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-    if len(cumulative) != len(bounds) + 1:
-        raise ValueError(
-            f"expected {len(bounds) + 1} cumulative counts "
-            f"(+Inf last), got {len(cumulative)}")
-    total = cumulative[-1]
-    if total <= 0:
-        return math.nan
-    rank = q * total
-    for i, cum in enumerate(cumulative):
-        prev = cumulative[i - 1] if i else 0
-        in_bucket = cum - prev
-        if in_bucket <= 0:
-            continue  # an empty bucket can't hold the rank
-        if cum >= rank:
-            if i == len(bounds):  # +Inf bucket: clamp
-                return float(bounds[-1]) if bounds else math.nan
-            lo = float(bounds[i - 1]) if i else 0.0
-            hi = float(bounds[i])
-            if rank <= prev:
-                return lo
-            return lo + (hi - lo) * (rank - prev) / in_bucket
-    return float(bounds[-1]) if bounds else math.nan
-
-
-def cumulative_at(bounds: Sequence[float], cumulative: Sequence[float],
-                  x: float) -> float:
-    """Estimated count of observations ``<= x`` (linear within buckets).
-
-    The inverse direction of :func:`quantile_from_buckets`, used by the
-    burn-rate rules: observations in the ``+Inf`` bucket are above every
-    finite ``x``, so ``x >= bounds[-1]`` returns the cumulative count of
-    the highest finite bucket.
-    """
-    if len(cumulative) != len(bounds) + 1:
-        raise ValueError(
-            f"expected {len(bounds) + 1} cumulative counts "
-            f"(+Inf last), got {len(cumulative)}")
-    if not bounds or x < 0:
-        return 0.0
-    if x >= bounds[-1]:
-        return float(cumulative[-2])
-    prev_bound, prev_cum = 0.0, 0.0
-    for bound, cum in zip(bounds, cumulative):
-        if x <= bound:
-            span = float(bound) - prev_bound
-            portion = 1.0 if span <= 0 else (x - prev_bound) / span
-            return prev_cum + portion * (cum - prev_cum)
-        prev_bound, prev_cum = float(bound), float(cum)
-    return float(cumulative[-2])
 
 
 class CounterChild:
@@ -147,69 +76,27 @@ class GaugeChild:
         self.value -= amount
 
 
-class HistogramChild:
-    """One labeled series of a histogram (cumulative buckets)."""
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets: Tuple[float, ...]):
-        self.buckets = buckets
-        self.counts = [0] * (len(buckets) + 1)  # +1 for +Inf
-        self.sum = 0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        # The first bound >= value; past the last one (and nan, which no
-        # bound admits but bisect would file first) is the +Inf bucket.
-        if value != value:
-            self.counts[-1] += 1
-        else:
-            self.counts[bisect_left(self.buckets, value)] += 1
-
-    def cumulative_counts(self) -> List[int]:
-        total = 0
-        out = []
-        for c in self.counts:
-            total += c
-            out.append(total)
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile of everything observed so far (linear
-        interpolation within buckets, ``+Inf`` clamped to the highest
-        finite bound; ``nan`` when empty)."""
-        return quantile_from_buckets(self.buckets,
-                                     self.cumulative_counts(), q)
-
-
-_CHILD_TYPES = {COUNTER: CounterChild, GAUGE: GaugeChild,
-                HISTOGRAM: HistogramChild}
+_CHILD_TYPES = {COUNTER: CounterChild, GAUGE: GaugeChild}
 
 
 class Metric:
     """One named instrument, fanned out into per-label-value children.
 
     A metric without label names has a single implicit child and exposes
-    ``inc``/``set``/``observe`` directly; labeled metrics hand out
+    ``inc``/``set`` directly; labeled metrics hand out
     children via :meth:`labels` (cache the child on hot paths).
     """
 
-    __slots__ = ("name", "help", "kind", "labelnames", "unit", "buckets",
-                 "_children", "_series")
+    __slots__ = ("name", "help", "kind", "labelnames", "unit", "_children",
+                 "_series")
 
     def __init__(self, name: str, help_text: str, kind: str,
-                 labelnames: Sequence[str] = (), unit: str = "",
-                 buckets: Tuple[float, ...] = DURATION_BUCKETS_NS):
+                 labelnames: Sequence[str] = (), unit: str = ""):
         self.name = name
         self.help = help_text
         self.kind = kind
         self.labelnames = tuple(labelnames)
         self.unit = unit
-        self.buckets = tuple(buckets)
-        if kind == HISTOGRAM and list(self.buckets) != sorted(self.buckets):
-            raise ValueError(f"{name}: histogram buckets must ascend")
         self._children: Dict[Tuple[str, ...], object] = {}
         #: :meth:`series` result, kept until a child is created.
         self._series: Optional[tuple] = None
@@ -218,8 +105,6 @@ class Metric:
 
     def _new_child(self):
         self._series = None
-        if self.kind == HISTOGRAM:
-            return HistogramChild(self.buckets)
         return _CHILD_TYPES[self.kind]()
 
     def labels(self, *values: str, **kv: str):
@@ -251,12 +136,6 @@ class Metric:
     def dec(self, amount: float = 1) -> None:
         self._children[()].dec(amount)
 
-    def observe(self, value: float) -> None:
-        self._children[()].observe(value)
-
-    def quantile(self, q: float) -> float:
-        return self._children[()].quantile(q)
-
     @property
     def value(self):
         return self._children[()].value
@@ -284,8 +163,7 @@ class MetricsRegistry:
     # -- registration --------------------------------------------------------
 
     def _register(self, name: str, help_text: str, kind: str,
-                  labelnames: Sequence[str], unit: str,
-                  buckets: Tuple[float, ...] = DURATION_BUCKETS_NS) -> Metric:
+                  labelnames: Sequence[str], unit: str) -> Metric:
         existing = self._metrics.get(name)
         if existing is not None:
             if (existing.kind != kind
@@ -294,7 +172,7 @@ class MetricsRegistry:
                     f"metric {name!r} re-registered with a different "
                     f"kind/labels")
             return existing
-        metric = Metric(name, help_text, kind, labelnames, unit, buckets)
+        metric = Metric(name, help_text, kind, labelnames, unit)
         self._metrics[name] = metric
         names = [m.name for m in self._ordered]
         self._ordered.insert(bisect_left(names, name), metric)
@@ -305,14 +183,8 @@ class MetricsRegistry:
         return self._register(name, help_text, COUNTER, labelnames, "")
 
     def gauge(self, name: str, help_text: str = "",
-              labelnames: Sequence[str] = (), unit: str = "") -> Metric:
-        return self._register(name, help_text, GAUGE, labelnames, unit)
-
-    def histogram(self, name: str, help_text: str = "",
-                  labelnames: Sequence[str] = (), unit: str = "",
-                  buckets: Tuple[float, ...] = DURATION_BUCKETS_NS) -> Metric:
-        return self._register(name, help_text, HISTOGRAM, labelnames, unit,
-                              buckets)
+              unit: str = "") -> Metric:
+        return self._register(name, help_text, GAUGE, (), unit)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -333,19 +205,9 @@ class MetricsRegistry:
         """A JSON-serializable snapshot of every series."""
         out: Dict[str, dict] = {}
         for metric in self:
-            samples = []
-            for values, child in metric.series():
-                labels = dict(zip(metric.labelnames, values))
-                if metric.kind == HISTOGRAM:
-                    samples.append({
-                        "labels": labels,
-                        "buckets": list(child.buckets),
-                        "counts": list(child.counts),
-                        "sum": child.sum,
-                        "count": child.count,
-                    })
-                else:
-                    samples.append({"labels": labels, "value": child.value})
+            samples = [{"labels": dict(zip(metric.labelnames, values)),
+                        "value": child.value}
+                       for values, child in metric.series()]
             out[metric.name] = {
                 "kind": metric.kind,
                 "help": metric.help,
@@ -411,19 +273,6 @@ def render_merged_prometheus(snapshots: Dict[Optional[str], dict],
                      else [f'{label}="{_escape_label(str(source))}"'])
             pairs.extend(f'{k}="{_escape_label(str(v))}"'
                          for k, v in sorted(sample["labels"].items()))
-            if entry["kind"] == HISTOGRAM:
-                bounds = ([_format_value(b) for b in sample["buckets"]]
-                          + ["+Inf"])
-                total = 0
-                for bound, count in zip(bounds, sample["counts"]):
-                    total += count
-                    bucket = braces(pairs + [f'le="{bound}"'])
-                    lines.append(f"{name}_bucket{bucket} {total}")
-                lines.append(f"{name}_sum{braces(pairs)} "
-                             f"{_format_value(sample['sum'])}")
-                lines.append(
-                    f"{name}_count{braces(pairs)} {sample['count']}")
-            else:
-                lines.append(f"{name}{braces(pairs)} "
-                             f"{_format_value(sample['value'])}")
+            lines.append(f"{name}{braces(pairs)} "
+                         f"{_format_value(sample['value'])}")
     return "\n".join(lines) + "\n"

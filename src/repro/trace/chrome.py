@@ -5,7 +5,8 @@ Layout: one process (``pid`` 1, "repro runtime") with
 - one lane per virtual core (``tid`` 0..procs-1) carrying matched B/E
   instruction slices,
 - one "gc" lane (``tid`` :data:`GC_TID`) carrying GC phase transitions,
-  cycle summaries, and write-barrier shade instants,
+  cycle summaries, write-barrier shade instants, and the runtime-wide
+  daemon / watchdog / recovery transitions (goid 0: no goroutine lane),
 - one lane per goroutine (``tid`` = :data:`GOROUTINE_TID_BASE` + goid)
   carrying lifecycle/channel/sema instants plus a mirror of the
   goroutine's instruction slices (so a goroutine's lane shows when it
@@ -42,8 +43,13 @@ _GOROUTINE_INSTANTS = frozenset({
     ev.GO_PANIC, ev.CHAN_MAKE, ev.CHAN_SEND, ev.CHAN_RECV, ev.CHAN_CLOSE,
     ev.SELECT_RESOLVE, ev.SEMA_ACQUIRE, ev.SEMA_RELEASE, ev.DEADLOCK,
 })
-#: Kinds rendered as instants on the GC lane.
-_GC_INSTANTS = frozenset({ev.GC_PHASE, ev.GC_CYCLE, ev.BARRIER_SHADE})
+#: Kinds rendered as instants on the GC lane, with their category.
+_GC_LANE_INSTANTS = {
+    ev.GC_PHASE: "gc", ev.GC_CYCLE: "gc", ev.BARRIER_SHADE: "gc",
+    ev.DAEMON_START: "daemon", ev.DAEMON_STOP: "daemon",
+    ev.DAEMON_DETECT: "daemon", ev.WATCHDOG_STALL: "watchdog",
+    ev.RECOVERY_RESTART: "recovery",
+}
 
 
 def _us(t_ns: int) -> float:
@@ -106,10 +112,11 @@ def export_chrome_trace(tracer, procs: Optional[int] = None,
                 out.append({"ph": "E", "pid": RUNTIME_PID, "tid": tid,
                             "ts": end, "name": e.detail, "cat": "instr"})
             continue
-        if e.kind in _GC_INSTANTS:
+        cat = _GC_LANE_INSTANTS.get(e.kind)
+        if cat is not None:
             out.append({"ph": "i", "s": "p", "pid": RUNTIME_PID,
                         "tid": GC_TID, "ts": ts, "name": e.kind,
-                        "cat": "gc", "args": {"detail": e.detail}})
+                        "cat": cat, "args": {"detail": e.detail}})
             continue
         if e.kind == ev.FAULT_INJECT:
             tid = gtid if e.goid > 0 else GC_TID
@@ -135,8 +142,9 @@ def export_chrome_trace(tracer, procs: Optional[int] = None,
                             "tid": GOROUTINE_TID_BASE + dst, "ts": ts,
                             "name": "chan", "cat": "chan", "id": flow_id})
             continue
-        # Unknown/extension kinds degrade to instants on the GC lane so
-        # the exporter never silently drops an event.
+        # A kind outside the vocabulary (the legacy ``emit`` accepts any
+        # string) degrades to an instant on the GC lane, so the exporter
+        # never silently drops an event.
         out.append({"ph": "i", "s": "p", "pid": RUNTIME_PID, "tid": GC_TID,
                     "ts": ts, "name": e.kind, "cat": "other",
                     "args": {"detail": e.detail}})

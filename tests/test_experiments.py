@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import GolfConfig, set_default_gc_mode
+from repro.core.config import GolfConfig
 from repro.corpus.generator import CorpusConfig
 from repro.experiments import (
     Table1Result,
@@ -28,10 +28,7 @@ from repro.experiments.ablations import (
     FixpointAblation,
     RecoveryAblation,
 )
-from repro.experiments.complexity import (
-    format_complexity_sweep,
-    run_complexity_sweep,
-)
+from repro.experiments.complexity import run_complexity_sweep
 from repro.microbench.registry import all_benchmarks, benchmarks_by_name
 from repro.service.controlled import ControlledConfig
 from repro.service.longrun import LongRunConfig
@@ -179,22 +176,6 @@ class TestAblations:
         assert short["restart_deadlocks"] == short["otf_deadlocks"] == 0
         assert "restart iters" in result.format()
 
-    @pytest.mark.parametrize("table", [
-        lambda: FixpointAblation().run(chain_lengths=(2, 8)).format(),
-        lambda: format_complexity_sweep(run_complexity_sweep(sizes=(8,))),
-    ], ids=["fixpoint-ablation", "complexity-sweep"])
-    def test_strategy_table_ignores_the_default_gc_mode(self, table):
-        """On-the-fly expansion exists only in the atomic collector: the
-        tables comparing it with restart pin ``gc_mode`` on both legs,
-        so ``--gc-mode incremental`` cannot turn them into the restart
-        fixpoint twice (or, via the cycle-reason filter, into zeros)."""
-        atomic = table()
-        set_default_gc_mode("incremental")
-        try:
-            assert table() == atomic
-        finally:
-            set_default_gc_mode("atomic")
-
     def test_complexity_sweep_counts_the_rungc_cycles(self):
         points = run_complexity_sweep(sizes=(8,))
         assert [(p.shape, p.strategy, p.checks) for p in points] == [
@@ -204,12 +185,6 @@ class TestAblations:
     def test_on_the_fly_is_rejected_under_incremental(self):
         with pytest.raises(ValueError, match="on_the_fly_roots"):
             GolfConfig(on_the_fly_roots=True, gc_mode="incremental")
-        set_default_gc_mode("incremental")
-        try:
-            with pytest.raises(ValueError, match="on_the_fly_roots"):
-                GolfConfig(on_the_fly_roots=True)  # via the default
-        finally:
-            set_default_gc_mode("atomic")
         assert GolfConfig(on_the_fly_roots=True).on_the_fly_roots
 
     def test_cadence_preserves_detections(self):

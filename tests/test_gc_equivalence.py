@@ -63,20 +63,22 @@ class TestEquivalenceOracle:
 
 
 class TestGcEquivCli:
-    def test_gc_mode_flag_sets_process_default(self, tmp_path):
+    def test_gc_phase_campaign_runs_incremental_without_a_flag(
+            self, tmp_path):
+        """The gc-phase scenario weights incremental-only fault kinds, so
+        its schedules pick the incremental collector themselves: faults
+        of those kinds land and none is rejected as "atomic gc mode".
+        Nothing process-wide changes."""
+        from repro import codec
+        from repro.chaos.plan import FaultKind
         from repro.cli import main
-        from repro.core.config import (
-            GolfConfig,
-            get_default_gc_mode,
-            set_default_gc_mode,
-        )
+        from repro.core.config import GolfConfig
 
-        assert get_default_gc_mode() == "atomic"
-        try:
-            rc = main(["chaos", "--gc-mode", "incremental", "--seeds", "2",
-                       "--scenario", "gc-phase", "--json-dir",
-                       str(tmp_path)])
-            assert rc == 0
-            assert GolfConfig().incremental
-        finally:
-            set_default_gc_mode("atomic")
+        assert main(["chaos", "--seeds", "2", "--scenario", "gc-phase",
+                     "--traces", "--json-dir", str(tmp_path)]) == 0
+        doc = codec.read(str(tmp_path / "chaos-gc-phase-s0-n2.json"))
+        assert sum(doc["injected_by_kind"].get(kind, 0)
+                   for kind in FaultKind.INCREMENTAL_ONLY) >= 1
+        details = [r["detail"] for s in doc["schedules"] for r in s["trace"]]
+        assert details and "atomic gc mode" not in details
+        assert GolfConfig().gc_mode == "atomic"

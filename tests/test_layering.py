@@ -35,7 +35,7 @@ from repro.fleet.supervisor import FleetConfig
 from repro.fuzz import fuzz_program
 from repro.service.longrun import LongRunConfig
 from repro.service.resilience import ResilienceConfig
-from repro.telemetry import TelemetryHub, get_default_hub, set_default_hub
+from repro.telemetry import TelemetryHub
 
 PACKAGE = Path(repro.__file__).parent
 REPO = PACKAGE.parent.parent
@@ -142,19 +142,18 @@ def test_json_is_spelled_only_in_the_codec():
     assert need_defs == ["codec.py"]
 
 
-def test_default_hub_slot_holds_exactly_the_current_hub():
-    first, second = TelemetryHub(), TelemetryHub()
-    try:
-        set_default_hub(first)
-        set_default_hub(second)
-        assert get_default_hub() is second
-        assert Runtime().telemetry is second
-        assert first.runtimes_attached == 0 and second.runtimes_attached == 1
-    finally:
-        set_default_hub(None)
-    assert get_default_hub() is None
+def test_no_ambient_slot_reaches_a_runtime():
+    """A hub or a collector mode reaches a runtime only as an argument:
+    a hub built or attached elsewhere in the process never attaches
+    itself to the next runtime, and ``GolfConfig()`` is the atomic
+    collector whatever configs were built before it."""
+    hub = TelemetryHub()
     assert Runtime().telemetry is None
-    assert second.runtimes_attached == 1
+    incremental = GolfConfig(gc_mode="incremental")
+    assert Runtime(config=incremental).config.incremental
+    assert hub.attach(Runtime()) is hub
+    fresh = Runtime()
+    assert fresh.telemetry is None and fresh.config.gc_mode == "atomic"
 
 
 def test_kernel_option_counts():
@@ -186,8 +185,6 @@ KEPT_DEFAULTS = {
         "program data: a subsystem's host state, absent when it has none",
     ("staticcheck/model.py", "Extraction", "end_line"):
         "program data: a one-line entry ends where it starts",
-    ("telemetry/alerts.py", "AlertEngine.state", "labels"):
-        "Prometheus mirror: the state of an unlabelled series",
     ("apps/jobqueue.py", "run_job_queue", "proof_registry"):
         "set by fusion.demo_services' runners through an indirect call",
     ("apps/kvstore.py", "run_kv_workload", "proof_registry"):
@@ -352,8 +349,7 @@ def test_every_option_has_a_caller():
     assert stale == set(), f"kept defaults now passed somewhere: {stale}"
 
 
-#: Series read by something other than an alert rule (the rules are read
-#: off the code): ``metric name -> reader``.
+#: Every registered series and what reads it: ``metric name -> reader``.
 OUTPUT_READERS = {
     "repro_sched_context_switches_total":
         "the `repro obs` report's context-switch line (ObsResult.format)",
@@ -368,14 +364,8 @@ OUTPUT_READERS = {
 def test_every_output_has_a_reader():
     """A series nothing reads still costs its hot-path update, a `.prom`
     line and a TSDB point per scrape: give it a reader, or drop it."""
-    from repro.telemetry import builtin_slo_rules
-
-    readers = dict(OUTPUT_READERS)
-    for rule in builtin_slo_rules():
-        for name in rule.describe()["metrics"]:
-            readers.setdefault(name, f"alert {rule.name}")
     registered = [metric.name for metric in TelemetryHub().registry]
-    unread = [name for name in registered if name not in readers]
+    unread = [name for name in registered if name not in OUTPUT_READERS]
     assert unread == [], f"{len(unread)} series nobody reads:\n" + "\n".join(
         f"  {name}" for name in unread)
     stale = set(OUTPUT_READERS) - set(registered)

@@ -2,24 +2,21 @@
 
 The execution tracer pushes flat by-value records and renders
 ``detail`` / ``args`` only when something reads; the telemetry hub's
-hot callbacks update children bound once; histograms pick their bucket
-by bisection.  Each is pinned here against the code it replaced, kept
-below verbatim as the reference: the eager tracer (with the list-backed
-ring and ``describe_object`` it used), the per-goroutine three-pass
-trace evidence of the provenance engine, and the linear bucket scan.
+hot callbacks update children bound once.  Each is pinned here against
+the code it replaced, kept below verbatim as the reference: the eager
+tracer (with the list-backed ring and ``describe_object`` it used) and
+the per-goroutine three-pass trace evidence of the provenance engine.
 """
 
 from __future__ import annotations
 
 import enum
 import gc
-import math
 import sys
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.equivalence import corpus
 from repro.microbench.harness import run_microbenchmark
@@ -31,7 +28,6 @@ from repro.runtime.waitreason import WaitReason
 from repro.service.controlled import ControlledConfig, run_controlled
 from repro.service.production import ProductionConfig, run_production
 from repro.telemetry import TelemetryHub
-from repro.telemetry.metrics import DURATION_BUCKETS_NS, HistogramChild
 from repro.trace import events as ev
 from repro.trace import provenance
 from repro.trace.chrome import export_chrome_trace
@@ -285,16 +281,6 @@ def reference_trace_evidence(rec, g, condemned_goids, tracer) -> None:
         f"{label.get(goid, f'g{goid}')}: {why}"
         for goid, why in sorted(abandoners.items())
     ]
-
-
-def reference_observe(child: HistogramChild, value: float) -> None:
-    child.sum += value
-    child.count += 1
-    for i, bound in enumerate(child.buckets):
-        if value <= bound:
-            child.counts[i] += 1
-            return
-    child.counts[-1] += 1
 
 
 def _reference_evidence(*args) -> None:
@@ -571,42 +557,7 @@ def test_render_preserves_key_order():
 
 
 # ---------------------------------------------------------------------------
-# (d) histogram buckets: bisection ≡ the linear scan
-# ---------------------------------------------------------------------------
-
-#: Small power-of-two bounds with a gap at the top (512 is skipped).
-SMALL_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096)
-
-_observations = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-10, max_value=2_000_000_000),
-    st.sampled_from(DURATION_BUCKETS_NS + SMALL_BUCKETS),
-)
-
-
-@pytest.mark.parametrize("buckets", [DURATION_BUCKETS_NS, SMALL_BUCKETS,
-                                     (10,), (1.5, 1.5, 7)])
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(_observations, max_size=30))
-def test_observe_picks_the_linear_scans_bucket(buckets, values):
-    fast, slow = HistogramChild(buckets), HistogramChild(buckets)
-    for value in values:
-        fast.observe(value)
-        reference_observe(slow, value)
-    assert fast.counts == slow.counts
-    assert fast.count == slow.count
-    assert repr(fast.sum) == repr(slow.sum)
-
-
-def test_observe_edges():
-    child = HistogramChild((10, 100))
-    for value in (10, 10.0, 11, 100, 101, math.inf, -math.inf, math.nan):
-        child.observe(value)
-    assert child.counts == [3, 2, 3]
-
-
-# ---------------------------------------------------------------------------
-# (e) the hub's bound child is the registry's child
+# (d) the hub's bound child is the registry's child
 # ---------------------------------------------------------------------------
 
 

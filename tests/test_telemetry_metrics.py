@@ -8,7 +8,6 @@ import pytest
 from repro.telemetry import (
     COUNTER,
     GAUGE,
-    HISTOGRAM,
     MetricsRegistry,
     render_merged_prometheus,
     validate_exposition,
@@ -32,22 +31,6 @@ class TestInstruments:
         g.inc(2)
         g.dec()
         assert g.value == 11
-
-    def test_histogram_buckets_cumulative(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(10, 100, 1000))
-        for v in (5, 50, 500, 5000):
-            h.observe(v)
-        child = h.labels()
-        assert child.count == 4
-        assert child.sum == 5555
-        assert child.cumulative_counts() == [1, 2, 3, 4]
-
-    def test_histogram_buckets_must_ascend(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.histogram("lat", buckets=(100, 10))
-        reg.histogram("ties", buckets=(10, 10, 100)).observe(10)
 
     def test_labels_positional_and_by_name(self):
         reg = MetricsRegistry()
@@ -84,9 +67,6 @@ class TestExposition:
         reg.get("repro_ops_total").labels("read").inc(3)
         reg.get("repro_ops_total").labels("write").inc()
         reg.gauge("repro_depth", "Queue depth").set(7)
-        h = reg.histogram("repro_lat_ns", "Latency", buckets=(100, 1000))
-        h.observe(50)
-        h.observe(5000)
         return reg
 
     def test_renders_help_type_and_samples(self):
@@ -97,18 +77,10 @@ class TestExposition:
         assert 'repro_ops_total{kind="write"} 1' in text
         assert "repro_depth 7" in text
 
-    def test_histogram_lines(self):
-        text = self._populated().render_prometheus()
-        assert 'repro_lat_ns_bucket{le="100"} 1' in text
-        assert 'repro_lat_ns_bucket{le="1000"} 1' in text
-        assert 'repro_lat_ns_bucket{le="+Inf"} 2' in text
-        assert "repro_lat_ns_sum 5050" in text
-        assert "repro_lat_ns_count 2" in text
-
     def test_exposition_validates(self):
         text = self._populated().render_prometheus()
-        # 2 counter series + 1 gauge + 3 buckets + sum + count = 8.
-        assert validate_exposition(text) == 8
+        # 2 counter series + 1 gauge.
+        assert validate_exposition(text) == 3
 
     def test_label_values_escaped(self):
         reg = MetricsRegistry()
@@ -158,14 +130,11 @@ class TestSnapshot:
     def test_round_trips_through_json(self):
         reg = MetricsRegistry()
         reg.counter("x_total", labelnames=("k",)).labels("a").inc(2)
-        h = reg.histogram("h_ns", buckets=(10,))
-        h.observe(5)
         reg.gauge("g").set(math.pi)
         snap = reg.snapshot()
         assert json.loads(json.dumps(snap)) == snap
         assert snap["x_total"]["samples"][0] == {
             "labels": {"k": "a"}, "value": 2}
-        assert snap["h_ns"]["samples"][0]["counts"] == [1, 0]
 
 
 class TestExtraLabels:
@@ -177,8 +146,6 @@ class TestExtraLabels:
         reg.counter("req_total", "requests",
                     labelnames=("outcome",)).labels("ok").inc(3)
         reg.gauge("depth", "queue depth").set(2)
-        reg.histogram("lat_ns", "latency",
-                      buckets=(10, 100)).labels().observe(42)
         return reg
 
     def _render(self, source, label="shard"):
@@ -208,64 +175,6 @@ class TestExtraLabels:
 
     def test_extra_label_values_escaped(self):
         assert validate_exposition(self._render('a"b\\c')) > 0
-
-
-class TestHistogramQuantile:
-    """Satellite: linear-interpolation quantiles over bucket cumulations."""
-
-    def test_uniform_distribution_exact(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(10, 20, 30, 40))
-        # 1..40 uniform: every bucket holds exactly 10 observations.
-        for v in range(1, 41):
-            h.observe(v)
-        assert h.quantile(0.25) == pytest.approx(10.0)
-        assert h.quantile(0.5) == pytest.approx(20.0)
-        assert h.quantile(0.75) == pytest.approx(30.0)
-        # Interpolation inside a bucket: rank 4 of 10 in (0, 10].
-        assert h.quantile(0.1) == pytest.approx(4.0)
-
-    def test_interpolates_within_bucket(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(100, 200))
-        for _ in range(4):
-            h.observe(150)  # all mass in (100, 200]
-        # rank q*4 of 4 within (100, 200]: linear from 100 to 200.
-        assert h.quantile(0.5) == pytest.approx(150.0)
-        assert h.quantile(1.0) == pytest.approx(200.0)
-
-    def test_inf_bucket_clamps_to_highest_bound(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(10, 100))
-        h.observe(5000)
-        h.observe(7000)
-        assert h.quantile(0.5) == 100.0
-        assert h.quantile(0.99) == 100.0
-
-    def test_empty_histogram_is_nan(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(10,))
-        assert math.isnan(h.quantile(0.5))
-
-    def test_q_out_of_range_rejected(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(10,))
-        h.observe(1)
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-        with pytest.raises(ValueError):
-            h.quantile(-0.1)
-
-    def test_cumulative_at_interpolates(self):
-        from repro.telemetry import cumulative_at
-
-        # 10 obs uniform in (0, 100], 10 more in (100, 200].
-        bounds, cumulative = (100.0, 200.0), (10, 20, 20)
-        assert cumulative_at(bounds, cumulative, 50.0) == pytest.approx(5.0)
-        assert cumulative_at(bounds, cumulative, 100.0) == 10.0
-        assert cumulative_at(bounds, cumulative, 150.0) == pytest.approx(15.0)
-        assert cumulative_at(bounds, cumulative, 500.0) == 20.0
-        assert cumulative_at(bounds, cumulative, -1.0) == 0.0
 
 
 class TestMidRunRegistrationOrdering:
@@ -356,29 +265,6 @@ class TestMergedPrometheusEdges:
             {"0": self._snapshot(a=1), "1": {}})
         assert validate_exposition(text) == 1
         assert 'shard="1"' not in text
-
-    def test_histogram_recumulation_disjoint_label_sets(self):
-        from repro.telemetry import render_merged_prometheus
-
-        def hist_snapshot(route, values):
-            reg = MetricsRegistry()
-            h = reg.histogram("lat", "latency", buckets=(10, 100),
-                              labelnames=("route",))
-            for v in values:
-                h.labels(route).observe(v)
-            return reg.snapshot()
-
-        text = render_merged_prometheus({
-            "0": hist_snapshot("a", [5, 50]),
-            "1": hist_snapshot("b", [500]),
-        })
-        assert validate_exposition(text) == 10
-        # Bucket counts re-cumulate per shard from the raw counts.
-        assert 'lat_bucket{shard="0",route="a",le="10"} 1' in text
-        assert 'lat_bucket{shard="0",route="a",le="+Inf"} 2' in text
-        assert 'lat_bucket{shard="1",route="b",le="100"} 0' in text
-        assert 'lat_bucket{shard="1",route="b",le="+Inf"} 1' in text
-        assert 'lat_sum{shard="1",route="b"} 500' in text
 
     def test_numeric_shard_ordering(self):
         from repro.telemetry import render_merged_prometheus

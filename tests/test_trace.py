@@ -15,7 +15,7 @@ import pytest
 
 from repro import GolfConfig, Runtime
 from repro.core.checkpoint import CheckpointManager, WorkerSpec
-from repro.runtime.clock import MICROSECOND, MILLISECOND
+from repro.runtime.clock import MICROSECOND, MILLISECOND, Clock
 from repro.runtime.instructions import (
     Go,
     Lock,
@@ -33,7 +33,9 @@ from repro.trace import (
     export_chrome_trace,
     validate_chrome_trace,
 )
+from repro.trace import events as ev
 from repro.trace.chrome import GC_TID, GOROUTINE_TID_BASE, RUNTIME_PID
+from repro.trace.tracer import ExecutionTracer
 
 
 def _traced_transfer_run(seed=3):
@@ -74,6 +76,43 @@ def _traced_transfer_run(seed=3):
     return rt, tracer
 
 
+#: The runtime-wide kinds: daemon, watchdog and checkpoint recovery.
+RUNTIME_KINDS = {ev.DAEMON_START, ev.DAEMON_STOP, ev.DAEMON_DETECT,
+                 ev.WATCHDOG_STALL, ev.RECOVERY_RESTART}
+
+
+def _daemon_watchdog_recovery_run(rt):
+    """Start and stop the daemon, trip the watchdog and roll a
+    checkpointed pool back on ``rt``; returns its tracer."""
+    tracer = rt.enable_tracing()
+    endpoint = rt.make_chan(0)
+    idle = rt.make_chan(0)
+    rt.set_global("idle", idle)
+    spawned = []
+
+    def worker():
+        # The first incarnation wedges on a private channel: a leak the
+        # daemon reports and the checkpoint manager rolls back.
+        spawned.append(True)
+        if len(spawned) == 1:
+            private = yield MakeChan(0)
+            yield Recv(private)
+        yield Recv(endpoint)
+
+    CheckpointManager(rt).register(
+        "pool", channels=[endpoint], workers=[WorkerSpec("w0", worker)])
+    Watchdog(rt).install(interval_ns=5 * MILLISECOND)
+    rt.detect_partial_deadlock(interval_ms=2.0)
+
+    def main():
+        yield Recv(idle)  # with the pool idle too: a global wedge
+
+    rt.spawn_main(main)
+    rt.run(until_ns=50 * MILLISECOND)
+    rt.stop_partial_deadlock_detection()
+    return tracer
+
+
 class TestVocabulary:
     def test_every_emitted_kind_is_in_vocabulary(self):
         rt, tracer = _traced_transfer_run()
@@ -84,37 +123,22 @@ class TestVocabulary:
     def test_daemon_watchdog_and_recovery_kinds_are_in_vocabulary(self):
         """A run that starts and stops the daemon, trips the watchdog and
         rolls a checkpointed pool back emits only vocabulary kinds."""
-        rt = Runtime(procs=1, seed=3)
-        tracer = rt.enable_tracing()
-        endpoint = rt.make_chan(0)
-        idle = rt.make_chan(0)
-        rt.set_global("idle", idle)
-        spawned = []
-
-        def worker():
-            # The first incarnation wedges on a private channel: a leak
-            # the daemon reports and the checkpoint manager rolls back.
-            spawned.append(True)
-            if len(spawned) == 1:
-                private = yield MakeChan(0)
-                yield Recv(private)
-            yield Recv(endpoint)
-
-        CheckpointManager(rt).register(
-            "pool", channels=[endpoint], workers=[WorkerSpec("w0", worker)])
-        Watchdog(rt).install(interval_ns=5 * MILLISECOND)
-        rt.detect_partial_deadlock(interval_ms=2.0)
-
-        def main():
-            yield Recv(idle)  # with the pool idle too: a global wedge
-
-        rt.spawn_main(main)
-        rt.run(until_ns=50 * MILLISECOND)
-        rt.stop_partial_deadlock_detection()
+        tracer = _daemon_watchdog_recovery_run(Runtime(procs=1, seed=3))
         kinds = {e.kind for e in tracer.events}
-        assert {"daemon-start", "daemon-stop", "daemon-detect",
-                "watchdog-stall", "recovery-restart"} <= kinds
+        assert RUNTIME_KINDS <= kinds
         assert kinds <= VOCABULARY
+
+    def test_hub_records_the_interned_kinds(self):
+        """The hub passes the vocabulary's interned constants, never an
+        equal fresh string (runtime/events.py)."""
+        rt = Runtime(procs=1, seed=3)
+        hub = rt.enable_telemetry()
+        _daemon_watchdog_recovery_run(rt)
+        kinds = [e.kind for e in hub.recorder.events()]
+        assert RUNTIME_KINDS <= set(kinds)
+        interned = {id(kind) for kind in VOCABULARY}
+        assert [k for k in kinds
+                if k in VOCABULARY and id(k) not in interned] == []
 
     def test_full_lifecycle_coverage(self):
         rt, tracer = _traced_transfer_run()
@@ -192,6 +216,20 @@ class TestChromeExport:
         assert GC_TID in tids
         assert any(t >= GOROUTINE_TID_BASE for t in tids)
         assert {e["pid"] for e in doc["traceEvents"]} == {RUNTIME_PID}
+
+    def test_every_vocabulary_kind_is_rendered(self):
+        """One record of every kind comes out under its own name and a
+        category of its own, none through the catch-all."""
+        tracer = ExecutionTracer(Clock())
+        for kind in sorted(VOCABULARY):
+            instr = kind == ev.INSTR
+            tracer.emit(kind, 1, kind, pid=0 if instr else -1,
+                        args={"dur": 1} if instr else None)
+        doc = export_chrome_trace(tracer, procs=1)
+        validate_chrome_trace(doc)
+        rendered = {e["name"] for e in doc["traceEvents"]
+                    if e["ph"] != "M" and e["cat"] != "other"}
+        assert sorted(VOCABULARY - rendered) == []
 
     def test_timestamps_non_decreasing(self):
         rt, tracer = _traced_transfer_run()
@@ -283,10 +321,13 @@ class TestChaosIntegration:
 
 
 class TestDropAccounting:
-    def test_trace_drops_surface_in_prometheus(self):
-        from repro.telemetry import TelemetryHub
+    def test_drops_are_counted_on_their_rings(self):
+        """Ring evictions are read where they happen: the tracer's and
+        the flight recorder's own ``dropped`` counts (the hub snapshot
+        carries the recorder's)."""
+        from repro.telemetry import DEBUG, TelemetryHub
 
-        hub = TelemetryHub()
+        hub = TelemetryHub(min_severity=DEBUG)
         rt = Runtime(procs=1, seed=1)
         hub.attach(rt)
         tracer = rt.enable_tracing(capacity=8)
@@ -297,10 +338,5 @@ class TestDropAccounting:
 
         rt.spawn_main(main)
         rt.run()
-        assert tracer.dropped > 0
-        text = hub.render_prometheus()
-        assert "repro_trace_dropped_total" in text
-        assert "repro_recorder_dropped_total" in text
-        line = [ln for ln in text.splitlines()
-                if ln.startswith("repro_trace_dropped_total")][-1]
-        assert float(line.split()[-1]) == float(tracer.dropped)
+        assert tracer.dropped > 0 and len(tracer) == 8
+        assert hub.snapshot()["recorder"]["dropped"] == hub.recorder.dropped

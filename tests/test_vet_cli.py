@@ -172,27 +172,3 @@ class TestCrossvalCli:
         with pytest.raises(SystemExit) as exc:
             main(["vet", "--crossval", "--min-recall", "1.0"])
         assert "FAILED" in str(exc.value)
-
-
-class TestTelemetry:
-    VERDICTS = "run 1 function(s): 0 leaky, 1 suspect, 0 unknown, 0 clean"
-
-    def test_on_vet_run_records_the_verdicts(self):
-        from repro.telemetry import TelemetryHub
-
-        hub = TelemetryHub()
-        vet = vet_paths([LEAKY_SERVICE])
-        hub.on_vet_run(vet)
-        assert self.VERDICTS in hub.recorder.dump()
-
-    def test_cli_reports_into_default_hub(self, capsys):
-        from repro.telemetry import get_default_hub, set_default_hub
-        from repro.telemetry import TelemetryHub
-
-        hub = TelemetryHub()
-        set_default_hub(hub)
-        try:
-            main(["vet", LEAKY_SERVICE])
-        finally:
-            set_default_hub(None)
-        assert hub.recorder.dump().count(self.VERDICTS) == 1
