@@ -1,0 +1,47 @@
+"""Per-leg pins: one fingerprint digest per registry run.
+
+The equivalence pairs compare two ways of running a program against
+each other; nothing there notices a change that moves both legs the
+same way.  This file pins every leg on its own: the 125 ground-truth
+programs x procs {1, 4} x gc mode {atomic, incremental}, seed 7, one
+line each with the sha256 of the run's canonical fingerprint.  A
+schedule or accounting change then shows up in ``git diff`` as the
+named legs it moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import repro
+from benchmarks.conftest import emit
+from repro import codec
+from repro.core.config import GC_MODES, GolfConfig
+from repro.equivalence import Leg, corpus, run_leg
+
+SEED = 7
+PROCS = (1, 4)
+
+# Report sites embed ``file:line`` of the program source; pin them
+# relative to the package so the digest does not depend on where the
+# checkout lives.
+_PKG_DIR = os.path.dirname(os.path.abspath(repro.__file__))
+
+
+def digest(fingerprint: dict) -> str:
+    text = codec.dumps(fingerprint).replace(_PKG_DIR, "repro")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_per_leg_pins():
+    lines = []
+    for program in corpus():
+        for procs in PROCS:
+            for mode in GC_MODES:
+                leg = Leg(mode, lambda mode=mode: GolfConfig(gc_mode=mode))
+                _, fp = run_leg(leg, program, procs, SEED)
+                lines.append(f"{program.name}\tp{procs}\t{mode}\t"
+                             f"{digest(fp)}")
+    emit("pins", "\n".join(lines))
+    assert len(lines) == 500
