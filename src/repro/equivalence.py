@@ -161,8 +161,10 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
          why_excluded=(
              "splitting one atomic pause into setup + termination "
              "windows moves where timer deadlines land relative to GC, "
-             "so timeout-driven programs end a few pause-widths apart "
-             "with every verdict, cycle number and pause total identical"),
+             "so a timeout-driven program can end a few pause-widths "
+             "apart with every verdict, cycle number and pause total "
+             "identical (grpc/3017 and hugo/3261 at seeds 7 and 11, "
+             "etcd/7443 at seed 11, all buggy)"),
          witness=lambda rt: {"mark_steps": sum(
              cs.mark_steps for cs in rt.collector.stats.cycles)}),
     Pair("dispatch",

@@ -692,6 +692,8 @@ class Scheduler:
                 # complete at the same virtual times with or without a
                 # ticker installed.
                 continue
+            elif runq:
+                continue  # dispatch again (woken by that GC cycle)
             elif timers or tickers:
                 # Jump to the next timer — a pending ticker keeps the
                 # loop alive exactly as a system goroutine's sleep does.
@@ -701,8 +703,6 @@ class Scheduler:
                     t_next = timers[0][0]
                     if tickers and tickers[0][0] < t_next:
                         t_next = tickers[0][0]
-            elif runq:
-                continue  # dispatch again (woken by that GC cycle)
             else:
                 waiting_user = [
                     g for g in self.allgs

@@ -7,12 +7,13 @@ import pytest
 from repro import GolfConfig, Runtime
 from repro.equivalence import PAIRS, Leg, corpus, sweep
 from repro.gc import GCPhase
-from repro.runtime.clock import MICROSECOND, MILLISECOND
+from repro.runtime.clock import MICROSECOND, MILLISECOND, SECOND
 from repro.runtime.goroutine import GStatus
 from repro.runtime.instructions import (
     Alloc,
     Go,
     MakeChan,
+    Now,
     Recv,
     RunGC,
     Send,
@@ -149,6 +150,25 @@ class TestRunGCParking:
         assert outcome == "main-exited"
         assert (GStatus.WAITING, WaitReason.GC_WAIT) in observed
         assert main_g.status is GStatus.DEAD
+
+    def test_rungc_caller_resumes_before_a_pending_timer(self):
+        """A cycle that completes with no mutator running wakes its
+        ``runtime.GC`` callers at the current clock: the run loop
+        dispatches them before it jumps to the next timer."""
+        rt = incremental_rt()
+        resumed = []
+
+        def main():
+            def sleeper():
+                yield Sleep(SECOND)
+
+            yield Go(sleeper, name="sleeper")
+            yield RunGC()
+            resumed.append((yield Now()))
+
+        rt.spawn_main(main)
+        assert rt.run(until_ns=2 * SECOND) == "main-exited"
+        assert resumed and resumed[0] < MILLISECOND, resumed
 
     def test_mutator_progresses_during_marking(self):
         rt = incremental_rt(mark_budget=1, sweep_budget=1)

@@ -111,6 +111,8 @@ def reference_run(self, until_ns: Optional[int] = None,
                 gc_step_hook()
             continue
 
+        if self.runq:
+            continue  # dispatch again (procs freed this iteration)
         # Either jump to the next timer — a pending ticker keeps the
         # loop alive exactly as a system goroutine's sleep does — or
         # stop.
@@ -121,8 +123,6 @@ def reference_run(self, until_ns: Optional[int] = None,
                 return RunStatus.TIMEOUT
             clock.advance_to(t)
             continue
-        if self.runq:
-            continue  # dispatch again (procs freed this iteration)
         waiting_user = [
             g for g in self.allgs
             if g.status == GStatus.WAITING and not g.is_system

