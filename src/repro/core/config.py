@@ -24,8 +24,9 @@ GOGC = 100
 STW_BASE_NS = 20_000
 #: Simulated marking cost per traversed reference.
 NS_PER_MARK_EDGE = 25
-#: Fixed marking-phase cost per mark iteration (queue setup/drain);
-#: GOLF's restart-based fixpoint pays this once per root-set expansion.
+#: Fixed marking-phase cost per mark iteration (queue setup/drain).
+#: GOLF's liveness expansion runs inside the first iteration; the
+#: paper's restart fixpoint (the reference) pays one per expansion.
 NS_PER_MARK_ITERATION = 1_500
 #: Simulated cost of checking one (goroutine, blocking object) pair
 #: during root expansion.
@@ -47,9 +48,6 @@ class GolfConfig:
         detect_every: run deadlock detection only every Nth GC cycle
             (paper section 6.2 suggests this to amortize overhead; 1 =
             every cycle, as evaluated).
-        on_the_fly_roots: use the on-the-fly root-expansion optimization
-            sketched in paper section 5.3 instead of restart-based mark
-            iterations.  Same results, fewer iterations; atomic mode only.
         min_heap_bytes: pacing floor, so tiny programs still collect at a
             sane cadence.
         on_report: optional callback invoked with each new
@@ -78,7 +76,6 @@ class GolfConfig:
         golf: bool = True,
         reclaim: bool = True,
         detect_every: int = 1,
-        on_the_fly_roots: bool = False,
         min_heap_bytes: int = 256 * 1024,
         on_report: Optional[Callable[..., None]] = None,
         dead_global_hints: Optional[set] = None,
@@ -91,16 +88,11 @@ class GolfConfig:
         if gc_mode not in GC_MODES:
             raise ValueError(
                 f"gc_mode must be one of {GC_MODES}, got {gc_mode!r}")
-        if on_the_fly_roots and gc_mode == "incremental":
-            raise ValueError(
-                "on_the_fly_roots needs gc_mode='atomic': incremental "
-                "mark termination always runs the restart fixpoint")
         if mark_budget < 1 or sweep_budget < 1:
             raise ValueError("mark_budget and sweep_budget must be >= 1")
         self.golf = golf
         self.reclaim = reclaim
         self.detect_every = detect_every
-        self.on_the_fly_roots = on_the_fly_roots
         self.min_heap_bytes = min_heap_bytes
         self.on_report = on_report
         self.dead_global_hints = frozenset(dead_global_hints or ())

@@ -12,20 +12,17 @@ the garbage collector's marking machinery:
    became marked,
 4. repeat until a fixpoint; unmarked blocked goroutines are deadlocked.
 
-Two implementations are provided, matching the paper's section 5.3:
-
-- the *restart* strategy (the paper's implementation): full mark
-  iterations alternate with root-expansion scans over all still-masked
-  candidates (``O(N² + N·S)`` checks in the worst case);
-- the *on-the-fly* strategy (the paper's sketched optimization): a
-  reverse index from blocking objects to waiters lets newly marked
-  concurrency objects enqueue their blocked goroutines immediately,
-  completing in a single mark pass.
-
-Both produce the same deadlocked set — on synthetic heaps in the
-property tests, and on whole runs of the 125-program corpus by the
-``fixpoint`` pair of :mod:`repro.equivalence`; they differ only in
-iteration counts and bookkeeping cost.
+Both collector modes run steps 3-4 as the reverse-index expansion the
+paper sketches in section 5.3 (:func:`expand_liveness_fixpoint`): an
+index from blocking objects to their waiters lets each newly marked
+concurrency object unmask its blocked goroutines at once, so the
+fixpoint completes in one more mark pass.  The paper's own
+implementation, which restarts the mark once per root-set expansion
+over every still-masked candidate (``O(N² + N·S)`` checks in the worst
+case), survives as the reference :func:`expand_by_restart`: the
+``fixpoint`` pair of :mod:`repro.equivalence` checks on the 125-program
+corpus that both render the same verdicts, and the ablations measure
+the gap.
 """
 
 from __future__ import annotations
@@ -178,7 +175,7 @@ def seed_roots(heap: Heap, goroutines: Sequence[Goroutine],
 
 
 def detect(heap: Heap, goroutines: Sequence[Goroutine],
-           on_the_fly: bool = False,
+           on_the_fly: bool = True,
            dead_global_hints: frozenset = frozenset(),
            extra_roots: Sequence[HeapObject] = ()) -> DetectionResult:
     """Compute reachable liveness over ``goroutines``.
@@ -187,6 +184,12 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     epoch).  On return, every reachably live object is marked, candidates
     found deadlocked remain masked (callers decide how to report/keep
     them), and live goroutines are unmasked.
+
+    One mark pass from the seed roots, then
+    :func:`expand_liveness_fixpoint` — the two steps the incremental
+    collector runs as its concurrent drain and its mark-termination
+    call.  ``on_the_fly=False`` runs the reference
+    :func:`expand_by_restart` instead.
 
     ``dead_global_hints`` removes the named globals from the liveness
     roots; since hinted objects are ordinary heap allocations, the
@@ -202,11 +205,11 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     roots, candidates, result.proof_skips = seed_roots(
         heap, goroutines, dead_global_hints)
     roots.extend(extra_roots)
-
-    if on_the_fly:
-        _detect_on_the_fly(heap, candidates, roots, result)
-    else:
-        _detect_restart(heap, candidates, roots, result)
+    result.mark_work_units, result.objects_marked = mark_from(
+        heap, roots, respect_masks=True)
+    result.mark_iterations = 1
+    expand = expand_liveness_fixpoint if on_the_fly else expand_by_restart
+    result.deadlocked = expand(heap, candidates, result)
 
     deadlocked_set = set(id(g) for g in result.deadlocked)
     result.live = [
@@ -216,28 +219,69 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     return result
 
 
-def _detect_restart(heap: Heap, candidates: List[Goroutine],
-                    roots: List[HeapObject], result: DetectionResult) -> None:
-    """The paper's implementation: restart marking per root expansion."""
-    work, marked = mark_from(heap, roots, respect_masks=True)
-    result.mark_iterations = 1
-    result.mark_work_units = work
-    result.objects_marked = marked
-    result.deadlocked = expand_liveness_fixpoint(heap, candidates, result)
-
-
 def expand_liveness_fixpoint(heap: Heap, candidates: List[Goroutine],
                              result: DetectionResult) -> List[Goroutine]:
     """Root-set expansion to fixpoint over still-masked candidates.
 
     Assumes an initial mark pass has already run (full roots in the
     atomic cycle; the concurrent MARKING phase plus the termination
-    rescan in the incremental cycle — both paths share this exact loop,
-    so the two ``--gc-mode`` values render identical verdicts).  Marks
-    the subgraphs of goroutines proven live, accumulates iteration/work/
-    check counters into ``result``, and returns the goroutines left
-    masked: the deadlocked set.
+    rescan in the incremental cycle — both paths share this function,
+    so the two ``gc_mode`` values render identical verdicts).  Indexes
+    each candidate's blocking objects; a candidate with an object
+    already marked, or one the collector cannot locate, is live at
+    once.  One mark pass from those then unmasks the waiters of every
+    object it newly marks, and traces them in the same pass.
+
+    One liveness check is counted per (candidate, blocking object) pair
+    whose object ends up marked, whenever that is found; the expansion
+    pass adds its work to ``result`` but no mark iteration.  Returns
+    the goroutines left masked: the deadlocked set.
     """
+    waiters: Dict[int, List[Goroutine]] = {}
+    live: List[Goroutine] = []
+    for g in candidates:
+        found = False
+        for obj in g.blocked_on:
+            if obj is EPSILON:
+                continue
+            if obj.addr == 0 or not heap.contains(obj):
+                found = True
+            elif heap.is_marked(obj):
+                result.liveness_checks += 1
+                found = True
+            else:
+                waiters.setdefault(obj.addr, []).append(g)
+        if found:
+            g.masked = False
+            live.append(g)
+
+    def on_marked(obj: HeapObject) -> Optional[List[Goroutine]]:
+        blocked = waiters.get(obj.addr)
+        if not blocked:
+            return None
+        extra: List[Goroutine] = []
+        for g in blocked:
+            result.liveness_checks += 1
+            if g.masked:
+                g.masked = False
+                extra.append(g)
+        return extra
+
+    if live:
+        work, marked = mark_from(heap, live, respect_masks=True,
+                                 on_marked=on_marked)
+        result.mark_work_units += work
+        result.objects_marked += marked
+    return [g for g in candidates if g.masked]
+
+
+def expand_by_restart(heap: Heap, candidates: List[Goroutine],
+                      result: DetectionResult) -> List[Goroutine]:
+    """The paper's implementation of the expansion, kept as the
+    reference: rescan every still-masked candidate, restart the mark
+    from the newly live ones, repeat until nothing changes.  Same
+    contract as :func:`expand_liveness_fixpoint`, but each round is one
+    more mark iteration and re-checks every pending pair."""
     pending = list(candidates)
     while True:
         newly_live = []
@@ -279,46 +323,3 @@ def reexpand_on_wake(heap: Heap, g: Goroutine,
     g.masked = False
     if heap.mark(g):
         gray.append(g)
-
-
-def _detect_on_the_fly(heap: Heap, candidates: List[Goroutine],
-                       roots: List[HeapObject],
-                       result: DetectionResult) -> None:
-    """Single-pass variant: newly marked concurrency objects immediately
-    enqueue the goroutines blocked on them."""
-    waiters: Dict[int, List[Goroutine]] = {}
-    immediately_live: List[Goroutine] = []
-    for g in candidates:
-        conservative = False
-        for obj in g.blocked_on:
-            if obj is EPSILON:
-                continue
-            if obj.addr == 0 or not heap.contains(obj):
-                conservative = True
-                continue
-            waiters.setdefault(obj.addr, []).append(g)
-        if conservative:
-            immediately_live.append(g)
-
-    def on_marked(obj: HeapObject) -> Optional[List[HeapObject]]:
-        blocked = waiters.get(obj.addr)
-        if not blocked:
-            return None
-        extra: List[HeapObject] = []
-        for g in blocked:
-            result.liveness_checks += 1
-            if g.masked:
-                g.masked = False
-                extra.append(g)
-        return extra
-
-    for g in immediately_live:
-        g.masked = False
-    work, marked = mark_from(
-        heap, roots + list(immediately_live), respect_masks=True,
-        on_marked=on_marked,
-    )
-    result.mark_iterations = 1
-    result.mark_work_units = work
-    result.objects_marked = marked
-    result.deadlocked = [g for g in candidates if g.masked]

@@ -29,6 +29,7 @@ from typing import (
 )
 
 from repro.core.config import GolfConfig
+from repro.gc.collector import use_restart_fixpoint
 from repro.microbench.harness import MicrobenchResult, run_microbenchmark
 from repro.microbench.registry import Microbenchmark, all_benchmarks
 from repro.runtime import executor
@@ -203,8 +204,9 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
          Leg("bare"), Leg("watchdog", hook=_install_watchdog),
          witness=lambda rt: {"watchdog_polls": rt.watchdog.polls}),
     Pair("fixpoint",
-         Leg("restart", _config(on_the_fly_roots=False, gc_mode="atomic")),
-         Leg("on-the-fly", _config(on_the_fly_roots=True, gc_mode="atomic")),
+         Leg("restart", hook=lambda rt, _p: use_restart_fixpoint(
+             rt.collector)),
+         Leg("on-the-fly"),
          excluded=("pause_total_ns", "final_clock_ns"),
          why_excluded=(
              "the termination pause charges NS_PER_LIVENESS_CHECK per "

@@ -2,10 +2,12 @@
 
 Three studies:
 
-1. **Fixpoint strategy** — the paper's restart-based mark iterations vs
-   the on-the-fly root expansion it sketches in section 5.3.  Both must
-   report identical deadlock sets; the on-the-fly variant needs exactly
-   one iteration where the restart variant needs one per daisy-chain hop.
+1. **Fixpoint strategy** — the paper's restart-based mark iterations
+   (the reference, :func:`~repro.gc.collector.use_restart_fixpoint`) vs
+   the on-the-fly root expansion it sketches in section 5.3 (the
+   collector's own).  Both must report identical deadlock sets; the
+   on-the-fly variant needs exactly one iteration where the restart
+   variant needs one per daisy-chain hop.
 2. **Detection cadence** — running detection every Nth GC cycle (the
    paper's closing remark in section 6.2): overhead drops, detections
    are merely delayed, never lost.
@@ -18,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.config import GolfConfig
+from repro.gc.collector import use_restart_fixpoint
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MICROSECOND, MILLISECOND
 from repro.runtime.instructions import (
@@ -68,12 +71,9 @@ class FixpointAblation:
         for length in chain_lengths:
             row: Dict[str, float] = {"chain": length}
             for on_the_fly in (False, True):
-                # Both legs run the default (atomic) collector: on-the-fly
-                # expansion exists only there.
-                rt = Runtime(
-                    procs=2, seed=seed,
-                    config=GolfConfig(on_the_fly_roots=on_the_fly),
-                )
+                rt = Runtime(procs=2, seed=seed)
+                if not on_the_fly:
+                    use_restart_fixpoint(rt.collector)
                 rt.spawn_main(_chain_program(length))
                 rt.run(until_ns=50 * MILLISECOND)
                 cycles = rt.collector.stats.cycles

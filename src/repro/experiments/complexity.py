@@ -3,8 +3,10 @@
 The paper bounds GOLF's extra work at ``O(N² + N·S)`` in the worst case
 (N goroutines, S goroutine/blocking-object pairings), reachable only on
 pathological daisy chains, and sketches an on-the-fly optimization that
-removes the quadratic term.  This experiment measures both strategies'
-liveness checks and mark iterations as the population grows, in the two
+removes the quadratic term (the collector's own expansion; the paper's
+restart loop is the reference, set by
+:func:`~repro.gc.collector.use_restart_fixpoint`).  This experiment
+measures both strategies' liveness checks and mark iterations as the population grows, in the two
 regimes that matter:
 
 - **flat pool** (the realistic case): N independently blocked-but-live
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.config import GolfConfig
+from repro.gc.collector import use_restart_fixpoint
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MICROSECOND, SECOND
 from repro.runtime.instructions import (
@@ -98,12 +100,9 @@ def run_complexity_sweep(
         for n in sizes:
             for strategy, on_the_fly in (("restart", False),
                                          ("on-the-fly", True)):
-                # Both legs run the default (atomic) collector: on-the-fly
-                # expansion exists only there.
-                rt = Runtime(
-                    procs=2, seed=0,
-                    config=GolfConfig(on_the_fly_roots=on_the_fly),
-                )
+                rt = Runtime(procs=2, seed=0)
+                if not on_the_fly:
+                    use_restart_fixpoint(rt.collector)
                 rt.spawn_main(builder(n))
                 rt.run(until_ns=5 * SECOND, max_instructions=5_000_000)
                 detect_cycles = [

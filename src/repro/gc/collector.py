@@ -3,10 +3,11 @@
 The baseline cycle follows the paper's section 5.1: initialization (new
 mark epoch, root preparation), marking, mark termination, sweeping.  With
 GOLF enabled (section 5.2), the root set starts from runnable goroutines
-only, marking alternates with root-set expansion until the reachable
-liveness fixpoint, unmarked user-blocked goroutines are reported as
-partial deadlocks, and recovery proceeds under the two-cycle finalizer
-protocol of :mod:`repro.core.recovery`.
+only, the mark is followed by the reverse-index root-set expansion of
+section 5.3 (one more pass to the reachable liveness fixpoint), unmarked
+user-blocked goroutines are reported as partial deadlocks, and recovery
+proceeds under the two-cycle finalizer protocol of
+:mod:`repro.core.recovery`.
 
 Two execution modes (``GolfConfig.gc_mode``):
 
@@ -101,6 +102,9 @@ class Collector:
         #: instead of plain reclaim, and pending rollbacks run at cycle
         #: completion via :meth:`~CheckpointManager.process_pending`.
         self.recovery_manager = None
+        #: Reference only (:func:`use_restart_fixpoint`): expand liveness
+        #: by the paper's restart loop instead of the reverse index.
+        self._restart_fixpoint = False
         # Wire the runtime hooks.
         sched.gc_hook = self.collect
         sched.alloc_hook = self.maybe_collect
@@ -279,7 +283,7 @@ class Collector:
         """GOLF marking, detection, and the first half of recovery."""
         det = detector_mod.detect(
             self.heap, self.sched.allgs,
-            on_the_fly=self.config.on_the_fly_roots,
+            on_the_fly=not self._restart_fixpoint,
             dead_global_hints=self.config.dead_global_hints,
             extra_roots=self.sched.inflight_heap_refs(),
         )
@@ -495,8 +499,10 @@ class Collector:
         if self._detect_now:
             det = detector_mod.DetectionResult()
             pending = [g for g in self._candidates if g.masked]
-            deadlocked = detector_mod.expand_liveness_fixpoint(
-                self.heap, pending, det)
+            expand = (detector_mod.expand_by_restart
+                      if self._restart_fixpoint
+                      else detector_mod.expand_liveness_fixpoint)
+            deadlocked = expand(self.heap, pending, det)
             cs.mark_iterations += det.mark_iterations
             cs.mark_work_units += det.mark_work_units
             cs.liveness_checks += det.liveness_checks
@@ -647,3 +653,14 @@ class Collector:
                         f"0x{obj.addr:x} -> white {ref.kind} "
                         f"0x{ref.addr:x}")
         return problems
+
+
+def use_restart_fixpoint(collector: Collector) -> None:
+    """Run ``collector``'s liveness expansion by the paper's restart loop
+    (:func:`repro.core.detector.expand_by_restart`), in either gc mode.
+
+    The reference, not an option: the ``fixpoint`` pair of
+    :mod:`repro.equivalence` and the restart arms of the fixpoint
+    ablation and the complexity sweep set it on a fresh runtime.
+    """
+    collector._restart_fixpoint = True

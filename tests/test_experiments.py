@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import GolfConfig
 from repro.corpus.generator import CorpusConfig
 from repro.experiments import (
     Table1Result,
@@ -181,11 +180,6 @@ class TestAblations:
         assert [(p.shape, p.strategy, p.checks) for p in points] == [
             ("pool", "restart", 8), ("pool", "on-the-fly", 8),
             ("chain", "restart", 36), ("chain", "on-the-fly", 8)]
-
-    def test_on_the_fly_is_rejected_under_incremental(self):
-        with pytest.raises(ValueError, match="on_the_fly_roots"):
-            GolfConfig(on_the_fly_roots=True, gc_mode="incremental")
-        assert GolfConfig(on_the_fly_roots=True).on_the_fly_roots
 
     def test_cadence_preserves_detections(self):
         result = CadenceAblation().run(cadences=(1, 5), pool=30,

@@ -6,7 +6,9 @@ import pytest
 
 from repro import GolfConfig, Runtime
 from repro.equivalence import PAIRS, Leg, corpus, sweep
+from repro.experiments.complexity import _chain_program as chain_program
 from repro.gc import GCPhase
+from repro.gc.collector import use_restart_fixpoint
 from repro.runtime.clock import MICROSECOND, MILLISECOND, SECOND
 from repro.runtime.goroutine import GStatus
 from repro.runtime.instructions import (
@@ -540,6 +542,30 @@ class TestPauseAccounting:
         _leak_one(rt)
         cs = rt.gc()
         assert cs.pause_ns == cs.pause_setup_ns + cs.pause_termination_ns
+
+
+class TestLivenessFixpoint:
+    @pytest.mark.parametrize("gc_mode", ["atomic", "incremental"])
+    def test_one_pass_and_restart_reference_in_both_modes(self, gc_mode):
+        """Both modes expand liveness in one pass (no mark iteration
+        beyond the first), and the restart reference runs in both: one
+        more iteration per hop of a live daisy chain, same verdicts."""
+        hops = 8
+        detection = {}
+        for restart in (False, True):
+            rt = Runtime(procs=2, seed=0, config=GolfConfig(gc_mode=gc_mode))
+            if restart:
+                use_restart_fixpoint(rt.collector)
+            rt.spawn_main(chain_program(hops))
+            rt.run(until_ns=5 * SECOND)
+            cycles = [c for c in rt.collector.stats.cycles
+                      if c.reason == "runtime.GC"]
+            detection[restart] = (
+                max(c.mark_iterations for c in cycles),
+                sum(c.liveness_checks for c in cycles),
+                rt.reports.total())
+        assert detection[False] == (1, hops, 0)
+        assert detection[True] == (hops + 1, hops * (hops + 1) // 2, 0)
 
 
 class TestIncrementalChaosSmoke:

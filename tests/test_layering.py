@@ -157,11 +157,12 @@ def test_no_ambient_slot_reaches_a_runtime():
 
 
 def test_kernel_option_counts():
-    # 10: golf, reclaim, detect_every, on_the_fly_roots, min_heap_bytes,
-    # on_report, dead_global_hints, gc_mode, mark_budget, sweep_budget.
+    # 9: golf, reclaim, detect_every, min_heap_bytes, on_report,
+    # dead_global_hints, gc_mode, mark_budget, sweep_budget.
     # 3: procs, seed, config.  The pacer and the cost model are constants
-    # (core/config.py, Scheduler.base_cost_ns), not options.
-    assert len(inspect.signature(GolfConfig).parameters) == 10
+    # (core/config.py, Scheduler.base_cost_ns), not options; the restart
+    # fixpoint is a reference (gc.collector.use_restart_fixpoint), not one.
+    assert len(inspect.signature(GolfConfig).parameters) == 9
     assert len(inspect.signature(Runtime).parameters) == 3
 
 

@@ -9,8 +9,15 @@ the oracle; both detector strategies must agree with it exactly.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.detector import detect
+from repro.core.detector import (
+    DetectionResult,
+    detect,
+    expand_liveness_fixpoint,
+    seed_roots,
+)
+from repro.core.masking import unmask_all
 from repro.gc.heap import Heap
+from repro.gc.marking import mark_from
 from repro.runtime.goroutine import EPSILON, Goroutine, GStatus
 from repro.runtime.objects import Box
 from repro.runtime.waitreason import WaitReason
@@ -149,6 +156,33 @@ def test_strategies_agree_and_unmask_live(case):
     case.heap.begin_cycle()
     otf = detect(case.heap, case.goroutines, on_the_fly=True)
     assert set(otf.deadlocked) == deadlocked
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graph_cases())
+def test_split_entry_matches_detect(case):
+    """The incremental collector's two steps — a plain mark from the
+    seed roots, then ``expand_liveness_fixpoint`` at mark termination —
+    are one ``detect`` call, counts included, and reach the restart
+    reference's verdicts."""
+    case.heap.begin_cycle()
+    whole = detect(case.heap, case.goroutines)
+
+    unmask_all(case.goroutines)
+    case.heap.begin_cycle()
+    split = DetectionResult()
+    roots, candidates, _ = seed_roots(case.heap, case.goroutines)
+    split.mark_work_units, _ = mark_from(case.heap, roots,
+                                         respect_masks=True)
+    deadlocked = expand_liveness_fixpoint(case.heap, candidates, split)
+    assert deadlocked == whole.deadlocked
+    assert split.liveness_checks == whole.liveness_checks
+    assert split.mark_work_units == whole.mark_work_units
+
+    unmask_all(case.goroutines)
+    case.heap.begin_cycle()
+    restart = detect(case.heap, case.goroutines, on_the_fly=False)
+    assert set(restart.deadlocked) == set(deadlocked)
 
 
 @settings(max_examples=100, deadline=None)

@@ -847,10 +847,10 @@ class TestPinnedMarkWork:
     detector's counts."""
 
     @pytest.mark.parametrize("mode,expected", [
-        ("atomic", dict(mark_work_units=237_833_858, mark_iterations=157,
-                        liveness_checks=4785, num_gc=59, deadlocks=45)),
-        ("incremental", dict(mark_work_units=232_330_814, mark_iterations=154,
-                             liveness_checks=4705, num_gc=58, deadlocks=45)),
+        ("atomic", dict(mark_work_units=237_833_958, mark_iterations=60,
+                        liveness_checks=3519, num_gc=60, deadlocks=45)),
+        ("incremental", dict(mark_work_units=232_330_814, mark_iterations=58,
+                             liveness_checks=3455, num_gc=58, deadlocks=45)),
     ])
     def test_controlled_service_totals(self, mode, expected):
         capture = _CaptureRuntime()
