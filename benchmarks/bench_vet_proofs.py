@@ -54,10 +54,8 @@ WORKER_GRID = (2, 3, 4)
 PERIODIC_GC_NS = 30 * MICROSECOND
 
 #: Minimum liveness-check reduction (proofs-on vs proofs-off) at the
-#: largest grid point.  It measures ~41% (51% under the restart
-#: fixpoint, which re-checked every pending pair each round); 30% leaves
-#: slack for scheduler-neutral refactors without letting the skip path
-#: rot.
+#: largest grid point.  It measures ~41%; 30% leaves slack for
+#: scheduler-neutral refactors without letting the skip path rot.
 REDUCTION_FLOOR = 0.30
 
 BENCH_PATH = os.path.join(

@@ -6,8 +6,8 @@ pathological daisy chains, and sketches an on-the-fly optimization that
 removes the quadratic term (the collector's own expansion; the paper's
 restart loop is the reference, set by
 :func:`~repro.gc.collector.use_restart_fixpoint`).  This experiment
-measures both strategies' liveness checks and mark iterations as the population grows, in the two
-regimes that matter:
+measures both strategies' liveness checks and mark iterations as the
+population grows, in the two regimes that matter:
 
 - **flat pool** (the realistic case): N independently blocked-but-live
   goroutines — restart does O(N) checks in one expansion round;
