@@ -70,10 +70,6 @@ class FaultInjector:
         result = dispatch(self, g, instr)
         if self.plan.trace and self.plan.trace[-1].outcome == "injected":
             record = self.plan.trace[-1]
-            telemetry = self.rt.sched.telemetry
-            if telemetry is not None:
-                telemetry.on_fault_injected(
-                    record.kind, record.target_goid, record.detail)
             tracer = self.rt.sched.tracer
             if tracer is not None:
                 tracer.on_fault(record.kind, record.target_goid,

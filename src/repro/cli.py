@@ -204,13 +204,12 @@ def _cmd_fleet(args) -> str:
 
 def _cmd_obs(args) -> str:
     from repro.telemetry import (
-        DEBUG,
         TelemetryHub,
         run_observed_benchmark,
         write_artifacts,
     )
 
-    hub = TelemetryHub(min_severity=DEBUG)
+    hub = TelemetryHub()
     result = run_observed_benchmark(
         args.benchmark, procs=args.procs, seed=args.seed, hub=hub,
         fingerprint_db=args.fingerprint_db)

@@ -170,8 +170,6 @@ class Subsystem:
         )
         self.last_checkpoint = ckpt
         self.checkpoints_taken += 1
-        if rt.telemetry is not None:
-            rt.telemetry.on_checkpoint(self.name)
         return ckpt
 
 
@@ -325,9 +323,9 @@ class CheckpointManager:
         )
         self.recoveries.append(record)
 
-        # 5. Surface the recovery everywhere the leak itself surfaced:
-        #    provenance evidence on the triggering reports, the execution
-        #    trace, and telemetry.
+        # 5. Surface the recovery where the leak itself surfaced:
+        #    provenance evidence on the triggering reports and the
+        #    execution trace.
         detail = (f"subsystem '{sub.name}' rolled back to checkpoint "
                   f"@{ckpt.taken_at_ns}ns and restarted: {killed} killed, "
                   f"{len(sub.specs)} respawned, cost {cost}ns")
@@ -336,8 +334,6 @@ class CheckpointManager:
                 rep.provenance.evidence.append(f"recovery: {detail}")
         if sched.tracer is not None:
             sched.tracer.emit(ev.RECOVERY_RESTART, 0, detail)
-        if rt.telemetry is not None:
-            rt.telemetry.on_recovery(record)
 
     # -- introspection ------------------------------------------------------
 

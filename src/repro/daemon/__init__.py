@@ -143,8 +143,6 @@ class DetectionDaemon(SystemTicker):
         if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
                 ev.DAEMON_START, 0, f"interval={self.interval_ns}ns")
-        if self.rt.telemetry is not None:
-            self.rt.telemetry.on_daemon_event(ev.DAEMON_START)
 
     def stop(self) -> None:
         """Stop the daemon.  Idempotent; no-op when not running."""
@@ -155,8 +153,6 @@ class DetectionDaemon(SystemTicker):
         if self.rt.sched.tracer is not None:
             self.rt.sched.tracer.emit(
                 ev.DAEMON_STOP, 0, f"checks={self.stats.checks}")
-        if self.rt.telemetry is not None:
-            self.rt.telemetry.on_daemon_event(ev.DAEMON_STOP)
 
     def _tick(self) -> None:
         """One detection pass: the GOLF fixpoint without a collection."""
@@ -178,5 +174,3 @@ class DetectionDaemon(SystemTicker):
             self.rt.sched.tracer.emit(
                 ev.DAEMON_DETECT, 0,
                 f"{new_leaks} leak(s) found between GC cycles")
-        if self.rt.telemetry is not None:
-            self.rt.telemetry.on_daemon_detect(new_leaks)

@@ -41,7 +41,7 @@ from repro.staticcheck.fusion import (
     install_program_proofs,
     proof_witness,
 )
-from repro.telemetry import DEBUG, TelemetryHub
+from repro.telemetry import TelemetryHub
 
 Diff = Tuple[str, Any, Any]
 
@@ -194,8 +194,7 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
          witness=lambda rt: {"scrapes": rt.metrics_scraper.scrapes}),
     Pair("telemetry",
          Leg("bare"),
-         Leg("hub", hook=lambda rt, _p: TelemetryHub(
-             min_severity=DEBUG).attach(rt)),
+         Leg("hub", hook=lambda rt, _p: TelemetryHub().attach(rt)),
          witness=lambda rt: {"recorded_events": len(rt.telemetry.recorder)}),
     Pair("tracer",
          Leg("bare"), Leg("traced", hook=lambda rt, _p: rt.enable_tracing()),

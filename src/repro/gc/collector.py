@@ -224,11 +224,7 @@ class Collector:
         self.heap.begin_cycle()
         for obj in self.heap.gc_aged_objects():
             obj.on_gc()  # type: ignore[attr-defined]
-        telemetry = self.sched.telemetry
         for g in self._pending_reclaim:
-            if telemetry is not None:
-                # Before reclaim: the goroutine still carries its sites.
-                telemetry.on_reclaim(g)
             self.sched.reclaim_deadlocked(g)
             cs.goroutines_reclaimed += 1
         self._pending_reclaim = []
@@ -390,9 +386,6 @@ class Collector:
         cycle_no = self._cycle.cycle if self._cycle is not None else 0
         if self.sched.tracer is not None:
             self.sched.tracer.on_gc_phase(phase.value, cycle_no)
-        telemetry = self.sched.telemetry
-        if telemetry is not None:
-            telemetry.on_gc_phase(phase.value, cycle_no)
 
     def _begin_cycle(self, reason: str) -> None:
         """MARK_SETUP: the first STW window of an incremental cycle.

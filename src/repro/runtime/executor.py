@@ -86,8 +86,8 @@ def _exec_make_chan(sched, g, instr: ins.MakeChan) -> None:
     if (sched.proof_registry is not None
             and sched.proof_registry.is_proven(ch.make_site, ch.capacity)):
         ch.proven_leak_free = True
-    if sched._tracer is not None:
-        sched._tracer.on_chan_op(ev.CHAN_MAKE, g, ch)
+    if sched.tracer is not None:
+        sched.tracer.on_chan_op(ev.CHAN_MAKE, g, ch)
     # Resume first: the new object must be rooted (as the goroutine's
     # pending result) before the pacer hook may trigger a collection.
     sched.resume(g, ch)
@@ -103,8 +103,8 @@ def _exec_send(sched, g, instr: ins.Send) -> None:
     if done:
         partner = wakeups[0].sudog.g.goid if wakeups else 0
         ch.note_transfer(g.goid, partner)
-        if sched._tracer is not None:
-            sched._tracer.on_chan_op(ev.CHAN_SEND, g, ch, partner=partner)
+        if sched.tracer is not None:
+            sched.tracer.on_chan_op(ev.CHAN_SEND, g, ch, partner=partner)
         sched.apply_wakeups(wakeups)
         sched.resume(g, None)
         return
@@ -124,8 +124,8 @@ def _exec_recv(sched, g, instr: ins.Recv) -> None:
         partner = wakeups[0].sudog.g.goid if wakeups else 0
         if ok:
             ch.note_transfer(partner, g.goid)
-        if sched._tracer is not None:
-            sched._tracer.on_chan_op(ev.CHAN_RECV, g, ch, partner=partner)
+        if sched.tracer is not None:
+            sched.tracer.on_chan_op(ev.CHAN_RECV, g, ch, partner=partner)
         sched.apply_wakeups(wakeups)
         sched.resume(g, (value, ok))
         return
@@ -140,8 +140,8 @@ def _exec_close(sched, g, instr: ins.Close) -> None:
     if ch is None:
         raise CloseOfNilChannel()
     wakeups = ch.close()  # may panic: close of closed channel
-    if sched._tracer is not None:
-        sched._tracer.on_chan_op(ev.CHAN_CLOSE, g, ch,
+    if sched.tracer is not None:
+        sched.tracer.on_chan_op(ev.CHAN_CLOSE, g, ch,
                                 extra={"woken": len(wakeups)})
     sched.apply_wakeups(wakeups)
     sched.resume(g, None)
@@ -170,8 +170,8 @@ def _exec_select(sched, g, instr: ins.Select) -> None:
             assert done, "ready send case must complete"
             partner = wakeups[0].sudog.g.goid if wakeups else 0
             ch.note_transfer(g.goid, partner)
-            if sched._tracer is not None:
-                sched._tracer.on_select(g, i, ch, "send", partner)
+            if sched.tracer is not None:
+                sched.tracer.on_select(g, i, ch, "send", partner)
             sched.apply_wakeups(wakeups)
             sched.resume(g, (i, None, True))
         else:
@@ -180,14 +180,14 @@ def _exec_select(sched, g, instr: ins.Select) -> None:
             partner = wakeups[0].sudog.g.goid if wakeups else 0
             if ok:
                 ch.note_transfer(partner, g.goid)
-            if sched._tracer is not None:
-                sched._tracer.on_select(g, i, ch, "recv", partner)
+            if sched.tracer is not None:
+                sched.tracer.on_select(g, i, ch, "recv", partner)
             sched.apply_wakeups(wakeups)
             sched.resume(g, (i, value, ok))
         return
     if instr.default:
-        if sched._tracer is not None:
-            sched._tracer.on_select(g, ins.DEFAULT_CASE, None, "default")
+        if sched.tracer is not None:
+            sched.tracer.on_select(g, ins.DEFAULT_CASE, None, "default")
         sched.resume(g, (ins.DEFAULT_CASE, None, False))
         return
     real_channels = tuple(
@@ -275,8 +275,8 @@ def _exec_lock(sched, g, instr: ins.Lock) -> None:
     target = instr.target
     if isinstance(target, RWMutex):
         if target.try_lock():
-            if sched._tracer is not None:
-                sched._tracer.on_sema(ev.SEMA_ACQUIRE, g, target)
+            if sched.tracer is not None:
+                sched.tracer.on_sema(ev.SEMA_ACQUIRE, g, target)
             sched.resume(g, None)
             return
         target.writers_waiting += 1
@@ -287,8 +287,8 @@ def _exec_lock(sched, g, instr: ins.Lock) -> None:
     if not isinstance(target, Mutex):
         raise InvalidInstruction(f"Lock target is not a mutex: {target!r}")
     if target.try_lock():
-        if sched._tracer is not None:
-            sched._tracer.on_sema(ev.SEMA_ACQUIRE, g, target)
+        if sched.tracer is not None:
+            sched.tracer.on_sema(ev.SEMA_ACQUIRE, g, target)
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(target.sema_key()), g)
@@ -300,15 +300,15 @@ def _exec_unlock(sched, g, instr: ins.Unlock) -> None:
     if isinstance(target, RWMutex):
         target.unlock()  # may panic
         _wake_rw_readers_or_writer(sched, target)
-        if sched._tracer is not None:
-            sched._tracer.on_sema(ev.SEMA_RELEASE, g, target)
+        if sched.tracer is not None:
+            sched.tracer.on_sema(ev.SEMA_RELEASE, g, target)
         sched.resume(g, None)
         return
     if not isinstance(target, Mutex):
         raise InvalidInstruction(f"Unlock target is not a mutex: {target!r}")
     _unlock_mutex(sched, target)
-    if sched._tracer is not None:
-        sched._tracer.on_sema(ev.SEMA_RELEASE, g, target)
+    if sched.tracer is not None:
+        sched.tracer.on_sema(ev.SEMA_RELEASE, g, target)
     sched.resume(g, None)
 
 
@@ -338,8 +338,8 @@ def _exec_rlock(sched, g, instr: ins.RLock) -> None:
     if not isinstance(rw, RWMutex):
         raise InvalidInstruction(f"RLock target is not a RWMutex: {rw!r}")
     if rw.try_rlock():
-        if sched._tracer is not None:
-            sched._tracer.on_sema(ev.SEMA_ACQUIRE, g, rw)
+        if sched.tracer is not None:
+            sched.tracer.on_sema(ev.SEMA_ACQUIRE, g, rw)
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(rw.reader_sema_key()), g)
@@ -438,8 +438,8 @@ def _exec_sem_acquire(sched, g, instr: ins.SemAcquire) -> None:
         raise InvalidInstruction(f"not a semaphore: {sema!r}")
     if sema.count > 0:
         sema.count -= 1
-        if sched._tracer is not None:
-            sched._tracer.on_sema(ev.SEMA_ACQUIRE, g, sema)
+        if sched.tracer is not None:
+            sched.tracer.on_sema(ev.SEMA_ACQUIRE, g, sema)
         sched.resume(g, None)
         return
     sched.semtable.enqueue(sched.mask_key(sema.addr), g)
@@ -453,8 +453,8 @@ def _exec_sem_release(sched, g, instr: ins.SemRelease) -> None:
         sched.wake(waiter, result=None)
     else:
         sema.count += 1
-    if sched._tracer is not None:
-        sched._tracer.on_sema(ev.SEMA_RELEASE, g, sema)
+    if sched.tracer is not None:
+        sched.tracer.on_sema(ev.SEMA_RELEASE, g, sema)
     sched.resume(g, None)
 
 

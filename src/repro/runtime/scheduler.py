@@ -157,25 +157,18 @@ class Scheduler:
         self.alloc_hook: Callable[[], None] = lambda: None
         #: Address-masking policy (identity unless GOLF installs one).
         self.mask_key: Callable[[int], int] = lambda addr: addr
-        #: Optional event tracer (see repro.trace.tracer).  Stored
-        #: privately; the public name is a property whose setter
-        #: recomputes :attr:`_observed` — hot paths read ``_tracer``
-        #: directly and guard whole instrumentation blocks on the single
-        #: precomputed ``_observed`` flag.
-        self._tracer = None
+        #: Optional event tracer (see repro.trace.tracer): the one log
+        #: of runtime transitions.
+        self.tracer = None
         #: Optional static-proof registry (see repro.staticcheck.proofs).
         #: When installed, make_chan tags channels whose (make-site,
         #: capacity) carries a leak-freedom certificate; the detector
         #: skips sudog scans for goroutines blocked only on tagged
         #: channels.  None = proofs off (no channel ever tagged).
         self.proof_registry = None
-        #: Optional telemetry hub (see repro.telemetry); private storage
-        #: behind the ``telemetry`` property, like ``_tracer``.
-        self._telemetry = None
-        #: Fast-path flag: True iff a tracer or telemetry hub is
-        #: attached.  Park and wake check this one flag instead of two
-        #: hook attributes each; spawn and finish have only the tracer's.
-        self._observed = False
+        #: Optional telemetry hub (see repro.telemetry): counts context
+        #: switches, GC cycles and leak reports.
+        self.telemetry = None
         #: Optional select-case policy override (see repro.fuzz): called
         #: with the list of ready case indices, returns the chosen one.
         self.select_policy: Optional[Callable[[List[int]], int]] = None
@@ -202,28 +195,6 @@ class Scheduler:
         self.gc_step_hook: Optional[Callable[[], bool]] = None
         self.gc_request_hook: Optional[Callable[[Goroutine], bool]] = None
         self.gc_wake_hook: Optional[Callable[[Goroutine], None]] = None
-
-    # ------------------------------------------------------------------
-    # Observability hooks (fast-path flag kept in sync by the setters)
-    # ------------------------------------------------------------------
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-        self._observed = value is not None or self._telemetry is not None
-
-    @property
-    def telemetry(self):
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, value) -> None:
-        self._telemetry = value
-        self._observed = value is not None or self._tracer is not None
 
     # ------------------------------------------------------------------
     # Spawning
@@ -262,8 +233,8 @@ class Scheduler:
         self.runq.append(g)
         if self.main_g is None and not system:
             self.main_g = g
-        if self._tracer is not None:
-            self._tracer.on_create(g)
+        if self.tracer is not None:
+            self.tracer.on_create(g)
         return g
 
     # ------------------------------------------------------------------
@@ -320,11 +291,8 @@ class Scheduler:
         g.wait_reason = reason
         g.blocked_on = blocked_on
         g.blocking_sema = blocking_sema
-        if self._observed:
-            if self._tracer is not None:
-                self._tracer.on_park(g, reason)
-            if self._telemetry is not None:
-                self._telemetry.on_park(g, reason)
+        if self.tracer is not None:
+            self.tracer.on_park(g, reason)
 
     def park_on_timer(self, g: Goroutine, wake_at: int,
                       reason: WaitReason = WaitReason.SLEEP) -> None:
@@ -368,11 +336,8 @@ class Scheduler:
         g.pending_exc = exc
         g.status = _RUNNABLE
         self.runq.append(g)
-        if self._observed:
-            if self._tracer is not None:
-                self._tracer.on_wake(g)
-            if self._telemetry is not None:
-                self._telemetry.on_wake(g)
+        if self.tracer is not None:
+            self.tracer.on_wake(g)
 
     def apply_wakeups(self, wakeups: List[Wakeup]) -> None:
         """Resume the goroutines behind channel wakeup records.
@@ -430,8 +395,8 @@ class Scheduler:
         g.finished_value = value
         g.finish()
         self.gfree.append(g)
-        if self._tracer is not None:
-            self._tracer.on_finish(g)
+        if self.tracer is not None:
+            self.tracer.on_finish(g)
         if g is self.main_g:
             self._main_exited = True
 
@@ -774,8 +739,8 @@ class Scheduler:
                 self.wake(g, result=None)
 
     def _start_instruction(self, p: _Proc, g: Goroutine) -> None:
-        if self._telemetry is not None:
-            self._telemetry.on_context_switch()
+        if self.telemetry is not None:
+            self.telemetry.on_context_switch()
         g.status = _RUNNING
         exc, g.pending_exc = g.pending_exc, None
         value, g.pending_value = g.pending_value, None
@@ -804,18 +769,16 @@ class Scheduler:
                 self.goroutine_panics.append((g.goid, panic.message))
                 if self.tracer is not None:
                     self.tracer.on_panic(g, panic.message)
-                if self.telemetry is not None:
-                    self.telemetry.on_goroutine_panic(g.goid, panic.message)
                 return
             self.crashed = (g, panic)
-            if self.telemetry is not None:
-                self.telemetry.on_crash(g.goid, panic.message)
+            if self.tracer is not None:
+                self.tracer.on_panic(g, panic.message)
             return
         except Exception as err:  # user bug inside the body
             self.finish(g)
             self.crashed = (g, err)
-            if self.telemetry is not None:
-                self.telemetry.on_crash(g.goid, str(err))
+            if self.tracer is not None:
+                self.tracer.on_panic(g, str(err))
             return
         p.g = g
         p.instr = instr
@@ -833,8 +796,8 @@ class Scheduler:
             cost = int(self.base_cost_ns * (0.75 + 0.5 * self.rng.random()))
         self.cpu_busy_ns += cost
         p.busy_until = self.clock.now + cost
-        if self._tracer is not None:
-            self._tracer.on_instr(p.pid, g, instr.MNEMONIC, cost)
+        if self.tracer is not None:
+            self.tracer.on_instr(p.pid, g, instr.MNEMONIC, cost)
 
     def _complete(self, p: _Proc) -> None:
         g, instr = p.g, p.instr

@@ -105,8 +105,6 @@ class Watchdog:
             sched.tracer.emit(
                 ev.WATCHDOG_STALL, 0,
                 f"{len(goids)} user goroutines wedged: {list(goids)}")
-        if sched.telemetry is not None:
-            sched.telemetry.on_stall(report)
         return report
 
     def install(self, interval_ns: int = 10 * MILLISECOND) -> None:

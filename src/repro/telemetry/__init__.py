@@ -48,8 +48,6 @@ from repro.telemetry.profiles import (
     normalize_site,
 )
 from repro.telemetry.recorder import (
-    DEBUG,
-    ERROR,
     FlightRecorder,
     INFO,
     Incident,
@@ -60,8 +58,6 @@ from repro.telemetry.recorder import (
 
 __all__ = [
     "COUNTER",
-    "DEBUG",
-    "ERROR",
     "FingerprintStore",
     "FlightRecorder",
     "GAUGE",

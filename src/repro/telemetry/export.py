@@ -180,10 +180,9 @@ def run_observed_benchmark(
     """
     from repro.microbench.harness import run_microbenchmark
     from repro.microbench.registry import benchmarks_by_name
-    from repro.telemetry import recorder as rec
 
     bench = benchmarks_by_name()[benchmark]
-    hub = hub or TelemetryHub(min_severity=rec.DEBUG)
+    hub = hub or TelemetryHub()
     if fingerprint_db and os.path.exists(fingerprint_db):
         hub.fingerprints.load(fingerprint_db)
     hub.fingerprints.begin_run(

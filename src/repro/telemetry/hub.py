@@ -1,19 +1,23 @@
 """The :class:`TelemetryHub`: one object wiring every telemetry surface.
 
 The hub owns the metrics registry, the flight recorder, the profile
-sampler, and the fingerprint store, and exposes the narrow callback
-surface the runtime calls into.  Cost discipline:
+sampler, and the fingerprint store, and exposes the three callbacks the
+runtime calls into: :meth:`on_context_switch`, :meth:`on_gc_cycle` and
+:meth:`on_leak_report`.  Each one counts something; runtime transitions
+(park, wake, panic, ...) are the execution tracer's to log, not the
+hub's.  Cost discipline:
 
 - when no hub is attached, every instrumentation site in the scheduler /
-  collector / watchdog is a single ``x.telemetry is None`` check — the
-  no-op fast path the ``telemetry`` equivalence pair pins;
-- when attached, the hot-path callbacks cost one statement each:
-  :meth:`on_context_switch` bumps the counter child bound once in
-  ``_build_instruments`` (``child.value += 1`` — no :class:`Metric`
-  passthrough, no registry lookup; the child is the registry's own, so
-  every rendering sees it), and :meth:`on_park` / :meth:`on_wake` hand
-  the recorder a by-value event it drops below its severity floor
-  without formatting a string.
+  collector is a single ``x.telemetry is None`` check — the no-op fast
+  path the ``telemetry`` equivalence pair pins;
+- when attached, :meth:`on_context_switch` — the one hot callback —
+  bumps the counter child bound once in ``_build_instruments``
+  (``child.value += 1`` — no :class:`Metric` passthrough, no registry
+  lookup; the child is the registry's own, so every rendering sees it).
+
+The flight recorder is the hub's own log: one line per GC cycle and
+per leak report, and one incident per leak report.  It outlives any one
+runtime, as the hub does.
 
 A hub reaches a runtime only through an explicit argument
 (``Runtime.enable_telemetry(hub)``, the ``telemetry=`` parameter of
@@ -37,17 +41,11 @@ from repro.telemetry.profiles import (
 )
 
 class TelemetryHub:
-    """Aggregates metrics, events, profiles, and fingerprints.
+    """Aggregates metrics, events, profiles, and fingerprints."""
 
-    Args:
-        min_severity: record-time severity floor (``rec.DEBUG`` keeps
-            per-park/wake scheduler events; the default ``rec.INFO``
-            keeps the ring for cycle/incident-grade events).
-    """
-
-    def __init__(self, min_severity: int = rec.INFO):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.recorder = rec.FlightRecorder(min_severity=min_severity)
+        self.recorder = rec.FlightRecorder()
         self.fingerprints = FingerprintStore()
         self.sampler = GoroutineProfileSampler()
         self.clock = None
@@ -112,37 +110,10 @@ class TelemetryHub:
         self.clock_ns.set(now_ns)
         self.tsdb.scrape(self.registry, now_ns)
 
-    # -- scheduler callbacks (hot) -------------------------------------------
+    # -- runtime callbacks ---------------------------------------------------
 
     def on_context_switch(self) -> None:
         self._ctx_switches.value += 1
-
-    def on_park(self, g, reason) -> None:
-        self.recorder.record("sched", ev.GO_PARK, g.goid, reason.value,
-                             severity=rec.DEBUG)
-
-    def on_wake(self, g) -> None:
-        self.recorder.record("sched", ev.GO_WAKE, g.goid,
-                             severity=rec.DEBUG)
-
-    # -- scheduler callbacks (cold) ------------------------------------------
-
-    def on_goroutine_panic(self, goid: int, message: str) -> None:
-        self.recorder.record("sched", ev.GO_PANIC, goid, message,
-                             severity=rec.ERROR)
-        self.recorder.incident("goroutine-panic", f"g{goid}: {message}")
-
-    def on_crash(self, goid: int, message: str) -> None:
-        self.recorder.record("sched", "crash", goid, message,
-                             severity=rec.ERROR)
-        self.recorder.incident("fatal-panic", f"g{goid}: {message}")
-
-    # -- collector / detector callbacks --------------------------------------
-
-    def on_gc_phase(self, phase: str, cycle: int) -> None:
-        """Incremental collector entered ``phase`` (cold: a few per cycle)."""
-        self.recorder.record("gc", ev.GC_PHASE, 0, f"#{cycle} {phase}",
-                             severity=rec.DEBUG)
 
     def on_gc_cycle(self, cs) -> None:
         self.gc_cycles.labels(cs.mode, cs.reason).inc()
@@ -165,56 +136,6 @@ class TelemetryHub:
             f"spawned {normalize_site(report.go_site)} "
             f"blocked {normalize_site(report.block_site)} "
             f"fingerprint {record.fingerprint}")
-
-    def on_reclaim(self, g) -> None:
-        site = g.deadlock_label or (
-            f"{normalize_site(g.go_site)} -> "
-            f"{normalize_site(g.block_site())}")
-        self.recorder.record("detector", ev.GO_RECLAIM, g.goid, site)
-
-    # -- daemon / recovery callbacks -----------------------------------------
-
-    def on_daemon_event(self, kind: str) -> None:
-        """Daemon lifecycle transition (``ev.DAEMON_START`` /
-        ``ev.DAEMON_STOP``)."""
-        self.recorder.record("daemon", kind)
-
-    def on_daemon_detect(self, leaks: int) -> None:
-        """A daemon tick surfaced ``leaks`` new leaks between GC cycles."""
-        self.recorder.record(
-            "daemon", ev.DAEMON_DETECT, 0,
-            f"{leaks} new leak(s) surfaced by timer check",
-            severity=rec.WARN)
-
-    def on_checkpoint(self, subsystem: str) -> None:
-        self.recorder.record("recovery", "checkpoint", 0, subsystem,
-                             severity=rec.DEBUG)
-
-    def on_recovery(self, record) -> None:
-        self.recorder.record(
-            "recovery", ev.RECOVERY_RESTART, 0,
-            f"{record.subsystem}: {record.workers_killed} killed, "
-            f"{record.workers_respawned} respawned in "
-            f"{record.recovery_ns}ns (trigger={record.trigger})",
-            severity=rec.WARN)
-        self.recorder.incident(
-            "subsystem-recovery",
-            f"{record.subsystem} rolled back to checkpoint "
-            f"({record.checkpoint_age_ns}ns old) after condemned goroutines "
-            f"{list(record.condemned_goids)}; trigger={record.trigger}")
-
-    # -- watchdog / chaos callbacks ------------------------------------------
-
-    def on_stall(self, report) -> None:
-        self.recorder.record(
-            "watchdog", ev.WATCHDOG_STALL, 0,
-            f"{len(report.goids)} user goroutine(s) wedged: "
-            f"{list(report.goids)}", severity=rec.ERROR)
-        self.recorder.incident("watchdog-stall", report.dump)
-
-    def on_fault_injected(self, kind: str, goid: int, detail: str) -> None:
-        self.recorder.record("chaos", kind, goid, detail,
-                             severity=rec.WARN)
 
     # -- outputs -------------------------------------------------------------
 

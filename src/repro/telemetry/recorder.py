@@ -1,4 +1,4 @@
-"""The flight recorder: a bounded ring of structured runtime events.
+"""The flight recorder: the telemetry hub's bounded event log.
 
 Production services cannot afford an unbounded trace (the failure mode
 the original list-backed tracer had); the flight recorder keeps the
@@ -7,11 +7,10 @@ so when something goes wrong the recent history is always on hand.
 The ring itself (:class:`RingBuffer`, a ``collections.deque`` with a
 count) is shared with the execution tracer and the profile sampler.
 
-Events carry a severity and a category; both can be filtered at record
-time (so a production configuration can keep only WARN+ service events)
-and again at read time.  *Incidents* — watchdog stalls, panics, leak
-reports — snapshot the tail of the buffer at the moment they happen,
-preserving the context even after the ring has rolled past it.
+Events carry a severity and a category; a read can select one
+category.  *Incidents* (the telemetry hub opens one per leak report)
+snapshot the tail of the buffer at the moment they happen, preserving
+the context even after the ring has rolled past it.
 
 Timestamps come from the virtual clock, so dumps are byte-identical
 across runs of the same ``(program, procs, seed)``.
@@ -21,14 +20,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import Iterator, List, Optional, Sequence
 
-DEBUG = 10
 INFO = 20
 WARN = 30
-ERROR = 40
 
-SEVERITY_NAMES = {DEBUG: "DEBUG", INFO: "INFO", WARN: "WARN", ERROR: "ERROR"}
+SEVERITY_NAMES = {INFO: "INFO", WARN: "WARN"}
 
 
 class RingBuffer:
@@ -144,42 +141,29 @@ class Incident:
 
 
 class FlightRecorder:
-    """Bounded event log with severity/category filtering and incidents.
+    """Bounded event log with incidents.
 
     Args:
         clock: virtual clock used to timestamp events (may be attached
             later; events recorded without one are stamped 0).
         capacity: ring size.
-        min_severity: events below this are not recorded at all.
-        categories: if given, only these categories are recorded.
         incident_tail: events snapshotted into each incident.
         max_incidents: incidents beyond this are counted, not stored.
     """
 
     def __init__(self, clock=None, capacity: int = 8192,
-                 min_severity: int = DEBUG,
-                 categories: Optional[Sequence[str]] = None,
                  incident_tail: int = 64, max_incidents: int = 64):
         self.clock = clock
-        self.min_severity = min_severity
-        self.categories: Optional[Set[str]] = (
-            set(categories) if categories is not None else None)
         self.incident_tail = incident_tail
         self.max_incidents = max_incidents
         self._ring = RingBuffer(capacity)
         self.incidents: List[Incident] = []
         self.incidents_suppressed = 0
-        self.filtered = 0
 
     # -- recording -----------------------------------------------------------
 
     def record(self, category: str, kind: str, goid: int = 0,
                detail: str = "", severity: int = INFO) -> None:
-        if severity < self.min_severity or (
-                self.categories is not None
-                and category not in self.categories):
-            self.filtered += 1
-            return
         t_ns = self.clock.now if self.clock is not None else 0
         self._ring.append(
             RecorderEvent(t_ns, category, kind, severity, goid, detail))
@@ -204,13 +188,9 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def events(self, category: Optional[str] = None,
-               min_severity: int = DEBUG) -> List[RecorderEvent]:
-        return [
-            e for e in self._ring
-            if (category is None or e.category == category)
-            and e.severity >= min_severity
-        ]
+    def events(self, category: Optional[str] = None) -> List[RecorderEvent]:
+        return [e for e in self._ring
+                if category is None or e.category == category]
 
     def dump(self, limit: Optional[int] = None) -> str:
         """A deterministic, human-readable dump of the buffer and the
@@ -232,7 +212,6 @@ class FlightRecorder:
         return {
             "buffered": len(self._ring),
             "dropped": self.dropped,
-            "filtered": self.filtered,
             "events": [e.as_dict() for e in self._ring],
             "incidents": [i.as_dict() for i in self.incidents],
             "incidents_suppressed": self.incidents_suppressed,

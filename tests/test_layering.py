@@ -445,10 +445,11 @@ def test_every_committed_artifact_has_one_writer():
 # -- every module has a reader ------------------------------------------------
 
 #: The CLI subcommands whose CI step checks content (a committed campaign
-#: JSON, the vet floors, the equivalence pairs, fleet mode equivalence),
-#: not a same-seed rerun of their own output: the imports in their
-#: ``_cmd_*`` bodies are roots.  ``cli.py``'s module-level imports are not.
-CHECKED_COMMANDS = ("chaos", "daemon", "vet", "equiv", "fleet")
+#: JSON, the vet floors, the equivalence pairs, fleet mode equivalence,
+#: the obs recorder's leak-report incident and fingerprint counts), not a
+#: same-seed rerun of their own output: the imports in their ``_cmd_*``
+#: bodies are roots.  ``cli.py``'s module-level imports are not.
+CHECKED_COMMANDS = ("chaos", "daemon", "vet", "equiv", "fleet", "obs")
 
 #: Modules no reader root reaches, kept on purpose: ``module -> why``.
 KEPT_MODULES = {
@@ -569,7 +570,7 @@ def test_every_module_has_a_reader():
 def test_shrunk_config_sizes():
     # Pinned after the caller census removed every field nothing set
     # (ResilienceConfig: chaos_scenario plus ProductionConfig's keywords).
-    sizes = {TelemetryHub: 1, FleetConfig: 10, TrafficModel: 6,
+    sizes = {TelemetryHub: 0, FleetConfig: 10, TrafficModel: 6,
              ShardSpec: 6, Scenario: 7, ResilienceConfig: 2,
              LongRunConfig: 6, KVConfig: 3, JobQueueConfig: 5,
              CorpusConfig: 5, fuzz_program: 4}

@@ -1,13 +1,6 @@
 """Tests for the flight recorder and its ring buffer."""
 
-from repro.telemetry import (
-    DEBUG,
-    ERROR,
-    INFO,
-    WARN,
-    FlightRecorder,
-    RingBuffer,
-)
+from repro.telemetry import FlightRecorder, RingBuffer
 
 
 class _FakeClock:
@@ -90,29 +83,6 @@ class TestFlightRecorder:
         assert "INFO" in event.format()
         assert "g3" in event.format()
         assert "chan send" in event.format()
-
-    def test_severity_floor_filters_at_record_time(self):
-        rec = FlightRecorder(min_severity=WARN)
-        rec.record("sched", "go-park", severity=DEBUG)
-        rec.record("sched", "noise", severity=INFO)
-        rec.record("detector", "leak", severity=WARN)
-        assert len(rec) == 1
-        assert rec.filtered == 2
-
-    def test_category_allowlist(self):
-        rec = FlightRecorder(categories=("gc", "detector"))
-        rec.record("sched", "go-park")
-        rec.record("gc", "gc-cycle")
-        assert [e.category for e in rec.events()] == ["gc"]
-        assert rec.filtered == 1
-
-    def test_read_time_filters(self):
-        rec = FlightRecorder()
-        rec.record("sched", "a", severity=DEBUG)
-        rec.record("sched", "b", severity=ERROR)
-        rec.record("gc", "c", severity=ERROR)
-        assert len(rec.events(min_severity=ERROR)) == 2
-        assert len(rec.events(category="gc", min_severity=ERROR)) == 1
 
     def test_ring_bounds_and_counts_drops(self):
         rec = FlightRecorder(capacity=4)
