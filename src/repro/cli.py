@@ -202,39 +202,6 @@ def _cmd_fleet(args) -> str:
     return _gate("\n\n".join(sections), failures, "fleet run")
 
 
-def _cmd_obs(args) -> str:
-    from repro.telemetry import (
-        TelemetryHub,
-        run_observed_benchmark,
-        write_artifacts,
-    )
-
-    hub = TelemetryHub()
-    result = run_observed_benchmark(
-        args.benchmark, procs=args.procs, seed=args.seed, hub=hub,
-        fingerprint_db=args.fingerprint_db)
-    slug = args.benchmark.replace("/", "-")
-    result.artifact_paths = write_artifacts(
-        hub, args.out_dir, f"obs-{slug}-p{args.procs}-s{args.seed}")
-    return result.format()
-
-
-def _cmd_trace(args) -> str:
-    from repro.trace.chrome import validate_chrome_trace
-    from repro.trace.driver import run_traced_benchmark, write_trace_artifacts
-
-    result = run_traced_benchmark(
-        args.benchmark, procs=args.procs, seed=args.seed,
-        capacity=args.capacity)
-    counts = validate_chrome_trace(result.chrome)
-    write_trace_artifacts(result, args.out_dir)
-    text = result.format()
-    text += ("\n  chrome schema   : valid "
-             f"({counts['slices']} slices, {counts['instants']} instants, "
-             f"{counts['flows']} flows)")
-    return text
-
-
 def _cmd_vet(args) -> str:
     """Static partial-deadlock analysis (see docs/STATIC_ANALYSIS.md).
 
@@ -297,8 +264,21 @@ def _cmd_vet(args) -> str:
     return text
 
 
+#: Ring capacity (events) of the tracer ``repro run`` attaches.
+TRACE_CAPACITY = 200_000
+
+
 def _cmd_run(args) -> str:
-    """Run one microbenchmark, optionally with static proofs fused in.
+    """Run one microbenchmark observed and traced; write its artifacts.
+
+    A telemetry hub and the execution tracer are attached before the
+    main goroutine spawns, so both cover the whole run; observation is
+    passive, so the verdict and reports are an unobserved run's.  After
+    the run the collector is driven to quiescence, and the hub's four
+    artifacts and the tracer's three (Chrome trace, why-leaked JSON and
+    text) are written under one stem, ``run-<slug>[-fixed]-p<P>-s<S>``,
+    in ``--out-dir``.  ``--fingerprint-db`` merges the fingerprints of
+    earlier invocations in first and saves the merged store after.
 
     ``--proofs`` certifies the benchmark body with the behavioral
     engine, installs the per-program certificate registry, and reports
@@ -307,6 +287,18 @@ def _cmd_run(args) -> str:
     ``repro equiv proofs``).
     """
     from repro.microbench.harness import run_microbenchmark
+    from repro.telemetry import (
+        TelemetryHub,
+        format_heap_profile,
+        heap_profile,
+        write_artifacts,
+    )
+    from repro.trace import (
+        export_chrome_trace,
+        provenance_document,
+        provenance_text,
+        validate_chrome_trace,
+    )
 
     bench = benchmarks_by_name()[args.benchmark]
 
@@ -323,10 +315,20 @@ def _cmd_run(args) -> str:
         registry = registry_for_analysis(analysis)
         proven = len(registry)
 
+    variant = "-fixed" if args.fixed else ""
+    hub = TelemetryHub()
+    db = args.fingerprint_db
+    if db and os.path.exists(db):
+        hub.fingerprints.load(db)
+    hub.fingerprints.begin_run(
+        f"run-{bench.name}{variant}-p{args.procs}-s{args.seed}-"
+        f"{hub.fingerprints.runs_started + 1}")
     holder = {}
 
     def hook(rt):
         holder["rt"] = rt
+        hub.attach(rt)
+        rt.enable_tracing(capacity=TRACE_CAPACITY)
         if registry is not None:
             rt.install_proofs(registry)
 
@@ -349,6 +351,52 @@ def _cmd_run(args) -> str:
                      f"{skips} fixpoint scan(s) skipped")
     for report in rt.reports.reports:
         lines.append("  " + report.format().replace("\n", "\n  "))
+
+    rt.gc_until_quiescent()
+    hub.sampler.sample(rt)
+    if db:
+        hub.fingerprints.save(db)
+    records = [r.provenance for r in rt.reports.reports
+               if r.provenance is not None]
+    chrome = export_chrome_trace(rt.tracer, procs=args.procs,
+                                 benchmark=bench.name, seed=args.seed)
+    counts = validate_chrome_trace(chrome)
+    stem = (f"run-{bench.name.replace('/', '-')}{variant}"
+            f"-p{args.procs}-s{args.seed}")
+    paths = write_artifacts(hub, args.out_dir, stem)
+    base = os.path.join(args.out_dir, stem)
+    about = (records, bench.name, args.procs, args.seed)
+    paths["chrome"] = codec.write_text(f"{base}.trace.json",
+                                       codec.dumps(chrome, compact=True))
+    paths["provenance"] = codec.write(f"{base}-provenance.json",
+                                      provenance_document(*about))
+    paths["provenance_txt"] = codec.write_text(f"{base}-provenance.txt",
+                                               provenance_text(*about))
+    heap = format_heap_profile(heap_profile(rt.heap))
+    rt.shutdown()
+
+    gc_cycles = sum(child.value for _, child in hub.gc_cycles.series())
+    recorder, tracer = hub.recorder, rt.tracer
+    lines += [
+        f"after quiescence: {int(gc_cycles)} gc cycle(s), "
+        f"{rt.reports.total()} report(s), "
+        f"{len(records)} why-leaked record(s)",
+        f"  context switches: {int(hub.ctx_switches.value)}",
+        f"  recorder        : {len(recorder)} event(s), "
+        f"{recorder.dropped} dropped, "
+        f"{len(recorder.incidents)} incident(s)",
+        f"  trace           : {len(tracer)} event(s), "
+        f"{tracer.dropped} dropped",
+        f"  chrome schema   : valid ({counts['slices']} slices, "
+        f"{counts['instants']} instants, {counts['flows']} flows)",
+        "",
+        hub.fingerprints.format(),
+        "",
+        heap,
+        "",
+        "artifacts:",
+    ]
+    lines += [f"  {kind:<15s}: {paths[kind]}" for kind in sorted(paths)]
     return "\n".join(lines)
 
 
@@ -380,8 +428,6 @@ _COMMANDS: Dict[str, Callable] = {
     "chaos": _cmd_chaos,
     "daemon": _cmd_daemon,
     "fleet": _cmd_fleet,
-    "obs": _cmd_obs,
-    "trace": _cmd_trace,
     "vet": _cmd_vet,
     "run": _cmd_run,
     "equiv": _cmd_equiv,
@@ -499,8 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-dir", default=None,
                    help="also write the JSON report into this directory")
 
-    p = add("run", help="run one microbenchmark, optionally with static "
-                        "leak-freedom proofs fused into the detector")
+    p = add("run", help="run one microbenchmark observed and traced, "
+                        "optionally with static leak-freedom proofs fused "
+                        "into the detector; writes the metrics, recorder, "
+                        "fingerprint, Chrome-trace and why-leaked "
+                        "artifacts")
     p.add_argument("--benchmark", default="cgo/sendmail",
                    type=_known("benchmark", benchmarks_by_name),
                    help="microbenchmark name (see repro.microbench)")
@@ -512,33 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certify the benchmark with the behavioral "
                         "engine and install the certificate registry so "
                         "the detector skips proven channels")
-
-    p = add("obs", help="run one benchmark fully observed and report "
-                        "(metrics, flight recorder, profiles, "
-                        "fingerprints)")
-    p.add_argument("--benchmark", default="cgo/sendmail",
-                   type=_known("benchmark", benchmarks_by_name),
-                   help="microbenchmark name (see repro.microbench)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--procs", type=int, default=2)
     p.add_argument("--fingerprint-db", default=None,
                    help="persistent fingerprint store for cross-run "
                         "leak dedup")
     p.add_argument("--out-dir", default="benchmarks/out",
-                   help="directory for the .prom/JSON/recorder artifacts")
-
-    p = add("trace", help="run one benchmark with the execution tracer "
-                          "and write Chrome-trace + why-leaked artifacts")
-    p.add_argument("--benchmark", default="cgo/sendmail",
-                   type=_known("benchmark", benchmarks_by_name),
-                   help="microbenchmark name (see repro.microbench)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--procs", type=int, default=2)
-    p.add_argument("--capacity", type=int, default=200_000,
-                   help="trace ring-buffer capacity (events)")
-    p.add_argument("--out-dir", default="benchmarks/out",
-                   help="directory for the Chrome-trace and why-leaked "
-                        "artifacts")
+                   help="directory for the run's artifacts")
 
     p = add("equiv", help="differential-equivalence harness: run one "
                           "A-vs-B pair (or all) over the 125-program "

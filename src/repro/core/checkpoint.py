@@ -91,20 +91,17 @@ class RecoveryRecord:
     """One completed subsystem rollback+restart."""
 
     __slots__ = ("subsystem", "at_ns", "recovery_ns", "workers_killed",
-                 "workers_respawned", "condemned_goids", "checkpoint_age_ns",
-                 "trigger")
+                 "workers_respawned", "condemned_goids", "trigger")
 
     def __init__(self, subsystem: str, at_ns: int, recovery_ns: int,
                  workers_killed: int, workers_respawned: int,
-                 condemned_goids: Tuple[int, ...], checkpoint_age_ns: int,
-                 trigger: str):
+                 condemned_goids: Tuple[int, ...], trigger: str):
         self.subsystem = subsystem
         self.at_ns = at_ns
         self.recovery_ns = recovery_ns
         self.workers_killed = workers_killed
         self.workers_respawned = workers_respawned
         self.condemned_goids = condemned_goids
-        self.checkpoint_age_ns = checkpoint_age_ns
         #: ``"gc"`` or ``"daemon"`` — which detection path condemned.
         self.trigger = trigger
 
@@ -267,7 +264,6 @@ class CheckpointManager:
     def _rollback(self, sub: Subsystem) -> None:
         rt = self.rt
         sched = rt.sched
-        started_at = rt.clock.now
         ckpt = sub.last_checkpoint
         if ckpt is None:  # registered with start=False and never run
             ckpt = sub.take_checkpoint()
@@ -318,7 +314,6 @@ class CheckpointManager:
             workers_killed=killed,
             workers_respawned=len(sub.specs),
             condemned_goids=tuple(goid for goid, _, _ in claimed),
-            checkpoint_age_ns=started_at - ckpt.taken_at_ns,
             trigger=trigger,
         )
         self.recoveries.append(record)

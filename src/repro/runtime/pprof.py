@@ -74,25 +74,12 @@ def format_stack_dump(rt: Runtime, include_system: bool = False) -> str:
     """A per-goroutine dump in the style of Go's fatal-error output.
 
     Unlike the profile (which groups identical stacks), this lists every
-    goroutine individually with its state — what you would read after
-    ``fatal error: all goroutines are asleep - deadlock!``.
+    live goroutine individually with its state — what you would read
+    after ``fatal error: all goroutines are asleep - deadlock!``.
     """
-    lines = []
-    for g in rt.sched.allgs:
-        if g.status == GStatus.DEAD:
-            continue
-        if g.is_system and not include_system:
-            continue
-        state = g.status.value
-        if g.wait_reason is not None:
-            state = g.wait_reason.value
-        lines.append(f"goroutine {g.trace_label} [{state}]:")
-        stack = g.stack_trace() or ["<no stack>"]
-        for frame in stack:
-            lines.append(f"\t{frame}")
-        lines.append(f"created by {g.go_site}")
-        lines.append("")
-    return "\n".join(lines).rstrip()
+    return rt.sched.goroutine_dump(
+        [g for g in rt.sched.allgs if g.status != GStatus.DEAD
+         and (include_system or not g.is_system)])
 
 
 def format_goroutine_profile(rt: Runtime) -> str:

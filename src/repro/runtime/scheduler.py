@@ -704,16 +704,14 @@ class Scheduler:
                 # scheduler tick, interleaved with mutator progress.
                 gc_step_hook()
 
-    def goroutine_dump(self,
-                       goroutines: Optional[List[Goroutine]] = None) -> str:
+    def goroutine_dump(self, goroutines: List[Goroutine]) -> str:
         """Per-goroutine stack/waitreason dump, like the listing Go
-        prints after a fatal error.  Used by the global-deadlock error
-        and by the runtime watchdog's stall reports."""
-        if goroutines is None:
-            goroutines = self.live_goroutines()
+        prints after a fatal error: the state is the wait reason
+        whenever one is set.  Used by the global-deadlock error, the
+        runtime watchdog's stall reports and ``pprof.format_stack_dump``."""
         lines = []
         for g in goroutines:
-            if g.status is _WAITING and g.wait_reason is not None:
+            if g.wait_reason is not None:
                 state = g.wait_reason.value
             else:
                 state = g.status.value

@@ -8,8 +8,8 @@ Five surfaces behind one :class:`TelemetryHub`:
   of structured events with dump-on-incident;
 - **profiles** (:mod:`repro.telemetry.profiles`): goroutine and heap
   profiles plus cross-run leak fingerprinting;
-- **exporters** (:mod:`repro.telemetry.export`): ``.prom`` textfiles,
-  JSON artifacts, and the ``repro obs`` report;
+- **exporters** (:mod:`repro.telemetry.export`): ``.prom`` textfiles
+  and JSON artifacts (``repro run`` writes them);
 - **TSDB** (:mod:`repro.telemetry.tsdb`): a virtual-time time-series
   store scraped by a scheduler ticker.
 
@@ -18,8 +18,6 @@ same ``(program, procs, seed)`` produce byte-identical artifacts.
 """
 
 from repro.telemetry.export import (
-    ObsResult,
-    run_observed_benchmark,
     validate_exposition,
     write_artifacts,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "Metric",
     "MetricsRegistry",
     "MetricsScraper",
-    "ObsResult",
     "render_merged_prometheus",
     "RecorderEvent",
     "RingBuffer",
@@ -82,7 +79,6 @@ __all__ = [
     "heap_profile",
     "leak_fingerprint",
     "normalize_site",
-    "run_observed_benchmark",
     "validate_exposition",
     "write_artifacts",
 ]

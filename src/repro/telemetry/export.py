@@ -1,21 +1,19 @@
-"""Exporters: ``.prom`` textfiles, JSON artifacts, and the operator report.
+"""Exporters: ``.prom`` textfiles and JSON artifacts.
 
 Also home of :func:`validate_exposition` — a strict parser for the
 Prometheus text format that every writer of a ``.prom`` file runs before
-writing, to prove the exposition is actually scrapeable — and of
-:func:`run_observed_benchmark`, the driver behind ``python -m repro obs``.
+writing, to prove the exposition is actually scrapeable.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import codec
 from repro.errors import ArtifactError
 from repro.telemetry.hub import TelemetryHub
-from repro.telemetry.profiles import format_heap_profile, heap_profile
 
 _SAMPLE_RE = re.compile(
     r'^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)'
@@ -115,96 +113,3 @@ def write_artifacts(hub: TelemetryHub, out_dir: str,
         "fingerprints": codec.write(f"{stem}-fingerprints.json",
                                     hub.fingerprints.as_dict()),
     }
-
-
-# -- the `repro obs` driver --------------------------------------------------
-
-
-class ObsResult:
-    """Everything ``python -m repro obs`` produced."""
-
-    def __init__(self, benchmark: str, procs: int, seed: int):
-        self.benchmark = benchmark
-        self.procs = procs
-        self.seed = seed
-        self.hub: Optional[TelemetryHub] = None
-        self.reports = 0
-        self.reclaimed = 0
-        self.heap_profile_text = ""
-        self.artifact_paths: Dict[str, str] = {}
-
-    def format(self) -> str:
-        hub = self.hub
-        lines = [
-            f"observability report: {self.benchmark} "
-            f"(procs={self.procs}, seed={self.seed})",
-            f"  leak reports    : {self.reports}  "
-            f"(reclaimed {self.reclaimed})",
-            f"  gc cycles       : "
-            f"{int(_metric_total(hub, 'repro_gc_cycles_total'))}",
-            f"  context switches: "
-            f"{int(hub.ctx_switches.value)}",
-            f"  recorder        : {len(hub.recorder)} event(s), "
-            f"{hub.recorder.dropped} dropped, "
-            f"{len(hub.recorder.incidents)} incident(s)",
-            "",
-            hub.fingerprints.format(),
-            "",
-            self.heap_profile_text,
-        ]
-        if self.artifact_paths:
-            lines.append("")
-            lines.append("artifacts:")
-            for kind in sorted(self.artifact_paths):
-                lines.append(f"  {kind:<13s}: {self.artifact_paths[kind]}")
-        return "\n".join(lines)
-
-
-def _metric_total(hub: TelemetryHub, name: str) -> float:
-    metric = hub.registry.get(name)
-    if metric is None:
-        return 0.0
-    return sum(child.value for _, child in metric.series())
-
-
-def run_observed_benchmark(
-    benchmark: str, procs: int = 2, seed: int = 0,
-    hub: Optional[TelemetryHub] = None,
-    fingerprint_db: Optional[str] = None,
-) -> ObsResult:
-    """Run one microbenchmark with full telemetry and return the evidence.
-
-    ``fingerprint_db`` points at a persistent store: fingerprints from
-    previous invocations are merged in first, so a second identical run
-    aggregates onto the existing records instead of re-reporting.
-    """
-    from repro.microbench.harness import run_microbenchmark
-    from repro.microbench.registry import benchmarks_by_name
-
-    bench = benchmarks_by_name()[benchmark]
-    hub = hub or TelemetryHub()
-    if fingerprint_db and os.path.exists(fingerprint_db):
-        hub.fingerprints.load(fingerprint_db)
-    hub.fingerprints.begin_run(
-        f"obs-{benchmark}-p{procs}-s{seed}-"
-        f"{hub.fingerprints.runs_started + 1}")
-
-    result = ObsResult(benchmark, procs, seed)
-    result.hub = hub
-    captured: List = []
-
-    def hook(rt) -> None:
-        hub.attach(rt)
-        captured.append(rt)
-
-    run_microbenchmark(bench, procs=procs, seed=seed, rt_hook=hook)
-    rt = captured[0]
-    rt.gc_until_quiescent()
-    hub.sampler.sample(rt)
-    result.reports = rt.reports.total()
-    result.reclaimed = rt.collector.stats.total_goroutines_reclaimed
-    result.heap_profile_text = format_heap_profile(heap_profile(rt.heap))
-    if fingerprint_db:
-        hub.fingerprints.save(fingerprint_db)
-    rt.shutdown()
-    return result

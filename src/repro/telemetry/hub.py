@@ -56,7 +56,7 @@ class TelemetryHub:
         self._build_instruments()
 
     def _build_instruments(self) -> None:
-        # Only series something in the repository reads: the `repro obs`
+        # Only series something in the repository reads: the `repro run`
         # report or a tier-1 test
         # (tests/test_layering.py::test_every_output_has_a_reader).
         reg = self.registry

@@ -1,6 +1,6 @@
 """Execution tracing and leak provenance (see ``docs/TRACING.md``).
 
-Three layers:
+Four modules:
 
 - :mod:`repro.trace.events` — the fixed event vocabulary and the
   structured :class:`TraceEvent`;
@@ -9,10 +9,10 @@ Three layers:
 - :mod:`repro.trace.chrome` — Chrome trace-event JSON export/validation
   (Perfetto / ``chrome://tracing``);
 - :mod:`repro.trace.provenance` — the why-leaked evidence the collector
-  captures for every condemned goroutine.
+  captures for every condemned goroutine, and its JSON / text renderings.
 
-:mod:`repro.trace.driver` (the ``repro trace`` CLI backend) is imported
-on demand, not here: it pulls in the microbench registry.
+``repro run`` drives all four: it traces one registry program and writes
+the Chrome trace and the why-leaked artifacts.
 """
 
 from repro.trace import events  # noqa: F401  (import order: events first)
@@ -25,10 +25,13 @@ from repro.trace.chrome import (  # noqa: F401
 from repro.trace.provenance import (  # noqa: F401
     ProvenanceRecord,
     capture_provenance,
+    provenance_document,
+    provenance_text,
 )
 
 __all__ = [
     "TraceEvent", "VOCABULARY", "ExecutionTracer",
     "export_chrome_trace", "validate_chrome_trace",
-    "ProvenanceRecord", "capture_provenance",
+    "ProvenanceRecord", "capture_provenance", "provenance_document",
+    "provenance_text",
 ]

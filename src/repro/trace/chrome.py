@@ -19,7 +19,7 @@ executor records on completed operations.
 Timestamps are the virtual clock in microseconds (``t_ns / 1000``); no
 wall-clock value ever enters the artifact, so a fixed seed yields a
 byte-identical file.  :func:`validate_chrome_trace` is the schema check
-``repro trace`` runs before it writes.
+``repro run`` runs before it writes.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def validate_chrome_trace(data: Any) -> Dict[str, int]:
     """Validate the Chrome trace-event schema; raises
     :class:`~repro.errors.ArtifactError`.
 
-    Checks the shape ``repro trace`` requires of what it writes:
+    Checks the shape ``repro run`` requires of what it writes:
     required keys on every event, non-decreasing ``ts`` over the
     non-metadata stream, matched B/E pairs per lane, and paired flow
     ids.  Returns summary counts on success.

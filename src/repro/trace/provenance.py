@@ -129,6 +129,25 @@ class ProvenanceRecord:
                 f"{len(self.evidence)} evidence steps>")
 
 
+def provenance_document(records: List[ProvenanceRecord], benchmark: str,
+                        procs: int, seed: int) -> dict:
+    """The machine-readable why-leaked artifact of one run."""
+    return {
+        "benchmark": benchmark,
+        "procs": procs,
+        "seed": seed,
+        "leaks": [p.as_dict() for p in records],
+    }
+
+
+def provenance_text(records: List[ProvenanceRecord], benchmark: str,
+                    procs: int, seed: int) -> str:
+    """The human rendering of :func:`provenance_document`."""
+    header = (f"leak provenance: {benchmark} (procs={procs}, seed={seed})\n"
+              f"{len(records)} leaked goroutine(s)")
+    return "\n\n".join([header] + [p.format() for p in records]) + "\n"
+
+
 def capture_provenance(deadlocked: List[Any], heap, sched, gc_cycle: int,
                        detected_at_ns: int,
                        tracer=None) -> Dict[int, "ProvenanceRecord"]:

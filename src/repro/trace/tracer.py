@@ -8,10 +8,10 @@ the same discipline the telemetry hub uses.
 
 Capture is **by value, rendered on read**.  A hook pushes one flat
 tuple ``(t_ns, kind, goid, pid, render, *payload)`` onto the telemetry
-:class:`RingBuffer` (drop-oldest; ``dropped`` counts evictions, exposed
-as the ``trace_dropped_total`` metric when a hub is attached) and does
-nothing else: most events are evicted unread.  The payload holds only
-immutable values copied at event time — names, addresses, counts,
+:class:`RingBuffer` (drop-oldest; ``dropped`` counts evictions, which
+the ``repro run`` report prints) and does nothing else: most events are
+evicted unread.  The payload holds only immutable values copied at event
+time — names, addresses, counts,
 :func:`~repro.trace.events.snapshot_object` tuples — never a goroutine,
 channel or other runtime-owned object: descriptors are recycled and
 channel state moves on after the event, and a ring of references would

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.microbench.registry import benchmarks_by_name
 
 
 #: The subcommands, in registration order.
-COMMANDS = ("chaos", "daemon", "fleet", "vet", "run", "obs", "trace",
-            "equiv")
+COMMANDS = ("chaos", "daemon", "fleet", "vet", "run", "equiv")
 
 
 class TestParser:
@@ -29,13 +29,6 @@ class TestParser:
         assert args.benchmark == "cgo/sendmail"
         assert (args.seed, args.procs) == (0, 2)
         assert not args.fixed and not args.proofs
-
-    def test_obs_subcommand_defaults(self):
-        args = build_parser().parse_args(["obs"])
-        assert args.command == "obs"
-        assert args.benchmark == "cgo/sendmail"
-        assert args.seed == 0
-        assert args.procs == 2
         assert args.fingerprint_db is None
         assert args.out_dir == "benchmarks/out"
 
@@ -51,11 +44,11 @@ class TestParser:
             assert exc.value.code == 2, command
             assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_out_dir_belongs_to_obs_and_trace(self, capsys):
+    def test_out_dir_belongs_to_run(self, capsys):
         parser = build_parser()
         for command in COMMANDS:
             argv = [command, "--out-dir", "x"]
-            if command in ("obs", "trace"):
+            if command == "run":
                 assert parser.parse_args(argv).out_dir == "x"
             else:
                 with pytest.raises(SystemExit):
@@ -64,10 +57,8 @@ class TestParser:
 
 @pytest.mark.parametrize("argv", [
     ["run", "--benchmark", "nope/none"],
-    ["obs", "--benchmark", "nope/none"],
-    ["trace", "--benchmark", "nope/none"],
     ["chaos", "--scenario", "nope"],
-], ids=["run", "obs", "trace", "chaos"])
+], ids=["run", "chaos"])
 def test_unknown_name_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -77,10 +68,10 @@ def test_unknown_name_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["obs", "--out", "x"],
+    ["run", "--out", "x"],
     ["chaos", "--json", "x"],
     ["run", "--bench", "cgo/sendmail"],
-], ids=["obs-out", "chaos-json", "run-bench"])
+], ids=["run-out", "chaos-json", "run-bench"])
 def test_an_abbreviated_flag_is_a_usage_error(argv, capsys):
     """A prefix of a long flag binds nothing: ``--out`` is not
     ``--out-dir``."""
@@ -90,15 +81,87 @@ def test_an_abbreviated_flag_is_a_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["obs", "trace"])
+def test_the_removed_drivers_are_usage_errors(command, capsys):
+    """``repro run`` is the one single-program driver."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--benchmark", "cgo/sendmail"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 class TestExecution:
     def test_out_dir_archives(self, tmp_path, capsys):
         out_dir = tmp_path / "artifacts"
-        assert main(["obs", "--out-dir", str(out_dir)]) == 0
+        assert main(["run", "--out-dir", str(out_dir)]) == 0
         capsys.readouterr()
         assert sorted(p.name for p in out_dir.iterdir()) == [
-            f"obs-cgo-sendmail-p2-s0{suffix}"
+            f"run-cgo-sendmail-p2-s0{suffix}"
             for suffix in ("-fingerprints.json", "-metrics.json",
-                           "-recorder.txt", ".prom")]
+                           "-provenance.json", "-provenance.txt",
+                           "-recorder.txt", ".prom", ".trace.json")]
+
+    def test_fixed_variant_has_its_own_stem(self, tmp_path, capsys):
+        assert main(["run", "--fixed", "--proofs",
+                     "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "fixed" in out and "proven site(s) installed" in out
+        assert (tmp_path / "run-cgo-sendmail-fixed-p2-s0.prom").exists()
+
+    @pytest.mark.parametrize("name", ["cgo/timeout-leak", "cgo/double-send"])
+    def test_each_observer_writes_what_it_writes_alone(self, name, tmp_path,
+                                                       capsys):
+        """One run with the hub and the tracer attached writes the hub
+        documents of a hub-only run and the trace documents of a
+        tracer-only run: neither observer disturbs the other."""
+        from repro import codec
+        from repro.cli import TRACE_CAPACITY
+        from repro.microbench.harness import run_microbenchmark
+        from repro.telemetry import TelemetryHub, write_artifacts
+        from repro.trace import (
+            export_chrome_trace,
+            provenance_document,
+            provenance_text,
+        )
+
+        stem = f"run-{name.replace('/', '-')}-p2-s0"
+        assert main(["run", "--benchmark", name,
+                     "--out-dir", str(tmp_path / "both")]) == 0
+        capsys.readouterr()
+        bench = benchmarks_by_name()[name]
+
+        def run_alone(attach):
+            runtimes = []
+
+            def hook(rt):
+                runtimes.append(rt)
+                attach(rt)
+
+            run_microbenchmark(bench, procs=2, seed=0, rt_hook=hook)
+            (rt,) = runtimes
+            rt.gc_until_quiescent()
+            return rt
+
+        hub = TelemetryHub()
+        hub.fingerprints.begin_run(f"run-{name}-p2-s0-1")
+        hub.sampler.sample(run_alone(hub.attach))
+        write_artifacts(hub, str(tmp_path / "alone"), stem)
+
+        rt = run_alone(lambda rt: rt.enable_tracing(capacity=TRACE_CAPACITY))
+        about = ([r.provenance for r in rt.reports.reports], name, 2, 0)
+        alone = tmp_path / "alone" / stem
+        codec.write_text(f"{alone}.trace.json", codec.dumps(
+            export_chrome_trace(rt.tracer, procs=2, benchmark=name, seed=0),
+            compact=True))
+        codec.write(f"{alone}-provenance.json", provenance_document(*about))
+        codec.write_text(f"{alone}-provenance.txt", provenance_text(*about))
+
+        def files(kind):
+            return {p.name: p.read_bytes()
+                    for p in sorted((tmp_path / kind).iterdir())}
+
+        assert len(files("alone")) == 7
+        assert files("both") == files("alone")
 
 
 class TestDaemonCommand:

@@ -25,13 +25,9 @@ from repro.staticcheck.behavior import (
     analyze_callable_behavior,
 )
 from repro.staticcheck.proofs import ProofRegistry, build_registry
-from repro.telemetry import (
-    FingerprintStore,
-    run_observed_benchmark,
-    validate_exposition,
-)
+from repro.cli import main
+from repro.telemetry import FingerprintStore, validate_exposition
 from repro.trace.chrome import validate_chrome_trace
-from repro.trace.driver import run_traced_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +92,12 @@ def fleet_doc():
 
 
 @pytest.fixture(scope="module")
-def observed_hub():
-    return run_observed_benchmark("cgo/sendmail", seed=0).hub
+def run_stem(tmp_path_factory):
+    """The artifact stem of one ``repro run`` of ``cgo/sendmail``."""
+    out_dir = tmp_path_factory.mktemp("run")
+    assert main(["run", "--benchmark", "cgo/sendmail", "--seed", "0",
+                 "--out-dir", str(out_dir)]) == 0
+    return str(out_dir / "run-cgo-sendmail-p2-s0")
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +116,13 @@ def registry_doc(codec):
 
 
 @pytest.fixture(scope="module")
-def documents(codec, fleet_doc, observed_hub, registry_doc):
+def documents(codec, fleet_doc, run_stem, registry_doc):
     """``{format: (document, reader)}``, every document JSON-native."""
     readers = {
         "fleet": (fleet_doc, validate_fleet_artifact),
-        "chrome": (run_traced_benchmark("cgo/sendmail", seed=0).chrome,
+        "chrome": (codec.read(f"{run_stem}.trace.json"),
                    validate_chrome_trace),
-        "fingerprints": (observed_hub.fingerprints.as_dict(),
+        "fingerprints": (codec.read(f"{run_stem}-fingerprints.json"),
                          FingerprintStore.from_dict),
         "proofs": (registry_doc,
                    lambda doc: ProofRegistry.from_json(codec.dumps(doc))),
@@ -235,8 +235,9 @@ def test_truncated_text_is_a_typed_error(codec, documents, name, data):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_a_mutated_exposition_is_counted_or_a_typed_error(
-        codec, observed_hub, data):
-    text = observed_hub.render_prometheus()
+        codec, run_stem, data):
+    with open(f"{run_stem}.prom") as fh:
+        text = fh.read()
     assert validate_exposition(text) >= 3  # every series sampled
     lines = text.splitlines()
     i = data.draw(st.integers(0, len(lines) - 1))

@@ -353,9 +353,10 @@ def test_every_option_has_a_caller():
 #: Every registered series and what reads it: ``metric name -> reader``.
 OUTPUT_READERS = {
     "repro_sched_context_switches_total":
-        "the `repro obs` report's context-switch line (ObsResult.format)",
+        "the `repro run` report's context-switch line (cli._cmd_run)",
     "repro_gc_cycles_total":
-        "the `repro obs` report's gc-cycle line (ObsResult.format)",
+        "the `repro run` report's after-quiescence gc-cycle count "
+        "(cli._cmd_run)",
     "repro_clock_ns":
         "tests/test_daemon.py reads its scrape timestamps to check the "
         "scraper's cadence",
@@ -446,10 +447,11 @@ def test_every_committed_artifact_has_one_writer():
 
 #: The CLI subcommands whose CI step checks content (a committed campaign
 #: JSON, the vet floors, the equivalence pairs, fleet mode equivalence,
-#: the obs recorder's leak-report incident and fingerprint counts), not a
-#: same-seed rerun of their own output: the imports in their ``_cmd_*``
-#: bodies are roots.  ``cli.py``'s module-level imports are not.
-CHECKED_COMMANDS = ("chaos", "daemon", "vet", "equiv", "fleet", "obs")
+#: the run's leak-report incident, fingerprint count and evidence
+#: chains), not only a same-seed rerun of their own output: the imports
+#: in their ``_cmd_*`` bodies are roots.  ``cli.py``'s module-level
+#: imports are not.
+CHECKED_COMMANDS = ("chaos", "daemon", "vet", "equiv", "fleet", "run")
 
 #: Modules no reader root reaches, kept on purpose: ``module -> why``.
 KEPT_MODULES = {
@@ -461,10 +463,6 @@ KEPT_MODULES = {
     "repro.baselines.leakprof":
         "the paper's LeakProf comparator claims (sections 1 and 7), "
         "asserted by tests/test_baselines.py",
-    "repro.trace.chrome":
-        "trace-smoke asserts every leak has a non-empty evidence chain",
-    "repro.trace.driver":
-        "trace-smoke asserts every leak has a non-empty evidence chain",
 }
 
 

@@ -14,9 +14,9 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import all_benchmarks, benchmarks_by_name
-from repro.trace.driver import run_traced_benchmark, write_trace_artifacts
 
 
 def _run_with_reports(bench, procs=2, seed=1, rt_hook=None):
@@ -33,6 +33,21 @@ def _run_with_reports(bench, procs=2, seed=1, rt_hook=None):
     reports = list(rt.reports.reports)
     rt.shutdown()
     return reports
+
+
+def _traced_provenance(name, seed=0):
+    """The why-leaked records of a traced run of registry program
+    ``name`` at procs 2."""
+    reports = _run_with_reports(benchmarks_by_name()[name], seed=seed,
+                                rt_hook=lambda rt: rt.enable_tracing())
+    return [r.provenance for r in reports if r.provenance is not None]
+
+
+def _run_artifacts(out_dir, name="cgo/sendmail", seed=0):
+    """``{file name: bytes}`` of every artifact one ``repro run`` writes."""
+    assert main(["run", "--benchmark", name, "--seed", str(seed),
+                 "--out-dir", str(out_dir)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
 class TestRegistrySweep:
@@ -66,8 +81,7 @@ class TestRegistrySweep:
 class TestListingEvidence:
     def test_listing2_timeout_leak_blocked_op(self):
         """Listing 2 analog: a worker abandoned by a timed-out parent."""
-        result = run_traced_benchmark("cgo/timeout-leak", procs=2, seed=0)
-        (prov,) = result.provenance_records
+        (prov,) = _traced_provenance("cgo/timeout-leak")
         assert prov.wait_reason == "chan send"
         (op,) = prov.blocked_op
         assert op["kind"] == "chan"
@@ -84,8 +98,7 @@ class TestListingEvidence:
 
     def test_listing7_sendmail_evidence_chain(self):
         """Listing 7: the sendmail task blocked on an abandoned chan."""
-        result = run_traced_benchmark("cgo/sendmail", procs=2, seed=0)
-        (prov,) = result.provenance_records
+        (prov,) = _traced_provenance("cgo/sendmail")
         assert prov.wait_reason == "chan send"
         (op,) = prov.blocked_op
         assert op["kind"] == "chan"
@@ -102,8 +115,7 @@ class TestListingEvidence:
     def test_double_send_records_first_transfer_partner(self):
         """cgo/double-send: the first send completed — the ledger must
         name both ends before the second send wedges."""
-        result = run_traced_benchmark("cgo/double-send", procs=2, seed=0)
-        (prov,) = result.provenance_records
+        (prov,) = _traced_provenance("cgo/double-send")
         (partner,) = prov.partners
         assert partner["transfers"] == 1
         assert partner["last_sender_goid"] == prov.goid
@@ -122,37 +134,29 @@ class TestListingEvidence:
 
 
 class TestArtifacts:
-    def test_provenance_json_round_trips(self, tmp_path):
-        result = run_traced_benchmark("cgo/sendmail", procs=2, seed=0)
-        paths = write_trace_artifacts(result, str(tmp_path))
-        with open(paths["provenance"]) as fh:
+    def test_provenance_json_round_trips(self, tmp_path, capsys):
+        _run_artifacts(tmp_path)
+        with open(tmp_path / "run-cgo-sendmail-p2-s0-provenance.json") as fh:
             doc = json.load(fh)
         assert doc["benchmark"] == "cgo/sendmail"
         assert doc["procs"] == 2 and doc["seed"] == 0
         (leak,) = doc["leaks"]
         assert leak["evidence"]
-        assert leak["glabel"] == result.provenance_records[0].glabel
+        assert leak["glabel"] == _traced_provenance("cgo/sendmail")[0].glabel
 
-    def test_artifacts_byte_identical_across_runs(self, tmp_path):
-        blobs = []
-        for i in range(2):
-            result = run_traced_benchmark("cgo/timeout-leak", procs=2,
-                                          seed=5)
-            paths = write_trace_artifacts(result, str(tmp_path / str(i)))
-            blobs.append({k: open(p, "rb").read()
-                          for k, p in paths.items()})
+    def test_artifacts_byte_identical_across_runs(self, tmp_path, capsys):
+        blobs = [_run_artifacts(tmp_path / str(i), "cgo/timeout-leak", seed=5)
+                 for i in range(2)]
         assert blobs[0] == blobs[1]
 
     def test_cli_end_to_end(self, tmp_path, capsys):
-        from repro.cli import main
-
-        rc = main(["trace", "--benchmark", "cgo/sendmail",
-                   "--out-dir", str(tmp_path)])
-        assert rc == 0
+        _run_artifacts(tmp_path)
         out = capsys.readouterr().out
-        assert "why-leaked" in out
+        assert "1 why-leaked record(s)" in out
         assert "chrome schema   : valid" in out
-        assert (tmp_path / "trace-cgo-sendmail-p2-s0.trace.json").exists()
+        assert (tmp_path / "run-cgo-sendmail-p2-s0.trace.json").exists()
+        text = (tmp_path / "run-cgo-sendmail-p2-s0-provenance.txt").read_text()
+        assert "why-leaked: goroutine" in text
 
     def test_report_as_dict_excludes_provenance_object(self):
         """The equivalence oracle compares report dicts across GC modes;

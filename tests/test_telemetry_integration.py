@@ -26,35 +26,35 @@ from repro.runtime.instructions import (
 from repro.runtime.objects import Blob, Box
 from repro.runtime.watchdog import Watchdog
 from repro.service.resilience import ResilienceConfig, run_resilient_production
-from repro.telemetry import (
-    TelemetryHub,
-    run_observed_benchmark,
-    validate_exposition,
-)
+from repro.telemetry import TelemetryHub, validate_exposition
 from repro.trace import events as ev
 
 BENCH = "cgo/sendmail"
 
 
-def _observed_run():
-    hub = TelemetryHub()
-    run_observed_benchmark(BENCH, procs=2, seed=0, hub=hub)
-    return hub
+HUB_FILES = ("-fingerprints.json", "-metrics.json", "-recorder.txt",
+             ".prom")
+
+
+def _observed_run(out_dir):
+    """``{suffix: bytes}`` of the hub's four files from one ``repro run``."""
+    from repro.cli import main
+
+    assert main(["run", "--benchmark", BENCH, "--procs", "2", "--seed",
+                 "0", "--out-dir", str(out_dir)]) == 0
+    stem = f"run-{BENCH.replace('/', '-')}-p2-s0"
+    return {suffix: (out_dir / (stem + suffix)).read_bytes()
+            for suffix in HUB_FILES}
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_artifacts(self):
-        a, b = _observed_run(), _observed_run()
-        assert a.render_prometheus() == b.render_prometheus()
-        assert (json.dumps(a.snapshot(), sort_keys=True)
-                == json.dumps(b.snapshot(), sort_keys=True))
-        assert a.recorder.dump() == b.recorder.dump()
-        assert (json.dumps(a.fingerprints.as_dict(), sort_keys=True)
-                == json.dumps(b.fingerprints.as_dict(), sort_keys=True))
+    def test_identical_runs_identical_artifacts(self, tmp_path, capsys):
+        assert (_observed_run(tmp_path / "a")
+                == _observed_run(tmp_path / "b"))
 
-    def test_exposition_is_scrapeable(self):
-        hub = _observed_run()
-        assert validate_exposition(hub.render_prometheus()) >= 3
+    def test_exposition_is_scrapeable(self, tmp_path, capsys):
+        prom = _observed_run(tmp_path)[".prom"].decode()
+        assert validate_exposition(prom) >= 3
 
 
 class TestRuntimeWiring:
@@ -206,13 +206,13 @@ class TestObsCli:
     def test_obs_emits_artifacts(self, tmp_path, capsys):
         from repro.cli import main
 
-        out_dir = str(tmp_path / "obs")
-        assert main(["obs", "--benchmark", BENCH, "--seed", "0",
+        out_dir = str(tmp_path / "run")
+        assert main(["run", "--benchmark", BENCH, "--seed", "0",
                      "--out-dir", out_dir]) == 0
         out = capsys.readouterr().out
-        assert "observability report" in out
+        assert "context switches:" in out
         assert "leak fingerprint" in out
-        base = f"obs-{BENCH.replace('/', '-')}-p2-s0"
+        base = f"run-{BENCH.replace('/', '-')}-p2-s0"
         prom = os.path.join(out_dir, f"{base}.prom")
         with open(prom) as fh:
             assert validate_exposition(fh.read()) >= 3
@@ -230,9 +230,9 @@ class TestObsCli:
         from repro.cli import main
 
         db = str(tmp_path / "leaks.json")
-        out_dir = str(tmp_path / "obs")
+        out_dir = str(tmp_path / "run")
         for _ in range(2):
-            assert main(["obs", "--benchmark", BENCH,
+            assert main(["run", "--benchmark", BENCH,
                          "--fingerprint-db", db,
                          "--out-dir", out_dir]) == 0
         capsys.readouterr()

@@ -280,20 +280,22 @@ class TestDeterminism:
                 sort_keys=True, separators=(",", ":")))
         assert docs[0] == docs[1]
 
-    def test_driver_artifacts_byte_identical(self, tmp_path):
-        from repro.trace.driver import (
-            run_traced_benchmark,
-            write_trace_artifacts,
-        )
+    def test_driver_artifacts_byte_identical(self, tmp_path, capsys):
+        from repro.cli import main
 
         blobs = []
         for i in range(2):
-            result = run_traced_benchmark("cgo/sendmail", procs=2, seed=0)
-            paths = write_trace_artifacts(result, str(tmp_path / str(i)))
-            blobs.append({k: open(p, "rb").read()
-                          for k, p in paths.items()})
+            out_dir = tmp_path / str(i)
+            assert main(["run", "--benchmark", "cgo/sendmail",
+                         "--out-dir", str(out_dir)]) == 0
+            blobs.append({p.name: p.read_bytes()
+                          for p in out_dir.iterdir()})
         assert blobs[0] == blobs[1]
-        assert set(blobs[0]) == {"chrome", "provenance", "provenance-txt"}
+        assert {name for name in blobs[0] if "trace" in name
+                or "provenance" in name} == {
+            "run-cgo-sendmail-p2-s0.trace.json",
+            "run-cgo-sendmail-p2-s0-provenance.json",
+            "run-cgo-sendmail-p2-s0-provenance.txt"}
 
 
 class TestChaosIntegration:
