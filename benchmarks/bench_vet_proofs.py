@@ -46,7 +46,7 @@ from repro.runtime.instructions import (
     Work,
 )
 from repro.staticcheck.behavior import analyze_callable_behavior
-from repro.staticcheck.fusion import registry_for_analysis
+from repro.staticcheck.proofs import build_registry
 
 SEED = 0
 PROCS = 2
@@ -137,7 +137,7 @@ def collect() -> dict:
     for workers in WORKER_GRID:
         analysis = analyze_callable_behavior(
             make_pool(workers), name=f"vet_pool_{workers}")
-        registry = registry_for_analysis(analysis)
+        registry = build_registry([analysis])
         off = _run_leg(workers, None)
         on = _run_leg(workers, registry)
         equivalent = (off["status"] == on["status"]

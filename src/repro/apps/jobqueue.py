@@ -98,8 +98,8 @@ def run_job_queue(config: Optional[JobQueueConfig] = None,
                   proof_registry=None) -> JobQueueResult:
     """Process ``config.jobs`` jobs through the pipeline.
 
-    ``proof_registry`` optionally installs static leak-freedom
-    certificates (see :mod:`repro.staticcheck.proofs`) before the
+    ``proof_registry`` optionally installs the static leak-freedom
+    proofs (see :mod:`repro.staticcheck.proofs`) before the
     pipeline spawns — the proofs-on leg of the ``proofs`` equivalence pair.
     """
     config = config or JobQueueConfig()

@@ -242,8 +242,8 @@ def run_kv_workload(config: Optional[KVConfig] = None,
                     proof_registry=None) -> KVWorkloadResult:
     """Drive a mixed GET/PUT/WATCH workload against the store.
 
-    ``proof_registry`` optionally installs static leak-freedom
-    certificates (see :mod:`repro.staticcheck.proofs`) before the
+    ``proof_registry`` optionally installs the static leak-freedom
+    proofs (see :mod:`repro.staticcheck.proofs`) before the
     workload spawns — the proofs-on leg of the ``proofs`` equivalence pair.
     """
     config = config or KVConfig()

@@ -280,8 +280,8 @@ def _cmd_run(args) -> str:
     in ``--out-dir``.  ``--fingerprint-db`` merges the fingerprints of
     earlier invocations in first and saves the merged store after.
 
-    ``--proofs`` certifies the benchmark body with the behavioral
-    engine, installs the per-program certificate registry, and reports
+    ``--proofs`` proves the benchmark body's channels with the behavioral
+    engine, installs the per-program proof registry, and reports
     how many fixpoint scans the proofs skipped alongside the leak
     reports (which are byte-identical either way — re-checkable with
     ``repro equiv proofs``).
@@ -309,10 +309,10 @@ def _cmd_run(args) -> str:
     proven = 0
     if args.proofs:
         from repro.staticcheck.behavior import analyze_callable_behavior
-        from repro.staticcheck.fusion import registry_for_analysis
+        from repro.staticcheck.proofs import build_registry
         body = bench.fixed if args.fixed else bench.body
         analysis = analyze_callable_behavior(body, name=bench.name)
-        registry = registry_for_analysis(analysis)
+        registry = build_registry([analysis])
         proven = len(registry)
 
     variant = "-fixed" if args.fixed else ""
@@ -558,9 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", action="store_true",
                    help="run the benchmark's fixed (leak-free) variant")
     p.add_argument("--proofs", action="store_true",
-                   help="certify the benchmark with the behavioral "
-                        "engine and install the certificate registry so "
-                        "the detector skips proven channels")
+                   help="prove the benchmark's channels with the "
+                        "behavioral engine and install the proof registry "
+                        "so the detector skips proven channels")
     p.add_argument("--fingerprint-db", default=None,
                    help="persistent fingerprint store for cross-run "
                         "leak dedup")

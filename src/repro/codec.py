@@ -79,21 +79,8 @@ def need(mapping: Any, key: str, kind, where: str,
     return value
 
 
-def need_items(mapping: Any, key: str, kind, where: str,
-               default: Any = _REQUIRED) -> list:
-    """``need(mapping, key, list, ...)`` whose every item is a ``kind``."""
-    items = need(mapping, key, list, where, default)
-    for i, item in enumerate(items):
-        if not isinstance(item, kind):
-            raise ArtifactError(
-                f"{where}: {key}[{i}] should be {kind}, "
-                f"got {type(item).__name__}")
-    return items
-
-
-def need_version(doc: Any, expected: int, where: str,
-                 key: str = "schema_version") -> None:
-    """Reject a document written under another schema version."""
-    found = need(doc, key, int, where)
+def need_version(doc: Any, expected: int, where: str) -> None:
+    """Reject a document whose ``schema_version`` is not ``expected``."""
+    found = need(doc, "schema_version", int, where)
     if found != expected:
-        raise ArtifactError(f"{where}: {key} {found} != {expected}")
+        raise ArtifactError(f"{where}: schema_version {found} != {expected}")

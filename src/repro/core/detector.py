@@ -113,10 +113,10 @@ def proof_skip_eligible(g: Goroutine) -> bool:
     """Whether static proofs let the detector treat ``g`` as live.
 
     True when the goroutine's entire (non-empty) blocking set consists
-    of channels certified leak-free by ``repro.staticcheck`` (the
+    of channels proven leak-free by ``repro.staticcheck`` (the
     ``proven_leak_free`` tag applied at ``make_chan`` time from the
     installed :class:`~repro.staticcheck.proofs.ProofRegistry`).  The
-    certificate is a whole-program property — the composition proves no
+    proof is a whole-program property — the composition proves no
     reachable terminal state leaves anyone blocked on the channel — so a
     goroutine blocked only on proven channels is guaranteed to be woken
     eventually and the fixpoint may seed it as a root without scanning.

@@ -105,7 +105,7 @@ class DaemonStats:
         #: Leaks first reported by the daemon (not by a GC cycle).
         self.leaks_reported = 0
         #: Blocked goroutines exempted from fixpoint scans by static
-        #: leak-freedom certificates, summed over all passes.
+        #: leak-freedom proofs, summed over all passes.
         self.proof_skips = 0
         self.started_at_ns = 0
         self.stopped_at_ns: Optional[int] = None

@@ -43,7 +43,7 @@ class CycleStats:
         self.mark_clock_ns = 0
         self.liveness_checks = 0
         # Candidates exempted from the fixpoint by static leak-freedom
-        # certificates (blocked only on proven channels; see
+        # proofs (blocked only on proven channels; see
         # repro.staticcheck.proofs).  Zero when no registry is installed.
         self.proof_skips = 0
         # The two STW windows of a cycle.  The atomic collector performs

@@ -96,7 +96,7 @@ class Runtime:
         """Install a :class:`~repro.staticcheck.proofs.ProofRegistry`.
 
         Channels made after this call whose ``(make-site, capacity)``
-        carries a leak-freedom certificate are tagged, letting the
+        the registry proves leak-free are tagged, letting the
         detector fixpoint skip their sudog scans.  Install before
         :meth:`spawn_main` so every channel allocation sees the
         registry; pass ``None`` to turn proofs off again.

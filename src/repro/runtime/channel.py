@@ -82,8 +82,8 @@ class Channel(HeapObject):
         self.last_sender_goid = 0
         self.last_receiver_goid = 0
         self.total_transfers = 0
-        # Set at make_chan time when an installed ProofRegistry holds a
-        # leak-freedom certificate for this (make-site, capacity): the
+        # Set at make_chan time when an installed ProofRegistry proves
+        # this (make-site, capacity) leak-free: the
         # detector fixpoint treats goroutines blocked only on proven
         # channels as live without scanning (repro.core.detector).
         self.proven_leak_free = False

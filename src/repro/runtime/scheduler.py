@@ -162,7 +162,7 @@ class Scheduler:
         self.tracer = None
         #: Optional static-proof registry (see repro.staticcheck.proofs).
         #: When installed, make_chan tags channels whose (make-site,
-        #: capacity) carries a leak-freedom certificate; the detector
+        #: capacity) the registry proves leak-free; the detector
         #: skips sudog scans for goroutines blocked only on tagged
         #: channels.  None = proofs off (no channel ever tagged).
         self.proof_registry = None

@@ -17,10 +17,11 @@ Cross-validation against GOLF's dynamic ground truth lives in
 :mod:`repro.staticcheck.crossval`.
 
 The behavioral-type layer (trace abstraction + synchronous composition
-over the same extractions, producing machine-checkable leak-freedom
-certificates that the runtime detector consumes) lives in
-:mod:`repro.staticcheck.behavior`, :mod:`repro.staticcheck.proofs`, and
-:mod:`repro.staticcheck.fusion`; see docs/VET.md.
+over the same extractions, proving channels leak-free; an in-memory
+registry of the proven channels is what the runtime detector consumes)
+lives in :mod:`repro.staticcheck.behavior`,
+:mod:`repro.staticcheck.proofs`, and :mod:`repro.staticcheck.fusion`;
+see docs/VET.md.
 """
 
 from repro.staticcheck.model import (
@@ -55,20 +56,13 @@ from repro.staticcheck.behavior import (
     analyze_callable_behavior,
     analyze_extraction_behavior,
 )
-from repro.staticcheck.proofs import (
-    Certificate,
-    ProofRegistry,
-    build_registry,
-    certificates_for,
-    verify_certificate,
-)
+from repro.staticcheck.proofs import ProofRegistry, build_registry
 
 __all__ = [
     "ALL_RULES",
     "Annotation",
     "BehaviorAnalysis",
     "CLEAN",
-    "Certificate",
     "CrossvalResult",
     "Diagnostic",
     "ERROR",
@@ -91,7 +85,6 @@ __all__ = [
     "analyze_extraction_behavior",
     "analyze_file",
     "build_registry",
-    "certificates_for",
     "extract_callable",
     "extract_file",
     "parse_annotations",

@@ -10,9 +10,8 @@ the synchronous composition of those terms.  An exhaustive bounded
 exploration of the composition then renders one verdict per channel:
 
 - :data:`PROVEN` (``proven-leak-free``): no reachable terminal state has
-  any component blocked on the channel.  The closed trace term plus the
-  exploration transcript form a machine-checkable certificate
-  (:mod:`repro.staticcheck.proofs` re-runs the exploration to verify).
+  any component blocked on the channel.  The runtime tags such channels
+  through the in-memory :mod:`repro.staticcheck.proofs` registry.
 - :data:`POTENTIAL` (``potential-leak``): a *definite* counterexample
   trace exists — a terminal stuck state reachable without resolving any
   may-branch (conditional op, early loop exit, unmodelable op).
@@ -21,7 +20,7 @@ exploration of the composition then renders one verdict per channel:
   a stuck state is reachable only through may-branches.  The rule engine
   remains the second opinion for these.
 
-Modeling conventions (recorded as certificate assumptions):
+Modeling conventions (every :data:`PROVEN` verdict rests on them):
 
 - Conditional ops (``cond_depth > 0`` relative to their body's spawn)
   are *optional*: the exploration branches on skip/take, both flagged as
@@ -38,17 +37,19 @@ Modeling conventions (recorded as certificate assumptions):
   multi-execution op (the common ``for: send`` / ``for: go worker()``
   shapes); re-serializing several ops of one loop is order-ambiguous,
   so those channels fall back to :data:`UNPROVEN` instead.
+- The composition is the whole program: a verdict holds for the entry
+  it was computed under, not for the same make-site reached from
+  another entry.
+- A panic (send on a closed channel, double close, negative WaitGroup,
+  unlock of an unlocked mutex) terminates the program, so nothing leaks
+  after it: the panic state is a clean terminal.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.codec import need, need_items
-from repro.errors import ArtifactError
 from repro.staticcheck.model import (
     MANY,
     ChanVal,
@@ -81,17 +82,6 @@ _INACTIVE = -3
 #: nothing leaks — a *clean* terminal for leak purposes.
 _PANIC_STATE = ("panic",)
 
-#: Assumptions every certificate carries (see module docstring).
-ASSUMPTIONS = (
-    "conditional-ops-optional",
-    "unbounded-recv-drains-until-close",
-    "whole-program-composition",
-    "panic-terminates-program",
-)
-
-#: A channel / sync-object uid slot in a serialized model.
-_UID_OR_NONE = (int, type(None))
-
 
 class Step:
     """One step of a component's trace term."""
@@ -121,52 +111,6 @@ class Step:
         self.spawn_count = spawn_count
         self.may_exit = may_exit  # drain: may stop before close
 
-    def to_dict(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {"kind": self.kind}
-        if self.chan is not None:
-            d["chan"] = self.chan
-        if self.site:
-            d["site"] = self.site
-        if self.optional:
-            d["optional"] = True
-        if self.arms:
-            d["arms"] = [[k, c] for k, c in self.arms]
-        if self.default:
-            d["default"] = True
-        if self.delta:
-            d["delta"] = self.delta
-        if self.obj is not None:
-            d["obj"] = self.obj
-        if self.spawn_body is not None:
-            d["spawn_body"] = self.spawn_body
-            d["spawn_count"] = self.spawn_count
-        if self.may_exit:
-            d["may_exit"] = True
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str) -> "Step":
-        kind = need(d, "kind", str, where)
-        arms = []
-        for i, arm in enumerate(need(d, "arms", list, where, [])):
-            if not (isinstance(arm, list) and len(arm) == 2
-                    and isinstance(arm[0], str)
-                    and isinstance(arm[1], _UID_OR_NONE)):
-                raise ArtifactError(
-                    f"{where}: arms[{i}] should be a [kind, chan] pair")
-            arms.append((arm[0], arm[1]))
-        return cls(
-            kind, chan=need(d, "chan", _UID_OR_NONE, where, None),
-            site=need(d, "site", str, where, ""),
-            optional=need(d, "optional", bool, where, False), arms=arms,
-            default=need(d, "default", bool, where, False),
-            delta=need(d, "delta", int, where, 0),
-            obj=need(d, "obj", _UID_OR_NONE, where, None),
-            spawn_body=need(d, "spawn_body", _UID_OR_NONE, where, None),
-            spawn_count=need(d, "spawn_count", int, where, 0),
-            may_exit=need(d, "may_exit", bool, where, False),
-        )
-
     def __repr__(self) -> str:
         return f"<step {self.kind}{'' if self.chan is None else f' c{self.chan}'}>"
 
@@ -187,23 +131,6 @@ class Component:
     @property
     def label(self) -> str:
         return f"{self.name}[{self.instance}]"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "body_uid": self.body_uid,
-            "instance": self.instance, "entry": self.entry,
-            "steps": [s.to_dict() for s in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any], where: str) -> "Component":
-        steps = need(d, "steps", list, where)
-        return cls(need(d, "name", str, where),
-                   need(d, "body_uid", int, where),
-                   need(d, "instance", int, where),
-                   [Step.from_dict(s, f"{where}.steps[{i}]")
-                    for i, s in enumerate(steps)],
-                   entry=need(d, "entry", bool, where, False))
 
 
 class BehaviorModel:
@@ -244,70 +171,6 @@ class BehaviorModel:
         if info and info.get("label"):
             return info["label"]
         return f"chan#{uid}"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "entry": self.entry_name,
-            "file": self.file,
-            "components": [c.to_dict() for c in self.components],
-            "channels": {
-                str(uid): dict(info)
-                for uid, info in sorted(self.channels.items())
-            },
-            "wgs": sorted(self.wgs),
-            "mutexes": sorted(self.mutexes),
-            "semas": {str(u): c for u, c in sorted(self.semas.items())},
-            "unknown_channels": {
-                str(u): r for u, r in sorted(self.unknown_channels.items())
-            },
-            "notes": list(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any],
-                  where: str = "behavior model") -> "BehaviorModel":
-        """Decode :meth:`to_dict`'s document; a malformed one is an
-        :class:`ArtifactError` naming the key path."""
-        model = cls(need(d, "entry", str, where), need(d, "file", str, where))
-        model.components = [
-            Component.from_dict(c, f"{where}.components[{i}]")
-            for i, c in enumerate(need(d, "components", list, where))]
-        channels = _by_uid(need(d, "channels", dict, where), dict,
-                           f"{where}.channels")
-        for uid, info in channels.items():
-            at = f"{where}.channels.{uid}"
-            need(info, "capacity", int, at)
-            need(info, "label", (str, type(None)), at, None)
-            need(info, "site", str, at, "")
-            model.channels[uid] = dict(info)
-        model.wgs = need_items(d, "wgs", int, where)
-        model.mutexes = need_items(d, "mutexes", int, where)
-        model.semas = _by_uid(need(d, "semas", dict, where), int,
-                              f"{where}.semas")
-        model.unknown_channels = _by_uid(
-            need(d, "unknown_channels", dict, where, {}), str,
-            f"{where}.unknown_channels")
-        model.notes = need_items(d, "notes", str, where, [])
-        model.finalize()
-        return model
-
-    def hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _by_uid(mapping: Dict[str, Any], kind, where: str) -> Dict[int, Any]:
-    """A JSON object keyed by uid strings, each value a ``kind``, keyed
-    by ``int`` uid."""
-    out: Dict[int, Any] = {}
-    for key in mapping:
-        value = need(mapping, key, kind, where)
-        try:
-            out[int(key)] = value
-        except ValueError:
-            raise ArtifactError(f"{where}: {key!r} is not a uid") from None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -708,37 +571,17 @@ def build_model(ex: Extraction) -> BehaviorModel:
 
 
 class ExploreResult:
-    """Transcript of one exhaustive exploration of a model."""
+    """Outcome of one exhaustive exploration of a model."""
 
-    __slots__ = ("states", "transitions", "complete", "terminals",
-                 "panic_terminals", "clean_terminals", "stuck",
-                 "counterexamples")
+    __slots__ = ("complete", "stuck", "counterexamples")
 
     def __init__(self) -> None:
-        self.states = 0
-        self.transitions = 0
         self.complete = True
-        self.terminals = 0
-        self.panic_terminals = 0
-        self.clean_terminals = 0
         #: chan uid -> "definite" | "may": a terminal state exists with a
         #: component blocked on this channel.
         self.stuck: Dict[int, str] = {}
         #: chan uid -> action-label trace to a definite stuck terminal.
         self.counterexamples: Dict[int, List[str]] = {}
-
-    def transcript(self) -> Dict[str, Any]:
-        return {
-            "states": self.states,
-            "transitions": self.transitions,
-            "complete": self.complete,
-            "terminals": self.terminals,
-            "clean_terminals": self.clean_terminals,
-            "panic_terminals": self.panic_terminals,
-            "stuck_channels": {
-                str(uid): kind for uid, kind in sorted(self.stuck.items())
-            },
-        }
 
 
 class _Explorer:
@@ -1149,22 +992,14 @@ def explore(model: BehaviorModel) -> ExploreResult:
     every: Dict[tuple, Optional[Tuple[tuple, str]]] = dict(definite)
     complete = bfs(True, every, deque(every)) and complete
     result.complete = complete
-    result.states = len(every)
-    result.transitions = MAX_TRANSITIONS - budget[0]
     if not complete:
         return result
 
     for state in every:
-        if state == _PANIC_STATE:
-            result.terminals += 1
-            result.panic_terminals += 1
+        if state == _PANIC_STATE or ex.transitions(state):
             continue
-        if ex.transitions(state):
-            continue
-        result.terminals += 1
         stuck_here = _stuck_channels(model, state)
         if not stuck_here:
-            result.clean_terminals += 1
             continue
         is_definite = state in definite
         for uid in stuck_here:
@@ -1275,17 +1110,6 @@ class BehaviorAnalysis:
     @property
     def unknown(self) -> List[ChannelVerdict]:
         return [v for v in self.verdicts if v.verdict == UNPROVEN]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "entry": self.entry_name,
-            "file": self.file,
-            "model_hash": self.model.hash(),
-            "transcript": (self.result.transcript()
-                           if self.result is not None else None),
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "notes": list(self.notes),
-        }
 
 
 def _site_str(site: Any) -> str:

@@ -1,6 +1,6 @@
-"""Certificate registries for the static→dynamic fusion.
+"""Proof registries for the static→dynamic fusion.
 
-Certificates tag channels so the GOLF detector skips their sudog scans
+Proven channels are tagged so the GOLF detector skips their sudog scans
 (see :mod:`repro.staticcheck.proofs` and ``repro.core.detector``).
 That is only admissible if it is *observably neutral* — the ``proofs``
 pair of :mod:`repro.equivalence` checks it on every ground-truth
@@ -8,7 +8,7 @@ program and both demo services (docs/EQUIVALENCE.md).  This module
 builds the registries that check installs:
 
 - one per program, from that program's own analysis — proofs are
-  whole-program properties, so certificates are never shared across
+  whole-program properties, so a registry is never shared across
   entries;
 - one per demo service.  Their entry closures are not statically
   extractable, so the registry comes from the module-level roots
@@ -22,7 +22,6 @@ import os
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.staticcheck.behavior import (
-    BehaviorAnalysis,
     analyze_callable_behavior,
     analyze_extraction_behavior,
 )
@@ -30,22 +29,15 @@ from repro.staticcheck.extractor import extract_file
 from repro.staticcheck.proofs import ProofRegistry, build_registry
 
 
-def registry_for_analysis(analysis: BehaviorAnalysis) -> ProofRegistry:
-    """Per-program registry: this entry's certificates only."""
-    registry = ProofRegistry()
-    registry.add_analysis(analysis)
-    return registry
-
-
 def install_program_proofs(rt, program) -> None:
-    """Leg hook of the ``proofs`` pair: certify ``program`` and install
-    its own registry on the fresh runtime."""
+    """Leg hook of the ``proofs`` pair: prove ``program``'s channels and
+    install its own registry on the fresh runtime."""
     analysis = analyze_callable_behavior(program.body, name=program.name)
-    rt.install_proofs(registry_for_analysis(analysis))
+    rt.install_proofs(build_registry([analysis]))
 
 
 def proof_witness(rt) -> Dict[str, int]:
-    """Non-vacuity counters of the ``proofs`` pair: certificates
+    """Non-vacuity counters of the ``proofs`` pair: proven sites
     installed, and fixpoint scans the detector actually skipped."""
     return {
         "proven_sites": len(rt.sched.proof_registry),

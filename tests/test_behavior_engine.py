@@ -1,13 +1,12 @@
-"""Behavioral-type engine: verdicts, edge cases, and certificates.
+"""Behavioral-type engine: verdicts, edge cases, and the proof registry.
 
 The engine (repro.staticcheck.behavior) abstracts goroutine bodies into
 forkable trace types and explores their synchronous composition; each
-channel gets PROVEN (leak-free, with a machine-checkable certificate),
-POTENTIAL (a definite counterexample trace), or UNKNOWN (sound
-give-up).  These tests pin the verdicts on the tricky corners —
-select-with-default, nil-channel arms, close-then-recv drains, buffered
-capacity, recursive spawns — and the certificate lifecycle
-(round-trip, tamper detection, registry demotion).
+channel gets PROVEN (leak-free), POTENTIAL (a definite counterexample
+trace), or UNKNOWN (sound give-up).  These tests pin the verdicts on the
+tricky corners — select-with-default, nil-channel arms, close-then-recv
+drains, buffered capacity, recursive spawns — and the in-memory proof
+registry (lookup, sticky demotion, the unknown-capacity rule).
 """
 
 import pytest
@@ -19,12 +18,9 @@ from repro.staticcheck.behavior import (
     analyze_callable_behavior,
 )
 from repro.staticcheck.proofs import (
-    Certificate,
     ProofRegistry,
     build_registry,
-    certificates_for,
     normalize_site,
-    verify_certificate,
 )
 from repro.runtime.instructions import (
     Close,
@@ -209,49 +205,13 @@ class TestCertificates:
 
         return analyze_callable_behavior(body, name="cert_body")
 
-    def test_certificate_verifies_and_round_trips(self):
-        analysis = self._proven_analysis()
-        certs = certificates_for(analysis)
-        assert len(certs) == 1
-        cert = certs[0]
-        ok, reason = verify_certificate(cert)
-        assert ok, reason
-        clone = Certificate.from_dict(cert.to_dict())
-        ok, reason = verify_certificate(clone)
-        assert ok, reason
-
-    def test_tampered_certificate_is_rejected(self):
-        analysis = self._proven_analysis()
-        cert = certificates_for(analysis)[0]
-        doc = cert.to_dict()
-        doc["model_hash"] = "0" * 16
-        ok, reason = verify_certificate(Certificate.from_dict(doc))
-        assert not ok
-        assert "hash" in reason
-
-    def test_tampered_model_is_rejected(self):
-        """Editing the model (e.g. deleting the receive) must fail
-        verification even if the hash is recomputed honestly."""
-        analysis = self._proven_analysis()
-        cert = certificates_for(analysis)[0]
-        doc = cert.to_dict()
-        for comp in doc["model"]["components"]:
-            comp["steps"] = [s for s in comp["steps"]
-                             if s["kind"] != "recv"]
-        tampered = Certificate.from_dict(doc)
-        tampered.model_hash = tampered.model.hash()
-        ok, reason = verify_certificate(tampered)
-        assert not ok
-
-    def test_registry_round_trip_and_lookup(self):
+    def test_registry_lookup(self):
         analysis = self._proven_analysis()
         registry = build_registry([analysis])
         assert len(registry) == 1
-        (site,) = registry.proven_sites()
-        make_site, capacity = site
+        ((make_site, capacity),) = registry.proven_sites()
         assert registry.is_proven(make_site, capacity)
-        clone = ProofRegistry.from_json(registry.to_json())
-        assert clone.is_proven(make_site, capacity)
+        assert not registry.is_proven(make_site, capacity + 1)
 
     def test_demotion_is_permanent(self):
         """A site unproven in any loaded analysis stays demoted —
@@ -262,6 +222,19 @@ class TestCertificates:
         registry.demote(make_site, capacity)
         assert not registry.is_proven(make_site, capacity)
         registry.add_analysis(analysis)     # cannot resurrect
+        assert not registry.is_proven(make_site, capacity)
+
+    def test_a_site_demoted_at_unknown_capacity_is_not_counted(self):
+        """Demotion at unknown capacity covers every capacity of the
+        site, so a later proof of it is refused, not counted: the count,
+        the listing and the lookup agree."""
+        analysis = self._proven_analysis()
+        ((make_site, capacity),) = build_registry([analysis]).proven_sites()
+        registry = ProofRegistry()
+        registry.demote(make_site, None)
+        assert registry.add_analysis(analysis) == 0
+        assert len(registry) == 0
+        assert registry.proven_sites() == []
         assert not registry.is_proven(make_site, capacity)
 
     def test_normalize_site_resolves_relative_paths(self):

@@ -3,7 +3,7 @@
 Every loader and validator, fed a mutated copy of a real document,
 either accepts it or raises :class:`~repro.errors.ArtifactError` — never
 a ``KeyError`` / ``TypeError`` / ``AttributeError`` — and a field-level
-rejection names a key on the mutated path.  The six malformed shapes
+rejection names a key on the mutated path.  The five malformed shapes
 that escaped as raw exceptions before the codec are pinned first; they
 use only names that predate it, so they can be run against an older
 ``src`` to see them fail.
@@ -19,12 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.fleet import FleetConfig, run_fleet, validate_fleet_artifact
-from repro.runtime.instructions import Go, MakeChan, Recv, Send
-from repro.staticcheck.behavior import (
-    BehaviorModel,
-    analyze_callable_behavior,
-)
-from repro.staticcheck.proofs import ProofRegistry, build_registry
 from repro.cli import main
 from repro.telemetry import FingerprintStore, validate_exposition
 from repro.trace.chrome import validate_chrome_trace
@@ -36,7 +30,7 @@ def codec():
 
 
 # ---------------------------------------------------------------------------
-# The six shapes that used to escape untyped
+# The five shapes that used to escape untyped
 # ---------------------------------------------------------------------------
 
 
@@ -58,10 +52,6 @@ def test_fingerprint_db_shapes_are_typed_errors(tmp_path, text, names):
     path = tmp_path / "fingerprints.json"
     path.write_text(text)
     _rejects(lambda: FingerprintStore().load(str(path)), str(path), *names)
-
-
-def test_proof_registry_that_is_not_an_object():
-    _rejects(lambda: ProofRegistry.from_json("[]"), "proof registry")
 
 
 def test_fleet_artifact_with_a_non_object_shard(fleet_doc):
@@ -101,22 +91,7 @@ def run_stem(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def registry_doc(codec):
-    def body():
-        done = yield MakeChan(0, label="done")
-
-        def worker(ch=done):
-            yield Send(ch, 1)
-
-        yield Go(worker)
-        yield Recv(done)
-
-    analysis = analyze_callable_behavior(body, name="cert_body")
-    return codec.loads(build_registry([analysis]).to_json())
-
-
-@pytest.fixture(scope="module")
-def documents(codec, fleet_doc, run_stem, registry_doc):
+def documents(codec, fleet_doc, run_stem):
     """``{format: (document, reader)}``, every document JSON-native."""
     readers = {
         "fleet": (fleet_doc, validate_fleet_artifact),
@@ -124,16 +99,12 @@ def documents(codec, fleet_doc, run_stem, registry_doc):
                    validate_chrome_trace),
         "fingerprints": (codec.read(f"{run_stem}-fingerprints.json"),
                          FingerprintStore.from_dict),
-        "proofs": (registry_doc,
-                   lambda doc: ProofRegistry.from_json(codec.dumps(doc))),
-        "model": (registry_doc["certificates"][0]["model"],
-                  BehaviorModel.from_dict),
     }
     return {name: (codec.loads(codec.dumps(doc)), reader)
             for name, (doc, reader) in readers.items()}
 
 
-FORMATS = ("fleet", "chrome", "fingerprints", "proofs", "model")
+FORMATS = ("fleet", "chrome", "fingerprints")
 
 
 @pytest.mark.parametrize("name", FORMATS)
@@ -148,23 +119,8 @@ def test_the_real_document_is_accepted_and_round_trips(
     assert text.endswith("}\n") and not text.endswith("\n\n")
 
 
-def test_a_rehashed_certificate_naming_an_undeclared_channel(
-        codec, registry_doc):
-    """Beyond a random mutation's reach: the model is damaged *and* its
-    hash recomputed, so only re-exploration can notice."""
-    doc = copy.deepcopy(registry_doc)
-    (cert,) = doc["certificates"]
-    for component in cert["model"]["components"]:
-        for step in component["steps"]:
-            step["chan"] = 999
-    cert["model_hash"] = BehaviorModel.from_dict(cert["model"]).hash()
-    _rejects(lambda: ProofRegistry.from_json(codec.dumps(doc)),
-             "failed verification", "model-not-explorable")
-
-
 def test_the_fingerprint_document_has_records(documents):
     assert documents["fingerprints"][0]["records"]
-    assert documents["proofs"][0]["certificates"]
 
 
 # ---------------------------------------------------------------------------

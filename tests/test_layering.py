@@ -11,7 +11,8 @@ repository passes is a constant, not an option.  And every output has a
 reader: a metric series nothing reads is not registered.  And every
 committed artifact has exactly one writer that CI checks.  And every
 module has a reader: one that no bench script, equivalence pair or
-content-checked CLI step imports is deleted or kept with a reason.
+content-checked CLI step imports is deleted or kept with a reason.  And
+every on-disk format in docs/ARCHITECTURE.md's table has a writer.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ _JSON_CALLS = ("dump", "dumps", "load", "loads")
 
 def test_json_is_spelled_only_in_the_codec():
     """One writer, one reader (docs/ARCHITECTURE.md, "On-disk formats"):
-    ``json`` is used by :mod:`repro.codec` and by ``BehaviorModel.hash``
-    (a hash input, not an artifact), and ``need`` is defined once."""
+    ``json`` is used by :mod:`repro.codec` alone, and ``need`` is
+    defined once."""
     json_users, need_defs = set(), []
     for source in sorted(PACKAGE.rglob("*.py")):
         path = source.relative_to(PACKAGE).as_posix()
@@ -136,9 +137,7 @@ def test_json_is_spelled_only_in_the_codec():
                 json_users.add((path, "from json import"))
             elif isinstance(node, ast.FunctionDef) and node.name == "need":
                 need_defs.append(path)
-    assert json_users == {
-        ("codec.py", "dumps"), ("codec.py", "loads"),
-        ("staticcheck/behavior.py", "BehaviorModel.hash")}
+    assert json_users == {("codec.py", "dumps"), ("codec.py", "loads")}
     assert need_defs == ["codec.py"]
 
 
@@ -382,6 +381,19 @@ def test_metric_catalog_is_the_registry():
     documented = [line.split("`")[1] for line in table.splitlines()
                   if line.startswith("| `")]
     assert sorted(documented) == [m.name for m in TelemetryHub().registry]
+
+
+def test_every_on_disk_format_has_a_writer():
+    """docs/ARCHITECTURE.md's "On-disk formats" table names a writer in
+    every row: a format nothing writes is a loader for files that do not
+    exist, so it is deleted, not listed."""
+    text = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+    section = text.split("## 13. On-disk formats", 1)[1].split("\n## ")[0]
+    header, *rows = [line.split(" | ") for line in section.splitlines()
+                     if line.startswith("| ")]
+    assert header[2] == "written by" and len(rows) >= 10
+    unwritten = [row[0].lstrip("| ") for row in rows if row[2] == "—"]
+    assert unwritten == [], f"formats nothing writes: {unwritten}"
 
 
 # -- every committed artifact has one writer ----------------------------------

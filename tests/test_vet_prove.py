@@ -5,7 +5,7 @@ malformed annotations fail in text AND json mode, even under
 ``--fail-on never``; a failing ``--json`` run still emits a parseable
 document on stdout), the ``# vet: chan=<label> <expectation>``
 annotation grammar with its malformed-annotation diagnostics, and the
-static→dynamic fusion: certificates installed via
+static→dynamic fusion: proof registries installed via
 ``Runtime.install_proofs`` make the detector skip proven channels
 while leaving leak reports byte-identical.
 """
@@ -31,7 +31,7 @@ from repro.runtime.instructions import (
 )
 from repro.staticcheck import vet_paths
 from repro.staticcheck.behavior import analyze_callable_behavior
-from repro.staticcheck.fusion import registry_for_analysis
+from repro.staticcheck.proofs import build_registry
 from repro.staticcheck.report import CHAN_EXPECTATIONS, parse_annotations
 from tests.conftest import swept
 
@@ -281,7 +281,7 @@ def _run_pool(registry):
 class TestRuntimeFusion:
     def test_detector_skips_proven_channels_identically(self):
         analysis = analyze_callable_behavior(_pool_body)
-        registry = registry_for_analysis(analysis)
+        registry = build_registry([analysis])
         assert len(registry) == 1     # pool.req is proven
 
         off_status, off_skips, off_reports = _run_pool(None)
