@@ -94,19 +94,11 @@ class JobQueueResult:
 
 
 def run_job_queue(config: Optional[JobQueueConfig] = None,
-                  golf: bool = True,
-                  proof_registry=None) -> JobQueueResult:
-    """Process ``config.jobs`` jobs through the pipeline.
-
-    ``proof_registry`` optionally installs the static leak-freedom
-    proofs (see :mod:`repro.staticcheck.proofs`) before the
-    pipeline spawns — the proofs-on leg of the ``proofs`` equivalence pair.
-    """
+                  golf: bool = True) -> JobQueueResult:
+    """Process ``config.jobs`` jobs through the pipeline."""
     config = config or JobQueueConfig()
     gc_config = GolfConfig() if golf else GolfConfig.baseline()
     rt = Runtime(procs=PROCS, seed=config.seed, config=gc_config)
-    if proof_registry is not None:
-        rt.install_proofs(proof_registry)
     rt.enable_periodic_gc(PERIODIC_GC_MS * MILLISECOND)
     host_rng = random.Random(config.seed ^ 0x10B5)
     result = JobQueueResult()

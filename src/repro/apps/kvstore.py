@@ -238,19 +238,11 @@ class KVWorkloadResult:
 
 
 def run_kv_workload(config: Optional[KVConfig] = None,
-                    golf: bool = True,
-                    proof_registry=None) -> KVWorkloadResult:
-    """Drive a mixed GET/PUT/WATCH workload against the store.
-
-    ``proof_registry`` optionally installs the static leak-freedom
-    proofs (see :mod:`repro.staticcheck.proofs`) before the
-    workload spawns — the proofs-on leg of the ``proofs`` equivalence pair.
-    """
+                    golf: bool = True) -> KVWorkloadResult:
+    """Drive a mixed GET/PUT/WATCH workload against the store."""
     config = config or KVConfig()
     gc_config = GolfConfig() if golf else GolfConfig.baseline()
     rt = Runtime(procs=PROCS, seed=config.seed, config=gc_config)
-    if proof_registry is not None:
-        rt.install_proofs(proof_registry)
     rt.enable_periodic_gc(PERIODIC_GC_MS * MILLISECOND)
     host_rng = random.Random(config.seed ^ 0x5107E)
     result = KVWorkloadResult()

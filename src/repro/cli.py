@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro run --benchmark cgo/sendmail --proofs
+    python -m repro run --benchmark cgo/sendmail
     python -m repro chaos --seeds 25 --scenario mixed
     python -m repro vet examples --expect
     python -m repro equiv all
@@ -279,12 +279,6 @@ def _cmd_run(args) -> str:
     text) are written under one stem, ``run-<slug>[-fixed]-p<P>-s<S>``,
     in ``--out-dir``.  ``--fingerprint-db`` merges the fingerprints of
     earlier invocations in first and saves the merged store after.
-
-    ``--proofs`` proves the benchmark body's channels with the behavioral
-    engine, installs the per-program proof registry, and reports
-    how many fixpoint scans the proofs skipped alongside the leak
-    reports (which are byte-identical either way — re-checkable with
-    ``repro equiv proofs``).
     """
     from repro.microbench.harness import run_microbenchmark
     from repro.telemetry import (
@@ -305,16 +299,6 @@ def _cmd_run(args) -> str:
     if args.fixed and bench.fixed is None:
         raise SystemExit(f"benchmark {bench.name} has no fixed variant")
 
-    registry = None
-    proven = 0
-    if args.proofs:
-        from repro.staticcheck.behavior import analyze_callable_behavior
-        from repro.staticcheck.proofs import build_registry
-        body = bench.fixed if args.fixed else bench.body
-        analysis = analyze_callable_behavior(body, name=bench.name)
-        registry = build_registry([analysis])
-        proven = len(registry)
-
     variant = "-fixed" if args.fixed else ""
     hub = TelemetryHub()
     db = args.fingerprint_db
@@ -329,8 +313,6 @@ def _cmd_run(args) -> str:
         holder["rt"] = rt
         hub.attach(rt)
         rt.enable_tracing(capacity=TRACE_CAPACITY)
-        if registry is not None:
-            rt.install_proofs(registry)
 
     res = run_microbenchmark(bench, procs=args.procs, seed=args.seed,
                              use_fixed=args.fixed, rt_hook=hook)
@@ -345,10 +327,6 @@ def _cmd_run(args) -> str:
         f"  gc        : {res.num_gc} cycle(s), "
         f"mark clock {res.mark_clock_ns} ns",
     ]
-    if args.proofs:
-        skips = sum(cs.proof_skips for cs in rt.collector.stats.cycles)
-        lines.append(f"  proofs    : {proven} proven site(s) installed, "
-                     f"{skips} fixpoint scan(s) skipped")
     for report in rt.reports.reports:
         lines.append("  " + report.format().replace("\n", "\n  "))
 
@@ -545,11 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-dir", default=None,
                    help="also write the JSON report into this directory")
 
-    p = add("run", help="run one microbenchmark observed and traced, "
-                        "optionally with static leak-freedom proofs fused "
-                        "into the detector; writes the metrics, recorder, "
-                        "fingerprint, Chrome-trace and why-leaked "
-                        "artifacts")
+    p = add("run", help="run one microbenchmark observed and traced; "
+                        "writes the metrics, recorder, fingerprint, "
+                        "Chrome-trace and why-leaked artifacts")
     p.add_argument("--benchmark", default="cgo/sendmail",
                    type=_known("benchmark", benchmarks_by_name),
                    help="microbenchmark name (see repro.microbench)")
@@ -557,10 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs", type=int, default=2)
     p.add_argument("--fixed", action="store_true",
                    help="run the benchmark's fixed (leak-free) variant")
-    p.add_argument("--proofs", action="store_true",
-                   help="prove the benchmark's channels with the "
-                        "behavioral engine and install the proof registry "
-                        "so the detector skips proven channels")
     p.add_argument("--fingerprint-db", default=None,
                    help="persistent fingerprint store for cross-run "
                         "leak dedup")

@@ -44,8 +44,7 @@ class DetectionResult:
     """Outcome of one reachable-liveness computation."""
 
     __slots__ = ("live", "deadlocked", "mark_iterations",
-                 "mark_work_units", "liveness_checks", "objects_marked",
-                 "proof_skips")
+                 "mark_work_units", "liveness_checks", "objects_marked")
 
     def __init__(self) -> None:
         self.live: List[Goroutine] = []
@@ -54,7 +53,6 @@ class DetectionResult:
         self.mark_work_units = 0
         self.liveness_checks = 0
         self.objects_marked = 0
-        self.proof_skips = 0
 
     def __repr__(self) -> str:
         return (
@@ -80,98 +78,56 @@ def blocking_object_reachable(heap: Heap, obj: HeapObject) -> bool:
     return heap.is_marked(obj)
 
 
-#: Classification values cached on the goroutine descriptor.
-CLASS_NEITHER = 0   # not a detection candidate (runnable, sleeping, DEAD...)
-CLASS_CANDIDATE = 1  # detectably blocked: masked and fixpoint-checked
-CLASS_PROOF_SKIP = 2  # detectably blocked but statically proven live
-
-
-def classify(g: Goroutine) -> int:
-    """Memoized detector classification of ``g``.
+def classify(g: Goroutine) -> bool:
+    """Memoized: is ``g`` a detection candidate (detectably blocked)?
 
     The verdict depends only on wait state (status, wait reason,
-    ``B(g)``, the system flag) and the ``proven_leak_free`` tags of the
-    blocking objects.  Wait state bumps ``g.wait_seq`` at every
-    transition, and proof tags are fixed at channel creation — so a
-    cached verdict is valid exactly while ``wait_seq`` is unchanged, and
-    daemon-cadence re-checks reclassify only goroutines that parked,
-    woke, or died since the previous pass.
+    ``B(g)``, the system flag), and wait state bumps ``g.wait_seq`` at
+    every transition — so a cached verdict is valid exactly while
+    ``wait_seq`` is unchanged, and daemon-cadence re-checks reclassify
+    only goroutines that parked, woke, or died since the previous pass.
     """
     seq = g.wait_seq
     if g._class_seq == seq:
         return g._class_val
-    if g.status is _WAITING and g.is_blocked_detectably:
-        val = CLASS_PROOF_SKIP if proof_skip_eligible(g) else CLASS_CANDIDATE
-    else:
-        val = CLASS_NEITHER
+    val = g.status is _WAITING and g.is_blocked_detectably
     g._class_seq = seq
     g._class_val = val
     return val
 
 
-def proof_skip_eligible(g: Goroutine) -> bool:
-    """Whether static proofs let the detector treat ``g`` as live.
-
-    True when the goroutine's entire (non-empty) blocking set consists
-    of channels proven leak-free by ``repro.staticcheck`` (the
-    ``proven_leak_free`` tag applied at ``make_chan`` time from the
-    installed :class:`~repro.staticcheck.proofs.ProofRegistry`).  The
-    proof is a whole-program property — the composition proves no
-    reachable terminal state leaves anyone blocked on the channel — so a
-    goroutine blocked only on proven channels is guaranteed to be woken
-    eventually and the fixpoint may seed it as a root without scanning.
-    The ``ε`` sentinel and non-channel objects never carry the tag, so
-    nil-channel and sync-object waits are never skipped.  With no
-    registry installed no channel is tagged and this is always False —
-    the tag itself is the proofs-on/off switch.
-    """
-    if not g.blocked_on:
-        return False
-    for obj in g.blocked_on:
-        if not getattr(obj, "proven_leak_free", False):
-            return False
-    return True
-
-
 def seed_roots(heap: Heap, goroutines: Sequence[Goroutine],
                dead_global_hints: frozenset = frozenset(),
-               ) -> Tuple[List[HeapObject], List[Goroutine], int]:
+               ) -> Tuple[List[HeapObject], List[Goroutine]]:
     """Classify, mask and seed in one pass over ``goroutines``.
 
-    Returns ``(roots, candidates, proof_skips)``: GOLF's initial root
-    set ``R'_0`` — global data (minus ``dead_global_hints``, the
-    section 8 extension that lets the fixpoint see past globally
-    reachable channels) plus every goroutine that is runnable in the
-    broad sense (``B(g) = ∅``), kept-deadlocked or pending reclaim
-    (live forever, paper §5.5), or proof-skipped — and the detectably
-    blocked goroutines left masked for the fixpoint to decide.
+    Returns ``(roots, candidates)``: GOLF's initial root set ``R'_0`` —
+    global data (minus ``dead_global_hints``, the section 8 extension
+    that lets the fixpoint see past globally reachable channels) plus
+    every goroutine that is runnable in the broad sense (``B(g) = ∅``)
+    or kept-deadlocked or pending reclaim (live forever, paper §5.5) —
+    and the detectably blocked goroutines left masked for the fixpoint
+    to decide.
 
     ``classify`` is memoized on ``wait_seq``, so at daemon cadence only
     goroutines whose wait state changed since the last pass pay the
-    eligibility checks; proof-skipped and runtime-owned goroutines are
-    filtered here, up front, never inside the fixpoint loop.  Both the
-    atomic cycle (via :func:`detect`) and the incremental collector's
-    MARK_SETUP window call this, so they mask the identical set.
+    predicate; runtime-owned goroutines are filtered here, up front,
+    never inside the fixpoint loop.  Both the atomic cycle (via
+    :func:`detect`) and the incremental collector's MARK_SETUP window
+    call this, so they mask the identical set.
     """
     if dead_global_hints:
         roots = list(heap.globals.referents_excluding(dead_global_hints))
     else:
         roots = [heap.globals]
     candidates = []
-    proof_skips = 0
     for g in goroutines:
-        c = classify(g)
-        if c == CLASS_NEITHER:
-            if g.status is not _DEAD:
-                roots.append(g)
-        elif c == CLASS_CANDIDATE:
+        if classify(g):
             g.masked = True
             candidates.append(g)
-        else:
-            g.masked = False
-            proof_skips += 1
+        elif g.status is not _DEAD:
             roots.append(g)
-    return roots, candidates, proof_skips
+    return roots, candidates
 
 
 def detect(heap: Heap, goroutines: Sequence[Goroutine],
@@ -202,8 +158,7 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     blocked goroutine live that Go's precise stack scan would not.
     """
     result = DetectionResult()
-    roots, candidates, result.proof_skips = seed_roots(
-        heap, goroutines, dead_global_hints)
+    roots, candidates = seed_roots(heap, goroutines, dead_global_hints)
     roots.extend(extra_roots)
     result.mark_work_units, result.objects_marked = mark_from(
         heap, roots, respect_masks=True)

@@ -92,9 +92,8 @@ class DaemonError(ReproError):
 class DaemonStats:
     """Counters for one daemon incarnation."""
 
-    __slots__ = ("checks", "skipped", "leaks_reported", "proof_skips",
-                 "started_at_ns", "stopped_at_ns", "last_check_ns",
-                 "check_times_ns")
+    __slots__ = ("checks", "skipped", "leaks_reported", "started_at_ns",
+                 "stopped_at_ns", "last_check_ns", "check_times_ns")
 
     def __init__(self) -> None:
         #: Completed detection passes.
@@ -104,9 +103,6 @@ class DaemonStats:
         self.skipped = 0
         #: Leaks first reported by the daemon (not by a GC cycle).
         self.leaks_reported = 0
-        #: Blocked goroutines exempted from fixpoint scans by static
-        #: leak-freedom proofs, summed over all passes.
-        self.proof_skips = 0
         self.started_at_ns = 0
         self.stopped_at_ns: Optional[int] = None
         self.last_check_ns: Optional[int] = None
@@ -163,7 +159,6 @@ class DetectionDaemon(SystemTicker):
             self.stats.skipped += 1
             return
         self.stats.checks += 1
-        self.stats.proof_skips += cs.proof_skips
         self.stats.last_check_ns = now
         self.stats.check_times_ns.append(now)
         new_leaks = self.rt.reports.total() - reported_before

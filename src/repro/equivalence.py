@@ -4,14 +4,14 @@ The repo defends the paper's soundness claim by *differential* checks —
 two ways of running the same program that must be observably the same:
 atomic vs incremental GC, the dispatch table vs the legacy interpreter,
 every observer (daemon, scraper, hub, tracer, watchdog) on vs off,
-static proofs on vs off, and §5.3's restart vs on-the-fly root
-expansion.  This module is the only place that defines what a run
-*produced* (:func:`fingerprint`), how two of those are compared
-(:func:`diff_fields`), which configurations are paired (:data:`PAIRS`),
-and what the outcome looks like (:class:`EquivalenceResult`).  Every
-pair is swept over the same 125-program ground-truth corpus
-(:func:`corpus`) by :func:`sweep`; ``python -m repro equiv`` and the
-test suite both go through :func:`run_pair`.  See docs/EQUIVALENCE.md.
+and §5.3's restart vs on-the-fly root expansion.  This module is the
+only place that defines what a run *produced* (:func:`fingerprint`),
+how two of those are compared (:func:`diff_fields`), which
+configurations are paired (:data:`PAIRS`), and what the outcome looks
+like (:class:`EquivalenceResult`).  Every pair is swept over the same
+125-program ground-truth corpus (:func:`corpus`) by :func:`sweep`;
+``python -m repro equiv`` and the test suite both go through
+:func:`run_pair`.  See docs/EQUIVALENCE.md.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ from repro.runtime import executor
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MILLISECOND
 from repro.runtime.watchdog import Watchdog
-from repro.staticcheck.fusion import (
-    demo_services,
-    install_program_proofs,
-    proof_witness,
-)
 from repro.telemetry import TelemetryHub
 
 Diff = Tuple[str, Any, Any]
@@ -129,10 +124,9 @@ class Pair(NamedTuple):
     #: leg B's finished runtime; every other run compares all fields.
     excluded_when: Optional[Callable[[Runtime], Any]] = None
     #: Non-vacuity: counters read off leg B's finished runtime, summed
-    #: over the sweep.  Each one (or just those in ``must_fire``) has to
-    #: end above zero, or leg B never did what the pair is about.
+    #: over the sweep.  Each one has to end above zero, or leg B never
+    #: did what the pair is about.
     witness: Optional[Callable[[Runtime], Dict[str, int]]] = None
-    must_fire: Tuple[str, ...] = ()
 
 
 #: Cadence of the ticker-driven observers: the registry programs run
@@ -185,8 +179,7 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
          excluded_when=lambda rt: rt.detection_daemon.stats.leaks_reported,
          witness=lambda rt: {
              "daemon_checks": rt.detection_daemon.stats.checks,
-             "first_reports": rt.detection_daemon.stats.leaks_reported},
-         must_fire=("daemon_checks",)),
+             "first_reports": rt.detection_daemon.stats.leaks_reported}),
     Pair("scraper",
          Leg("hub", hook=lambda rt, _p: rt.enable_telemetry()),
          Leg("hub+scraper", hook=lambda rt, _p: rt.enable_telemetry(
@@ -213,9 +206,6 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
              "waiter of a newly marked object instead of a rescan of "
              "all candidates), so pause totals and everything timed "
              "after a detection cycle shift")),
-    Pair("proofs",
-         Leg("bare"), Leg("proofs", hook=install_program_proofs),
-         witness=proof_witness, must_fire=("proven_sites",)),
 )}
 
 #: Sequential vs multiprocessing shards.  Its corpus is two small
@@ -255,9 +245,8 @@ class EquivalenceResult:
 
     @property
     def vacuous(self) -> List[str]:
-        """Required witness counters that never moved."""
-        return [k for k in self.pair.must_fire or self.witness
-                if not self.witness.get(k)]
+        """Witness counters that never moved."""
+        return [k for k in self.witness if not self.witness[k]]
 
     @property
     def clean(self) -> bool:
@@ -344,18 +333,6 @@ def sweep(pair: Pair, procs: int = 2, seed: int = 7) -> EquivalenceResult:
     return result
 
 
-def _compare_demo_services(result: EquivalenceResult) -> None:
-    """The ``proofs`` pair over the two demo services: every scalar of
-    the service result must match with the service's registry installed."""
-    def scalars(res: Any) -> Dict[str, Any]:
-        names = getattr(res, "__slots__", None) or vars(res)
-        return {name: getattr(res, name) for name in names}
-
-    for name, runner, registry in demo_services():
-        off, on = scalars(runner()), scalars(runner(proof_registry=registry))
-        result.add(name, diff_fields(off, on))
-
-
 def _fleet_pair(procs: int, seed: int) -> EquivalenceResult:
     """Both workload shapes on a 2-shard fleet small enough to spawn in
     about a second and leaky enough that every shard reports."""
@@ -384,7 +361,4 @@ def run_pair(name: str, procs: int = 2, seed: int = 7) -> EquivalenceResult:
     """Run one named pair over its whole corpus."""
     if name == _FLEET.name:
         return _fleet_pair(procs, seed)
-    result = sweep(PAIRS[name], procs, seed)
-    if name == "proofs":
-        _compare_demo_services(result)
-    return result
+    return sweep(PAIRS[name], procs, seed)

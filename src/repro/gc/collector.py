@@ -286,7 +286,6 @@ class Collector:
         cs.mark_iterations = det.mark_iterations
         cs.mark_work_units = det.mark_work_units
         cs.liveness_checks = det.liveness_checks
-        cs.proof_skips = det.proof_skips
         self._conclude_detection(cs, det.deadlocked)
 
     def _conclude_detection(self, cs: CycleStats,
@@ -409,9 +408,8 @@ class Collector:
             # Candidates are snapshotted under STW: goroutines that block
             # detectably *after* setup were woken-then-blocked by live
             # mutators and are shaded by the barrier/rescan instead.
-            roots, self._candidates, cs.proof_skips = (
-                detector_mod.seed_roots(self.heap, self.sched.allgs,
-                                        self.config.dead_global_hints))
+            roots, self._candidates = detector_mod.seed_roots(
+                self.heap, self.sched.allgs, self.config.dead_global_hints)
         else:
             self._candidates = []
             roots = [self.heap.globals] + [

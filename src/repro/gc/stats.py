@@ -19,7 +19,7 @@ class CycleStats:
         "heap_bytes_before", "heap_bytes_after",
         "heap_objects_before", "heap_objects_after",
         "mark_iterations", "mark_work_units", "mark_clock_ns",
-        "liveness_checks", "proof_skips",
+        "liveness_checks",
         "pause_setup_ns", "pause_termination_ns",
         "swept_objects", "swept_bytes", "finalizers_queued",
         "deadlocks_detected", "deadlocks_kept_for_finalizers",
@@ -42,10 +42,6 @@ class CycleStats:
         self.mark_work_units = 0
         self.mark_clock_ns = 0
         self.liveness_checks = 0
-        # Candidates exempted from the fixpoint by static leak-freedom
-        # proofs (blocked only on proven channels; see
-        # repro.staticcheck.proofs).  Zero when no registry is installed.
-        self.proof_skips = 0
         # The two STW windows of a cycle.  The atomic collector performs
         # both back to back; the incremental phase machine separates them
         # by the concurrent MARKING phase.  ``pause_ns`` (a property)

@@ -92,17 +92,6 @@ class Runtime:
         ch.make_site = "<host>"
         return ch
 
-    def install_proofs(self, registry) -> None:
-        """Install a :class:`~repro.staticcheck.proofs.ProofRegistry`.
-
-        Channels made after this call whose ``(make-site, capacity)``
-        the registry proves leak-free are tagged, letting the
-        detector fixpoint skip their sudog scans.  Install before
-        :meth:`spawn_main` so every channel allocation sees the
-        registry; pass ``None`` to turn proofs off again.
-        """
-        self.sched.proof_registry = registry
-
     def new_mutex(self, label: str = "") -> Mutex:
         m = Mutex(label=label)
         self.heap.allocate(m)

@@ -60,8 +60,7 @@ class Channel(HeapObject):
 
     __slots__ = ("capacity", "buffer", "closed", "sendq", "recvq",
                  "label", "make_site", "last_sender_goid",
-                 "last_receiver_goid", "total_transfers",
-                 "proven_leak_free")
+                 "last_receiver_goid", "total_transfers")
 
     kind = "chan"
 
@@ -82,11 +81,6 @@ class Channel(HeapObject):
         self.last_sender_goid = 0
         self.last_receiver_goid = 0
         self.total_transfers = 0
-        # Set at make_chan time when an installed ProofRegistry proves
-        # this (make-site, capacity) leak-free: the
-        # detector fixpoint treats goroutines blocked only on proven
-        # channels as live without scanning (repro.core.detector).
-        self.proven_leak_free = False
 
     def note_transfer(self, sender_goid: int, receiver_goid: int) -> None:
         """Record one completed message transfer (goid 0 = unknown side)."""

@@ -83,9 +83,6 @@ def _exec_make_chan(sched, g, instr: ins.MakeChan) -> None:
     ch = Channel(instr.capacity, label=instr.label)
     sched.heap.allocate(ch)
     ch.make_site = g.block_site()
-    if (sched.proof_registry is not None
-            and sched.proof_registry.is_proven(ch.make_site, ch.capacity)):
-        ch.proven_leak_free = True
     if sched.tracer is not None:
         sched.tracer.on_chan_op(ev.CHAN_MAKE, g, ch)
     # Resume first: the new object must be rooted (as the goroutine's

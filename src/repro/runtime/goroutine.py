@@ -143,14 +143,14 @@ class Goroutine(HeapObject):
         #: Wait-state epoch: bumped at every transition that can change
         #: the detector's classification of this goroutine (park, wake,
         #: relock, bind, finish, forced reclaim, report verdicts).  The
-        #: detector memoizes its candidate/proof-skip/neither verdict
-        #: against this counter, so daemon-cadence re-checks reclassify
+        #: detector memoizes its candidate-or-not verdict against this
+        #: counter, so daemon-cadence re-checks reclassify
         #: only goroutines whose wait state actually changed.
         self.wait_seq = 0
         #: ``wait_seq`` value the cached classification was computed at.
         self._class_seq = -1
         #: Cached classification (see ``repro.core.detector.classify``).
-        self._class_val = 0
+        self._class_val = False
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -160,12 +160,6 @@ class Scheduler:
         #: Optional event tracer (see repro.trace.tracer): the one log
         #: of runtime transitions.
         self.tracer = None
-        #: Optional static-proof registry (see repro.staticcheck.proofs).
-        #: When installed, make_chan tags channels whose (make-site,
-        #: capacity) the registry proves leak-free; the detector
-        #: skips sudog scans for goroutines blocked only on tagged
-        #: channels.  None = proofs off (no channel ever tagged).
-        self.proof_registry = None
         #: Optional telemetry hub (see repro.telemetry): counts context
         #: switches, GC cycles and leak reports.
         self.telemetry = None

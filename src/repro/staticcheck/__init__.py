@@ -17,11 +17,10 @@ Cross-validation against GOLF's dynamic ground truth lives in
 :mod:`repro.staticcheck.crossval`.
 
 The behavioral-type layer (trace abstraction + synchronous composition
-over the same extractions, proving channels leak-free; an in-memory
-registry of the proven channels is what the runtime detector consumes)
-lives in :mod:`repro.staticcheck.behavior`,
-:mod:`repro.staticcheck.proofs`, and :mod:`repro.staticcheck.fusion`;
-see docs/VET.md.
+over the same extractions, proving channels leak-free) lives in
+:mod:`repro.staticcheck.behavior`.  Its proofs are a ``repro vet
+--prove`` verdict only: the runtime detector never consumes them and
+decides liveness from the heap alone; see docs/VET.md.
 """
 
 from repro.staticcheck.model import (
@@ -56,7 +55,6 @@ from repro.staticcheck.behavior import (
     analyze_callable_behavior,
     analyze_extraction_behavior,
 )
-from repro.staticcheck.proofs import ProofRegistry, build_registry
 
 __all__ = [
     "ALL_RULES",
@@ -72,7 +70,6 @@ __all__ = [
     "LEAKY",
     "POTENTIAL",
     "PROVEN",
-    "ProofRegistry",
     "SEVERITY_RANK",
     "SUSPECT",
     "UNKNOWN",
@@ -84,7 +81,6 @@ __all__ = [
     "analyze_extraction",
     "analyze_extraction_behavior",
     "analyze_file",
-    "build_registry",
     "extract_callable",
     "extract_file",
     "parse_annotations",

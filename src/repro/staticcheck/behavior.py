@@ -10,8 +10,8 @@ the synchronous composition of those terms.  An exhaustive bounded
 exploration of the composition then renders one verdict per channel:
 
 - :data:`PROVEN` (``proven-leak-free``): no reachable terminal state has
-  any component blocked on the channel.  The runtime tags such channels
-  through the in-memory :mod:`repro.staticcheck.proofs` registry.
+  any component blocked on the channel.  A ``repro vet --prove``
+  verdict only: the runtime detector never consumes it.
 - :data:`POTENTIAL` (``potential-leak``): a *definite* counterexample
   trace exists — a terminal stuck state reachable without resolving any
   may-branch (conditional op, early loop exit, unmodelable op).

@@ -1,12 +1,11 @@
-"""Behavioral-type engine: verdicts, edge cases, and the proof registry.
+"""Behavioral-type engine: verdicts and edge cases.
 
 The engine (repro.staticcheck.behavior) abstracts goroutine bodies into
 forkable trace types and explores their synchronous composition; each
 channel gets PROVEN (leak-free), POTENTIAL (a definite counterexample
 trace), or UNKNOWN (sound give-up).  These tests pin the verdicts on the
 tricky corners — select-with-default, nil-channel arms, close-then-recv
-drains, buffered capacity, recursive spawns — and the in-memory proof
-registry (lookup, sticky demotion, the unknown-capacity rule).
+drains, buffered capacity, recursive spawns.
 """
 
 import pytest
@@ -16,11 +15,6 @@ from repro.staticcheck.behavior import (
     PROVEN,
     UNPROVEN,
     analyze_callable_behavior,
-)
-from repro.staticcheck.proofs import (
-    ProofRegistry,
-    build_registry,
-    normalize_site,
 )
 from repro.runtime.instructions import (
     Close,
@@ -191,56 +185,3 @@ class TestEdgeCases:
         analysis = analyze_callable_behavior(body)
         assert _verdict_by_label(analysis, "recursive").verdict != PROVEN
 
-
-class TestCertificates:
-    def _proven_analysis(self):
-        def body():
-            done = yield MakeChan(0, label="done")
-
-            def worker(ch=done):
-                yield Send(ch, 1)
-
-            yield Go(worker)
-            yield Recv(done)
-
-        return analyze_callable_behavior(body, name="cert_body")
-
-    def test_registry_lookup(self):
-        analysis = self._proven_analysis()
-        registry = build_registry([analysis])
-        assert len(registry) == 1
-        ((make_site, capacity),) = registry.proven_sites()
-        assert registry.is_proven(make_site, capacity)
-        assert not registry.is_proven(make_site, capacity + 1)
-
-    def test_demotion_is_permanent(self):
-        """A site unproven in any loaded analysis stays demoted —
-        leak-freedom is a whole-program property."""
-        analysis = self._proven_analysis()
-        registry = build_registry([analysis])
-        ((make_site, capacity),) = registry.proven_sites()
-        registry.demote(make_site, capacity)
-        assert not registry.is_proven(make_site, capacity)
-        registry.add_analysis(analysis)     # cannot resurrect
-        assert not registry.is_proven(make_site, capacity)
-
-    def test_a_site_demoted_at_unknown_capacity_is_not_counted(self):
-        """Demotion at unknown capacity covers every capacity of the
-        site, so a later proof of it is refused, not counted: the count,
-        the listing and the lookup agree."""
-        analysis = self._proven_analysis()
-        ((make_site, capacity),) = build_registry([analysis]).proven_sites()
-        registry = ProofRegistry()
-        registry.demote(make_site, None)
-        assert registry.add_analysis(analysis) == 0
-        assert len(registry) == 0
-        assert registry.proven_sites() == []
-        assert not registry.is_proven(make_site, capacity)
-
-    def test_normalize_site_resolves_relative_paths(self):
-        import os
-
-        rel = "tests/test_behavior_engine.py:10"
-        absolute = normalize_site(rel)
-        assert os.path.isabs(absolute.rsplit(":", 1)[0])
-        assert normalize_site(absolute) == absolute

@@ -2,10 +2,10 @@
 
 Every pair of the table, swept over the whole 125-program corpus at two
 seeds — atomic ≡ incremental GC, table ≡ legacy dispatch, every
-observer on ≡ off, proofs on ≡ off, restart ≡ on-the-fly root expansion,
-sequential ≡ multiprocessing fleet — plus the harness's own failure
-path: a deliberately broken second leg must be named by program,
-variant and field.
+observer on ≡ off, restart ≡ on-the-fly root expansion, sequential ≡
+multiprocessing fleet — plus the harness's own failure path: a
+deliberately broken second leg must be named by program, variant and
+field.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class TestEveryPair:
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_registry_pairs_cover_the_whole_corpus(self, name):
-        extra = 2 if name == "proofs" else 0   # the two demo services
-        assert swept(name).runs == 125 + extra
+        assert swept(name).runs == 125
 
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_no_pair_excludes_a_verdict_field(self, name):
@@ -64,7 +63,6 @@ class TestEveryPair:
         assert swept("telemetry").witness["recorded_events"] > 0
         assert swept("tracer").witness["trace_events"] > 0
         assert swept("gc_mode").witness["mark_steps"] >= 125
-        assert swept("proofs").witness["proven_sites"] >= 20
 
 
 def _extra_gc(rt, _program):
@@ -142,7 +140,7 @@ class TestBrokenSecondLeg:
         result = EquivalenceResult(lazy, 2, 7)
         compare(lazy, corpus()[0], 2, 7, into=result)
         assert not result.mismatches
-        assert result.vacuous == ["daemon_checks"]
+        assert "daemon_checks" in result.vacuous
         assert not result.clean and "VACUOUS" in result.format()
 
 

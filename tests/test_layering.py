@@ -185,10 +185,6 @@ KEPT_DEFAULTS = {
         "program data: a subsystem's host state, absent when it has none",
     ("staticcheck/model.py", "Extraction", "end_line"):
         "program data: a one-line entry ends where it starts",
-    ("apps/jobqueue.py", "run_job_queue", "proof_registry"):
-        "set by fusion.demo_services' runners through an indirect call",
-    ("apps/kvstore.py", "run_kv_workload", "proof_registry"):
-        "set by fusion.demo_services' runners through an indirect call",
 }
 #: Modules of microbenchmark builders, whose defaulted parameters are
 #: program data: the Go source line each site mirrors, a chain's length.

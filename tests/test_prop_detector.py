@@ -4,11 +4,15 @@ Random heap graphs and goroutine states are generated directly (stack
 references are injected through the goroutine's pending-value slot, which
 the stack scanner treats as stack content).  A brute-force fixpoint over
 the same definition of reachable liveness (paper, section 4.1) serves as
-the oracle; both detector strategies must agree with it exactly.
+the oracle; both detector strategies must agree with it exactly.  The
+memoized classification every pass starts from is checked against the
+predicate it caches over the whole corpus.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import detector
+from repro.core.config import GolfConfig
 from repro.core.detector import (
     DetectionResult,
     detect,
@@ -16,6 +20,7 @@ from repro.core.detector import (
     seed_roots,
 )
 from repro.core.masking import unmask_all
+from repro.equivalence import Leg, corpus, run_leg
 from repro.gc.heap import Heap
 from repro.gc.marking import mark_from
 from repro.runtime.goroutine import EPSILON, Goroutine, GStatus
@@ -171,7 +176,7 @@ def test_split_entry_matches_detect(case):
     unmask_all(case.goroutines)
     case.heap.begin_cycle()
     split = DetectionResult()
-    roots, candidates, _ = seed_roots(case.heap, case.goroutines)
+    roots, candidates = seed_roots(case.heap, case.goroutines)
     split.mark_work_units, _ = mark_from(case.heap, roots,
                                          respect_masks=True)
     deadlocked = expand_liveness_fixpoint(case.heap, candidates, split)
@@ -208,3 +213,34 @@ def test_epsilon_only_blockers_always_deadlocked(case):
                 and g.blocked_on
                 and all(o is EPSILON for o in g.blocked_on)):
             assert g in set(result.deadlocked)
+
+
+def test_memoized_classification_matches_its_predicate(monkeypatch):
+    """``classify`` caches ``status is WAITING and is_blocked_detectably``
+    per ``wait_seq``.  Over the corpus at procs 2, in both collector
+    modes with the daemon ticking every 1 ms, every verdict it returns —
+    cached or fresh — must equal the predicate evaluated afresh."""
+    memoized = detector.classify
+    calls, cached, wrong = [], [], []
+
+    def checked(g):
+        hit = g._class_seq == g.wait_seq
+        verdict = memoized(g)
+        if verdict != (g.status is GStatus.WAITING
+                       and g.is_blocked_detectably):
+            wrong.append((g.goid, g.status, g.wait_reason, hit, verdict))
+        calls.append(verdict)
+        cached.append(hit)
+        return verdict
+
+    monkeypatch.setattr(detector, "classify", checked)
+    for mode in ("atomic", "incremental"):
+        leg = Leg(mode, lambda mode=mode: GolfConfig(gc_mode=mode),
+                  hook=lambda rt, _p: rt.detect_partial_deadlock(
+                      interval_ms=1.0))
+        for program in corpus():
+            run_leg(leg, program, procs=2, seed=7)
+    assert not wrong, wrong[:10]
+    # Non-vacuity: both verdicts occur, and the memo is actually hit.
+    assert any(calls) and not all(calls)
+    assert any(cached)

@@ -1,13 +1,10 @@
-"""`repro vet --prove`, channel annotations, and the runtime fusion.
+"""`repro vet --prove` and channel annotations.
 
 Covers the exit-code contract extensions (expect/chan mismatches and
 malformed annotations fail in text AND json mode, even under
 ``--fail-on never``; a failing ``--json`` run still emits a parseable
-document on stdout), the ``# vet: chan=<label> <expectation>``
-annotation grammar with its malformed-annotation diagnostics, and the
-static→dynamic fusion: proof registries installed via
-``Runtime.install_proofs`` make the detector skip proven channels
-while leaving leak reports byte-identical.
+document on stdout) and the ``# vet: chan=<label> <expectation>``
+annotation grammar with its malformed-annotation diagnostics.
 """
 
 import json
@@ -17,23 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.equivalence import PAIRS, EquivalenceResult, Program, compare
-from repro.microbench.registry import benchmarks_by_name
-from repro.runtime.api import Runtime
-from repro.runtime.clock import SECOND
-from repro.runtime.instructions import (
-    Close,
-    Go,
-    MakeChan,
-    Recv,
-    RunGC,
-    Send,
-)
-from repro.staticcheck import vet_paths
-from repro.staticcheck.behavior import analyze_callable_behavior
-from repro.staticcheck.proofs import build_registry
 from repro.staticcheck.report import CHAN_EXPECTATIONS, parse_annotations
-from tests.conftest import swept
 
 GOOD = """\
 from repro.runtime.instructions import Go, MakeChan, Recv, Send
@@ -243,68 +224,3 @@ class TestCrossvalBehaviorEngine:
         assert "engine" not in payload["summary"]
         assert "proven_channels" not in payload["summary"]
 
-
-def _pool_body():
-    """A worker pool blocked mid-rendezvous on a proven channel: the
-    GC point fires while the workers are parked, so the detector's
-    proof-skip path genuinely exercises."""
-    req = yield MakeChan(0, label="pool.req")
-
-    def worker(ch=req):
-        while True:
-            _, ok = yield Recv(ch)
-            if not ok:
-                return None
-
-    yield Go(worker)
-    yield Go(worker)
-    yield Go(worker)
-    yield RunGC()                    # workers are parked on pool.req
-    for i in range(6):
-        yield Send(req, i)
-    yield Close(req)
-
-
-def _run_pool(registry):
-    rt = Runtime(procs=2, seed=0)
-    if registry is not None:
-        rt.install_proofs(registry)
-    rt.spawn_main(_pool_body)
-    status = rt.run(until_ns=5 * SECOND, max_instructions=1_000_000)
-    rt.gc_until_quiescent()
-    skips = sum(cs.proof_skips for cs in rt.collector.stats.cycles)
-    reports = tuple(r.format() for r in rt.reports.reports)
-    rt.shutdown()
-    return status, skips, reports
-
-
-class TestRuntimeFusion:
-    def test_detector_skips_proven_channels_identically(self):
-        analysis = analyze_callable_behavior(_pool_body)
-        registry = build_registry([analysis])
-        assert len(registry) == 1     # pool.req is proven
-
-        off_status, off_skips, off_reports = _run_pool(None)
-        on_status, on_skips, on_reports = _run_pool(registry)
-
-        assert off_skips == 0
-        # Workers parked on pool.req at the GC point are skipped (how
-        # many of the three are parked yet is scheduling-dependent but
-        # deterministic under the fixed seed).
-        assert on_skips >= 1
-        assert on_status == off_status
-        assert on_reports == off_reports == ()
-
-    def test_compare_benchmark_is_identical_on_leaky_program(self):
-        program = Program(benchmarks_by_name()["cgo/timeout-leak"], False)
-        result = EquivalenceResult(PAIRS["proofs"], 1, 0)
-        diffs = compare(PAIRS["proofs"], program, procs=1, seed=0,
-                        into=result)
-        assert diffs == [], diffs
-        assert result.witness["proven_sites"] == 1
-
-    def test_oracle_smoke_over_services(self):
-        result = swept("proofs", 7)
-        assert result.clean, "\n" + result.format()
-        assert result.runs == 125 + 2      # the corpus + both services
-        assert result.witness["proven_sites"] >= 20
