@@ -62,16 +62,6 @@ class Scenario:
         kinds = sorted(self.weights)
         return kinds, [self.weights[k] for k in kinds]
 
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "rate": self.rate,
-            "weights": dict(self.weights),
-            "max_faults": self.max_faults,
-            "downstream_fail_rate": self.downstream_fail_rate,
-            "downstream_slow_rate": self.downstream_slow_rate,
-        }
-
     def __repr__(self) -> str:
         return f"<scenario {self.name} rate={self.rate} {self.weights}>"
 

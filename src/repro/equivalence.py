@@ -3,7 +3,7 @@
 The repo defends the paper's soundness claim by *differential* checks —
 two ways of running the same program that must be observably the same:
 atomic vs incremental GC, the dispatch table vs the legacy interpreter,
-every observer (daemon, scraper, hub, tracer, watchdog) on vs off,
+every observer (daemon, scraper, hub, tracer) on vs off,
 and §5.3's restart vs on-the-fly root expansion.  This module is the
 only place that defines what a run *produced* (:func:`fingerprint`),
 how two of those are compared (:func:`diff_fields`), which
@@ -34,8 +34,6 @@ from repro.microbench.harness import MicrobenchResult, run_microbenchmark
 from repro.microbench.registry import Microbenchmark, all_benchmarks
 from repro.runtime import executor
 from repro.runtime.api import Runtime
-from repro.runtime.clock import MILLISECOND
-from repro.runtime.watchdog import Watchdog
 from repro.telemetry import TelemetryHub
 
 Diff = Tuple[str, Any, Any]
@@ -138,12 +136,6 @@ def _legacy_dispatch(rt: Runtime, _program: Program) -> None:
     rt.sched._execute = executor.execute_legacy
 
 
-def _install_watchdog(rt: Runtime, _program: Program) -> None:
-    # Parked on the runtime for the pair's witness to read back.
-    rt.watchdog = Watchdog(rt)
-    rt.watchdog.install(interval_ns=int(_TICK_MS * MILLISECOND))
-
-
 def _config(**overrides: Any) -> Callable[[], GolfConfig]:
     return lambda: GolfConfig(**overrides)
 
@@ -192,9 +184,6 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
     Pair("tracer",
          Leg("bare"), Leg("traced", hook=lambda rt, _p: rt.enable_tracing()),
          witness=lambda rt: {"trace_events": len(rt.tracer)}),
-    Pair("watchdog",
-         Leg("bare"), Leg("watchdog", hook=_install_watchdog),
-         witness=lambda rt: {"watchdog_polls": rt.watchdog.polls}),
     Pair("fixpoint",
          Leg("restart", hook=lambda rt, _p: use_restart_fixpoint(
              rt.collector)),

@@ -40,11 +40,10 @@ BARRIER_SHADE = "barrier-shade"
 DEADLOCK = "partial-deadlock"
 FAULT_INJECT = "fault-inject"
 
-# -- detection daemon, watchdog and checkpoint recovery ---------------------
+# -- detection daemon and checkpoint recovery -------------------------------
 DAEMON_START = "daemon-start"
 DAEMON_STOP = "daemon-stop"
 DAEMON_DETECT = "daemon-detect"
-WATCHDOG_STALL = "watchdog-stall"
 RECOVERY_RESTART = "recovery-restart"
 
 #: Every kind constant above, by module attribute name (in order).

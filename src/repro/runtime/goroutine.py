@@ -244,19 +244,6 @@ class Goroutine(HeapObject):
             and not self.is_system
         )
 
-    @property
-    def runnable_for_liveness(self) -> bool:
-        """Whether GOLF's initial root set includes this goroutine.
-
-        True for running/runnable goroutines and for waits the detector
-        cannot reason about (sleep, IO, internal), i.e. ``B(g) = ∅``.
-        """
-        if self.status in (GStatus.RUNNABLE, GStatus.RUNNING):
-            return True
-        if self.status == GStatus.WAITING:
-            return not self.is_blocked_detectably
-        return False
-
     def block_site(self) -> str:
         """Source location (``file:line``) where the body is suspended."""
         frame = self._innermost_frame()

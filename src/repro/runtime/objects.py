@@ -319,15 +319,6 @@ class GoMap(HeapObject):
         self.scan_work = len(self.entries)
 
     @classmethod
-    def with_entries(cls, count: int) -> "GoMap":
-        """Build a map pre-populated with ``count`` opaque entries.
-
-        The entries are plain integers: they cost simulated memory but do
-        not add edges to the reference graph, matching a ``map[int]int``.
-        """
-        return cls({i: i for i in range(count)})
-
-    @classmethod
     def sized(cls, count: int) -> "GoMap":
         """A map *accounted* as holding ``count`` entries without
         materializing them.

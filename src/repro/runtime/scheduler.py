@@ -701,8 +701,8 @@ class Scheduler:
     def goroutine_dump(self, goroutines: List[Goroutine]) -> str:
         """Per-goroutine stack/waitreason dump, like the listing Go
         prints after a fatal error: the state is the wait reason
-        whenever one is set.  Used by the global-deadlock error, the
-        runtime watchdog's stall reports and ``pprof.format_stack_dump``."""
+        whenever one is set.  Used by the global-deadlock error and
+        ``pprof.format_stack_dump``."""
         lines = []
         for g in goroutines:
             if g.wait_reason is not None:

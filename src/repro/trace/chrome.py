@@ -6,7 +6,7 @@ Layout: one process (``pid`` 1, "repro runtime") with
   instruction slices,
 - one "gc" lane (``tid`` :data:`GC_TID`) carrying GC phase transitions,
   cycle summaries, write-barrier shade instants, and the runtime-wide
-  daemon / watchdog / recovery transitions (goid 0: no goroutine lane),
+  daemon / recovery transitions (goid 0: no goroutine lane),
 - one lane per goroutine (``tid`` = :data:`GOROUTINE_TID_BASE` + goid)
   carrying lifecycle/channel/sema instants plus a mirror of the
   goroutine's instruction slices (so a goroutine's lane shows when it
@@ -47,8 +47,7 @@ _GOROUTINE_INSTANTS = frozenset({
 _GC_LANE_INSTANTS = {
     ev.GC_PHASE: "gc", ev.GC_CYCLE: "gc", ev.BARRIER_SHADE: "gc",
     ev.DAEMON_START: "daemon", ev.DAEMON_STOP: "daemon",
-    ev.DAEMON_DETECT: "daemon", ev.WATCHDOG_STALL: "watchdog",
-    ev.RECOVERY_RESTART: "recovery",
+    ev.DAEMON_DETECT: "daemon", ev.RECOVERY_RESTART: "recovery",
 }
 
 

@@ -15,7 +15,6 @@ from repro.runtime.instructions import Alloc, Go, Recv, Send, Sleep, Work
 from repro.runtime.invariants import check_invariants
 from repro.runtime.objects import Box
 from repro.runtime.scheduler import RunStatus
-from repro.runtime.watchdog import Watchdog
 from tests.conftest import swept
 
 
@@ -208,6 +207,25 @@ class TestInvisibility:
         # executed exactly one instruction (its Sleep).
         assert rt.sched.instructions_executed == 1
         assert rt.sched.cpu_busy_ns == rt.sched.base_cost_ns * 1
+
+    def test_daemon_is_not_a_goroutine(self):
+        """Every user goroutine wedged while the daemon ticks: the daemon
+        adds no descriptor to ``allgs`` and is not counted as blocked."""
+        rt = Runtime(seed=6)
+        daemon = rt.detect_partial_deadlock(interval_ms=1)
+        ch = rt.make_chan(0)
+        rt.set_global("ch", ch)  # reachable: wedged, not leaked
+
+        def wedged():
+            yield Recv(ch)
+
+        g1 = rt.go(wedged, name="wedged-1")
+        g2 = rt.go(wedged, name="wedged-2")
+        rt.run(until_ns=5 * MILLISECOND)
+        assert daemon.running and daemon.stats.checks >= 4
+        assert {g.goid for g in rt.sched.allgs} == {g1.goid, g2.goid}
+        assert rt.blocked_goroutine_count() == 2
+        assert len(rt.reports) == 0
 
     def test_reports_byte_identical_daemon_on_or_off(self):
         """With periodic GC outpacing the daemon, every leak is first
@@ -530,44 +548,3 @@ class TestFuzzAutoStart:
                                budget_ns=40 * MILLISECOND,
                                daemon_interval_ms=None)
         assert with_daemon.by_profile == without.by_profile
-
-
-class TestWatchdogExemption:
-    def test_daemon_never_in_stall_verdict(self):
-        """All user goroutines wedged: the watchdog must still fire, and
-        the daemon goroutine must not appear among the accused."""
-        rt = Runtime(seed=6)
-        rt.detect_partial_deadlock(interval_ms=50)
-        watchdog = Watchdog(rt)
-
-        ch = rt.make_chan(0)
-
-        def wedged():
-            yield Recv(ch)
-
-        g1 = rt.go(wedged, name="wedged-1")
-        g2 = rt.go(wedged, name="wedged-2")
-        rt.run(until_ns=5 * MILLISECOND)
-
-        report = watchdog.poll()   # first snapshot
-        report = watchdog.poll()   # unchanged => stall
-        assert report is not None
-        assert set(report.goids) == {g1.goid, g2.goid}
-        assert rt.detection_daemon.running
-        assert {g.goid for g in rt.sched.allgs} == {g1.goid, g2.goid}
-
-    def test_timer_parked_daemon_does_not_mask_stall(self):
-        """The daemon is always timer-parked between checks; that must
-        not read as 'some goroutine can still make progress'."""
-        rt = Runtime(seed=6)
-        rt.detect_partial_deadlock(interval_ms=50)
-        watchdog = Watchdog(rt)
-        ch = rt.make_chan(0)
-
-        def wedged():
-            yield Recv(ch)
-
-        rt.go(wedged, name="wedged")
-        rt.run(until_ns=5 * MILLISECOND)
-        assert watchdog.poll() is None       # baseline snapshot
-        assert watchdog.poll() is not None   # stall detected

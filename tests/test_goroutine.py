@@ -25,14 +25,12 @@ class TestStates:
         g.status = GStatus.WAITING
         g.wait_reason = WaitReason.CHAN_SEND
         assert g.is_blocked_detectably
-        assert not g.runnable_for_liveness
 
     def test_sleep_is_not_detectable(self):
         g = Goroutine(goid=1)
         g.status = GStatus.WAITING
         g.wait_reason = WaitReason.SLEEP
         assert not g.is_blocked_detectably
-        assert g.runnable_for_liveness
 
     def test_system_goroutine_never_detectable(self):
         g = Goroutine(goid=1)
@@ -40,18 +38,6 @@ class TestStates:
         g.wait_reason = WaitReason.CHAN_RECEIVE
         g.is_system = True
         assert not g.is_blocked_detectably
-
-    def test_runnable_for_liveness_by_status(self):
-        g = Goroutine(goid=1)
-        for status, expect in [
-            (GStatus.RUNNABLE, True),
-            (GStatus.RUNNING, True),
-            (GStatus.DEAD, False),
-            (GStatus.PENDING_RECLAIM, False),
-            (GStatus.DEADLOCKED, False),
-        ]:
-            g.status = status
-            assert g.runnable_for_liveness == expect
 
 
 class TestStackScanning:

@@ -48,7 +48,6 @@ class TestIoWait:
         g = held["g"]
         assert g.wait_reason == WaitReason.IO_WAIT
         assert not g.is_blocked_detectably
-        assert g.runnable_for_liveness
 
     def test_golf_never_reports_io_blocked(self, rt):
         def main():

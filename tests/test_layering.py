@@ -11,8 +11,8 @@ repository passes is a constant, not an option.  And every output has a
 reader: a metric series nothing reads is not registered.  And every
 committed artifact has exactly one writer that CI checks.  And every
 module has a reader: one that no bench script, equivalence pair or
-content-checked CLI step imports is deleted or kept with a reason.  And
-every on-disk format in docs/ARCHITECTURE.md's table has a writer.
+content-checked CLI step imports is deleted or kept with a reason, and
+an equivalence pair alone does not count.  And every on-disk format in docs/ARCHITECTURE.md's table has a writer.
 """
 
 from __future__ import annotations
@@ -551,17 +551,22 @@ def _reached(graph, roots):
     return seen
 
 
+def _reader_roots(graph):
+    """The bench scripts, ``benchmarks/e2e``, ``repro.equivalence`` and
+    ``python -m repro``, which reaches the CLI, whose edges are the
+    checked commands' imports."""
+    return ({m for m in graph
+             if m.startswith(("benchmarks.bench_", "benchmarks.e2e."))
+             and "tests" not in m.split(".")}
+            | {"repro.__main__", "repro.equivalence"})
+
+
 def test_every_module_has_a_reader():
     """A module no bench script, equivalence pair, content-checked CLI
     step or kept paper claim imports is code nothing reads: give it a
     reader, or delete it (docs/ARCHITECTURE.md, "Layers")."""
     graph = _import_graph()
-    # ``python -m repro`` reaches the CLI, whose edges are the checked
-    # commands' imports.
-    roots = ({m for m in graph
-              if m.startswith(("benchmarks.bench_", "benchmarks.e2e."))
-              and "tests" not in m.split(".")}
-             | {"repro.__main__", "repro.equivalence"})
+    roots = _reader_roots(graph)
     reached = _reached(graph, roots)
     kept = _reached(graph, roots | set(KEPT_MODULES))
     unread = sorted(m for m in graph
@@ -571,6 +576,21 @@ def test_every_module_has_a_reader():
     stale = sorted(set(KEPT_MODULES) & reached)
     assert stale == [], f"kept modules now read by a root: {stale}"
     assert set(KEPT_MODULES) <= set(graph), "kept modules that do not exist"
+
+
+def test_an_equivalence_pair_is_not_a_reader():
+    """A pair only proves its leg B passive; a module that only a pair
+    imports is code the program never reads (docs/ARCHITECTURE.md,
+    "Layers").  Cut ``repro.equivalence``'s own import edges: every
+    ``repro`` module the roots still load must stay loaded."""
+    graph = _import_graph()
+    roots = _reader_roots(graph) | set(KEPT_MODULES)
+    cut = dict(graph, **{"repro.equivalence": set()})
+    only_paired = sorted(m for m in _reached(graph, roots)
+                         - _reached(cut, roots) if m.startswith("repro"))
+    assert only_paired == [], (
+        "module(s) read only by an equivalence pair:\n"
+        + "\n".join(f"  {m}" for m in only_paired))
 
 
 def test_shrunk_config_sizes():

@@ -130,11 +130,6 @@ class TestGoMap:
         m["a"] = 2
         assert m.size == before
 
-    def test_with_entries_scan_work(self):
-        m = GoMap.with_entries(100)
-        assert len(m) == 100
-        assert m.scan_work == 100
-
     def test_sized_accounts_without_materializing(self):
         m = GoMap.sized(100_000)
         assert len(m) == 0

@@ -521,7 +521,7 @@ def test_no_record_holds_a_runtime_object():
 def test_reads_render_fresh_equal_events():
     tracer = ExecutionTracer(Clock())
     park_then_move_on(tracer)
-    tracer.emit("watchdog-stall", 0, "wedged", args={"goids": 2})
+    tracer.emit("daemon-detect", 0, "wedged", args={"goids": 2})
     first = tracer.events
     again = tracer.events
     assert [e.as_dict() for e in first] == [e.as_dict() for e in again]

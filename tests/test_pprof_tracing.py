@@ -240,7 +240,7 @@ class TestEventKindInterning:
             "chan-close", "select-resolve", "sema-acquire", "sema-release",
             "gc-phase", "gc-cycle", "barrier-shade", "partial-deadlock",
             "fault-inject", "daemon-start", "daemon-stop", "daemon-detect",
-            "watchdog-stall", "recovery-restart"}
+            "recovery-restart"}
 
     def test_emitted_kinds_are_the_shared_constants(self):
         from repro.trace import events as ev

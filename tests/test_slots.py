@@ -30,7 +30,6 @@ from repro.runtime.objects import HeapObject
 ALLOWED_DICT = {
     "repro.runtime.api.Runtime",
     "repro.runtime.scheduler.Scheduler",
-    "repro.runtime.watchdog.Watchdog",
     "repro.gc.collector.Collector",
     "repro.gc.heap.Heap",
 }

@@ -18,13 +18,11 @@ from repro.runtime.instructions import (
     Go,
     MakeChan,
     Panic,
-    Recv,
     RunGC,
     Send,
     Sleep,
 )
 from repro.runtime.objects import Blob, Box
-from repro.runtime.watchdog import Watchdog
 from repro.service.resilience import ResilienceConfig, run_resilient_production
 from repro.telemetry import TelemetryHub, validate_exposition
 from repro.trace import events as ev
@@ -141,17 +139,6 @@ def _fatal_panic(rt):
         rt.run(until_ns=1_000_000)
 
 
-def _stall(rt):
-    Watchdog(rt).install(interval_ns=5_000_000)
-
-    def main():
-        ch = yield MakeChan(0)
-        yield Recv(ch)
-
-    rt.spawn_main(main)
-    rt.run(until_ns=50_000_000)
-
-
 class TestColdHooks:
     """Hooks only an unusual run reaches: each fires from the smallest
     program that triggers it, with a hub and a tracer attached at once.
@@ -162,9 +149,7 @@ class TestColdHooks:
         (_incremental_store, "incremental", ev.BARRIER_SHADE, "via box"),
         (_scoped_panic, "atomic", ev.GO_PANIC, "scoped boom"),
         (_fatal_panic, "atomic", ev.GO_PANIC, "fatal boom"),
-        (_stall, "atomic", ev.WATCHDOG_STALL,
-         "1 user goroutines wedged: [1]"),
-    ], ids=["gc-phase+shade", "goroutine-panic", "crash", "stall"])
+    ], ids=["gc-phase+shade", "goroutine-panic", "crash"])
     def test_hook_reaches_hub_and_tracer(self, scenario, gc_mode,
                                          trace_kind, detail):
         rt = Runtime(procs=2, seed=3, config=GolfConfig(gc_mode=gc_mode))

@@ -55,7 +55,7 @@ class TestRingBuffer:
         tracer = ExecutionTracer(clock, capacity=4)
         rec = FlightRecorder(clock=clock, capacity=4, incident_tail=0)
         for i in range(6):
-            tracer.emit("watchdog-stall", 0, f"event-{i}")
+            tracer.emit("daemon-detect", 0, f"event-{i}")
             rec.record("sched", "go-park", detail=f"event-{i}")
         assert tracer.format(limit=0) == "... 2 events dropped (capacity)"
         assert "event-" not in rec.dump(limit=0)
@@ -99,13 +99,13 @@ class TestFlightRecorder:
         for i in range(10):
             clock.now = i
             rec.record("sched", f"e{i}")
-        incident = rec.incident("watchdog-stall", "everything wedged")
+        incident = rec.incident("leak-report", "everything wedged")
         assert [e.kind for e in incident.events] == ["e7", "e8", "e9"]
         # The snapshot survives the ring rolling past it.
         for i in range(200):
             rec.record("sched", "later")
         assert [e.kind for e in rec.incidents[0].events] == ["e7", "e8", "e9"]
-        assert "watchdog-stall" in rec.dump()
+        assert "leak-report" in rec.dump()
         assert "everything wedged" in rec.dump()
 
     def test_incidents_bounded(self):

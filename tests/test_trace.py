@@ -27,7 +27,6 @@ from repro.runtime.instructions import (
     Sleep,
     Unlock,
 )
-from repro.runtime.watchdog import Watchdog
 from repro.trace import (
     VOCABULARY,
     export_chrome_trace,
@@ -76,14 +75,14 @@ def _traced_transfer_run(seed=3):
     return rt, tracer
 
 
-#: The runtime-wide kinds: daemon, watchdog and checkpoint recovery.
+#: The runtime-wide kinds: daemon and checkpoint recovery.
 RUNTIME_KINDS = {ev.DAEMON_START, ev.DAEMON_STOP, ev.DAEMON_DETECT,
-                 ev.WATCHDOG_STALL, ev.RECOVERY_RESTART}
+                 ev.RECOVERY_RESTART}
 
 
-def _daemon_watchdog_recovery_run(rt):
-    """Start and stop the daemon, trip the watchdog and roll a
-    checkpointed pool back on ``rt``; returns its tracer."""
+def _daemon_recovery_run(rt):
+    """Start and stop the daemon and roll a checkpointed pool back on
+    ``rt``; returns its tracer."""
     tracer = rt.enable_tracing()
     endpoint = rt.make_chan(0)
     idle = rt.make_chan(0)
@@ -101,7 +100,6 @@ def _daemon_watchdog_recovery_run(rt):
 
     CheckpointManager(rt).register(
         "pool", channels=[endpoint], workers=[WorkerSpec("w0", worker)])
-    Watchdog(rt).install(interval_ns=5 * MILLISECOND)
     rt.detect_partial_deadlock(interval_ms=2.0)
 
     def main():
@@ -120,10 +118,10 @@ class TestVocabulary:
         assert kinds <= VOCABULARY
         assert kinds  # the run actually traced something
 
-    def test_daemon_watchdog_and_recovery_kinds_are_in_vocabulary(self):
-        """A run that starts and stops the daemon, trips the watchdog and
-        rolls a checkpointed pool back emits only vocabulary kinds."""
-        tracer = _daemon_watchdog_recovery_run(Runtime(procs=1, seed=3))
+    def test_daemon_and_recovery_kinds_are_in_vocabulary(self):
+        """A run that starts and stops the daemon and rolls a
+        checkpointed pool back emits only vocabulary kinds."""
+        tracer = _daemon_recovery_run(Runtime(procs=1, seed=3))
         kinds = {e.kind for e in tracer.events}
         assert RUNTIME_KINDS <= kinds
         assert kinds <= VOCABULARY
@@ -134,7 +132,7 @@ class TestVocabulary:
         string (runtime/events.py)."""
         rt = Runtime(procs=1, seed=3)
         hub = rt.enable_telemetry()
-        _daemon_watchdog_recovery_run(rt)
+        _daemon_recovery_run(rt)
         rt.gc_until_quiescent()
         kinds = [e.kind for e in hub.recorder.events()]
         assert set(kinds) == {ev.GC_CYCLE, ev.DEADLOCK}
