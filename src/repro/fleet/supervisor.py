@@ -20,7 +20,6 @@ throughput scales with the shard count.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from typing import Dict, List, Optional
 
@@ -162,6 +161,10 @@ class FleetSupervisor:
 
     def _run_multiprocessing(
             self, specs: List[ShardSpec]) -> List[ShardResult]:
+        # Imported here, not at module load: only this mode uses it, and
+        # every importer of the fleet would otherwise pay its memory.
+        import multiprocessing
+
         # fork inherits sys.path (and is fast); fall back to spawn where
         # fork does not exist — workers then re-import repro, so the
         # package must be importable, which the test/CI environments

@@ -119,7 +119,11 @@ class Collector:
 
     def maybe_collect(self) -> Optional[CycleStats]:
         """Allocation hook: collect when the heap passes the GOGC target."""
-        if self.heap.live_bytes >= self._next_target:
+        # ``heap.live_bytes`` without the property call: this runs on
+        # every allocation.
+        heap = self.heap
+        live = heap.total_alloc_bytes - heap.total_freed_bytes
+        if live >= self._next_target:
             if self.config.incremental:
                 # Kick off a cycle; the scheduler's gc_step_hook advances
                 # it between time slices.  If one is already in flight,

@@ -32,7 +32,7 @@ class GlobalRoot(HeapObject):
     kind = "globals"
 
     def __init__(self) -> None:
-        super().__init__(size=0)
+        HeapObject.__init__(self, 0)
         self.names: Dict[str, Any] = {}
 
     def set(self, name: str, value: Any) -> None:
@@ -94,12 +94,13 @@ class Heap:
         self.total_alloc_objects = 0
         self.total_freed_bytes = 0
         self.total_freed_objects = 0
-        # Dijkstra-style insertion write barrier (incremental collector):
-        # active only during the concurrent MARKING phase.  Every
-        # reference store in the runtime routes through
-        # :meth:`write_barrier`, which shades the stored target gray so
-        # a black object can never point at a white one.
-        self._barrier_active = False
+        #: Dijkstra-style insertion write barrier (incremental
+        #: collector): armed only during the concurrent MARKING phase by
+        #: :meth:`enable_barrier`.  Every reference store in the runtime
+        #: tests this flag and then routes through :meth:`write_barrier`,
+        #: which shades the stored target gray so a black object can
+        #: never point at a white one.
+        self.barrier_active = False
         self._gray_sink: Optional[List[HeapObject]] = None
         self.barrier_shades = 0
         #: Optional chaos hook fired on every barrier shade
@@ -125,17 +126,18 @@ class Heap:
         """
         if obj.addr != 0:
             raise ValueError(f"object already allocated: {obj!r}")
-        obj.addr = self._next_addr
-        self._next_addr += max(obj.size, 16)
-        self._objects[obj.addr] = obj
+        obj.addr = addr = self._next_addr
+        size = obj.size
+        self._next_addr = addr + (size if size > 16 else 16)
+        self._objects[addr] = obj
         obj._heap = self
-        self.total_alloc_bytes += obj.size
+        self.total_alloc_bytes += size
         self.total_alloc_objects += 1
         if pinned:
-            self._pinned.add(obj.addr)
-        if getattr(type(obj), "gc_ages_on_cycle", False):
-            self._gc_aged[obj.addr] = obj
-        if self._barrier_active:
+            self._pinned.add(addr)
+        if type(obj).gc_ages_on_cycle:
+            self._gc_aged[addr] = obj
+        if self.barrier_active:
             # Allocate-black: objects born during marking survive the
             # cycle.  Push them gray as well, so references installed by
             # their constructors are traced even if the allocator never
@@ -200,7 +202,8 @@ class Heap:
     def gc_aged_objects(self) -> Iterator[HeapObject]:
         """Objects registered as aging once per GC cycle (``sync.Pool``).
 
-        Classes opt in with a ``gc_ages_on_cycle = True`` attribute; the
+        Classes opt in with a ``gc_ages_on_cycle = True`` class
+        attribute (``HeapObject`` declares it ``False``); the
         collector ages only this registry instead of scanning the whole
         heap every cycle.  Iteration follows allocation order, matching
         the old full-heap scan.
@@ -245,16 +248,12 @@ class Heap:
         concurrent marker also traces *through* them (a shaded container
         may itself hold unmarked references).
         """
-        self._barrier_active = True
+        self.barrier_active = True
         self._gray_sink = gray_sink
 
     def disable_barrier(self) -> None:
-        self._barrier_active = False
+        self.barrier_active = False
         self._gray_sink = None
-
-    @property
-    def barrier_active(self) -> bool:
-        return self._barrier_active
 
     def write_barrier(self, src: Any, new_ref: Any) -> None:
         """Shade the target of a reference store (Dijkstra, insertion).
@@ -268,9 +267,10 @@ class Heap:
         GOLF, liveness must only propagate into a blocked goroutine via
         the detector's ``B(g)`` fixpoint, never via a stored pointer to
         its descriptor (see :mod:`repro.core.masking`).  Outside marking
-        this is a no-op.
+        this is a no-op, so direct callers need not test
+        :attr:`barrier_active` first.
         """
-        if not self._barrier_active or new_ref is None:
+        if not self.barrier_active or new_ref is None:
             return
         if self.barrier_hook is not None:
             self.barrier_hook(src, new_ref)
@@ -302,14 +302,16 @@ class Heap:
         freed_bytes = 0
         finalizers: List[Callable[[], None]] = []
         to_free: List[HeapObject] = []
+        epoch = self.epoch
+        pinned = self._pinned
         for obj in self._objects.values():
-            if obj._mark_epoch == self.epoch or obj.addr in self._pinned:
+            if obj._mark_epoch == epoch or obj.addr in pinned:
                 continue
             if obj._finalizer is not None:
                 fn = obj._finalizer
                 obj._finalizer = None
                 # Resurrect for this cycle; mark so a re-scan sees it live.
-                obj._mark_epoch = self.epoch
+                obj._mark_epoch = epoch
                 finalizers.append(_bind_finalizer(fn, obj))
                 continue
             to_free.append(obj)

@@ -67,7 +67,7 @@ class Channel(HeapObject):
     def __init__(self, capacity: int = 0, label: str = ""):
         if capacity < 0:
             raise ValueError("channel capacity must be non-negative")
-        super().__init__(size=12 * WORD_SIZE + WORD_SIZE * capacity)
+        HeapObject.__init__(self, 12 * WORD_SIZE + WORD_SIZE * capacity)
         self.capacity = capacity
         self.buffer: Deque[Any] = deque()
         self.closed = False

@@ -54,7 +54,7 @@ class Context(HeapObject):
     def __init__(self, done: Optional[Channel],
                  parent: Optional["Context"] = None,
                  deadline_ns: Optional[int] = None):
-        super().__init__(size=5 * WORD_SIZE)
+        HeapObject.__init__(self, 5 * WORD_SIZE)
         self.done = done
         self.err: Optional[str] = None
         self.parent = parent

@@ -28,7 +28,7 @@ class Group(HeapObject):
 
     def __init__(self, wg: WaitGroup, ctx: Optional[Context] = None,
                  cancel: Optional[Callable] = None):
-        super().__init__(size=4 * WORD_SIZE)
+        HeapObject.__init__(self, 4 * WORD_SIZE)
         self.wg = wg
         self.err: Any = None
         self.ctx = ctx

@@ -44,6 +44,12 @@ class GStatus(enum.Enum):
     DEADLOCKED = "deadlocked"
 
 
+# Enum members read once, as in :mod:`repro.runtime.scheduler`: the
+# descriptor's lifecycle transitions below run on every spawn and exit.
+_RUNNABLE = GStatus.RUNNABLE
+_DEAD = GStatus.DEAD
+
+
 class Sudog:
     """A wait-queue node linking a goroutine to a channel operation.
 
@@ -102,10 +108,10 @@ class Goroutine(HeapObject):
     INITIAL_STACK_BYTES = 8 * 1024
 
     def __init__(self, goid: int, name: str = ""):
-        super().__init__(size=424)  # sizeof(runtime.g) in go1.22 ballpark
+        HeapObject.__init__(self, 424)  # sizeof(runtime.g) in go1.22 ballpark
         self.goid = goid
         self.name = name or f"goroutine-{goid}"
-        self.status = GStatus.DEAD
+        self.status = _DEAD
         self.wait_reason: Optional[WaitReason] = None
         self.blocked_on: Tuple[HeapObject, ...] = ()
         self.gen: Optional[Any] = None
@@ -164,7 +170,7 @@ class Goroutine(HeapObject):
         if name:
             self.name = name
         self.wait_seq += 1
-        self.status = GStatus.RUNNABLE
+        self.status = _RUNNABLE
         self.wait_reason = None
         self.blocked_on = ()
         self.pending_value = None
@@ -184,7 +190,7 @@ class Goroutine(HeapObject):
         """Regular termination: reached the end of the body."""
         self.gen = None
         self.wait_seq += 1
-        self.status = GStatus.DEAD
+        self.status = _DEAD
         self.wait_reason = None
         self.blocked_on = ()
         self.sudogs = []
@@ -220,7 +226,7 @@ class Goroutine(HeapObject):
         self.blocking_sema = None
         self.gen = None
         self.wait_seq += 1
-        self.status = GStatus.DEAD
+        self.status = _DEAD
         self.stack_bytes = 0
         self.panicking = None
         self.defers = []

@@ -114,6 +114,10 @@ class HeapObject:
     #: objects (Go scans map buckets; ``[]byte`` blobs are noscan).
     scan_work: int = 0
 
+    #: Whether the heap registers instances for per-cycle aging (see
+    #: :meth:`repro.gc.heap.Heap.gc_aged_objects`); ``sync.Pool`` opts in.
+    gc_ages_on_cycle: bool = False
+
     def __init__(self, size: int = WORD_SIZE):
         self.addr: int = 0
         self.size: int = size
@@ -151,10 +155,11 @@ class HeapObject:
         Called by every mutating accessor before the store lands.  A
         no-op until the object is allocated and the incremental
         collector's MARKING phase is active (see
-        :meth:`repro.gc.heap.Heap.write_barrier`).
+        :meth:`repro.gc.heap.Heap.write_barrier`); the flag is tested
+        here so a disarmed store costs no call.
         """
         heap = self._heap
-        if heap is not None:
+        if heap is not None and heap.barrier_active:
             heap.write_barrier(self, value)
 
     def referents(self) -> Iterable["HeapObject"]:
@@ -215,7 +220,7 @@ class Box(HeapObject):
     kind = "box"
 
     def __init__(self, value: Any = None):
-        super().__init__(size=2 * WORD_SIZE)
+        HeapObject.__init__(self, 2 * WORD_SIZE)
         self._value = value
 
     @property
@@ -243,8 +248,11 @@ class Struct(HeapObject):
     kind = "struct"
 
     def __init__(self, **fields: Any):
-        super().__init__(size=2 * WORD_SIZE + WORD_SIZE * max(1, len(fields)))
-        self.fields: Dict[str, Any] = dict(fields)
+        HeapObject.__init__(
+            self, 2 * WORD_SIZE + WORD_SIZE * (len(fields) or 1))
+        # ``**fields`` is a dict built fresh for this call: no caller
+        # holds it, so it is kept rather than copied.
+        self.fields: Dict[str, Any] = fields
 
     def get(self, name: str) -> Any:
         return self.fields[name]
@@ -272,12 +280,17 @@ class Slice(HeapObject):
 
     def __init__(self, items: Optional[Iterable[Any]] = None):
         self.items: List[Any] = list(items) if items is not None else []
-        super().__init__(size=3 * WORD_SIZE + WORD_SIZE * len(self.items))
+        HeapObject.__init__(self, 3 * WORD_SIZE + WORD_SIZE * len(self.items))
 
     def append(self, value: Any) -> None:
-        self._barrier(value)
+        heap = self._heap
+        if heap is not None and heap.barrier_active:
+            heap.write_barrier(self, value)
         self.items.append(value)
-        self.resize(self.size + WORD_SIZE)
+        # ``resize(self.size + WORD_SIZE)``, growth branch inlined.
+        self.size += WORD_SIZE
+        if heap is not None:
+            heap.total_alloc_bytes += WORD_SIZE
 
     def __len__(self) -> int:
         return len(self.items)
@@ -313,8 +326,8 @@ class GoMap(HeapObject):
 
     def __init__(self, entries: Optional[Dict[Any, Any]] = None):
         self.entries: Dict[Any, Any] = dict(entries) if entries else {}
-        super().__init__(
-            size=6 * WORD_SIZE + self.BYTES_PER_ENTRY * len(self.entries)
+        HeapObject.__init__(
+            self, 6 * WORD_SIZE + self.BYTES_PER_ENTRY * len(self.entries)
         )
         self.scan_work = len(self.entries)
 
@@ -376,7 +389,7 @@ class Blob(HeapObject):
     def __init__(self, size: int):
         if size < 0:
             raise ValueError("blob size must be non-negative")
-        super().__init__(size=size)
+        HeapObject.__init__(self, size)
 
 
 def _type_pure(cls: type) -> bool:

@@ -31,7 +31,7 @@ class Semaphore(HeapObject):
     def __init__(self, count: int = 0):
         if count < 0:
             raise ValueError("semaphore count must be non-negative")
-        super().__init__(size=WORD_SIZE)
+        HeapObject.__init__(self, WORD_SIZE)
         self.count = count
 
 

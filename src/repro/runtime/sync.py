@@ -32,7 +32,7 @@ class Mutex(HeapObject):
     kind = "mutex"
 
     def __init__(self, label: str = ""):
-        super().__init__(size=2 * WORD_SIZE)
+        HeapObject.__init__(self, 2 * WORD_SIZE)
         self.locked = False
         self.label = label
 
@@ -69,7 +69,7 @@ class RWMutex(HeapObject):
     kind = "rwmutex"
 
     def __init__(self, label: str = ""):
-        super().__init__(size=4 * WORD_SIZE)
+        HeapObject.__init__(self, 4 * WORD_SIZE)
         self.readers = 0
         self.writer = False
         #: Count of parked writers; maintained by the scheduler.
@@ -112,7 +112,7 @@ class WaitGroup(HeapObject):
     kind = "waitgroup"
 
     def __init__(self, label: str = ""):
-        super().__init__(size=2 * WORD_SIZE)
+        HeapObject.__init__(self, 2 * WORD_SIZE)
         self.counter = 0
         self.label = label
 
@@ -137,7 +137,7 @@ class Cond(HeapObject):
     kind = "cond"
 
     def __init__(self, locker: Mutex, label: str = ""):
-        super().__init__(size=3 * WORD_SIZE)
+        HeapObject.__init__(self, 3 * WORD_SIZE)
         self.locker = locker
         self.label = label
 
@@ -155,7 +155,7 @@ class Once(HeapObject):
     kind = "once"
 
     def __init__(self) -> None:
-        super().__init__(size=WORD_SIZE)
+        HeapObject.__init__(self, WORD_SIZE)
         self.done = False
 
 
@@ -181,7 +181,7 @@ class Pool(HeapObject):
     gc_ages_on_cycle = True
 
     def __init__(self, new=None):
-        super().__init__(size=4 * WORD_SIZE)
+        HeapObject.__init__(self, 4 * WORD_SIZE)
         self._items: list = []
         self._victims: list = []
         self.new = new

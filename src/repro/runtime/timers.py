@@ -39,7 +39,7 @@ class Ticker(HeapObject):
     kind = "ticker"
 
     def __init__(self, ch: Channel, interval_ns: int):
-        super().__init__(size=3 * WORD_SIZE)
+        HeapObject.__init__(self, 3 * WORD_SIZE)
         self.ch = ch
         self.interval_ns = interval_ns
         self.stopped = False
@@ -58,7 +58,7 @@ class Timer(HeapObject):
     kind = "timer"
 
     def __init__(self, ch: Channel):
-        super().__init__(size=2 * WORD_SIZE)
+        HeapObject.__init__(self, 2 * WORD_SIZE)
         self.ch = ch
         self.stopped = False
 

@@ -70,7 +70,7 @@ class CircuitBreaker(HeapObject):
 
     def __init__(self, failure_threshold: int = 5,
                  cooldown_ns: int = 2 * SECOND):
-        super().__init__(size=6 * WORD_SIZE)
+        HeapObject.__init__(self, 6 * WORD_SIZE)
         self.state = BreakerState.CLOSED
         self.failure_threshold = failure_threshold
         self.cooldown_ns = cooldown_ns

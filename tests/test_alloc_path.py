@@ -1,0 +1,194 @@
+"""The allocation path's contract: what a constructor, ``Heap.allocate``
+and a reference store leave behind.
+
+Every heap object is built by one ``HeapObject.__init__`` call, the heap
+reads the per-cycle aging opt-in as a plain class attribute, and a store
+calls ``Heap.write_barrier`` only while the incremental collector's
+MARKING phase has the barrier armed.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import repro.gc
+import repro.runtime
+import repro.service
+from repro import GolfConfig, Runtime
+from repro.gc.heap import GlobalRoot, Heap
+from repro.gc.phases import GCPhase
+from repro.runtime.channel import Channel
+from repro.runtime.context import Context
+from repro.runtime.errgroup import Group
+from repro.runtime.goroutine import Goroutine
+from repro.runtime.objects import (
+    WORD_SIZE, Blob, Box, GoMap, HeapObject, Slice, Struct,
+)
+from repro.runtime.sema import Semaphore
+from repro.runtime.sync import Cond, Mutex, Once, Pool, RWMutex, WaitGroup
+from repro.runtime.timers import Ticker, Timer
+from repro.service.resilience import CircuitBreaker
+
+#: One constructor call per concrete heap class, with the simulated size
+#: it must produce (sizes feed ``HeapAlloc`` and every pinned digest).
+BUILDS = {
+    Box: (lambda: Box(1), 2 * WORD_SIZE),
+    Struct: (lambda: Struct(a=1, b=2), 4 * WORD_SIZE),
+    Slice: (lambda: Slice([1, 2]), 5 * WORD_SIZE),
+    GoMap: (lambda: GoMap({1: 2}), 6 * WORD_SIZE + GoMap.BYTES_PER_ENTRY),
+    Blob: (lambda: Blob(40), 40),
+    Channel: (lambda: Channel(3), 15 * WORD_SIZE),
+    Context: (lambda: Context(Channel()), 5 * WORD_SIZE),
+    Group: (lambda: Group(WaitGroup()), 4 * WORD_SIZE),
+    Goroutine: (lambda: Goroutine(1), 424),
+    Semaphore: (lambda: Semaphore(), WORD_SIZE),
+    Mutex: (lambda: Mutex(), 2 * WORD_SIZE),
+    RWMutex: (lambda: RWMutex(), 4 * WORD_SIZE),
+    WaitGroup: (lambda: WaitGroup(), 2 * WORD_SIZE),
+    Cond: (lambda: Cond(Mutex()), 3 * WORD_SIZE),
+    Once: (lambda: Once(), WORD_SIZE),
+    Pool: (lambda: Pool(), 4 * WORD_SIZE),
+    Ticker: (lambda: Ticker(Channel(1), 5), 3 * WORD_SIZE),
+    Timer: (lambda: Timer(Channel(1)), 2 * WORD_SIZE),
+    GlobalRoot: (lambda: GlobalRoot(), 0),
+    CircuitBreaker: (lambda: CircuitBreaker(), 6 * WORD_SIZE),
+}
+
+
+def _heap_classes():
+    """Every concrete ``HeapObject`` subclass the three packages define."""
+    for pkg in (repro.runtime, repro.gc, repro.service):
+        for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + "."):
+            mod = importlib.import_module(info.name)
+            for cls in vars(mod).values():
+                if (inspect.isclass(cls) and cls.__module__ == info.name
+                        and issubclass(cls, HeapObject)
+                        and cls is not HeapObject):
+                    yield cls
+
+
+def test_every_heap_class_has_a_build():
+    assert set(_heap_classes()) == set(BUILDS)
+
+
+@pytest.mark.parametrize("cls", list(BUILDS), ids=lambda c: c.__name__)
+def test_a_fresh_object_is_unallocated_and_unmarked(cls):
+    build, size = BUILDS[cls]
+    obj = build()
+    assert type(obj) is cls
+    assert (obj.addr, obj.size, obj._mark_epoch) == (0, size, -1)
+    assert obj._heap is None and obj._finalizer is None
+    assert type(obj).gc_ages_on_cycle is (cls is Pool)
+
+
+def test_only_pools_join_the_aging_registry():
+    heap = Heap()
+    objs = [heap.allocate(build()) for cls, (build, _) in BUILDS.items()
+            if cls is not GlobalRoot]
+    assert [type(o) for o in heap.gc_aged_objects()] == [Pool]
+    assert all(o._heap is heap for o in objs)
+
+
+def test_allocate_spaces_addresses_by_size_with_a_floor():
+    heap = Heap()
+    a, b, c = (heap.allocate(x) for x in (Blob(40), Blob(0), Blob(8)))
+    assert (b.addr - a.addr, c.addr - b.addr) == (40, 16)
+
+
+def test_a_struct_does_not_alias_the_callers_dict():
+    d = {"a": 1}
+    s = Struct(**d)
+    s["a"] = 2
+    d["b"] = 3
+    assert d == {"a": 1, "b": 3}
+    assert s.fields == {"a": 2}
+
+
+def test_slices_and_maps_copy_the_callers_container():
+    items, entries = [1], {1: 2}
+    sl, m = Slice(items), GoMap(entries)
+    sl.append(3)
+    m[4] = 5
+    assert (items, entries) == ([1], {1: 2})
+
+
+def _incremental_rt():
+    return Runtime(procs=2, seed=7, config=GolfConfig(gc_mode="incremental"))
+
+
+def _arm(rt):
+    rt.collector._begin_cycle("test")
+    assert rt.collector.phase is GCPhase.MARKING
+    assert rt.heap.barrier_active
+
+
+@pytest.mark.parametrize("armed", [False, True])
+def test_slice_append_books_growth_as_resize_does(armed):
+    rt = _incremental_rt()
+    heap = rt.heap
+    fast, ref = heap.allocate(Slice([1])), heap.allocate(Slice([1]))
+    target = heap.allocate(Blob(8))
+    if armed:
+        _arm(rt)
+    for value in (2, target, None):
+        before = heap.live_bytes
+        fast.append(value)
+        mid = heap.live_bytes
+        ref._barrier(value)
+        ref.items.append(value)
+        ref.resize(ref.size + WORD_SIZE)
+        assert fast.size == ref.size
+        assert mid - before == heap.live_bytes - mid == WORD_SIZE
+    assert fast.items == ref.items
+    assert heap.is_marked(target) is armed
+    assert rt.check_invariants() == []
+
+
+def test_an_unallocated_slice_grows_without_a_heap():
+    sl = Slice()
+    sl.append(Box(1))
+    assert sl.size == 4 * WORD_SIZE and sl._heap is None
+
+
+def test_stores_reach_the_barrier_only_while_it_is_armed():
+    rt = _incremental_rt()
+    heap = rt.heap
+    calls = []
+    real = heap.write_barrier
+
+    def counting(src, ref):
+        calls.append((src, ref))
+        real(src, ref)
+
+    heap.write_barrier = counting
+    box, st = heap.allocate(Box()), heap.allocate(Struct(f=None))
+    sl, m = heap.allocate(Slice()), heap.allocate(GoMap())
+    targets = [heap.allocate(Blob(8)) for _ in range(5)]
+
+    def store_all():
+        box.value = targets[0]
+        st["f"] = targets[1]
+        sl.append(targets[2])
+        m[targets[3]] = targets[4]
+
+    store_all()
+    assert calls == []
+    _arm(rt)
+    store_all()
+    assert [src for src, _ in calls] == [box, st, sl, m, m]
+    assert all(heap.is_marked(t) for t in targets)
+    heap.disable_barrier()
+    calls.clear()
+    store_all()
+    assert calls == []
+
+
+def test_a_direct_write_barrier_call_is_a_no_op_while_disarmed():
+    heap = Heap()
+    target = heap.allocate(Blob(8))
+    heap.write_barrier(heap.globals, target)
+    assert not heap.is_marked(target) and heap.barrier_shades == 0

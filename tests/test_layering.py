@@ -107,6 +107,24 @@ def test_bare_runtime_loads_only_the_kernel():
     assert strays == [], f"a bare Runtime() loaded {strays}"
 
 
+def test_the_e2e_imports_load_no_multiprocessing():
+    # Only the fleet's multiprocessing mode needs the module; imported
+    # at load time it costs every benchmark worker about 1 MiB of RSS.
+    imports = sorted({
+        ast.unparse(node)
+        for source in sorted((REPO / "benchmarks" / "e2e").glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and (node.module or "").split(".")[0] == "repro"})
+    assert len(imports) > 10
+    code = "\n".join(["import sys", *imports,
+                      "print('multiprocessing' in sys.modules)"])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_kernel_imports_nothing_above_it_at_load():
     top_level = [(path, module) for path, scope, module in _upward_imports()
                  if scope is None]

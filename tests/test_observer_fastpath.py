@@ -20,6 +20,7 @@ import pytest
 
 from repro.equivalence import corpus
 from repro.microbench.harness import run_microbenchmark
+from repro.microbench.registry import all_benchmarks
 from repro.runtime.channel import Channel
 from repro.runtime.clock import Clock
 from repro.runtime.goroutine import Goroutine
@@ -46,8 +47,17 @@ ADDED_CALLS_PER_VINSTR = 5.7
 
 #: Bare Python-level calls per virtual instruction of the same run
 #: (17.04 with three processor walks per event, 14.3 with one, 11.6
-#: with the run-queue pick drawn in place of ``randrange``'s two frames).
+#: with the run-queue pick drawn in place of ``randrange``'s two frames,
+#: 11.41 with one constructor frame per heap object).
 BARE_CALLS_PER_VINSTR = 12.5
+
+#: Python-level calls per virtual instruction over the 73 registry
+#: programs (procs 1, seed 7), where every leg allocates a ``Slice`` and
+#: 40 ``Struct``s: 23.67 with a ``super().__init__`` per constructor,
+#: a copied ``**fields`` dict and ``_barrier -> write_barrier -> resize``
+#: per ``Slice.append``; 20.98 with one constructor frame and the
+#: barrier flag tested before the call.  The bound keeps x 1.07 headroom.
+REGISTRY_CALLS_PER_VINSTR = 22.4
 
 
 # ---------------------------------------------------------------------------
@@ -647,3 +657,18 @@ def test_observers_stay_within_the_call_budget():
     # the window (see _python_calls): garbage an earlier test left
     # behind used to add calls here one tier-1 run in five.
     assert _python_calls(lambda: run_production(config())) == bare
+
+
+def test_the_registry_stays_within_the_call_budget():
+    built = []
+    vinstr = 0
+
+    def sweep():
+        nonlocal vinstr
+        for bench in all_benchmarks():
+            run_microbenchmark(bench, procs=1, seed=7, rt_hook=built.append)
+            vinstr += built.pop().sched.instructions_executed
+
+    calls = _python_calls(sweep)
+    assert len(all_benchmarks()) == 73
+    assert calls / vinstr <= REGISTRY_CALLS_PER_VINSTR, (calls, vinstr)
