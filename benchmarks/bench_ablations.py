@@ -1,29 +1,11 @@
 """Ablations over GOLF's design choices (not in the paper's tables, but
-direct measurements of the trade-offs its sections 5.2-5.3 and 6.2
-discuss): fixpoint strategy, detection cadence, recovery on/off.
+direct measurements of trade-offs the paper discusses): detection
+cadence (section 6.2) and recovery on/off.  The fixpoint strategy
+(sections 5.2-5.3) is bench_complexity.py's chain rows.
 """
 
 from benchmarks.conftest import emit
-from repro.experiments.ablations import (
-    CadenceAblation,
-    FixpointAblation,
-    RecoveryAblation,
-)
-
-
-def test_ablation_fixpoint_strategy():
-    result = FixpointAblation().run((2, 4, 8, 16, 32))
-    emit("ablation_fixpoint", result.format())
-
-    for row in result.rows:
-        # Restart: one iteration per chain hop (paper's O(N) scenario);
-        # on-the-fly: always a single pass (the 5.3 optimization).
-        assert row["restart_iterations"] == row["chain"] + 1
-        assert row["otf_iterations"] == 1
-        assert row["restart_deadlocks"] == row["otf_deadlocks"]
-    # Quadratic vs linear liveness checks.
-    last = result.rows[-1]
-    assert last["restart_checks"] > 8 * last["otf_checks"]
+from repro.experiments.ablations import CadenceAblation, RecoveryAblation
 
 
 def test_ablation_detection_cadence():

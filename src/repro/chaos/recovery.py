@@ -22,6 +22,7 @@ a campaign is fully reproducible from ``(seeds, base_seed)``.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Dict, List, Optional
 
 from repro.chaos.plan import FaultPlan
@@ -189,13 +190,8 @@ def run_recovery_campaign(
     base = config or CheckpointedConfig()
     for i in range(seeds):
         seed = base_seed + i
-        cfg = CheckpointedConfig(
-            procs=base.procs, seed=seed, workers=base.workers,
-            jobs=base.jobs, poison_rate=base.poison_rate,
-            work_us=base.work_us,
-            daemon_interval_ms=base.daemon_interval_ms,
-            redeliver_after_ms=base.redeliver_after_ms,
-            deadline_ms=base.deadline_ms)
+        cfg = copy.copy(base)
+        cfg.seed = seed
         plan = FaultPlan(seed, scn)
         result = run_checkpointed(cfg, telemetry=telemetry, fault_plan=plan)
         report.schedules.append(

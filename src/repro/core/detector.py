@@ -21,8 +21,8 @@ implementation, which restarts the mark once per root-set expansion
 over every still-masked candidate (``O(N² + N·S)`` checks in the worst
 case), survives as the reference :func:`expand_by_restart`: the
 ``fixpoint`` pair of :mod:`repro.equivalence` checks on the 125-program
-corpus that both render the same verdicts, and the ablations measure
-the gap.
+corpus that both render the same verdicts, and the complexity sweep
+(:mod:`repro.experiments.complexity`) measures the gap.
 """
 
 from __future__ import annotations

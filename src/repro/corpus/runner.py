@@ -72,6 +72,14 @@ class CorpusResult:
     def golf_dedup(self) -> int:
         return len(self.golf_by_site)
 
+    @property
+    def individual_ratio(self) -> float:
+        return self.golf_total / max(1, self.goleak_total)
+
+    @property
+    def dedup_ratio(self) -> float:
+        return self.golf_dedup / max(1, self.goleak_dedup)
+
     def ratio_curve(self) -> List[float]:
         """Per-deduplicated-GOLF-report detection ratio, sorted
         descending — the Figure 3 series."""

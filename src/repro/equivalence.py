@@ -197,14 +197,6 @@ PAIRS: Dict[str, Pair] = {p.name: p for p in (
              "after a detection cycle shift")),
 )}
 
-#: Sequential vs multiprocessing shards.  Its corpus is two small
-#: fleets, not the registry, so :func:`run_pair` does not sweep it: the
-#: legs carry no config or hook, and their labels are ``run_fleet``'s
-#: mode names.
-_FLEET = Pair("fleet", Leg("sequential"), Leg("multiprocessing"),
-              excluded=("mode",),
-              why_excluded="the artifact's own execution-mode tag")
-
 
 class Mismatch(NamedTuple):
     """One program on which the two legs disagreed."""
@@ -322,32 +314,6 @@ def sweep(pair: Pair, procs: int = 2, seed: int = 7) -> EquivalenceResult:
     return result
 
 
-def _fleet_pair(procs: int, seed: int) -> EquivalenceResult:
-    """Both workload shapes on a 2-shard fleet small enough to spawn in
-    about a second and leaky enough that every shard reports."""
-    from repro.fleet import FleetConfig, run_fleet
-    from repro.fleet.aggregate import equivalence_surface
-
-    result = EquivalenceResult(_FLEET, procs, seed)
-    for workload in ("controlled", "production"):
-        config = FleetConfig(shards=2, users=16, leak_rate=0.3,
-                             min_requests=1, max_requests=3, seed=seed,
-                             procs_per_shard=procs, workload=workload)
-        seq, mp = (run_fleet(config, leg.label)
-                   for leg in (_FLEET.leg_a, _FLEET.leg_b))
-        result.add(f"fleet/{workload}",
-                   diff_fields(equivalence_surface(seq),
-                               equivalence_surface(mp)),
-                   {"leaks_detected": mp.total_leaks_detected})
-    return result
-
-
-#: Every pair ``repro equiv`` knows, in run order.
-PAIR_NAMES = tuple(PAIRS) + (_FLEET.name,)
-
-
 def run_pair(name: str, procs: int = 2, seed: int = 7) -> EquivalenceResult:
-    """Run one named pair over its whole corpus."""
-    if name == _FLEET.name:
-        return _fleet_pair(procs, seed)
+    """Run one named pair over the corpus."""
     return sweep(PAIRS[name], procs, seed)

@@ -1,17 +1,12 @@
 """Ablations over GOLF's design choices (DESIGN.md, section 4).
 
-Three studies:
+Two studies (the fixpoint strategy, restart vs on-the-fly root
+expansion, is measured by :mod:`repro.experiments.complexity`):
 
-1. **Fixpoint strategy** — the paper's restart-based mark iterations
-   (the reference, :func:`~repro.gc.collector.use_restart_fixpoint`) vs
-   the on-the-fly root expansion it sketches in section 5.3 (the
-   collector's own).  Both must report identical deadlock sets; the
-   on-the-fly variant needs exactly one iteration where the restart
-   variant needs one per daisy-chain hop.
-2. **Detection cadence** — running detection every Nth GC cycle (the
+1. **Detection cadence** — running detection every Nth GC cycle (the
    paper's closing remark in section 6.2): overhead drops, detections
    are merely delayed, never lost.
-3. **Recovery on/off** — monitor-only GOLF still reports but memory
+2. **Recovery on/off** — monitor-only GOLF still reports but memory
    stays leaked; recovery reclaims it.
 """
 
@@ -20,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.config import GolfConfig
-from repro.gc.collector import use_restart_fixpoint
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MICROSECOND, MILLISECOND
 from repro.runtime.instructions import (
@@ -33,70 +27,6 @@ from repro.runtime.instructions import (
     Sleep,
 )
 from repro.runtime.objects import Blob
-
-
-def _chain_program(length: int):
-    """A daisy chain of blocked goroutines, the detector's worst case
-    (section 5.2): main holds only the head channel, each stage holds the
-    next hop, so the whole chain is *live* but every restart iteration
-    can discover exactly one more goroutine."""
-
-    def stage(src, remaining: int):
-        if remaining == 0:
-            yield Recv(src)  # the tail consumes and exits
-            return
-        dst = yield MakeChan(0)
-        yield Go(stage, dst, remaining - 1)
-        value, _ = yield Recv(src)
-        yield Send(dst, value)
-
-    def main():
-        head = yield MakeChan(0)
-        yield Go(stage, head, length - 1)
-        yield Sleep(100 * MICROSECOND)
-        yield RunGC()
-        # Feed the chain so everything winds down cleanly.
-        yield Send(head, 1)
-
-    return main
-
-
-class FixpointAblation:
-    """Iteration/work comparison between the two fixpoint strategies."""
-
-    def __init__(self) -> None:
-        self.rows: List[Dict[str, float]] = []
-
-    def run(self, chain_lengths=(2, 4, 8, 16), seed: int = 0) -> "FixpointAblation":
-        for length in chain_lengths:
-            row: Dict[str, float] = {"chain": length}
-            for on_the_fly in (False, True):
-                rt = Runtime(procs=2, seed=seed)
-                if not on_the_fly:
-                    use_restart_fixpoint(rt.collector)
-                rt.spawn_main(_chain_program(length))
-                rt.run(until_ns=50 * MILLISECOND)
-                cycles = rt.collector.stats.cycles
-                detect_cycles = [c for c in cycles if c.mode == "golf"]
-                key = "otf" if on_the_fly else "restart"
-                row[f"{key}_iterations"] = max(
-                    c.mark_iterations for c in detect_cycles)
-                row[f"{key}_checks"] = sum(
-                    c.liveness_checks for c in detect_cycles)
-                row[f"{key}_deadlocks"] = rt.reports.total()
-            self.rows.append(row)
-        return self
-
-    def format(self) -> str:
-        lines = [f"{'chain':>6s} {'restart iters':>14s} {'otf iters':>10s} "
-                 f"{'restart checks':>15s} {'otf checks':>11s}"]
-        for row in self.rows:
-            lines.append(
-                f"{row['chain']:>6.0f} {row['restart_iterations']:>14.0f} "
-                f"{row['otf_iterations']:>10.0f} "
-                f"{row['restart_checks']:>15.0f} {row['otf_checks']:>11.0f}"
-            )
-        return "\n".join(lines)
 
 
 def _leaky_burst_program(bursts: int, per_burst: int, payload: int):

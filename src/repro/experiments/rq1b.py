@@ -1,67 +1,58 @@
-"""RQ1(b): GOLF vs goleak on the synthetic enterprise corpus.
+"""RQ1(b) and Figure 3: GOLF vs goleak on the synthetic enterprise corpus.
 
 The paper's headline numbers: goleak reported 29 513 individual partial
 deadlocks across 3 111 package test suites, deduplicated to 357; GOLF
 detected 17 872 of the individual reports (60%), deduplicating to 180
-(50%).  This driver runs the scaled corpus and reports the same four
-numbers plus the ratios.
+(50%).  Figure 3 is the per-report GOLF/goleak detection ratio curve:
+for each deduplicated GOLF report, the ratio of individual deadlocks
+GOLF found to those goleak found, sorted descending.  The paper reads
+two numbers off it: the area under it (~82%) and the fraction of
+reports where GOLF found everything goleak found (55%).
+
+Both are read off one :func:`~repro.corpus.runner.run_corpus` result.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.corpus.generator import CorpusConfig
-from repro.corpus.runner import CorpusResult, run_corpus
+from repro.corpus.runner import CorpusResult
 
 
-class RQ1bResult:
-    """Headline counts plus the underlying corpus result."""
-
-    def __init__(self, corpus: CorpusResult, config: CorpusConfig):
-        self.corpus = corpus
-        self.config = config
-
-    @property
-    def goleak_total(self) -> int:
-        return self.corpus.goleak_total
-
-    @property
-    def golf_total(self) -> int:
-        return self.corpus.golf_total
-
-    @property
-    def goleak_dedup(self) -> int:
-        return self.corpus.goleak_dedup
-
-    @property
-    def golf_dedup(self) -> int:
-        return self.corpus.golf_dedup
-
-    @property
-    def individual_ratio(self) -> float:
-        return self.golf_total / max(1, self.goleak_total)
-
-    @property
-    def dedup_ratio(self) -> float:
-        return self.golf_dedup / max(1, self.goleak_dedup)
-
-
-def run_rq1b(config: Optional[CorpusConfig] = None) -> RQ1bResult:
-    config = config or CorpusConfig()
-    return RQ1bResult(run_corpus(config), config)
-
-
-def format_rq1b(result: RQ1bResult) -> str:
+def format_rq1b(corpus: CorpusResult, config: CorpusConfig) -> str:
     return "\n".join([
-        f"Corpus: {result.config.n_packages} packages, "
-        f"{result.config.n_sites} library sites "
+        f"Corpus: {config.n_packages} packages, "
+        f"{config.n_sites} library sites "
         f"(paper: 3111 packages)",
-        f"goleak individual reports: {result.goleak_total} "
+        f"goleak individual reports: {corpus.goleak_total} "
         f"(paper: 29513)",
-        f"GOLF   individual reports: {result.golf_total} "
-        f"({result.individual_ratio:.0%}; paper: 17872 = 60%)",
-        f"goleak deduplicated:       {result.goleak_dedup} (paper: 357)",
-        f"GOLF   deduplicated:       {result.golf_dedup} "
-        f"({result.dedup_ratio:.0%}; paper: 180 = 50%)",
+        f"GOLF   individual reports: {corpus.golf_total} "
+        f"({corpus.individual_ratio:.0%}; paper: 17872 = 60%)",
+        f"goleak deduplicated:       {corpus.goleak_dedup} (paper: 357)",
+        f"GOLF   deduplicated:       {corpus.golf_dedup} "
+        f"({corpus.dedup_ratio:.0%}; paper: 180 = 50%)",
     ])
+
+
+def format_figure3(corpus: CorpusResult) -> str:
+    lines = ["GOLF/goleak individual-report ratio per deduplicated report:"]
+    curve = corpus.ratio_curve()
+    if curve:
+        # Render as a coarse ASCII curve: x = report index, y = ratio.
+        rows, width = 10, 60
+        grid = [[" "] * min(width, len(curve)) for _ in range(rows)]
+        step = max(1, len(curve) // width)
+        sampled = curve[::step][:width]
+        for x, ratio in enumerate(sampled):
+            y = min(rows - 1, int((1.0 - ratio) * (rows - 1) + 0.5))
+            grid[y][x] = "*"
+        for y, row in enumerate(grid):
+            pct = 100 - round(100 * y / (rows - 1))
+            lines.append(f"{pct:>4d}% |{''.join(row)}")
+        lines.append("      +" + "-" * len(sampled))
+        lines.append(f"       1 .. {len(curve)} (dedup report index)")
+    lines.append(
+        f"area under curve: {corpus.area_under_curve():.0%} (paper: 82%)   "
+        f"all-found reports: {corpus.fully_found_fraction():.0%} "
+        f"(paper: 55%)"
+    )
+    return "\n".join(lines)

@@ -11,6 +11,7 @@ infrastructure" the paper describes.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional
 
 from repro.service.production import ProductionConfig, run_production
@@ -52,19 +53,8 @@ def run_rq1c(config: Optional[ProductionConfig] = None,
     sites: set = set()
     per_instance: Dict[int, int] = {}
     for instance in range(instances):
-        instance_config = ProductionConfig(
-            procs=config.procs,
-            hours=config.hours,
-            connections=config.connections,
-            downstream_ms=config.downstream_ms,
-            downstream_jitter_ms=config.downstream_jitter_ms,
-            think_time_ms=config.think_time_ms,
-            handler_work_ms=config.handler_work_ms,
-            leak_every=config.leak_every,
-            metric_interval_min=config.metric_interval_min,
-            periodic_gc_s=config.periodic_gc_s,
-            seed=config.seed + 7919 * instance,
-        )
+        instance_config = copy.copy(config)
+        instance_config.seed = config.seed + 7919 * instance
         result = run_production(instance_config, golf=True)
         per_instance[instance] = result.deadlock_reports
         total_reports += result.deadlock_reports

@@ -7,6 +7,7 @@ combinations and prints the paper's metric rows with Base/GOLF ratios.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.service.controlled import (
@@ -63,20 +64,8 @@ def run_table2(
     result = Table2Result()
     for rate in leak_rates:
         for golf in (False, True):
-            cfg = config or ControlledConfig()
-            cell_cfg = ControlledConfig(
-                procs=cfg.procs,
-                connections=cfg.connections,
-                duration_s=cfg.duration_s,
-                warmup_s=cfg.warmup_s,
-                leak_rate=rate,
-                map_entries=cfg.map_entries,
-                downstream_ms=cfg.downstream_ms,
-                downstream_jitter_ms=cfg.downstream_jitter_ms,
-                handler_work_us=cfg.handler_work_us,
-                periodic_gc_ms=cfg.periodic_gc_ms,
-                seed=cfg.seed,
-            )
+            cell_cfg = copy.copy(config or ControlledConfig())
+            cell_cfg.leak_rate = rate
             result.add(run_controlled(cell_cfg, golf=golf))
     return result
 

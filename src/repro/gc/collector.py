@@ -655,7 +655,7 @@ def use_restart_fixpoint(collector: Collector) -> None:
     (:func:`repro.core.detector.expand_by_restart`), in either gc mode.
 
     The reference, not an option: the ``fixpoint`` pair of
-    :mod:`repro.equivalence` and the restart arms of the fixpoint
-    ablation and the complexity sweep set it on a fresh runtime.
+    :mod:`repro.equivalence` and the complexity sweep's restart arm
+    (:mod:`repro.experiments.complexity`) set it on a fresh runtime.
     """
     collector._restart_fixpoint = True

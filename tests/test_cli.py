@@ -170,8 +170,7 @@ class TestDaemonCommand:
         assert main(["daemon", "--seeds", "2",
                      "--json-dir", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
-        assert "-- detection-latency SLO curve" in out
-        assert "-- checkpoint/rollback e2e" in out
+        assert "-- recovery chaos campaign" in out
         assert "restart success : 2/2" in out
         assert "FAIL" not in out
         doc = codec.read(str(tmp_path / "out" / "recovery-s0-n2.json"))

@@ -2,10 +2,9 @@
 
 Every pair of the table, swept over the whole 125-program corpus at two
 seeds — atomic ≡ incremental GC, table ≡ legacy dispatch, every
-observer on ≡ off, restart ≡ on-the-fly root expansion, sequential ≡
-multiprocessing fleet — plus the harness's own failure path: a
-deliberately broken second leg must be named by program, variant and
-field.
+observer on ≡ off, restart ≡ on-the-fly root expansion — plus the
+harness's own failure path: a deliberately broken second leg must be
+named by program, variant and field.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import pytest
 
 from repro.equivalence import (
-    PAIR_NAMES,
     PAIRS,
     EquivalenceResult,
     Program,
@@ -32,7 +30,7 @@ VERDICT_FIELDS = ("status", "detected", "reports")
 
 class TestEveryPair:
     @pytest.mark.parametrize("seed", [7, 11])
-    @pytest.mark.parametrize("name", PAIR_NAMES)
+    @pytest.mark.parametrize("name", PAIRS)
     def test_pair_is_equivalent_over_its_corpus(self, name, seed):
         result = swept(name, seed)
         assert result.clean, "\n" + result.format()

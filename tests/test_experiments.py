@@ -1,8 +1,12 @@
 """Tests for the experiment drivers and their formatters (fast configs)."""
 
+import inspect
+import types
+
 import pytest
 
 from repro.corpus.generator import CorpusConfig
+from repro.corpus.runner import run_corpus
 from repro.experiments import (
     Table1Result,
     format_figure1,
@@ -14,22 +18,17 @@ from repro.experiments import (
     format_table2,
     format_table3,
     run_figure1,
-    run_figure3,
     run_figure4,
-    run_rq1b,
     run_rq1c,
     run_table1,
     run_table2,
     run_table3,
 )
-from repro.experiments.ablations import (
-    CadenceAblation,
-    FixpointAblation,
-    RecoveryAblation,
-)
+from repro.experiments.ablations import CadenceAblation, RecoveryAblation
 from repro.experiments.complexity import run_complexity_sweep
 from repro.microbench.registry import all_benchmarks, benchmarks_by_name
-from repro.service.controlled import ControlledConfig
+from repro.service.checkpointed import CheckpointedConfig
+from repro.service.controlled import ControlledConfig, ControlledResult
 from repro.service.longrun import LongRunConfig
 from repro.service.production import ProductionConfig
 
@@ -135,19 +134,21 @@ class TestRQ1bAndFigure3:
     def corpus_config(self):
         return CorpusConfig(n_packages=60, n_sites=24, seed=4)
 
-    def test_rq1b_ratios(self, corpus_config):
-        result = run_rq1b(corpus_config)
-        assert 0.30 <= result.dedup_ratio <= 0.70
-        assert result.individual_ratio >= result.dedup_ratio - 0.10
-        text = format_rq1b(result)
+    @pytest.fixture(scope="class")
+    def corpus(self, corpus_config):
+        return run_corpus(corpus_config)
+
+    def test_rq1b_ratios(self, corpus, corpus_config):
+        assert 0.30 <= corpus.dedup_ratio <= 0.70
+        assert corpus.individual_ratio >= corpus.dedup_ratio - 0.10
+        text = format_rq1b(corpus, corpus_config)
         assert "paper: 29513" in text
 
-    def test_figure3_curve(self, corpus_config):
-        result = run_figure3(corpus_config)
-        assert result.curve
-        assert 0.5 <= result.auc <= 1.0
-        assert 0.0 <= result.fully_found <= 1.0
-        text = format_figure3(result)
+    def test_figure3_curve(self, corpus):
+        assert corpus.ratio_curve()
+        assert 0.5 <= corpus.area_under_curve() <= 1.0
+        assert 0.0 <= corpus.fully_found_fraction() <= 1.0
+        text = format_figure3(corpus)
         assert "area under curve" in text
 
 
@@ -167,19 +168,24 @@ class TestFigure4:
 
 
 class TestAblations:
-    def test_fixpoint_restart_iterations_grow_with_chain(self):
-        result = FixpointAblation().run(chain_lengths=(2, 8))
-        short, long = result.rows
-        assert long["restart_iterations"] > short["restart_iterations"]
-        assert long["otf_iterations"] == 1
-        assert short["restart_deadlocks"] == short["otf_deadlocks"] == 0
-        assert "restart iters" in result.format()
-
     def test_complexity_sweep_counts_the_rungc_cycles(self):
-        points = run_complexity_sweep(sizes=(8,))
-        assert [(p.shape, p.strategy, p.checks) for p in points] == [
-            ("pool", "restart", 8), ("pool", "on-the-fly", 8),
-            ("chain", "restart", 36), ("chain", "on-the-fly", 8)]
+        # Section 5.3's closed forms on every row (the sweep itself
+        # asserts zero reports): a live N-hop chain costs the restart
+        # reference N(N+1)/2 checks over N+1 iterations and on-the-fly
+        # N checks in one; a flat pool costs both N checks.
+        points = run_complexity_sweep(sizes=(2, 8))
+        expected = {
+            ("pool", "restart"): lambda n: (n, 2),
+            ("pool", "on-the-fly"): lambda n: (n, 1),
+            ("chain", "restart"): lambda n: (n * (n + 1) // 2, n + 1),
+            ("chain", "on-the-fly"): lambda n: (n, 1),
+        }
+        assert [(p.shape, p.n, p.strategy) for p in points] == [
+            (shape, n, strategy) for shape in ("pool", "chain")
+            for n in (2, 8) for strategy in ("restart", "on-the-fly")]
+        for p in points:
+            assert (p.checks, p.iterations) == \
+                expected[p.shape, p.strategy](p.n), (p.shape, p.n)
 
     def test_cadence_preserves_detections(self):
         result = CadenceAblation().run(cadences=(1, 5), pool=30,
@@ -197,3 +203,74 @@ class TestAblations:
         assert on["heap_alloc_kb"] < off["heap_alloc_kb"] / 10
         assert on["goroutines"] == 0
         assert "reclaim" in result.format()
+
+
+def _off_default(config):
+    """``config``, asserted to hold no field at its default."""
+    defaults = {p.name: p.default for p in
+                inspect.signature(type(config)).parameters.values()}
+    assert defaults.keys() == vars(config).keys()
+    assert all(vars(config)[k] != v for k, v in defaults.items())
+    return config
+
+
+def _table2(monkeypatch, calls):
+    import repro.experiments.table2 as table2
+
+    def record(cfg, golf):
+        calls.append(cfg)
+        return ControlledResult(golf, cfg.leak_rate)
+
+    monkeypatch.setattr(table2, "run_controlled", record)
+    base = _off_default(ControlledConfig(
+        procs=3, connections=5, duration_s=7, warmup_s=2, leak_rate=0.5,
+        map_entries=900, downstream_ms=11, downstream_jitter_ms=3,
+        handler_work_us=13, periodic_gc_ms=17, seed=19))
+    return base, lambda: table2.run_table2(leak_rates=(0.25,), config=base), \
+        [{"leak_rate": 0.25}] * 2
+
+
+def _rq1c(monkeypatch, calls):
+    import repro.experiments.rq1c as rq1c
+
+    def record(cfg, golf):
+        calls.append(cfg)
+        return types.SimpleNamespace(deadlock_reports=0, total_requests=0,
+                                     dedup_sites=())
+
+    monkeypatch.setattr(rq1c, "run_production", record)
+    base = _off_default(ProductionConfig(
+        procs=3, hours=0.5, connections=5, downstream_ms=7,
+        downstream_jitter_ms=2, think_time_ms=11, handler_work_ms=3,
+        leak_every=13, metric_interval_min=1, periodic_gc_s=17, seed=19))
+    return base, lambda: rq1c.run_rq1c(base, instances=2), \
+        [{"seed": 19}, {"seed": 19 + 7919}]
+
+
+def _recovery(monkeypatch, calls):
+    import repro.chaos.recovery as recovery
+
+    def record(cfg, telemetry, fault_plan):
+        calls.append(cfg)
+
+    monkeypatch.setattr(recovery, "run_checkpointed", record)
+    base = _off_default(CheckpointedConfig(
+        procs=3, seed=5, workers=7, jobs=11, poison_rate=0.5, work_us=13,
+        daemon_interval_ms=2.5, redeliver_after_ms=17, deadline_ms=900))
+    return base, lambda: recovery.run_recovery_campaign(
+        seeds=2, base_seed=40, config=base), [{"seed": 40}, {"seed": 41}]
+
+
+@pytest.mark.parametrize("experiment", [_table2, _rq1c, _recovery],
+                         ids=["table2", "rq1c", "recovery"])
+def test_a_derived_config_changes_only_its_override(monkeypatch,
+                                                    experiment):
+    # Every field of the base config reaches the service run unchanged
+    # except the one the experiment overrides, and the base is left alone.
+    calls = []
+    base, run, overrides = experiment(monkeypatch, calls)
+    before = dict(vars(base))
+    run()
+    assert [vars(cfg) for cfg in calls] == [
+        {**before, **override} for override in overrides]
+    assert vars(base) == before
