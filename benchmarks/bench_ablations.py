@@ -9,7 +9,7 @@ from repro.experiments.ablations import CadenceAblation, RecoveryAblation
 
 
 def test_ablation_detection_cadence():
-    result = CadenceAblation().run((1, 2, 5, 10))
+    result = CadenceAblation().run()
     emit("ablation_cadence", result.format())
 
     every1 = result.rows[0]

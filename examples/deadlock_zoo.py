@@ -192,12 +192,6 @@ def zoo_waived():
 # --- Part 2: the dynamic corpus ---------------------------------------------
 
 
-def progress(done, total):
-    pct = 100 * done // total
-    sys.stdout.write(f"\r  running corpus... {pct:3d}%")
-    sys.stdout.flush()
-
-
 if __name__ == "__main__":
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     benches = all_benchmarks()
@@ -205,8 +199,7 @@ if __name__ == "__main__":
           f"annotated leaky go instructions")
     print(f"running each {runs}x under GOMAXPROCS in {{1, 2, 4, 10}}")
 
-    result = run_table1(runs=runs, progress=progress)
-    sys.stdout.write("\r" + " " * 40 + "\r")
+    result = run_table1(runs=runs)
     print(format_table1(result))
 
     assert result.aggregated() > 0.85

@@ -21,8 +21,7 @@ if __name__ == "__main__":
     print("-" * 68)
     for leaky in (False, True):
         for golf in (False, True):
-            config = KVConfig(leak_watch_cancel=leaky, seed=3,
-                              duration_ms=50)
+            config = KVConfig(leak_watch_cancel=leaky, seed=3)
             result = run_kv_workload(config, golf=golf)
             variant = (("leaky" if leaky else "clean")
                        + " / " + ("GOLF" if golf else "baseline"))

@@ -18,6 +18,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+#: Minimum per-hour slope, the median across deployment windows, for a
+#: service to count as leaking: filters noise from transient request
+#: backlogs.
+LEAK_RATE_FLOOR = 0.5
+
 
 class DeployWindow:
     """One deployment's samples and fitted leak rate."""
@@ -114,7 +119,6 @@ def forecast_series(
     series: Sequence[Tuple[int, int]],
     redeploys: Sequence[int] = (),
     threshold: int = 10_000,
-    leak_rate_floor: float = 0.5,
 ) -> LeakForecast:
     """Analyze a blocked-goroutine series for leak behavior.
 
@@ -123,9 +127,6 @@ def forecast_series(
         redeploys: hours at which the process restarted (counts reset).
         threshold: the blocked-goroutine population treated as the
             OOM/capacity ceiling for the forecast.
-        leak_rate_floor: minimum per-hour slope (averaged across
-            windows) to call the service leaking — filters noise from
-            transient request backlogs.
     """
     if not series:
         raise ValueError("empty series")
@@ -136,7 +137,7 @@ def forecast_series(
         np.zeros(1))
     rate = float(np.median(rates))
     stddev = float(np.std(rates))
-    leaking = rate >= leak_rate_floor
+    leaking = rate >= LEAK_RATE_FLOOR
 
     hours_to_threshold: Optional[float] = None
     if leaking and rate > 0:

@@ -4,7 +4,7 @@ The second demo application: a job queue shaped like production batch
 processors —
 
 - a **dispatcher** feeding a job channel;
-- a semaphore-bounded **worker pool** (at most ``max_inflight`` jobs in
+- a semaphore-bounded **worker pool** (at most ``MAX_INFLIGHT`` jobs in
   flight), each worker processing under a ``context`` deadline;
 - a **retry path**: failed jobs are re-queued up to ``MAX_ATTEMPTS``;
 - an ``errgroup`` joining the pool, first error cancelling the run.
@@ -42,30 +42,24 @@ from repro.runtime.instructions import (
 )
 
 
-#: The pipeline's fixed shape: processors, worker goroutines, attempts
-#: per job (first try plus retries), simulated work per attempt and the
-#: periodic-GC interval.
+#: The pipeline's fixed shape: processors, jobs, jobs in flight, worker
+#: goroutines, the share of attempts that fail, attempts per job (first
+#: try plus retries), simulated work per attempt and the periodic-GC
+#: interval.
 PROCS = 4
+JOBS = 120
+MAX_INFLIGHT = 4
 WORKERS = 6
+FAILURE_RATE = 0.2
 MAX_ATTEMPTS = 3
 WORK_US = 30
 PERIODIC_GC_MS = 2
 
 
 class JobQueueConfig:
-    """Pipeline and defect knobs."""
+    """The defect switch and the seed."""
 
-    def __init__(
-        self,
-        jobs: int = 120,
-        max_inflight: int = 4,
-        failure_rate: float = 0.2,
-        leak_retry_results: bool = False,
-        seed: int = 0,
-    ):
-        self.jobs = jobs
-        self.max_inflight = max_inflight
-        self.failure_rate = failure_rate
+    def __init__(self, leak_retry_results: bool = False, seed: int = 0):
         self.leak_retry_results = leak_retry_results
         self.seed = seed
 
@@ -95,7 +89,7 @@ class JobQueueResult:
 
 def run_job_queue(config: Optional[JobQueueConfig] = None,
                   golf: bool = True) -> JobQueueResult:
-    """Process ``config.jobs`` jobs through the pipeline."""
+    """Process :data:`JOBS` jobs through the pipeline."""
     config = config or JobQueueConfig()
     gc_config = GolfConfig() if golf else GolfConfig.baseline()
     rt = Runtime(procs=PROCS, seed=config.seed, config=gc_config)
@@ -104,7 +98,7 @@ def run_job_queue(config: Optional[JobQueueConfig] = None,
     result = JobQueueResult()
 
     def attempt_fails() -> bool:
-        return host_rng.random() < config.failure_rate
+        return host_rng.random() < FAILURE_RATE
 
     def process_once(job_id: int, attempt: int):
         """One processing attempt (yield from); returns success bool."""
@@ -146,13 +140,13 @@ def run_job_queue(config: Optional[JobQueueConfig] = None,
         return ok
 
     def main():
-        jobs_ch = yield MakeChan(config.max_inflight, label="jobs")
-        inflight = yield NewSema(config.max_inflight)
+        jobs_ch = yield MakeChan(MAX_INFLIGHT, label="jobs")
+        inflight = yield NewSema(MAX_INFLIGHT)
         group = yield from new_group()
         ctx, cancel = yield from with_cancel()
 
         def dispatcher():
-            for job_id in range(config.jobs):
+            for job_id in range(JOBS):
                 yield Send(jobs_ch, job_id)
             yield Close(jobs_ch)
             return None

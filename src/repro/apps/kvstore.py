@@ -47,8 +47,9 @@ from repro.runtime.instructions import (
 from repro.runtime.objects import GoMap, Struct
 from repro.runtime.timers import new_ticker
 
-#: Processors the workload runs on.
+#: Processors the workload runs on, and the virtual time it runs for.
 PROCS = 4
+DURATION_MS = 50
 #: Client goroutines issuing requests.
 CLIENTS = 6
 #: Shares of requests that write and that watch; the rest read.
@@ -65,15 +66,9 @@ PERIODIC_GC_MS = 5
 
 
 class KVConfig:
-    """Workload and defect knobs."""
+    """The defect switch and the seed."""
 
-    def __init__(
-        self,
-        duration_ms: int = 50,
-        leak_watch_cancel: bool = False,
-        seed: int = 0,
-    ):
-        self.duration_ms = duration_ms
+    def __init__(self, leak_watch_cancel: bool = False, seed: int = 0):
         #: The injectable defect: cancelled watches leave their drain
         #: goroutine parked on the event channel forever.
         self.leak_watch_cancel = leak_watch_cancel
@@ -246,7 +241,7 @@ def run_kv_workload(config: Optional[KVConfig] = None,
     rt.enable_periodic_gc(PERIODIC_GC_MS * MILLISECOND)
     host_rng = random.Random(config.seed ^ 0x5107E)
     result = KVWorkloadResult()
-    deadline = config.duration_ms * MILLISECOND
+    deadline = DURATION_MS * MILLISECOND
 
     def client(store: KVStore, client_id: int):
         keys = [f"svc{client_id}/k{i}" for i in range(8)]

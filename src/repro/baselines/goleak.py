@@ -6,8 +6,7 @@ Every goroutine involved in a partial deadlock is unterminated at test
 end, but not every unterminated goroutine is deadlocked: goroutines
 blocked on IO/timers and *runaway live* goroutines (the paper's Listing
 5 heartbeat) are flagged too.  The paper's RQ1(b) comparison excludes
-those categories for fairness; :func:`find_leaks` tags each record with a
-category so harnesses can apply the same filter.
+those categories for fairness, and so does :func:`find_leaks`.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from typing import List
 from repro.runtime.api import Runtime
 from repro.runtime.goroutine import GStatus, Goroutine
 
-#: Record categories.
-CATEGORY_CONCURRENCY = "blocked-concurrency"  # channel / sync blocking
-CATEGORY_EXTERNAL = "blocked-external"        # sleep, IO, syscalls
-CATEGORY_RUNNING = "running"                  # runaway live goroutines
+#: The one record category: channel / sync blocking.
+CATEGORY_CONCURRENCY = "blocked-concurrency"
 
 
 class GoleakRecord:
@@ -49,40 +46,26 @@ class GoleakRecord:
         )
 
 
-def find_leaks(rt: Runtime, include_external: bool = False,
-               include_running: bool = False) -> List[GoleakRecord]:
+def find_leaks(rt: Runtime) -> List[GoleakRecord]:
     """Report unterminated user goroutines, as goleak does at test end.
 
-    By default only concurrency-blocked goroutines are returned — the
-    category the paper compares GOLF against.  Set ``include_external`` /
-    ``include_running`` to see goleak's full (noisier) output.
-
-    Goroutines GOLF has already reported (``DEADLOCKED`` /
-    ``PENDING_RECLAIM`` states) are still lingering from goleak's point
-    of view and are included in the concurrency category.
+    Only concurrency-blocked goroutines are returned — the category the
+    paper compares GOLF against.  Goroutines GOLF has already reported
+    (``DEADLOCKED`` / ``PENDING_RECLAIM`` states) are still lingering
+    from goleak's point of view and are included.
     """
-    records: List[GoleakRecord] = []
-    for g in rt.sched.allgs:
-        if g.is_system or g.status == GStatus.DEAD:
-            continue
-        if g.status in (GStatus.DEADLOCKED, GStatus.PENDING_RECLAIM):
-            records.append(GoleakRecord(g, CATEGORY_CONCURRENCY))
-        elif g.status == GStatus.WAITING:
-            if g.is_blocked_detectably:
-                records.append(GoleakRecord(g, CATEGORY_CONCURRENCY))
-            elif include_external:
-                records.append(GoleakRecord(g, CATEGORY_EXTERNAL))
-        elif include_running and g.status in (GStatus.RUNNABLE,
-                                              GStatus.RUNNING):
-            records.append(GoleakRecord(g, CATEGORY_RUNNING))
-    return records
+    return [GoleakRecord(g, CATEGORY_CONCURRENCY) for g in rt.sched.allgs
+            if not g.is_system
+            and (g.status in (GStatus.DEADLOCKED, GStatus.PENDING_RECLAIM)
+                 or (g.status == GStatus.WAITING
+                     and g.is_blocked_detectably))]
 
 
 class LeakAssertionError(AssertionError):
     """Raised by :func:`verify_none` when goroutines linger."""
 
 
-def verify_none(rt: Runtime, include_external: bool = False) -> None:
+def verify_none(rt: Runtime) -> None:
     """``goleak.VerifyNone`` for this runtime: raise if anything lingers.
 
     The test-suite idiom — call at the end of a test to fail it when
@@ -91,7 +74,7 @@ def verify_none(rt: Runtime, include_external: bool = False) -> None:
         rt.run()
         verify_none(rt)
     """
-    records = find_leaks(rt, include_external=include_external)
+    records = find_leaks(rt)
     if records:
         lines = [f"found {len(records)} unexpected goroutine(s):"]
         for record in records:

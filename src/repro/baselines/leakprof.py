@@ -40,19 +40,16 @@ class LeakProfFinding:
         )
 
 
+#: Minimum number of goroutines blocked at the same source location for
+#: the site to be flagged (LeakProf's deployment used a large threshold
+#: to limit noise).
+THRESHOLD = 10
+
+
 class LeakProf:
-    """Periodic goroutine-profile sampler with a concentration threshold.
+    """Periodic goroutine-profile sampler with a concentration threshold."""
 
-    Args:
-        threshold: minimum number of goroutines blocked at the same
-            source location for the site to be flagged (LeakProf's
-            deployment used a large threshold to limit noise).
-    """
-
-    def __init__(self, threshold: int = 10):
-        if threshold < 1:
-            raise ValueError("threshold must be positive")
-        self.threshold = threshold
+    def __init__(self):
         #: One entry per sample: {(site, reason): blocked count}.
         self.samples: List[Dict[Tuple[str, str], int]] = []
 
@@ -74,7 +71,7 @@ class LeakProf:
         for profile in self.samples:
             for key, count in profile.items():
                 peak[key] = max(peak.get(key, 0), count)
-                if count >= self.threshold:
+                if count >= THRESHOLD:
                     over[key] = over.get(key, 0) + 1
         return [
             LeakProfFinding(site, reason, peak[(site, reason)],

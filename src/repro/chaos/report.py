@@ -109,9 +109,7 @@ def run_chaos_schedule(
     seed: int = 0,
     scenario: str = "mixed",
     procs: int = 2,
-    config: Optional[GolfConfig] = None,
     keep_trace: bool = True,
-    telemetry=None,
 ) -> ScheduleResult:
     """Run one benchmark under one seeded fault plan and judge it.
 
@@ -119,26 +117,20 @@ def run_chaos_schedule(
     tail) via the harness's ``rt_hook``, then drives extra cycles to
     quiescence and applies the oracle described in the module docstring.
 
-    With no ``config``, a scenario that weights a fault kind only the
-    incremental collector accepts (:data:`~repro.chaos.plan.FaultKind.
-    INCREMENTAL_ONLY`) runs ``GolfConfig(gc_mode="incremental")``: under
-    the atomic collector the injector would reject every such fault.
-
-    A :class:`~repro.telemetry.TelemetryHub` passed as ``telemetry``
-    observes the schedule's runtime: injected faults, GC cycles, leak
-    reports (fingerprinted for cross-campaign dedup), and incidents.
+    A scenario that weights a fault kind only the incremental collector
+    accepts (:data:`~repro.chaos.plan.FaultKind.INCREMENTAL_ONLY`) runs
+    ``GolfConfig(gc_mode="incremental")``: under the atomic collector
+    the injector would reject every such fault.
     """
     spec = get_scenario(scenario)
-    if config is None and any(spec.weights.get(kind)
-                              for kind in FaultKind.INCREMENTAL_ONLY):
-        config = GolfConfig(gc_mode="incremental")
+    config = (GolfConfig(gc_mode="incremental")
+              if any(spec.weights.get(kind)
+                     for kind in FaultKind.INCREMENTAL_ONLY) else None)
     result = ScheduleResult(bench.name, procs, seed, scenario)
     plan = FaultPlan(seed, spec)
     captured: List = []
 
     def hook(rt) -> None:
-        if telemetry is not None:
-            telemetry.attach(rt)
         captured.append(FaultInjector(rt, plan).install())
 
     bench_result = run_microbenchmark(
@@ -275,9 +267,7 @@ def run_chaos_campaign(
     scenario: str = "mixed",
     base_seed: int = 0,
     procs: int = 2,
-    config: Optional[GolfConfig] = None,
     keep_traces: bool = False,
-    telemetry=None,
 ) -> ChaosReport:
     """Sweep ``seeds`` fault schedules across the microbenchmark corpus.
 
@@ -285,21 +275,12 @@ def run_chaos_campaign(
     ``base_seed + i``, so a campaign of at least ``len(corpus)``
     schedules covers every benchmark and every campaign is reproducible
     from ``(seeds, scenario, base_seed, procs)``.
-
-    With a ``telemetry`` hub, the whole campaign is fingerprinted under
-    one run id derived from the campaign parameters: repeating an
-    identical campaign aggregates onto the same fingerprint records
-    instead of re-reporting every leak.
     """
     corpus = all_benchmarks()
     report = ChaosReport(scenario, procs, base_seed)
-    if telemetry is not None:
-        telemetry.fingerprints.begin_run(
-            f"chaos-{scenario}-p{procs}-b{base_seed}-n{seeds}-"
-            f"{telemetry.fingerprints.runs_started + 1}")
     for i in range(seeds):
         bench = corpus[i % len(corpus)]
         report.schedules.append(run_chaos_schedule(
             bench, seed=base_seed + i, scenario=scenario, procs=procs,
-            config=config, keep_trace=keep_traces, telemetry=telemetry))
+            keep_trace=keep_traces))
     return report

@@ -97,7 +97,7 @@ SCENARIOS: Dict[str, Scenario] = {
     # barrier, panics/wakes perturbing the candidate set mid-mark.  The
     # injector checks the tricolor invariant after every fault.  Its
     # incremental-only kinds make run_chaos_schedule pick the
-    # incremental collector unless the caller passes a config.
+    # incremental collector.
     "gc-phase": Scenario(
         "gc-phase",
         rate=0.02,

@@ -203,9 +203,8 @@ class CheckpointManager:
 
     def register(self, name: str, channels: Iterable[Any],
                  workers: Iterable[WorkerSpec],
-                 state: Optional[Dict[str, Any]] = None,
-                 start: bool = True) -> Subsystem:
-        """Register (and by default start) a recovery subsystem.
+                 state: Optional[Dict[str, Any]] = None) -> Subsystem:
+        """Register and start a recovery subsystem.
 
         The subsystem's channels are pinned *and* published as global
         roots: restart restores their contents in place (so the
@@ -225,8 +224,7 @@ class CheckpointManager:
             self.rt.heap.pin(obj)
             self.rt.heap.globals.set(f"checkpoint.{name}.{i}", obj)
         self.subsystems[name] = sub
-        if start:
-            sub.start()
+        sub.start()
         return sub
 
     # -- collector integration ----------------------------------------------
@@ -264,9 +262,7 @@ class CheckpointManager:
     def _rollback(self, sub: Subsystem) -> None:
         rt = self.rt
         sched = rt.sched
-        ckpt = sub.last_checkpoint
-        if ckpt is None:  # registered with start=False and never run
-            ckpt = sub.take_checkpoint()
+        ckpt = sub.last_checkpoint  # register() took the first one
 
         # Which condemned workers triggered this rollback, and how.
         claimed = [(goid, rep, trig)

@@ -166,10 +166,13 @@ class PackageSpec:
         return [t for t in self.tests if t.leaky]
 
 
-#: Corpus shape fixed across experiments: the occurrence weight of a
-#: detectable site relative to an invisible one, the share of tests
+#: Corpus shape fixed across experiments: the share of sites GOLF can
+#: detect, the bounds of a package's test count, the occurrence weight
+#: of a detectable site relative to an invisible one, the share of tests
 #: that leak, the share of sites that fire early enough for a GC to
 #: follow, and the chance a later test forces a collection.
+DETECTABLE_FRACTION = 0.5
+TESTS_PER_PACKAGE = (3, 10)
 DETECTABLE_WEIGHT = 2.0
 LEAKY_TEST_FRACTION = 0.35
 RELIABLE_SITE_FRACTION = 0.5
@@ -188,16 +191,10 @@ class CorpusConfig:
         self,
         n_packages: int = 300,
         n_sites: int = 60,
-        detectable_fraction: float = 0.5,
-        tests_per_package: Tuple[int, int] = (3, 10),
         seed: int = 42,
     ):
-        if not 0 < detectable_fraction < 1:
-            raise ValueError("detectable_fraction must be in (0, 1)")
         self.n_packages = n_packages
         self.n_sites = n_sites
-        self.detectable_fraction = detectable_fraction
-        self.tests_per_package = tests_per_package
         self.seed = seed
 
 
@@ -210,7 +207,7 @@ def generate_corpus(
     rng = random.Random(config.seed)
 
     sites: List[LibrarySite] = []
-    n_detectable = round(config.n_sites * config.detectable_fraction)
+    n_detectable = round(config.n_sites * DETECTABLE_FRACTION)
     for i in range(config.n_sites):
         if i < n_detectable:
             kind = KIND_DETECTABLE
@@ -228,7 +225,7 @@ def generate_corpus(
     ]
 
     packages: List[PackageSpec] = []
-    lo, hi = config.tests_per_package
+    lo, hi = TESTS_PER_PACKAGE
     for p in range(config.n_packages):
         n_tests = rng.randint(lo, hi)
         tests: List[TestSpec] = []

@@ -28,18 +28,31 @@ from repro.runtime.instructions import (
 )
 from repro.runtime.objects import Blob
 
+#: The cadence study: detection every Nth cycle over a pool of
+#: blocked-but-live workers plus a few genuine leaks, collected over
+#: many cycles.
+CADENCES = (1, 2, 5, 10)
+POOL = 50
+LEAKS = 10
+CYCLES = 30
+#: The recovery study: bursts of leaked goroutines, each pinning a
+#: 64 KiB payload.
+BURSTS = 20
+PER_BURST = 5
+PAYLOAD = 64 * 1024
 
-def _leaky_burst_program(bursts: int, per_burst: int, payload: int):
+
+def _leaky_burst_program():
     """Spawns bursts of leaky goroutines, each pinning a payload blob,
     with a GC after every burst."""
 
     def main():
-        for _ in range(bursts):
-            for _ in range(per_burst):
+        for _ in range(BURSTS):
+            for _ in range(PER_BURST):
                 ch = yield MakeChan(0)
 
                 def leaker(c=ch):
-                    data = yield Alloc(Blob(payload))
+                    data = yield Alloc(Blob(PAYLOAD))
                     yield Send(c, data)
 
                 yield Go(leaker, name="burst-leaker")
@@ -52,7 +65,7 @@ def _leaky_burst_program(bursts: int, per_burst: int, payload: int):
     return main
 
 
-def _pool_with_leaks_program(pool: int, leaks: int, cycles: int):
+def _pool_with_leaks_program():
     """A steady population of blocked-but-live workers (a job pool the
     main goroutine keeps reachable) plus a few genuine leaks, collected
     over many cycles.  The pool is what every detection pass has to
@@ -64,17 +77,17 @@ def _pool_with_leaks_program(pool: int, leaks: int, cycles: int):
         def worker():
             yield Recv(jobs)  # parked on a live channel forever
 
-        for _ in range(pool):
+        for _ in range(POOL):
             yield Go(worker, name="pool-worker")
 
         def leaker(c):
             yield Send(c, 1)
 
-        for _ in range(leaks):
+        for _ in range(LEAKS):
             ch = yield MakeChan(0)
             yield Go(leaker, ch, name="pool-leaker")
             del ch
-        for _ in range(cycles):
+        for _ in range(CYCLES):
             yield Sleep(20 * MICROSECOND)
             yield RunGC()
 
@@ -87,14 +100,13 @@ class CadenceAblation:
     def __init__(self) -> None:
         self.rows: List[Dict[str, float]] = []
 
-    def run(self, cadences=(1, 2, 5, 10), pool: int = 50,
-            leaks: int = 10, cycles: int = 30) -> "CadenceAblation":
-        for every in cadences:
+    def run(self) -> "CadenceAblation":
+        for every in CADENCES:
             rt = Runtime(
                 procs=2, seed=0,
                 config=GolfConfig(detect_every=every),
             )
-            rt.spawn_main(_pool_with_leaks_program(pool, leaks, cycles))
+            rt.spawn_main(_pool_with_leaks_program())
             rt.run(until_ns=500 * MILLISECOND)
             stats = rt.collector.stats
             self.rows.append({
@@ -124,15 +136,13 @@ class RecoveryAblation:
     def __init__(self) -> None:
         self.rows: List[Dict[str, float]] = []
 
-    def run(self, bursts: int = 20,
-            per_burst: int = 5) -> "RecoveryAblation":
-        """Each leaked goroutine holds a 64 KiB payload."""
+    def run(self) -> "RecoveryAblation":
         for reclaim in (False, True):
             rt = Runtime(
                 procs=2, seed=0,
                 config=GolfConfig(reclaim=reclaim),
             )
-            rt.spawn_main(_leaky_burst_program(bursts, per_burst, 64 * 1024))
+            rt.spawn_main(_leaky_burst_program())
             rt.run(until_ns=200 * MILLISECOND)
             rt.gc_until_quiescent()
             ms = rt.memstats()

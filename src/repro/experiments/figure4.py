@@ -14,7 +14,7 @@ recovery that memory is gone), so its marking phase is unburdened.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import GolfConfig
 from repro.microbench.harness import run_microbenchmark
@@ -91,16 +91,11 @@ def _mean_mark_clock(bench: Microbenchmark, golf: bool, repeats: int,
     return sum(totals) / len(totals) if totals else 0.0
 
 
-def run_figure4(
-    repeats: int = 5,
-    benchmarks: Optional[List[Microbenchmark]] = None,
-    fixed: Optional[List[Microbenchmark]] = None,
-) -> Figure4Result:
+def run_figure4(repeats: int = 5) -> Figure4Result:
     """Measure marking slowdowns over the 105-program population."""
-    leaky = benchmarks if benchmarks is not None else all_benchmarks()
-    fixed_pop = fixed if fixed is not None else correct_benchmarks()
     result = Figure4Result()
-    jobs = [(b, False) for b in leaky] + [(b, True) for b in fixed_pop]
+    jobs = ([(b, False) for b in all_benchmarks()]
+            + [(b, True) for b in correct_benchmarks()])
     for bench, use_fixed in jobs:
         baseline_ns = _mean_mark_clock(bench, False, repeats, use_fixed)
         golf_ns = _mean_mark_clock(bench, True, repeats, use_fixed)

@@ -66,7 +66,6 @@ def run_detection_latency(
     gc_interval_ms: float = 2.0,
     detect_every: int = 1,
     leaks: int = 60,
-    seed: int = 0,
     daemon_interval_ms: Optional[float] = None,
 ) -> LatencyResult:
     """Leak ``leaks`` goroutines 500us apart; measure report lag.
@@ -88,7 +87,7 @@ def run_detection_latency(
                 report.detected_at_ns - manifested[report.label])
 
     config = GolfConfig(detect_every=detect_every, on_report=on_report)
-    rt = Runtime(procs=2, seed=seed, config=config)
+    rt = Runtime(procs=2, seed=0, config=config)
     rt.enable_periodic_gc(int(gc_interval_ms * MILLISECOND))
     if daemon_interval_ms is not None:
         rt.detect_partial_deadlock(interval_ms=daemon_interval_ms)

@@ -1,34 +1,29 @@
 """RQ1(c): GOLF on a real service for 24 hours.
 
-The paper deployed GOLF on **five instances** of a production Uber
-service and found 252 individual partial deadlocks over 24 hours, which
+The paper deployed GOLF on five instances of a production Uber service
+and found 252 individual partial deadlocks over 24 hours, which
 narrowed to exactly three defective source locations (all the Listing 7
-shape).  This driver runs that many independent instances of the
-production simulator (each with its own seed, as separate containers
-would be) and aggregates their reports through the shared "logging
-infrastructure" the paper describes.
+shape).  This driver runs one instance of the production simulator,
+with the leak cadence calibrated to the paper's rate, and deduplicates
+its reports by source location.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.service.production import ProductionConfig, run_production
 
 
 class RQ1cResult:
-    """Aggregated report tally and deduplicated source locations."""
+    """Report tally and deduplicated source locations."""
 
     def __init__(self, individual_reports: int, sites: List[str],
-                 hours: float, total_requests: int, instances: int,
-                 per_instance: Optional[Dict[int, int]] = None):
+                 hours: float, total_requests: int):
         self.individual_reports = individual_reports
         self.sites = sites
         self.hours = hours
         self.total_requests = total_requests
-        self.instances = instances
-        self.per_instance = per_instance or {}
 
     @property
     def distinct_sources(self) -> int:
@@ -38,42 +33,21 @@ class RQ1cResult:
         return self.individual_reports * 24.0 / self.hours
 
 
-def run_rq1c(config: Optional[ProductionConfig] = None,
-             instances: int = 1) -> RQ1cResult:
-    """Run ``instances`` independent service instances and aggregate.
-
-    With ``instances=5`` this matches the paper's deployment; the
-    default of 1 keeps the benchmark harness fast (the per-24h rate is
-    calibrated for a single instance — scale ``leak_every`` accordingly
-    when fanning out).
-    """
+def run_rq1c(config: Optional[ProductionConfig] = None) -> RQ1cResult:
+    """Run one service instance and deduplicate its reports."""
     config = config or ProductionConfig(hours=24.0)
-    total_reports = 0
-    total_requests = 0
-    sites: set = set()
-    per_instance: Dict[int, int] = {}
-    for instance in range(instances):
-        instance_config = copy.copy(config)
-        instance_config.seed = config.seed + 7919 * instance
-        result = run_production(instance_config, golf=True)
-        per_instance[instance] = result.deadlock_reports
-        total_reports += result.deadlock_reports
-        total_requests += result.total_requests
-        sites.update(result.dedup_sites)
+    result = run_production(config, golf=True)
     return RQ1cResult(
-        individual_reports=total_reports,
-        sites=sorted(sites),
+        individual_reports=result.deadlock_reports,
+        sites=sorted(set(result.dedup_sites)),
         hours=config.hours,
-        total_requests=total_requests,
-        instances=instances,
-        per_instance=per_instance,
+        total_requests=result.total_requests,
     )
 
 
 def format_rq1c(result: RQ1cResult) -> str:
     lines = [
-        f"Observation window: {result.hours:.0f} h x "
-        f"{result.instances} instance(s) "
+        f"Observation window: {result.hours:.0f} h x 1 instance(s) "
         f"({result.total_requests} requests served)",
         f"Individual partial deadlocks detected: "
         f"{result.individual_reports} "

@@ -10,12 +10,13 @@ percentage per configuration.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.microbench.harness import run_microbenchmark
-from repro.microbench.registry import Microbenchmark, all_benchmarks
+from repro.microbench.registry import all_benchmarks
 
-DEFAULT_PROCS = (1, 2, 4, 10)
+#: The paper's GOMAXPROCS configurations.
+PROCS = (1, 2, 4, 10)
 
 
 class Table1Result:
@@ -74,23 +75,15 @@ class Table1Result:
         )
 
 
-def run_table1(
-    runs: int = 100,
-    procs_list: Sequence[int] = DEFAULT_PROCS,
-    benchmarks: Optional[List[Microbenchmark]] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> Table1Result:
+def run_table1(runs: int = 100) -> Table1Result:
     """Execute the Table 1 experiment.
 
     ``runs=100`` matches the paper; smaller values give a faster,
     noisier table.
     """
-    benches = benchmarks if benchmarks is not None else all_benchmarks()
-    result = Table1Result(runs, procs_list)
-    total_jobs = len(benches) * len(procs_list) * runs
-    done = 0
-    for bench in benches:
-        for procs in procs_list:
+    result = Table1Result(runs, PROCS)
+    for bench in all_benchmarks():
+        for procs in PROCS:
             for run in range(runs):
                 seed = run * 7919 + procs * 104729
                 outcome = run_microbenchmark(bench, procs=procs, seed=seed)
@@ -98,9 +91,6 @@ def run_table1(
                 if outcome.panic is not None:
                     result.panics += 1
                 result.record(bench.sites, procs, outcome.detected)
-                done += 1
-                if progress is not None and done % 500 == 0:
-                    progress(done, total_jobs)
     return result
 
 

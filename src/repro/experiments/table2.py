@@ -16,6 +16,9 @@ from repro.service.controlled import (
     run_controlled,
 )
 
+#: The paper's two leak rates: none, and one request in ten.
+LEAK_RATES = (0.0, 0.10)
+
 #: Metric rows, in the paper's order: (key, label, higher-is-better).
 METRIC_ROWS = (
     ("throughput_rps", "Throughput (req./s)", True),
@@ -56,13 +59,10 @@ class Table2Result:
         return sorted({rate for rate, _ in self.cells})
 
 
-def run_table2(
-    leak_rates: Sequence[float] = (0.0, 0.10),
-    config: Optional[ControlledConfig] = None,
-) -> Table2Result:
+def run_table2(config: Optional[ControlledConfig] = None) -> Table2Result:
     """Run all four cells of Table 2."""
     result = Table2Result()
-    for rate in leak_rates:
+    for rate in LEAK_RATES:
         for golf in (False, True):
             cell_cfg = copy.copy(config or ControlledConfig())
             cell_cfg.leak_rate = rate

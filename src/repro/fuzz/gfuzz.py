@@ -16,12 +16,17 @@ session is reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.core.config import GolfConfig
 from repro.errors import ReproError
 from repro.runtime.api import Runtime
 from repro.runtime.clock import MILLISECOND
+
+#: Virtual time each profile runs for, and the interval of the detection
+#: daemon fuzz mode starts on every profile.
+BUDGET_NS = 50 * MILLISECOND
+DAEMON_INTERVAL_MS = 5.0
 
 
 class SelectProfile:
@@ -87,8 +92,6 @@ class FuzzResult:
 def fuzz_program(
     main_factory: Callable[[], Callable],
     profiles: int = 8,
-    budget_ns: int = 50 * MILLISECOND,
-    daemon_interval_ms: Optional[float] = 5.0,
 ) -> FuzzResult:
     """Run ``main_factory()`` under ``profiles`` select orderings.
 
@@ -98,11 +101,10 @@ def fuzz_program(
     end-of-run GC cycles; detected deadlock labels are aggregated per
     profile.
 
-    Fuzz mode auto-starts the detection daemon (default 5ms interval):
-    leaks manifest mid-run under whichever ordering exposed them, and
-    the timer-driven fixpoint reports them before the end-of-run GC —
-    short-budget runs can't time out before detection.  Pass
-    ``daemon_interval_ms=None`` to fuzz without the daemon.
+    Fuzz mode starts the detection daemon on every profile: leaks
+    manifest mid-run under whichever ordering exposed them, and the
+    timer-driven fixpoint reports them before the end-of-run GC —
+    short-budget runs can't time out before detection.
     """
     if profiles < 1:
         raise ValueError("need at least one profile")
@@ -111,15 +113,13 @@ def fuzz_program(
         rt = Runtime(procs=2, seed=profile_id, config=GolfConfig())
         rt.sched.select_policy = SelectProfile(profile_id).choose
         rt.spawn_main(main_factory())
-        if daemon_interval_ms is not None:
-            rt.detect_partial_deadlock(interval_ms=daemon_interval_ms)
+        rt.detect_partial_deadlock(interval_ms=DAEMON_INTERVAL_MS)
         try:
-            status = rt.run(until_ns=budget_ns, max_instructions=2_000_000)
+            status = rt.run(until_ns=BUDGET_NS, max_instructions=2_000_000)
         except ReproError as err:
             status = f"error: {err}"
         finally:
-            if daemon_interval_ms is not None:
-                rt.stop_partial_deadlock_detection()
+            rt.stop_partial_deadlock_detection()
         if not status.startswith("error"):
             rt.gc_until_quiescent()
         result.statuses[profile_id] = status

@@ -60,13 +60,13 @@ def run_microbenchmark(
     procs: int = 1,
     seed: int = 0,
     config: Optional[GolfConfig] = None,
-    instances: int = 1,
     use_fixed: bool = False,
     rt_hook: Optional[Callable[[Runtime], None]] = None,
 ) -> MicrobenchResult:
     """Execute one microbenchmark under the given runtime configuration.
 
-    Returns the labels of the leaky sites whose partial deadlock was
+    One instance of the program's body runs beside a resident working
+    set.  Returns the labels of the leaky sites whose partial deadlock was
     detected, plus GC metrics for the overhead experiments.  A benchmark
     panic (e.g. etcd/7443's occasional send-on-closed-channel, noted in
     the paper's artifact appendix) is recorded, not raised.
@@ -92,8 +92,8 @@ def run_microbenchmark(
         for i in range(40):
             item = yield Alloc(Struct(index=i, payload=None))
             workspace.append(item)
-        for _ in range(instances):
-            yield Go(body)
+        # The program under test.
+        yield Go(body)
         # A mid-flight cycle, like pacer-triggered GCs in real programs:
         # blocked-but-live goroutines exist here, so GOLF's root-set
         # expansion genuinely iterates.

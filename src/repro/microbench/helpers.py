@@ -51,20 +51,20 @@ def coin_flip():
     return value
 
 
-def bernoulli(numerator: int, denominator: int = 1024):
-    """True with probability ``numerator / denominator``.
+#: Resolution of :func:`bernoulli`, a power of two.
+DENOMINATOR = 1024
 
-    ``denominator`` must be a power of two; draws ``log2(denominator)``
-    coin flips to form a uniform integer and compares it against the
-    numerator.
+
+def bernoulli(numerator: int):
+    """True with probability ``numerator / DENOMINATOR``.
+
+    Draws ``log2(DENOMINATOR)`` coin flips to form a uniform integer and
+    compares it against the numerator.
     """
-    if denominator <= 0 or denominator & (denominator - 1):
-        raise ValueError("denominator must be a power of two")
-    if not 0 <= numerator <= denominator:
+    if not 0 <= numerator <= DENOMINATOR:
         raise ValueError("numerator out of range")
-    bits = denominator.bit_length() - 1
     draw = 0
-    for _ in range(bits):
+    for _ in range(DENOMINATOR.bit_length() - 1):
         flip = yield from coin_flip()
         draw = (draw << 1) | (1 if flip else 0)
     return draw < numerator

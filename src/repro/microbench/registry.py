@@ -160,10 +160,14 @@ def total_leaky_sites() -> int:
     return sum(len(b.sites) for b in all_benchmarks())
 
 
-def correct_benchmarks(limit: int = 32) -> List[Microbenchmark]:
+#: Size of Figure 4's "correct programs" population.
+CORRECT_PROGRAMS = 32
+
+
+def correct_benchmarks() -> List[Microbenchmark]:
     """Fixed variants for the Figure 4 "correct programs" population."""
     fixed = [b for b in all_benchmarks() if b.fixed is not None]
-    return fixed[:limit]
+    return fixed[:CORRECT_PROGRAMS]
 
 
 def ground_truth() -> List[Dict[str, object]]:

@@ -126,8 +126,8 @@ class Runtime:
         """Register a package-level (always reachable) variable."""
         self.heap.globals.set(name, value)
 
-    def get_global(self, name: str, default: Any = None) -> Any:
-        return self.heap.globals.get(name, default)
+    def get_global(self, name: str) -> Any:
+        return self.heap.globals.get(name)
 
     # -- execution ------------------------------------------------------------
 

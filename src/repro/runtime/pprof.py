@@ -45,18 +45,15 @@ class ProfileRecord:
         )
 
 
-def goroutine_profile(rt: Runtime,
-                      include_system: bool = False) -> List[ProfileRecord]:
-    """Snapshot live goroutines grouped by stack signature.
+def goroutine_profile(rt: Runtime) -> List[ProfileRecord]:
+    """Snapshot live user goroutines grouped by stack signature.
 
     Kept-deadlocked and pending-reclaim goroutines appear (they are
     still occupying memory); descending count order, as pprof prints.
     """
     groups: Dict[Tuple, ProfileRecord] = {}
     for g in rt.sched.allgs:
-        if g.status == GStatus.DEAD:
-            continue
-        if g.is_system and not include_system:
+        if g.status == GStatus.DEAD or g.is_system:
             continue
         signature = tuple(g.stack_trace()) or ("<no stack>",)
         reason = g.wait_reason.value if g.wait_reason else ""
@@ -70,16 +67,16 @@ def goroutine_profile(rt: Runtime,
     return sorted(groups.values(), key=lambda r: -r.count)
 
 
-def format_stack_dump(rt: Runtime, include_system: bool = False) -> str:
+def format_stack_dump(rt: Runtime) -> str:
     """A per-goroutine dump in the style of Go's fatal-error output.
 
     Unlike the profile (which groups identical stacks), this lists every
-    live goroutine individually with its state — what you would read
-    after ``fatal error: all goroutines are asleep - deadlock!``.
+    live user goroutine individually with its state — what you would
+    read after ``fatal error: all goroutines are asleep - deadlock!``.
     """
     return rt.sched.goroutine_dump(
-        [g for g in rt.sched.allgs if g.status != GStatus.DEAD
-         and (include_system or not g.is_system)])
+        [g for g in rt.sched.allgs
+         if g.status != GStatus.DEAD and not g.is_system])
 
 
 def format_goroutine_profile(rt: Runtime) -> str:

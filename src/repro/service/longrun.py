@@ -12,7 +12,7 @@ is sampled every virtual hour across the whole span.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import GolfConfig
 from repro.runtime.api import Runtime
@@ -24,6 +24,10 @@ from repro.runtime.instructions import Go, MakeChan, Recv, Send, Sleep, Work
 REDEPLOY_HOUR = 6
 #: Each deployment's periodic-GC interval, in virtual minutes.
 PERIODIC_GC_MIN = 10
+#: Day indices (0 = Monday of week one) without a redeploy even though
+#: they are weekdays: a two-day holiday in the second week, as the
+#: paper's trace suggests.
+HOLIDAYS = frozenset({10, 11})
 
 
 class LongRunConfig:
@@ -34,7 +38,6 @@ class LongRunConfig:
         days: int = 21,
         requests_per_hour: int = 120,
         leak_every: int = 6,
-        holidays: Optional[Set[int]] = None,
         procs: int = 4,
         seed: int = 3,
     ):
@@ -42,16 +45,12 @@ class LongRunConfig:
         self.requests_per_hour = requests_per_hour
         #: One in ``leak_every`` requests leaks one goroutine.
         self.leak_every = leak_every
-        #: Day indices (0 = Monday of week one) without a redeploy even
-        #: though they are weekdays; defaults to a two-day holiday in the
-        #: second week, as the paper's trace suggests.
-        self.holidays = holidays if holidays is not None else {10, 11}
         self.procs = procs
         self.seed = seed
 
     def is_redeploy_day(self, day: int) -> bool:
         weekday = day % 7  # 0 = Monday
-        return weekday < 5 and day not in self.holidays
+        return weekday < 5 and day not in HOLIDAYS
 
 
 class LongRunResult:

@@ -118,22 +118,20 @@ class CircuitBreaker(HeapObject):
 class RetryPolicy:
     """Exponential backoff with full jitter, from a seeded RNG."""
 
-    __slots__ = ("max_attempts", "base_ns", "multiplier", "rng")
+    __slots__ = ("max_attempts", "base_ns", "rng")
 
     def __init__(self, max_attempts: int = 3,
-                 base_ns: int = 50 * MILLISECOND,
-                 multiplier: float = 2.0, seed: int = 0):
+                 base_ns: int = 50 * MILLISECOND, seed: int = 0):
         if max_attempts < 1:
             raise ValueError("need at least one attempt")
         self.max_attempts = max_attempts
         self.base_ns = base_ns
-        self.multiplier = multiplier
         self.rng = random.Random(seed ^ 0xB0FF)
 
     def backoff_ns(self, attempt: int) -> int:
         """Backoff before retry number ``attempt`` (0-based): full
-        jitter over the exponential ceiling, AWS-style."""
-        ceiling = self.base_ns * (self.multiplier ** attempt)
+        jitter over the doubling ceiling, AWS-style."""
+        ceiling = self.base_ns * (2.0 ** attempt)
         return max(1, int(self.rng.uniform(0, ceiling)))
 
 
@@ -160,8 +158,7 @@ class ResilienceConfig(ProductionConfig):
 class ResilienceResult:
     """What the resilient service observed over the run."""
 
-    def __init__(self, golf: bool):
-        self.golf = golf
+    def __init__(self) -> None:
         self.total_requests = 0
         self.outcomes: Dict[str, int] = {
             "ok": 0, "failed": 0, "rejected": 0}
@@ -240,9 +237,6 @@ def call_with_resilience(plan: FaultPlan, breaker: CircuitBreaker,
 
 def run_resilient_production(
     config: Optional[ResilienceConfig] = None,
-    golf: bool = True,
-    plan: Optional[FaultPlan] = None,
-    telemetry=None,
 ) -> ResilienceResult:
     """Run the resilient service under downstream chaos.
 
@@ -251,22 +245,12 @@ def run_resilient_production(
     Listing-7 ``done`` channel defect at the configured ``leak_every``
     rate — but every downstream call goes through the breaker + retry +
     deadline stack, with outcomes drawn from a chaos
-    :class:`~repro.chaos.plan.FaultPlan`.
-
-    Pass a :class:`~repro.telemetry.TelemetryHub` as ``telemetry`` to
-    attach it to the runtime: it collects leak fingerprints as the
-    detector reports each leak.  Request outcomes, retries, timeouts
-    and breaker activity are the result's fields, with or without a
-    hub.
+    :class:`~repro.chaos.plan.FaultPlan`, under GOLF with recovery.
     """
     config = config or ResilienceConfig()
-    gc_config = GolfConfig() if golf else GolfConfig.baseline()
-    rt = Runtime(procs=config.procs, seed=config.seed, config=gc_config)
-    if telemetry is not None:
-        telemetry.attach(rt)
+    rt = Runtime(procs=config.procs, seed=config.seed, config=GolfConfig())
     rt.enable_periodic_gc(config.periodic_gc_s * SECOND)
-    plan = plan or FaultPlan(CHAOS_SEED,
-                             get_scenario(config.chaos_scenario))
+    plan = FaultPlan(CHAOS_SEED, get_scenario(config.chaos_scenario))
 
     breaker = CircuitBreaker(BREAKER_THRESHOLD,
                              BREAKER_COOLDOWN_S * SECOND)
@@ -315,10 +299,6 @@ def run_resilient_production(
                      name="resilient-handler")
             verdict, _ = yield Recv(reply)
             state[verdict] += 1
-            # Stacks and block sites embed each yield's file:line, so
-            # the yields below keep the lines they always had.  The
-            # client issues the same instructions with or without a hub
-            # attached: an observed run schedules like an unobserved one.
             yield Sleep(config.think_time_ms * MILLISECOND)
 
     def main():
@@ -334,7 +314,7 @@ def run_resilient_production(
     rt.run(until_ns=deadline + 3 * SECOND, max_instructions=80_000_000)
     rt.gc_until_quiescent()
 
-    result = ResilienceResult(golf)
+    result = ResilienceResult()
     result.total_requests = state["requests"]
     result.outcomes = {"ok": state["ok"], "failed": state["failed"],
                        "rejected": state["rejected"]}

@@ -224,13 +224,12 @@ def source_key(source) -> tuple:
     return (0, int(s), s) if s.isdigit() else (1, 0, s)
 
 
-def render_merged_prometheus(snapshots: Dict[Optional[str], dict],
-                             label: str = "shard") -> str:
+def render_merged_prometheus(snapshots: Dict[Optional[str], dict]) -> str:
     """The one Prometheus text renderer: snapshots in, exposition out.
 
     ``snapshots`` maps a source id (shard id as a string) to a
     :meth:`MetricsRegistry.snapshot` dict.  Every sample gains a
-    ``label="<source>"`` pair — except under the source ``None``, which
+    ``shard="<source>"`` pair — except under the source ``None``, which
     stamps nothing (one registry's plain exposition).  HELP/TYPE headers
     appear once per metric, series are ordered by (metric name, source,
     label values) and the pairs inside ``{}`` by label name — so the
@@ -253,9 +252,9 @@ def render_merged_prometheus(snapshots: Dict[Optional[str], dict],
                     f"metric {name!r} has kind {metric['kind']!r} in source "
                     f"{source!r} but {entry['kind']!r} elsewhere")
             for sample in metric["samples"]:
-                if source is not None and label in sample["labels"]:
+                if source is not None and "shard" in sample["labels"]:
                     raise ValueError(
-                        f"metric {name!r} already carries a {label!r} label; "
+                        f"metric {name!r} already carries a 'shard' label; "
                         f"merging would alias series")
                 entry["rows"].append((source, sample))
 
@@ -270,7 +269,7 @@ def render_merged_prometheus(snapshots: Dict[Optional[str], dict],
         lines.append(f"# TYPE {name} {entry['kind']}")
         for source, sample in entry["rows"]:
             pairs = ([] if source is None
-                     else [f'{label}="{_escape_label(str(source))}"'])
+                     else [f'shard="{_escape_label(str(source))}"'])
             pairs.extend(f'{k}="{_escape_label(str(v))}"'
                          for k, v in sorted(sample["labels"].items()))
             lines.append(f"{name}{braces(pairs)} "

@@ -2,15 +2,14 @@
 
 Production services cannot afford an unbounded trace (the failure mode
 the original list-backed tracer had); the flight recorder keeps the
-*last* ``capacity`` events — drop-oldest, with a dropped-event counter —
-so when something goes wrong the recent history is always on hand.
-The ring itself (:class:`RingBuffer`, a ``collections.deque`` with a
-count) is shared with the execution tracer and the profile sampler.
+*last* :data:`CAPACITY` events — drop-oldest, with a dropped-event
+counter — so when something goes wrong the recent history is always on
+hand.  The ring itself (:class:`RingBuffer`, a ``collections.deque`` with
+a count) is shared with the execution tracer and the profile sampler.
 
-Events carry a severity and a category; a read can select one
-category.  *Incidents* (the telemetry hub opens one per leak report)
-snapshot the tail of the buffer at the moment they happen, preserving
-the context even after the ring has rolled past it.
+Events carry a severity and a category.  *Incidents* (the telemetry hub
+opens one per leak report) snapshot the tail of the buffer at the moment
+they happen, preserving the context after the ring has rolled past it.
 
 Timestamps come from the virtual clock, so dumps are byte-identical
 across runs of the same ``(program, procs, seed)``.
@@ -26,6 +25,12 @@ INFO = 20
 WARN = 30
 
 SEVERITY_NAMES = {INFO: "INFO", WARN: "WARN"}
+
+#: The flight recorder's ring size, the events snapshotted into each
+#: incident, and the incidents kept (beyond it they are counted).
+CAPACITY = 8192
+INCIDENT_TAIL = 64
+MAX_INCIDENTS = 64
 
 
 class RingBuffer:
@@ -143,20 +148,14 @@ class Incident:
 class FlightRecorder:
     """Bounded event log with incidents.
 
-    Args:
-        clock: virtual clock used to timestamp events (may be attached
-            later; events recorded without one are stamped 0).
-        capacity: ring size.
-        incident_tail: events snapshotted into each incident.
-        max_incidents: incidents beyond this are counted, not stored.
+    ``clock`` is the virtual clock that timestamps events; the hub sets
+    it when it attaches to a runtime, and events recorded before that
+    are stamped 0.
     """
 
-    def __init__(self, clock=None, capacity: int = 8192,
-                 incident_tail: int = 64, max_incidents: int = 64):
-        self.clock = clock
-        self.incident_tail = incident_tail
-        self.max_incidents = max_incidents
-        self._ring = RingBuffer(capacity)
+    def __init__(self):
+        self.clock = None
+        self._ring = RingBuffer(CAPACITY)
         self.incidents: List[Incident] = []
         self.incidents_suppressed = 0
 
@@ -169,13 +168,14 @@ class FlightRecorder:
             RecorderEvent(t_ns, category, kind, severity, goid, detail))
 
     def incident(self, reason: str, detail: str = "") -> Optional[Incident]:
-        """Snapshot the buffer tail; returns None past ``max_incidents``."""
-        if len(self.incidents) >= self.max_incidents:
+        """Snapshot the buffer tail; returns None past
+        :data:`MAX_INCIDENTS`."""
+        if len(self.incidents) >= MAX_INCIDENTS:
             self.incidents_suppressed += 1
             return None
         t_ns = self.clock.now if self.clock is not None else 0
         incident = Incident(t_ns, reason, detail,
-                            self._ring.last(self.incident_tail))
+                            self._ring.last(INCIDENT_TAIL))
         self.incidents.append(incident)
         return incident
 
@@ -188,9 +188,8 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def events(self, category: Optional[str] = None) -> List[RecorderEvent]:
-        return [e for e in self._ring
-                if category is None or e.category == category]
+    def events(self) -> List[RecorderEvent]:
+        return list(self._ring)
 
     def dump(self, limit: Optional[int] = None) -> str:
         """A deterministic, human-readable dump of the buffer and the

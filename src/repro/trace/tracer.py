@@ -136,9 +136,8 @@ class ExecutionTracer:
     def for_goroutine(self, goid: int) -> List[TraceEvent]:
         return [event_of(r) for r in self._ring if r[2] == goid]
 
-    def format(self, limit: Optional[int] = None) -> str:
-        records = self._ring if limit is None else self._ring.last(limit)
-        lines = [event_of(r).format() for r in records]
+    def format(self) -> str:
+        lines = [event_of(r).format() for r in self._ring]
         if self.dropped:
             lines.append(f"... {self.dropped} events dropped (capacity)")
         return "\n".join(lines)

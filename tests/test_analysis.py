@@ -65,8 +65,7 @@ class TestForecast:
     def test_median_across_windows_robust_to_one_spike(self):
         normal = _linear_series(0, 24, rate=0)
         spike = _linear_series(24, 24, rate=50, base=0)
-        forecast = forecast_series(
-            normal + spike, redeploys=[24], leak_rate_floor=1.0)
+        forecast = forecast_series(normal + spike, redeploys=[24])
         # Median of {0, 50} windows: one incident doesn't flip the verdict
         # on its own, but the rate reflects both.
         assert len(forecast.windows) == 2

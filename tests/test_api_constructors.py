@@ -68,7 +68,7 @@ class TestHostConstructors:
         obj = rt.alloc(Box(5))
         rt.set_global("host.box", obj)
         assert rt.get_global("host.box") is obj
-        assert rt.get_global("missing", "default") == "default"
+        assert rt.get_global("missing") is None
 
 
 class TestErrorPaths:

@@ -85,17 +85,9 @@ class TestReportSummary:
 
 
 class TestRQ1cInstances:
-    def test_five_instances_aggregate(self):
-        config = ProductionConfig(hours=0.25, leak_every=200, seed=5)
-        result = run_rq1c(config, instances=5)
-        assert result.instances == 5
-        assert len(result.per_instance) == 5
-        assert sum(result.per_instance.values()) == result.individual_reports
-        assert result.individual_reports > 0
-        assert result.distinct_sources == 3
-        assert "5 instance(s)" in format_rq1c(result)
-
     def test_single_instance_default(self):
         config = ProductionConfig(hours=0.25, leak_every=200, seed=5)
         result = run_rq1c(config)
-        assert result.instances == 1
+        assert result.individual_reports > 0
+        assert result.distinct_sources == 3
+        assert "1 instance(s)" in format_rq1c(result)

@@ -1,18 +1,11 @@
 """Tests for the goleak and LeakProf comparators."""
 
 from repro import GolfConfig, Runtime
-from repro.baselines.goleak import (
-    CATEGORY_CONCURRENCY,
-    CATEGORY_EXTERNAL,
-    CATEGORY_RUNNING,
-    find_leaks,
-)
+from repro.baselines.goleak import CATEGORY_CONCURRENCY, find_leaks
 from repro.baselines.leakprof import LeakProf
 from repro.runtime.clock import MICROSECOND, MILLISECOND
 from repro.runtime.instructions import Go, MakeChan, Recv, Send, Sleep
 from tests.conftest import run_to_end
-
-import pytest
 
 
 def _leaky_runtime(n_leaks=1, config=None, seed=2):
@@ -65,9 +58,6 @@ class TestGoleak:
 
         run_to_end(rt, main)
         assert find_leaks(rt) == []
-        external = find_leaks(rt, include_external=True)
-        assert len(external) == 1
-        assert external[0].category == CATEGORY_EXTERNAL
 
     def test_golf_reported_goroutines_still_count(self):
         rt = _leaky_runtime(2, config=GolfConfig.monitor_only())
@@ -88,14 +78,14 @@ class TestGoleak:
             yield Sleep(10 * MICROSECOND)
 
         run_to_end(rt, main)
-        assert find_leaks(rt, include_external=True,
-                          include_running=True) == []
+        assert any(g.is_system for g in rt.sched.allgs)
+        assert find_leaks(rt) == []
 
 
 class TestLeakProf:
     def test_flags_high_concentration_site(self):
         rt = _leaky_runtime(12)
-        prof = LeakProf(threshold=10)
+        prof = LeakProf()
         prof.sample(rt)
         findings = prof.findings()
         assert len(findings) == 1
@@ -103,7 +93,7 @@ class TestLeakProf:
 
     def test_false_negative_below_threshold(self):
         rt = _leaky_runtime(3)  # a real leak...
-        prof = LeakProf(threshold=10)
+        prof = LeakProf()
         prof.sample(rt)
         assert prof.findings() == []  # ...that LeakProf cannot see
 
@@ -130,7 +120,7 @@ class TestLeakProf:
 
         rt.spawn_main(main)
         rt.run(until_ns=MILLISECOND)  # pool is idle, parked on jobs
-        prof = LeakProf(threshold=10)
+        prof = LeakProf()
         prof.sample(rt)
         assert len(prof.findings()) == 1  # false positive
         # GOLF, for contrast, correctly stays silent: the jobs channel is
@@ -140,12 +130,8 @@ class TestLeakProf:
 
     def test_multiple_samples_track_peak(self):
         rt = _leaky_runtime(11)
-        prof = LeakProf(threshold=10)
+        prof = LeakProf()
         prof.sample(rt)
         prof.sample(rt)
         (finding,) = prof.findings()
         assert finding.samples_over == 2
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            LeakProf(threshold=0)

@@ -47,9 +47,9 @@ class TestRegistration:
         rt = Runtime(seed=1)
         mgr = CheckpointManager(rt)
         ch = rt.make_chan(1)
-        mgr.register("pool", channels=[ch], workers=[], start=False)
+        mgr.register("pool", channels=[ch], workers=[])
         with pytest.raises(CheckpointError):
-            mgr.register("pool", channels=[ch], workers=[], start=False)
+            mgr.register("pool", channels=[ch], workers=[])
 
     def test_off_heap_channel_rejected(self):
         rt = Runtime(seed=1)
@@ -57,14 +57,13 @@ class TestRegistration:
         mgr = CheckpointManager(rt)
         foreign = other.make_chan(1)
         with pytest.raises(CheckpointError):
-            mgr.register("pool", channels=[foreign], workers=[],
-                         start=False)
+            mgr.register("pool", channels=[foreign], workers=[])
 
     def test_channels_pinned_and_published_as_roots(self):
         rt = Runtime(seed=1)
         mgr = CheckpointManager(rt)
         ch = rt.make_chan(2)
-        mgr.register("pool", channels=[ch], workers=[], start=False)
+        mgr.register("pool", channels=[ch], workers=[])
         assert rt.get_global("checkpoint.pool.0") is ch
         # Pinned: a full GC with no other references must not free it.
         rt.gc_until_quiescent()

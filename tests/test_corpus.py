@@ -1,11 +1,10 @@
 """Tests for the RQ1(b) corpus generator and runner."""
 
-import pytest
-
 from repro.corpus.generator import (
     CorpusConfig,
     KIND_DETECTABLE,
     KIND_INVISIBLE,
+    TESTS_PER_PACKAGE,
     generate_corpus,
 )
 from repro.corpus.runner import run_corpus, run_package
@@ -31,7 +30,7 @@ class TestGenerator:
         ]
 
     def test_site_kind_split(self):
-        sites, _ = generate_corpus(_small_config(detectable_fraction=0.5))
+        sites, _ = generate_corpus(_small_config())
         kinds = [s.kind for s in sites]
         assert kinds.count(KIND_DETECTABLE) == 5
         assert kinds.count(KIND_INVISIBLE) == 5
@@ -46,13 +45,9 @@ class TestGenerator:
         assert len(pkgs) == 7
 
     def test_tests_per_package_bounds(self):
-        config = _small_config(tests_per_package=(2, 4))
-        _, pkgs = generate_corpus(config)
-        assert all(2 <= len(p.tests) <= 4 for p in pkgs)
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            CorpusConfig(detectable_fraction=1.5)
+        _, pkgs = generate_corpus(_small_config())
+        lo, hi = TESTS_PER_PACKAGE
+        assert all(lo <= len(p.tests) <= hi for p in pkgs)
 
 
 class TestRunner:

@@ -526,14 +526,15 @@ class TestFuzzAutoStart:
                 yield Sleep(30 * MILLISECOND)
             return main
 
-        result = fuzz_program(factory, profiles=2,
-                              budget_ns=40 * MILLISECOND)
+        result = fuzz_program(factory, profiles=2)
         assert all(s == "main-exited" for s in result.statuses.values())
 
     def test_fuzz_daemon_detects_equivalently(self):
-        """Daemon on (default) vs off: identical label sets — auto-start
-        changes *when* leaks surface, never *what* is found."""
+        """Daemon on (fuzz mode) vs off (the same profiles run here
+        without it): identical label sets — the daemon changes *when*
+        leaks surface, never *what* is found."""
         from repro.fuzz import fuzz_program
+        from repro.fuzz.gfuzz import BUDGET_NS, SelectProfile
 
         def factory():
             def main():
@@ -542,9 +543,14 @@ class TestFuzzAutoStart:
                 yield Sleep(30 * MILLISECOND)
             return main
 
-        with_daemon = fuzz_program(factory, profiles=2,
-                                   budget_ns=40 * MILLISECOND)
-        without = fuzz_program(factory, profiles=2,
-                               budget_ns=40 * MILLISECOND,
-                               daemon_interval_ms=None)
-        assert with_daemon.by_profile == without.by_profile
+        with_daemon = fuzz_program(factory, profiles=2)
+        without = {}
+        for profile_id in range(2):
+            rt = Runtime(procs=2, seed=profile_id, config=GolfConfig())
+            rt.sched.select_policy = SelectProfile(profile_id).choose
+            rt.spawn_main(factory())
+            rt.run(until_ns=BUDGET_NS, max_instructions=2_000_000)
+            rt.gc_until_quiescent()
+            without[profile_id] = {r.label for r in rt.reports if r.label}
+        assert with_daemon.by_profile == without
+        assert all(without.values())

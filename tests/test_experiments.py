@@ -26,7 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments.ablations import CadenceAblation, RecoveryAblation
 from repro.experiments.complexity import run_complexity_sweep
-from repro.microbench.registry import all_benchmarks, benchmarks_by_name
+from repro.microbench.registry import benchmarks_by_name
 from repro.service.checkpointed import CheckpointedConfig
 from repro.service.controlled import ControlledConfig, ControlledResult
 from repro.service.longrun import LongRunConfig
@@ -34,26 +34,24 @@ from repro.service.production import ProductionConfig
 
 
 class TestTable1:
-    def test_small_run_matches_paper_shape(self):
-        result = run_table1(runs=5, procs_list=(1, 4))
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_table1(runs=5)
+
+    def test_small_run_matches_paper_shape(self, result):
         # Aggregate detection in the paper's ballpark (>= 90%).
         assert result.aggregated() >= 0.90
         # grpc/3017 is invisible on one core, reliable on four.
         assert result.counts["grpc/3017:71"][1] == 0
         assert result.counts["grpc/3017:71"][4] >= 4
 
-    def test_subset_run_and_formatter(self):
-        benches = [benchmarks_by_name()["cgo/sendmail"],
-                   benchmarks_by_name()["grpc/3017"]]
-        result = run_table1(runs=3, procs_list=(1, 2), benchmarks=benches)
+    def test_subset_run_and_formatter(self, result):
         text = format_table1(result)
         assert "Aggregated" in text
         assert "grpc/3017:71" in text
 
-    def test_per_site_rates_bounded(self):
-        benches = [benchmarks_by_name()["cockroach/6181"]]
-        result = run_table1(runs=4, procs_list=(2,), benchmarks=benches)
-        for site in benches[0].sites:
+    def test_per_site_rates_bounded(self, result):
+        for site in benchmarks_by_name()["cockroach/6181"].sites:
             assert 0.0 <= result.site_rate(site) <= 1.0
 
     def test_a_detection_at_an_undeclared_site_is_counted_and_printed(self):
@@ -77,10 +75,10 @@ class TestTable2:
     def result(self):
         config = ControlledConfig(duration_s=4, warmup_s=1, connections=8,
                                   map_entries=10_000, seed=5)
-        return run_table2(leak_rates=(0.0, 0.25), config=config)
+        return run_table2(config=config)
 
     def test_heap_ratio_favors_golf_under_leaks(self, result):
-        assert result.ratio(0.25, "heap_alloc_mb") > 5
+        assert result.ratio(0.10, "heap_alloc_mb") > 5
 
     def test_comparable_without_leaks(self, result):
         assert 0.8 <= result.ratio(0.0, "throughput_rps") <= 1.2
@@ -154,10 +152,7 @@ class TestRQ1bAndFigure3:
 
 class TestFigure4:
     def test_distributions(self):
-        subset = all_benchmarks()[:8]
-        from repro.microbench.registry import correct_benchmarks
-        result = run_figure4(repeats=2, benchmarks=subset,
-                             fixed=correct_benchmarks(6))
+        result = run_figure4(repeats=2)
         leaky = result.distribution(correct=False)
         correct = result.distribution(correct=True)
         # GOLF's marking is unburdened on leaky programs (median < 1).
@@ -188,16 +183,16 @@ class TestAblations:
                 expected[p.shape, p.strategy](p.n), (p.shape, p.n)
 
     def test_cadence_preserves_detections(self):
-        result = CadenceAblation().run(cadences=(1, 5), pool=30,
-                                       leaks=6, cycles=20)
-        every1, every5 = result.rows
+        result = CadenceAblation().run()
+        by_cadence = {row["detect_every"]: row for row in result.rows}
+        every1, every5 = by_cadence[1], by_cadence[5]
         assert every1["detected"] == every5["detected"]
         assert every5["checks"] < every1["checks"]
         assert every5["pause_total_us"] <= every1["pause_total_us"]
         assert "pause total" in result.format()
 
     def test_recovery_reclaims_memory(self):
-        result = RecoveryAblation().run(bursts=8, per_burst=4)
+        result = RecoveryAblation().run()
         off, on = result.rows
         assert off["detected"] == on["detected"]
         assert on["heap_alloc_kb"] < off["heap_alloc_kb"] / 10
@@ -226,8 +221,8 @@ def _table2(monkeypatch, calls):
         procs=3, connections=5, duration_s=7, warmup_s=2, leak_rate=0.5,
         map_entries=900, downstream_ms=11, downstream_jitter_ms=3,
         handler_work_us=13, periodic_gc_ms=17, seed=19))
-    return base, lambda: table2.run_table2(leak_rates=(0.25,), config=base), \
-        [{"leak_rate": 0.25}] * 2
+    return base, lambda: table2.run_table2(config=base), \
+        [{"leak_rate": 0.0}] * 2 + [{"leak_rate": 0.10}] * 2
 
 
 def _rq1c(monkeypatch, calls):
@@ -243,8 +238,7 @@ def _rq1c(monkeypatch, calls):
         procs=3, hours=0.5, connections=5, downstream_ms=7,
         downstream_jitter_ms=2, think_time_ms=11, handler_work_ms=3,
         leak_every=13, metric_interval_min=1, periodic_gc_s=17, seed=19))
-    return base, lambda: rq1c.run_rq1c(base, instances=2), \
-        [{"seed": 19}, {"seed": 19 + 7919}]
+    return base, lambda: rq1c.run_rq1c(base), [{}]
 
 
 def _recovery(monkeypatch, calls):

@@ -8,9 +8,9 @@ detector to exactly those verdicts.
 import pytest
 
 from repro import GolfConfig, Runtime
-from repro.baselines.goleak import find_leaks
 from repro.microbench.extended import extended_benchmarks
 from repro.runtime.clock import MILLISECOND
+from repro.runtime.goroutine import GStatus
 from repro.runtime.instructions import Go, RunGC, Sleep
 
 ALL = extended_benchmarks()
@@ -41,10 +41,8 @@ class TestVerdicts:
         rt = _run(bench)
         if not bench.goleak_only:
             pytest.skip("pattern has no goleak-only sites")
-        lingering = {
-            r.label for r in find_leaks(rt, include_external=True,
-                                        include_running=True)
-        }
+        lingering = {g.deadlock_label for g in rt.sched.allgs
+                     if not g.is_system and g.status != GStatus.DEAD}
         for label in bench.goleak_only:
             assert label in lingering
         detected = {r.label for r in rt.reports}
@@ -85,7 +83,6 @@ class TestSpecifics:
         rt = _run(self._by_name("ext/ctx-timeout"))
         rt.gc_until_quiescent()
         # The worker and its channel are gone.
-        from repro.runtime.goroutine import GStatus
         assert not [g for g in rt.sched.allgs
                     if g.status == GStatus.WAITING and not g.is_system]
 

@@ -573,17 +573,31 @@ class TestIncrementalChaosSmoke:
         from repro.chaos import run_chaos_campaign
 
         report = run_chaos_campaign(
-            seeds=5, scenario="gc-phase", base_seed=3, procs=2,
-            config=GolfConfig(gc_mode="incremental"))
+            seeds=5, scenario="gc-phase", base_seed=3, procs=2)
         assert report.clean, report.format()
 
     def test_gc_specific_faults_rejected_in_atomic(self):
-        from repro.chaos import run_chaos_campaign
+        # The campaign runs gc-phase under the incremental collector; an
+        # atomic runtime handed the same plans rejects the
+        # incremental-only faults and stays consistent.
+        from repro.chaos import FaultInjector, FaultPlan, get_scenario
+        from repro.microbench.harness import run_microbenchmark
+        from repro.microbench.registry import all_benchmarks
 
-        report = run_chaos_campaign(
-            seeds=5, scenario="gc-phase", base_seed=3, procs=2,
-            config=GolfConfig(gc_mode="atomic"))
-        assert report.clean, report.format()
+        rejected = 0
+        for i, bench in enumerate(all_benchmarks()[:5]):
+            plan = FaultPlan(3 + i, get_scenario("gc-phase"))
+            injectors = []
+            outcome = run_microbenchmark(
+                bench, procs=2, seed=3 + i,
+                config=GolfConfig(gc_mode="atomic"),
+                rt_hook=lambda rt: injectors.append(
+                    FaultInjector(rt, plan).install()))
+            assert "soundness violation" not in (outcome.panic or "")
+            assert injectors[0].violations == []
+            assert injectors[0].rt.check_invariants() == []
+            rejected += plan.rejected_count()
+        assert rejected > 0
 
 
 class TestNonDetectionCycles:

@@ -63,18 +63,3 @@ class TestLeakyPipeline:
         # Same seed: the number of orphaned retry goroutines is the same;
         # GOLF reports exactly what the baseline leaves lingering.
         assert golf_result.deadlock_reports == baseline_result.lingering
-
-
-class TestScaling:
-    def test_inflight_bound_respected_indirectly(self):
-        """With max_inflight=1 the pipeline serializes but completes."""
-        result = run_job_queue(
-            JobQueueConfig(jobs=30, max_inflight=1, seed=4), golf=True)
-        assert result.completed == 30
-        assert result.deadlock_reports == 0
-
-    def test_zero_failure_rate_needs_no_retries(self):
-        result = run_job_queue(
-            JobQueueConfig(jobs=40, failure_rate=0.0, seed=4), golf=True)
-        assert result.succeeded == 40
-        assert result.attempts == 40

@@ -13,7 +13,7 @@ class TestSingleSetting:
     @pytest.fixture(scope="class")
     def result(self):
         return run_detection_latency(gc_interval_ms=2.0, detect_every=1,
-                                     leaks=30, seed=1)
+                                     leaks=30)
 
     def test_every_leak_detected(self, result):
         assert result.detected == result.leaks == 30
@@ -31,9 +31,9 @@ class TestSingleSetting:
 class TestSweep:
     def test_cadence_multiplies_latency(self):
         fast = run_detection_latency(gc_interval_ms=1.0, detect_every=1,
-                                     leaks=30, seed=2)
+                                     leaks=30)
         slow = run_detection_latency(gc_interval_ms=1.0, detect_every=4,
-                                     leaks=30, seed=2)
+                                     leaks=30)
         assert slow.detected == fast.detected == 30
         assert slow.mean_ms() > 1.5 * fast.mean_ms()
 

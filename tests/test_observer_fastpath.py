@@ -148,9 +148,8 @@ class EagerTracer:
     def for_goroutine(self, goid: int) -> List[TraceEvent]:
         return [e for e in self._ring if e.goid == goid]
 
-    def format(self, limit: Optional[int] = None) -> str:
-        events = list(self._ring) if limit is None else self._ring.last(limit)
-        lines = [event.format() for event in events]
+    def format(self) -> str:
+        lines = [event.format() for event in self._ring]
         if self.dropped:
             lines.append(f"... {self.dropped} events dropped (capacity)")
         return "\n".join(lines)
@@ -326,7 +325,6 @@ def surface(rt) -> Dict[str, Any]:
     return {
         "events": [e.as_dict() for e in tracer.events],
         "format": tracer.format(),
-        "format_tail": tracer.format(limit=7),
         "parks": [e.as_dict() for e in tracer.of_kind(ev.GO_PARK)],
         "main": [e.as_dict() for e in tracer.for_goroutine(1)],
         "dropped": tracer.dropped,

@@ -3,6 +3,7 @@
 from repro import GolfConfig, Runtime
 from repro.gc.stats import format_gctrace
 from repro.runtime.clock import MICROSECOND
+from repro.runtime.goroutine import GStatus
 from repro.runtime.instructions import (
     Go,
     MakeChan,
@@ -118,8 +119,9 @@ class TestDumps:
             yield Sleep(10 * MICROSECOND)
 
         run_to_end(rt, main)
+        assert any(g.is_system and g.status != GStatus.DEAD
+                   for g in rt.sched.allgs)
         assert format_stack_dump(rt) == ""
-        assert "forcegc" in format_stack_dump(rt, include_system=True)
 
     def test_gctrace_format(self):
         rt = self._leaky_rt()

@@ -59,9 +59,10 @@ class TestGoroutineProfile:
         rt.enable_periodic_gc(50 * MICROSECOND)
         _pool_runtime(rt, n=1)
         visible = goroutine_profile(rt)
-        with_system = goroutine_profile(rt, include_system=True)
-        assert sum(r.count for r in with_system) > sum(
-            r.count for r in visible)
+        live = [g for g in rt.sched.allgs if g.status != GStatus.DEAD]
+        assert any(g.is_system for g in live)
+        assert sum(r.count for r in visible) == sum(
+            1 for g in live if not g.is_system)
 
     def test_text_format(self, rt):
         _pool_runtime(rt, n=2)
@@ -197,8 +198,8 @@ class TestTracing:
 
     def test_format_renders_lines(self):
         rt, tracer = self._traced_leak_run()
-        text = tracer.format(limit=5)
-        assert text.count("\n") == 4
+        text = tracer.format()
+        assert text.count("\n") == len(tracer) - 1 + (tracer.dropped > 0)
         assert "ns]" in text
 
     def test_capacity_bound(self):

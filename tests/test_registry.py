@@ -88,12 +88,6 @@ class TestHarness:
         assert result.detected == set(bench.sites)
         assert result.reclaimed == 0
 
-    def test_multiple_instances_multiply_reports(self):
-        bench = benchmarks_by_name()["cgo/dropped-result"]
-        result = run_microbenchmark(bench, procs=2, seed=1, instances=5)
-        assert result.report_count == 5
-        assert result.detected == set(bench.sites)
-
     def test_missing_fixed_variant_rejected(self):
         flaky = benchmarks_by_name()["etcd/7443"]
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.plan import FaultPlan
 from repro.chaos.scenarios import get_scenario
 from repro.runtime.clock import MILLISECOND, SECOND
 from repro.service.resilience import (
@@ -86,8 +85,7 @@ class TestCircuitBreaker:
 
 class TestRetryPolicy:
     def test_backoff_within_exponential_ceiling(self):
-        p = RetryPolicy(max_attempts=5, base_ns=1000, multiplier=2.0,
-                        seed=3)
+        p = RetryPolicy(max_attempts=5, base_ns=1000, seed=3)
         for attempt in range(5):
             ceiling = 1000 * (2.0 ** attempt)
             for _ in range(50):
@@ -147,41 +145,17 @@ class TestResilientService:
                 b.breaker_opens, b.deadlock_reports, b.reclaimed)
 
     def test_healthy_downstream_leaves_breaker_closed(self):
-        """With no chaos (fail/slow rates zero) the breaker never opens
-        and no request fails — the baseline control."""
-        plan = FaultPlan(0, get_scenario("mixed"))
-        # "mixed" has tiny downstream rates; build a quiet plan instead.
-        quiet = get_scenario("downstream")
-        quiet_plan = FaultPlan(0, quiet)
-        quiet_plan.scenario = _zero_rates(quiet)
+        """With no downstream chaos (a scenario whose fail/slow rates
+        are zero) the breaker never opens and no request fails — the
+        baseline control."""
+        quiet = get_scenario("gc-chaos")
+        assert quiet.downstream_fail_rate == quiet.downstream_slow_rate == 0
         result = run_resilient_production(
-            ResilienceConfig(hours=0.1), plan=quiet_plan)
+            ResilienceConfig(hours=0.1, chaos_scenario="gc-chaos"))
         assert result.breaker_opens == 0
         assert result.outcomes["failed"] == 0
         assert result.outcomes["rejected"] == 0
         assert result.retries == 0
         # The Listing-7 defect is still there regardless of chaos.
+        assert result.deadlock_reports > 0
         assert result.reclaimed == result.deadlock_reports
-        del plan
-
-    def test_baseline_gc_keeps_leaks(self):
-        """Without GOLF the residual leaks accumulate as permanently
-        blocked goroutines — the motivation for the combination."""
-        result = run_resilient_production(
-            ResilienceConfig(hours=0.1), golf=False)
-        assert result.deadlock_reports == 0
-        assert result.reclaimed == 0
-        assert result.blocked_at_end > 0
-
-
-def _zero_rates(scenario):
-    """A copy of ``scenario`` whose downstream rates are zero."""
-    from repro.chaos.scenarios import Scenario
-
-    return Scenario(
-        scenario.name + "-quiet",
-        rate=0.0,
-        weights={},
-        downstream_fail_rate=0.0,
-        downstream_slow_rate=0.0,
-    )

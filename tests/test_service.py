@@ -3,7 +3,7 @@
 import pytest
 
 from repro.service.controlled import ControlledConfig, run_controlled
-from repro.service.longrun import LongRunConfig, run_longrun
+from repro.service.longrun import HOLIDAYS, LongRunConfig, run_longrun
 from repro.service.production import ENDPOINTS, ProductionConfig, run_production
 from repro.service.stats import latency_summary, mean_std, percentile
 
@@ -126,11 +126,13 @@ class TestLongRunService:
         assert fixed.total_reports > 0
 
     def test_holidays_skip_redeploys(self):
-        config = self._fast_config(holidays={1})
-        result = run_longrun(config, golf=False)
+        # The holiday (days 10 and 11, a Thursday and a Friday) falls in
+        # the second week.
+        result = run_longrun(self._fast_config(days=14, requests_per_hour=4),
+                             golf=False)
         redeploy_days = {h // 24 for h in result.redeploys}
-        assert 1 not in redeploy_days
-        assert 2 in redeploy_days
+        assert not redeploy_days & HOLIDAYS
+        assert {7, 9} <= redeploy_days
 
     def test_weekend_days_never_redeploy(self):
         result = run_longrun(self._fast_config(), golf=False)

@@ -168,11 +168,12 @@ class TestBernoulliHelper:
         assert results == {"never": False, "always": True}
 
     def test_invalid_denominator(self):
-        from repro.microbench.helpers import bernoulli
-        with pytest.raises(ValueError):
-            list(bernoulli(1, 1000))  # not a power of two
+        """The draw is ``log2(DENOMINATOR)`` coin flips, exact only for a
+        power of two."""
+        from repro.microbench.helpers import DENOMINATOR
+        assert DENOMINATOR > 0 and DENOMINATOR & (DENOMINATOR - 1) == 0
 
     def test_out_of_range_numerator(self):
         from repro.microbench.helpers import bernoulli
         with pytest.raises(ValueError):
-            list(bernoulli(2048, 1024))
+            list(bernoulli(2048))

@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro import GolfConfig, Runtime
-from repro.chaos import run_chaos_campaign
 from repro.errors import GoPanic, InjectedPanic
 from repro.runtime.instructions import (
     Go,
@@ -23,7 +22,6 @@ from repro.runtime.instructions import (
     Sleep,
 )
 from repro.runtime.objects import Blob, Box
-from repro.service.resilience import ResilienceConfig, run_resilient_production
 from repro.telemetry import TelemetryHub, validate_exposition
 from repro.trace import events as ev
 
@@ -89,8 +87,8 @@ class TestRuntimeWiring:
     def test_detector_instruments_and_incident(self):
         hub = TelemetryHub()
         self._leaky_run(hub)
-        assert [e.goid for e in hub.recorder.events("detector")
-                if e.kind == ev.DEADLOCK] == [2]
+        assert [e.goid for e in hub.recorder.events()
+                if e.category == "detector" and e.kind == ev.DEADLOCK] == [2]
         assert len(hub.fingerprints) == 1
         reasons = [i.reason for i in hub.recorder.incidents]
         assert "leak-report" in reasons
@@ -159,32 +157,9 @@ class TestColdHooks:
         scenario(rt)
         (event,) = tracer.of_kind(trace_kind)
         assert detail in event.detail, event.detail
-        assert hub.recorder.events("sched") == []
+        assert [e for e in hub.recorder.events()
+                if e.category == "sched"] == []
         assert hub.recorder.incidents == []
-
-
-class TestCrossRunDedup:
-    def test_chaos_campaigns_dedup(self):
-        hub = TelemetryHub()
-        for _ in range(2):
-            run_chaos_campaign(seeds=4, scenario="mixed", base_seed=0,
-                               telemetry=hub)
-        assert len(hub.fingerprints) > 0
-        # The second identical campaign re-observed only known defects.
-        assert hub.fingerprints.new_in_current_run == []
-        for record in hub.fingerprints.records():
-            assert len(record.runs) == 2
-
-    def test_resilience_runs_dedup(self):
-        hub = TelemetryHub()
-        config = ResilienceConfig(hours=0.1, leak_every=40)
-        for run in ("res-1", "res-2"):
-            hub.fingerprints.begin_run(run)
-            run_resilient_production(config, telemetry=hub)
-        assert len(hub.fingerprints) > 0
-        assert hub.fingerprints.new_in_current_run == []
-        for record in hub.fingerprints.records():
-            assert record.runs == ["res-1", "res-2"]
 
 
 class TestObsCli:

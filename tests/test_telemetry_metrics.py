@@ -148,9 +148,9 @@ class TestExtraLabels:
         reg.gauge("depth", "queue depth").set(2)
         return reg
 
-    def _render(self, source, label="shard"):
+    def _render(self, source):
         return render_merged_prometheus(
-            {source: self._registry().snapshot()}, label=label)
+            {source: self._registry().snapshot()})
 
     def test_extra_label_on_every_sample(self):
         text = self._render("3")
@@ -164,8 +164,10 @@ class TestExtraLabels:
         assert 'req_total{shard="0",outcome="ok"} 3' in self._render("0")
 
     def test_collision_with_metric_labelname_rejected(self):
-        with pytest.raises(ValueError, match="outcome"):
-            self._render("x", label="outcome")
+        reg = MetricsRegistry()
+        reg.counter("req_total", labelnames=("shard",)).labels("0").inc()
+        with pytest.raises(ValueError, match="shard"):
+            render_merged_prometheus({"x": reg.snapshot()})
 
     def test_no_extra_labels_is_the_plain_exposition(self):
         text = self._render(None)

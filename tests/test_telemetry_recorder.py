@@ -1,6 +1,7 @@
 """Tests for the flight recorder and its ring buffer."""
 
 from repro.telemetry import FlightRecorder, RingBuffer
+from repro.telemetry.recorder import CAPACITY, INCIDENT_TAIL, MAX_INCIDENTS
 
 
 class _FakeClock:
@@ -49,17 +50,11 @@ class TestRingBuffer:
         assert RingBuffer(4).last(3) == []
 
     def test_last_zero_reaches_every_reader(self):
-        from repro.trace.tracer import ExecutionTracer
-
-        clock = _FakeClock()
-        tracer = ExecutionTracer(clock, capacity=4)
-        rec = FlightRecorder(clock=clock, capacity=4, incident_tail=0)
+        rec = FlightRecorder()
         for i in range(6):
-            tracer.emit("daemon-detect", 0, f"event-{i}")
             rec.record("sched", "go-park", detail=f"event-{i}")
-        assert tracer.format(limit=0) == "... 2 events dropped (capacity)"
         assert "event-" not in rec.dump(limit=0)
-        assert rec.incident("stall").events == ()
+        assert "event-5" in rec.dump(limit=1)
 
     def test_dropped_is_appended_minus_buffered(self):
         ring = RingBuffer(3)
@@ -75,7 +70,8 @@ class TestRingBuffer:
 class TestFlightRecorder:
     def test_records_and_formats(self):
         clock = _FakeClock()
-        rec = FlightRecorder(clock=clock)
+        rec = FlightRecorder()
+        rec.clock = clock
         clock.now = 42
         rec.record("sched", "go-park", goid=3, detail="chan send")
         (event,) = rec.events()
@@ -85,34 +81,37 @@ class TestFlightRecorder:
         assert "chan send" in event.format()
 
     def test_ring_bounds_and_counts_drops(self):
-        rec = FlightRecorder(capacity=4)
-        for i in range(10):
+        rec = FlightRecorder()
+        for i in range(CAPACITY + 6):
             rec.record("sched", f"e{i}")
-        assert len(rec) == 4
+        assert len(rec) == CAPACITY
         assert rec.dropped == 6
-        assert [e.kind for e in rec.events()] == ["e6", "e7", "e8", "e9"]
-        assert "6 dropped" in rec.dump()
+        assert rec.events()[0].kind == "e6"
+        assert rec.events()[-1].kind == f"e{CAPACITY + 5}"
+        assert "6 dropped" in rec.dump(limit=0)
 
     def test_incident_snapshots_tail(self):
         clock = _FakeClock()
-        rec = FlightRecorder(clock=clock, capacity=100, incident_tail=3)
-        for i in range(10):
+        rec = FlightRecorder()
+        rec.clock = clock
+        for i in range(INCIDENT_TAIL + 10):
             clock.now = i
             rec.record("sched", f"e{i}")
+        tail = [f"e{i}" for i in range(10, INCIDENT_TAIL + 10)]
         incident = rec.incident("leak-report", "everything wedged")
-        assert [e.kind for e in incident.events] == ["e7", "e8", "e9"]
+        assert [e.kind for e in incident.events] == tail
         # The snapshot survives the ring rolling past it.
-        for i in range(200):
+        for i in range(CAPACITY):
             rec.record("sched", "later")
-        assert [e.kind for e in rec.incidents[0].events] == ["e7", "e8", "e9"]
-        assert "leak-report" in rec.dump()
-        assert "everything wedged" in rec.dump()
+        assert [e.kind for e in rec.incidents[0].events] == tail
+        assert "leak-report" in rec.dump(limit=0)
+        assert "everything wedged" in rec.dump(limit=0)
 
     def test_incidents_bounded(self):
-        rec = FlightRecorder(max_incidents=2)
-        assert rec.incident("a") is not None
-        assert rec.incident("b") is not None
-        assert rec.incident("c") is None
+        rec = FlightRecorder()
+        for i in range(MAX_INCIDENTS):
+            assert rec.incident(f"i{i}") is not None
+        assert rec.incident("over") is None
         assert rec.incidents_suppressed == 1
         assert "1 further incident(s) suppressed" in rec.dump()
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Runtime
-from repro.baselines.goleak import find_leaks
 from repro.runtime.clock import MICROSECOND, MILLISECOND
 from repro.runtime.errgroup import group_go, group_wait, new_group, with_context
 from repro.runtime.goroutine import GStatus
@@ -66,8 +65,10 @@ class TestTicker:
         run_to_end(rt, main)
         rt.gc_until_quiescent()
         assert rt.reports.total() == 0  # GOLF is (correctly) silent
-        # goleak with external categories sees the runaway loop.
-        assert find_leaks(rt, include_external=True, include_running=True)
+        # The runaway loop still lingers: goleak's noisier categories
+        # would flag it.
+        assert any(not g.is_system and g.status != GStatus.DEAD
+                   for g in rt.sched.allgs)
 
     def test_invalid_interval(self, rt):
         def main():
