@@ -43,11 +43,10 @@ _DEAD = GStatus.DEAD
 class DetectionResult:
     """Outcome of one reachable-liveness computation."""
 
-    __slots__ = ("live", "deadlocked", "mark_iterations",
+    __slots__ = ("deadlocked", "mark_iterations",
                  "mark_work_units", "liveness_checks", "objects_marked")
 
     def __init__(self) -> None:
-        self.live: List[Goroutine] = []
         self.deadlocked: List[Goroutine] = []
         self.mark_iterations = 0
         self.mark_work_units = 0
@@ -56,8 +55,7 @@ class DetectionResult:
 
     def __repr__(self) -> str:
         return (
-            f"<detection live={len(self.live)} "
-            f"deadlocked={len(self.deadlocked)} "
+            f"<detection deadlocked={len(self.deadlocked)} "
             f"iterations={self.mark_iterations} work={self.mark_work_units}>"
         )
 
@@ -165,12 +163,6 @@ def detect(heap: Heap, goroutines: Sequence[Goroutine],
     result.mark_iterations = 1
     expand = expand_liveness_fixpoint if on_the_fly else expand_by_restart
     result.deadlocked = expand(heap, candidates, result)
-
-    deadlocked_set = set(id(g) for g in result.deadlocked)
-    result.live = [
-        g for g in goroutines
-        if g.status is not _DEAD and id(g) not in deadlocked_set
-    ]
     return result
 
 

@@ -21,12 +21,17 @@ channel from their own stacks.
 Operations are expressed as try/enqueue primitives plus explicit *wakeup*
 records; the scheduler applies wakeups (it owns run queues and sudog
 deactivation), keeping this module scheduler-agnostic and unit-testable.
+
+The buffer and both wait queues are plain lists, FIFO through
+``pop(0)``, as Go's ``hchan`` holds each wait queue as two pointers.
+A ``collections.deque`` allocates a 64-slot block when it is built;
+at the depths the workloads reach (a few waiters, a buffer of a few
+hundred at most) shifting a list costs less than that block.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import (
     CloseOfClosedChannel,
@@ -69,10 +74,10 @@ class Channel(HeapObject):
             raise ValueError("channel capacity must be non-negative")
         HeapObject.__init__(self, 12 * WORD_SIZE + WORD_SIZE * capacity)
         self.capacity = capacity
-        self.buffer: Deque[Any] = deque()
+        self.buffer: List[Any] = []
         self.closed = False
-        self.sendq: Deque[Sudog] = deque()
-        self.recvq: Deque[Sudog] = deque()
+        self.sendq: List[Sudog] = []
+        self.recvq: List[Sudog] = []
         self.label = label
         self.make_site = ""
         # Last-communication ledger, maintained by the executor on every
@@ -135,14 +140,14 @@ class Channel(HeapObject):
     def restore_state(self, state: Any) -> None:
         for value in state["buffer"]:
             self._barrier(value)
-        self.buffer = deque(state["buffer"])
+        self.buffer = list(state["buffer"])
         self.closed = state["closed"]
 
     # -- queue helpers -------------------------------------------------------
 
-    def _pop_waiter(self, queue: Deque[Sudog]) -> Optional[Sudog]:
+    def _pop_waiter(self, queue: List[Sudog]) -> Optional[Sudog]:
         while queue:
-            sd = queue.popleft()
+            sd = queue.pop(0)
             if sd.active:
                 return sd
         return None
@@ -170,7 +175,7 @@ class Channel(HeapObject):
             return True
         return self._has_active(self.sendq)
 
-    def _has_active(self, queue: Deque[Sudog]) -> bool:
+    def _has_active(self, queue: List[Sudog]) -> bool:
         return any(sd.active for sd in queue)
 
     def try_send(self, value: Any) -> Tuple[bool, List[Wakeup]]:
@@ -197,7 +202,7 @@ class Channel(HeapObject):
         Go's two-value receive form.
         """
         if self.buffer:
-            value = self.buffer.popleft()
+            value = self.buffer.pop(0)
             wakeups: List[Wakeup] = []
             # A parked sender can now move its value into the buffer.
             sender = self._pop_waiter(self.sendq)

@@ -47,6 +47,7 @@ class GStatus(enum.Enum):
 # Enum members read once, as in :mod:`repro.runtime.scheduler`: the
 # descriptor's lifecycle transitions below run on every spawn and exit.
 _RUNNABLE = GStatus.RUNNABLE
+_WAITING = GStatus.WAITING
 _DEAD = GStatus.DEAD
 
 
@@ -244,7 +245,7 @@ class Goroutine(HeapObject):
         """Whether this goroutine is a deadlock candidate: user-blocked at
         a channel or ``sync`` operation."""
         return (
-            self.status == GStatus.WAITING
+            self.status is _WAITING
             and self.wait_reason is not None
             and self.wait_reason.is_detectable
             and not self.is_system

@@ -9,9 +9,11 @@ MARKING phase has the barrier armed.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import inspect
 import pkgutil
+import tracemalloc
 
 import pytest
 
@@ -83,6 +85,26 @@ def test_a_fresh_object_is_unallocated_and_unmarked(cls):
     assert (obj.addr, obj.size, obj._mark_epoch) == (0, size, -1)
     assert obj._heap is None and obj._finalizer is None
     assert type(obj).gc_ages_on_cycle is (cls is Pool)
+
+
+#: Host bytes one fresh channel may hold, its buffer and both wait queues
+#: included: plain lists fit, three empty ``collections.deque`` (about
+#: 2 400 bytes with their blocks) do not.
+CHANNEL_BYTES_MAX = 600
+
+
+@pytest.mark.parametrize("capacity", [0, 1])
+def test_a_fresh_channel_costs_at_most_a_few_hundred_bytes(capacity):
+    Channel(capacity)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chans = [Channel(capacity) for _ in range(1000)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / len(chans) <= CHANNEL_BYTES_MAX
 
 
 def test_only_pools_join_the_aging_registry():

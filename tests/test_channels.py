@@ -86,6 +86,17 @@ class TestUnbufferedChannel:
         done, value, ok, _ = ch.try_recv()
         assert done and value == "new"
 
+    def test_parked_senders_drain_in_park_order(self):
+        ch = Channel(0)
+        senders = [_sudog(is_send=True, value=v, channel=ch)
+                   for v in ("a", "b", "c")]
+        for sd in senders:
+            ch.enqueue_sender(sd)
+        drained = [ch.try_recv() for _ in senders]
+        assert [value for _, value, _, _ in drained] == ["a", "b", "c"]
+        assert [w.sudog for *_, wakeups in drained for w in wakeups] == senders
+        assert not ch.try_recv()[0]
+
 
 class TestClose:
     def test_recv_on_closed_returns_zero(self):
@@ -121,7 +132,7 @@ class TestClose:
         for sd in receivers:
             ch.enqueue_receiver(sd)
         wakeups = ch.close()
-        assert len(wakeups) == 3
+        assert [w.sudog for w in wakeups] == receivers
         assert all(w.result == (ZERO_VALUE, False) for w in wakeups)
 
     def test_close_panics_blocked_senders(self):
