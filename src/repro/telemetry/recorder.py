@@ -5,7 +5,7 @@ the original list-backed tracer had); the flight recorder keeps the
 *last* :data:`CAPACITY` events — drop-oldest, with a dropped-event
 counter — so when something goes wrong the recent history is always on
 hand.  The ring itself (:class:`RingBuffer`, a ``collections.deque`` with
-a count) is shared with the execution tracer and the profile sampler.
+a count) is shared with the profile sampler.
 
 Events carry a severity and a category.  *Incidents* (the telemetry hub
 opens one per leak report) snapshot the tail of the buffer at the moment
@@ -39,12 +39,10 @@ class RingBuffer:
     A thin holder of ``collections.deque(maxlen=capacity)``: eviction,
     iteration and length run in C.  ``appended`` counts every append
     ever made, so ``dropped`` (appended minus buffered) needs no
-    per-append branch.  A writer that cannot afford a Python-level call
-    per item (the execution tracer) bumps ``appended`` and calls
-    ``push`` — the deque's own ``append`` — itself.
+    per-append branch.
     """
 
-    __slots__ = ("capacity", "_items", "appended", "push")
+    __slots__ = ("capacity", "_items", "appended")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -52,11 +50,10 @@ class RingBuffer:
         self.capacity = capacity
         self._items: deque = deque(maxlen=capacity)
         self.appended = 0
-        self.push = self._items.append
 
     def append(self, item) -> None:
         self.appended += 1
-        self.push(item)
+        self._items.append(item)
 
     @property
     def dropped(self) -> int:

@@ -251,9 +251,11 @@ def _waitfor_edges(rec, obj, desc, g, deadlocked, condemned_goids) -> None:
 def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
     """Trace-derived evidence — the minimal event slice and the
     abandoners — for the whole condemned set from one pass over the
-    ring.  The pass reads raw trace records (header fields ``r[1]``
-    kind, ``r[2]`` goid; see :mod:`repro.trace.tracer`) and renders
-    only the events a record quotes."""
+    ring.  The pass streams raw trace records (header fields ``r[1]``
+    kind, ``r[2]`` goid; see :mod:`repro.trace.tracer`) one decoded
+    block at a time, keeps only the condemned goroutines' own records
+    and the ``go-create`` ones, and renders only the events a report
+    quotes."""
     history: Dict[int, List[Any]] = {goid: [] for goid in records}
     blocking = {goid: {d["addr"] for d in rec.blocked_op if d.get("addr")}
                 for goid, rec in records.items()}
@@ -261,7 +263,7 @@ def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
     #: Other goroutines' events naming a watched object, in ring order.
     touches: List[Any] = []
     creates: Dict[int, Any] = {}
-    for r in tracer.records:
+    for r in tracer.iter_records():
         goid = r[2]
         if goid in history:
             history[goid].append(r)

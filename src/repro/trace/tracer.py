@@ -6,29 +6,38 @@ shade hook.  Every instrumentation site in the runtime guards on
 ``tracer is not None``, so the disabled path costs one attribute check —
 the same discipline the telemetry hub uses.
 
-Capture is **by value, rendered on read**.  A hook pushes one flat
-tuple ``(t_ns, kind, goid, pid, render, *payload)`` onto the telemetry
-:class:`RingBuffer` (drop-oldest; ``dropped`` counts evictions, which
-the ``repro run`` report prints) and does nothing else: most events are
-evicted unread.  The payload holds only immutable values copied at event
-time — names, addresses, counts,
-:func:`~repro.trace.events.snapshot_object` tuples — never a goroutine,
-channel or other runtime-owned object: descriptors are recycled and
-channel state moves on after the event, and a ring of references would
-pin every dead object graph it names.  ``render(record)`` is a pure
-function returning the event's ``(detail, args)``; every read
-(``events`` / ``of_kind`` / ``for_goroutine`` / ``format``) renders
-fresh :class:`TraceEvent` objects, so two reads are equal and neither
-can disturb the other.  ``emit`` records an already-rendered event (the
-form the cold callers use).
+Capture is **by value, rendered on read**.  A trace record is the flat
+tuple ``(t_ns, kind, goid, pid, render, *payload)``, but the tracer does
+not keep one tuple per event: a hook ``extend``s the current *block*, a
+plain list of :data:`BLOCK` records, with a small shape code followed by
+only the fields that vary.  The code stands for what every event of its
+shape shares — the kind (for the six hot hooks), the ``render`` function
+and ``pid = -1`` — and a read rebuilds the tuple from it.  A full block
+joins a deque, and the oldest whole block goes once the blocks after it
+still cover ``capacity`` records, so the buffer is drop-oldest over
+exactly the last ``capacity`` records (``dropped`` counts the rest, which
+the ``repro run`` report prints) and never holds more than ``capacity``
+plus one block.  Most events are evicted unread.
+
+The payload holds only immutable values copied at event time — names,
+addresses, counts, :func:`~repro.trace.events.snapshot_object` tuples —
+never a goroutine, channel or other runtime-owned object: descriptors
+are recycled and channel state moves on after the event, and a ring of
+references would pin every dead object graph it names.
+``render(record)`` is a pure function returning the event's ``(detail,
+args)``; every read (``events`` / ``of_kind`` / ``for_goroutine`` /
+``format``) renders fresh :class:`TraceEvent` objects, so two reads are
+equal and neither can disturb the other.  ``emit`` records an
+already-rendered event (the form the cold callers use).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.runtime.clock import Clock
-from repro.telemetry.recorder import RingBuffer
 from repro.trace import events as ev
 from repro.trace.events import TraceEvent, describe_snapshot, snapshot_object
 
@@ -99,79 +108,186 @@ def event_of(r: Record) -> TraceEvent:
     return TraceEvent(r[0], r[1], r[2], detail, r[3], args)
 
 
+#: Records per block (a smaller ``capacity`` uses blocks of
+#: ``capacity`` records).
+BLOCK = 4096
+
+# Shape codes: what the block stores after each code.  A fixed shape
+# stores ``t_ns, goid, *payload``; ``INSTR`` adds ``pid`` after the
+# goid; ``EMIT`` stores the whole header ``t_ns, kind, goid, pid``.
+(_CREATE, _PARK, _WAKE, _END, _MAKE, _SEND, _RECV, _CLOSE, _INSTR,
+ _EMIT) = range(10)
+_FIXED, _WITH_PID, _WITH_HEADER = range(3)
+#: ``code -> (form, kind, render, width)``; ``width`` counts the code.
+_SHAPES = (
+    (_FIXED, ev.GO_CREATE, _render_create, 7),
+    (_FIXED, ev.GO_PARK, _render_park, 5),
+    (_FIXED, ev.GO_WAKE, _render_bare, 3),
+    (_FIXED, ev.GO_END, _render_bare, 3),
+    (_FIXED, ev.CHAN_MAKE, _render_chan_op, 7),
+    (_FIXED, ev.CHAN_SEND, _render_chan_op, 7),
+    (_FIXED, ev.CHAN_RECV, _render_chan_op, 7),
+    (_FIXED, ev.CHAN_CLOSE, _render_chan_op, 7),
+    (_WITH_PID, ev.INSTR, _render_instr, 7),
+    (_WITH_HEADER, None, _rendered, 7),
+)
+#: The channel-operation kinds ``on_chan_op`` is called with.
+_CHAN_SHAPE = {ev.CHAN_MAKE: _MAKE, ev.CHAN_SEND: _SEND,
+               ev.CHAN_RECV: _RECV, ev.CHAN_CLOSE: _CLOSE}
+
+
+def _decode(block: List[Any], skip: int) -> List[Record]:
+    """The records of one block, oldest first, past its first ``skip``."""
+    out: List[Record] = []
+    append = out.append
+    shapes = _SHAPES
+    i, n = 0, len(block)
+    while i < n:
+        form, kind, render, width = shapes[block[i]]
+        if skip:
+            skip -= 1
+        elif form == _FIXED:
+            append((block[i + 1], kind, block[i + 2], -1, render,
+                    *block[i + 3:i + width]))
+        elif form == _WITH_PID:
+            append((block[i + 1], kind, block[i + 2], block[i + 3], render,
+                    *block[i + 4:i + width]))
+        else:
+            append((block[i + 1], block[i + 2], block[i + 3], block[i + 4],
+                    render, *block[i + 5:i + width]))
+        i += width
+    return out
+
+
 class ExecutionTracer:
-    """Collects trace records in a drop-oldest ring of ``capacity``
-    events and renders them into :class:`TraceEvent` objects on read."""
+    """Collects trace records in blocks, drop-oldest over the last
+    ``capacity`` events, and renders them into :class:`TraceEvent`
+    objects on read."""
 
     def __init__(self, clock: Clock, capacity: int = 100_000):
+        if capacity < 1:
+            raise ValueError("ring buffer capacity must be positive")
         self.clock = clock
         self.capacity = capacity
-        self._ring = RingBuffer(capacity)
+        self._block_size = min(BLOCK, capacity)
+        #: Full blocks, oldest first, and the block being written.
+        self._blocks: deque = deque()
+        self._block: List[Any] = []
+        self._put = self._block.extend
+        #: Records the current block takes before :meth:`_spill` runs,
+        #: and its record count when it does.
+        self._left = self._spill_at = self._block_size
+        #: Records in blocks already dropped.
+        self._discarded = 0
+
+    def _spill(self) -> None:
+        """The current block reached its spill point: a full block joins
+        the deque, then every oldest block goes whose followers still
+        cover ``capacity`` records."""
+        size = self._block_size
+        fill = self._spill_at
+        blocks = self._blocks
+        if fill == size:
+            # A copy at its exact length: ``extend`` over-allocates.
+            blocks.append(self._block.copy())
+            self._block.clear()
+            fill = 0
+        while blocks and size * (len(blocks) - 1) + fill >= self.capacity:
+            blocks.popleft()
+            self._discarded += size
+        # Spill next when the block is full or the oldest block can go.
+        at = size
+        if blocks:
+            at = min(size, self.capacity - size * (len(blocks) - 1))
+        self._left = at - fill
+        self._spill_at = at
+
+    def _held(self) -> int:
+        """Records in the blocks, counting those of the oldest block
+        that already fall outside the last-``capacity`` window."""
+        return (self._block_size * len(self._blocks)
+                + self._spill_at - self._left)
+
+    def _decoded_blocks(self) -> Iterator[List[Record]]:
+        skip = self._held() - len(self)
+        for block in chain(self._blocks, (self._block,)):
+            yield _decode(block, skip)
+            skip = 0
 
     # -- the legacy API (pinned by tests/test_pprof_tracing.py) ----------
 
     def emit(self, kind: str, goid: int = 0, detail: str = "",
              pid: int = -1, args: Optional[Dict[str, Any]] = None) -> None:
-        self._ring.append(
-            (self.clock.now, kind, goid, pid, _rendered, detail, args))
+        self._put((_EMIT, self.clock.now, kind, goid, pid, detail, args))
+        self._left -= 1
+        if not self._left:
+            self._spill()
+
+    def iter_records(self) -> Iterator[Record]:
+        """Buffered records, oldest first, unrendered (what the
+        provenance engine scans), decoded one block at a time."""
+        return chain.from_iterable(self._decoded_blocks())
 
     @property
     def records(self) -> List[Record]:
-        """Buffered records, oldest first, unrendered (what the
-        provenance engine scans)."""
-        return list(self._ring)
+        """Buffered records, oldest first, unrendered."""
+        return list(self.iter_records())
 
     @property
     def events(self) -> List[TraceEvent]:
         """Buffered events, oldest first."""
-        return [event_of(r) for r in self._ring]
+        return [event_of(r) for r in self.iter_records()]
 
     @property
     def dropped(self) -> int:
-        return self._ring.dropped
+        return self._discarded + self._held() - len(self)
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [event_of(r) for r in self._ring if r[1] == kind]
+        return [event_of(r) for r in self.iter_records() if r[1] == kind]
 
     def for_goroutine(self, goid: int) -> List[TraceEvent]:
-        return [event_of(r) for r in self._ring if r[2] == goid]
+        return [event_of(r) for r in self.iter_records() if r[2] == goid]
 
     def format(self) -> str:
-        lines = [event_of(r).format() for r in self._ring]
+        lines = [event_of(r).format() for r in self.iter_records()]
         if self.dropped:
             lines.append(f"... {self.dropped} events dropped (capacity)")
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self._held(), self.capacity)
 
     # -- goroutine lifecycle (scheduler hooks) ---------------------------
     #
-    # The hot hooks inline ``RingBuffer.append`` (count, then the
-    # deque's own append): one Python-level call per event is most of
-    # what an evicted-unread event would otherwise cost.
+    # The hot hooks inline ``emit``'s count and spill test: one
+    # Python-level call per event is most of what an evicted-unread
+    # event would otherwise cost.
 
     def on_create(self, g) -> None:
-        ring = self._ring
-        ring.appended += 1
-        ring.push((self.clock.now, ev.GO_CREATE, g.goid, -1, _render_create,
-                   g.name, g.fn_name or g.name, g.parent_goid, g.go_site))
+        self._put((_CREATE, self.clock.now, g.goid, g.name,
+                   g.fn_name or g.name, g.parent_goid, g.go_site))
+        self._left -= 1
+        if not self._left:
+            self._spill()
 
     def on_park(self, g, reason) -> None:
-        ring = self._ring
-        ring.appended += 1
-        ring.push((self.clock.now, ev.GO_PARK, g.goid, -1, _render_park,
-                   reason, tuple(map(snapshot_object, g.blocked_on))))
+        self._put((_PARK, self.clock.now, g.goid, reason,
+                   tuple(map(snapshot_object, g.blocked_on))))
+        self._left -= 1
+        if not self._left:
+            self._spill()
 
     def on_wake(self, g) -> None:
-        ring = self._ring
-        ring.appended += 1
-        ring.push((self.clock.now, ev.GO_WAKE, g.goid, -1, _render_bare))
+        self._put((_WAKE, self.clock.now, g.goid))
+        self._left -= 1
+        if not self._left:
+            self._spill()
 
     def on_finish(self, g) -> None:
-        ring = self._ring
-        ring.appended += 1
-        ring.push((self.clock.now, ev.GO_END, g.goid, -1, _render_bare))
+        self._put((_END, self.clock.now, g.goid))
+        self._left -= 1
+        if not self._left:
+            self._spill()
 
     def on_reclaim(self, g) -> None:
         self.emit(ev.GO_RECLAIM, g.goid)
@@ -183,20 +299,22 @@ class ExecutionTracer:
         """One instruction slice starting now on virtual processor
         ``pid`` — the Chrome exporter turns these into B/E pairs on the
         per-core lanes."""
-        ring = self._ring
-        ring.appended += 1
-        ring.push((self.clock.now, ev.INSTR, g.goid, pid, _render_instr,
-                   mnemonic, cost_ns, g.fn_name or g.name))
+        self._put((_INSTR, self.clock.now, g.goid, pid, mnemonic, cost_ns,
+                   g.fn_name or g.name))
+        self._left -= 1
+        if not self._left:
+            self._spill()
 
     # -- channel operations (executor hooks) -----------------------------
 
     def on_chan_op(self, kind: str, g, ch, partner: int = 0,
                    extra: Optional[Dict[str, Any]] = None) -> None:
-        ring = self._ring
-        ring.appended += 1
-        ring.push((self.clock.now, kind, g.goid, -1, _render_chan_op,
-                   ch.addr, ch.label, partner,
+        self._put((_CHAN_SHAPE[kind], self.clock.now, g.goid, ch.addr,
+                   ch.label, partner,
                    tuple(extra.items()) if extra else ()))
+        self._left -= 1
+        if not self._left:
+            self._spill()
 
     def on_select(self, g, case_index: int, ch, op: str,
                   partner: int = 0) -> None:

@@ -24,6 +24,7 @@ from repro import GolfConfig, Runtime
 from repro.gc.heap import GlobalRoot, Heap
 from repro.gc.phases import GCPhase
 from repro.runtime.channel import Channel
+from repro.runtime.clock import Clock
 from repro.runtime.context import Context
 from repro.runtime.errgroup import Group
 from repro.runtime.goroutine import Goroutine
@@ -33,7 +34,10 @@ from repro.runtime.objects import (
 from repro.runtime.sema import Semaphore
 from repro.runtime.sync import Cond, Mutex, Once, Pool, RWMutex, WaitGroup
 from repro.runtime.timers import Ticker, Timer
+from repro.runtime.waitreason import WaitReason
 from repro.service.resilience import CircuitBreaker
+from repro.trace import events as ev
+from repro.trace.tracer import BLOCK, ExecutionTracer
 
 #: One constructor call per concrete heap class, with the simulated size
 #: it must produce (sizes feed ``HeapAlloc`` and every pinned digest).
@@ -105,6 +109,70 @@ def test_a_fresh_channel_costs_at_most_a_few_hundred_bytes(capacity):
     finally:
         tracemalloc.stop()
     assert grown / len(chans) <= CHANNEL_BYTES_MAX
+
+
+#: Host bytes a full tracer may retain per buffered record, fed the event
+#: mix of the observed production service: 153 with one tuple per event
+#: (object and GC headers, a ``render`` pointer and ``pid`` on each),
+#: 94 with flat blocks (CPython 3.11.7 and 3.12.1).
+TRACE_RECORD_BYTES_MAX = 110
+
+
+def _body():
+    yield
+
+
+def _serve_requests(tracer, clock, n):
+    """What one request of ``svc-prod-observed`` traces, ``n`` times: a
+    handler goroutine and its reply channel are made, it runs seven
+    instruction slices, parks and is woken twice, sends or receives once
+    and ends.  Yields the records held after each request."""
+    ch = Channel(1, label="reply")
+    ch.addr, ch.make_site = 0x4000, "svc.go:12"
+    gs = []
+    for i in range(64):
+        g = Goroutine(i + 2)
+        g.bind(_body(), "svc.go:40", parent_goid=1, name=f"handler-{i}",
+               fn_name="handler")
+        g.blocked_on = (ch,)
+        gs.append(g)
+    for i in range(n):
+        g = gs[i % len(gs)]
+        clock.now += 1_117
+        tracer.on_create(g)
+        tracer.on_chan_op(ev.CHAN_MAKE, g, ch)
+        for k in range(7):
+            clock.now += 211
+            tracer.on_instr(k & 1, g, "send", 211)
+        for _ in range(2):
+            tracer.on_park(g, WaitReason.CHAN_RECEIVE)
+            clock.now += 97
+            tracer.on_wake(g)
+        tracer.on_chan_op(ev.CHAN_SEND if i & 1 else ev.CHAN_RECV, g, ch,
+                          partner=3)
+        tracer.on_finish(g)
+        yield tracer._held()
+
+
+def test_a_buffered_trace_record_costs_its_fields():
+    capacity = 100_000
+    assert BLOCK <= capacity
+    clock = Clock()
+    clock.now = 1 << 31
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracer = ExecutionTracer(clock, capacity)
+        held = max(_serve_requests(tracer, clock,
+                                   (capacity + 3 * BLOCK) // 15))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tracer) == capacity and tracer.dropped > 2 * BLOCK
+    assert held <= capacity + BLOCK
+    assert grown / len(tracer) <= TRACE_RECORD_BYTES_MAX
 
 
 def test_only_pools_join_the_aging_registry():

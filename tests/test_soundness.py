@@ -8,6 +8,9 @@ rescued through ever more indirect reference paths, force GC cycles at
 adversarial moments, and require (a) no report, (b) clean completion.
 """
 
+import functools
+from types import SimpleNamespace
+
 import pytest
 
 from repro import GolfConfig, Runtime
@@ -30,6 +33,7 @@ from repro.runtime.instructions import (
     WgWait,
 )
 from repro.runtime.objects import Box, Struct
+from repro.runtime.scheduler import SchedulerError
 from tests.conftest import run_to_end
 
 
@@ -242,3 +246,153 @@ class TestReclaimIsFinal:
         status = run_to_end(rt, main)
         assert status == "main-exited"
         assert rt.reports.total() == 1
+
+
+# ---------------------------------------------------------------------------
+# The carrier probe (ROADMAP item 1): a live worker holds the only
+# reference to a channel through a Python carrier the stack scan must see
+# ---------------------------------------------------------------------------
+#
+# Receiver R parks on c2.  Worker W parks on c1 and holds c2 only through
+# one carrier; main drops c2, runs two GC cycles and then sends on c1, so
+# W wakes and sends ``late`` on c2 through the carrier.  R can run again,
+# so a sound detector never reports it.  Each carrier is built by a
+# module-level function, outside main's frame: a closure built inside
+# main would share main's cell for c2 and keep it reachable from main.
+
+
+def _receiver(ch, out):
+    value, _ = yield Recv(ch)
+    out.append(value)
+
+
+def _tuple_carrier(ch):
+    return (ch,)
+
+
+def _closure_carrier(ch):
+    return lambda: Send(ch, "late")
+
+
+def _default_arg_carrier(ch):
+    def send(target=ch):
+        return Send(target, "late")
+    return send
+
+
+def _partial_carrier(ch):
+    return functools.partial(Send, ch, "late")
+
+
+def _send_default_carrier(ch):
+    def send(instr=Send(ch, "late")):
+        return instr
+    return send
+
+
+def _object_carrier(ch):
+    return SimpleNamespace(ch=ch)
+
+
+def _iterator_carrier(ch):
+    return [None, ch]
+
+
+def _no_carrier(ch):
+    return None
+
+
+def _send_via_tuple(c1, carrier):
+    yield Recv(c1)
+    yield Send(carrier[0], "late")
+
+
+def _send_via_call(c1, carrier):
+    yield Recv(c1)
+    yield carrier()
+
+
+def _send_via_attribute(c1, carrier):
+    yield Recv(c1)
+    yield Send(carrier.ch, "late")
+
+
+def _send_via_iterator(c1, carrier):
+    # Parked on c1 with ``ch`` None: the list copy holding c2 is held
+    # only by the loop's iterator.
+    for ch in list(carrier):
+        carrier = None
+        if ch is None:
+            yield Recv(c1)
+        else:
+            yield Send(ch, "late")
+
+
+def _wait_on_c1(c1, carrier):
+    yield Recv(c1)
+
+
+_ITEM_1 = ("ROADMAP item 1: the stack scan reads named locals only and "
+           "scan_into treats functions, partials, instructions, iterators "
+           "and plain objects as opaque, so GOLF condemns a receiver a "
+           "live worker will still send to")
+
+CARRIERS = {
+    "tuple": (_tuple_carrier, _send_via_tuple),
+    "closure": (_closure_carrier, _send_via_call),
+    "default-argument": (_default_arg_carrier, _send_via_call),
+    "partial": (_partial_carrier, _send_via_call),
+    "send-default": (_send_default_carrier, _send_via_call),
+    "object-attribute": (_object_carrier, _send_via_attribute),
+    "for-iterator": (_iterator_carrier, _send_via_iterator),
+}
+SOUND_CARRIERS = {"tuple"}
+
+
+def _carrier_params(raises):
+    return [pytest.param(name, marks=() if name in SOUND_CARRIERS else
+                         pytest.mark.xfail(strict=True, raises=raises,
+                                           reason=_ITEM_1))
+            for name in CARRIERS]
+
+
+def run_probe(build, worker, config):
+    """Run the probe; returns ``(status, what R received, reports)``."""
+    out = []
+
+    def main():
+        c1 = yield MakeChan(0)
+        c2 = yield MakeChan(0)
+        yield Go(_receiver, c2, out)
+        yield Go(worker, c1, build(c2))
+        del c2
+        yield Sleep(50 * MICROSECOND)
+        yield RunGC()
+        yield RunGC()
+        yield Send(c1, "go")
+        yield Sleep(50 * MICROSECOND)
+
+    rt = Runtime(procs=2, seed=7, config=config)
+    status = run_to_end(rt, main)
+    return status, out, rt.reports.total()
+
+
+class TestCarriers:
+    @pytest.mark.parametrize("carrier", _carrier_params(SchedulerError))
+    def test_monitor_only_reports_no_live_receiver(self, carrier):
+        status, out, reports = run_probe(*CARRIERS[carrier],
+                                         GolfConfig.monitor_only())
+        assert (status, out, reports) == ("main-exited", ["late"], 0)
+
+    @pytest.mark.parametrize("carrier", _carrier_params(AssertionError))
+    def test_recovery_keeps_the_baseline_output(self, carrier):
+        baseline = run_probe(*CARRIERS[carrier], GolfConfig.baseline())
+        assert baseline == ("main-exited", ["late"], 0)
+        assert run_probe(*CARRIERS[carrier], GolfConfig()) == baseline
+
+    def test_the_probe_condemns_a_receiver_nobody_holds(self):
+        """Non-vacuity: without a carrier R really is stuck, and the
+        probe sees GOLF report it."""
+        status, out, reports = run_probe(_no_carrier, _wait_on_c1,
+                                         GolfConfig())
+        assert (status, out, reports) == ("main-exited", [], 1)

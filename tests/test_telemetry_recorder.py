@@ -61,8 +61,7 @@ class TestRingBuffer:
         for i in range(3):
             ring.append(i)
         assert (ring.dropped, ring.appended) == (0, 3)
-        ring.push(3)  # the writer-side fast path: count, then push
-        ring.appended += 1
+        ring.append(3)
         assert list(ring) == [1, 2, 3]
         assert (ring.dropped, len(ring)) == (1, 3)
 

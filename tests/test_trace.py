@@ -33,8 +33,12 @@ from repro.trace import (
     validate_chrome_trace,
 )
 from repro.trace import events as ev
+from repro.runtime.channel import Channel
+from repro.runtime.goroutine import Goroutine
+from repro.runtime.waitreason import WaitReason
 from repro.trace.chrome import GC_TID, GOROUTINE_TID_BASE, RUNTIME_PID
-from repro.trace.tracer import ExecutionTracer
+from repro.trace.tracer import BLOCK, ExecutionTracer
+from tests.test_observer_fastpath import EagerTracer
 
 
 def _traced_transfer_run(seed=3):
@@ -341,3 +345,81 @@ class TestDropAccounting:
         rt.run()
         assert tracer.dropped > 0 and len(tracer) == 8
         assert hub.snapshot()["recorder"]["dropped"] == hub.recorder.dropped
+
+
+def _body():
+    yield
+
+
+def mixed_stream(n):
+    """``n`` calls that drive a tracer through all six hot hooks and
+    ``emit``, on goroutines and a channel whose state moves on."""
+    ch = Channel(2, label="jobs")
+    ch.addr = 0x2000
+    gs = []
+    for goid in range(2, 7):
+        g = Goroutine(goid)
+        g.bind(_body(), f"svc.go:{goid}", parent_goid=1, name=f"w-{goid}",
+               fn_name="worker" if goid % 2 else "")
+        g.blocked_on = (ch,)
+        gs.append(g)
+    chan_kinds = (ev.CHAN_MAKE, ev.CHAN_SEND, ev.CHAN_RECV, ev.CHAN_CLOSE)
+    for i in range(n):
+        g = gs[i % len(gs)]
+        step = i % 7
+        if step == 0:
+            yield lambda t: t.on_create(g)
+        elif step == 1:
+            yield lambda t: t.on_park(g, WaitReason.CHAN_SEND)
+        elif step == 2:
+            yield lambda t: t.on_wake(g)
+        elif step == 3:
+            yield lambda t: t.on_instr(i % 3, g, "send", 10 + i)
+        elif step == 4:
+            kind = chan_kinds[i % 4]
+            extra = {"woken": i} if kind == ev.CHAN_CLOSE else None
+            yield lambda t: t.on_chan_op(kind, g, ch, partner=i % 2,
+                                         extra=extra)
+        elif step == 5:
+            yield lambda t: t.emit("daemon-detect", g.goid, f"tick {i}",
+                                   args={"n": i})
+        else:
+            yield lambda t: t.on_finish(g)
+        ch.buffer.append(i)
+        if len(ch.buffer) > 2:
+            ch.buffer.clear()
+
+
+def _read(tracer):
+    return ([e.as_dict() for e in tracer.events], tracer.format(),
+            tracer.dropped, len(tracer))
+
+
+class TestBlockRing:
+    """The block ring keeps exactly the last ``capacity`` records: every
+    read equals the eager tracer's on its list ring, across block
+    boundaries and at capacities that do not divide into blocks."""
+
+    @pytest.mark.parametrize("capacity", [1, 63, 64, BLOCK - 1, BLOCK,
+                                          BLOCK + 1, 3 * BLOCK + 5])
+    def test_window_equals_the_eager_reference(self, capacity):
+        clock = Clock()
+        ring, eager = ExecutionTracer(clock, capacity), EagerTracer(clock,
+                                                                    capacity)
+        block = min(BLOCK, capacity)
+        n = 2 * capacity + 3 * block + 7
+        checkpoints = {n // 3, n // 2 + 1, 2 * n // 3 + 2, n - 1}
+        for i, call in enumerate(mixed_stream(n)):
+            clock.now += 100 + i % 13
+            call(ring)
+            call(eager)
+            assert (len(ring), ring.dropped) == (len(eager), eager.dropped)
+            assert ring._held() <= capacity + block
+            if capacity <= 64 or i in checkpoints:
+                assert _read(ring) == _read(eager), i
+        assert ring.dropped == n - capacity > 0
+
+    def test_capacity_must_be_positive(self):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                ExecutionTracer(Clock(), capacity)
