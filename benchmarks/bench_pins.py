@@ -12,9 +12,7 @@ named legs it moved.
 from __future__ import annotations
 
 import hashlib
-import os
 
-import repro
 from benchmarks.conftest import emit
 from repro import codec
 from repro.core.config import GC_MODES, GolfConfig
@@ -23,15 +21,9 @@ from repro.equivalence import Leg, corpus, run_leg
 SEED = 7
 PROCS = (1, 4)
 
-# Report sites embed ``file:line`` of the program source; pin them
-# relative to the package so the digest does not depend on where the
-# checkout lives.
-_PKG_DIR = os.path.dirname(os.path.abspath(repro.__file__))
-
 
 def digest(fingerprint: dict) -> str:
-    text = codec.dumps(fingerprint).replace(_PKG_DIR, "repro")
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(codec.dumps(fingerprint).encode()).hexdigest()
 
 
 def test_per_leg_pins():

@@ -80,7 +80,6 @@ if __name__ == "__main__":
             print(f"          deduplicated to {len(dedup)} source "
                   f"location(s), as an engineer would triage them:")
             for (go_site, block_site), reports in dedup.items():
-                print(f"            {len(reports):3d}x spawned at "
-                      f"{go_site.split('/')[-1]}")
+                print(f"            {len(reports):3d}x spawned at {go_site}")
             assert len(dedup) == 1
             assert stats.num_goroutine == 0

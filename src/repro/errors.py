@@ -111,10 +111,6 @@ class SchedulerError(FatalRuntimeError):
     """Internal inconsistency detected by the scheduler."""
 
 
-class ProgramTimeout(ReproError):
-    """The program exceeded the wall-clock or virtual-time budget."""
-
-
 class ArtifactError(ReproError, ValueError):
     """An on-disk artifact is malformed — bad JSON, a missing or
     mistyped field, another schema version (:mod:`repro.codec`); the

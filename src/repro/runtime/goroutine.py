@@ -16,8 +16,9 @@ the pool.
 from __future__ import annotations
 
 import enum
+import os
 import sys
-from typing import Any, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.runtime.objects import HeapObject, scan_each, scan_into
 from repro.runtime.waitreason import WaitReason
@@ -49,6 +50,28 @@ class GStatus(enum.Enum):
 _RUNNABLE = GStatus.RUNNABLE
 _WAITING = GStatus.WAITING
 _DEAD = GStatus.DEAD
+
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PACKAGE_PARENT = os.path.dirname(_PACKAGE)
+# One entry per source file that ever holds a goroutine frame.
+_FILE_NAMES: Dict[str, str] = {}
+
+
+def _site(frame: Any) -> str:
+    """``file:line`` of ``frame``, the same from any checkout path and
+    working directory: a file of the ``repro`` package is named relative
+    to the package's parent (``repro/microbench/patterns.py:574``), any
+    other file by its basename (``test_goroutine.py:12``)."""
+    filename = frame.f_code.co_filename
+    name = _FILE_NAMES.get(filename)
+    if name is None:
+        path = os.path.abspath(filename)
+        if path.startswith(_PACKAGE + os.sep):
+            name = os.path.relpath(path, _PACKAGE_PARENT)
+        else:
+            name = os.path.basename(path)
+        _FILE_NAMES[filename] = name
+    return f"{name}:{frame.f_lineno}"
 
 
 class Sudog:
@@ -258,7 +281,7 @@ class Goroutine(HeapObject):
             return "<no stack>"
         # Interned: every channel, goroutine and go-create record made at
         # one site shares one string instead of holding its own copy.
-        return sys.intern(f"{frame.f_code.co_filename}:{frame.f_lineno}")
+        return sys.intern(_site(frame))
 
     def stack_trace(self) -> List[str]:
         """Best-effort stack trace of the suspended body."""
@@ -266,10 +289,7 @@ class Goroutine(HeapObject):
         gen = self.gen
         while gen is not None and getattr(gen, "gi_frame", None) is not None:
             frame = gen.gi_frame
-            trace.append(
-                f"{frame.f_code.co_name} "
-                f"({frame.f_code.co_filename}:{frame.f_lineno})"
-            )
+            trace.append(f"{frame.f_code.co_name} ({_site(frame)})")
             gen = getattr(gen, "gi_yieldfrom", None)
         return trace
 

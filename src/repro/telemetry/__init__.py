@@ -43,7 +43,6 @@ from repro.telemetry.profiles import (
     format_heap_profile,
     heap_profile,
     leak_fingerprint,
-    normalize_site,
 )
 from repro.telemetry.recorder import (
     FlightRecorder,
@@ -78,7 +77,6 @@ __all__ = [
     "format_heap_profile",
     "heap_profile",
     "leak_fingerprint",
-    "normalize_site",
     "validate_exposition",
     "write_artifacts",
 ]

@@ -34,11 +34,8 @@ from typing import Optional
 from repro.runtime import events as ev
 from repro.telemetry import recorder as rec
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiles import (
-    FingerprintStore,
-    GoroutineProfileSampler,
-    normalize_site,
-)
+from repro.telemetry.profiles import FingerprintStore, GoroutineProfileSampler
+
 
 class TelemetryHub:
     """Aggregates metrics, events, profiles, and fingerprints."""
@@ -128,13 +125,13 @@ class TelemetryHub:
         record, _ = self.fingerprints.observe(report)
         self.recorder.record(
             "detector", ev.DEADLOCK, report.goid,
-            f"[{report.wait_reason}] at {normalize_site(report.block_site)}",
+            f"[{report.wait_reason}] at {report.block_site}",
             severity=rec.WARN)
         self.recorder.incident(
             "leak-report",
             f"goroutine {report.glabel} [{report.wait_reason}] "
-            f"spawned {normalize_site(report.go_site)} "
-            f"blocked {normalize_site(report.block_site)} "
+            f"spawned {report.go_site} "
+            f"blocked {report.block_site} "
             f"fingerprint {record.fingerprint}")
 
     # -- outputs -------------------------------------------------------------

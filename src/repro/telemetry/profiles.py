@@ -9,8 +9,7 @@ Three views, all built on the runtime's introspection surface:
   (channel ``make_site``, goroutine ``go_site``) and object kind — the
   LeakProf-style view of where retained memory comes from;
 - *leak fingerprints*: a stable hash of a deadlock report's creation and
-  block sites (paths normalized to basenames so checkouts at different
-  prefixes agree), with a store that deduplicates across repeated runs —
+  block sites, with a store that deduplicates across repeated runs —
   a leak seen by every nightly campaign aggregates into one record
   instead of being re-reported each time.
 """
@@ -18,47 +17,22 @@ Three views, all built on the runtime's introspection surface:
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro import codec
 from repro.errors import ArtifactError
 
 
-def normalize_site(site: str) -> str:
-    """``/long/path/to/file.py:123`` -> ``file.py:123`` (stable across
-    checkout locations); pseudo-sites (``<main>``, ``<host>``) pass
-    through unchanged."""
-    if not site or site.startswith("<"):
-        return site
-    path, sep, line = site.rpartition(":")
-    if not sep:
-        return os.path.basename(site)
-    return f"{os.path.basename(path)}:{line}"
-
-
-def normalize_frame(frame: str) -> str:
-    """``name (/path/file.py:12)`` -> ``name (file.py:12)``."""
-    if "(" not in frame or not frame.endswith(")"):
-        return frame
-    name, _, rest = frame.partition("(")
-    return f"{name}({normalize_site(rest[:-1])})"
-
-
 def leak_fingerprint(report) -> str:
     """A stable 16-hex-digit fingerprint of a deadlock report.
 
-    Hashes the normalized spawn site, block site, wait reason, and stack
+    Hashes the spawn site, block site, wait reason, and stack
     signature — the identity of the *defect*, not of the particular
     goroutine — so every leak from one defective ``go`` statement maps to
     the same fingerprint, in this run and in every future one.
     """
-    parts = [
-        normalize_site(report.go_site),
-        normalize_site(report.block_site),
-        report.wait_reason,
-    ]
-    parts.extend(normalize_frame(f) for f in report.stack)
+    parts = [report.go_site, report.block_site, report.wait_reason]
+    parts.extend(report.stack)
     digest = hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()
     return digest[:16]
 
@@ -173,8 +147,7 @@ class FingerprintStore:
         is_new = record is None
         if is_new:
             record = FingerprintRecord(
-                fp, normalize_site(report.go_site),
-                normalize_site(report.block_site), report.wait_reason)
+                fp, report.go_site, report.block_site, report.wait_reason)
             self._records[fp] = record
             self.new_in_current_run.append(fp)
         record.observe(self.current_run, getattr(report, "label", ""))
@@ -296,7 +269,7 @@ def _allocation_site(obj) -> str:
     for attr in ("make_site", "go_site"):
         site = getattr(obj, attr, "")
         if site:
-            return normalize_site(site)
+            return site
     label = getattr(obj, "label", "")
     return label or "<unattributed>"
 
