@@ -55,14 +55,28 @@ _PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _PACKAGE_PARENT = os.path.dirname(_PACKAGE)
 # One entry per source file that ever holds a goroutine frame.
 _FILE_NAMES: Dict[str, str] = {}
+#: ``(id(code), f_lasti) -> (code, site)``: one entry per suspension
+#: point reached.  The entry holds the code object, so its id is not
+#: reused while the entry lives.  (A code object is not the key: it
+#: hashes its whole constant tree, and equal code from two files
+#: compares equal.)
+_SITES: Dict[Tuple[int, int], Tuple[Any, str]] = {}
+#: Entries past which :data:`_SITES` stops growing; a site unseen by
+#: then is formatted on every call instead.
+_SITES_MAX = 1024
 
 
 def _site(frame: Any) -> str:
-    """``file:line`` of ``frame``, the same from any checkout path and
-    working directory: a file of the ``repro`` package is named relative
-    to the package's parent (``repro/microbench/patterns.py:574``), any
-    other file by its basename (``test_goroutine.py:12``)."""
-    filename = frame.f_code.co_filename
+    """``file:line`` of ``frame``, interned, the same from any checkout
+    path and working directory: a file of the ``repro`` package is named
+    relative to the package's parent (``repro/microbench/patterns.py:574``),
+    any other file by its basename (``test_goroutine.py:12``)."""
+    code = frame.f_code
+    key = (id(code), frame.f_lasti)
+    hit = _SITES.get(key)
+    if hit is not None:
+        return hit[1]
+    filename = code.co_filename
     name = _FILE_NAMES.get(filename)
     if name is None:
         path = os.path.abspath(filename)
@@ -71,7 +85,12 @@ def _site(frame: Any) -> str:
         else:
             name = os.path.basename(path)
         _FILE_NAMES[filename] = name
-    return f"{name}:{frame.f_lineno}"
+    # Interned: every channel, goroutine and go-create record made at
+    # one site shares one string instead of holding its own copy.
+    site = sys.intern(f"{name}:{frame.f_lineno}")
+    if len(_SITES) < _SITES_MAX:
+        _SITES[key] = (code, site)
+    return site
 
 
 class Sudog:
@@ -279,9 +298,7 @@ class Goroutine(HeapObject):
         frame = self._innermost_frame()
         if frame is None:
             return "<no stack>"
-        # Interned: every channel, goroutine and go-create record made at
-        # one site shares one string instead of holding its own copy.
-        return sys.intern(_site(frame))
+        return _site(frame)
 
     def stack_trace(self) -> List[str]:
         """Best-effort stack trace of the suspended body."""

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.trace import events as ev
 from repro.trace.events import describe_object, short_object
-from repro.trace.tracer import event_of, touched_addrs
+from repro.trace.tracer import event_of
 
 #: Cap on the per-leak minimal event slice.
 EVENT_SLICE_LIMIT = 20
@@ -251,28 +251,14 @@ def _waitfor_edges(rec, obj, desc, g, deadlocked, condemned_goids) -> None:
 def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
     """Trace-derived evidence — the minimal event slice and the
     abandoners — for the whole condemned set from one pass over the
-    ring.  The pass streams raw trace records (header fields ``r[1]``
-    kind, ``r[2]`` goid; see :mod:`repro.trace.tracer`) one decoded
-    block at a time, keeps only the condemned goroutines' own records
-    and the ``go-create`` ones, and renders only the events a report
-    quotes."""
-    history: Dict[int, List[Any]] = {goid: [] for goid in records}
+    ring (:meth:`~repro.trace.tracer.ExecutionTracer.provenance_scan`,
+    which reads the blocks in place and builds only the condemned
+    goroutines' own records and the ``go-create`` ones); renders only
+    the events a report quotes."""
     blocking = {goid: {d["addr"] for d in rec.blocked_op if d.get("addr")}
                 for goid, rec in records.items()}
-    watched = set().union(*blocking.values())
-    #: Other goroutines' events naming a watched object, in ring order.
-    touches: List[Any] = []
-    creates: Dict[int, Any] = {}
-    for r in tracer.iter_records():
-        goid = r[2]
-        if goid in history:
-            history[goid].append(r)
-        elif goid:
-            if r[1] == ev.GO_CREATE:
-                creates[goid] = r
-            addrs = touched_addrs(r)
-            if addrs and not watched.isdisjoint(addrs):
-                touches.append((goid, r[1], addrs))
+    history, creates, touches = tracer.provenance_scan(
+        records, set().union(*blocking.values()))
     for goid, rec in records.items():
         own = history[goid]
         last_park = None

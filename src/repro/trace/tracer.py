@@ -12,12 +12,19 @@ not keep one tuple per event: a hook ``extend``s the current *block*, a
 plain list of :data:`BLOCK` records, with a small shape code followed by
 only the fields that vary.  The code stands for what every event of its
 shape shares — the kind (for the six hot hooks), the ``render`` function
-and ``pid = -1`` — and a read rebuilds the tuple from it.  A full block
-joins a deque, and the oldest whole block goes once the blocks after it
-still cover ``capacity`` records, so the buffer is drop-oldest over
-exactly the last ``capacity`` records (``dropped`` counts the rest, which
-the ``repro run`` report prints) and never holds more than ``capacity``
-plus one block.  Most events are evicted unread.
+and ``pid = -1`` — and a read rebuilds the tuple from it.  Only what
+changed is kept: the time is the delta from the block's previous record
+(a block's first record keeps its time, so each block decodes on its
+own), which is mostly 0 or a cached small int rather than a fresh int
+per event; and a park on exactly one :class:`Channel` stores the
+channel's snapshot fields flat under a shape of its own, where any other
+``B(g)`` keeps a tuple of snapshots.  A full block joins a deque, and
+the oldest whole block goes once the blocks after it still cover
+``capacity`` records, so the buffer is drop-oldest over exactly the last
+``capacity`` records (``dropped`` counts the rest, which the ``repro
+run`` report prints) and never holds more than ``capacity`` plus one
+block.  Most events are evicted unread, and the provenance engine reads
+the blocks in place (:meth:`ExecutionTracer.provenance_scan`).
 
 The payload holds only immutable values copied at event time — names,
 addresses, counts, :func:`~repro.trace.events.snapshot_object` tuples —
@@ -35,8 +42,11 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
+from repro.runtime.channel import Channel
 from repro.runtime.clock import Clock
 from repro.trace import events as ev
 from repro.trace.events import TraceEvent, describe_snapshot, snapshot_object
@@ -88,20 +98,6 @@ def _render_chan_op(r: Record) -> Rendered:
     return detail, args
 
 
-def touched_addrs(r: Record) -> Tuple:
-    """Addresses of the concurrency objects ``r`` names — the ``B(g)``
-    snapshots of a ``go-park``, the ``chan`` of a channel operation or
-    select resolution — read from the payload without rendering."""
-    render = r[4]
-    if render is _render_park:
-        return tuple(s[1] for s in r[6])
-    if render is _render_chan_op:
-        return (r[5],)
-    if render is _rendered and r[6]:
-        return (r[6].get("chan"),)
-    return ()
-
-
 def event_of(r: Record) -> TraceEvent:
     """Render one record into a fresh :class:`TraceEvent`."""
     detail, args = r[4](r)
@@ -112,12 +108,15 @@ def event_of(r: Record) -> TraceEvent:
 #: ``capacity`` records).
 BLOCK = 4096
 
-# Shape codes: what the block stores after each code.  A fixed shape
-# stores ``t_ns, goid, *payload``; ``INSTR`` adds ``pid`` after the
-# goid; ``EMIT`` stores the whole header ``t_ns, kind, goid, pid``.
+# Shape codes: what the block stores after each code.  Every shape
+# stores ``dt`` (the record's time less the time of the block's
+# previous record; a block's first record stores its time) and then: a
+# fixed shape ``goid, *payload``; ``INSTR`` ``goid, pid, *payload``;
+# ``PARK_CHAN`` ``goid, reason`` and the snapshot of its one channel
+# less the constant ``"chan"``; ``EMIT`` ``kind, goid, pid, *payload``.
 (_CREATE, _PARK, _WAKE, _END, _MAKE, _SEND, _RECV, _CLOSE, _INSTR,
- _EMIT) = range(10)
-_FIXED, _WITH_PID, _WITH_HEADER = range(3)
+ _PARK_CHAN, _EMIT) = range(11)
+_FIXED, _WITH_PID, _CHAN_PARK, _WITH_HEADER = range(4)
 #: ``code -> (form, kind, render, width)``; ``width`` counts the code.
 _SHAPES = (
     (_FIXED, ev.GO_CREATE, _render_create, 7),
@@ -129,6 +128,7 @@ _SHAPES = (
     (_FIXED, ev.CHAN_RECV, _render_chan_op, 7),
     (_FIXED, ev.CHAN_CLOSE, _render_chan_op, 7),
     (_WITH_PID, ev.INSTR, _render_instr, 7),
+    (_CHAN_PARK, ev.GO_PARK, _render_park, 12),
     (_WITH_HEADER, None, _rendered, 7),
 )
 #: The channel-operation kinds ``on_chan_op`` is called with.
@@ -136,26 +136,34 @@ _CHAN_SHAPE = {ev.CHAN_MAKE: _MAKE, ev.CHAN_SEND: _SEND,
                ev.CHAN_RECV: _RECV, ev.CHAN_CLOSE: _CLOSE}
 
 
+def _record(block: List[Any], i: int, t: int) -> Record:
+    """The record whose shape code is ``block[i]``, at time ``t``."""
+    form, kind, render, width = _SHAPES[block[i]]
+    if form == _FIXED:
+        return (t, kind, block[i + 2], -1, render, *block[i + 3:i + width])
+    if form == _WITH_PID:
+        return (t, kind, block[i + 2], block[i + 3], render,
+                *block[i + 4:i + width])
+    if form == _CHAN_PARK:
+        return (t, kind, block[i + 2], -1, render, block[i + 3],
+                (("chan", *block[i + 4:i + width]),))
+    return (t, block[i + 2], block[i + 3], block[i + 4], render,
+            *block[i + 5:i + width])
+
+
 def _decode(block: List[Any], skip: int) -> List[Record]:
     """The records of one block, oldest first, past its first ``skip``."""
     out: List[Record] = []
-    append = out.append
     shapes = _SHAPES
-    i, n = 0, len(block)
+    t = i = 0
+    n = len(block)
     while i < n:
-        form, kind, render, width = shapes[block[i]]
+        t += block[i + 1]
         if skip:
             skip -= 1
-        elif form == _FIXED:
-            append((block[i + 1], kind, block[i + 2], -1, render,
-                    *block[i + 3:i + width]))
-        elif form == _WITH_PID:
-            append((block[i + 1], kind, block[i + 2], block[i + 3], render,
-                    *block[i + 4:i + width]))
         else:
-            append((block[i + 1], block[i + 2], block[i + 3], block[i + 4],
-                    render, *block[i + 5:i + width]))
-        i += width
+            out.append(_record(block, i, t))
+        i += shapes[block[i]][3]
     return out
 
 
@@ -179,6 +187,8 @@ class ExecutionTracer:
         self._left = self._spill_at = self._block_size
         #: Records in blocks already dropped.
         self._discarded = 0
+        #: Time of the current block's last record (0 before its first).
+        self._t = 0
 
     def _spill(self) -> None:
         """The current block reached its spill point: a full block joins
@@ -191,7 +201,7 @@ class ExecutionTracer:
             # A copy at its exact length: ``extend`` over-allocates.
             blocks.append(self._block.copy())
             self._block.clear()
-            fill = 0
+            self._t = fill = 0
         while blocks and size * (len(blocks) - 1) + fill >= self.capacity:
             blocks.popleft()
             self._discarded += size
@@ -218,15 +228,66 @@ class ExecutionTracer:
 
     def emit(self, kind: str, goid: int = 0, detail: str = "",
              pid: int = -1, args: Optional[Dict[str, Any]] = None) -> None:
-        self._put((_EMIT, self.clock.now, kind, goid, pid, detail, args))
+        now = self.clock.now
+        self._put((_EMIT, now - self._t, kind, goid, pid, detail, args))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
 
     def iter_records(self) -> Iterator[Record]:
-        """Buffered records, oldest first, unrendered (what the
-        provenance engine scans), decoded one block at a time."""
+        """Buffered records, oldest first, unrendered, decoded one block
+        at a time."""
         return chain.from_iterable(self._decoded_blocks())
+
+    def provenance_scan(self, goids: Iterable[int], watched: Set[int]
+                        ) -> Tuple[Dict[int, List[Record]],
+                                   Dict[int, Record], List[Tuple]]:
+        """One pass over the blocks in place for the provenance engine:
+        ``(own, creates, touches)``.  ``own`` maps each of ``goids`` to
+        its records, oldest first; ``creates`` maps every other goroutine
+        to its last ``go-create`` record; ``touches`` lists, in ring
+        order, ``(goid, kind, addrs)`` for every other goroutine's
+        record that names an address in ``watched`` (the ``B(g)``
+        snapshots of a ``go-park``, the ``chan`` of a channel operation
+        or of an emitted event's ``args``).  Only the records returned
+        are built as tuples; the rest are tested on their raw fields."""
+        own: Dict[int, List[Record]] = {goid: [] for goid in goids}
+        creates: Dict[int, Record] = {}
+        touches: List[Tuple] = []
+        shapes = _SHAPES
+        skip = self._held() - len(self)
+        for block in chain(self._blocks, (self._block,)):
+            t = i = 0
+            n = len(block)
+            while i < n:
+                code = block[i]
+                _, kind, _, width = shapes[code]
+                t += block[i + 1]
+                if skip:
+                    skip -= 1
+                    i += width
+                    continue
+                goid = block[i + 3] if code == _EMIT else block[i + 2]
+                if goid in own:
+                    own[goid].append(_record(block, i, t))
+                elif goid:
+                    addrs: Tuple = ()
+                    if code == _CREATE:
+                        creates[goid] = _record(block, i, t)
+                    elif _MAKE <= code <= _CLOSE:
+                        addrs = (block[i + 3],)
+                    elif code == _PARK_CHAN:
+                        addrs = (block[i + 4],)
+                    elif code == _PARK:
+                        addrs = tuple(s[1] for s in block[i + 4])
+                    elif code == _EMIT and block[i + 6]:
+                        kind = block[i + 2]
+                        addrs = (block[i + 6].get("chan"),)
+                    if addrs and not watched.isdisjoint(addrs):
+                        touches.append((goid, kind, addrs))
+                i += width
+        return own, creates, touches
 
     @property
     def records(self) -> List[Record]:
@@ -264,27 +325,44 @@ class ExecutionTracer:
     # event would otherwise cost.
 
     def on_create(self, g) -> None:
-        self._put((_CREATE, self.clock.now, g.goid, g.name,
+        now = self.clock.now
+        self._put((_CREATE, now - self._t, g.goid, g.name,
                    g.fn_name or g.name, g.parent_goid, g.go_site))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
 
     def on_park(self, g, reason) -> None:
-        self._put((_PARK, self.clock.now, g.goid, reason,
-                   tuple(map(snapshot_object, g.blocked_on))))
+        now = self.clock.now
+        objs = g.blocked_on
+        if len(objs) == 1 and type(objs[0]) is Channel:
+            # The common park, flat: ``snapshot_object``'s fields.
+            ch = objs[0]
+            self._put((_PARK_CHAN, now - self._t, g.goid, reason, ch.addr,
+                       ch.label, ch.capacity, len(ch.buffer), ch.closed,
+                       ch.waiting_senders(), ch.waiting_receivers(),
+                       ch.make_site))
+        else:
+            self._put((_PARK, now - self._t, g.goid, reason,
+                       tuple(map(snapshot_object, objs))))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
 
     def on_wake(self, g) -> None:
-        self._put((_WAKE, self.clock.now, g.goid))
+        now = self.clock.now
+        self._put((_WAKE, now - self._t, g.goid))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
 
     def on_finish(self, g) -> None:
-        self._put((_END, self.clock.now, g.goid))
+        now = self.clock.now
+        self._put((_END, now - self._t, g.goid))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
@@ -299,8 +377,10 @@ class ExecutionTracer:
         """One instruction slice starting now on virtual processor
         ``pid`` — the Chrome exporter turns these into B/E pairs on the
         per-core lanes."""
-        self._put((_INSTR, self.clock.now, g.goid, pid, mnemonic, cost_ns,
+        now = self.clock.now
+        self._put((_INSTR, now - self._t, g.goid, pid, mnemonic, cost_ns,
                    g.fn_name or g.name))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
@@ -309,9 +389,11 @@ class ExecutionTracer:
 
     def on_chan_op(self, kind: str, g, ch, partner: int = 0,
                    extra: Optional[Dict[str, Any]] = None) -> None:
-        self._put((_CHAN_SHAPE[kind], self.clock.now, g.goid, ch.addr,
+        now = self.clock.now
+        self._put((_CHAN_SHAPE[kind], now - self._t, g.goid, ch.addr,
                    ch.label, partner,
                    tuple(extra.items()) if extra else ()))
+        self._t = now
         self._left -= 1
         if not self._left:
             self._spill()

@@ -114,19 +114,26 @@ def test_a_fresh_channel_costs_at_most_a_few_hundred_bytes(capacity):
 #: Host bytes a full tracer may retain per buffered record, fed the event
 #: mix of the observed production service: 153 with one tuple per event
 #: (object and GC headers, a ``render`` pointer and ``pid`` on each),
-#: 94 with flat blocks (CPython 3.11.7 and 3.12.1).
-TRACE_RECORD_BYTES_MAX = 110
+#: 99.2 with flat blocks, 61.2 with per-block time deltas and a flat
+#: channel park (CPython 3.11.7 and 3.12.1 alike).
+TRACE_RECORD_BYTES_MAX = 70
 
 
 def _body():
     yield
 
 
+#: Clock steps before each of a request's seven instruction slices.
+_INSTR_STEPS = (0, 211, 0, 97, 0, 211, 4_096)
+
+
 def _serve_requests(tracer, clock, n):
     """What one request of ``svc-prod-observed`` traces, ``n`` times: a
     handler goroutine and its reply channel are made, it runs seven
     instruction slices, parks and is woken twice, sends or receives once
-    and ends.  Yields the records held after each request."""
+    and ends.  The clock steps as that service's does between records:
+    7 of the 15 at the time of the record before, 6 within 256 ns of
+    it, 2 further.  Yields the records held after each request."""
     ch = Channel(1, label="reply")
     ch.addr, ch.make_site = 0x4000, "svc.go:12"
     gs = []
@@ -141,8 +148,8 @@ def _serve_requests(tracer, clock, n):
         clock.now += 1_117
         tracer.on_create(g)
         tracer.on_chan_op(ev.CHAN_MAKE, g, ch)
-        for k in range(7):
-            clock.now += 211
+        for k, step in enumerate(_INSTR_STEPS):
+            clock.now += step
             tracer.on_instr(k & 1, g, "send", 211)
         for _ in range(2):
             tracer.on_park(g, WaitReason.CHAN_RECEIVE)
@@ -150,6 +157,7 @@ def _serve_requests(tracer, clock, n):
             tracer.on_wake(g)
         tracer.on_chan_op(ev.CHAN_SEND if i & 1 else ev.CHAN_RECV, g, ch,
                           partner=3)
+        clock.now += 13
         tracer.on_finish(g)
         yield tracer._held()
 

@@ -34,7 +34,8 @@ from repro.trace import (
 )
 from repro.trace import events as ev
 from repro.runtime.channel import Channel
-from repro.runtime.goroutine import Goroutine
+from repro.runtime.goroutine import EPSILON, Goroutine
+from repro.runtime.sync import Mutex, WaitGroup
 from repro.runtime.waitreason import WaitReason
 from repro.trace.chrome import GC_TID, GOROUTINE_TID_BASE, RUNTIME_PID
 from repro.trace.tracer import BLOCK, ExecutionTracer
@@ -395,13 +396,25 @@ def _read(tracer):
             tracer.dropped, len(tracer))
 
 
+RING_CAPACITIES = [1, 63, 64, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+#: Clock steps in rotation: zero, 1-256 and above 2**30.  The period, 11,
+#: is prime to every block size of :data:`RING_CAPACITIES`, so each size
+#: of step lands on block edges and among the oldest block's skipped
+#: records.
+CLOCK_STEPS = (0, 1, 2**30 + 1, 0, 256, 5 << 31, 0, 97, 1 << 40, 0, 13)
+
+
+def _step_size(step):
+    return "zero" if step == 0 else "small" if step <= 256 else "large"
+
+
 class TestBlockRing:
     """The block ring keeps exactly the last ``capacity`` records: every
     read equals the eager tracer's on its list ring, across block
     boundaries and at capacities that do not divide into blocks."""
 
-    @pytest.mark.parametrize("capacity", [1, 63, 64, BLOCK - 1, BLOCK,
-                                          BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("capacity", RING_CAPACITIES)
     def test_window_equals_the_eager_reference(self, capacity):
         clock = Clock()
         ring, eager = ExecutionTracer(clock, capacity), EagerTracer(clock,
@@ -409,17 +422,94 @@ class TestBlockRing:
         block = min(BLOCK, capacity)
         n = 2 * capacity + 3 * block + 7
         checkpoints = {n // 3, n // 2 + 1, 2 * n // 3 + 2, n - 1}
+        sizes = [_step_size(CLOCK_STEPS[i % len(CLOCK_STEPS)])
+                 for i in range(n)]
+        edges, skipped = set(), set()
         for i, call in enumerate(mixed_stream(n)):
-            clock.now += 100 + i % 13
+            clock.now += CLOCK_STEPS[i % len(CLOCK_STEPS)]
             call(ring)
             call(eager)
             assert (len(ring), ring.dropped) == (len(eager), eager.dropped)
             assert ring._held() <= capacity + block
+            if i % block in (0, block - 1):
+                edges.add(sizes[i])
             if capacity <= 64 or i in checkpoints:
                 assert _read(ring) == _read(eager), i
+                # Records of the oldest block that precede the window.
+                start = i + 1 - len(ring)
+                skipped.update(sizes[start - start % block:start])
         assert ring.dropped == n - capacity > 0
+        # Non-vacuity: every size of step met a block edge and, where a
+        # block holds more than one record, the skipped records.
+        assert edges == {"zero", "small", "large"}
+        if block > 1:
+            assert skipped == {"zero", "small", "large"}
 
     def test_capacity_must_be_positive(self):
         for capacity in (0, -1):
             with pytest.raises(ValueError):
                 ExecutionTracer(Clock(), capacity)
+
+
+def _parked_on(*objs):
+    """``objs`` with heap addresses set (the ``ε`` sentinel keeps 0)."""
+    for i, obj in enumerate(objs):
+        if obj is not EPSILON:
+            obj.addr = 0x3000 + 0x100 * i
+    return objs
+
+
+class _TaggedChannel(Channel):
+    """A subclass describes itself its own way: it keeps the tuple form."""
+
+    kind = "tagged-chan"
+
+
+def _two_channels():
+    jobs, done = Channel(2, label="jobs"), Channel(0)
+    jobs.make_site = "svc.go:12"
+    jobs.buffer.append("queued")
+    done.closed = True
+    return jobs, done
+
+
+#: One park per shape of ``B(g)``, with the wait reason it parks under.
+PARKS = {
+    "channel": lambda: (WaitReason.CHAN_SEND,
+                        _parked_on(_two_channels()[0])),
+    "select": lambda: (WaitReason.SELECT, _parked_on(*_two_channels())),
+    "epsilon": lambda: (WaitReason.NIL_CHAN_RECEIVE, (EPSILON,)),
+    "mutex": lambda: (WaitReason.SYNC_MUTEX_LOCK,
+                      _parked_on(Mutex(label="mu"))),
+    "waitgroup": lambda: (WaitReason.SYNC_WAITGROUP_WAIT,
+                          _parked_on(WaitGroup())),
+    "channel-subclass": lambda: (WaitReason.CHAN_RECEIVE,
+                                 _parked_on(_TaggedChannel(1, label="t"))),
+}
+
+
+@pytest.mark.parametrize("shape", list(PARKS))
+def test_every_park_shape_reads_back_as_the_eager_tracer(shape):
+    clock = Clock()
+    ring, eager = ExecutionTracer(clock), EagerTracer(clock)
+    reason, objs = PARKS[shape]()
+    g = Goroutine(5)
+    g.bind(_body(), "svc.go:40", parent_goid=1, name="w-5", fn_name="w")
+    g.blocked_on = objs
+    for tracer in (ring, eager):
+        tracer.on_park(g, reason)
+    clock.now += 300
+    for tracer in (ring, eager):
+        tracer.on_wake(g)
+        tracer.on_park(g, reason)
+    # The objects move on after the parks; the records do not.
+    for obj in objs:
+        if isinstance(obj, Channel):
+            obj.buffer.append("late")
+            obj.closed = not obj.closed
+            obj.label = "relabelled"
+    assert _read(ring) == _read(eager)
+    assert [e.as_dict() for e in ring.of_kind(ev.GO_PARK)] == \
+        [e.as_dict() for e in eager.of_kind(ev.GO_PARK)]
+    park = ring.events[0]
+    assert len(park.args["blocked_on"]) == len(objs)
