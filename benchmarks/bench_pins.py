@@ -13,6 +13,11 @@ gets: every rendered event and the ``dropped`` count of a ring of
 :data:`TRACE_CAPACITY` records (small enough to overflow), and every
 provenance record, at procs :data:`TRACE_PROCS`.  A change to how the
 tracer stores its records shows up there.
+
+A third line per program pins the why-leaked records of a run with no
+tracer, the path every detection takes: the sha256 of every provenance
+record's ``as_dict()`` at procs :data:`TRACE_PROCS`.  A change to how
+provenance is captured or rendered shows up there.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ def _trace_surface(rt) -> dict:
 
 TRACED = Leg("traced", hook=lambda rt, program:
              rt.enable_tracing(capacity=TRACE_CAPACITY))
+UNTRACED = Leg("untraced")
 
 
 def test_per_leg_pins():
@@ -58,5 +64,9 @@ def test_per_leg_pins():
         rt, _ = run_leg(TRACED, program, TRACE_PROCS, SEED)
         lines.append(f"{program.name}\tp{TRACE_PROCS}\ttrace\t"
                      f"{digest(_trace_surface(rt))}")
+    for program in corpus():
+        rt, _ = run_leg(UNTRACED, program, TRACE_PROCS, SEED)
+        lines.append(f"{program.name}\tp{TRACE_PROCS}\tprovenance\t"
+                     f"{digest([r.provenance.as_dict() for r in rt.reports])}")
     emit("pins", "\n".join(lines))
-    assert len(lines) == 625
+    assert len(lines) == 750

@@ -322,7 +322,7 @@ class CheckpointManager:
                   f"{len(sub.specs)} respawned, cost {cost}ns")
         for goid, rep, _ in claimed:
             if rep is not None and rep.provenance is not None:
-                rep.provenance.evidence.append(f"recovery: {detail}")
+                rep.provenance.note(f"recovery: {detail}")
         if sched.tracer is not None:
             sched.tracer.emit(ev.RECOVERY_RESTART, 0, detail)
 

@@ -105,15 +105,8 @@ def describe_snapshot(snap: Tuple) -> Dict[str, Any]:
     return desc
 
 
-def describe_object(obj: Any) -> Dict[str, Any]:
-    """A deterministic, JSON-safe description of a concurrency object
-    as it is now — the live form of what ``go-park`` records snapshot,
-    used for provenance evidence."""
-    return describe_snapshot(snapshot_object(obj))
-
-
 def short_object(desc: Dict[str, Any]) -> str:
-    """One-line rendering of a :func:`describe_object` dict."""
+    """One-line rendering of a :func:`describe_snapshot` dict."""
     kind = desc.get("kind", "object")
     if kind == "epsilon":
         return "epsilon (nil channel / zero-case select)"

@@ -22,33 +22,64 @@ recovery re-marks the condemned subgraph and before masks are dropped:
 
 Capture runs unconditionally on every detection — tracer or not — so
 every leak report in the microbench registry carries a non-empty causal
-evidence chain.  All inputs are virtual-clock/heap-address deterministic,
-so rendered artifacts are byte-identical across runs at a fixed seed.
+evidence chain.  It is by value and rendered on read, as the tracer's
+records are: a record keeps one tuple of facts per object of ``B(g)``
+and builds its dicts and evidence strings afresh on every read, so a
+report nobody reads costs its facts only.  All inputs are
+virtual-clock/heap-address deterministic, so rendered artifacts are
+byte-identical across runs at a fixed seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.trace import events as ev
-from repro.trace.events import describe_object, short_object
+from repro.trace.events import describe_snapshot, short_object, snapshot_object
 from repro.trace.tracer import event_of
 
 #: Cap on the per-leak minimal event slice.
 EVENT_SLICE_LIMIT = 20
 
+#: The absence proof of a ``B(g)`` object that is the ``ε`` sentinel,
+#: or that is not on the heap; any other proof is ``(marked, sorted
+#: condemned referencer goids)``.
+EPSILON = "epsilon"
+OFF_HEAP = "off-heap"
+
+#: One object of ``B(g)`` as captured: ``(snapshot, proof, peers,
+#: ledger)`` — its :func:`~repro.trace.events.snapshot_object` tuple,
+#: its absence proof, the other goroutines waiting on it as ``(goid,
+#: role, condemned)`` sorted by goid, and for a channel its transfer
+#: ledger ``(addr, last sender goid, last receiver goid, transfers)``
+#: (``None`` otherwise).
+Facts = Tuple[Tuple, Any, Tuple[Tuple[int, str, bool], ...],
+              Optional[Tuple[int, int, int, int]]]
+
+#: The ``partners`` keys of a transfer ledger's fields.
+_LEDGER_KEYS = ("chan", "last_sender_goid", "last_receiver_goid",
+                "transfers")
+
 
 class ProvenanceRecord:
-    """The causal evidence behind one partial-deadlock verdict."""
+    """The causal evidence behind one partial-deadlock verdict.
+
+    ``facts`` holds what detection saw, one :data:`Facts` tuple per
+    object of ``B(g)``; the rendered fields are read-only properties
+    that build fresh lists, dicts and strings on every read.  The
+    trace-derived ``event_slice`` and ``abandoned_by`` are set once at
+    capture, and ``note`` adds a later line (a checkpoint recovery) to
+    the end of ``evidence``.  An absent optional field is ``None``, not
+    an empty container.
+    """
 
     __slots__ = ("goid", "glabel", "name", "go_site", "block_site",
-                 "wait_reason", "gc_cycle", "detected_at_ns", "blocked_op",
-                 "reachability", "waitfor", "partners", "abandoned_by",
-                 "event_slice", "evidence")
+                 "wait_reason", "gc_cycle", "detected_at_ns", "facts",
+                 "_event_slice", "_abandoned_by", "_notes")
 
     def __init__(self, goid: int, glabel: str, name: str, go_site: str,
                  block_site: str, wait_reason: str, gc_cycle: int,
-                 detected_at_ns: int):
+                 detected_at_ns: int, facts: Tuple[Facts, ...]):
         self.goid = goid
         self.glabel = glabel
         self.name = name
@@ -57,21 +88,93 @@ class ProvenanceRecord:
         self.wait_reason = wait_reason
         self.gc_cycle = gc_cycle
         self.detected_at_ns = detected_at_ns
-        #: Descriptions of every object in ``B(g)`` at condemnation time.
-        self.blocked_op: List[Dict[str, Any]] = []
-        #: Per-object absence proof (marked bit + referencer census).
-        self.reachability: List[Dict[str, Any]] = []
-        #: Wait-for edges: other goroutines parked on the same objects.
-        self.waitfor: List[Dict[str, Any]] = []
-        #: Last-communication ledger per blocking channel.
-        self.partners: List[Dict[str, Any]] = []
-        #: Goroutines the trace shows waited on / used the blocking
-        #: object and then proceeded (trace-derived; empty w/o tracer).
-        self.abandoned_by: List[str] = []
-        #: Minimal event slice ending at the fatal park (trace-derived).
-        self.event_slice: List[Dict[str, Any]] = []
-        #: The ordered causal evidence chain (always non-empty).
-        self.evidence: List[str] = []
+        self.facts = facts
+        self._event_slice: Optional[List[Dict[str, Any]]] = None
+        self._abandoned_by: Optional[List[str]] = None
+        self._notes: Optional[List[str]] = None
+
+    @property
+    def blocked_op(self) -> List[Dict[str, Any]]:
+        """Descriptions of every object in ``B(g)`` at condemnation time."""
+        return [describe_snapshot(snap) for snap, _, _, _ in self.facts]
+
+    @property
+    def reachability(self) -> List[Dict[str, Any]]:
+        """Per-object absence proof (marked bit + referencer census)."""
+        out = []
+        for snap, proof, _, _ in self.facts:
+            desc = describe_snapshot(snap)
+            if proof is EPSILON or proof is OFF_HEAP:
+                out.append({"object": desc, "verdict": proof,
+                            "marked": False, "condemned_referencers": []})
+                continue
+            marked, referencers = proof
+            out.append({
+                "object": desc,
+                "marked": marked,
+                "condemned_referencers": list(referencers),
+                "verdict": ("marked-live" if marked
+                            else "unreachable-from-live-roots"),
+            })
+        return out
+
+    @property
+    def waitfor(self) -> List[Dict[str, Any]]:
+        """Wait-for edges: other goroutines parked on the same objects."""
+        out = []
+        for snap, _, peers, _ in self.facts:
+            if not peers:
+                continue
+            via = short_object(describe_snapshot(snap))
+            for goid, role, condemned in peers:
+                out.append({
+                    "from": self.glabel,
+                    "from_goid": self.goid,
+                    "to": f"g{goid}",
+                    "to_goid": goid,
+                    "via": via,
+                    "peer_state": role,
+                    "peer_condemned": condemned,
+                })
+        return out
+
+    @property
+    def partners(self) -> List[Dict[str, Any]]:
+        """Last-communication ledger per blocking channel."""
+        return [dict(zip(_LEDGER_KEYS, ledger))
+                for _, _, _, ledger in self.facts if ledger is not None]
+
+    @property
+    def abandoned_by(self) -> List[str]:
+        """Goroutines the trace shows waited on / used the blocking
+        object and then proceeded (trace-derived; empty w/o tracer)."""
+        return list(self._abandoned_by or ())
+
+    @abandoned_by.setter
+    def abandoned_by(self, lines: List[str]) -> None:
+        self._abandoned_by = lines or None
+
+    @property
+    def event_slice(self) -> List[Dict[str, Any]]:
+        """Minimal event slice ending at the fatal park (trace-derived)."""
+        return [dict(entry) for entry in self._event_slice or ()]
+
+    @event_slice.setter
+    def event_slice(self, entries: List[Dict[str, Any]]) -> None:
+        self._event_slice = entries or None
+
+    @property
+    def evidence(self) -> List[str]:
+        """The ordered causal evidence chain (always non-empty), then
+        the notes added after detection."""
+        return _build_evidence_chain(self) + list(self._notes or ())
+
+    def note(self, line: str) -> None:
+        """Append ``line`` to ``evidence``, after the chain's verdict."""
+        if self._notes is None:
+            self._notes = [line]
+        else:
+            self._notes.append(line)
 
     def as_dict(self) -> dict:
         return {
@@ -104,21 +207,23 @@ class ProvenanceRecord:
         ]
         for i, step in enumerate(self.evidence, 1):
             lines.append(f"    {i}. {step}")
-        if self.blocked_op:
+        if self.facts:
             lines.append("  blocked on:")
             for desc in self.blocked_op:
                 lines.append(f"    - {short_object(desc)}")
-        if self.waitfor:
+        waitfor = self.waitfor
+        if waitfor:
             lines.append("  wait-for edges:")
-            for edge in self.waitfor:
+            for edge in waitfor:
                 lines.append(
                     f"    - {edge['from']} -> {edge['to']} "
                     f"via {edge['via']} ({edge['peer_state']})")
-        if self.event_slice:
+        event_slice = self._event_slice
+        if event_slice:
             lines.append(
-                f"  event slice (last {len(self.event_slice)} events "
+                f"  event slice (last {len(event_slice)} events "
                 "up to the fatal park):")
-            for entry in self.event_slice:
+            for entry in event_slice:
                 lines.append(
                     f"    [{entry['t_ns']:>12d}ns] {entry['kind']}"
                     + (f" {entry['detail']}" if entry["detail"] else ""))
@@ -161,16 +266,13 @@ def capture_provenance(deadlocked: List[Any], heap, sched, gc_cycle: int,
     condemned_goids = {g.goid for g in deadlocked}
     # Referencer census: which condemned goroutines' stacks reach which
     # blocking objects (computed once for the whole set).
-    stack_reach: Dict[int, set] = {}
-    for g in deadlocked:
-        reach = set()
-        for obj in g.stack_heap_refs():
-            reach.add(obj.addr)
-        stack_reach[g.goid] = reach
+    stack_reach: Dict[int, set] = {
+        g.goid: {obj.addr for obj in g.stack_heap_refs()}
+        for g in deadlocked}
 
     records: Dict[int, ProvenanceRecord] = {}
     for g in deadlocked:
-        rec = ProvenanceRecord(
+        records[g.goid] = ProvenanceRecord(
             goid=g.goid,
             glabel=g.trace_label,
             name=g.name,
@@ -179,73 +281,47 @@ def capture_provenance(deadlocked: List[Any], heap, sched, gc_cycle: int,
             wait_reason=g.wait_reason.value if g.wait_reason else "unknown",
             gc_cycle=gc_cycle,
             detected_at_ns=detected_at_ns,
+            facts=tuple(_object_facts(obj, g, deadlocked, condemned_goids,
+                                      stack_reach, heap)
+                        for obj in g.blocked_on),
         )
-        for obj in g.blocked_on:
-            desc = describe_object(obj)
-            rec.blocked_op.append(desc)
-            rec.reachability.append(
-                _absence_proof(obj, desc, g, deadlocked, stack_reach, heap))
-            _waitfor_edges(rec, obj, desc, g, deadlocked, condemned_goids)
-            if desc.get("kind") == "chan":
-                rec.partners.append({
-                    "chan": obj.addr,
-                    "last_sender_goid": obj.last_sender_goid,
-                    "last_receiver_goid": obj.last_receiver_goid,
-                    "transfers": obj.total_transfers,
-                })
-        records[g.goid] = rec
     if tracer is not None:
         _trace_evidence(records, tracer)
-    for rec in records.values():
-        rec.evidence = _build_evidence_chain(rec)
     return records
 
 
-def _absence_proof(obj, desc, g, deadlocked, stack_reach,
-                   heap) -> Dict[str, Any]:
-    """The reference-path(-absence) evidence for one blocking object."""
-    if desc.get("kind") == "epsilon":
-        return {"object": desc, "verdict": "epsilon",
-                "marked": False, "condemned_referencers": []}
-    if not heap.contains(obj):
-        return {"object": desc, "verdict": "off-heap",
-                "marked": False, "condemned_referencers": []}
-    referencers = sorted(
-        g2.goid for g2 in deadlocked
-        if obj.addr in stack_reach[g2.goid]
-        or any(o is obj for o in g2.blocked_on))
-    return {
-        "object": desc,
-        "marked": heap.is_marked(obj),
-        "condemned_referencers": referencers,
-        "verdict": ("marked-live" if heap.is_marked(obj)
-                    else "unreachable-from-live-roots"),
-    }
-
-
-def _waitfor_edges(rec, obj, desc, g, deadlocked, condemned_goids) -> None:
-    """Edges to the other goroutines parked on the same object."""
-    via = short_object(desc)
+def _object_facts(obj, g, deadlocked, condemned_goids, stack_reach,
+                  heap) -> Facts:
+    """The :data:`Facts` of one blocking object of ``g``."""
+    snap = snapshot_object(obj)
+    # The reference-path(-absence) proof.
+    if snap[0] == "epsilon":
+        proof: Any = EPSILON
+    elif not heap.contains(obj):
+        proof = OFF_HEAP
+    else:
+        proof = (heap.is_marked(obj), tuple(sorted(
+            g2.goid for g2 in deadlocked
+            if obj.addr in stack_reach[g2.goid]
+            or any(o is obj for o in g2.blocked_on))))
+    # Wait-for peers: the other goroutines parked on the same object.
     peers: Dict[int, str] = {}
-    if desc.get("kind") == "chan":
+    ledger = None
+    if snap[0] == "chan":
         for queue, role in ((obj.sendq, "parked sender"),
                             (obj.recvq, "parked receiver")):
             for sd in queue:
                 if sd.active and sd.g is not g:
                     peers.setdefault(sd.g.goid, role)
+        ledger = (obj.addr, obj.last_sender_goid, obj.last_receiver_goid,
+                  obj.total_transfers)
     for g2 in deadlocked:
         if g2 is not g and any(o is obj for o in g2.blocked_on):
             peers.setdefault(g2.goid, "blocked on same object")
-    for goid in sorted(peers):
-        rec.waitfor.append({
-            "from": rec.glabel,
-            "from_goid": rec.goid,
-            "to": f"g{goid}",
-            "to_goid": goid,
-            "via": via,
-            "peer_state": peers[goid],
-            "peer_condemned": goid in condemned_goids,
-        })
+    return (snap, proof,
+            tuple((goid, peers[goid], goid in condemned_goids)
+                  for goid in sorted(peers)),
+            ledger)
 
 
 def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
@@ -255,7 +331,7 @@ def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
     which reads the blocks in place and builds only the condemned
     goroutines' own records and the ``go-create`` ones); renders only
     the events a report quotes."""
-    blocking = {goid: {d["addr"] for d in rec.blocked_op if d.get("addr")}
+    blocking = {goid: {snap[1] for snap, _, _, _ in rec.facts if snap[1]}
                 for goid, rec in records.items()}
     history, creates, touches = tracer.provenance_scan(
         records, set().union(*blocking.values()))
@@ -296,18 +372,19 @@ def _create_label(creates: Dict[int, Any], goid: int) -> str:
     return (args or {}).get("label", f"g{goid}")
 
 
-def _build_evidence_chain(rec) -> List[str]:
+def _build_evidence_chain(rec: ProvenanceRecord) -> List[str]:
     """The ordered causal chain; by construction never empty."""
     chain = [
         f"goroutine {rec.glabel} is parked at {rec.block_site} "
         f"in state [{rec.wait_reason}], spawned at {rec.go_site}",
     ]
-    if rec.blocked_op:
-        ops = "; ".join(short_object(d) for d in rec.blocked_op)
+    blocked_op = rec.blocked_op
+    if blocked_op:
+        ops = "; ".join(short_object(d) for d in blocked_op)
         chain.append(f"its blocking operation B(g) waits on: {ops}")
     else:
         chain.append("its blocking operation has an empty B(g) set")
-    eps = [d for d in rec.blocked_op if d.get("kind") == "epsilon"]
+    eps = [d for d in blocked_op if d.get("kind") == "epsilon"]
     if eps:
         chain.append(
             "B(g) contains the epsilon sentinel: a nil-channel or "
@@ -334,9 +411,10 @@ def _build_evidence_chain(rec) -> List[str]:
                 f"g{p['last_sender_goid']}, receiver "
                 f"g{p['last_receiver_goid']}, "
                 f"{p['transfers']} transfer(s) total")
-    if rec.waitfor:
+    waitfor = rec.waitfor
+    if waitfor:
         peers = ", ".join(
-            f"{e['to']} ({e['peer_state']})" for e in rec.waitfor)
+            f"{e['to']} ({e['peer_state']})" for e in waitfor)
         chain.append(f"wait-for peers on the same object(s): {peers}")
     for entry in rec.abandoned_by:
         chain.append(f"trace evidence: {entry}")

@@ -23,6 +23,8 @@ import repro.service
 from repro import GolfConfig, Runtime
 from repro.gc.heap import GlobalRoot, Heap
 from repro.gc.phases import GCPhase
+from repro.microbench.harness import run_microbenchmark
+from repro.microbench.registry import all_benchmarks
 from repro.runtime.channel import Channel
 from repro.runtime.clock import Clock
 from repro.runtime.context import Context
@@ -181,6 +183,44 @@ def test_a_buffered_trace_record_costs_its_fields():
     assert len(tracer) == capacity and tracer.dropped > 2 * BLOCK
     assert held <= capacity + BLOCK
     assert grown / len(tracer) <= TRACE_RECORD_BYTES_MAX
+
+
+#: Host bytes one why-leaked record may keep once its runtime is gone,
+#: over the leaky registry programs at procs 2, seeds 0-2 (364 records):
+#: 2 254 with every dict and evidence string rendered at detection; 651
+#: holding one tuple of facts per ``B(g)`` object and no empty container
+#: (642.7 under CPython 3.12.1).
+PROVENANCE_RECORD_BYTES_MAX = 700
+
+
+def _leaky_registry_provenance(seeds):
+    """Every provenance record of the registry's leaky programs at procs
+    2, each runtime shut down and dropped after its run."""
+    records = []
+    for seed in seeds:
+        for bench in all_benchmarks():
+            rts = []
+            run_microbenchmark(bench, procs=2, seed=seed, rt_hook=rts.append)
+            records.extend(r.provenance for r in rts[0].reports)
+            rts[0].shutdown()
+    return records
+
+
+def test_a_why_leaked_record_keeps_facts_not_renderings():
+    # One pass first: what the registry's first runs cache (sites,
+    # interned names) is not the records' to pay for.
+    _leaky_registry_provenance((0,))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = _leaky_registry_provenance((0, 1, 2))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) > 300 and None not in records
+    assert grown / len(records) <= PROVENANCE_RECORD_BYTES_MAX
 
 
 def test_only_pools_join_the_aging_registry():

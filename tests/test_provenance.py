@@ -10,13 +10,18 @@ listings (Listing 2 analog ``cgo/timeout-leak``, Listing 7
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
+from repro import Runtime
 from repro.cli import main
+from repro.core.checkpoint import CheckpointManager, WorkerSpec
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import all_benchmarks, benchmarks_by_name
+from repro.runtime.clock import MILLISECOND
+from repro.runtime.instructions import MakeChan, Recv, Sleep
 
 
 def _run_with_reports(bench, procs=2, seed=1, rt_hook=None):
@@ -165,3 +170,90 @@ class TestArtifacts:
         (report,) = _run_with_reports(bench)
         assert "provenance" not in report.as_dict()
         assert report.as_dict()["glabel"] == report.glabel
+
+
+#: The fields a record renders from its detection-time facts.
+RENDERED = ("blocked_op", "reachability", "waitfor", "partners", "evidence")
+
+
+def _read_contract_records():
+    """Records covering every rendered field: traced listings (event
+    slice, abandoners) and an untraced registry sweep (wait-for peers,
+    ε waits, off-heap and shared objects)."""
+    records = [prov for name in ("cgo/timeout-leak", "cgo/double-send")
+               for prov in _traced_provenance(name)]
+    for bench in all_benchmarks():
+        records += [r.provenance for r in _run_with_reports(bench)]
+    assert any(prov.waitfor for prov in records)
+    assert any(prov.abandoned_by for prov in records)
+    return records
+
+
+def _vandalise(value):
+    """Mutate every list and dict inside ``value`` in place."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _vandalise(item)
+        value["vandal"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _vandalise(item)
+        value.append("vandal")
+
+
+class TestReadContract:
+    """A record keeps what detection saw and renders each read afresh."""
+
+    def test_two_reads_are_equal(self):
+        for prov in _read_contract_records():
+            for field in RENDERED:
+                assert getattr(prov, field) == getattr(prov, field), field
+            assert prov.as_dict() == prov.as_dict()
+            assert prov.format() == prov.format()
+
+    def test_mutating_a_read_leaves_the_next_read_unchanged(self):
+        """New with render-on-read: at capture-time rendering the
+        record handed out its own lists, and a caller's edit stuck."""
+        for prov in _read_contract_records():
+            for field in RENDERED:
+                pristine = copy.deepcopy(getattr(prov, field))
+                _vandalise(getattr(prov, field))
+                assert getattr(prov, field) == pristine, field
+            pristine = copy.deepcopy(prov.as_dict())
+            _vandalise(prov.as_dict())
+            assert prov.as_dict() == pristine
+
+    def test_a_recovery_note_follows_the_verdict(self):
+        """A checkpoint rollback adds its line after the chain's verdict."""
+        rt = Runtime(seed=3)
+        mgr = CheckpointManager(rt)
+        endpoint = rt.make_chan(0)
+        spawned = []
+
+        def wedge_once():
+            spawned.append(1)
+            if len(spawned) == 1:
+                ch = yield MakeChan(0)
+                yield Recv(ch)
+            yield Recv(endpoint)
+
+        def idler():
+            yield Recv(endpoint)
+
+        def main():
+            yield Sleep(5 * MILLISECOND)
+
+        mgr.register("pool", channels=[endpoint],
+                     workers=[WorkerSpec("w0", wedge_once),
+                              WorkerSpec("w1", idler)])
+        rt.spawn_main(main)
+        rt.run(until_ns=5 * MILLISECOND)
+        rt.gc_until_quiescent()
+        assert mgr.total_recoveries() == 1
+        (report,) = rt.reports.reports
+        *chain, verdict, note = report.provenance.evidence
+        assert chain
+        assert verdict == ("therefore no live goroutine can ever complete "
+                           "the blocking operation: partial deadlock")
+        assert note.startswith("recovery: subsystem 'pool' rolled back to "
+                               "checkpoint @")

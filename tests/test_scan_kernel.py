@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import enum
+import gc
 import sys
 import weakref
 from unittest.mock import Mock
@@ -717,7 +718,14 @@ class TestGoroutineStacks:
 
     @staticmethod
     def _python_calls(fn):
-        """Python-level function calls made while running ``fn``."""
+        """Python-level function calls made while running ``fn``, cyclic
+        collector off.
+
+        A collection inside the window may close a dead runtime's
+        suspended goroutine bodies, and each close is a ``call``.
+        Collect first and keep the collector off for the window, so the
+        count is the scan's own.
+        """
         calls = 0
 
         def profiler(frame, event, arg):
@@ -725,11 +733,16 @@ class TestGoroutineStacks:
             if event == "call":
                 calls += 1
 
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
         sys.setprofile(profiler)
         try:
             fn()
         finally:
             sys.setprofile(None)
+            if was_enabled:
+                gc.enable()
         return calls
 
     def test_scan_cost_does_not_grow_with_a_captured_list_of_ints(self):
