@@ -18,6 +18,13 @@ A third line per program pins the why-leaked records of a run with no
 tracer, the path every detection takes: the sha256 of every provenance
 record's ``as_dict()`` at procs :data:`TRACE_PROCS`.  A change to how
 provenance is captured or rendered shows up there.
+
+A last line pins the why-leaked records of the observed production
+service, the workload ``svc-prod-observed`` runs: the sha256 of every
+provenance record's ``as_dict()`` of ``run_production`` at the
+benchmark's configuration, with its hub, tracer and scraper attached.
+Its ring is the default 100 000 records, so the why-leaked scan there
+reads a ring of many blocks, which the 64-record rings above never do.
 """
 
 from __future__ import annotations
@@ -25,9 +32,11 @@ from __future__ import annotations
 import hashlib
 
 from benchmarks.conftest import emit
+from benchmarks.e2e.workloads import ObservingHub, _prod_prepare
 from repro import codec
 from repro.core.config import GC_MODES, GolfConfig
 from repro.equivalence import Leg, corpus, run_leg
+from repro.service.production import run_production
 
 SEED = 7
 PROCS = (1, 4)
@@ -68,5 +77,10 @@ def test_per_leg_pins():
         rt, _ = run_leg(UNTRACED, program, TRACE_PROCS, SEED)
         lines.append(f"{program.name}\tp{TRACE_PROCS}\tprovenance\t"
                      f"{digest([r.provenance.as_dict() for r in rt.reports])}")
+    config, hub = _prod_prepare(SEED, 1.0), ObservingHub()
+    run_production(config, telemetry=hub)
+    (rt,) = hub.observed
+    lines.append(f"svc-prod-observed\tp{config.procs}\tprovenance\t"
+                 f"{digest([r.provenance.as_dict() for r in rt.reports])}")
     emit("pins", "\n".join(lines))
-    assert len(lines) == 750
+    assert len(lines) == 751

@@ -31,6 +31,7 @@ hundred at most) shifting a list costs less than that block.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import (
@@ -42,6 +43,9 @@ from repro.runtime.objects import WORD_SIZE, HeapObject, scan_each, scan_into
 
 #: The zero value delivered by receives on closed, drained channels.
 ZERO_VALUE: Any = None
+
+#: A sudog's ``active`` flag: the wait counts summed over a queue.
+_active = attrgetter("active")
 
 
 class Wakeup:
@@ -111,10 +115,12 @@ class Channel(HeapObject):
         return len(self.buffer) >= self.capacity
 
     def waiting_senders(self) -> int:
-        return sum(1 for sd in self.sendq if sd.active)
+        q = self.sendq
+        return sum(map(_active, q)) if q else 0
 
     def waiting_receivers(self) -> int:
-        return sum(1 for sd in self.recvq if sd.active)
+        q = self.recvq
+        return sum(map(_active, q)) if q else 0
 
     def referents(self) -> List[HeapObject]:
         out = scan_each(self.buffer, []) if self.buffer else []
@@ -176,7 +182,7 @@ class Channel(HeapObject):
         return self._has_active(self.sendq)
 
     def _has_active(self, queue: List[Sudog]) -> bool:
-        return any(sd.active for sd in queue)
+        return any(map(_active, queue)) if queue else False
 
     def try_send(self, value: Any) -> Tuple[bool, List[Wakeup]]:
         """Attempt a non-blocking send.

@@ -66,22 +66,25 @@ class ProvenanceRecord:
 
     ``facts`` holds what detection saw, one :data:`Facts` tuple per
     object of ``B(g)``; the rendered fields are read-only properties
-    that build fresh lists, dicts and strings on every read.  The
+    that build fresh lists, dicts and strings on every read, ``glabel``
+    among them (the record keeps the goroutine's own name string).  The
     trace-derived ``event_slice`` and ``abandoned_by`` are set once at
     capture, and ``note`` adds a later line (a checkpoint recovery) to
     the end of ``evidence``.  An absent optional field is ``None``, not
     an empty container.
     """
 
-    __slots__ = ("goid", "glabel", "name", "go_site", "block_site",
+    __slots__ = ("goid", "label", "name", "go_site", "block_site",
                  "wait_reason", "gc_cycle", "detected_at_ns", "facts",
                  "_event_slice", "_abandoned_by", "_notes")
 
-    def __init__(self, goid: int, glabel: str, name: str, go_site: str,
+    def __init__(self, goid: int, label: str, name: str, go_site: str,
                  block_site: str, wait_reason: str, gc_cycle: int,
                  detected_at_ns: int, facts: Tuple[Facts, ...]):
         self.goid = goid
-        self.glabel = glabel
+        #: The creation-site function name (else the goroutine's name)
+        #: that ``glabel`` joins to the goid.
+        self.label = label
         self.name = name
         self.go_site = go_site
         self.block_site = block_site
@@ -92,6 +95,11 @@ class ProvenanceRecord:
         self._event_slice: Optional[List[Dict[str, Any]]] = None
         self._abandoned_by: Optional[List[str]] = None
         self._notes: Optional[List[str]] = None
+
+    @property
+    def glabel(self) -> str:
+        """``label#goid``, as ``Goroutine.trace_label`` renders it."""
+        return f"{self.label}#{self.goid}"
 
     @property
     def blocked_op(self) -> List[Dict[str, Any]]:
@@ -122,13 +130,14 @@ class ProvenanceRecord:
     def waitfor(self) -> List[Dict[str, Any]]:
         """Wait-for edges: other goroutines parked on the same objects."""
         out = []
+        glabel = self.glabel
         for snap, _, peers, _ in self.facts:
             if not peers:
                 continue
             via = short_object(describe_snapshot(snap))
             for goid, role, condemned in peers:
                 out.append({
-                    "from": self.glabel,
+                    "from": glabel,
                     "from_goid": self.goid,
                     "to": f"g{goid}",
                     "to_goid": goid,
@@ -274,7 +283,7 @@ def capture_provenance(deadlocked: List[Any], heap, sched, gc_cycle: int,
     for g in deadlocked:
         records[g.goid] = ProvenanceRecord(
             goid=g.goid,
-            glabel=g.trace_label,
+            label=g.fn_name or g.name,
             name=g.name,
             go_site=g.go_site,
             block_site=g.block_site(),
@@ -326,11 +335,12 @@ def _object_facts(obj, g, deadlocked, condemned_goids, stack_reach,
 
 def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
     """Trace-derived evidence — the minimal event slice and the
-    abandoners — for the whole condemned set from one pass over the
-    ring (:meth:`~repro.trace.tracer.ExecutionTracer.provenance_scan`,
-    which reads the blocks in place and builds only the condemned
-    goroutines' own records and the ``go-create`` ones); renders only
-    the events a report quotes."""
+    abandoners — for the whole condemned set from one read of the ring
+    (:meth:`~repro.trace.tracer.ExecutionTracer.provenance_scan`, which
+    reads the blocks in place, newest first, back to where the condemned
+    goroutines and their blocking objects were born, and builds only the
+    condemned goroutines' own records and the abandoners' ``go-create``
+    ones); renders only the events a report quotes."""
     blocking = {goid: {snap[1] for snap, _, _, _ in rec.facts if snap[1]}
                 for goid, rec in records.items()}
     history, creates, touches = tracer.provenance_scan(

@@ -24,7 +24,9 @@ the oldest whole block goes once the blocks after it still cover
 ``capacity`` records (``dropped`` counts the rest, which the ``repro
 run`` report prints) and never holds more than ``capacity`` plus one
 block.  Most events are evicted unread, and the provenance engine reads
-the blocks in place (:meth:`ExecutionTracer.provenance_scan`).
+the blocks in place, newest first, and only back to where the condemned
+goroutines and the objects they wait on were born
+(:meth:`ExecutionTracer.provenance_scan`).
 
 The payload holds only immutable values copied at event time — names,
 addresses, counts, :func:`~repro.trace.events.snapshot_object` tuples —
@@ -167,6 +169,53 @@ def _decode(block: List[Any], skip: int) -> List[Record]:
     return out
 
 
+def _scan_block(block: List[Any], skip: int, own: Dict[int, Any],
+                watched: Set[int]
+                ) -> Tuple[List[Record], List[Tuple],
+                           Dict[int, Tuple[int, int]], List[int]]:
+    """One block of :meth:`ExecutionTracer.provenance_scan`, oldest
+    record first, past its first ``skip``: ``(records of the goroutines
+    of own, touches, (i, t) of every go-create by goid, the address of
+    every chan-make)``."""
+    mine: List[Record] = []
+    touches: List[Tuple] = []
+    born: Dict[int, Tuple[int, int]] = {}
+    made: List[int] = []
+    shapes = _SHAPES
+    t = i = 0
+    n = len(block)
+    while i < n:
+        code = block[i]
+        _, kind, _, width = shapes[code]
+        t += block[i + 1]
+        if skip:
+            skip -= 1
+            i += width
+            continue
+        goid = block[i + 3] if code == _EMIT else block[i + 2]
+        if code == _CREATE:
+            born[goid] = (i, t)
+        elif code == _MAKE:
+            made.append(block[i + 3])
+        if goid in own:
+            mine.append(_record(block, i, t))
+        elif goid:
+            addrs: Tuple = ()
+            if _MAKE <= code <= _CLOSE:
+                addrs = (block[i + 3],)
+            elif code == _PARK_CHAN:
+                addrs = (block[i + 4],)
+            elif code == _PARK:
+                addrs = tuple(s[1] for s in block[i + 4])
+            elif code == _EMIT and block[i + 6]:
+                kind = block[i + 2]
+                addrs = (block[i + 6].get("chan"),)
+            if addrs and not watched.isdisjoint(addrs):
+                touches.append((goid, kind, addrs))
+        i += width
+    return mine, touches, born, made
+
+
 class ExecutionTracer:
     """Collects trace records in blocks, drop-oldest over the last
     ``capacity`` events, and renders them into :class:`TraceEvent`
@@ -243,51 +292,67 @@ class ExecutionTracer:
     def provenance_scan(self, goids: Iterable[int], watched: Set[int]
                         ) -> Tuple[Dict[int, List[Record]],
                                    Dict[int, Record], List[Tuple]]:
-        """One pass over the blocks in place for the provenance engine:
-        ``(own, creates, touches)``.  ``own`` maps each of ``goids`` to
-        its records, oldest first; ``creates`` maps every other goroutine
-        to its last ``go-create`` record; ``touches`` lists, in ring
-        order, ``(goid, kind, addrs)`` for every other goroutine's
-        record that names an address in ``watched`` (the ``B(g)``
-        snapshots of a ``go-park``, the ``chan`` of a channel operation
-        or of an emitted event's ``args``).  Only the records returned
-        are built as tuples; the rest are tested on their raw fields."""
+        """The provenance engine's read of the blocks in place: ``(own,
+        creates, touches)``.  ``own`` maps each of ``goids`` to its
+        records, oldest first; ``touches`` lists, in ring order, ``(goid,
+        kind, addrs)`` for every other goroutine's record that names an
+        address in ``watched`` (the ``B(g)`` snapshots of a ``go-park``,
+        the ``chan`` of a channel operation or of an emitted event's
+        ``args``); ``creates`` maps each goroutine of ``touches`` to its
+        ``go-create`` record, where the ring still holds it.  Only the
+        records returned are built as tuples; the rest are tested on
+        their raw fields.
+
+        The read goes newest block first and stops early.  Goids come
+        from a counter and heap addresses are bump-allocated and never
+        reused, and a ``go-create`` / ``chan-make`` record is written as
+        its goid / address is handed out, so no record older than a
+        ``go-create`` of a goid at most ``min(goids)`` carries one of
+        ``goids``, and none older than a ``chan-make`` at an address at
+        most ``min(watched)`` names a watched object.  The read stops
+        after the block holding the older of the two, unless a goroutine
+        of ``touches`` was born before it: then the read goes on for its
+        ``go-create``, and stops at one of a goid at most the least goid
+        still missing.  Where the ring holds no such record the read
+        goes on to the ring's start."""
         own: Dict[int, List[Record]] = {goid: [] for goid in goids}
         creates: Dict[int, Record] = {}
-        touches: List[Tuple] = []
-        shapes = _SHAPES
+        blocks = [*self._blocks, self._block]
+        # Records of the oldest block that fall outside the window.
         skip = self._held() - len(self)
-        for block in chain(self._blocks, (self._block,)):
-            t = i = 0
-            n = len(block)
-            while i < n:
-                code = block[i]
-                _, kind, _, width = shapes[code]
-                t += block[i + 1]
-                if skip:
-                    skip -= 1
-                    i += width
-                    continue
-                goid = block[i + 3] if code == _EMIT else block[i + 2]
-                if goid in own:
-                    own[goid].append(_record(block, i, t))
-                elif goid:
-                    addrs: Tuple = ()
-                    if code == _CREATE:
-                        creates[goid] = _record(block, i, t)
-                    elif _MAKE <= code <= _CLOSE:
-                        addrs = (block[i + 3],)
-                    elif code == _PARK_CHAN:
-                        addrs = (block[i + 4],)
-                    elif code == _PARK:
-                        addrs = tuple(s[1] for s in block[i + 4])
-                    elif code == _EMIT and block[i + 6]:
-                        kind = block[i + 2]
-                        addrs = (block[i + 6].get("chan"),)
-                    if addrs and not watched.isdisjoint(addrs):
-                        touches.append((goid, kind, addrs))
-                i += width
-        return own, creates, touches
+        # The stop points not yet passed (None: passed, or none needed).
+        low_goid = min(own, default=None)
+        low_addr = min(watched, default=None)
+        own_parts: List[List[Record]] = []
+        touch_parts: List[List[Tuple]] = []
+        # Goroutines of ``touches`` whose ``go-create`` is not read yet.
+        missing: Set[int] = set()
+        b = len(blocks)
+        while b and (low_goid is not None or low_addr is not None
+                     or missing):
+            b -= 1
+            block = blocks[b]
+            mine, touches, born, made = _scan_block(
+                block, skip if b == 0 else 0, own, watched)
+            own_parts.append(mine)
+            touch_parts.append(touches)
+            missing.update(goid for goid, _, _ in touches)
+            if born:
+                oldest = min(born)
+                if low_goid is not None and oldest <= low_goid:
+                    low_goid = None
+                for goid in missing.intersection(born):
+                    creates[goid] = _record(block, *born[goid])
+                if missing and oldest <= min(missing):
+                    # No older go-create is of a goroutine still missing.
+                    missing.clear()
+                else:
+                    missing.difference_update(born)
+            if low_addr is not None and made and min(made) <= low_addr:
+                low_addr = None
+        for r in chain.from_iterable(reversed(own_parts)):
+            own[r[2]].append(r)
+        return own, creates, list(chain.from_iterable(reversed(touch_parts)))
 
     @property
     def records(self) -> List[Record]:

@@ -41,9 +41,10 @@ from repro.trace.tracer import ExecutionTracer
 #: observers.  Measured 9.52 with 53 registered series (bound 12.8),
 #: 5.97 with the series that have a reader and 4.26 with the tracer as
 #: the one log of runtime transitions — no hub park/wake callbacks, no
-#: flight-recorder call below its severity floor; the bound keeps the
-#: same relative headroom (x 1.34).
-ADDED_CALLS_PER_VINSTR = 5.7
+#: flight-recorder call below its severity floor; 4.12 and then 3.69
+#: once a channel counts its waiters without a generator frame; the
+#: bound keeps the same relative headroom (x 1.34).
+ADDED_CALLS_PER_VINSTR = 4.9
 
 #: Bare Python-level calls per virtual instruction of the same run
 #: (17.04 with three processor walks per event, 14.3 with one, 11.6
