@@ -19,12 +19,15 @@ tracer, the path every detection takes: the sha256 of every provenance
 record's ``as_dict()`` at procs :data:`TRACE_PROCS`.  A change to how
 provenance is captured or rendered shows up there.
 
-A last line pins the why-leaked records of the observed production
-service, the workload ``svc-prod-observed`` runs: the sha256 of every
-provenance record's ``as_dict()`` of ``run_production`` at the
-benchmark's configuration, with its hub, tracer and scraper attached.
-Its ring is the default 100 000 records, so the why-leaked scan there
-reads a ring of many blocks, which the 64-record rings above never do.
+Two last lines pin the observed production service, the workload
+``svc-prod-observed`` runs: ``run_production`` at the benchmark's
+configuration, with its hub, tracer and scraper attached.  One is the
+sha256 of every provenance record's ``as_dict()``; the other pins its
+trace surface as the second lines above do, hashed one event at a time
+(:func:`_streamed_digest`).  Its ring is the default 100 000 records
+at 8 processors, so the why-leaked scan there reads a ring of many
+blocks, and the ring spills blocks, evicts its oldest and records
+slices on every processor, which the 64-record rings above never do.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro import codec
 from repro.core.config import GC_MODES, GolfConfig
 from repro.equivalence import Leg, corpus, run_leg
 from repro.service.production import run_production
+from repro.trace.tracer import event_of
 
 SEED = 7
 PROCS = (1, 4)
@@ -53,6 +57,20 @@ def _trace_surface(rt) -> dict:
     return {"events": [e.as_dict() for e in tracer.events],
             "dropped": tracer.dropped,
             "provenance": [r.provenance.as_dict() for r in rt.reports]}
+
+
+def _streamed_digest(rt) -> str:
+    """The sha256 of :func:`_trace_surface`'s facts, fed one rendered
+    event at a time: a full 100 000-record ring rendered and dumped at
+    once holds about a quarter of a gigabyte."""
+    tracer = rt.tracer
+    h = hashlib.sha256()
+    for r in tracer.iter_records():
+        h.update(codec.dumps(event_of(r).as_dict(), compact=True).encode())
+    h.update(codec.dumps({
+        "dropped": tracer.dropped,
+        "provenance": [r.provenance.as_dict() for r in rt.reports]}).encode())
+    return h.hexdigest()
 
 
 TRACED = Leg("traced", hook=lambda rt, program:
@@ -82,5 +100,7 @@ def test_per_leg_pins():
     (rt,) = hub.observed
     lines.append(f"svc-prod-observed\tp{config.procs}\tprovenance\t"
                  f"{digest([r.provenance.as_dict() for r in rt.reports])}")
+    lines.append(f"svc-prod-observed\tp{config.procs}\ttrace\t"
+                 f"{_streamed_digest(rt)}")
     emit("pins", "\n".join(lines))
-    assert len(lines) == 751
+    assert len(lines) == 752

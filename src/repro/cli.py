@@ -248,12 +248,8 @@ def _cmd_run(args) -> str:
         heap_profile,
         write_artifacts,
     )
-    from repro.trace import (
-        export_chrome_trace,
-        provenance_document,
-        provenance_text,
-        validate_chrome_trace,
-    )
+    from repro.trace.chrome import export_chrome_trace, validate_chrome_trace
+    from repro.trace.provenance import provenance_document, provenance_text
 
     bench = benchmarks_by_name()[args.benchmark]
 

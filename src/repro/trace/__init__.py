@@ -15,23 +15,30 @@ Four modules:
 the Chrome trace and the why-leaked artifacts.
 """
 
-from repro.trace import events  # noqa: F401  (import order: events first)
-from repro.trace.events import TraceEvent, VOCABULARY  # noqa: F401
-from repro.trace.tracer import ExecutionTracer  # noqa: F401
-from repro.trace.chrome import (  # noqa: F401
-    export_chrome_trace,
-    validate_chrome_trace,
-)
-from repro.trace.provenance import (  # noqa: F401
-    ProvenanceRecord,
-    capture_provenance,
-    provenance_document,
-    provenance_text,
-)
+from importlib import import_module
 
-__all__ = [
-    "TraceEvent", "VOCABULARY", "ExecutionTracer",
-    "export_chrome_trace", "validate_chrome_trace",
-    "ProvenanceRecord", "capture_provenance", "provenance_document",
-    "provenance_text",
-]
+#: Each public name and the module that defines it.  A name is imported
+#: on first use (PEP 562), so an untraced run, whose detections read
+#: only ``events`` and ``provenance``, loads no tracer or exporter code.
+_EXPORTS = {
+    "TraceEvent": "events",
+    "VOCABULARY": "events",
+    "ExecutionTracer": "tracer",
+    "export_chrome_trace": "chrome",
+    "validate_chrome_trace": "chrome",
+    "ProvenanceRecord": "provenance",
+    "capture_provenance": "provenance",
+    "provenance_document": "provenance",
+    "provenance_text": "provenance",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.trace import events as ev
 from repro.trace.events import describe_snapshot, short_object, snapshot_object
-from repro.trace.tracer import event_of
 
 #: Cap on the per-leak minimal event slice.
 EVENT_SLICE_LIMIT = 20
@@ -341,6 +340,8 @@ def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
     goroutines and their blocking objects were born, and builds only the
     condemned goroutines' own records and the abandoners' ``go-create``
     ones); renders only the events a report quotes."""
+    from repro.trace.tracer import event_of
+
     blocking = {goid: {snap[1] for snap, _, _, _ in rec.facts if snap[1]}
                 for goid, rec in records.items()}
     history, creates, touches = tracer.provenance_scan(
@@ -377,6 +378,8 @@ def _trace_evidence(records: Dict[int, "ProvenanceRecord"], tracer) -> None:
 def _create_label(creates: Dict[int, Any], goid: int) -> str:
     """The ``go-create`` label of ``goid``; ``g<goid>`` when the event
     was evicted or carried none."""
+    from repro.trace.tracer import event_of
+
     r = creates.get(goid)
     args = event_of(r).args if r is not None else None
     return (args or {}).get("label", f"g{goid}")

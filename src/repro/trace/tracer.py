@@ -12,8 +12,11 @@ not keep one tuple per event: a hook ``extend``s the current *block*, a
 plain list of :data:`BLOCK` records, with a small shape code followed by
 only the fields that vary.  The code stands for what every event of its
 shape shares — the kind (for the six hot hooks), the ``render`` function
-and ``pid = -1`` — and a read rebuilds the tuple from it.  Only what
-changed is kept: the time is the delta from the block's previous record
+and ``pid = -1`` — and a read rebuilds the tuple from it.  An
+instruction slice's code also names its processor and mnemonic (one
+code per pair seen, from a bounded table), and a channel operation
+with no ``extra`` has a code that stores none.  Only what changed is
+kept: the time is the delta from the block's previous record
 (a block's first record keeps its time, so each block decodes on its
 own), which is mostly 0 or a cached small int rather than a fresh int
 per event; and a park on exactly one :class:`Channel` stores the
@@ -51,6 +54,11 @@ from typing import (
 from repro.runtime.channel import Channel
 from repro.runtime.clock import Clock
 from repro.trace import events as ev
+# Loaded with the tracer, not at a traced run's first detection, which
+# reads the ring through it: imported then, with the ring full, its
+# import would add to the run's peak (0.3 MiB of RSS on the observed
+# production service).
+from repro.trace import provenance  # noqa: F401
 from repro.trace.events import TraceEvent, describe_snapshot, snapshot_object
 
 #: A trace record: ``(t_ns, kind, goid, pid, render, *payload)``.
@@ -113,12 +121,21 @@ BLOCK = 4096
 # Shape codes: what the block stores after each code.  Every shape
 # stores ``dt`` (the record's time less the time of the block's
 # previous record; a block's first record stores its time) and then: a
-# fixed shape ``goid, *payload``; ``INSTR`` ``goid, pid, *payload``;
-# ``PARK_CHAN`` ``goid, reason`` and the snapshot of its one channel
-# less the constant ``"chan"``; ``EMIT`` ``kind, goid, pid, *payload``.
-(_CREATE, _PARK, _WAKE, _END, _MAKE, _SEND, _RECV, _CLOSE, _INSTR,
- _PARK_CHAN, _EMIT) = range(11)
-_FIXED, _WITH_PID, _CHAN_PARK, _WITH_HEADER = range(4)
+# fixed shape ``goid, *payload``; a bare channel operation ``goid,
+# addr, label, partner`` (its ``extra`` is empty); ``INSTR`` ``goid,
+# pid, *payload``; a coded slice ``goid, cost, label`` (its code names
+# its ``pid`` and mnemonic); ``PARK_CHAN`` ``goid, reason`` and the
+# snapshot of its one channel less the constant ``"chan"``; ``EMIT``
+# ``kind, goid, pid, *payload``.
+(_CREATE, _PARK, _WAKE, _END, _MAKE, _SEND, _RECV, _CLOSE, _BARE_MAKE,
+ _BARE_SEND, _BARE_RECV, _BARE_CLOSE, _INSTR, _PARK_CHAN, _EMIT,
+ _CODED) = range(16)
+_FIXED, _BARE_CHAN, _WITH_PID, _CODED_INSTR, _CHAN_PARK, _WITH_HEADER = (
+    range(6))
+#: Codes, from ``_CODED`` on, that :data:`_INSTR_CODES` may hand out;
+#: a slice of a processor and mnemonic unseen by then keeps both in its
+#: record (``INSTR``).
+_INSTR_CODES_MAX = 1024
 #: ``code -> (form, kind, render, width)``; ``width`` counts the code.
 _SHAPES = (
     (_FIXED, ev.GO_CREATE, _render_create, 7),
@@ -129,20 +146,43 @@ _SHAPES = (
     (_FIXED, ev.CHAN_SEND, _render_chan_op, 7),
     (_FIXED, ev.CHAN_RECV, _render_chan_op, 7),
     (_FIXED, ev.CHAN_CLOSE, _render_chan_op, 7),
+    (_BARE_CHAN, ev.CHAN_MAKE, _render_chan_op, 6),
+    (_BARE_CHAN, ev.CHAN_SEND, _render_chan_op, 6),
+    (_BARE_CHAN, ev.CHAN_RECV, _render_chan_op, 6),
+    (_BARE_CHAN, ev.CHAN_CLOSE, _render_chan_op, 6),
     (_WITH_PID, ev.INSTR, _render_instr, 7),
     (_CHAN_PARK, ev.GO_PARK, _render_park, 12),
     (_WITH_HEADER, None, _rendered, 7),
+    *((_CODED_INSTR, ev.INSTR, _render_instr, 5),) * _INSTR_CODES_MAX,
 )
-#: The channel-operation kinds ``on_chan_op`` is called with.
+#: The channel-operation kinds ``on_chan_op`` is called with: the code
+#: of each with an ``extra``, and without one.
 _CHAN_SHAPE = {ev.CHAN_MAKE: _MAKE, ev.CHAN_SEND: _SEND,
                ev.CHAN_RECV: _RECV, ev.CHAN_CLOSE: _CLOSE}
+_BARE_CHAN_SHAPE = {ev.CHAN_MAKE: _BARE_MAKE, ev.CHAN_SEND: _BARE_SEND,
+                    ev.CHAN_RECV: _BARE_RECV, ev.CHAN_CLOSE: _BARE_CLOSE}
+#: ``pid -> {mnemonic: code}``: the code of every instruction slice's
+#: processor and mnemonic seen, one int object each, shared by every
+#: tracer of the process.
+_INSTR_CODES: Dict[int, Dict[str, int]] = {}
+#: ``code -> (pid, mnemonic)``: what a coded slice's code names.  Only
+#: :func:`_record` reads it; a scan needs neither field.
+_INSTR_KEYS: Dict[int, Tuple[int, str]] = {}
 
 
 def _record(block: List[Any], i: int, t: int) -> Record:
     """The record whose shape code is ``block[i]``, at time ``t``."""
-    form, kind, render, width = _SHAPES[block[i]]
+    code = block[i]
+    form, kind, render, width = _SHAPES[code]
     if form == _FIXED:
         return (t, kind, block[i + 2], -1, render, *block[i + 3:i + width])
+    if form == _CODED_INSTR:
+        pid, mnemonic = _INSTR_KEYS[code]
+        return (t, kind, block[i + 2], pid, render, mnemonic, block[i + 3],
+                block[i + 4])
+    if form == _BARE_CHAN:
+        return (t, kind, block[i + 2], -1, render, block[i + 3],
+                block[i + 4], block[i + 5], ())
     if form == _WITH_PID:
         return (t, kind, block[i + 2], block[i + 3], render,
                 *block[i + 4:i + width])
@@ -192,16 +232,22 @@ def _scan_block(block: List[Any], skip: int, own: Dict[int, Any],
             skip -= 1
             i += width
             continue
+        if code >= _CODED:
+            # A coded slice: no birth, and no address.
+            if block[i + 2] in own:
+                mine.append(_record(block, i, t))
+            i += width
+            continue
         goid = block[i + 3] if code == _EMIT else block[i + 2]
         if code == _CREATE:
             born[goid] = (i, t)
-        elif code == _MAKE:
+        elif code == _BARE_MAKE or code == _MAKE:
             made.append(block[i + 3])
         if goid in own:
             mine.append(_record(block, i, t))
         elif goid:
             addrs: Tuple = ()
-            if _MAKE <= code <= _CLOSE:
+            if _MAKE <= code <= _BARE_CLOSE:
                 addrs = (block[i + 3],)
             elif code == _PARK_CHAN:
                 addrs = (block[i + 4],)
@@ -442,6 +488,29 @@ class ExecutionTracer:
         """One instruction slice starting now on virtual processor
         ``pid`` — the Chrome exporter turns these into B/E pairs on the
         per-core lanes."""
+        try:
+            code = _INSTR_CODES[pid][mnemonic]
+        except KeyError:
+            # First use of the pair: hand out the next code, inline (no
+            # Python-level call), unless the table is full.
+            if len(_INSTR_KEYS) >= _INSTR_CODES_MAX:
+                self._on_instr_uncoded(pid, g, mnemonic, cost_ns)
+                return
+            code = _CODED + len(_INSTR_KEYS)
+            _INSTR_KEYS[code] = (pid, mnemonic)
+            _INSTR_CODES.setdefault(pid, {})[mnemonic] = code
+        now = self.clock.now
+        self._put((code, now - self._t, g.goid, cost_ns,
+                   g.fn_name or g.name))
+        self._t = now
+        self._left -= 1
+        if not self._left:
+            self._spill()
+
+    def _on_instr_uncoded(self, pid: int, g, mnemonic: str,
+                          cost_ns: int) -> None:
+        """:meth:`on_instr` once the code table is full: the slice keeps
+        its processor and mnemonic."""
         now = self.clock.now
         self._put((_INSTR, now - self._t, g.goid, pid, mnemonic, cost_ns,
                    g.fn_name or g.name))
@@ -455,9 +524,12 @@ class ExecutionTracer:
     def on_chan_op(self, kind: str, g, ch, partner: int = 0,
                    extra: Optional[Dict[str, Any]] = None) -> None:
         now = self.clock.now
-        self._put((_CHAN_SHAPE[kind], now - self._t, g.goid, ch.addr,
-                   ch.label, partner,
-                   tuple(extra.items()) if extra else ()))
+        if extra:
+            self._put((_CHAN_SHAPE[kind], now - self._t, g.goid, ch.addr,
+                       ch.label, partner, tuple(extra.items())))
+        else:
+            self._put((_BARE_CHAN_SHAPE[kind], now - self._t, g.goid,
+                       ch.addr, ch.label, partner))
         self._t = now
         self._left -= 1
         if not self._left:

@@ -107,6 +107,26 @@ def test_bare_runtime_loads_only_the_kernel():
     assert strays == [], f"a bare Runtime() loaded {strays}"
 
 
+def test_an_untraced_detection_loads_no_tracer():
+    # Provenance capture runs on every detection and imports
+    # ``repro.trace.provenance``; the package resolves its re-exports on
+    # first use, so the ring and the Chrome exporter stay unloaded.
+    code = ("import sys\n"
+            "from repro.microbench.harness import run_microbenchmark\n"
+            "from repro.microbench.registry import benchmarks_by_name\n"
+            "rts = []\n"
+            "run_microbenchmark(benchmarks_by_name()['cgo/sendmail'],\n"
+            "                   procs=2, rt_hook=rts.append)\n"
+            "assert rts[0].reports and rts[0].tracer is None\n"
+            "print('\\n'.join(sorted(m for m in sys.modules\n"
+            "                        if m.startswith('repro.trace'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["repro.trace", "repro.trace.events",
+                           "repro.trace.provenance"]
+
+
 def test_the_e2e_imports_load_no_multiprocessing():
     # Only the fleet's multiprocessing mode needs the module; imported
     # at load time it costs every benchmark worker about 1 MiB of RSS.

@@ -44,7 +44,7 @@ from repro.service.production import ProductionConfig, run_production
 from repro.telemetry import TelemetryHub
 from repro.trace import tracer as tracer_mod
 from repro.trace.tracer import (
-    _CLOSE,
+    _BARE_CLOSE,
     _CREATE,
     _EMIT,
     _MAKE,
@@ -301,8 +301,9 @@ def reference_provenance_scan(self, goids, watched: Set[int]
                               ) -> Tuple[Dict[int, List[Record]],
                                          Dict[int, Record], List[Tuple]]:
     """``ExecutionTracer.provenance_scan`` as it was before it stopped
-    early, verbatim: the whole ring, oldest block first, with the last
-    ``go-create`` record of every goroutine not in ``goids``."""
+    early, verbatim but for the bare channel operations' codes: the
+    whole ring, oldest block first, with the last ``go-create`` record
+    of every goroutine not in ``goids``."""
     own: Dict[int, List[Record]] = {goid: [] for goid in goids}
     creates: Dict[int, Record] = {}
     touches: List[Tuple] = []
@@ -326,7 +327,7 @@ def reference_provenance_scan(self, goids, watched: Set[int]
                 addrs: Tuple = ()
                 if code == _CREATE:
                     creates[goid] = _record(block, i, t)
-                elif _MAKE <= code <= _CLOSE:
+                elif _MAKE <= code <= _BARE_CLOSE:
                     addrs = (block[i + 3],)
                 elif code == _PARK_CHAN:
                     addrs = (block[i + 4],)

@@ -27,6 +27,7 @@ from repro.runtime.instructions import (
     Sleep,
     Unlock,
 )
+from repro.trace import tracer as tracer_mod
 from repro.trace import (
     VOCABULARY,
     export_chrome_trace,
@@ -513,3 +514,156 @@ def test_every_park_shape_reads_back_as_the_eager_tracer(shape):
         [e.as_dict() for e in eager.of_kind(ev.GO_PARK)]
     park = ring.events[0]
     assert len(park.args["blocked_on"]) == len(objs)
+
+
+# ---------------------------------------------------------------------------
+# Shape codes: a coded slice and a bare channel operation read back as the
+# generic shapes that store every field
+# ---------------------------------------------------------------------------
+
+
+class GenericShapes(ExecutionTracer):
+    """The tracer with every slice and channel operation in its generic
+    shape: a slice keeps its processor and mnemonic, and a channel
+    operation keeps its ``extra`` slot when it is empty."""
+
+    def on_instr(self, pid, g, mnemonic, cost_ns):
+        self._on_instr_uncoded(pid, g, mnemonic, cost_ns)
+
+    def on_chan_op(self, kind, g, ch, partner=0, extra=None):
+        now = self.clock.now
+        self._put((tracer_mod._CHAN_SHAPE[kind], now - self._t, g.goid,
+                   ch.addr, ch.label, partner,
+                   tuple(extra.items()) if extra else ()))
+        self._t = now
+        self._left -= 1
+        if not self._left:
+            self._spill()
+
+
+def _codes(tracer):
+    """Every shape code the ring stores."""
+    codes = set()
+    for block in (*tracer._blocks, tracer._block):
+        i = 0
+        while i < len(block):
+            codes.add(block[i])
+            i += tracer_mod._SHAPES[block[i]][3]
+    return codes
+
+
+def _surface(tracer, goids, watched):
+    return (tracer.records, [e.as_dict() for e in tracer.events],
+            tracer.format(), tracer.dropped,
+            tracer.provenance_scan(goids, watched))
+
+
+@pytest.fixture
+def code_table(monkeypatch):
+    """An empty code table for the test; call the fixture's value to cap
+    it."""
+    monkeypatch.setattr(tracer_mod, "_INSTR_CODES", {})
+    monkeypatch.setattr(tracer_mod, "_INSTR_KEYS", {})
+
+    def cap(n):
+        monkeypatch.setattr(tracer_mod, "_INSTR_CODES_MAX", n)
+    return cap
+
+
+def _stream_codes(capacity=64, n=600):
+    """Feed :func:`mixed_stream` to a tracer and to the generic shapes;
+    check every read equal and return the codes the tracer stored."""
+    clock = Clock()
+    coded, generic = ExecutionTracer(clock, capacity), GenericShapes(
+        clock, capacity)
+    for i, call in enumerate(mixed_stream(n)):
+        clock.now += CLOCK_STEPS[i % len(CLOCK_STEPS)]
+        call(coded)
+        call(generic)
+    # Scans for one, two and no goroutines of the stream, watching its
+    # channel.
+    for goids in ({2: None}, {3: None, 5: None}, {}):
+        assert (_surface(coded, goids, {0x2000})
+                == _surface(generic, goids, {0x2000}))
+    assert coded.dropped > 0
+    return _codes(coded)
+
+
+def test_coded_slices_and_bare_operations_read_as_the_generic_shapes(
+        code_table):
+    codes = _stream_codes()
+    # A make, send and recv store no extra; a close keeps its own.
+    assert {tracer_mod._BARE_MAKE, tracer_mod._BARE_SEND,
+            tracer_mod._BARE_RECV, tracer_mod._CLOSE} <= codes
+    assert not codes & {tracer_mod._MAKE, tracer_mod._SEND,
+                        tracer_mod._RECV, tracer_mod._INSTR}
+    # Three processors x one mnemonic: three codes.
+    assert sorted(c for c in codes if c >= tracer_mod._CODED) == [
+        tracer_mod._CODED + k for k in range(3)]
+
+
+def test_a_full_code_table_leaves_every_slice_generic(code_table):
+    code_table(0)
+    codes = _stream_codes()
+    assert tracer_mod._INSTR in codes
+    assert max(codes) < tracer_mod._CODED
+    assert tracer_mod._INSTR_KEYS == {}
+
+
+def test_a_processor_beyond_the_table_keeps_its_pid(code_table):
+    # Room for the first processor's code only: the stream's slices on
+    # processors 1 and 2 keep their pid and mnemonic.
+    code_table(1)
+    codes = _stream_codes()
+    assert {tracer_mod._INSTR, tracer_mod._CODED} <= codes
+    assert tracer_mod._INSTR_KEYS == {tracer_mod._CODED: (0, "send")}
+
+
+class Nap(Sleep):
+    """An instruction subclass with a mnemonic of its own."""
+
+    __slots__ = ()
+    MNEMONIC = "nap"
+
+
+def _nap_run(monkeypatch, tracer_cls):
+    """A traced run whose goroutines nap and leak: its tracer and its
+    rendered provenance.  The executor runs a subclass through its
+    exact-type table, so the test gives ``Nap`` the sleep handler."""
+    import repro.trace
+    from repro.runtime import executor
+
+    monkeypatch.setitem(executor._HANDLERS, Nap, executor._HANDLERS[Sleep])
+    monkeypatch.setattr(repro.trace, "ExecutionTracer", tracer_cls)
+    rt = Runtime(procs=2, seed=4)
+    tracer = rt.enable_tracing(capacity=64)
+
+    def napper():
+        ch = yield MakeChan(0, label="never")
+        for _ in range(5):
+            yield Nap(MICROSECOND)
+        yield Recv(ch)
+
+    def main():
+        for _ in range(3):
+            yield Go(napper)
+        yield Sleep(MILLISECOND)
+        yield RunGC()
+
+    rt.spawn_main(main)
+    rt.run()
+    assert type(tracer) is tracer_cls and len(rt.reports) == 3
+    return tracer, [r.provenance.as_dict() for r in rt.reports]
+
+
+def test_a_mnemonic_of_its_own_reads_as_the_generic_shape(monkeypatch,
+                                                          code_table):
+    coded, coded_provenance = _nap_run(monkeypatch, ExecutionTracer)
+    generic, generic_provenance = _nap_run(monkeypatch, GenericShapes)
+    assert coded_provenance == generic_provenance
+    goids = {r[2]: None for r in coded.records if r[1] == ev.INSTR}
+    made = {r[5] for r in coded.records if r[1] == ev.CHAN_MAKE}
+    assert goids and made
+    assert _surface(coded, goids, made) == _surface(generic, goids, made)
+    assert "nap" in {m for _, m in tracer_mod._INSTR_KEYS.values()}
+    assert "nap" in coded.format()
