@@ -10,7 +10,7 @@ Scale: 100 schedules.
 """
 
 from benchmarks.conftest import emit
-from repro.chaos import run_chaos_campaign
+from repro.chaos.report import run_chaos_campaign
 from repro.service.resilience import ResilienceConfig, run_resilient_production
 
 SEEDS = 100

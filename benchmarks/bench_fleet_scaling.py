@@ -19,7 +19,8 @@ import os
 from typing import List
 
 from repro import codec
-from repro.fleet import FleetConfig, equivalence_diff, run_fleet
+from repro.fleet.aggregate import equivalence_diff
+from repro.fleet.supervisor import FleetConfig, run_fleet
 
 #: The benchmark grid.  Everything here feeds the deterministic
 #: virtual-time simulation, so the resulting numbers are exact.

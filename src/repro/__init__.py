@@ -23,24 +23,39 @@ This package rebuilds the whole stack in Python:
 Entry point: :class:`repro.Runtime`.
 """
 
-from repro.core.config import GolfConfig
-from repro.core.reports import DeadlockReport, ReportLog
-from repro.errors import (
-    GlobalDeadlockError,
-    GoPanic,
-    ReproError,
-)
-from repro.runtime.api import Runtime
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Runtime",
-    "GolfConfig",
-    "DeadlockReport",
-    "ReportLog",
-    "ReproError",
-    "GoPanic",
-    "GlobalDeadlockError",
-    "__version__",
-]
+
+def lazy_exports(package: str, exports: dict):
+    """A PEP 562 module ``__getattr__`` for ``package``'s re-exports.
+
+    ``exports`` maps each public name to the submodule (relative to
+    ``package``) that defines it.  A name is imported on first use and
+    then cached on the package, so importing a package loads none of
+    the submodules its callers never touch.
+    """
+    def __getattr__(name):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{package}.{module}"), name)
+        setattr(import_module(package), name, value)
+        return value
+    return __getattr__
+
+
+_EXPORTS = {
+    "Runtime": "runtime.api",
+    "GolfConfig": "core.config",
+    "DeadlockReport": "core.reports",
+    "ReportLog": "core.reports",
+    "ReproError": "errors",
+    "GoPanic": "errors",
+    "GlobalDeadlockError": "errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

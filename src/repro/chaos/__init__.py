@@ -26,38 +26,26 @@ Typical use::
     assert report.invariant_violations == 0
 """
 
-from repro.chaos.injector import FaultInjector
-from repro.chaos.plan import FaultKind, FaultPlan, FaultRecord
-from repro.chaos.recovery import (
-    RECOVERY_P99_SLO_NS,
-    RecoveryReport,
-    RecoveryScheduleResult,
-    SUCCESS_RATE_SLO,
-    run_recovery_campaign,
-)
-from repro.chaos.report import (
-    ChaosReport,
-    ScheduleResult,
-    run_chaos_campaign,
-    run_chaos_schedule,
-)
-from repro.chaos.scenarios import SCENARIOS, Scenario, get_scenario
+from repro import lazy_exports
 
-__all__ = [
-    "ChaosReport",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRecord",
-    "RECOVERY_P99_SLO_NS",
-    "RecoveryReport",
-    "RecoveryScheduleResult",
-    "SCENARIOS",
-    "SUCCESS_RATE_SLO",
-    "Scenario",
-    "ScheduleResult",
-    "get_scenario",
-    "run_chaos_campaign",
-    "run_chaos_schedule",
-    "run_recovery_campaign",
-]
+_EXPORTS = {
+    "ChaosReport": "report",
+    "FaultInjector": "injector",
+    "FaultKind": "plan",
+    "FaultPlan": "plan",
+    "FaultRecord": "plan",
+    "RECOVERY_P99_SLO_NS": "recovery",
+    "RecoveryReport": "recovery",
+    "RecoveryScheduleResult": "recovery",
+    "SCENARIOS": "scenarios",
+    "SUCCESS_RATE_SLO": "recovery",
+    "Scenario": "scenarios",
+    "ScheduleResult": "report",
+    "get_scenario": "scenarios",
+    "run_chaos_campaign": "report",
+    "run_chaos_schedule": "report",
+    "run_recovery_campaign": "recovery",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

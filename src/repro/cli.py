@@ -32,7 +32,7 @@ from repro.microbench.registry import benchmarks_by_name
 
 
 def _cmd_chaos(args) -> str:
-    from repro.chaos import run_chaos_campaign
+    from repro.chaos.report import run_chaos_campaign
 
     if args.seeds < 1:
         raise SystemExit("chaos: --seeds must be at least 1 "
@@ -71,7 +71,7 @@ def _cmd_daemon(args) -> str:
     """The recovery-smoke gate: the chaos recovery campaign, gated on
     its SLOs (>=95% restart success, zero data loss, recovery-time p99
     bound)."""
-    from repro.chaos import run_recovery_campaign
+    from repro.chaos.recovery import run_recovery_campaign
 
     if args.seeds < 1:
         raise SystemExit("daemon: --seeds must be at least 1")
@@ -99,13 +99,9 @@ def _cmd_fleet(args) -> str:
     their equivalence.  Exits non-zero on a dirty run (invariant
     violation, dead worker, schema breach, or mode divergence).
     """
-    from repro.fleet import (
-        FleetConfig,
-        equivalence_diff,
-        run_fleet,
-        validate_fleet_artifact,
-    )
-    from repro.telemetry import validate_exposition
+    from repro.fleet.aggregate import equivalence_diff, validate_fleet_artifact
+    from repro.fleet.supervisor import FleetConfig, run_fleet
+    from repro.telemetry.export import validate_exposition
 
     if args.shards < 1:
         raise SystemExit("fleet: --shards must be at least 1")
@@ -242,12 +238,9 @@ def _cmd_run(args) -> str:
     earlier invocations in first and saves the merged store after.
     """
     from repro.microbench.harness import run_microbenchmark
-    from repro.telemetry import (
-        TelemetryHub,
-        format_heap_profile,
-        heap_profile,
-        write_artifacts,
-    )
+    from repro.telemetry.export import write_artifacts
+    from repro.telemetry.hub import TelemetryHub
+    from repro.telemetry.profiles import format_heap_profile, heap_profile
     from repro.trace.chrome import export_chrome_trace, validate_chrome_trace
     from repro.trace.provenance import provenance_document, provenance_text
 

@@ -1,23 +1,18 @@
 """The GOLF core: reachable-liveness detection, masking, recovery."""
 
-from repro.core.checkpoint import (
-    CheckpointError,
-    CheckpointManager,
-    RecoveryRecord,
-    WorkerSpec,
-)
-from repro.core.config import GolfConfig
-from repro.core.detector import DetectionResult, detect
-from repro.core.reports import DeadlockReport, ReportLog
+from repro import lazy_exports
 
-__all__ = [
-    "CheckpointError",
-    "CheckpointManager",
-    "RecoveryRecord",
-    "WorkerSpec",
-    "GolfConfig",
-    "DetectionResult",
-    "detect",
-    "DeadlockReport",
-    "ReportLog",
-]
+_EXPORTS = {
+    "CheckpointError": "checkpoint",
+    "CheckpointManager": "checkpoint",
+    "RecoveryRecord": "checkpoint",
+    "WorkerSpec": "checkpoint",
+    "GolfConfig": "config",
+    "DetectionResult": "detector",
+    "detect": "detector",
+    "DeadlockReport": "reports",
+    "ReportLog": "reports",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -34,7 +34,7 @@ from repro.microbench.harness import MicrobenchResult, run_microbenchmark
 from repro.microbench.registry import Microbenchmark, all_benchmarks
 from repro.runtime import executor
 from repro.runtime.api import Runtime
-from repro.telemetry import TelemetryHub
+from repro.telemetry.hub import TelemetryHub
 
 Diff = Tuple[str, Any, Any]
 

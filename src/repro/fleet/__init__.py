@@ -24,45 +24,27 @@ state — and adds the layer the paper's single runtime never needed:
 See docs/FLEET.md for the architecture walkthrough.
 """
 
-from repro.fleet.aggregate import (
-    FLEET_SCHEMA_VERSION,
-    FleetResult,
-    equivalence_diff,
-    validate_fleet_artifact,
-)
-from repro.fleet.router import (
-    ROUTING_POLICIES,
-    Router,
-    TrafficModel,
-    UserSession,
-    WORKLOADS,
-    stable_hash64,
-)
-from repro.fleet.shard import ShardResult, ShardRunner, ShardSpec, run_shard
-from repro.fleet.supervisor import (
-    FLEET_MODES,
-    FleetConfig,
-    FleetSupervisor,
-    run_fleet,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FLEET_MODES",
-    "FLEET_SCHEMA_VERSION",
-    "FleetConfig",
-    "FleetResult",
-    "FleetSupervisor",
-    "ROUTING_POLICIES",
-    "Router",
-    "ShardResult",
-    "ShardRunner",
-    "ShardSpec",
-    "TrafficModel",
-    "UserSession",
-    "WORKLOADS",
-    "equivalence_diff",
-    "run_fleet",
-    "run_shard",
-    "stable_hash64",
-    "validate_fleet_artifact",
-]
+_EXPORTS = {
+    "FLEET_MODES": "supervisor",
+    "FLEET_SCHEMA_VERSION": "aggregate",
+    "FleetConfig": "supervisor",
+    "FleetResult": "aggregate",
+    "FleetSupervisor": "supervisor",
+    "ROUTING_POLICIES": "router",
+    "Router": "router",
+    "ShardResult": "shard",
+    "ShardRunner": "shard",
+    "ShardSpec": "shard",
+    "TrafficModel": "router",
+    "WORKLOADS": "router",
+    "equivalence_diff": "aggregate",
+    "run_fleet": "supervisor",
+    "run_shard": "shard",
+    "stable_hash64": "router",
+    "validate_fleet_artifact": "aggregate",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -4,7 +4,8 @@ The fleet serves a *population* of users, each with a deterministic
 session (request count, think times, and which requests hit the leaky
 code path), all derived by hashing ``(model seed, user id)`` — so the
 model scales to millions of users without materializing anything per
-user until a shard actually simulates the session.
+user: a shard's client draws each request as it sends it
+(:meth:`TrafficModel.request`), and no session is ever held whole.
 
 Routing is seeded and deterministic with **per-user session affinity**:
 a user's whole session lands on one shard, always the same one for a
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 from typing import Dict, List, Tuple
+
+from repro.runtime.clock import MILLISECOND
 
 ROUTING_POLICIES = ("hash", "load")
 
@@ -41,32 +44,13 @@ def stable_hash64(*parts) -> int:
         hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
-class UserSession:
-    """One user's deterministic session script."""
-
-    __slots__ = ("user_id", "requests")
-
-    def __init__(self, user_id: int, requests: List[Tuple[int, bool]]):
-        self.user_id = user_id
-        #: ``(think_ns, leaky)`` per request, in order.
-        self.requests = requests
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __repr__(self) -> str:
-        leaky = sum(1 for _, l in self.requests if l)
-        return (f"<session user={self.user_id} requests={len(self.requests)} "
-                f"leaky={leaky}>")
-
-
 class TrafficModel:
     """Seeded description of the whole fleet's offered load.
 
     Every derived quantity is a pure function of ``(seed, user_id)``;
     the model object itself is tiny and picklable, so the supervisor
     ships it to worker processes and each worker re-derives exactly the
-    sessions of the users routed to it.
+    requests of the users routed to it, one at a time.
     """
 
     def __init__(self, n_users: int = 64, min_requests: int = 2,
@@ -95,22 +79,15 @@ class TrafficModel:
         return self.min_requests + (
             stable_hash64(self.seed, "len", user_id) % span)
 
-    def session(self, user_id: int) -> UserSession:
-        """Materialize one user's session script."""
-        from repro.runtime.clock import MILLISECOND
-
-        n = self.request_count(user_id)
-        requests: List[Tuple[int, bool]] = []
-        for i in range(n):
-            jitter_span = 2 * THINK_JITTER_MS + 1
-            jitter = (stable_hash64(self.seed, "think", user_id, i)
-                      % jitter_span) - THINK_JITTER_MS
-            think_ns = max(0, THINK_MS + jitter) * MILLISECOND
-            # 53-bit mantissa keeps the uniform draw exact.
-            draw = (stable_hash64(self.seed, "leak", user_id, i)
-                    >> 11) / float(1 << 53)
-            requests.append((think_ns, draw < self.leak_rate))
-        return UserSession(user_id, requests)
+    def request(self, user_id: int, i: int) -> Tuple[int, bool]:
+        """Request ``i`` of a user's session: ``(think_ns, leaky)``,
+        drawn on its own so a session is never held whole."""
+        jitter = (stable_hash64(self.seed, "think", user_id, i)
+                  % (2 * THINK_JITTER_MS + 1)) - THINK_JITTER_MS
+        # 53-bit mantissa keeps the uniform draw exact.
+        draw = (stable_hash64(self.seed, "leak", user_id, i)
+                >> 11) / float(1 << 53)
+        return max(0, THINK_MS + jitter) * MILLISECOND, draw < self.leak_rate
 
     def as_dict(self) -> dict:
         return {

@@ -228,8 +228,8 @@ class ShardRunner:
                 yield Go(handler, reply_ch, leaky, name="fleet-handler")
 
         def client(user_id):
-            session = model.session(user_id)
-            for think_ns, leaky in session.requests:
+            for i in range(model.request_count(user_id)):
+                think_ns, leaky = model.request(user_id, i)
                 reply = yield MakeChan(1)
                 yield Send(request_ch, (reply, leaky))
                 yield Recv(reply)

@@ -1,9 +1,15 @@
 """Garbage collection: heap, tricolor marking, collector, statistics."""
 
-from repro.gc.collector import Collector
-from repro.gc.heap import Heap
-from repro.gc.phases import GCPhase
-from repro.gc.stats import CycleStats, GCStats, MemStats
+from repro import lazy_exports
 
-__all__ = ["Collector", "GCPhase", "Heap", "CycleStats", "GCStats",
-           "MemStats"]
+_EXPORTS = {
+    "Collector": "collector",
+    "GCPhase": "phases",
+    "Heap": "heap",
+    "CycleStats": "stats",
+    "GCStats": "stats",
+    "MemStats": "stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -8,20 +8,16 @@ runtime races (select choice, timer/processor contention), so detection
 rates vary with GOMAXPROCS and seed exactly as in the paper.
 """
 
-from repro.microbench.registry import (
-    Microbenchmark,
-    all_benchmarks,
-    benchmarks_by_name,
-    correct_benchmarks,
-    ground_truth,
-    total_leaky_sites,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Microbenchmark",
-    "all_benchmarks",
-    "benchmarks_by_name",
-    "correct_benchmarks",
-    "ground_truth",
-    "total_leaky_sites",
-]
+_EXPORTS = {
+    "Microbenchmark": "registry",
+    "all_benchmarks": "registry",
+    "benchmarks_by_name": "registry",
+    "correct_benchmarks": "registry",
+    "ground_truth": "registry",
+    "total_leaky_sites": "registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

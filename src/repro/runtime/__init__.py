@@ -1,8 +1,14 @@
 """The simulated Go runtime: goroutines, channels, sync, scheduling."""
 
-from repro.runtime.api import Runtime
-from repro.runtime.channel import Channel
-from repro.runtime.goroutine import Goroutine, GStatus
-from repro.runtime.waitreason import WaitReason
+from repro import lazy_exports
 
-__all__ = ["Runtime", "Channel", "Goroutine", "GStatus", "WaitReason"]
+_EXPORTS = {
+    "Runtime": "api",
+    "Channel": "channel",
+    "Goroutine": "goroutine",
+    "GStatus": "goroutine",
+    "WaitReason": "waitreason",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -533,7 +533,10 @@ def _exec_recover(sched, g, instr: ins.Recover) -> None:
 
 
 def _exec_defer(sched, g, instr: ins.Defer) -> None:
-    g.defers.append(instr.fn)
+    if g.defers:
+        g.defers.append(instr.fn)
+    else:
+        g.defers = [instr.fn]
     sched.resume(g, None)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.objects import HeapObject, scan_each, scan_into
 from repro.runtime.waitreason import WaitReason
@@ -160,7 +160,9 @@ class Goroutine(HeapObject):
         self.gen: Optional[Any] = None
         self.pending_value: Any = None
         self.pending_exc: Optional[BaseException] = None
-        self.sudogs: List[Sudog] = []
+        #: The park's sudogs; ``()`` while none, as Go's ``g.waiting``
+        #: stays nil until a park links one.
+        self.sudogs: Sequence[Sudog] = ()
         self.go_site: str = ""
         self.parent_goid: int = 0
         self.wake_at: Optional[int] = None
@@ -184,8 +186,9 @@ class Goroutine(HeapObject):
         self.panicking: Optional[BaseException] = None
         #: LIFO stack of non-blocking deferred callables (``Defer``
         #: instruction).  Run at normal exit and on panic unwind — but
-        #: *never* when GOLF forcibly reclaims the goroutine.
-        self.defers: List[Any] = []
+        #: *never* when GOLF forcibly reclaims the goroutine.  ``()`` until
+        #: the first ``Defer`` makes it a list.
+        self.defers: Sequence[Any] = ()
         #: Creation-site function name (the body function of the ``go``
         #: statement); feeds :attr:`trace_label`.
         self.fn_name: str = ""
@@ -218,7 +221,7 @@ class Goroutine(HeapObject):
         self.blocked_on = ()
         self.pending_value = None
         self.pending_exc = None
-        self.sudogs = []
+        self.sudogs = ()
         self.wake_at = None
         self.stack_bytes = self.INITIAL_STACK_BYTES
         self.masked = False
@@ -227,7 +230,7 @@ class Goroutine(HeapObject):
         self.finished_value = None
         self.deadlock_label = ""
         self.panicking = None
-        self.defers = []
+        self.defers = ()
 
     def finish(self) -> None:
         """Regular termination: reached the end of the body."""
@@ -236,11 +239,11 @@ class Goroutine(HeapObject):
         self.status = _DEAD
         self.wait_reason = None
         self.blocked_on = ()
-        self.sudogs = []
+        self.sudogs = ()
         self.stack_bytes = 0
         self.blocking_sema = None
         self.panicking = None
-        self.defers = []
+        self.defers = ()
 
     def cleanup_after_deadlock(self) -> None:
         """GOLF's special cleanup for forcibly reclaimed goroutines.
@@ -259,7 +262,7 @@ class Goroutine(HeapObject):
         """
         for sd in self.sudogs:
             sd.active = False
-        self.sudogs = []
+        self.sudogs = ()
         self.pending_value = None
         self.pending_exc = None
         self.wait_reason = None
@@ -272,7 +275,7 @@ class Goroutine(HeapObject):
         self.status = _DEAD
         self.stack_bytes = 0
         self.panicking = None
-        self.defers = []
+        self.defers = ()
 
     # -- state queries -----------------------------------------------------
 

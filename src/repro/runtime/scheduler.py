@@ -320,7 +320,7 @@ class Scheduler:
             self.gc_wake_hook(g)
         for sd in g.sudogs:
             sd.active = False
-        g.sudogs = []
+        g.sudogs = ()
         g.wait_seq += 1
         g.blocked_on = ()
         g.wait_reason = None
@@ -395,7 +395,7 @@ class Scheduler:
             self._main_exited = True
 
     def _run_defers(self, g: Goroutine) -> None:
-        defers, g.defers = g.defers, []
+        defers, g.defers = g.defers, ()
         while defers:
             fn = defers.pop()
             try:

@@ -19,42 +19,27 @@
   pool, and a zero-data-loss oracle over acknowledged work.
 """
 
-from repro.service.checkpointed import (
-    CheckpointedConfig,
-    CheckpointedResult,
-    run_checkpointed,
-)
-from repro.service.controlled import ControlledConfig, ControlledResult, run_controlled
-from repro.service.longrun import LongRunConfig, LongRunResult, run_longrun
-from repro.service.production import (
-    ProductionConfig,
-    ProductionResult,
-    run_production,
-)
-from repro.service.resilience import (
-    CircuitBreaker,
-    ResilienceConfig,
-    ResilienceResult,
-    RetryPolicy,
-    run_resilient_production,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CheckpointedConfig",
-    "CheckpointedResult",
-    "run_checkpointed",
-    "CircuitBreaker",
-    "ControlledConfig",
-    "ControlledResult",
-    "run_controlled",
-    "ProductionConfig",
-    "ProductionResult",
-    "run_production",
-    "LongRunConfig",
-    "LongRunResult",
-    "run_longrun",
-    "ResilienceConfig",
-    "ResilienceResult",
-    "RetryPolicy",
-    "run_resilient_production",
-]
+_EXPORTS = {
+    "CheckpointedConfig": "checkpointed",
+    "CheckpointedResult": "checkpointed",
+    "run_checkpointed": "checkpointed",
+    "CircuitBreaker": "resilience",
+    "ControlledConfig": "controlled",
+    "ControlledResult": "controlled",
+    "run_controlled": "controlled",
+    "ProductionConfig": "production",
+    "ProductionResult": "production",
+    "run_production": "production",
+    "LongRunConfig": "longrun",
+    "LongRunResult": "longrun",
+    "run_longrun": "longrun",
+    "ResilienceConfig": "resilience",
+    "ResilienceResult": "resilience",
+    "RetryPolicy": "resilience",
+    "run_resilient_production": "resilience",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

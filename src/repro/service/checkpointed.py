@@ -180,7 +180,7 @@ def run_checkpointed(config: Optional[CheckpointedConfig] = None,
 
     injector = None
     if fault_plan is not None:
-        from repro.chaos import FaultInjector
+        from repro.chaos.injector import FaultInjector
 
         injector = FaultInjector(rt, fault_plan).install()
 

@@ -17,66 +17,35 @@ Everything is timestamped from the virtual clock, so two runs of the
 same ``(program, procs, seed)`` produce byte-identical artifacts.
 """
 
-from repro.telemetry.export import (
-    validate_exposition,
-    write_artifacts,
-)
-from repro.telemetry.hub import TelemetryHub
-from repro.telemetry.metrics import (
-    COUNTER,
-    GAUGE,
-    Metric,
-    MetricsRegistry,
-    render_merged_prometheus,
-)
-from repro.telemetry.tsdb import (
-    MetricsScraper,
-    ScraperError,
-    Series,
-    TimeSeriesDB,
-)
-from repro.telemetry.profiles import (
-    FingerprintStore,
-    GoroutineProfileSampler,
-    HeapSiteRecord,
-    MergeStats,
-    format_heap_profile,
-    heap_profile,
-    leak_fingerprint,
-)
-from repro.telemetry.recorder import (
-    FlightRecorder,
-    INFO,
-    Incident,
-    RecorderEvent,
-    RingBuffer,
-    WARN,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "COUNTER",
-    "FingerprintStore",
-    "FlightRecorder",
-    "GAUGE",
-    "GoroutineProfileSampler",
-    "HeapSiteRecord",
-    "INFO",
-    "Incident",
-    "MergeStats",
-    "Metric",
-    "MetricsRegistry",
-    "MetricsScraper",
-    "render_merged_prometheus",
-    "RecorderEvent",
-    "RingBuffer",
-    "ScraperError",
-    "Series",
-    "TelemetryHub",
-    "TimeSeriesDB",
-    "WARN",
-    "format_heap_profile",
-    "heap_profile",
-    "leak_fingerprint",
-    "validate_exposition",
-    "write_artifacts",
-]
+_EXPORTS = {
+    "COUNTER": "metrics",
+    "FingerprintStore": "profiles",
+    "FlightRecorder": "recorder",
+    "GAUGE": "metrics",
+    "GoroutineProfileSampler": "profiles",
+    "HeapSiteRecord": "profiles",
+    "INFO": "recorder",
+    "Incident": "recorder",
+    "MergeStats": "profiles",
+    "Metric": "metrics",
+    "MetricsRegistry": "metrics",
+    "MetricsScraper": "tsdb",
+    "render_merged_prometheus": "metrics",
+    "RecorderEvent": "recorder",
+    "RingBuffer": "recorder",
+    "ScraperError": "tsdb",
+    "Series": "tsdb",
+    "TelemetryHub": "hub",
+    "TimeSeriesDB": "tsdb",
+    "WARN": "recorder",
+    "format_heap_profile": "profiles",
+    "heap_profile": "profiles",
+    "leak_fingerprint": "profiles",
+    "validate_exposition": "export",
+    "write_artifacts": "export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -15,7 +15,7 @@ Four modules:
 the Chrome trace and the why-leaked artifacts.
 """
 
-from importlib import import_module
+from repro import lazy_exports
 
 #: Each public name and the module that defines it.  A name is imported
 #: on first use (PEP 562), so an untraced run, whose detections read
@@ -33,12 +33,4 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

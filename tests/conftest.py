@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import GolfConfig, Runtime
 from repro.equivalence import run_pair
 from repro.runtime.clock import MILLISECOND
+
+# Every Hypothesis property draws the same examples on every machine, in
+# CI or not (Hypothesis loads its derandomized ``ci`` profile only when
+# ``CI`` is set), so a run's outcome and the non-vacuity floors of the
+# property modules reproduce anywhere.
+settings.register_profile("derandomized", parent=settings.default,
+                          derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -114,7 +114,7 @@ class TestGolfCycle:
         assert rt.sched.gfree, "reclaimed descriptor should be pooled"
         g = rt.sched.gfree[-1]
         assert g.status == GStatus.DEAD
-        assert g.sudogs == [] and g.blocked_on == ()
+        assert not g.sudogs and g.blocked_on == ()
         assert g.gen is None
 
     def test_sematable_purged_on_reclaim(self, rt):

@@ -44,14 +44,14 @@ class TestTrafficModel:
         a = TrafficModel(n_users=10, seed=5)
         b = TrafficModel(n_users=10, seed=5)
         for uid in range(10):
-            sa, sb = a.session(uid), b.session(uid)
-            assert sa.requests == sb.requests
+            for i in range(a.request_count(uid)):
+                assert a.request(uid, i) == b.request(uid, i)
 
     def test_seed_changes_sessions(self):
         a = TrafficModel(n_users=10, seed=5)
         b = TrafficModel(n_users=10, seed=6)
-        assert any(a.session(u).requests != b.session(u).requests
-                   for u in range(10))
+        assert any(a.request(u, i) != b.request(u, i)
+                   for u in range(10) for i in range(2))
 
     def test_request_counts_bounded(self):
         model = TrafficModel(n_users=50, min_requests=2, max_requests=6)
@@ -61,10 +61,10 @@ class TestTrafficModel:
     def test_leak_rate_zero_and_one(self):
         never = TrafficModel(n_users=20, leak_rate=0.0)
         always = TrafficModel(n_users=20, leak_rate=1.0)
-        assert not any(leaky for u in range(20)
-                       for _, leaky in never.session(u).requests)
-        assert all(leaky for u in range(20)
-                   for _, leaky in always.session(u).requests)
+        assert not any(never.request(u, i)[1] for u in range(20)
+                       for i in range(never.request_count(u)))
+        assert all(always.request(u, i)[1] for u in range(20)
+                   for i in range(always.request_count(u)))
 
 
 class TestRouter:

@@ -159,7 +159,7 @@ class TestCleanup:
         g.cleanup_after_deadlock()
         assert g.status == GStatus.DEAD
         assert g.gen is None
-        assert g.sudogs == [] and g.blocked_on == ()
+        assert not g.sudogs and g.blocked_on == ()
         assert not g.masked
         assert not sd.active
         assert g.stack_bytes == 0

@@ -551,8 +551,8 @@ def _chan():
     live = Sudog(g, ch, [c, {a: 1}], is_send=True)
     stale = Sudog(g, ch, b, is_send=True)
     stale.active = False
-    ch.sendq.extend([stale, live])
-    ch.recvq.append(Sudog(g, ch, a, is_send=False))
+    ch.sendq = [stale, live]
+    ch.recvq = [Sudog(g, ch, a, is_send=False)]
     return ch
 
 

@@ -506,7 +506,7 @@ def test_every_park_shape_reads_back_as_the_eager_tracer(shape):
     # The objects move on after the parks; the records do not.
     for obj in objs:
         if isinstance(obj, Channel):
-            obj.buffer.append("late")
+            obj.buffer = [*obj.buffer, "late"]
             obj.closed = not obj.closed
             obj.label = "relabelled"
     assert _read(ring) == _read(eager)
