@@ -138,8 +138,7 @@ def _exec_close(sched, g, instr: ins.Close) -> None:
         raise CloseOfNilChannel()
     wakeups = ch.close()  # may panic: close of closed channel
     if sched.tracer is not None:
-        sched.tracer.on_chan_op(ev.CHAN_CLOSE, g, ch,
-                                extra={"woken": len(wakeups)})
+        sched.tracer.on_chan_close(g, ch, len(wakeups))
     sched.apply_wakeups(wakeups)
     sched.resume(g, None)
 

@@ -11,15 +11,14 @@ tuple ``(t_ns, kind, goid, pid, render, *payload)``, but the tracer does
 not keep one tuple per event: a hook ``extend``s the current *block*, a
 plain list of :data:`BLOCK` records, with a small shape code followed by
 only the fields that vary.  The code stands for what every event of its
-shape shares — the kind (for the six hot hooks), the ``render`` function
-and ``pid = -1`` — and a read rebuilds the tuple from it.  An
-instruction slice's code also names its processor and mnemonic (one
-code per pair seen, from a bounded table), and a channel operation
-with no ``extra`` has a code that stores none.  Only what changed is
-kept: the time is the delta from the block's previous record
-(a block's first record keeps its time, so each block decodes on its
-own), which is mostly 0 or a cached small int rather than a fresh int
-per event; and a park on exactly one :class:`Channel` stores the
+shape shares — the kind (for every hook but ``emit``), the ``render``
+function and ``pid = -1`` — and a read rebuilds the tuple from it.  An
+instruction slice's code also names its processor and mnemonic: each
+pair gets the next code the first time it is traced.  Only what changed
+is kept: the time is the delta from the block's previous record (a
+block's first record keeps its time, so each block decodes on its own),
+which is mostly 0 or a cached small int rather than a fresh int per
+event; and a park on exactly one :class:`Channel` stores the
 channel's snapshot fields flat under a shape of its own, where any other
 ``B(g)`` keeps a tuple of snapshots.  A full block joins a deque, and
 the oldest whole block goes once the blocks after it still cover
@@ -97,14 +96,21 @@ def _render_instr(r: Record) -> Rendered:
 
 
 def _render_chan_op(r: Record) -> Rendered:
-    """Payload ``(chan addr, chan label, partner goid, extra items)``."""
+    """Payload ``(chan addr, chan label, partner goid)``."""
     args: Dict[str, Any] = {"chan": r[5], "partner": r[7]}
     if r[6]:
         args["chan_label"] = r[6]
-    args.update(r[8])
     detail = f"chan 0x{r[5]:x}"
     if r[7]:
         detail += f" partner g{r[7]}"
+    return detail, args
+
+
+def _render_close(r: Record) -> Rendered:
+    """Payload ``(chan addr, chan label, goroutines woken)``: a close
+    has no partner."""
+    detail, args = _render_chan_op((*r[:7], 0))
+    args["woken"] = r[7]
     return detail, args
 
 
@@ -121,46 +127,34 @@ BLOCK = 4096
 # Shape codes: what the block stores after each code.  Every shape
 # stores ``dt`` (the record's time less the time of the block's
 # previous record; a block's first record stores its time) and then: a
-# fixed shape ``goid, *payload``; a bare channel operation ``goid,
-# addr, label, partner`` (its ``extra`` is empty); ``INSTR`` ``goid,
-# pid, *payload``; a coded slice ``goid, cost, label`` (its code names
-# its ``pid`` and mnemonic); ``PARK_CHAN`` ``goid, reason`` and the
-# snapshot of its one channel less the constant ``"chan"``; ``EMIT``
-# ``kind, goid, pid, *payload``.
-(_CREATE, _PARK, _WAKE, _END, _MAKE, _SEND, _RECV, _CLOSE, _BARE_MAKE,
- _BARE_SEND, _BARE_RECV, _BARE_CLOSE, _INSTR, _PARK_CHAN, _EMIT,
- _CODED) = range(16)
-_FIXED, _BARE_CHAN, _WITH_PID, _CODED_INSTR, _CHAN_PARK, _WITH_HEADER = (
-    range(6))
-#: Codes, from ``_CODED`` on, that :data:`_INSTR_CODES` may hand out;
-#: a slice of a processor and mnemonic unseen by then keeps both in its
-#: record (``INSTR``).
-_INSTR_CODES_MAX = 1024
+# fixed shape ``goid, *payload``; a coded slice ``goid, cost, label``
+# (its code names its ``pid`` and mnemonic); ``PARK_CHAN`` ``goid,
+# reason`` and the snapshot of its one channel less the constant
+# ``"chan"``; ``EMIT`` ``kind, goid, pid, *payload``.
+(_CREATE, _PARK, _WAKE, _END, _MAKE, _SEND, _RECV, _CLOSE, _PARK_CHAN,
+ _EMIT, _CODED) = range(11)
+_FIXED, _CODED_INSTR, _CHAN_PARK, _WITH_HEADER = range(4)
+_CODED_SHAPE = (_CODED_INSTR, ev.INSTR, _render_instr, 5)
 #: ``code -> (form, kind, render, width)``; ``width`` counts the code.
-_SHAPES = (
+#: :meth:`ExecutionTracer.on_instr` appends one coded slice, from
+#: ``_CODED`` on, per processor and mnemonic it meets: the table grows
+#: to the distinct mnemonics times the most processors a traced runtime
+#: of the process has.
+_SHAPES: List[Tuple[int, Optional[str], Any, int]] = [
     (_FIXED, ev.GO_CREATE, _render_create, 7),
     (_FIXED, ev.GO_PARK, _render_park, 5),
     (_FIXED, ev.GO_WAKE, _render_bare, 3),
     (_FIXED, ev.GO_END, _render_bare, 3),
-    (_FIXED, ev.CHAN_MAKE, _render_chan_op, 7),
-    (_FIXED, ev.CHAN_SEND, _render_chan_op, 7),
-    (_FIXED, ev.CHAN_RECV, _render_chan_op, 7),
-    (_FIXED, ev.CHAN_CLOSE, _render_chan_op, 7),
-    (_BARE_CHAN, ev.CHAN_MAKE, _render_chan_op, 6),
-    (_BARE_CHAN, ev.CHAN_SEND, _render_chan_op, 6),
-    (_BARE_CHAN, ev.CHAN_RECV, _render_chan_op, 6),
-    (_BARE_CHAN, ev.CHAN_CLOSE, _render_chan_op, 6),
-    (_WITH_PID, ev.INSTR, _render_instr, 7),
+    (_FIXED, ev.CHAN_MAKE, _render_chan_op, 6),
+    (_FIXED, ev.CHAN_SEND, _render_chan_op, 6),
+    (_FIXED, ev.CHAN_RECV, _render_chan_op, 6),
+    (_FIXED, ev.CHAN_CLOSE, _render_close, 6),
     (_CHAN_PARK, ev.GO_PARK, _render_park, 12),
     (_WITH_HEADER, None, _rendered, 7),
-    *((_CODED_INSTR, ev.INSTR, _render_instr, 5),) * _INSTR_CODES_MAX,
-)
-#: The channel-operation kinds ``on_chan_op`` is called with: the code
-#: of each with an ``extra``, and without one.
+]
+#: The code of each kind ``on_chan_op`` is called with.
 _CHAN_SHAPE = {ev.CHAN_MAKE: _MAKE, ev.CHAN_SEND: _SEND,
-               ev.CHAN_RECV: _RECV, ev.CHAN_CLOSE: _CLOSE}
-_BARE_CHAN_SHAPE = {ev.CHAN_MAKE: _BARE_MAKE, ev.CHAN_SEND: _BARE_SEND,
-                    ev.CHAN_RECV: _BARE_RECV, ev.CHAN_CLOSE: _BARE_CLOSE}
+               ev.CHAN_RECV: _RECV}
 #: ``pid -> {mnemonic: code}``: the code of every instruction slice's
 #: processor and mnemonic seen, one int object each, shared by every
 #: tracer of the process.
@@ -180,12 +174,6 @@ def _record(block: List[Any], i: int, t: int) -> Record:
         pid, mnemonic = _INSTR_KEYS[code]
         return (t, kind, block[i + 2], pid, render, mnemonic, block[i + 3],
                 block[i + 4])
-    if form == _BARE_CHAN:
-        return (t, kind, block[i + 2], -1, render, block[i + 3],
-                block[i + 4], block[i + 5], ())
-    if form == _WITH_PID:
-        return (t, kind, block[i + 2], block[i + 3], render,
-                *block[i + 4:i + width])
     if form == _CHAN_PARK:
         return (t, kind, block[i + 2], -1, render, block[i + 3],
                 (("chan", *block[i + 4:i + width]),))
@@ -241,13 +229,13 @@ def _scan_block(block: List[Any], skip: int, own: Dict[int, Any],
         goid = block[i + 3] if code == _EMIT else block[i + 2]
         if code == _CREATE:
             born[goid] = (i, t)
-        elif code == _BARE_MAKE or code == _MAKE:
+        elif code == _MAKE:
             made.append(block[i + 3])
         if goid in own:
             mine.append(_record(block, i, t))
         elif goid:
             addrs: Tuple = ()
-            if _MAKE <= code <= _BARE_CLOSE:
+            if _MAKE <= code <= _CLOSE:
                 addrs = (block[i + 3],)
             elif code == _PARK_CHAN:
                 addrs = (block[i + 4],)
@@ -492,11 +480,9 @@ class ExecutionTracer:
             code = _INSTR_CODES[pid][mnemonic]
         except KeyError:
             # First use of the pair: hand out the next code, inline (no
-            # Python-level call), unless the table is full.
-            if len(_INSTR_KEYS) >= _INSTR_CODES_MAX:
-                self._on_instr_uncoded(pid, g, mnemonic, cost_ns)
-                return
-            code = _CODED + len(_INSTR_KEYS)
+            # Python-level call).
+            code = len(_SHAPES)
+            _SHAPES.append(_CODED_SHAPE)
             _INSTR_KEYS[code] = (pid, mnemonic)
             _INSTR_CODES.setdefault(pid, {})[mnemonic] = code
         now = self.clock.now
@@ -507,29 +493,23 @@ class ExecutionTracer:
         if not self._left:
             self._spill()
 
-    def _on_instr_uncoded(self, pid: int, g, mnemonic: str,
-                          cost_ns: int) -> None:
-        """:meth:`on_instr` once the code table is full: the slice keeps
-        its processor and mnemonic."""
+    # -- channel operations (executor hooks) -----------------------------
+
+    def on_chan_op(self, kind: str, g, ch, partner: int = 0) -> None:
+        """A make, send or receive."""
         now = self.clock.now
-        self._put((_INSTR, now - self._t, g.goid, pid, mnemonic, cost_ns,
-                   g.fn_name or g.name))
+        self._put((_CHAN_SHAPE[kind], now - self._t, g.goid, ch.addr,
+                   ch.label, partner))
         self._t = now
         self._left -= 1
         if not self._left:
             self._spill()
 
-    # -- channel operations (executor hooks) -----------------------------
-
-    def on_chan_op(self, kind: str, g, ch, partner: int = 0,
-                   extra: Optional[Dict[str, Any]] = None) -> None:
+    def on_chan_close(self, g, ch, woken: int) -> None:
+        """A close that woke ``woken`` goroutines."""
         now = self.clock.now
-        if extra:
-            self._put((_CHAN_SHAPE[kind], now - self._t, g.goid, ch.addr,
-                       ch.label, partner, tuple(extra.items())))
-        else:
-            self._put((_BARE_CHAN_SHAPE[kind], now - self._t, g.goid,
-                       ch.addr, ch.label, partner))
+        self._put((_CLOSE, now - self._t, g.goid, ch.addr, ch.label,
+                   woken))
         self._t = now
         self._left -= 1
         if not self._left:

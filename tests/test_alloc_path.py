@@ -191,8 +191,8 @@ def test_a_fleet_holds_what_its_live_users_hold():
 #: (object and GC headers, a ``render`` pointer and ``pid`` on each),
 #: 99.2 with flat blocks, 61.2 with per-block time deltas and a flat
 #: channel park (CPython 3.11.7 and 3.12.1 alike), 52.3 with a slice's
-#: processor and mnemonic in its shape code and no empty ``extra`` slot
-#: on a channel operation (CPython 3.11.7).  The bound keeps the same
+#: processor and mnemonic in its shape code and no ``extra`` slot on a
+#: channel operation (CPython 3.11.7).  The bound keeps the same
 #: relative headroom (x 1.14).
 TRACE_RECORD_BYTES_MAX = 60
 

@@ -198,6 +198,9 @@ class EagerTracer:
             detail += f" partner g{partner}"
         self.emit(kind, g.goid, detail, args=args)
 
+    def on_chan_close(self, g, ch, woken: int) -> None:
+        self.on_chan_op(ev.CHAN_CLOSE, g, ch, extra={"woken": woken})
+
     def on_select(self, g, case_index: int, ch, op: str,
                   partner: int = 0) -> None:
         args: Dict[str, Any] = {"case": case_index, "op": op,
@@ -463,15 +466,13 @@ def park_then_move_on(tracer):
     tracer.on_instr(0, g, "send", 250)
     g.blocked_on = (ch,)
     tracer.on_park(g, WaitReason.CHAN_SEND)
-    extra = {"woken": 1}
-    tracer.on_chan_op(ev.CHAN_CLOSE, g, ch, partner=4, extra=extra)
+    tracer.on_chan_close(g, ch, 1)
     # The channel drains, fills and closes; the descriptor is recycled
     # for another go statement (Scheduler.spawn on a gfree descriptor).
     ch.buffer.clear()
     ch.buffer.extend(["a", "b"])
     ch.closed = True
     ch.label = "relabelled"
-    extra["woken"] = 99
     g.goid = 99
     g.bind(_body(), "other.go:1", parent_goid=98, name="janitor-99",
            fn_name="janitor")
@@ -491,9 +492,9 @@ def test_events_read_back_as_they_were_at_event_time(tracer_cls):
         "kind": "chan", "addr": 0x1000, "label": "jobs", "capacity": 2,
         "buffered": 1, "closed": False, "waiting_senders": 0,
         "waiting_receivers": 0, "make_site": "svc.go:12"}]}
-    assert close.args == {"chan": 0x1000, "partner": 4,
+    assert close.args == {"chan": 0x1000, "partner": 0,
                           "chan_label": "jobs", "woken": 1}
-    assert close.detail == "chan 0x1000 partner g4"
+    assert close.detail == "chan 0x1000"
 
 
 _VALUES = (int, str, bool, float, type(None))

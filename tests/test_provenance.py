@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import json
-from itertools import chain
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -25,7 +24,9 @@ from repro.core.checkpoint import CheckpointManager, WorkerSpec
 from repro.equivalence import corpus
 from repro.microbench.harness import run_microbenchmark
 from repro.microbench.registry import all_benchmarks, benchmarks_by_name
-from repro.runtime.clock import MILLISECOND
+from repro.runtime.channel import Channel
+from repro.runtime.clock import MILLISECOND, Clock
+from repro.runtime.goroutine import Goroutine
 from repro.runtime.instructions import (
     Go,
     Lock,
@@ -39,22 +40,13 @@ from repro.runtime.instructions import (
     WgAdd,
     WgWait,
 )
+from repro.runtime.waitreason import WaitReason
 from repro.service.controlled import ControlledConfig, run_controlled
 from repro.service.production import ProductionConfig, run_production
 from repro.telemetry import TelemetryHub
+from repro.trace import events as ev
 from repro.trace import tracer as tracer_mod
-from repro.trace.tracer import (
-    _BARE_CLOSE,
-    _CREATE,
-    _EMIT,
-    _MAKE,
-    _PARK,
-    _PARK_CHAN,
-    _SHAPES,
-    ExecutionTracer,
-    Record,
-    _record,
-)
+from repro.trace.tracer import ExecutionTracer, Record, event_of
 
 
 def _run_with_reports(bench, procs=2, seed=1, rt_hook=None):
@@ -300,46 +292,45 @@ class TestReadContract:
 def reference_provenance_scan(self, goids, watched: Set[int]
                               ) -> Tuple[Dict[int, List[Record]],
                                          Dict[int, Record], List[Tuple]]:
-    """``ExecutionTracer.provenance_scan`` as it was before it stopped
-    early, verbatim but for the bare channel operations' codes: the
-    whole ring, oldest block first, with the last ``go-create`` record
-    of every goroutine not in ``goids``."""
+    """What ``ExecutionTracer.provenance_scan`` returns, read off the
+    decoded records of the whole ring, oldest first, with the last
+    ``go-create`` record of every goroutine not in ``goids``.  A touch
+    is read off the rendered event: every ``B(g)`` address of a
+    ``go-park``, the ``chan`` of any other event."""
     own: Dict[int, List[Record]] = {goid: [] for goid in goids}
     creates: Dict[int, Record] = {}
     touches: List[Tuple] = []
-    shapes = _SHAPES
-    skip = self._held() - len(self)
-    for block in chain(self._blocks, (self._block,)):
-        t = i = 0
-        n = len(block)
-        while i < n:
-            code = block[i]
-            _, kind, _, width = shapes[code]
-            t += block[i + 1]
-            if skip:
-                skip -= 1
-                i += width
+    for r in self.iter_records():
+        goid = r[2]
+        if goid in own:
+            own[goid].append(r)
+        elif goid:
+            e = event_of(r)
+            if e.kind == ev.GO_CREATE:
+                creates[goid] = r
                 continue
-            goid = block[i + 3] if code == _EMIT else block[i + 2]
-            if goid in own:
-                own[goid].append(_record(block, i, t))
-            elif goid:
-                addrs: Tuple = ()
-                if code == _CREATE:
-                    creates[goid] = _record(block, i, t)
-                elif _MAKE <= code <= _BARE_CLOSE:
-                    addrs = (block[i + 3],)
-                elif code == _PARK_CHAN:
-                    addrs = (block[i + 4],)
-                elif code == _PARK:
-                    addrs = tuple(s[1] for s in block[i + 4])
-                elif code == _EMIT and block[i + 6]:
-                    kind = block[i + 2]
-                    addrs = (block[i + 6].get("chan"),)
-                if addrs and not watched.isdisjoint(addrs):
-                    touches.append((goid, kind, addrs))
-            i += width
+            args = e.args or {}
+            if e.kind == ev.GO_PARK:
+                addrs = tuple(d["addr"] for d in args["blocked_on"])
+            else:
+                addrs = (args.get("chan"),)
+            if not watched.isdisjoint(addrs):
+                touches.append((goid, e.kind, addrs))
     return own, creates, touches
+
+
+def assert_scan_is_the_reference(tracer, goids, watched: Set[int],
+                                 got) -> Set[int]:
+    """``got``, what ``tracer.provenance_scan(goids, watched)`` returned,
+    has the reference's ``own`` and ``touches``, and its ``creates`` on
+    every abandoner; returns the abandoners."""
+    own, creates, touches = reference_provenance_scan(tracer, goids,
+                                                      watched)
+    assert got[0] == own and got[2] == touches
+    abandoners = {goid for goid, _, _ in touches}
+    assert got[1] == {goid: creates[goid] for goid in abandoners
+                      if goid in creates}
+    return abandoners
 
 
 #: Records per block while these tests run: small, so that a ring spans
@@ -374,12 +365,7 @@ def scan_log(monkeypatch):
     def checked(self, goids, watched):
         visited.clear()
         got = scan(self, goids, watched)
-        own, creates, touches = reference_provenance_scan(self, goids,
-                                                          watched)
-        assert got[0] == own and got[2] == touches
-        abandoners = {goid for goid, _, _ in touches}
-        assert got[1] == {goid: creates[goid] for goid in abandoners
-                          if goid in creates}
+        abandoners = assert_scan_is_the_reference(self, goids, watched, got)
         log.scans.append((len(visited), len(self._blocks) + 1))
         log.abandoners += len(abandoners)
         log.skipped += self._held() > len(self)
@@ -438,6 +424,35 @@ class TestSuffixScan:
         if capacity == "spanning":
             assert scan_log.abandoners > 0
             assert any(visited < held for visited, held in scan_log.scans)
+
+
+def _body():
+    yield
+
+
+def test_every_channel_operation_on_a_watched_channel_is_a_touch():
+    # Built by hand: in a run, a close wakes every waiter, so no
+    # condemned goroutine waits on a channel a close names.
+    tracer = ExecutionTracer(Clock())
+    ch = Channel(1, label="jobs")
+    ch.addr = 0x2000
+    gs = {}
+    for goid in (2, 3, 4):
+        gs[goid] = g = Goroutine(goid)
+        g.bind(_body(), f"svc.go:{goid}", parent_goid=1, name=f"w-{goid}",
+               fn_name="w")
+        tracer.on_create(g)
+    tracer.on_chan_op(ev.CHAN_MAKE, gs[2], ch)
+    tracer.on_chan_op(ev.CHAN_SEND, gs[2], ch, partner=3)
+    tracer.on_chan_op(ev.CHAN_RECV, gs[3], ch, partner=2)
+    tracer.on_chan_close(gs[3], ch, 0)
+    gs[4].blocked_on = (ch,)
+    tracer.on_park(gs[4], WaitReason.CHAN_RECEIVE)
+    got = tracer.provenance_scan({4: None}, {0x2000})
+    assert_scan_is_the_reference(tracer, {4: None}, {0x2000}, got)
+    assert [(goid, kind) for goid, kind, _ in got[2]] == [
+        (2, ev.CHAN_MAKE), (2, ev.CHAN_SEND), (3, ev.CHAN_RECV),
+        (3, ev.CHAN_CLOSE)]
 
 
 def _chatter(buf, rounds):

@@ -27,6 +27,7 @@ from repro.runtime.instructions import (
     Sleep,
     Unlock,
 )
+from repro.trace import provenance
 from repro.trace import tracer as tracer_mod
 from repro.trace import (
     VOCABULARY,
@@ -40,7 +41,8 @@ from repro.runtime.sync import Mutex, WaitGroup
 from repro.runtime.waitreason import WaitReason
 from repro.trace.chrome import GC_TID, GOROUTINE_TID_BASE, RUNTIME_PID
 from repro.trace.tracer import BLOCK, ExecutionTracer
-from tests.test_observer_fastpath import EagerTracer
+from tests.test_observer_fastpath import EagerTracer, _reference_evidence
+from tests.test_provenance import assert_scan_is_the_reference
 
 
 def _traced_transfer_run(seed=3):
@@ -379,9 +381,10 @@ def mixed_stream(n):
             yield lambda t: t.on_instr(i % 3, g, "send", 10 + i)
         elif step == 4:
             kind = chan_kinds[i % 4]
-            extra = {"woken": i} if kind == ev.CHAN_CLOSE else None
-            yield lambda t: t.on_chan_op(kind, g, ch, partner=i % 2,
-                                         extra=extra)
+            if kind == ev.CHAN_CLOSE:
+                yield lambda t: t.on_chan_close(g, ch, i)
+            else:
+                yield lambda t: t.on_chan_op(kind, g, ch, partner=i % 2)
         elif step == 5:
             yield lambda t: t.emit("daemon-detect", g.goid, f"tick {i}",
                                    args={"n": i})
@@ -517,28 +520,9 @@ def test_every_park_shape_reads_back_as_the_eager_tracer(shape):
 
 
 # ---------------------------------------------------------------------------
-# Shape codes: a coded slice and a bare channel operation read back as the
-# generic shapes that store every field
+# Shape codes: every slice is stored under a code, and every read is the
+# eager tracer's
 # ---------------------------------------------------------------------------
-
-
-class GenericShapes(ExecutionTracer):
-    """The tracer with every slice and channel operation in its generic
-    shape: a slice keeps its processor and mnemonic, and a channel
-    operation keeps its ``extra`` slot when it is empty."""
-
-    def on_instr(self, pid, g, mnemonic, cost_ns):
-        self._on_instr_uncoded(pid, g, mnemonic, cost_ns)
-
-    def on_chan_op(self, kind, g, ch, partner=0, extra=None):
-        now = self.clock.now
-        self._put((tracer_mod._CHAN_SHAPE[kind], now - self._t, g.goid,
-                   ch.addr, ch.label, partner,
-                   tuple(extra.items()) if extra else ()))
-        self._t = now
-        self._left -= 1
-        if not self._left:
-            self._spill()
 
 
 def _codes(tracer):
@@ -552,71 +536,57 @@ def _codes(tracer):
     return codes
 
 
-def _surface(tracer, goids, watched):
-    return (tracer.records, [e.as_dict() for e in tracer.events],
-            tracer.format(), tracer.dropped,
-            tracer.provenance_scan(goids, watched))
-
-
 @pytest.fixture
 def code_table(monkeypatch):
-    """An empty code table for the test; call the fixture's value to cap
-    it."""
+    """An empty code table for the test: no processor and mnemonic has
+    a code yet."""
     monkeypatch.setattr(tracer_mod, "_INSTR_CODES", {})
     monkeypatch.setattr(tracer_mod, "_INSTR_KEYS", {})
-
-    def cap(n):
-        monkeypatch.setattr(tracer_mod, "_INSTR_CODES_MAX", n)
-    return cap
+    monkeypatch.setattr(tracer_mod, "_SHAPES",
+                        tracer_mod._SHAPES[:tracer_mod._CODED])
 
 
-def _stream_codes(capacity=64, n=600):
-    """Feed :func:`mixed_stream` to a tracer and to the generic shapes;
-    check every read equal and return the codes the tracer stored."""
+def _stream_codes(stream, n, capacity=64):
+    """Feed ``stream(n)`` to a tracer and to the eager tracer; check
+    every read equal and return the codes the tracer stored."""
     clock = Clock()
-    coded, generic = ExecutionTracer(clock, capacity), GenericShapes(
-        clock, capacity)
-    for i, call in enumerate(mixed_stream(n)):
+    ring, eager = ExecutionTracer(clock, capacity), EagerTracer(clock,
+                                                                capacity)
+    for i, call in enumerate(stream(n)):
         clock.now += CLOCK_STEPS[i % len(CLOCK_STEPS)]
-        call(coded)
-        call(generic)
-    # Scans for one, two and no goroutines of the stream, watching its
-    # channel.
-    for goids in ({2: None}, {3: None, 5: None}, {}):
-        assert (_surface(coded, goids, {0x2000})
-                == _surface(generic, goids, {0x2000}))
-    assert coded.dropped > 0
-    return _codes(coded)
+        call(ring)
+        call(eager)
+    assert _read(ring) == _read(eager)
+    assert ring.dropped > 0
+    return _codes(ring)
 
 
-def test_coded_slices_and_bare_operations_read_as_the_generic_shapes(
+def test_coded_slices_and_channel_operations_read_as_the_eager_tracer(
         code_table):
-    codes = _stream_codes()
-    # A make, send and recv store no extra; a close keeps its own.
-    assert {tracer_mod._BARE_MAKE, tracer_mod._BARE_SEND,
-            tracer_mod._BARE_RECV, tracer_mod._CLOSE} <= codes
-    assert not codes & {tracer_mod._MAKE, tracer_mod._SEND,
-                        tracer_mod._RECV, tracer_mod._INSTR}
+    codes = _stream_codes(mixed_stream, 600)
+    assert {tracer_mod._MAKE, tracer_mod._SEND, tracer_mod._RECV,
+            tracer_mod._CLOSE} <= codes
     # Three processors x one mnemonic: three codes.
     assert sorted(c for c in codes if c >= tracer_mod._CODED) == [
         tracer_mod._CODED + k for k in range(3)]
 
 
-def test_a_full_code_table_leaves_every_slice_generic(code_table):
-    code_table(0)
-    codes = _stream_codes()
-    assert tracer_mod._INSTR in codes
-    assert max(codes) < tracer_mod._CODED
-    assert tracer_mod._INSTR_KEYS == {}
+def many_pairs(n, procs=64, mnemonics=17):
+    """``n`` instruction slices, cycling through ``procs`` processors
+    times ``mnemonics`` mnemonics."""
+    g = Goroutine(2)
+    g.bind(_body(), "svc.go:2", parent_goid=1, name="w-2", fn_name="worker")
+    for i in range(n):
+        pid, m = divmod(i % (procs * mnemonics), mnemonics)
+        yield lambda t: t.on_instr(pid, g, f"op{m}", 10 + i)
 
 
-def test_a_processor_beyond_the_table_keeps_its_pid(code_table):
-    # Room for the first processor's code only: the stream's slices on
-    # processors 1 and 2 keep their pid and mnemonic.
-    code_table(1)
-    codes = _stream_codes()
-    assert {tracer_mod._INSTR, tracer_mod._CODED} <= codes
-    assert tracer_mod._INSTR_KEYS == {tracer_mod._CODED: (0, "send")}
+def test_every_pair_past_a_thousand_is_coded(code_table):
+    pairs = 64 * 17
+    assert pairs > 1024
+    codes = _stream_codes(many_pairs, 2 * pairs, capacity=pairs + 100)
+    assert min(codes) >= tracer_mod._CODED
+    assert len(codes) == len(tracer_mod._INSTR_KEYS) == pairs
 
 
 class Nap(Sleep):
@@ -656,14 +626,17 @@ def _nap_run(monkeypatch, tracer_cls):
     return tracer, [r.provenance.as_dict() for r in rt.reports]
 
 
-def test_a_mnemonic_of_its_own_reads_as_the_generic_shape(monkeypatch,
-                                                          code_table):
+def test_a_mnemonic_of_its_own_reads_as_the_eager_tracer(monkeypatch,
+                                                        code_table):
     coded, coded_provenance = _nap_run(monkeypatch, ExecutionTracer)
-    generic, generic_provenance = _nap_run(monkeypatch, GenericShapes)
-    assert coded_provenance == generic_provenance
+    monkeypatch.setattr(provenance, "_trace_evidence", _reference_evidence)
+    eager, eager_provenance = _nap_run(monkeypatch, EagerTracer)
+    assert coded_provenance == eager_provenance
+    assert _read(coded) == _read(eager)
     goids = {r[2]: None for r in coded.records if r[1] == ev.INSTR}
     made = {r[5] for r in coded.records if r[1] == ev.CHAN_MAKE}
     assert goids and made
-    assert _surface(coded, goids, made) == _surface(generic, goids, made)
+    assert_scan_is_the_reference(coded, goids, made,
+                                 coded.provenance_scan(goids, made))
     assert "nap" in {m for _, m in tracer_mod._INSTR_KEYS.values()}
     assert "nap" in coded.format()
