@@ -589,6 +589,20 @@ def test_every_pair_past_a_thousand_is_coded(code_table):
     assert len(codes) == len(tracer_mod._INSTR_KEYS) == pairs
 
 
+def test_a_processor_past_a_thousand_pairs_reads_its_own_pid(code_table):
+    # Processors 61-63 get their codes after the first 1 024 pairs; each
+    # of their slices still reads back with its own pid and mnemonic.
+    clock = Clock()
+    ring = ExecutionTracer(clock, 64 * 17)
+    for i, call in enumerate(many_pairs(64 * 17)):
+        clock.now += 1
+        call(ring)
+    late = [(r[3], r[5]) for r in ring.records if r[3] > 60]
+    assert late == [(pid, f"op{m}") for pid in (61, 62, 63)
+                    for m in range(17)]
+    assert {e.pid for e in ring.events} == set(range(64))
+
+
 class Nap(Sleep):
     """An instruction subclass with a mnemonic of its own."""
 
