@@ -4,7 +4,8 @@ Input: the hourly ``(hour, blocked_goroutines)`` series produced by
 :func:`repro.service.longrun.run_longrun` (or any monitoring pipeline
 with the same shape) plus the redeploy marks.  Output:
 
-- per-deployment-window leak rates (least-squares slope, via numpy);
+- per-deployment-window leak rates (the closed-form least-squares
+  slope);
 - a consolidated :class:`LeakForecast`: the steady leak rate, whether
   the service is leaking at all, and the projected time until the
   blocked-goroutine population crosses a capacity threshold — the
@@ -14,9 +15,8 @@ with the same shape) plus the redeploy marks.  Output:
 
 from __future__ import annotations
 
+import statistics
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 #: Minimum per-hour slope, the median across deployment windows, for a
 #: service to count as leaking: filters noise from transient request
@@ -42,11 +42,17 @@ class DeployWindow:
     def _fit(self) -> None:
         if len(self.samples) < 2:
             return
-        hours = np.array([h for h, _ in self.samples], dtype=float)
-        counts = np.array([c for _, c in self.samples], dtype=float)
-        slope, intercept = np.polyfit(hours - hours[0], counts, 1)
-        self.rate_per_hour = float(slope)
-        self.intercept = float(intercept)
+        start = self.samples[0][0]
+        hours = [float(h - start) for h, _ in self.samples]
+        counts = [float(c) for _, c in self.samples]
+        mean_h = sum(hours) / len(hours)
+        mean_c = sum(counts) / len(counts)
+        sxx = sum((h - mean_h) ** 2 for h in hours)
+        sxy = sum((h - mean_h) * (c - mean_c)
+                  for h, c in zip(hours, counts))
+        slope = sxy / sxx if sxx else 0.0
+        self.rate_per_hour = slope
+        self.intercept = mean_c - slope * mean_h
 
     def __repr__(self) -> str:
         return (
@@ -133,10 +139,9 @@ def forecast_series(
     windows = (split_deploy_windows(series, redeploys)
                if redeploys else [DeployWindow(
                    series[0][0], series[-1][0] + 1, list(series))])
-    rates = np.array([w.rate_per_hour for w in windows]) if windows else (
-        np.zeros(1))
-    rate = float(np.median(rates))
-    stddev = float(np.std(rates))
+    rates = [w.rate_per_hour for w in windows] or [0.0]
+    rate = statistics.median(rates)
+    stddev = statistics.pstdev(rates)
     leaking = rate >= LEAK_RATE_FLOOR
 
     hours_to_threshold: Optional[float] = None

@@ -415,9 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of independent runtime shards")
     p.add_argument("--mode", default="sequential",
                    choices=["sequential", "multiprocessing", "both"],
-                   help="'sequential' steps shards round-robin in one "
-                        "process (the deterministic oracle); "
-                        "'multiprocessing' runs one worker per shard; "
+                   help="each shard runs start to finish; "
+                        "'sequential' runs the shards one after another "
+                        "in this process (the deterministic oracle); "
+                        "'multiprocessing' runs each in its own worker "
+                        "process; "
                         "'both' runs the two and enforces equivalence")
     p.add_argument("--users", type=int, default=96,
                    help="total users routed across the fleet")

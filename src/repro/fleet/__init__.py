@@ -11,11 +11,12 @@ state — and adds the layer the paper's single runtime never needed:
   deterministic user → shard router (hash- or load-based placement,
   per-user session affinity);
 - :mod:`repro.fleet.shard` — one shard = one runtime serving its routed
-  users through the controlled/production leak workloads, driven in
-  bounded virtual-time slices;
-- :mod:`repro.fleet.supervisor` — `sequential` (deterministic oracle)
-  and `multiprocessing` (one worker per shard, results over pipes)
-  execution with identical semantics;
+  users through the controlled/production leak workloads, run start to
+  finish in bounded virtual-time slices by ``run_shard``;
+- :mod:`repro.fleet.supervisor` — ``run_fleet``: `sequential` (the
+  deterministic oracle: the shards one after another in this process)
+  and `multiprocessing` (each shard in its own worker process, results
+  over pipes) execution with identical semantics;
 - :mod:`repro.fleet.aggregate` — merged leak reports with shard
   provenance, cross-shard :class:`FingerprintStore` dedup, fleet
   ``.prom`` exposition with a ``shard`` label on every instrument, and
@@ -31,7 +32,6 @@ _EXPORTS = {
     "FLEET_SCHEMA_VERSION": "aggregate",
     "FleetConfig": "supervisor",
     "FleetResult": "aggregate",
-    "FleetSupervisor": "supervisor",
     "ROUTING_POLICIES": "router",
     "Router": "router",
     "ShardResult": "shard",

@@ -9,12 +9,12 @@ through an RPC-style server, exactly like the paper's controlled
 service but per shard.
 
 Execution is *stepped*: :meth:`ShardRunner.step` advances the shard by
-one bounded slice of virtual time.  The sequential fleet mode
-interleaves slices round-robin across shards; the multiprocessing mode
-runs the same stepping loop to completion inside a worker process.
-Because both modes drive the identical slice cadence from the identical
-spec, a shard's entire execution — reports, fingerprints, metrics — is
-a pure function of the spec, regardless of mode.
+one bounded slice of virtual time, and :func:`run_shard` steps one
+shard start to finish.  Both fleet modes call :func:`run_shard`: the
+sequential mode runs the shards one after another in its own process,
+the multiprocessing mode runs each in its own worker process.  A
+shard's entire execution — reports, fingerprints, metrics — is a pure
+function of its spec, regardless of mode.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class ShardRunner:
         return self.done
 
     def run_to_completion(self) -> ShardResult:
-        """Drive the same stepping loop the sequential mode interleaves
-        (identical slice cadence ⇒ identical execution)."""
+        """Step the shard in bounded slices until its program ends; the
+        slice cadence is part of the shard's execution."""
         while not self.step():
             pass
         return self.result
@@ -274,5 +274,6 @@ class ShardRunner:
 
 
 def run_shard(spec: ShardSpec) -> ShardResult:
-    """Build and run one shard to completion (the worker entry point)."""
+    """Build and run one shard to completion (what both fleet modes
+    run)."""
     return ShardRunner(spec).run_to_completion()

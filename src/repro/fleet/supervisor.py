@@ -1,12 +1,13 @@
 """The fleet supervisor: N runtime shards under one roof.
 
-Two execution modes with identical semantics:
+A shard runs start to finish through :func:`~repro.fleet.shard.run_shard`;
+the two execution modes differ only in where that call runs:
 
-- ``sequential`` — the oracle mode: every shard lives in this process
-  and the supervisor interleaves bounded virtual-time slices round-robin
-  across shards.  Fully deterministic; same-seed runs are byte-identical.
-- ``multiprocessing`` — one worker process per shard; each worker drives
-  the *same* stepping loop over the *same* picklable spec and ships its
+- ``sequential`` — the oracle mode: the shards run one after another in
+  this process, in routing order.  Fully deterministic; same-seed runs
+  are byte-identical, and only one shard's runtime is alive at a time.
+- ``multiprocessing`` — each shard runs in its own worker process, from
+  the *same* picklable spec, and ships its
   :class:`~repro.fleet.shard.ShardResult` home over a pipe.  Shards
   execute in parallel across cores, and because a shard's run is a pure
   function of its spec, the aggregated result is identical to
@@ -21,7 +22,7 @@ throughput scales with the shard count.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.fleet.aggregate import FleetResult
 from repro.fleet.router import (
@@ -36,7 +37,6 @@ from repro.fleet.shard import (
     PERIODIC_GC_MS,
     STEP_MS,
     ShardResult,
-    ShardRunner,
     ShardSpec,
     run_shard,
 )
@@ -111,103 +111,77 @@ def _shard_worker(spec: ShardSpec, conn) -> None:
         conn.close()
 
 
-class FleetSupervisor:
-    """Builds shard specs from the routing table and runs the fleet."""
+def _run_multiprocessing(specs: List[ShardSpec]) -> List[ShardResult]:
+    # Imported here, not at module load: only this mode uses it, and
+    # every importer of the fleet would otherwise pay its memory.
+    import multiprocessing
 
-    def __init__(self, config: Optional[FleetConfig] = None):
-        self.config = config or FleetConfig()
-
-    def build_specs(self) -> List[ShardSpec]:
-        config = self.config
-        model = config.model()
-        router = Router(config.shards, policy=config.policy,
-                        seed=config.seed)
-        self.routing = router.build_table(model)
-        return [
-            ShardSpec(
-                shard_id=shard_id, fleet_seed=config.seed,
-                user_ids=user_ids, model=model,
-                procs=config.procs_per_shard,
-                daemon_interval_ms=config.daemon_interval_ms)
-            for shard_id, user_ids in sorted(self.routing.items())
-        ]
-
-    def run(self, mode: str = "sequential") -> FleetResult:
-        if mode not in FLEET_MODES:
-            raise ValueError(
-                f"mode must be one of {FLEET_MODES}, got {mode!r}")
-        specs = self.build_specs()
-        started = time.perf_counter()
-        if mode == "sequential":
-            shards = self._run_sequential(specs)
-        else:
-            shards = self._run_multiprocessing(specs)
-        wall_s = time.perf_counter() - started
-        return FleetResult(mode, self.config.as_dict(), self.routing,
-                           shards, wall_s=wall_s)
-
-    # -- sequential (oracle) mode --------------------------------------------
-
-    def _run_sequential(self, specs: List[ShardSpec]) -> List[ShardResult]:
-        runners = [ShardRunner(spec) for spec in specs]
-        pending = list(runners)
-        while pending:
-            # Round-robin: one bounded virtual-time slice per shard per
-            # pass, so no shard races ahead of the others.
-            pending = [r for r in pending if not r.step()]
-        return [r.result for r in runners]
-
-    # -- multiprocessing mode -------------------------------------------------
-
-    def _run_multiprocessing(
-            self, specs: List[ShardSpec]) -> List[ShardResult]:
-        # Imported here, not at module load: only this mode uses it, and
-        # every importer of the fleet would otherwise pay its memory.
-        import multiprocessing
-
-        # fork inherits sys.path (and is fast); fall back to spawn where
-        # fork does not exist — workers then re-import repro, so the
-        # package must be importable, which the test/CI environments
-        # guarantee.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        workers = []
-        for spec in specs:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard_worker,
-                               args=(spec, child_conn),
-                               name=f"fleet-shard-{spec.shard_id}")
-            proc.start()
-            child_conn.close()
-            workers.append((spec, proc, parent_conn))
-        results: List[ShardResult] = []
-        for spec, proc, conn in workers:
-            outcome: Optional[ShardResult] = None
-            failure = ""
-            try:
-                status, payload = conn.recv()
-                if status == "ok":
-                    outcome = payload
-                else:
-                    failure = str(payload)
-            except EOFError:
-                failure = "worker exited without a result"
-            finally:
-                conn.close()
-                proc.join()
-            if outcome is None:
-                # A dead worker must dirty the run, not crash aggregation:
-                # synthesize an incomplete ShardResult carrying the error.
-                outcome = ShardResult(spec.shard_id)
-                outcome.users = len(spec.user_ids)
-                outcome.invariant_violations = [
-                    f"worker failed: {failure or 'unknown error'}"]
-            results.append(outcome)
-        return results
+    # fork inherits sys.path (and is fast); fall back to spawn where
+    # fork does not exist — workers then re-import repro, so the
+    # package must be importable, which the test/CI environments
+    # guarantee.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+    workers = []
+    for spec in specs:
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_shard_worker,
+                           args=(spec, child_conn),
+                           name=f"fleet-shard-{spec.shard_id}")
+        proc.start()
+        child_conn.close()
+        workers.append((spec, proc, parent_conn))
+    results: List[ShardResult] = []
+    for spec, proc, conn in workers:
+        outcome: Optional[ShardResult] = None
+        failure = ""
+        try:
+            status, payload = conn.recv()
+            if status == "ok":
+                outcome = payload
+            else:
+                failure = str(payload)
+        except EOFError:
+            failure = "worker exited without a result"
+        finally:
+            conn.close()
+            proc.join()
+        if outcome is None:
+            # A dead worker must dirty the run, not crash aggregation:
+            # synthesize an incomplete ShardResult carrying the error.
+            outcome = ShardResult(spec.shard_id)
+            outcome.users = len(spec.user_ids)
+            outcome.invariant_violations = [
+                f"worker failed: {failure or 'unknown error'}"]
+        results.append(outcome)
+    return results
 
 
 def run_fleet(config: Optional[FleetConfig] = None,
               mode: str = "sequential") -> FleetResult:
-    """One-call fleet run (what the CLI and benchmarks use)."""
-    return FleetSupervisor(config).run(mode)
+    """Route the users, run every shard, and aggregate (what the CLI
+    and benchmarks use)."""
+    if mode not in FLEET_MODES:
+        raise ValueError(
+            f"mode must be one of {FLEET_MODES}, got {mode!r}")
+    config = config or FleetConfig()
+    model = config.model()
+    router = Router(config.shards, policy=config.policy, seed=config.seed)
+    routing = router.build_table(model)
+    specs = [
+        ShardSpec(
+            shard_id=shard_id, fleet_seed=config.seed,
+            user_ids=user_ids, model=model,
+            procs=config.procs_per_shard,
+            daemon_interval_ms=config.daemon_interval_ms)
+        for shard_id, user_ids in sorted(routing.items())
+    ]
+    started = time.perf_counter()
+    if mode == "sequential":
+        shards = [run_shard(spec) for spec in specs]
+    else:
+        shards = _run_multiprocessing(specs)
+    wall_s = time.perf_counter() - started
+    return FleetResult(mode, config.as_dict(), routing, shards,
+                       wall_s=wall_s)

@@ -415,14 +415,7 @@ class Scheduler:
         The body generator is dropped unresumed — deferred code must not
         run.
         """
-        self.semtable.remove_goroutine(g)
-        self._relock.pop(g.goid, None)
-        if g.gen is not None:
-            self._reclaimed_bodies.append(g.gen)
-        g.cleanup_after_deadlock()
-        self.gfree.append(g)
-        if self.tracer is not None:
-            self.tracer.on_reclaim(g)
+        self._release(g)
 
     def kill(self, g: Goroutine) -> None:
         """Forcibly terminate ``g`` from a host-side recovery action.
@@ -447,6 +440,12 @@ class Scheduler:
                 p.g = None
                 p.instr = None
                 self._busy -= 1
+        self._release(g)
+
+    def _release(self, g: Goroutine) -> None:
+        """Return a forcibly stopped goroutine to the free pool: the
+        scheduler-side release shared by :meth:`reclaim_deadlocked` and
+        :meth:`kill`.  Its body is kept unresumed, never finished."""
         self.semtable.remove_goroutine(g)
         self._relock.pop(g.goid, None)
         if g.gen is not None:

@@ -1,15 +1,17 @@
 """Tests for the sharded fleet: router, shards, aggregation, artifacts."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.fleet import (
     FLEET_SCHEMA_VERSION,
     FleetConfig,
-    FleetSupervisor,
     Router,
     ShardResult,
+    ShardRunner,
     ShardSpec,
     TrafficModel,
     run_fleet,
@@ -177,6 +179,26 @@ class TestFleetAggregation:
         text = fleet.report_log_text()
         assert text.count("[shard ") == fleet.total_leaks_detected
 
+    def test_sequential_fleet_holds_one_shard_runtime_at_a_time(
+            self, monkeypatch):
+        # Each shard runs start to finish, so a finished shard's runtime
+        # is garbage before the next shard's is built.
+        runtimes, alive = [], []
+        build = ShardRunner.__init__
+
+        def tracked_build(runner, spec):
+            gc.collect()
+            build(runner, spec)
+            runtimes.append(weakref.ref(runner.rt))
+            alive.append(sum(ref() is not None for ref in runtimes))
+
+        monkeypatch.setattr(ShardRunner, "__init__", tracked_build)
+        fleet = run_fleet(FleetConfig(shards=3, seed=2, users=15,
+                                      leak_rate=0.4, min_requests=1,
+                                      max_requests=2), "sequential")
+        assert fleet.clean
+        assert alive == [1, 1, 1]
+
     def test_dirty_shard_dirties_the_fleet(self):
         fleet = run_fleet(_small_config(), "sequential")
         broken = ShardResult(99)
@@ -196,7 +218,7 @@ class TestFleetAggregation:
         with pytest.raises(ValueError):
             FleetConfig(workload="nope")
         with pytest.raises(ValueError):
-            FleetSupervisor(_small_config()).run("threads")
+            run_fleet(_small_config(), "threads")
 
 
 class TestArtifactSchema:

@@ -1,14 +1,18 @@
 """Mode equivalence: sequential (oracle) vs multiprocessing fleets.
 
 The acceptance surface of the fleet design: a shard's execution is a
-pure function of its picklable spec, so running shards interleaved in
+pure function of its picklable spec, so running shards one after another in
 one process or in parallel worker processes must produce identical
 aggregated leak-report logs, fingerprint sets, metrics, and artifacts.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.fleet import FleetConfig, equivalence_diff, run_fleet
+from repro.fleet import supervisor
 
 
 def _run_both(config):
@@ -66,3 +70,31 @@ class TestModeEquivalence:
         # ...and it names the fields: per-shard results, merged log.
         assert "shards differs" in mismatches
         assert "report_log differs" in mismatches
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched run_shard reaches a worker only by fork")
+    def test_a_dead_worker_dirties_only_its_shard(self, monkeypatch):
+        config = FleetConfig(shards=3, seed=2, users=15, leak_rate=0.4,
+                             min_requests=1, max_requests=2)
+        seq = run_fleet(config, "sequential")
+        run_shard = supervisor.run_shard
+
+        def failing_run_shard(spec):
+            if spec.shard_id == 0:
+                raise RuntimeError("shard 0 broke")
+            if spec.shard_id == 2:
+                os._exit(3)  # dies without replying: the pipe hits EOF
+            return run_shard(spec)
+
+        monkeypatch.setattr(supervisor, "run_shard", failing_run_shard)
+        mp = run_fleet(config, "multiprocessing")
+        assert not mp.clean
+        by_id = {shard.shard_id: shard for shard in mp.shards}
+        assert by_id[0].invariant_violations == [
+            "worker failed: RuntimeError: shard 0 broke"]
+        assert by_id[2].invariant_violations == [
+            "worker failed: worker exited without a result"]
+        assert by_id[1].as_dict() == seq.shards[1].as_dict()
+        assert by_id[1].report_texts == seq.shards[1].report_texts
+        assert any("shard 0: did not complete" in p for p in mp.problems)

@@ -13,6 +13,7 @@ registered.  And every committed artifact has exactly one writer that
 CI checks.  And every module has a reader: one that no bench script, equivalence pair or
 content-checked CLI step imports is deleted or kept with a reason, and
 an equivalence pair alone does not count.  And every on-disk format in docs/ARCHITECTURE.md's table has a writer.
+And the package imports nothing but itself and the standard library.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro import GolfConfig, Runtime
@@ -177,6 +180,29 @@ def test_json_is_spelled_only_in_the_codec():
                 need_defs.append(path)
     assert json_users == {("codec.py", "dumps"), ("codec.py", "loads")}
     assert need_defs == ["codec.py"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="sys.stdlib_module_names is new in 3.10")
+def test_the_package_imports_only_itself_and_the_stdlib():
+    """``pyproject.toml`` declares no dependency, and CI installs only
+    the test tools: every import under ``src/repro`` names ``repro`` or
+    a standard-library module."""
+    foreign = []
+    for source in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            foreign.extend(
+                (source.relative_to(PACKAGE).as_posix(), module)
+                for module in modules
+                if module.split(".")[0] != "repro"
+                and module.split(".")[0] not in sys.stdlib_module_names)
+    assert foreign == []
 
 
 def test_no_ambient_slot_reaches_a_runtime():
